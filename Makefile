@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench service-bench replayer-bench api-check lint lint-baseline corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e service-bench replayer-bench api-check replication-check lint lint-baseline corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -20,6 +20,12 @@ test:
 bench:
 	PYTHONPATH=src python -m pytest -q benchmarks
 
+## The end-to-end benchmark (bench/README.md): six workloads, calibrated
+## front-end cost per task plus the per-layer traced budget. Minutes;
+## `make verify` runs the --quick size.
+bench-e2e:
+	python3 bench/run.py
+
 ## The multi-tenant service benchmark on its own.
 service-bench:
 	PYTHONPATH=src python -m pytest -q benchmarks/test_perf_service.py -m service
@@ -31,6 +37,10 @@ replayer-bench:
 ## Public-API snapshot + client-facade suites on their own.
 api-check:
 	PYTHONPATH=src python -m pytest -q -m api tests
+
+## The control-replication agreement suites on their own.
+replication-check:
+	PYTHONPATH=src python -m pytest -x -q -m replication tests
 
 ## The determinism & invariant linter (rules RPL001-RPL009) over src/.
 lint:

@@ -23,7 +23,7 @@ import pytest
 
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.experiments.multi_tenant import capture_stream
-from repro.persist import dehydrate, hydrate_processor
+from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 
 #: The api/persist suite sizing: mines real candidates and fires traces.
@@ -67,12 +67,12 @@ def stream():
 def test_dehydrate_and_hydrate_are_sub_millisecond(stream):
     """Best-of-rounds floor on both halves of the spill round-trip."""
     processor = _mined_processor(stream[:SPLIT])
-    state = dehydrate(processor, session_id="s3d")
+    state = dehydrate_processor(processor, session_id="s3d")
     assert state.num_candidates > 0  # the session really learned
 
     rounds = 20
     best_dehydrate = min(
-        _timed(lambda: dehydrate(processor, session_id="s3d"))
+        _timed(lambda: dehydrate_processor(processor, session_id="s3d"))
         for _ in range(rounds)
     )
     # Fresh targets are built off the clock: hydrate's cost is the
@@ -126,7 +126,7 @@ def test_warm_start_pays_zero_remining_jobs(stream):
     Dehydrate's own flush is the fence; the twin flushes once at the
     same point (a second flush would be a decision event of its own).
     """
-    state = dehydrate(_driven(stream[:SPLIT]), session_id="s3d")
+    state = dehydrate_processor(_driven(stream[:SPLIT]), session_id="s3d")
     assert state.payload["jobs"]["pending"], "fence carried no live jobs"
 
     warm = hydrate_processor(

@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Repo verification: tier-1 tests plus the fast perf guards.
 #
-#   scripts/verify.sh            # unit suite + perf_smoke subset
+#   scripts/verify.sh            # lint + unit suite + perf_smoke + quick bench
 #   VERIFY_FULL=1 scripts/verify.sh   # additionally the full benchmark suite
 #
 # Used by `make verify`; keep it in sync with the tier-1 command recorded
@@ -20,41 +20,10 @@ python -m repro.lint src
 echo "== tier-1 unit suite"
 python -m pytest -x -q tests
 
-# The facade suites already ran as part of tests/; this step re-checks
-# only the frozen __all__ snapshot so an API-surface drift fails with an
-# unmistakable step name.
-echo "== public API surface"
-python -m pytest -x -q -m api tests/test_api_surface.py
-
-# Control replication: the Section 5.1 agreement protocol and the
-# replicated tracing backend (all-node decision agreement, coordinator
-# pruning, divergence demonstration). Already part of tests/ above; this
-# step gives replication regressions their own unmistakable step name.
-echo "== replication suite"
-python -m pytest -x -q -m replication tests
-
-# Chaos: the fault-injection / graceful-degradation suites (seeded fault
-# plans, lane quarantine, replica drops, the fault-free-tenant
-# byte-identity property). Already part of tests/ above; this step gives
-# robustness regressions their own unmistakable step name.
-echo "== chaos (fault injection) suite"
-python -m pytest -x -q -m faults tests
-
-# Trace corpus: every checked-in fixture under tests/corpus/ must parse
-# canonically and re-drive to a byte-identical decision stream on every
-# tracing backend (plus the phase-graph generator's determinism laws).
-# Already part of tests/ above; this step gives corpus regressions their
-# own unmistakable step name. Regenerate fixtures with `make corpus`.
-echo "== trace corpus"
-python -m pytest -x -q -m trace tests
-
-# Persistence: dehydrate/hydrate round-trip byte-stability, warm-start
-# decision parity on every backend, deterministic candidate eviction,
-# digest tamper detection, and the service evict-then-readmit path.
-# Already part of tests/ above; this step gives persistence regressions
-# their own unmistakable step name.
-echo "== persistence"
-python -m pytest -x -q -m persist tests
+# The marker subsets (api, replication, faults, trace, persist) all ran
+# as part of tests/ above; select one on its own with `make api-check`,
+# `make replication-check`, `make verify-chaos`, `make trace-check` or
+# `make persist-check`.
 
 # Fast floors over the two perf-tracked hot paths: suffix-array backend
 # equivalence (tests/) and the replayer match-engine speedup
@@ -62,6 +31,12 @@ python -m pytest -x -q -m persist tests
 # null-fault-plan hook-overhead guard (benchmarks/test_perf_faults.py).
 echo "== perf_smoke guards"
 python -m pytest -x -q -m perf_smoke
+
+# The end-to-end benchmark at smoke size (~5 s): all six workloads on all
+# three backends through open_session().submit(), with its correctness
+# ledger (failed must be 0) -- the full run is `make bench-e2e`.
+echo "== end-to-end benchmark (quick)"
+python3 bench/run.py --quick
 
 if [ "${VERIFY_FULL:-0}" = "1" ]; then
     echo "== full suite (benchmarks included)"

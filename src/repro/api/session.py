@@ -19,16 +19,16 @@ One lifecycle, whatever serves it::
 control-replicated session" are interchangeable **tracing backends**
 behind the :class:`TracingBackend` protocol: anything with
 ``backend_kind``, ``open_session``, ``close_session``, and
-``backend_stats``. :class:`~repro.core.processor.ApopheniaProcessor`
-(one session, itself) and :class:`~repro.service.ApopheniaService` (many
-sessions over one shared executor) both implement it;
-:class:`StandaloneBackend` pools per-session processors behind the same
-shape so ``backend="standalone"`` and ``backend="service"`` are
-symmetric; and :class:`~repro.service.replicated.ReplicatedBackend`
-(``backend="replicated"``) serves each session on N control-replicated
-node processors sharing a per-session ``IngestCoordinator`` -- the
-Section 5.1 deployment, landed behind this surface without touching
-client code.
+``backend_stats``. Exactly three classes implement it, all subclasses of
+the one :class:`~repro.service.service.SessionPool`:
+:class:`~repro.service.service.StandaloneBackend` (a private processor
+per session), :class:`~repro.service.ApopheniaService` (many sessions
+over one shared executor), and
+:class:`~repro.service.replicated.ReplicatedBackend` (each session on N
+control-replicated node processors sharing a per-session
+``IngestCoordinator`` -- the Section 5.1 deployment). All three return
+the same :class:`~repro.service.service.SessionHandle` shape, which is
+what the facade binds.
 
 The facade is decision-neutral by construction: it adds no buffering, no
 reordering, and no configuration of its own -- ``submit`` is one method
@@ -42,17 +42,11 @@ from typing import Protocol, runtime_checkable
 
 from repro.api.config import build_config, env_overrides, validate_config
 from repro.api.stats import collect_session_stats
-from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.errors import SessionClosedError
+from repro.persist import dehydrate
 from repro.registry import Registry
-from repro.runtime.session import RuntimeSessionFactory
-from repro.service.aggregates import (
-    RetiredCounters,
-    finish_totals,
-    fold_processor_stats,
-)
 from repro.service.replicated import ReplicatedBackend
-from repro.service.service import ApopheniaService
+from repro.service.service import ApopheniaService, StandaloneBackend
 from repro.stablehash import stable_digest
 
 
@@ -60,16 +54,17 @@ from repro.stablehash import stable_digest
 class TracingBackend(Protocol):
     """What the facade needs from anything that can serve sessions.
 
-    Implemented by :class:`~repro.core.processor.ApopheniaProcessor`
-    (single-session: ``open_session`` binds and returns the processor
-    itself), :class:`~repro.service.ApopheniaService` (multi-tenant:
-    returns a ``SessionHandle``), and :class:`StandaloneBackend` (a pool
-    of per-session processors). The returned handle must support
-    ``execute_task``, ``set_iteration``, ``flush``, ``stats`` (the
-    replayer counters), and ``decision_trace``.
+    Implemented by the three :class:`~repro.service.service.SessionPool`
+    subclasses. ``open_session`` returns a
+    :class:`~repro.service.service.SessionHandle`: ``execute_task``,
+    ``set_iteration``, ``flush``, ``stats`` (the replayer counters),
+    ``decision_trace``, plus the ``processor`` / ``processors`` /
+    ``coordinator`` / ``closed`` shape the stats, snapshot, persistence
+    and trace-capture layers read.
     """
 
     backend_kind: str
+    config: object  # the default per-session ApopheniaConfig
 
     def open_session(self, session_id, runtime=None, config=None, node_id=0,
                      priority=0, state=None):
@@ -81,98 +76,6 @@ class TracingBackend(Protocol):
     @property
     def backend_stats(self):
         ...
-
-
-class StandaloneBackend:
-    """N independent processors behind the service's session surface.
-
-    The "one Apophenia per application" deployment of the paper, shaped
-    like a :class:`TracingBackend` so standalone and service sessions are
-    interchangeable at the facade. Nothing is shared between sessions --
-    each gets its own processor, executor, memo, and (unless provided)
-    its own runtime from ``runtime_factory``.
-    """
-
-    backend_kind = "standalone"
-
-    def __init__(self, config=None, runtime_factory=None):
-        self.config = config or ApopheniaConfig()
-        # keep_task_log=True: standalone sessions are the interactive /
-        # example path where callers inspect traced fractions; service
-        # factories default it off for fleet-scale reasons.
-        self.runtime_factory = (
-            runtime_factory if runtime_factory is not None
-            else RuntimeSessionFactory(keep_task_log=True)
-        )
-        self.sessions = {}  # session_id -> (processor, owns_runtime)
-        self.sessions_opened = 0
-        # Lifetime counters of closed sessions, so backend_stats reports
-        # the same history a service's shared executor would (its
-        # aggregates survive release_lane).
-        self._retired = RetiredCounters()
-
-    def open_session(self, session_id, runtime=None, config=None, node_id=0,
-                     priority=0, state=None):
-        if session_id in self.sessions:
-            raise ValueError(f"session {session_id!r} already open")
-        del priority  # nothing is shared, so nothing to prioritize
-        owns_runtime = runtime is None
-        if owns_runtime:
-            runtime = self.runtime_factory.create(session_id).runtime
-        processor = ApopheniaProcessor(
-            runtime, config or self.config, node_id=node_id
-        )
-        if owns_runtime:
-            self.runtime_factory.bind_processor(session_id, processor)
-        processor.open_session(session_id, state=state)
-        self.sessions[session_id] = (processor, owns_runtime)
-        self.sessions_opened += 1
-        return processor
-
-    def close_session(self, session_id):
-        """Flush and retire a session; exception-safe.
-
-        The pool entry, lifetime counters, and factory-owned runtime are
-        released even when the flush raises (the error still
-        propagates), matching the service and replicated backends.
-        """
-        entry = self.sessions.get(session_id)
-        if entry is None:
-            raise SessionClosedError(
-                session_id,
-                f"unknown or already-closed session {session_id!r}",
-            )
-        processor, owns_runtime = entry
-        try:
-            processor.close_session(session_id)
-        finally:
-            del self.sessions[session_id]
-            self._retired.absorb(processor)
-            if owns_runtime:
-                self.runtime_factory.release(session_id)
-        return processor
-
-    @property
-    def backend_stats(self):
-        """Summed per-processor counters, shaped like the service's.
-
-        Counters are lifetime aggregates (closed sessions included);
-        ``memo_tokens_held`` and ``outstanding`` are gauges over the
-        currently open sessions only.
-        """
-        totals = {
-            "lanes": len(self.sessions),
-            "sessions_open": len(self.sessions),
-            "sessions_opened": self.sessions_opened,
-            "sessions_evicted": 0,
-            **self._retired.seed_totals(),
-        }
-        for processor, _ in self.sessions.values():
-            fold_processor_stats(totals, processor.backend_stats)
-        return finish_totals(totals)
-
-    def __len__(self):
-        return len(self.sessions)
 
 
 #: The tracing-backend plugin point: name -> ``factory(config) ->
@@ -203,14 +106,15 @@ class SessionSnapshot:
         self.replayer = replayer
 
     @classmethod
-    def of(cls, handle, backend="standalone"):
-        """Snapshot any session handle (or bare processor) directly."""
-        processor = getattr(handle, "processor", handle)
+    def of(cls, source, session_id=None, backend="standalone"):
+        """Snapshot anything that serves a stream -- a session handle or
+        a hand-driven processor: both carry ``decision_trace()`` and the
+        replayer ``stats``."""
         return cls(
-            getattr(handle, "session_id", None),
+            session_id,
             backend,
-            tuple(processor.decision_trace()),
-            processor.stats.as_tuple(),
+            tuple(source.decision_trace()),
+            source.stats.as_tuple(),
         )
 
     @property
@@ -264,9 +168,7 @@ def _attach_config(backend_obj, config, profile, env, overrides):
     if config is not None or profile is not None:
         return build_config(profile=profile, config=config, env=env,
                             **overrides)
-    base = getattr(backend_obj, "config", None)
-    if base is None:
-        return build_config(env=env, **overrides)
+    base = backend_obj.config
     if overrides:
         base = base.with_overrides(**overrides)
     if env is not None:
@@ -286,14 +188,12 @@ class Session:
     deployment-specific object underneath.
     """
 
-    __slots__ = ("session_id", "backend", "handle", "owns_backend", "closed",
-                 "recorder")
+    __slots__ = ("session_id", "backend", "handle", "closed", "recorder")
 
-    def __init__(self, session_id, backend, handle, owns_backend):
+    def __init__(self, session_id, backend, handle):
         self.session_id = session_id
         self.backend = backend
         self.handle = handle
-        self.owns_backend = owns_backend
         self.closed = False
         self.recorder = None
 
@@ -397,14 +297,14 @@ class Session:
     def stats(self):
         """The uniform :class:`~repro.api.stats.SessionStats` snapshot."""
         self._check_open()
-        return collect_session_stats(
-            self.handle, backend=self.backend.backend_kind
-        )
+        return collect_session_stats(self.handle)
 
     def snapshot(self):
         """Deterministic :class:`SessionSnapshot` of all decisions."""
         self._check_open()
-        return SessionSnapshot.of(self.handle, self.backend.backend_kind)
+        return SessionSnapshot.of(
+            self.handle, self.session_id, self.backend.backend_kind
+        )
 
     def dehydrate(self):
         """Snapshot the session's learned state as a
@@ -416,8 +316,7 @@ class Session:
         a future ``open_session(..., state=...)`` on any backend.
         """
         self._check_open()
-        from repro.persist import dehydrate as _dehydrate
-        return _dehydrate(self.handle, session_id=self.session_id)
+        return dehydrate(self.handle)
 
     def decision_trace(self):
         self._check_open()
@@ -426,7 +325,7 @@ class Session:
     @property
     def processor(self):
         """The underlying :class:`ApopheniaProcessor` (escape hatch)."""
-        return getattr(self.handle, "processor", self.handle)
+        return self.handle.processor
 
     @property
     def runtime(self):
@@ -444,17 +343,13 @@ class Session:
         if self.closed:
             return
         try:
-            if self.recorder is not None and \
-                    not getattr(self.handle, "closed", False):
+            if self.recorder is not None and not self.handle.closed:
                 self.stop_recording()
         finally:
             self.recorder = None
             self.closed = True
-            if not getattr(self.handle, "closed", False):
-                try:
-                    self.backend.close_session(self.session_id)
-                except KeyError:  # replint: allow[RPL006] idempotent close: KeyError only means the backend (LRU eviction) closed and flushed this session first
-                    pass
+            if not self.handle.closed:
+                self.backend.close_session(self.session_id)
 
     def __enter__(self):
         return self
@@ -521,11 +416,9 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         cfg = build_config(profile=profile, config=config, env=env,
                            **overrides)
         backend_obj = factory(cfg)
-        owns_backend = True
         session_config = None  # the backend was built from it already
     else:
         backend_obj = backend
-        owns_backend = False
         session_config = (
             _attach_config(backend_obj, config, profile, env, overrides)
             if explicit else None
@@ -538,7 +431,7 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         priority=priority,
         state=state,
     )
-    session = Session(session_id, backend_obj, handle, owns_backend)
+    session = Session(session_id, backend_obj, handle)
     if recorder is not None:
         session.record_to(recorder)
     return session

@@ -7,34 +7,16 @@ Before this surface existed, callers poked backend internals --
 for eviction pressure -- with a different spelling per deployment.
 :class:`SessionStats` is one frozen snapshot with the same fields
 whichever backend served the session, and
-:func:`collect_session_stats` knows how to read every backend's handle
-shape (a bare :class:`~repro.core.processor.ApopheniaProcessor` or a
-service :class:`~repro.service.service.SessionHandle`).
+:func:`collect_session_stats` reads it off the one
+:class:`~repro.service.service.SessionHandle` shape every backend returns.
 """
 
 from dataclasses import dataclass
 from typing import Optional
 
-#: Field order of the decision-determined replayer-counter slice,
-#: matching :meth:`repro.core.replayer.ReplayerStats.decision_tuple`.
-_REPLAYER_FIELDS = (
-    "tasks_seen",
-    "tasks_flushed",
-    "tasks_traced",
-    "traces_fired",
-    "candidates_ingested",
-    "deferrals",
-)
-
-#: Serving-path gauges carried on the same ``ReplayerStats`` object but
-#: *not* decision-determined: they describe how the match engine and the
-#: scoring hysteresis did the work, and may differ between engines.
-_SERVING_FIELDS = (
-    "active_pointer_peak",
-    "pointer_collapses",
-    "hysteresis_suppressed",
-)
-
+from repro.core.processor import ApopheniaProcessor
+from repro.core.replayer import ReplayerStats
+from repro.service.service import SessionHandle, StandaloneBackend
 
 @dataclass(frozen=True)
 class SessionStats:
@@ -112,81 +94,67 @@ class SessionStats:
         """The decision-determined slice, in
         :meth:`~repro.core.replayer.ReplayerStats.decision_tuple` order --
         what the decision-neutrality property tests compare."""
-        return tuple(getattr(self, name) for name in _REPLAYER_FIELDS)
+        return tuple(
+            getattr(self, name) for name in ReplayerStats.DECISION_FIELDS
+        )
 
     def serving_counters(self):
-        """The engine/policy gauges, in ``ReplayerStats`` slot order."""
-        return tuple(getattr(self, name) for name in _SERVING_FIELDS)
+        """The engine/policy gauges -- the snapshot slots past the
+        decision-determined prefix -- in ``ReplayerStats`` slot order."""
+        decided = len(ReplayerStats.DECISION_FIELDS)
+        return tuple(
+            getattr(self, name)
+            for name in ReplayerStats.SNAPSHOT_FIELDS[decided:]
+        )
 
 
-def collect_session_stats(handle, evictions=None, backend=None):
-    """Build a :class:`SessionStats` from any backend's session handle.
+def collect_session_stats(handle):
+    """Build a :class:`SessionStats` from a backend's session handle.
 
-    ``handle`` is what ``TracingBackend.open_session`` returned: the
-    processor itself (standalone) or a service ``SessionHandle``.
-    ``evictions`` overrides the backend-eviction counter for callers
-    holding richer context; by default it is read off the owning service
-    (0 for standalone backends, which never evict). ``backend`` is the
-    serving backend's ``backend_kind``; ``Session.stats`` passes it
-    down, and bare calls fall back to inferring it from the executor
-    shape (a session lane has a ``shared`` executor behind it).
+    ``handle`` is what ``TracingBackend.open_session`` returned. The
+    replayer and executor fields report the reference replica; the
+    replication gauges come from the handle's coordinator (absent on
+    single-node backends: the defaults), and ``evictions`` /
+    ``states_held`` from the serving pool. A hand-driven
+    :class:`~repro.core.processor.ApopheniaProcessor` is accepted too
+    and reads as the one session of a standalone pool.
     """
-    processor = getattr(handle, "processor", handle)
+    if isinstance(handle, ApopheniaProcessor):
+        handle = SessionHandle(
+            None, StandaloneBackend(handle.config), [handle],
+            coordinator=handle.coordinator,
+        )
+    pool = handle.backend
+    processor = handle.processor
     replayer = processor.stats
     executor = processor.executor
-    shared = getattr(executor, "shared", None)
-    service = getattr(handle, "service", None)
-    if evictions is None:
-        evictions = service.sessions_evicted if service is not None else 0
-    state_store = getattr(service, "state_store", None)
-    # A replicated handle carries the per-session coordinator; a bare
-    # processor running replicated carries its own reference.
-    coordinator = getattr(handle, "coordinator", None)
-    if coordinator is None:
-        coordinator = getattr(processor, "coordinator", None)
-    if backend is None:
-        if getattr(handle, "processors", None) is not None:
-            backend = "replicated"
-        elif shared is not None:
-            backend = "service"
-        else:
-            backend = "standalone"
+    coordinator = handle.coordinator
+    state_store = pool.state_store
     return SessionStats(
-        session_id=getattr(handle, "session_id", None),
-        backend=backend,
-        tasks_seen=replayer.tasks_seen,
-        tasks_flushed=replayer.tasks_flushed,
-        tasks_traced=replayer.tasks_traced,
-        traces_fired=replayer.traces_fired,
-        candidates_ingested=replayer.candidates_ingested,
-        deferrals=replayer.deferrals,
-        active_pointer_peak=replayer.active_pointer_peak,
-        pointer_collapses=replayer.pointer_collapses,
-        hysteresis_suppressed=replayer.hysteresis_suppressed,
+        session_id=handle.session_id,
+        backend=pool.backend_kind,
+        # Every ReplayerStats slot is a SessionStats field of the same
+        # name, so a counter added there cannot go missing here.
+        **{name: getattr(replayer, name) for name in replayer.__slots__},
         jobs_submitted=executor.jobs_submitted,
         tokens_analyzed=executor.tokens_analyzed,
         memo_hits=executor.memo_hits,
-        outstanding_jobs=getattr(executor, "outstanding", 0),
-        quota_limit=(
-            shared.lane_outstanding_quota if shared is not None else None
-        ),
-        quota_stalls=getattr(executor, "quota_stalls", 0),
-        evictions=evictions,
-        nodes=getattr(handle, "num_nodes", 1),
+        outstanding_jobs=executor.outstanding,
+        quota_limit=executor.quota_limit,
+        quota_stalls=executor.quota_stalls,
+        evictions=pool.sessions_evicted,
+        nodes=handle.num_nodes,
         coordinator_waits=coordinator.waits if coordinator else 0,
         ingest_margin_ops=coordinator.margin_ops if coordinator else 0,
         agreement_table_size=(
             coordinator.agreement_table_size if coordinator else 0
         ),
-        mining_failures=getattr(executor, "mining_failures", 0),
-        degraded_jobs=getattr(executor, "degraded_jobs", 0),
-        deadline_overruns=getattr(executor, "deadline_overruns", 0),
-        quarantined=bool(getattr(executor, "quarantined", False)),
-        live_nodes=getattr(
-            handle, "live_nodes", getattr(handle, "num_nodes", 1)
-        ),
-        candidates_evicted=replayer.candidates_evicted,
-        warm_starts=getattr(processor, "warm_starts", 0),
+        mining_failures=executor.mining_failures,
+        degraded_jobs=executor.degraded_jobs,
+        deadline_overruns=executor.deadline_overruns,
+        quarantined=executor.quarantined,
+        live_nodes=handle.live_nodes,
+        warm_starts=processor.warm_starts,
         states_held=state_store.states_held if state_store is not None else 0,
     )
 

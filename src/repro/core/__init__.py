@@ -5,7 +5,7 @@ The subpackage implements the paper's core contribution:
 * :mod:`repro.core.hashing` -- task -> token hashing (Section 4.1),
 * :mod:`repro.core.suffix_array` -- suffix array + LCP construction,
 * :mod:`repro.core.sa_backends` -- pluggable suffix-array builders
-  (``sais``/``radix``/``doubling``, selected by ``ApopheniaConfig``;
+  (``sais``/``doubling``, selected by ``ApopheniaConfig``;
   the ``REPRO_SA_BACKEND`` environment variable is layered onto the
   config by ``repro.api.build_config``),
 * :mod:`repro.core.repeats` -- Algorithm 2: non-overlapping repeated

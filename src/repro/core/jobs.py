@@ -258,6 +258,14 @@ class JobExecutor:
         quarantine (failures are still contained and counted).
     """
 
+    #: A private executor mines inside ``submit``: nothing is ever
+    #: queued, so the queue gauges a service
+    #: :class:`~repro.service.executor.SessionLane` keeps are constants
+    #: here (one executor shape for every stats reader).
+    outstanding = 0
+    quota_limit = None
+    quota_stalls = 0
+
     def __init__(
         self,
         repeats_algorithm=find_repeats,

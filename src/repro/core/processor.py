@@ -18,8 +18,8 @@ Configuration mirrors the runtime flags listed in the paper's artifact
 appendix (``-lg:auto_trace:*``).
 """
 
-from dataclasses import dataclass, field, replace
-from functools import partial
+from dataclasses import dataclass, field, fields, replace
+from functools import cache, partial
 from typing import Optional
 
 from repro.core.finder import TraceFinder
@@ -77,6 +77,21 @@ def _resolve_repeats_algorithm(name, sa_backend=None):
     )
 
 
+def _decision(default):
+    """A config field whose value shapes the decision stream.
+
+    The one place a knob is declared decision-relevant: learned state
+    (candidates, scores, op clocks, agreed ingest points) is only valid
+    under the marked values that produced it, so ``repro.persist``
+    records this slice and refuses to hydrate across a mismatch. The
+    mining algorithm, suffix-array backend and match engine are left
+    unmarked on purpose -- they are byte-identical on the decision
+    stream, so a state may hydrate into any of them -- as are the
+    deployment knobs (service, replication, fault and spill tier).
+    """
+    return field(default=default, metadata={"decision": True})
+
+
 @dataclass(frozen=True)
 class ApopheniaConfig:
     """Tuning knobs, named after the artifact's command-line flags.
@@ -102,12 +117,11 @@ class ApopheniaConfig:
         baselines ``"lzw"``, ``"tandem"``, ``"quadratic"`` for ablations.
     sa_backend:
         Suffix-array construction backend for Algorithm 2: ``"sais"``
-        (linear-time induced sorting, the default), ``"radix"``
-        (counting-sort prefix doubling), or ``"doubling"`` (the reference
-        lambda-key prefix doubling). The ``REPRO_SA_BACKEND`` environment
-        variable overrides this knob for configs built through
-        :func:`repro.api.build_config`. All backends produce identical
-        mining results; the choice only affects analysis cost.
+        (linear-time induced sorting, the default) or ``"doubling"`` (the
+        reference lambda-key prefix doubling). The ``REPRO_SA_BACKEND``
+        environment variable overrides this knob for configs built
+        through :func:`repro.api.build_config`. All backends produce
+        identical mining results; the choice only affects analysis cost.
     mining_memo_capacity:
         Recent identical-window mining results remembered by the
         :class:`~repro.core.jobs.JobExecutor` (0 disables the memo).
@@ -184,22 +198,22 @@ class ApopheniaConfig:
         ``None`` disables the spill path, reproducing forget-on-evict.
     """
 
-    min_trace_length: int = 5
-    max_trace_length: Optional[int] = None
-    batchsize: int = 5000
-    multi_scale_factor: int = 250
-    identifier_algorithm: str = "multi-scale"
+    min_trace_length: int = _decision(5)
+    max_trace_length: Optional[int] = _decision(None)
+    batchsize: int = _decision(5000)
+    multi_scale_factor: int = _decision(250)
+    identifier_algorithm: str = _decision("multi-scale")
     repeats_algorithm: object = "quick_matching_of_substrings"
     sa_backend: Optional[str] = None
     mining_memo_capacity: int = 8
-    count_cap: int = 16
-    decay_rate: float = 1e-4
-    replay_bonus: float = 1.1
-    hysteresis: float = 0.0
+    count_cap: int = _decision(16)
+    decay_rate: float = _decision(1e-4)
+    replay_bonus: float = _decision(1.1)
+    hysteresis: float = _decision(0.0)
     match_engine: Optional[str] = None
-    job_base_latency_ops: int = 50
-    job_per_token_latency_ops: float = 0.05
-    initial_ingest_margin_ops: int = 128
+    job_base_latency_ops: int = _decision(50)
+    job_per_token_latency_ops: float = _decision(0.05)
+    initial_ingest_margin_ops: int = _decision(128)
     num_nodes: int = 2
     max_sessions: int = 64
     max_outstanding_jobs: int = 64
@@ -209,9 +223,23 @@ class ApopheniaConfig:
     fault_plan: object = None
     mining_deadline_tokens: Optional[int] = None
     fault_quarantine_threshold: Optional[int] = 8
-    max_candidates: Optional[int] = None
-    candidate_staleness_horizon: Optional[int] = None
+    max_candidates: Optional[int] = _decision(None)
+    candidate_staleness_horizon: Optional[int] = _decision(None)
     session_state_budget: Optional[int] = None
+
+    @classmethod
+    @cache
+    def field_names(cls):
+        """Every knob, in declaration order (what a trace header records)."""
+        return tuple(f.name for f in fields(cls))
+
+    @classmethod
+    @cache
+    def decision_fields(cls):
+        """The :func:`_decision`-marked subset, in declaration order."""
+        return tuple(
+            f.name for f in fields(cls) if f.metadata.get("decision")
+        )
 
     def with_overrides(self, **kwargs):
         return replace(self, **kwargs)
@@ -347,9 +375,6 @@ class ApopheniaProcessor:
         private :class:`JobExecutor` from ``config``.
     """
 
-    #: :class:`repro.api.TracingBackend` discriminator.
-    backend_kind = "standalone"
-
     def __init__(self, runtime, config=None, node_id=0, coordinator=None,
                  executor=None, stream_key=None):
         self.runtime = runtime
@@ -359,7 +384,6 @@ class ApopheniaProcessor:
         self.stream_key = stream_key
         if coordinator is not None:
             coordinator.register_node(node_id, stream=stream_key)
-        self.session_id = None  # bound by open_session (repro.api facade)
         runtime.auto_tracing = True  # launches now cost 12us, Section 6.3
 
         self.hasher = TaskHasher()
@@ -405,8 +429,7 @@ class ApopheniaProcessor:
             task.provenance = self.runtime.current_iteration
         self.runtime.charge_launch()
         token = self.hasher.hash_task(task)
-        job = self.finder.observe(token)
-        del job  # submission is tracked by the finder's pending queue
+        self.finder.observe(token)  # the job lands on its pending queue
         for done in self.finder.drain_completed(
             self.finder.ops_observed, self.coordinator,
             stream=self.stream_key, node=self.node_id,
@@ -440,93 +463,6 @@ class ApopheniaProcessor:
             self.runtime.execute_task(task, charge_launch=False)
         self.runtime.end_trace(trace_id)
         self.trace_log.append((trace_id, len(tasks)))
-
-    # ------------------------------------------------------------------
-    # TracingBackend protocol (repro.api)
-    # ------------------------------------------------------------------
-    def open_session(self, session_id=None, runtime=None, config=None,
-                     node_id=0, priority=0, state=None):
-        """Bind this processor as a single-session tracing backend.
-
-        The deployment-agnostic facade (:func:`repro.api.open_session`)
-        calls the same ``open_session``/``close_session`` pair on every
-        backend; a standalone processor *is* its only session, so binding
-        returns the processor itself. Runtime and config were fixed at
-        construction -- passing different ones here is a mistake, not an
-        override. ``state`` warm-starts the session from a
-        :class:`~repro.persist.SessionState` snapshot.
-        """
-        if self.session_id is not None:
-            raise ValueError(
-                f"processor already serves session {self.session_id!r}; "
-                "a standalone backend holds exactly one session"
-            )
-        if runtime is not None and runtime is not self.runtime:
-            raise ValueError(
-                "standalone backend's runtime is fixed at construction"
-            )
-        if config is not None and config != self.config:
-            raise ValueError(
-                "standalone backend's config is fixed at construction"
-            )
-        if node_id not in (0, self.node_id):
-            # node_id feeds the completion-op jitter, so a silently
-            # ignored mismatch would change decisions; 0 (the protocol
-            # default) means "whatever the processor was built with".
-            raise ValueError(
-                f"processor is node {self.node_id}, cannot serve the "
-                f"session as node {node_id}; node_id is fixed at "
-                "construction"
-            )
-        del priority  # meaningful only for shared backends
-        self.session_id = session_id if session_id is not None else "default"
-        if state is not None:
-            # Deferred import: repro.persist sits above the core layer.
-            from repro.persist import hydrate_processor
-
-            hydrate_processor(self, state)
-            self.warm_starts += 1
-        return self
-
-    def close_session(self, session_id=None):
-        """Flush and unbind the (single) session; returns the processor."""
-        if session_id is not None and session_id != self.session_id:
-            raise KeyError(session_id)
-        self.flush()
-        self.session_id = None
-        return self
-
-    @property
-    def backend_stats(self):
-        """Executor-side counters, shaped like the service's."""
-        executor = self.executor
-        memo = getattr(executor, "memo", None)
-        replayer_stats = self.replayer.stats
-        return {
-            "lanes": 1,
-            "outstanding": getattr(executor, "outstanding", 0),
-            "jobs_materialized": executor.jobs_submitted,
-            "memo_hits": executor.memo_hits,
-            "memo_hit_rate": (
-                executor.memo_hits / executor.jobs_submitted
-                if executor.jobs_submitted else 0.0
-            ),
-            "memo_tokens_held": memo.tokens_held if memo is not None else 0,
-            "sessions_open": 1 if self.session_id is not None else 0,
-            "sessions_evicted": 0,
-            "active_pointer_peak": replayer_stats.active_pointer_peak,
-            "pointer_collapses": replayer_stats.pointer_collapses,
-            "hysteresis_suppressed": replayer_stats.hysteresis_suppressed,
-            # Degradation gauges (fault containment / quarantine).
-            "mining_failures": getattr(executor, "mining_failures", 0),
-            "degraded_jobs": getattr(executor, "degraded_jobs", 0),
-            "deadline_overruns": getattr(executor, "deadline_overruns", 0),
-            "quarantined": 1 if getattr(executor, "quarantined", False) else 0,
-            # Lifecycle / persistence gauges.
-            "candidates_evicted": replayer_stats.candidates_evicted,
-            "warm_starts": self.warm_starts,
-            "states_held": 0,  # only the service spills evicted sessions
-        }
 
     # ------------------------------------------------------------------
     # Introspection

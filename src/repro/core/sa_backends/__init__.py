@@ -14,9 +14,6 @@ Backends
     The seed's prefix-doubling construction with per-element lambda sort
     keys, O(n log^2 n) comparisons. Kept as the reference implementation
     and the baseline the perf suite measures speedups against.
-``radix``
-    Prefix doubling driven by counting sorts on integer rank pairs --
-    O(n log n) with no lambda keys and no tuple allocation.
 ``sais``
     Pure-Python SA-IS (suffix array by induced sorting), O(n). The
     default.
@@ -33,7 +30,6 @@ environment is read.
 """
 
 from repro.core.sa_backends.doubling import suffix_array_doubling
-from repro.core.sa_backends.radix import suffix_array_radix
 from repro.core.sa_backends.sais import suffix_array_sais
 from repro.registry import Registry
 
@@ -47,7 +43,6 @@ DEFAULT_BACKEND = "sais"
 #: The suffix-array construction plugin point (see :mod:`repro.registry`).
 BACKENDS = Registry("suffix-array backend", {
     "doubling": suffix_array_doubling,
-    "radix": suffix_array_radix,
     "sais": suffix_array_sais,
 })
 
@@ -96,6 +91,5 @@ __all__ = [
     "get_backend",
     "resolve_backend_name",
     "suffix_array_doubling",
-    "suffix_array_radix",
     "suffix_array_sais",
 ]

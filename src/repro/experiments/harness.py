@@ -1,10 +1,7 @@
 """Shared experiment machinery: run one application configuration and
 collect throughput plus tracing statistics."""
 
-import warnings
-
 from repro.apps.base import build_app
-from repro.core.processor import ApopheniaConfig
 
 
 class RunResult:
@@ -86,21 +83,3 @@ def run_app(
     app.run(iterations)
     end = max(warmup + 2, iterations - tail_skip)
     return RunResult(app, warmup, end)
-
-
-def auto_config(**overrides):
-    """Deprecated shim: use :func:`repro.api.build_config` instead.
-
-    Kept for out-of-repo callers with the *exact* historical semantics
-    -- plain construction, no profile/environment layering, no
-    validation -- so existing scripts keep the knobs they pinned.
-    In-repo code must not call it: the tier-1 suite turns
-    ``repro``-prefixed deprecation warnings into errors (see
-    ``filterwarnings`` in ``pytest.ini``).
-    """
-    warnings.warn(
-        "repro: auto_config() is deprecated; use repro.api.build_config()",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    return ApopheniaConfig(**overrides)

@@ -6,27 +6,27 @@ Public surface:
   canonically-serialized, digest-stamped JSON document;
 * :func:`dehydrate` / :func:`hydrate_processor` -- snapshot a live
   session / restore one onto a fresh processor (the facade spells these
-  ``Session.dehydrate()`` and ``open_session(..., state=...)``);
+  ``Session.dehydrate()`` and ``open_session(..., state=...)``;
+  :func:`dehydrate_processor` snapshots a processor no backend serves);
 * :class:`SessionStateStore` -- the token-budgeted LRU spill tier the
   service parks evicted tenants' states in;
 * :data:`PERSIST_FORMATS` -- the schema-version registry.
 """
 
 from repro.persist.state import (
-    DECISION_CONFIG_FIELDS,
     FORMAT_NAME,
     PERSIST_FORMATS,
     PersistFormatError,
     PersistFormatV1,
     SessionState,
     dehydrate,
+    dehydrate_processor,
     format_for_version,
     hydrate_processor,
 )
 from repro.persist.store import SessionStateStore
 
 __all__ = [
-    "DECISION_CONFIG_FIELDS",
     "FORMAT_NAME",
     "PERSIST_FORMATS",
     "PersistFormatError",
@@ -34,6 +34,7 @@ __all__ = [
     "SessionState",
     "SessionStateStore",
     "dehydrate",
+    "dehydrate_processor",
     "format_for_version",
     "hydrate_processor",
 ]

@@ -49,6 +49,7 @@ import json
 from collections import deque
 
 from repro.core.jobs import AnalysisJob, completion_op
+from repro.core.processor import ApopheniaConfig
 from repro.core.repeats import Repeat
 from repro.core.trie import CompletedMatch
 from repro.registry import Registry
@@ -56,42 +57,7 @@ from repro.stablehash import stable_digest
 
 FORMAT_NAME = "repro-session-state"
 
-#: JSON-scalar types a state field may carry.
-_SCALARS = (bool, int, float, str)
-
 _MISSING = object()
-
-#: The decision-relevant ``ApopheniaConfig`` slice recorded in a state
-#: (and checked at hydrate: restoring learned state into a session whose
-#: schedule or scoring differs would corrupt, not warm-start). The match
-#: engine is deliberately excluded -- engines are byte-identical on the
-#: decision stream, so a state may hydrate into either.
-DECISION_CONFIG_FIELDS = (
-    "min_trace_length",
-    "max_trace_length",
-    "batchsize",
-    "multi_scale_factor",
-    "identifier_algorithm",
-    "count_cap",
-    "decay_rate",
-    "replay_bonus",
-    "hysteresis",
-    "job_base_latency_ops",
-    "job_per_token_latency_ops",
-    "initial_ingest_margin_ops",
-    "max_candidates",
-    "candidate_staleness_horizon",
-)
-
-#: Decision-determined replayer counters, persisted by name.
-_REPLAYER_COUNTERS = (
-    "tasks_seen",
-    "tasks_flushed",
-    "tasks_traced",
-    "traces_fired",
-    "candidates_ingested",
-    "deferrals",
-)
 
 #: Executor/lane counters restored onto whatever executor serves the
 #: hydrated session (``jobs_submitted`` doubles as the next job id on
@@ -320,31 +286,36 @@ class SessionState:
 # ----------------------------------------------------------------------
 # Dehydration
 # ----------------------------------------------------------------------
-def dehydrate(handle, session_id=None):
+def dehydrate(handle):
     """Snapshot a live session into a :class:`SessionState`.
 
-    ``handle`` may be an :class:`~repro.core.processor.ApopheniaProcessor`,
-    a service :class:`~repro.service.service.SessionHandle`, or a
-    :class:`~repro.service.replicated.ReplicatedSessionHandle`. The
-    session is **flushed first** (buffered tasks forward untraced, the
-    match engine resets) -- a snapshot of half-buffered pending state
-    would not be a fence-consistent point to resume from. Replicated
-    handles snapshot the reference replica; replicas are byte-identical
-    by the agreement invariant, so one snapshot rehydrates all of them.
+    ``handle`` is the :class:`~repro.service.service.SessionHandle` any
+    backend returned. The session is **flushed first** (buffered tasks
+    forward untraced, the match engine resets) -- a snapshot of
+    half-buffered pending state would not be a fence-consistent point to
+    resume from. Replicated handles snapshot the reference replica;
+    replicas are byte-identical by the agreement invariant, so one
+    snapshot rehydrates all of them.
     """
-    processors = getattr(handle, "processors", None)
-    if processors is not None:
-        for processor in getattr(handle, "live_processors", processors):
-            processor.flush()
-        reference = handle.processor
-    else:
-        reference = getattr(handle, "processor", handle)
-        reference.flush()
-    payload = _snapshot_processor(reference)
-    payload["session_id"] = (
-        session_id if session_id is not None
-        else getattr(handle, "session_id", None) or reference.session_id
+    for processor in handle.live_processors:
+        processor.flush()
+    return _stamp(
+        _snapshot_processor(handle.processor),
+        handle.session_id, handle.backend.backend_kind,
     )
+
+
+def dehydrate_processor(processor, session_id=None):
+    """:func:`dehydrate` for a hand-driven processor no backend serves
+    (the twin of :func:`hydrate_processor`); flushes it first."""
+    processor.flush()
+    return _stamp(_snapshot_processor(processor), session_id, None)
+
+
+def _stamp(payload, session_id, backend):
+    """Add the session identity and the digest to a processor payload."""
+    payload["session_id"] = session_id
+    payload["backend"] = backend
     payload["digest"] = _payload_digest(payload)
     return SessionState(payload)
 
@@ -438,10 +409,12 @@ def _snapshot_processor(processor):
     return {
         "format": FORMAT_NAME,
         "version": PersistFormatV1.version,
-        "session_id": None,  # stamped by dehydrate()
-        "backend": processor.backend_kind,
+        # The decision-relevant slice, checked at hydrate: restoring
+        # learned state into a session whose schedule or scoring differs
+        # would corrupt, not warm-start.
         "config": {
-            name: getattr(config, name) for name in DECISION_CONFIG_FIELDS
+            name: getattr(config, name)
+            for name in ApopheniaConfig.decision_fields()
         },
         "candidates": candidates,
         "next_candidate_id": trie._next_id,
@@ -455,7 +428,8 @@ def _snapshot_processor(processor):
             "candidates_evicted": store.candidates_evicted,
             "deferred": deferred_state,
             "counters": {
-                name: getattr(stats, name) for name in _REPLAYER_COUNTERS
+                name: getattr(stats, name)
+                for name in stats.DECISION_FIELDS
             },
         },
         "gauges": {
@@ -474,7 +448,7 @@ def _snapshot_processor(processor):
         "jobs": {
             "next_job_id": executor.jobs_submitted,
             "counters": {
-                name: getattr(executor, name, 0)
+                name: getattr(executor, name)
                 for name in _EXECUTOR_COUNTERS
             },
             "pending": pending,
@@ -510,7 +484,7 @@ def hydrate_processor(processor, state):
             "served tasks)"
         )
     config = processor.config
-    for name in DECISION_CONFIG_FIELDS:
+    for name in ApopheniaConfig.decision_fields():
         recorded = payload["config"].get(name, _MISSING)
         if recorded is not _MISSING and recorded != getattr(config, name):
             raise PersistFormatError(
@@ -636,13 +610,13 @@ def hydrate_processor(processor, state):
 
 
 __all__ = [
-    "DECISION_CONFIG_FIELDS",
     "FORMAT_NAME",
     "PERSIST_FORMATS",
     "PersistFormatError",
     "PersistFormatV1",
     "SessionState",
     "dehydrate",
+    "dehydrate_processor",
     "format_for_version",
     "hydrate_processor",
 ]

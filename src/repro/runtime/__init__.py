@@ -15,8 +15,6 @@ The runtime provides the pieces of Legion that Apophenia depends on:
   (:mod:`repro.runtime.costmodel`, :mod:`repro.runtime.pipeline`),
 * machine descriptions of the Perlmutter and Eos supercomputers
   (:mod:`repro.runtime.machine`), and
-* control-replication style multi-node execution
-  (:mod:`repro.runtime.replication`), and
 * per-session runtime handles for the multi-tenant service layer
   (:mod:`repro.runtime.session`).
 """

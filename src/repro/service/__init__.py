@@ -4,15 +4,17 @@ The paper's system serves one application; the service layer serves many
 concurrent application *sessions* from one process without duplicating
 executors, memos, or schedulers:
 
+* :mod:`repro.service.service` -- the session core every tracing backend
+  is built on (:class:`SessionPool`, :class:`SessionHandle`), the
+  per-application :class:`StandaloneBackend`, and
+  :class:`ApopheniaService`: session admission, LRU eviction, and
+  per-task routing over the shared executor;
 * :mod:`repro.service.executor` -- the shared mining executor: per-session
   submit lanes, a priority/fair scheduler, a cross-session window memo,
   and an outstanding-job budget;
-* :mod:`repro.service.service` -- :class:`ApopheniaService`: session
-  admission, LRU eviction, and per-task routing;
 * :mod:`repro.service.replicated` -- :class:`ReplicatedBackend`: each
   session served by N control-replicated node processors sharing one
-  per-session ingestion coordinator (Section 5.1), behind the same
-  :class:`repro.api.TracingBackend` surface.
+  per-session ingestion coordinator (Section 5.1), on the same pool.
 
 The whole layer is decision-neutral by construction: every session's
 tbegin/tend stream is byte-identical to running its application alone
@@ -22,7 +24,12 @@ tbegin/tend stream is byte-identical to running its application alone
 
 from repro.service.executor import SessionLane, SharedJobExecutor
 from repro.service.replicated import ReplicatedBackend, ReplicatedSessionHandle
-from repro.service.service import ApopheniaService, SessionHandle
+from repro.service.service import (
+    ApopheniaService,
+    SessionHandle,
+    SessionPool,
+    StandaloneBackend,
+)
 
 __all__ = [
     "ApopheniaService",
@@ -30,5 +37,7 @@ __all__ = [
     "ReplicatedSessionHandle",
     "SessionHandle",
     "SessionLane",
+    "SessionPool",
     "SharedJobExecutor",
+    "StandaloneBackend",
 ]

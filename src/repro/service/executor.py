@@ -105,9 +105,18 @@ class SessionLane:
         self.degraded_jobs = 0
         self.deadline_overruns = 0
 
+    #: A lane holds no memo of its own: the shared executor's memo
+    #: answers every lane and is reported once, service-wide.
+    memo = None
+
     @property
     def quarantined(self):
         return self.breaker.quarantined
+
+    @property
+    def quota_limit(self):
+        """The per-lane outstanding-job quota (``None``: unbounded)."""
+        return self.shared.lane_outstanding_quota
 
     def submit(self, tokens, min_length, now_op):
         """Queue a mining job; returns its :class:`AnalysisJob`.

@@ -45,19 +45,12 @@ protocol exists for. The facade-visible surface -- ``submit`` /
 from repro.core.coordination import IngestCoordinator
 from repro.core.jobs import JobExecutor, MiningMemo
 from repro.core.processor import (
-    ApopheniaConfig,
     ApopheniaProcessor,
     _resolve_repeats_algorithm,
 )
 from repro.errors import SessionClosedError
-from repro.faults import NULL_FAULT_PLAN, resolve_fault_plan
-from repro.persist import hydrate_processor
-from repro.runtime.session import RuntimeSessionFactory
-from repro.service.aggregates import (
-    RetiredCounters,
-    finish_totals,
-    fold_processor_stats,
-)
+from repro.faults import resolve_fault_plan
+from repro.service.service import SessionHandle, SessionPool
 
 
 def _node_key(session_id, node_id):
@@ -65,62 +58,28 @@ def _node_key(session_id, node_id):
     return f"{session_id}@node{node_id}"
 
 
-class ReplicatedSessionHandle:
+class ReplicatedSessionHandle(SessionHandle):
     """One session's N-node replica set.
 
-    Satisfies the session-handle shape the :mod:`repro.api` facade binds
-    (``execute_task`` / ``set_iteration`` / ``flush`` / ``stats`` /
-    ``decision_trace``), reporting node 0 as the reference replica, and
-    adds the replication-specific surface: ``processors`` / ``runtimes``
-    per node, the shared ``coordinator``, ``decisions_agree()``, and
+    The common :class:`~repro.service.service.SessionHandle` shape --
+    serving calls fan out to every live replica, introspection reports
+    the lowest-id live one -- plus the replication-specific surface:
+    ``decisions_agree()`` / ``decision_traces()``, node drops, and
     ``execute_task_factory`` for applications whose nodes must build
     their own task copies against their own region forests.
     """
 
-    __slots__ = (
-        "session_id",
-        "backend",
-        "processors",
-        "runtimes",
-        "coordinator",
-        "owns_runtimes",
-        "closed",
-        "faults",
-        "dropped",
-        "_live",
-        "_drops_armed",
-    )
+    __slots__ = ("faults", "_drops_armed")
 
-    def __init__(self, session_id, backend, processors, runtimes,
-                 coordinator, owns_runtimes, faults=NULL_FAULT_PLAN):
-        self.session_id = session_id
-        self.backend = backend
-        self.processors = processors
-        self.runtimes = runtimes
-        self.coordinator = coordinator
-        self.owns_runtimes = owns_runtimes
-        self.closed = False
+    def __init__(self, session_id, backend, processors, runtime_keys,
+                 coordinator, faults):
+        super().__init__(session_id, backend, processors, runtime_keys,
+                         coordinator)
         self.faults = faults
-        self.dropped = set()  # node ids no longer serving
-        self._live = list(processors)
         self._drops_armed = faults.active and faults.has_node_drops
 
-    @property
-    def num_nodes(self):
-        """Replica count the session was opened with (drops included)."""
-        return len(self.processors)
-
-    @property
-    def live_nodes(self):
-        """Replicas still serving (``num_nodes`` minus dropped nodes)."""
-        return len(self._live)
-
-    @property
-    def live_processors(self):
-        return list(self._live)
-
     # ------------------------------------------------------------------
-    # Serving (the facade surface)
+    # Serving
     # ------------------------------------------------------------------
     def execute_task(self, task):
         """Issue one logical task on every node replica, in node order.
@@ -132,7 +91,7 @@ class ReplicatedSessionHandle:
         whose nodes must own their task copies use
         :meth:`execute_task_factory`.
         """
-        if self.closed:
+        if self.closed:  # _check_open, inlined on the per-task path
             raise SessionClosedError(self.session_id)
         if self._drops_armed:
             self._check_drops()
@@ -143,28 +102,20 @@ class ReplicatedSessionHandle:
         """Issue one logical task with per-node copies:
         ``make_task(node)`` builds node ``node``'s structurally identical
         task against that node's own region forest."""
-        if self.closed:
-            raise SessionClosedError(self.session_id)
+        self._check_open()
         if self._drops_armed:
             self._check_drops()
         for processor in self._live:
             processor.execute_task(make_task(processor.node_id))
 
-    def set_iteration(self, iteration):
-        if self.closed:
-            raise SessionClosedError(self.session_id)
-        for processor in self._live:
-            processor.set_iteration(iteration)
-
-    def flush(self):
-        if self.closed:
-            raise SessionClosedError(self.session_id)
-        for processor in self._live:
-            processor.flush()
-
     # ------------------------------------------------------------------
     # Degradation (node drops)
     # ------------------------------------------------------------------
+    @property
+    def dropped(self):
+        """Node ids no longer serving."""
+        return {p.node_id for p in self.processors if p not in self._live}
+
     def _check_drops(self):
         """Apply fault-plan node drops whose scheduled op has arrived."""
         clock = self._live[0].finder.ops_observed
@@ -192,8 +143,7 @@ class ReplicatedSessionHandle:
         Refuses to drop the last live node -- a session with zero
         replicas is an outage, not a degradation.
         """
-        if self.closed:
-            raise SessionClosedError(self.session_id)
+        self._check_open()
         live = [p for p in self._live if p.node_id != node_id]
         if len(live) == len(self._live):
             raise ValueError(
@@ -205,33 +155,13 @@ class ReplicatedSessionHandle:
                 f"of session {self.session_id!r}"
             )
         self._live = live
-        self.dropped.add(node_id)
         if self.coordinator is not None:
             self.coordinator.drop_node(node_id, stream=self.session_id)
         return len(self._live)
 
     # ------------------------------------------------------------------
-    # Introspection
+    # Agreement
     # ------------------------------------------------------------------
-    @property
-    def processor(self):
-        """The lowest-id live replica, the reference the facade reports
-        (node 0 until it drops)."""
-        return self._live[0]
-
-    @property
-    def runtime(self):
-        return self._live[0].runtime
-
-    @property
-    def stats(self):
-        """The reference replica's
-        :class:`~repro.core.replayer.ReplayerStats`."""
-        return self._live[0].stats
-
-    def decision_trace(self):
-        return self._live[0].decision_trace()
-
     def decision_traces(self):
         return [p.decision_trace() for p in self.processors]
 
@@ -247,15 +177,8 @@ class ReplicatedSessionHandle:
             p.decision_trace() == reference for p in self._live[1:]
         )
 
-    def __repr__(self):
-        state = "closed" if self.closed else "open"
-        return (
-            f"ReplicatedSessionHandle({self.session_id!r}, "
-            f"nodes={self.live_nodes}/{self.num_nodes}, {state})"
-        )
 
-
-class ReplicatedBackend:
+class ReplicatedBackend(SessionPool):
     """Serves sessions on N control-replicated node processors.
 
     Parameters
@@ -283,7 +206,7 @@ class ReplicatedBackend:
 
     def __init__(self, config=None, runtime_factory=None, num_nodes=None,
                  coordinate=True):
-        self.config = config or ApopheniaConfig()
+        super().__init__(config, runtime_factory)
         if num_nodes is not None:
             # Rebase the config so every consumer -- per-session config
             # layering included -- sees the backend's replica count; a
@@ -294,53 +217,27 @@ class ReplicatedBackend:
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
         self.coordinate = coordinate
-        # Explicit None check: an empty factory is falsy (it has __len__).
-        self.runtime_factory = (
-            runtime_factory if runtime_factory is not None
-            else RuntimeSessionFactory()
-        )
-        self.sessions = {}  # session_id -> ReplicatedSessionHandle
-        self.sessions_opened = 0
-        # Lifetime counters of closed sessions (see StandaloneBackend).
-        self._retired = RetiredCounters()
-        self._retired_waits = 0
-        self._retired_pruned = 0
-        self._nodes_dropped = 0
 
-    # ------------------------------------------------------------------
-    # Session lifecycle
-    # ------------------------------------------------------------------
-    def open_session(self, session_id, runtime=None, config=None, node_id=0,
-                     priority=0, runtimes=None, coordinator=None, state=None):
-        """Admit a session served by N node replicas.
+    def _build(self, session_id, config, runtime, node_id, priority,
+               runtimes=None, coordinator=None):
+        """N node replicas, one coordinator, one shared memo.
 
-        ``config`` overrides the per-session configuration, including
-        ``num_nodes``. The backend assigns node ids 0..N-1 itself, so
-        ``node_id`` must be 0 (the protocol default), and per-node
-        runtimes are stamped from the runtime factory -- a single
-        caller-owned ``runtime`` cannot serve N replicas. ``runtimes``
-        injects one caller-owned runtime per node (the replication
-        harness uses this); ``coordinator`` injects a shared agreement
-        object for deployments running one collective across sessions.
-
-        ``state`` warm-starts the session from a
-        :class:`~repro.persist.SessionState`: every node replica hydrates
-        from the same snapshot, so the replica set resumes with
-        byte-identical learned state -- the agreement invariant holds
-        from the first post-restore task. (Coordinator margins in the
-        snapshot restore idempotently, so N applications of one state
-        equal one.)
+        The backend assigns node ids 0..N-1 itself, so ``node_id`` must
+        be 0 (the protocol default), and per-node runtimes are stamped
+        from the runtime factory -- a single caller-owned ``runtime``
+        cannot serve N replicas. ``runtimes`` injects one caller-owned
+        runtime per node; ``coordinator`` injects a shared agreement
+        object for deployments running one collective across sessions
+        (agreement keys are namespaced by the session id, so sessions
+        sharing one cannot collide on their job indices).
         """
-        if session_id in self.sessions:
-            raise ValueError(f"session {session_id!r} already open")
         if runtime is not None:
             raise ValueError(
                 "replicated sessions own one runtime per node replica; "
                 "pass runtimes=[...] (one per node) instead of runtime="
             )
         del priority  # nothing is shared between sessions, nothing to rank
-        cfg = config or self.config
-        nodes = cfg.num_nodes if config is not None else self.num_nodes
+        nodes = config.num_nodes
         if node_id != 0:
             raise ValueError(
                 f"the replicated backend assigns node ids 0..{nodes - 1} "
@@ -353,7 +250,7 @@ class ReplicatedBackend:
         if coordinator is None:
             if self.coordinate:
                 coordinator = IngestCoordinator(
-                    initial_margin_ops=cfg.initial_ingest_margin_ops,
+                    initial_margin_ops=config.initial_ingest_margin_ops,
                     num_nodes=nodes,
                 )
         elif (coordinator.num_nodes is not None
@@ -367,11 +264,11 @@ class ReplicatedBackend:
                 f"coordinator expects {coordinator.num_nodes} consumers "
                 f"per agreement but the session runs {nodes} nodes"
             )
-        owns_runtimes = runtimes is None
-        if owns_runtimes:
+        keys = ()
+        if runtimes is None:
+            keys = tuple(_node_key(session_id, node) for node in range(nodes))
             runtimes = [
-                self.runtime_factory.create(_node_key(session_id, node)).runtime
-                for node in range(nodes)
+                self.runtime_factory.create(key).runtime for key in keys
             ]
         # One resolution of the mining algorithm for the whole replica
         # set, and one shared per-session memo:
@@ -379,151 +276,53 @@ class ReplicatedBackend:
         # answers nodes 1..N-1 -- decision-neutral because results are
         # pure functions of the window.
         algorithm = _resolve_repeats_algorithm(
-            cfg.repeats_algorithm, cfg.sa_backend
+            config.repeats_algorithm, config.sa_backend
         )
         memo = (
-            MiningMemo(cfg.mining_memo_capacity)
-            if cfg.mining_memo_capacity else None
+            MiningMemo(config.mining_memo_capacity)
+            if config.mining_memo_capacity else None
         )
         # One plan object for the whole replica set, keyed by the session
         # id: every node executor consults the same deterministic
         # schedule for the same stream, so injected mining faults hit all
         # replicas identically -- degraded results stay replicated
         # results, and the agreement invariant survives the fault.
-        faults = resolve_fault_plan(cfg.fault_plan)
-        processors = []
-        for node in range(nodes):
-            processor = ApopheniaProcessor(
+        faults = resolve_fault_plan(config.fault_plan)
+        processors = [
+            ApopheniaProcessor(
                 runtimes[node],
-                cfg,
+                config,
                 node_id=node,
                 coordinator=coordinator,
                 stream_key=session_id,
                 executor=JobExecutor(
                     repeats_algorithm=algorithm,
-                    base_latency_ops=cfg.job_base_latency_ops,
-                    per_token_latency_ops=cfg.job_per_token_latency_ops,
+                    base_latency_ops=config.job_base_latency_ops,
+                    per_token_latency_ops=config.job_per_token_latency_ops,
                     node_id=node,
                     # memo_capacity rides along for the memo=None case:
                     # a config that disables the memo must not fall back
                     # to a private default-capacity cache per node.
-                    memo_capacity=cfg.mining_memo_capacity,
+                    memo_capacity=config.mining_memo_capacity,
                     memo=memo,
                     fault_plan=faults,
                     stream_key=session_id,
-                    deadline_tokens=cfg.mining_deadline_tokens,
-                    quarantine_threshold=cfg.fault_quarantine_threshold,
+                    deadline_tokens=config.mining_deadline_tokens,
+                    quarantine_threshold=config.fault_quarantine_threshold,
                 ),
             )
-            if owns_runtimes:
-                self.runtime_factory.bind_processor(
-                    _node_key(session_id, node), processor
-                )
-            processors.append(processor)
-        processors[0].open_session(session_id)
-        if state is not None:
-            # Every replica hydrates from the same snapshot; the
-            # coordinator is shared, and the snapshot's coordinator
-            # restore is idempotent, so N applications equal one.
-            for processor in processors:
-                hydrate_processor(processor, state)
-                processor.warm_starts += 1
-        handle = ReplicatedSessionHandle(
-            session_id, self, processors, runtimes, coordinator,
-            owns_runtimes, faults=faults,
+            for node in range(nodes)
+        ]
+        return ReplicatedSessionHandle(
+            session_id, self, processors, keys, coordinator, faults
         )
-        self.sessions[session_id] = handle
-        self.sessions_opened += 1
-        return handle
 
-    def close_session(self, session_id):
-        """Flush every replica and retire the session; exception-safe.
-
-        The replica set, factory-owned runtimes, and the handle's closed
-        mark are torn down even when a flush raises (the error still
-        propagates), so a failing tenant cannot leak its N runtimes.
-        """
-        handle = self.sessions.get(session_id)
-        if handle is None:
-            raise SessionClosedError(
-                session_id,
-                f"unknown or already-closed replicated session "
-                f"{session_id!r}",
-            )
-        try:
-            handle.flush()
-        finally:
-            del self.sessions[session_id]
-            self._retire_counters(handle)
-            if handle.coordinator is not None:
-                # Pending-head agreements die with the session's finders;
-                # on a shared coordinator they would otherwise never
-                # reach their consumption watermark.
-                handle.coordinator.release_stream(session_id)
-            if handle.owns_runtimes:
-                for node in range(handle.num_nodes):
-                    self.runtime_factory.release(_node_key(session_id, node))
-            handle.closed = True
-        return handle
-
-    def _retire_counters(self, handle):
-        # The reference (lowest-id live) replica, not blindly node 0: a
-        # dropped node 0's counters froze at the drop point.
-        self._retired.absorb(handle.processor)
-        self._nodes_dropped += len(handle.dropped)
+    def _release(self, handle):
         if handle.coordinator is not None:
-            self._retired_waits += handle.coordinator.waits
-            self._retired_pruned += handle.coordinator.agreements_pruned
-
-    def session(self, session_id):
-        return self.sessions[session_id]
-
-    def __len__(self):
-        return len(self.sessions)
-
-    # ------------------------------------------------------------------
-    # Introspection
-    # ------------------------------------------------------------------
-    @property
-    def backend_stats(self):
-        """Node-0 executor/replayer counters plus coordinator gauges.
-
-        Shaped like the other backends' (so ``backend_stats`` consumers
-        are deployment-agnostic), with the replication extras on top:
-        ``nodes`` (replicas across open sessions), ``coordinator_waits``
-        / ``agreements_pruned`` (lifetime sums, closed sessions
-        included), ``ingest_margin_ops`` (worst current margin) and
-        ``agreement_entries`` (live agreement-table entries, the gauge
-        the pruning satellite bounds).
-        """
-        totals = {
-            "lanes": len(self.sessions),
-            "nodes": 0,
-            "live_nodes": 0,
-            "nodes_dropped": self._nodes_dropped,
-            "sessions_open": len(self.sessions),
-            "sessions_opened": self.sessions_opened,
-            "sessions_evicted": 0,
-            "coordinator_waits": self._retired_waits,
-            "agreements_pruned": self._retired_pruned,
-            "ingest_margin_ops": 0,
-            "agreement_entries": 0,
-            **self._retired.seed_totals(),
-        }
-        for handle in self.sessions.values():
-            totals["nodes"] += handle.num_nodes
-            totals["live_nodes"] += handle.live_nodes
-            totals["nodes_dropped"] += len(handle.dropped)
-            fold_processor_stats(totals, handle.processor.backend_stats)
-            coordinator = handle.coordinator
-            if coordinator is not None:
-                totals["coordinator_waits"] += coordinator.waits
-                totals["agreements_pruned"] += coordinator.agreements_pruned
-                totals["ingest_margin_ops"] = max(
-                    totals["ingest_margin_ops"], coordinator.margin_ops
-                )
-                totals["agreement_entries"] += coordinator.agreement_table_size
-        return finish_totals(totals)
+            # Pending-head agreements die with the session's finders; on
+            # a shared coordinator they would otherwise never reach their
+            # consumption watermark.
+            handle.coordinator.release_stream(handle.session_id)
 
 
 __all__ = ["ReplicatedBackend", "ReplicatedSessionHandle"]

@@ -1,16 +1,27 @@
-"""The multi-tenant Apophenia service.
+"""The session core, and the two single-node backends built on it.
 
-:class:`ApopheniaService` multiplexes N concurrent application sessions --
-each a full ``(TaskHasher, TraceFinder, TraceReplayer)`` triple fronting
-its own runtime -- over ONE shared mining executor
-(:class:`~repro.service.executor.SharedJobExecutor`). Sharing the mining
-backend is what makes the service more than N processors in a dict:
-identical windows from different tenants hit the same memo entry (safe
-because mining results are pure functions of the window), and one fair
-scheduler amortizes the analysis cost the paper attributes to a single
-application across the whole tenant population.
+Every tracing backend is a :class:`SessionPool`: a table of open
+sessions, each a :class:`SessionHandle` over one or more
+:class:`~repro.core.processor.ApopheniaProcessor` replicas. The pool
+owns what every deployment does the same way -- the open template, the
+one exception-safe ``close_session``, and the ``backend_stats`` fold over
+the declared :data:`METRICS` table -- and a backend supplies ``_build``
+(what serves a session) and ``_release`` (what it registered elsewhere),
+plus whatever is genuinely its own:
 
-What is shared vs. per-session:
+* :class:`StandaloneBackend` -- the paper's one Apophenia per
+  application: a private executor and memo per session, nothing shared;
+* :class:`ApopheniaService` -- N sessions over ONE shared mining executor
+  (:class:`~repro.service.executor.SharedJobExecutor`), with LRU
+  eviction and the spill tier;
+* :class:`~repro.service.replicated.ReplicatedBackend` -- N node replicas
+  per session plus an ingest coordinator (Section 5.1).
+
+Sharing the mining backend is what makes the service more than N
+processors in a dict: identical windows from different tenants hit the
+same memo entry (safe because mining results are pure functions of the
+window), and one fair scheduler amortizes the analysis cost the paper
+attributes to a single application across the whole tenant population.
 
 ==================  ====================================================
 shared              mining algorithm, cross-session memo, submit queues,
@@ -19,15 +30,18 @@ per-session         hasher, finder (history buffer + op clock), replayer
                     (candidate trie + scoring), runtime, job-id counter
 ==================  ====================================================
 
-Sessions are evicted least-recently-used when ``max_sessions`` is
-exceeded; eviction flushes the victim's buffered tasks first, so no task
-is ever dropped. With ``session_state_budget`` set, eviction no longer
-*forgets* either: the victim is dehydrated into a token-budgeted
+Service sessions are evicted least-recently-used when ``max_sessions``
+is exceeded; eviction flushes the victim's buffered tasks first, so no
+task is ever dropped. With ``session_state_budget`` set, eviction no
+longer *forgets* either: the victim is dehydrated into a token-budgeted
 :class:`~repro.persist.SessionStateStore` and re-admission hydrates, so
 an evicted tenant warm-starts at its learned steady state instead of
 re-mining from scratch. Without the budget (the default) eviction keeps
 the historical behaviour -- the tenant restarts cold.
 """
+
+from collections import namedtuple
+from operator import add
 
 from repro.core.processor import (
     ApopheniaConfig,
@@ -40,76 +54,412 @@ from repro.runtime.session import RuntimeSessionFactory
 from repro.service.executor import SharedJobExecutor
 
 
+# ----------------------------------------------------------------------
+# The metric table
+# ----------------------------------------------------------------------
+#: One ``backend_stats`` key: ``read(handle)`` takes it off a session,
+#: ``fold(total, value)`` (``add`` or ``max``) combines sessions. A
+#: ``gauge`` describes open sessions only; every other metric is a
+#: lifetime value that survives ``close_session``.
+Metric = namedtuple("Metric", "key fold read gauge", defaults=(False,))
+
+
+def _replayer(name):
+    return lambda handle: getattr(handle.stats, name)
+
+
+def _executor(name):
+    return lambda handle: getattr(handle.processor.executor, name)
+
+
+def _coordinator(name):
+    def read(handle):
+        coordinator = handle.coordinator
+        return getattr(coordinator, name) if coordinator is not None else 0
+    return read
+
+
+def _memo_tokens(handle):
+    memo = handle.processor.executor.memo
+    return memo.tokens_held if memo is not None else 0
+
+
+#: Every per-session quantity a backend aggregates, declared once. The
+#: same table folds the open sessions (``backend_stats``) and a closing
+#: one into the pool's lifetime record (``close_session``), so a key
+#: means the same thing on every backend. Replicated sessions report the
+#: reference replica (replicas are byte-identical by the agreement
+#: invariant; a dropped node's counters froze at the drop point).
+METRICS = (
+    Metric("tasks_seen", add, _replayer("tasks_seen")),
+    Metric("jobs_materialized", add, _executor("jobs_submitted")),
+    Metric("memo_hits", add, _executor("memo_hits")),
+    Metric("mining_failures", add, _executor("mining_failures")),
+    Metric("degraded_jobs", add, _executor("degraded_jobs")),
+    Metric("deadline_overruns", add, _executor("deadline_overruns")),
+    # The pointer peak is a max (the worst ladder any session's stream
+    # built); collapses and suppressed switches are sums (total work the
+    # deduplicating engine avoided / churn the hysteresis absorbed).
+    Metric("active_pointer_peak", max, _replayer("active_pointer_peak")),
+    Metric("pointer_collapses", add, _replayer("pointer_collapses")),
+    Metric("hysteresis_suppressed", add, _replayer("hysteresis_suppressed")),
+    Metric("candidates_evicted", add, _replayer("candidates_evicted")),
+    Metric("warm_starts", add, lambda handle: handle.processor.warm_starts),
+    Metric("nodes_dropped", add,
+           lambda handle: handle.num_nodes - handle.live_nodes),
+    Metric("coordinator_waits", add, _coordinator("waits")),
+    Metric("agreements_pruned", add, _coordinator("agreements_pruned")),
+    Metric("outstanding", add, _executor("outstanding"), gauge=True),
+    Metric("memo_tokens_held", add, _memo_tokens, gauge=True),
+    # bool -> 0/1: the sum counts currently quarantined sessions.
+    Metric("quarantined", add, _executor("quarantined"), gauge=True),
+    Metric("nodes", add, lambda handle: handle.num_nodes, gauge=True),
+    Metric("live_nodes", add, lambda handle: handle.live_nodes, gauge=True),
+    # The worst current margin, and the live agreement-table entries
+    # (the gauge coordinator pruning bounds).
+    Metric("ingest_margin_ops", max, _coordinator("margin_ops"), gauge=True),
+    Metric("agreement_entries", add, _coordinator("agreement_table_size"),
+           gauge=True),
+)
+
+
+def _fold(totals, handle, lifetime_only=False):
+    """Fold one session into ``totals`` by the :data:`METRICS` rules."""
+    for key, fold, read, gauge in METRICS:
+        if not (gauge and lifetime_only):
+            totals[key] = fold(totals[key], read(handle))
+
+
+# ----------------------------------------------------------------------
+# The session handle
+# ----------------------------------------------------------------------
 class SessionHandle:
-    """One tenant's slice of the service."""
+    """One open session: its processors and where they are registered.
 
-    __slots__ = (
-        "session_id",
-        "service",
-        "processor",
-        "runtime",
-        "lane",
-        "owns_runtime",
-        "closed",
-        "last_used",
-    )
+    The one handle shape every backend returns and every cross-cutting
+    consumer (stats, snapshots, persistence, trace capture, the
+    benchmark's tracer) reads: ``session_id``, the owning ``backend``,
+    ``processors`` (one per node replica; one for single-node backends),
+    the live subset still serving, ``processor`` (the reference replica
+    the facade reports), the shared ``coordinator`` or ``None``, and
+    ``closed``. ``runtime_keys`` names the runtimes the backend's factory
+    stamped for this session -- parallel to ``processors``, or empty when
+    the caller owns the runtimes.
 
-    def __init__(self, session_id, service, processor, runtime, lane,
-                 owns_runtime):
+    Serving calls look ``execute_task`` / ``set_iteration`` / ``flush``
+    up on each processor at call time; nothing here caches a bound
+    method, so instance-level wrappers on a processor stay in the path.
+    """
+
+    __slots__ = ("session_id", "backend", "processors", "runtime_keys",
+                 "coordinator", "closed", "_live")
+
+    def __init__(self, session_id, backend, processors, runtime_keys=(),
+                 coordinator=None):
         self.session_id = session_id
-        self.service = service
-        self.processor = processor
-        self.runtime = runtime
-        self.lane = lane
-        self.owns_runtime = owns_runtime
+        self.backend = backend
+        self.processors = processors
+        self.runtime_keys = runtime_keys
+        self.coordinator = coordinator
         self.closed = False
-        self.last_used = 0
+        self._live = list(processors)
 
-    def execute_task(self, task):
-        """Issue one task; equivalent to ``service.execute_task``.
-
-        Routed through the service so handle-driven tenants get the same
-        LRU stamp and scheduler pump as id-addressed ones -- a handle that
-        bypassed the pump would never drain its own submit queue.
-        """
+    def _check_open(self):
         if self.closed:
             raise SessionClosedError(self.session_id)
-        self.service.execute_task(self.session_id, task)
+
+    # ------------------------------------------------------------------
+    # Serving
+    # ------------------------------------------------------------------
+    def execute_task(self, task):
+        """Issue one task on every live replica, in node order."""
+        if self.closed:  # _check_open, inlined on the per-task path
+            raise SessionClosedError(self.session_id)
+        for processor in self._live:
+            processor.execute_task(task)
 
     def set_iteration(self, iteration):
-        """Advance the session's iteration; routed like ``execute_task``.
-
-        Routing matters (``service.execute_task`` documents why): a
-        handle call that bypassed the service would neither refresh the
-        LRU stamp nor pump the shared scheduler, so an iteration-heavy
-        tenant would look idle and get evicted while actively serving.
-        """
-        if self.closed:
-            raise SessionClosedError(self.session_id)
-        self.service.set_iteration(self.session_id, iteration)
+        self._check_open()
+        for processor in self._live:
+            processor.set_iteration(iteration)
 
     def flush(self):
-        """Drain the session's buffered tasks; routed like
-        ``execute_task`` (LRU stamp + scheduler pump), so a
-        flush-heavy tenant stays visibly active."""
-        if self.closed:
-            raise SessionClosedError(self.session_id)
-        self.service.flush(self.session_id)
+        self._check_open()
+        for processor in self._live:
+            processor.flush()
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def num_nodes(self):
+        """Replica count the session was opened with (drops included)."""
+        return len(self.processors)
+
+    @property
+    def live_nodes(self):
+        """Replicas still serving (``num_nodes`` minus dropped nodes)."""
+        return len(self._live)
+
+    @property
+    def live_processors(self):
+        return list(self._live)
+
+    @property
+    def processor(self):
+        """The lowest-id live replica, the reference the facade reports
+        (node 0 until it drops)."""
+        return self._live[0]
+
+    @property
+    def runtime(self):
+        return self._live[0].runtime
+
+    @property
+    def runtimes(self):
+        return [processor.runtime for processor in self.processors]
 
     @property
     def stats(self):
-        """The session's :class:`~repro.core.replayer.ReplayerStats`."""
-        return self.processor.stats
+        """The reference replica's
+        :class:`~repro.core.replayer.ReplayerStats`."""
+        return self._live[0].stats
 
     def decision_trace(self):
-        return self.processor.decision_trace()
+        return self._live[0].decision_trace()
 
     def __repr__(self):
         state = "closed" if self.closed else "open"
-        return f"SessionHandle({self.session_id!r}, {state})"
+        return (
+            f"{type(self).__name__}({self.session_id!r}, "
+            f"nodes={self.live_nodes}/{self.num_nodes}, {state})"
+        )
 
 
-class ApopheniaService:
+# ----------------------------------------------------------------------
+# The session pool
+# ----------------------------------------------------------------------
+class SessionPool:
+    """The session table and lifecycle under every tracing backend.
+
+    Subclasses set ``backend_kind`` and implement :meth:`_build`; they
+    may override :meth:`_admit` and :meth:`_release`.
+
+    Parameters
+    ----------
+    config:
+        :class:`~repro.core.processor.ApopheniaConfig`; the default
+        per-session configuration (``open_session`` may override it) and
+        the backend's own deployment knobs.
+    runtime_factory:
+        :class:`~repro.runtime.session.RuntimeSessionFactory` used when a
+        session is opened without application-provided runtimes.
+    """
+
+    def __init__(self, config=None, runtime_factory=None):
+        self.config = config or ApopheniaConfig()
+        # Explicit None check: an empty factory is falsy (it has __len__).
+        self.runtime_factory = (
+            runtime_factory if runtime_factory is not None
+            else RuntimeSessionFactory()
+        )
+        self.sessions = {}  # session_id -> SessionHandle
+        self.sessions_opened = 0
+        # Only the service evicts, and only it may run a spill tier;
+        # every pool reports both so stats readers need no probing.
+        self.sessions_evicted = 0
+        self.state_store = None
+        # Lifetime metrics of closed sessions, so backend_stats reports
+        # the whole history, not just the sessions still open.
+        self._retired = dict.fromkeys((metric.key for metric in METRICS), 0)
+
+    # ------------------------------------------------------------------
+    # Session lifecycle
+    # ------------------------------------------------------------------
+    def open_session(self, session_id, runtime=None, config=None, node_id=0,
+                     priority=0, state=None, **deployment):
+        """Admit a session; returns its :class:`SessionHandle`.
+
+        ``config`` overrides the per-session configuration; ``runtime``
+        is an application-owned runtime (omitted, the factory stamps
+        one). ``state`` warm-starts the session from a
+        :class:`~repro.persist.SessionState`: every processor of the
+        handle hydrates from the same snapshot, so a replica set resumes
+        with byte-identical learned state (the snapshot's coordinator
+        restore is idempotent, so N applications equal one).
+        ``deployment`` carries backend-specific keywords to ``_build``.
+        """
+        if session_id in self.sessions:
+            raise ValueError(f"session {session_id!r} already open")
+        state = self._admit(session_id, state)
+        handle = self._build(session_id, config or self.config, runtime,
+                             node_id, priority, **deployment)
+        for key, processor in zip(handle.runtime_keys, handle.processors):
+            # Factory-tracked handles expose the session's replay-engine
+            # counters (RuntimeHandle.serving_stats).
+            self.runtime_factory.bind_processor(key, processor)
+        if state is not None:
+            for processor in handle.processors:
+                hydrate_processor(processor, state)
+                processor.warm_starts += 1
+        self.sessions[session_id] = handle
+        self.sessions_opened += 1
+        return handle
+
+    def _admit(self, session_id, state):
+        """Make room for ``session_id``; returns the state to warm-start
+        it from (``state`` itself unless the backend holds a better one).
+        """
+        return state
+
+    def _build(self, session_id, config, runtime, node_id, priority):
+        """Construct the session's processors; returns its handle."""
+        raise NotImplementedError
+
+    def _release(self, handle):
+        """Drop whatever ``_build`` registered outside the pool."""
+
+    def _runtime_for(self, session_id, runtime):
+        """``(runtime, runtime_keys)`` of a single-node session: the
+        caller's own runtime, or a factory one tracked under its id."""
+        if runtime is not None:
+            return runtime, ()
+        return self.runtime_factory.create(session_id).runtime, (session_id,)
+
+    def close_session(self, session_id):
+        """Flush and retire a session; returns its handle for inspection.
+
+        Teardown is exception-safe: the table entry, the backend's own
+        registrations (lane, coordinator stream), every factory-owned
+        runtime, and the handle's closed mark are released even when the
+        flush raises (the error still propagates), so a failing tenant
+        cannot leak resources or leave a half-closed handle behind --
+        and its lifetime counters still reach ``backend_stats``.
+        """
+        handle = self.sessions.get(session_id)
+        if handle is None:
+            raise SessionClosedError(
+                session_id,
+                f"unknown or already-closed session {session_id!r}",
+            )
+        try:
+            # The processors directly, not handle.flush(): teardown must
+            # not touch LRU stamps or pump other tenants' work into a
+            # lane that is about to be released.
+            for processor in handle.live_processors:
+                processor.flush()
+        finally:
+            del self.sessions[session_id]
+            # Retire before _release: pending-head agreements (and the
+            # coordinator gauges that count them) die with the stream.
+            _fold(self._retired, handle, lifetime_only=True)
+            self._release(handle)
+            for key in handle.runtime_keys:
+                self.runtime_factory.release(key)
+            handle.closed = True
+        return handle
+
+    def session(self, session_id):
+        """Look up an open session (without touching any LRU position)."""
+        return self.sessions[session_id]
+
+    def __len__(self):
+        return len(self.sessions)
+
+    # ------------------------------------------------------------------
+    # Introspection
+    # ------------------------------------------------------------------
+    @property
+    def backend_stats(self):
+        """The :data:`METRICS` fold plus the pool's own counters.
+
+        Counters are lifetime aggregates (closed sessions included);
+        gauges (``outstanding``, ``memo_tokens_held``, ``quarantined``,
+        ``nodes`` / ``live_nodes``, ``ingest_margin_ops``,
+        ``agreement_entries``, ``states_held``) describe what is open
+        right now.
+        """
+        totals = dict(self._retired)
+        for handle in self.sessions.values():
+            _fold(totals, handle)
+        store = self.state_store
+        totals.update(
+            lanes=len(self.sessions),
+            sessions_open=len(self.sessions),
+            sessions_opened=self.sessions_opened,
+            sessions_evicted=self.sessions_evicted,
+            states_held=store.states_held if store is not None else 0,
+            state_tokens_held=store.tokens_held if store is not None else 0,
+            memo_hit_rate=(
+                totals["memo_hits"] / totals["jobs_materialized"]
+                if totals["jobs_materialized"] else 0.0
+            ),
+        )
+        return totals
+
+
+class StandaloneBackend(SessionPool):
+    """N independent processors behind the common session surface.
+
+    The "one Apophenia per application" deployment of the paper. Nothing
+    is shared between sessions -- each gets its own processor, executor,
+    memo, and (unless provided) its own runtime from ``runtime_factory``.
+    """
+
+    backend_kind = "standalone"
+
+    def __init__(self, config=None, runtime_factory=None):
+        # keep_task_log=True: standalone sessions are the interactive /
+        # example path where callers inspect traced fractions; service
+        # factories default it off for fleet-scale reasons.
+        super().__init__(
+            config,
+            runtime_factory if runtime_factory is not None
+            else RuntimeSessionFactory(keep_task_log=True),
+        )
+
+    def _build(self, session_id, config, runtime, node_id, priority):
+        del priority  # nothing is shared, so nothing to prioritize
+        runtime, keys = self._runtime_for(session_id, runtime)
+        processor = ApopheniaProcessor(runtime, config, node_id=node_id)
+        return SessionHandle(session_id, self, [processor], keys)
+
+
+# ----------------------------------------------------------------------
+# The multi-tenant service
+# ----------------------------------------------------------------------
+class LaneHandle(SessionHandle):
+    """One tenant's slice of the service.
+
+    Serving calls are routed through the service so handle-driven
+    tenants get the same LRU stamp and scheduler pump as id-addressed
+    ones: a handle that bypassed the pump would never drain its own
+    submit queue, and one that bypassed the stamp would look idle and
+    get evicted while actively serving.
+    """
+
+    __slots__ = ("last_used",)
+
+    @property
+    def lane(self):
+        """The session's :class:`~repro.service.executor.SessionLane`."""
+        return self.processor.executor
+
+    def execute_task(self, task):
+        if self.closed:  # _check_open, inlined on the per-task path
+            raise SessionClosedError(self.session_id)
+        self.backend.execute_task(self.session_id, task)
+
+    def set_iteration(self, iteration):
+        self._check_open()
+        self.backend.set_iteration(self.session_id, iteration)
+
+    def flush(self):
+        self._check_open()
+        self.backend.flush(self.session_id)
+
+
+class ApopheniaService(SessionPool):
     """Serves many applications' token streams from one process.
 
     Parameters
@@ -131,7 +481,7 @@ class ApopheniaService:
     backend_kind = "service"
 
     def __init__(self, config=None, runtime_factory=None):
-        self.config = config or ApopheniaConfig()
+        super().__init__(config, runtime_factory)
         self.executor = SharedJobExecutor(
             repeats_algorithm=_resolve_repeats_algorithm(
                 self.config.repeats_algorithm, self.config.sa_backend
@@ -144,105 +494,49 @@ class ApopheniaService:
             deadline_tokens=self.config.mining_deadline_tokens,
             quarantine_threshold=self.config.fault_quarantine_threshold,
         )
-        # Explicit None check: an empty factory is falsy (it has __len__).
-        self.runtime_factory = (
-            runtime_factory if runtime_factory is not None
-            else RuntimeSessionFactory()
-        )
-        self.sessions = {}  # session_id -> SessionHandle
         self._tick = 0  # monotonic use counter backing LRU eviction
-        self.sessions_opened = 0
-        self.sessions_evicted = 0
         # Evict-without-forgetting spill tier (None: forget on evict,
         # the historical behaviour).
-        self.state_store = (
-            SessionStateStore(token_budget=self.config.session_state_budget)
-            if self.config.session_state_budget is not None else None
-        )
-        self.warm_starts = 0
+        if self.config.session_state_budget is not None:
+            self.state_store = SessionStateStore(
+                token_budget=self.config.session_state_budget
+            )
 
     # ------------------------------------------------------------------
-    # Session lifecycle
+    # Session lifecycle (the pool's hooks)
     # ------------------------------------------------------------------
-    def open_session(self, session_id, runtime=None, config=None, node_id=0,
-                     priority=0, state=None):
-        """Admit a tenant; returns its :class:`SessionHandle`.
-
-        ``config`` overrides the per-session Apophenia configuration
-        (buffer size, trace-length bounds, latency model...); the
-        service-level knobs and mining algorithm always come from the
-        service's own config. Admitting a session beyond ``max_sessions``
-        evicts the least-recently-used tenant first.
-
-        ``state`` warm-starts the session from an explicit
-        :class:`~repro.persist.SessionState`. When it is ``None`` and
-        the spill tier holds a state for this ``session_id`` (the tenant
-        was LRU-evicted earlier), that state is popped and applied --
-        re-admission transparently resumes the learned steady state.
-        """
-        if session_id in self.sessions:
-            raise ValueError(f"session {session_id!r} already open")
+    def _admit(self, session_id, state):
+        """Admitting a session beyond ``max_sessions`` evicts the
+        least-recently-used tenant first. With no explicit ``state``, a
+        state the spill tier holds for this id (the tenant was evicted
+        earlier) is popped and applied -- re-admission transparently
+        resumes the learned steady state."""
         while len(self.sessions) >= max(1, self.config.max_sessions):
             self._evict_lru()
-        cfg = config or self.config
-        owns_runtime = runtime is None
-        if owns_runtime:
-            runtime = self.runtime_factory.create(session_id).runtime
+        if state is None and self.state_store is not None:
+            state = self.state_store.pop(session_id)
+        return state
+
+    def _build(self, session_id, config, runtime, node_id, priority):
+        runtime, keys = self._runtime_for(session_id, runtime)
         lane = self.executor.lane(
             session_id,
             node_id=node_id,
-            base_latency_ops=cfg.job_base_latency_ops,
-            per_token_latency_ops=cfg.job_per_token_latency_ops,
+            base_latency_ops=config.job_base_latency_ops,
+            per_token_latency_ops=config.job_per_token_latency_ops,
             priority=priority,
-            quarantine_threshold=cfg.fault_quarantine_threshold,
+            quarantine_threshold=config.fault_quarantine_threshold,
         )
         processor = ApopheniaProcessor(
-            runtime, cfg, node_id=node_id, executor=lane
+            runtime, config, node_id=node_id, executor=lane
         )
-        if owns_runtime:
-            # Factory-tracked handles expose the session's replay-engine
-            # counters (RuntimeHandle.serving_stats).
-            self.runtime_factory.bind_processor(session_id, processor)
-        if state is None and self.state_store is not None:
-            state = self.state_store.pop(session_id)
-        if state is not None:
-            hydrate_processor(processor, state)
-            processor.warm_starts += 1
-            self.warm_starts += 1
-        session = SessionHandle(session_id, self, processor, runtime, lane,
-                                owns_runtime)
+        handle = LaneHandle(session_id, self, [processor], keys)
         self._tick += 1
-        session.last_used = self._tick
-        self.sessions[session_id] = session
-        self.sessions_opened += 1
-        return session
+        handle.last_used = self._tick
+        return handle
 
-    def close_session(self, session_id):
-        """Flush and retire a session; returns its handle for inspection.
-
-        Teardown is exception-safe: the lane, the factory-owned runtime,
-        and the handle's closed mark are released even when the flush
-        raises (the error still propagates), so a failing tenant cannot
-        leak service resources or leave a half-closed handle behind.
-        """
-        session = self.sessions.get(session_id)
-        if session is None:
-            raise SessionClosedError(
-                session_id,
-                f"unknown or already-closed session {session_id!r}",
-            )
-        try:
-            # The processor directly, not the routed handle.flush():
-            # teardown must not touch LRU stamps or pump other tenants'
-            # work into a lane that is about to be released.
-            session.processor.flush()
-        finally:
-            del self.sessions[session_id]
-            self.executor.release_lane(session_id)
-            if session.owns_runtime:
-                self.runtime_factory.release(session_id)
-            session.closed = True
-        return session
+    def _release(self, handle):
+        self.executor.release_lane(handle.session_id)
 
     def _evict_lru(self):
         victim_id = min(
@@ -252,14 +546,10 @@ class ApopheniaService:
             # Dehydrate BEFORE close_session: dehydrate flushes the
             # victim itself, and teardown releases the lane the snapshot
             # still needs to read pending-job state from.
-            state = dehydrate(self.sessions[victim_id], session_id=victim_id)
+            state = dehydrate(self.sessions[victim_id])
             self.state_store.put(victim_id, state)
         self.close_session(victim_id)
         self.sessions_evicted += 1
-
-    def session(self, session_id):
-        """Look up an open session without touching its LRU position."""
-        return self.sessions[session_id]
 
     # ------------------------------------------------------------------
     # Serving
@@ -274,7 +564,9 @@ class ApopheniaService:
         queue check on top of what a standalone processor pays.
         """
         session = self._touch(session_id)
-        session.processor.execute_task(task)
+        # processors[0], not the `processor` property: a service session
+        # is single-node, and this is the per-task path.
+        session.processors[0].execute_task(task)
         self._pump()
 
     def set_iteration(self, session_id, iteration):
@@ -316,50 +608,14 @@ class ApopheniaService:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    def __len__(self):
-        return len(self.sessions)
-
-    @property
-    def stats(self):
-        """Aggregate service counters plus the shared executor's.
-
-        The serving-path gauges aggregate over *open* sessions: the
-        pointer peak is a max (the worst ladder any tenant's stream
-        built), collapses and suppressed switches are sums (total work
-        the deduplicating engine avoided / total churn the hysteresis
-        absorbed, fleet-wide).
-        """
-        stats = dict(self.executor.stats)
-        replayers = [s.stats for s in self.sessions.values()]
-        stats.update(
-            sessions_open=len(self.sessions),
-            sessions_opened=self.sessions_opened,
-            sessions_evicted=self.sessions_evicted,
-            live_nodes=len(self.sessions),  # service sessions: 1 node each
-            tasks_seen=sum(r.tasks_seen for r in replayers),
-            active_pointer_peak=max(
-                (r.active_pointer_peak for r in replayers), default=0
-            ),
-            pointer_collapses=sum(r.pointer_collapses for r in replayers),
-            hysteresis_suppressed=sum(
-                r.hysteresis_suppressed for r in replayers
-            ),
-            candidates_evicted=sum(
-                r.candidates_evicted for r in replayers
-            ),
-            warm_starts=self.warm_starts,
-            states_held=(
-                self.state_store.states_held
-                if self.state_store is not None else 0
-            ),
-            state_tokens_held=(
-                self.state_store.tokens_held
-                if self.state_store is not None else 0
-            ),
-        )
-        return stats
-
     @property
     def backend_stats(self):
-        """:class:`repro.api.TracingBackend` spelling of :attr:`stats`."""
-        return self.stats
+        """The pool's fold, with the shared executor's own aggregates on
+        top: mining runs service-wide, so the executor -- not a sum over
+        lanes -- is the authority on jobs, memo and queue figures."""
+        stats = super().backend_stats
+        stats.update(self.executor.stats)
+        return stats
+
+    #: The service's historical spelling of :attr:`backend_stats`.
+    stats = backend_stats

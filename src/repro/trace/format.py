@@ -27,6 +27,7 @@ checked-in v1 corpus files.
 
 import json
 
+from repro.core.processor import ApopheniaConfig
 from repro.registry import Registry
 from repro.stablehash import stable_digest
 
@@ -55,50 +56,20 @@ def _require(record, field, types, kind):
 
 _MISSING = object()
 
-#: ``ApopheniaConfig`` fields serialized into the header. Only
-#: JSON-scalar (or ``None``) values are recorded; a callable knob (a
-#: custom ``repeats_algorithm``, a live fault plan) is dropped and its
-#: name listed under ``config_dropped`` so the reader knows the recorded
-#: config is partial.
-CONFIG_FIELDS = (
-    "min_trace_length",
-    "max_trace_length",
-    "batchsize",
-    "multi_scale_factor",
-    "identifier_algorithm",
-    "repeats_algorithm",
-    "sa_backend",
-    "mining_memo_capacity",
-    "count_cap",
-    "decay_rate",
-    "replay_bonus",
-    "hysteresis",
-    "match_engine",
-    "job_base_latency_ops",
-    "job_per_token_latency_ops",
-    "initial_ingest_margin_ops",
-    "num_nodes",
-    "max_sessions",
-    "max_outstanding_jobs",
-    "shared_memo_capacity",
-    "shared_memo_token_budget",
-    "lane_outstanding_quota",
-    "fault_plan",
-    "mining_deadline_tokens",
-    "fault_quarantine_threshold",
-)
-
-
 def config_to_dict(config):
     """``(serializable_fields, dropped_names)`` for a config object.
 
-    ``fault_plan`` spec *strings* survive (they are how chaos runs are
-    recorded everywhere else); resolved plan objects and callable knobs
-    do not -- they are reported as dropped rather than silently lost.
+    The header records *every* ``ApopheniaConfig`` field, so a re-drive
+    runs under exactly the captured knobs. Only JSON-scalar (or ``None``)
+    values can be recorded: ``fault_plan`` spec *strings* survive (they
+    are how chaos runs are recorded everywhere else); resolved plan
+    objects and callable knobs (a custom ``repeats_algorithm``) do not --
+    their names are listed under ``config_dropped`` so the reader knows
+    the recorded config is partial, rather than silently lost.
     """
     fields, dropped = {}, []
-    for name in CONFIG_FIELDS:
-        value = getattr(config, name, None)
+    for name in ApopheniaConfig.field_names():
+        value = getattr(config, name)
         if value is None or isinstance(value, _SCALARS):
             fields[name] = value
         else:
@@ -107,11 +78,12 @@ def config_to_dict(config):
 
 
 def config_from_dict(fields):
-    """Rebuild an :class:`~repro.core.processor.ApopheniaConfig`."""
-    from repro.core.processor import ApopheniaConfig
-
-    known = {k: v for k, v in fields.items() if k in CONFIG_FIELDS}
-    return ApopheniaConfig(**known)
+    """Rebuild an :class:`~repro.core.processor.ApopheniaConfig`
+    (unknown keys, e.g. from a newer writer, are ignored)."""
+    names = ApopheniaConfig.field_names()
+    return ApopheniaConfig(
+        **{k: v for k, v in fields.items() if k in names}
+    )
 
 
 class TraceFormatV1:

@@ -63,10 +63,7 @@ class TraceRecorder:
         """Capture the session identity and decision-relevant config."""
         if self._header is not None:
             raise ValueError("recorder is already attached to a session")
-        config = getattr(session.processor, "config", None)
-        fields, dropped = (
-            config_to_dict(config) if config is not None else ({}, [])
-        )
+        fields, dropped = config_to_dict(session.processor.config)
         self._header = {
             "record": "header",
             "format": FORMAT_NAME,

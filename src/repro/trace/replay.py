@@ -172,7 +172,6 @@ class TraceReplayHarness:
         ).validate()
         _, regions = rebuild_forest(document)
         backend_obj = self._resolve_backend(config)
-        backend_kind = getattr(backend_obj, "backend_kind", "?")
         session_id = (
             self.session_id
             if self.session_id is not None
@@ -200,7 +199,8 @@ class TraceReplayHarness:
         expected = document.footer["decisions_digest"]
         actual = snapshot.stable_digest()
         return ReplayVerdict(
-            backend_kind, actual == expected, expected, actual, tasks, stats
+            backend_obj.backend_kind, actual == expected, expected, actual,
+            tasks, stats,
         )
 
     @staticmethod

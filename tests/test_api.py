@@ -8,7 +8,8 @@ service backend. On top of that: the validating config builder with
 profiles and ``REPRO_*`` environment layering, the unified plugin
 registries, the uniform ``SessionStats`` surface, size-aware shared-memo
 admission, per-lane outstanding quotas, and the deprecation gate on
-shimmed constructors.
+shimmed constructors. (The open/close lifecycle contract every backend
+shares lives in ``tests/test_session_contract.py``.)
 """
 
 import pytest
@@ -216,24 +217,6 @@ class TestSessionLifecycle:
         b.close()
         assert len(backend) == 0
 
-    def test_standalone_close_session_exception_safe(self, monkeypatch):
-        """Pool teardown must release the entry and factory runtime even
-        when the closing flush raises (mirrors the service fix)."""
-        backend = StandaloneBackend(FAST_CONFIG)
-        session = open_session("crashy", backend=backend)
-
-        def boom(session_id=None):
-            raise RuntimeError("flush failed")
-
-        monkeypatch.setattr(session.processor, "close_session", boom)
-        with pytest.raises(RuntimeError, match="flush failed"):
-            backend.close_session("crashy")
-        assert len(backend) == 0
-        assert len(backend.runtime_factory) == 0
-        backend.open_session("crashy")  # the id is immediately reusable
-        with pytest.raises(KeyError, match="unknown or already-closed"):
-            backend.close_session("never-opened")
-
     def test_standalone_backend_stats_survive_session_close(self):
         """Lifetime counters must not vanish with the session, matching
         the service backend whose shared-executor aggregates persist."""
@@ -250,40 +233,19 @@ class TestSessionLifecycle:
         assert closed["sessions_open"] == 0
         assert closed["sessions_opened"] == 1
 
-    def test_processor_is_single_session_backend(self):
-        processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
-        with open_session("only", backend=processor) as session:
-            session.submit(Task("T"))
-            assert session.processor is processor
-            with pytest.raises(ValueError):
-                processor.open_session("another")
-        assert processor.session_id is None  # close unbinds
-
-    def test_processor_backend_rejects_foreign_node_id(self):
-        """node_id feeds decision-affecting completion jitter; asking a
-        node-0 processor to serve as another node must fail loudly."""
-        processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
-        with pytest.raises(ValueError, match="node"):
-            open_session("s", backend=processor, node_id=3)
-        replicated = ApopheniaProcessor(
-            _fast_runtime(), FAST_CONFIG, node_id=3
-        )
-        # Matching id and the unspecified default both attach fine.
-        replicated.open_session("s", node_id=3)
-        replicated.close_session()
-        with open_session("s", backend=replicated):
-            pass
-
     def test_tracing_backend_protocol_conformance(self):
-        from repro.api import ReplicatedBackend
+        from repro.api import ReplicatedBackend, TracingBackend
 
-        for cls in (ApopheniaProcessor, ApopheniaService, StandaloneBackend,
-                    ReplicatedBackend):
+        for cls in (ApopheniaService, StandaloneBackend, ReplicatedBackend):
             for member in ("backend_kind", "open_session", "close_session",
                            "backend_stats"):
                 assert hasattr(cls, member), (cls, member)
+            assert isinstance(cls(FAST_CONFIG), TracingBackend)
         assert set(TRACING_BACKENDS) == {"standalone", "service",
                                          "replicated"}
+        # The processor is Algorithm 1 and nothing else: not a backend.
+        processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
+        assert not isinstance(processor, TracingBackend)
 
 
 class TestConfigBuilder:
@@ -672,39 +634,19 @@ class TestLaneOutstandingQuota:
 
 
 class TestDeprecationShims:
-    def test_auto_config_warns_and_keeps_exact_old_semantics(self):
-        """The shim must not silently change out-of-repo callers: plain
-        construction, no env/profile layering, no validation."""
-        from repro.experiments.harness import auto_config
-
-        with pytest.deprecated_call(match="repro.api.build_config"):
-            cfg = auto_config(batchsize=512)
-        assert cfg.batchsize == 512
-
-    def test_auto_config_ignores_environment_and_skips_validation(
-        self, monkeypatch
-    ):
-        from repro.experiments.harness import auto_config
-
-        monkeypatch.setenv("REPRO_BATCHSIZE", "4096")
-        monkeypatch.setenv("REPRO_PROFILE", "service")
-        with pytest.deprecated_call():
-            pinned = auto_config(batchsize=256)
-            degenerate = auto_config(min_trace_length=1)
-        assert pinned.batchsize == 256
-        assert pinned.shared_memo_capacity == ApopheniaConfig().shared_memo_capacity
-        assert degenerate.min_trace_length == 1  # historical: unvalidated
-
     def test_repro_deprecations_escalate_to_errors(self):
-        """The gate itself: a repro-prefixed DeprecationWarning raised
-        outside a catching context must fail the suite."""
+        """The gate itself (``filterwarnings`` in ``pytest.ini``): a
+        repro-prefixed DeprecationWarning raised outside a catching
+        context must fail the suite. No shim ships today; the gate stays
+        so the next one cannot be called from in-repo code."""
         import warnings
-
-        from repro.experiments.harness import auto_config
 
         with pytest.raises(DeprecationWarning):
             with warnings.catch_warnings():
                 warnings.filterwarnings(
                     "error", message=r"^repro\b", category=DeprecationWarning
                 )
-                auto_config()
+                warnings.warn(
+                    "repro: old_constructor() is deprecated",
+                    DeprecationWarning,
+                )

@@ -27,7 +27,7 @@ from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
 from repro.experiments.multi_tenant import capture_stream
-from repro.persist import dehydrate, hydrate_processor
+from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
 
@@ -377,7 +377,7 @@ class TestServiceEvictReadmit:
         # Re-admission pops the state and warm-starts (and stencil is
         # spilled in turn -- capacity is still one).
         resumed = open_session("s3d", backend=service)
-        assert service.warm_starts == 1
+        assert service.stats["warm_starts"] == 1
         assert "s3d" not in service.state_store
         assert "stencil" in service.state_store
         # The learned trie is back before any new task arrives.
@@ -404,7 +404,7 @@ class TestServiceEvictReadmit:
         assert service.state_store.states_held == 0
         assert service.state_store.oversize_rejections == 1
         resumed = open_session("s3d", backend=service)
-        assert service.warm_starts == 0
+        assert service.stats["warm_starts"] == 0
         assert not resumed.handle.processor.replayer.trie.candidates
 
     def test_stats_surface_gauges(self, app_streams):
@@ -492,7 +492,7 @@ class TestHydrateGuards:
         for iteration, task in app_streams["s3d"][:SPLIT]:
             processor.set_iteration(iteration)
             processor.execute_task(task)
-        state = dehydrate(processor, session_id="bare")
+        state = dehydrate_processor(processor, session_id="bare")
         assert state.session_id == "bare"
         assert state.num_candidates == len(
             processor.replayer.trie.candidates

@@ -5,8 +5,9 @@ import pytest
 from repro.core.coordination import IngestCoordinator
 from repro.core.processor import ApopheniaConfig
 from repro.runtime.privilege import Privilege
-from repro.runtime.replication import ReplicatedRun
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import task
+from repro.service.replicated import ReplicatedBackend
 
 pytestmark = pytest.mark.replication
 
@@ -22,8 +23,19 @@ CONFIG = ApopheniaConfig(
 )
 
 
+def open_replicated(num_nodes, config=CONFIG, coordinator=None):
+    """One replicated session over caller-owned per-node runtimes (nodes
+    own distinct region forests, so tasks are rebuilt per node)."""
+    backend = ReplicatedBackend(config, num_nodes=num_nodes)
+    return backend.open_session(
+        "replicated-run",
+        runtimes=[Runtime(analysis_mode="fast") for _ in range(num_nodes)],
+        coordinator=coordinator,
+    )
+
+
 def run_replicated(num_nodes, iterations, config=CONFIG):
-    run = ReplicatedRun(num_nodes, config=config)
+    run = open_replicated(num_nodes, config)
     region_sets = []
     for runtime in run.runtimes:
         f = runtime.forest
@@ -79,7 +91,7 @@ class TestAgreement:
         """Sanity for the test itself: per-node completion times really do
         differ (so agreement is doing actual work). We check that at
         least one job's completion op differs across nodes."""
-        run = ReplicatedRun(2, config=CONFIG)
+        run = open_replicated(2)
         ops = []
         for proc in run.processors:
             job = proc.executor.submit(list("abcabc") * 10, 3, now_op=0)
@@ -92,9 +104,9 @@ class TestAgreement:
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
-            ReplicatedRun(0)
+            ReplicatedBackend(CONFIG, num_nodes=0)
 
     def test_shared_coordinator_instance(self):
         coordinator = IngestCoordinator()
-        run = ReplicatedRun(2, config=CONFIG, coordinator=coordinator)
+        run = open_replicated(2, coordinator=coordinator)
         assert run.coordinator is coordinator

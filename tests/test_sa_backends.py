@@ -134,7 +134,7 @@ class TestSelection:
         assert get_backend() is BACKENDS["sais"]
 
     def test_explicit_name(self):
-        assert resolve_backend_name("radix") == "radix"
+        assert resolve_backend_name("doubling") == "doubling"
         assert get_backend("doubling") is BACKENDS["doubling"]
 
     def test_resolution_is_pure(self, monkeypatch):
@@ -150,16 +150,16 @@ class TestSelection:
             resolve_backend_name("btree")
 
     def test_callable_passthrough(self):
-        build = BACKENDS["radix"]
+        build = BACKENDS["doubling"]
         assert get_backend(build) is build
 
     def test_config_knob_reaches_executor(self):
         from repro.core.processor import _resolve_repeats_algorithm
 
         algorithm = _resolve_repeats_algorithm(
-            "quick_matching_of_substrings", "radix"
+            "quick_matching_of_substrings", "doubling"
         )
-        assert algorithm.keywords["backend"] is BACKENDS["radix"]
+        assert algorithm.keywords["backend"] is BACKENDS["doubling"]
         assert [r.tokens for r in algorithm(list("ababab"), 2)] == [("a", "b")]
 
     def test_config_binding_ignores_later_env_changes(self, monkeypatch):
@@ -191,15 +191,15 @@ class TestEnvPrecedenceThroughConfig:
 
         monkeypatch.setenv(ENV_VAR, "doubling")
         assert build_config().sa_backend == "doubling"
-        assert build_config(sa_backend="radix").sa_backend == "doubling"
+        assert build_config(sa_backend="sais").sa_backend == "doubling"
 
     def test_env_beats_explicit_config(self, monkeypatch):
         from repro.api import build_config
         from repro.core.processor import ApopheniaConfig
 
-        monkeypatch.setenv(ENV_VAR, "radix")
+        monkeypatch.setenv(ENV_VAR, "doubling")
         cfg = build_config(config=ApopheniaConfig(sa_backend="sais"))
-        assert cfg.sa_backend == "radix"
+        assert cfg.sa_backend == "doubling"
 
     def test_explicit_config_pins_other_knobs(self, monkeypatch):
         # Only the documented SA-backend exception layers onto an

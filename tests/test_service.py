@@ -16,7 +16,6 @@ from repro.experiments.multi_tenant import (
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 from repro.service import ApopheniaService, SharedJobExecutor
-from repro.service.service import SessionHandle
 
 pytestmark = pytest.mark.service
 
@@ -156,28 +155,6 @@ class TestSessionLifecycle:
         service.close_session("a")
         with pytest.raises(KeyError, match="unknown or already-closed"):
             service.close_session("a")  # double close: same clear error
-
-    def test_close_session_exception_safe(self, monkeypatch):
-        """Regression: close used to pop the session before flushing, so
-        a raising flush leaked the lane and the factory-owned runtime and
-        never marked the handle closed."""
-        factory = RuntimeSessionFactory()
-        service = ApopheniaService(FAST_CONFIG, runtime_factory=factory)
-        handle = service.open_session("crashy")
-
-        def boom():
-            raise RuntimeError("flush failed")
-
-        monkeypatch.setattr(handle.processor, "flush", boom)
-        with pytest.raises(RuntimeError, match="flush failed"):
-            service.close_session("crashy")
-        # The flush error propagated, but nothing leaked: no session, no
-        # lane, no runtime handle, and the handle knows it is closed.
-        assert handle.closed
-        assert "crashy" not in service.sessions
-        assert "crashy" not in service.executor.lanes
-        assert "crashy" not in factory.handles
-        service.open_session("crashy")  # the id is immediately reusable
 
 
 class TestServingPathRouting:

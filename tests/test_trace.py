@@ -30,6 +30,7 @@ from repro.trace import (
 from repro.trace.corpus import (
     CORPUS_CONFIG,
     CORPUS_ENTRIES,
+    app_stream,
     corpus_path,
     generative_stream,
     record_stream,
@@ -131,6 +132,27 @@ class TestRedriveParity:
         ).run()
         assert not verdict.matched
         assert verdict.actual_digest != verdict.expected_digest
+
+    @pytest.mark.parametrize("overrides", [
+        {"max_candidates": 2},
+        {"candidate_staleness_horizon": 50},
+    ], ids=lambda o: "-".join(o))
+    @pytest.mark.parametrize("stream_name", ["s3d", "generative-adversarial"])
+    def test_lifecycle_knobs_survive_capture(self, stream_name, overrides):
+        """Regression: the header's hand-kept field list never learned
+        the candidate-lifecycle knobs, so a trace captured under a bound
+        re-drove *unbounded* -- DIVERGED, with nothing listed under
+        ``config_dropped``. The header now records every config field."""
+        config = CORPUS_CONFIG.with_overrides(**overrides)
+        if stream_name == "s3d":
+            stream = app_stream("s3d", 1500)
+        else:
+            stream = generative_stream(PHASE_GRAPHS["adversarial"], 1500)
+        document = record_stream(stream, app=stream_name, config=config)
+        for backend, verdict in replay_on_all(document).items():
+            assert verdict.matched, (backend, verdict.summary())
+        assert document.header["config_dropped"] == []
+        assert document.config() == config
 
     def test_rebuilt_forest_matches_topology(self, corpus_docs):
         document = corpus_docs["s3d"]
