@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e service-bench replayer-bench api-check replication-check lint lint-baseline corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e api-check replication-check lint lint-baseline corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -25,14 +25,6 @@ bench:
 ## `make verify` runs the --quick size.
 bench-e2e:
 	python3 bench/run.py
-
-## The multi-tenant service benchmark on its own.
-service-bench:
-	PYTHONPATH=src python -m pytest -q benchmarks/test_perf_service.py -m service
-
-## The replayer-layer (match engine + hysteresis) benchmarks on their own.
-replayer-bench:
-	PYTHONPATH=src python -m pytest -q benchmarks/test_perf_replayer.py
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

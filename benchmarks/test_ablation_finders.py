@@ -55,18 +55,21 @@ def test_ablation_finder_coverage(benchmark, save):
         rounds=1,
         iterations=1,
     )
-    rows = [
-        [r.name, f"{r.coverage_fraction:.1%}", f"{r.seconds * 1e3:.2f} ms"]
-        for r in results
-    ]
+    # The saved table holds the deterministic column only; this run's
+    # wall-clock readings go to the benchmark report and stdout.
+    rows = [[r.name, f"{r.coverage_fraction:.1%}"] for r in results]
     save("ablation_finders", format_table(
-        ["finder", "coverage", "time"], rows,
+        ["finder", "coverage"], rows,
         title="ablation: repeat finders on a loop with convergence checks",
     ))
     by_name = {r.name: r for r in results}
     benchmark.extra_info["coverage"] = {
         n: round(r.coverage_fraction, 3) for n, r in by_name.items()
     }
+    benchmark.extra_info["time_ms"] = {
+        n: round(r.seconds * 1e3, 2) for n, r in by_name.items()
+    }
+    print("ablation_finders time_ms:", benchmark.extra_info["time_ms"])
     # The paper's arguments, as assertions:
     assert by_name["algorithm2"].coverage_fraction > 0.85
     assert by_name["tandem"].coverage_fraction < by_name["algorithm2"].coverage_fraction

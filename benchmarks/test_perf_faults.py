@@ -12,10 +12,10 @@ contract so the hooks can never quietly grow into a serving regression:
   whole cost);
 * a paired-rounds timing floor: the full default executor submit loop
   (null plan + breaker + deadline hooks) costs < 2% over the raw mining
-  algorithm loop on the perf_mining-style 2k-token window, i.e. the
-  hooks are invisible next to the work they guard. The replayer floors
-  (``test_perf_replayer``) need no twin guard: the hooks live in the
-  finder's submit path, not the replayer's per-token serving loop.
+  algorithm loop on a 2k-token window, i.e. the hooks are invisible
+  next to the work they guard. The replayer needs no twin guard: the
+  hooks live in the finder's submit path, not the replayer's per-token
+  serving loop.
 """
 
 import time

@@ -21,8 +21,8 @@ import time
 
 import pytest
 
+from repro.apps.base import capture_stream
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
-from repro.experiments.multi_tenant import capture_stream
 from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 

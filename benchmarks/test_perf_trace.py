@@ -8,9 +8,10 @@ by every recorded task of every app. Two floors pin the layer:
   costs < 75% over an unrecorded session (paired best-of rounds; the
   hook is list appends plus one signature walk per task, and the
   detached path is a single attribute check);
-* a throughput table (full benchmark run): re-drive tasks/sec per
-  corpus entry on the standalone backend, saved to
-  ``benchmarks/results/trace_redrive.txt``.
+* a re-drive table (full benchmark run): per corpus entry on the
+  standalone backend, task count and parity saved to
+  ``benchmarks/results/trace_redrive.txt``, tasks/sec floored at 1000
+  and printed (a wall-clock reading is not saved).
 """
 
 import time
@@ -58,7 +59,7 @@ def test_perf_trace_redrive_throughput(save):
     """Re-drive throughput per corpus entry (standalone backend)."""
     from repro.trace.corpus import CORPUS_ENTRIES
 
-    lines = ["entry            tasks   tasks/sec   parity"]
+    lines = ["entry            tasks   parity"]
     for name in sorted(CORPUS_ENTRIES):
         document = CORPUS_ENTRIES[name]()
         start = time.perf_counter()
@@ -67,9 +68,8 @@ def test_perf_trace_redrive_throughput(save):
         rate = verdict.tasks / elapsed
         assert verdict.matched, verdict.summary()
         assert rate > 1000, f"{name}: re-drive only {rate:.0f} tasks/sec"
-        lines.append(
-            f"{name:<16} {verdict.tasks:>5}   {rate:>9.0f}   ok"
-        )
+        lines.append(f"{name:<16} {verdict.tasks:>5}   ok")
+        print(f"trace_redrive {name}: {rate:.0f} tasks/sec")
     save("trace_redrive", "\n".join(lines))
 
 

@@ -28,17 +28,21 @@ def test_sec63_launch_overheads(benchmark, save):
     rows = [
         ["modeled launch, no Apophenia", f"{data['modeled_launch_without'] * 1e6:.0f} us", "7 us"],
         ["modeled launch, Apophenia", f"{data['modeled_launch_with'] * 1e6:.0f} us", "12 us"],
-        ["measured front-end, no Apophenia", f"{data['measured_per_task_without'] * 1e6:.2f} us", "-"],
-        ["measured front-end, Apophenia", f"{data['measured_per_task_with'] * 1e6:.2f} us", "-"],
         ["replay cost (per task)", f"{data['replay_cost'] * 1e6:.0f} us", "100 us"],
     ]
     save("sec63", format_table(
         ["quantity", "this reproduction", "paper"], rows,
         title="sec 6.3: task launch overheads",
     ))
+    # The saved table holds the modeled (deterministic) rows only; the
+    # measured front-end cost of this run goes to the benchmark report
+    # and stdout (bench/ is where it is tracked against a bound).
     benchmark.extra_info.update(
         {k: f"{v * 1e6:.2f}us" for k, v in data.items()}
     )
+    print("sec63 measured front-end per task:",
+          benchmark.extra_info["measured_per_task_without"], "without /",
+          benchmark.extra_info["measured_per_task_with"], "with Apophenia")
     assert data["modeled_launch_without"] == pytest.approx(7e-6)
     assert data["modeled_launch_with"] == pytest.approx(12e-6)
     # The front-end's real cost stays well under the replay budget, so it

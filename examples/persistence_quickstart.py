@@ -18,7 +18,7 @@ Run:  PYTHONPATH=src python examples/persistence_quickstart.py
 
 from repro import api
 from repro.api import SessionState, open_session
-from repro.experiments.multi_tenant import capture_stream
+from repro.apps.base import capture_stream
 from repro.service import ApopheniaService
 
 CONFIG = api.build_config(

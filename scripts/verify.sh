@@ -25,10 +25,12 @@ python -m pytest -x -q tests
 # `make replication-check`, `make verify-chaos`, `make trace-check` or
 # `make persist-check`.
 
-# Fast floors over the two perf-tracked hot paths: suffix-array backend
-# equivalence (tests/) and the replayer match-engine speedup
-# (benchmarks/test_perf_replayer.py::test_perf_replayer_smoke), plus the
-# null-fault-plan hook-overhead guard (benchmarks/test_perf_faults.py).
+# The perf_smoke-marked guards: SA-IS vs its prefix-doubling reference on
+# a 2k-token window (tests/test_sa_backends.py), the null-fault-plan
+# hook-overhead guard (benchmarks/test_perf_faults.py), the trace-capture
+# overhead guard (benchmarks/test_perf_trace.py) and the warm-start guard
+# (benchmarks/test_perf_persist.py). What a layer costs per task is the
+# benchmark's business (next step), not a guard's.
 echo "== perf_smoke guards"
 python -m pytest -x -q -m perf_smoke
 

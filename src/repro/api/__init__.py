@@ -57,14 +57,12 @@ def registries():
     """Every plugin registry in the system, by name.
 
     One introspection point over the unified registry pattern: tracing
-    backends, configuration profiles, suffix-array backends,
-    applications, fault plans, trace formats, persisted-session-state
-    formats, and phase graphs. Imported lazily so ``repro.api`` itself
+    backends, configuration profiles, applications, fault plans, trace
+    formats, persisted-session-state formats, and phase graphs. Imported lazily so ``repro.api`` itself
     stays light.
     """
     from repro.apps.base import APP_REGISTRY
     from repro.apps.generative import PHASE_GRAPHS
-    from repro.core.sa_backends import BACKENDS
     from repro.faults import FAULT_PLANS
     from repro.persist import PERSIST_FORMATS
     from repro.trace.format import TRACE_FORMATS
@@ -72,7 +70,6 @@ def registries():
     return {
         "tracing_backends": TRACING_BACKENDS,
         "config_profiles": PROFILES,
-        "sa_backends": BACKENDS,
         "apps": APP_REGISTRY,
         "fault_plans": FAULT_PLANS,
         "trace_formats": TRACE_FORMATS,

@@ -3,20 +3,22 @@
 Before this layer existed, every deployment style configured Apophenia
 its own way: standalone callers constructed :class:`ApopheniaConfig`
 by keyword, the experiments harness had ``auto_config``, the service
-read its knobs off the same dataclass, and the ``REPRO_SA_BACKEND``
-environment variable was consulted ad hoc inside backend resolution
-(``repro.core.sa_backends``). :func:`build_config` is now the *only*
-place the ambient environment is read (the linter's RPL004 rule
-enforces this), with explicit layering (lowest to highest precedence):
+read its knobs off the same dataclass, and one environment variable
+was consulted ad hoc deep inside the mining code.
+:func:`build_config` is now the *only* place the ambient environment is
+read (the linter's RPL004 rule enforces this), with explicit layering
+(lowest to highest precedence):
 
 1. a named **profile** (:data:`PROFILES`) -- the base configuration;
 2. keyword **overrides** -- what the calling code decides;
 3. the **environment** -- ``REPRO_<FIELD>`` variables, one per
    :class:`ApopheniaConfig` field, so a deployment can retune any knob
-   without a code change. ``REPRO_SA_BACKEND`` keeps exactly the
-   precedence it always had (environment beats code); every other field
-   now gets the same treatment. ``REPRO_PROFILE`` selects the profile
-   itself when the caller does not.
+   without a code change (environment beats code). ``REPRO_PROFILE``
+   selects the profile itself when the caller does not. A ``REPRO_*``
+   variable naming no field is ignored.
+
+An explicit ``config=`` is authoritative: the environment is not
+consulted at all.
 
 The result is validated (:meth:`ApopheniaConfig.validate`) before any
 backend is built, so misconfiguration fails at the client surface with a
@@ -28,7 +30,6 @@ import typing
 from dataclasses import fields
 
 from repro.core.processor import ApopheniaConfig
-from repro.core.sa_backends import ENV_VAR as SA_BACKEND_ENV_VAR
 from repro.registry import Registry
 
 #: Prefix of every configuration environment variable.
@@ -141,32 +142,22 @@ def build_config(profile=None, config=None, env=None, **overrides):
     config:
         An existing :class:`ApopheniaConfig` to use as the base. An
         explicit config is authoritative: it is validated and returned
-        (plus keyword overrides) with **no general environment
-        layering** -- it is the escape hatch for callers that must pin
-        every knob (parity tests, benchmarks). The one exception, kept
-        for compatibility, is ``REPRO_SA_BACKEND``: its documented
-        contract has always been "environment beats code", so it is
-        layered even over an explicit config. (Backend resolution
-        itself no longer reads the environment; this is the only place
-        that override is applied.)
+        (plus keyword overrides) with **no environment layering** -- it
+        is the escape hatch for callers that must pin every knob
+        (parity tests, benchmarks).
     env:
         Mapping consulted for ``REPRO_*`` variables; defaults to
         ``os.environ``. On profile-based builds environment values have
-        the highest precedence, matching the long-standing
-        ``REPRO_SA_BACKEND`` contract.
+        the highest precedence.
     overrides:
         Field overrides applied on top of the base, below the
         environment.
     """
-    environ = os.environ if env is None else env
     if config is not None:
-        base = config
-        if overrides:
-            base = base.with_overrides(**overrides)
-        env_backend = environ.get(SA_BACKEND_ENV_VAR)
-        if env_backend:
-            base = base.with_overrides(sa_backend=env_backend)
-        return validate_config(base)
+        return validate_config(
+            config.with_overrides(**overrides) if overrides else config
+        )
+    environ = os.environ if env is None else env
     name = profile or environ.get(PROFILE_ENV_VAR) or DEFAULT_PROFILE
     base = PROFILES[name]
     if overrides:

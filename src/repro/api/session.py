@@ -412,7 +412,7 @@ def open_session(session_id=None, *, backend="standalone", config=None,
     explicit = (config is not None or profile is not None or bool(overrides)
                 or env is not None)
     if isinstance(backend, str):
-        factory = TRACING_BACKENDS[backend]
+        factory = TRACING_BACKENDS.resolve(backend)
         cfg = build_config(profile=profile, config=config, env=env,
                            **overrides)
         backend_obj = factory(cfg)

@@ -32,6 +32,7 @@ from repro.apps.base import (
     AppConfig,
     APP_REGISTRY,
     build_app,
+    capture_stream,
     get_app,
 )
 from repro.apps.s3d import S3D
@@ -47,6 +48,7 @@ __all__ = [
     "Application",
     "AppConfig",
     "build_app",
+    "capture_stream",
     "get_app",
     "APP_REGISTRY",
     "S3D",

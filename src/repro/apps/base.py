@@ -15,9 +15,11 @@ exchange derived from the machine and cost models.
 """
 
 from repro.api import build_config, open_session
+from repro.apps.jacobi import jacobi_task_stream
 from repro.registry import Registry
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
 from repro.runtime.machine import PERLMUTTER
+from repro.runtime.region import RegionForest
 from repro.runtime.runtime import Runtime
 
 MODES = ("untraced", "manual", "auto")
@@ -47,8 +49,7 @@ class AppConfig:
         self.cost_model = cost_model
         if apophenia is None:
             # The front door, not a bare ApopheniaConfig(): applications
-            # pick up the documented REPRO_* environment layering (the
-            # verify harness drives fig10 through REPRO_SA_BACKEND).
+            # pick up the documented REPRO_* environment layering.
             apophenia = build_config()
             if task_scale != 1.0:
                 # The history buffer and sampling granularity are sized
@@ -199,7 +200,7 @@ class Application:
 
 
 #: The application plugin point (see :mod:`repro.registry`): the same
-#: registry pattern as suffix-array backends and tracing backends.
+#: registry pattern as tracing backends and config profiles.
 APP_REGISTRY = Registry("application")
 
 
@@ -222,3 +223,69 @@ def get_app(name):
 def build_app(name, **kwargs):
     """Construct an application by name with :class:`AppConfig` kwargs."""
     return get_app(name)(AppConfig(**kwargs))
+
+
+class _CaptureExecutor:
+    """Collects tasks instead of executing them."""
+
+    def __init__(self):
+        self.tasks = []
+
+    def execute_task(self, task):
+        self.tasks.append(task)
+
+
+def capture_app_stream(app, num_tasks):
+    """The first ``num_tasks`` an (untraced) application instance issues
+    from iteration 0 on, as ``[(iteration, task)]``."""
+    cap = _CaptureExecutor()
+    # Route the app's tasks into the capture buffer. Array-layer apps
+    # (cfd) bound their executor at setup, so rebind that too; setup
+    # tasks already issued stay out of the stream.
+    app.executor = cap
+    if hasattr(app, "ctx"):
+        app.ctx.executor = cap
+    out = []
+    index = 0
+    while len(cap.tasks) < num_tasks:
+        start = len(cap.tasks)
+        app.iteration(index)
+        out.extend((index, task) for task in cap.tasks[start:])
+        index += 1
+    return out[:num_tasks]
+
+
+def capture_stream(app_name, num_tasks, gpus=4, task_scale=0.1):
+    """The first ``num_tasks`` of an application's stream, as
+    ``[(iteration, task)]``.
+
+    Captured once, up front, so every deployment a suite compares is fed
+    the *identical* stream. ``"jacobi"`` names the Figure 1 array program
+    (not a registered :class:`Application`).
+    """
+    if app_name == "jacobi":
+        # The Figure 1 array program drives its executor directly.
+        cap = _CaptureExecutor()
+        jacobi_task_stream(cap, RegionForest(), iterations=num_tasks)
+        out = [(0, task) for task in cap.tasks[:num_tasks]]
+    else:
+        out = capture_app_stream(
+            build_app(
+                app_name,
+                mode="untraced",
+                gpus=gpus,
+                task_scale=task_scale,
+                keep_task_log=False,
+            ),
+            num_tasks,
+        )
+    if len(out) < num_tasks:
+        raise ValueError(
+            f"{app_name} produced {len(out)} tasks, wanted {num_tasks}"
+        )
+    for _, task in out:
+        # Pre-warm the per-task signature caches, so no consumer of the
+        # shared Task objects pays the one-time signature builds for the
+        # ones that run after it.
+        task.signature()
+    return out

@@ -4,14 +4,13 @@ The subpackage implements the paper's core contribution:
 
 * :mod:`repro.core.hashing` -- task -> token hashing (Section 4.1),
 * :mod:`repro.core.suffix_array` -- suffix array + LCP construction,
-* :mod:`repro.core.sa_backends` -- pluggable suffix-array builders
-  (``sais``/``doubling``, selected by ``ApopheniaConfig``;
-  the ``REPRO_SA_BACKEND`` environment variable is layered onto the
-  config by ``repro.api.build_config``),
+* :mod:`repro.core.sa_backends` -- the suffix-array builder (SA-IS) and
+  the seed's prefix-doubling construction kept as its test reference,
 * :mod:`repro.core.repeats` -- Algorithm 2: non-overlapping repeated
   substrings with high coverage in O(n log n) (Section 4.2),
-* :mod:`repro.core.trie` -- candidate trie and active-pointer matching
-  (Section 4.3),
+* :mod:`repro.core.trie` / :mod:`repro.core.matching` -- candidate trie
+  and active-pointer matching (Section 4.3): the deduplicating automaton
+  engine, plus the seed's pointer scan kept as its test reference,
 * :mod:`repro.core.scoring` -- the exploration/exploitation scoring
   function for choosing among matched traces (Section 4.3),
 * :mod:`repro.core.sampler` -- ruler-function multi-scale buffer sampling
@@ -28,16 +27,13 @@ The subpackage implements the paper's core contribution:
 
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import find_repeats
-from repro.core.sa_backends import available_backends, get_backend
 from repro.core.suffix_array import suffix_array, lcp_array
 from repro.core.coverage import coverage, is_valid_matching
 
 __all__ = [
     "ApopheniaConfig",
     "ApopheniaProcessor",
-    "available_backends",
     "find_repeats",
-    "get_backend",
     "suffix_array",
     "lcp_array",
     "coverage",

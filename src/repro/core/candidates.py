@@ -77,7 +77,7 @@ class CandidateStore:
         # candidate committed, and the tasks flushed untraced since. A
         # commit that leaves the stream phase-shifted strands the tokens
         # that follow it, so the *previous* choice is what a flush
-        # indicts -- see TraceReplayer._record_fire.
+        # indicts -- see :meth:`record_fire`.
         self.last_fired = None
         self.flushed_since_fire = 0
         self.candidates_evicted = 0

@@ -1,4 +1,4 @@
-"""Pluggable pointer-set match engines over the candidate trie.
+"""The pointer-set match engine over the candidate trie, and its reference.
 
 The replayer's trie advance is the dominant serving cost on periodic
 streams: the reference matcher (:class:`ScanMatchEngine`, the seed
@@ -32,19 +32,15 @@ entry is *live* only if it was born after the last structural change or
 its start is in the snapshot. ``tests/test_matching.py`` property-tests
 scan/automaton parity on streams with mid-stream ingests and removals.
 
-Engines are selected by ``ApopheniaConfig.match_engine`` (registry
-:data:`MATCH_ENGINES`), mirroring the suffix-array backend plug point
-from PR 1; the scan engine stays registered as the reference baseline
-the perf suite measures against.
+The automaton is *the* engine: there is no config field, registry name
+or environment variable selecting one. The scan engine stays here, as
+it was, only as the reference the parity suites construct directly
+(``TraceReplayer(match_engine=ScanMatchEngine)``).
 """
 
 from collections import deque
 
 from repro.core.trie import CandidateTrie, CompletedMatch
-from repro.registry import Registry
-
-#: The engine the serving path uses unless configured otherwise.
-DEFAULT_MATCH_ENGINE = "automaton"
 
 
 class ScanMatchEngine:
@@ -337,31 +333,4 @@ class AutomatonMatchEngine:
         self._built_version = self.trie.version
 
 
-#: Match-engine plug point (see :mod:`repro.registry`): the same pattern
-#: as suffix-array and tracing backends.
-MATCH_ENGINES = Registry("match engine", {
-    "scan": ScanMatchEngine,
-    "automaton": AutomatonMatchEngine,
-})
-
-
-def get_match_engine(name=None, trie=None):
-    """Build the match engine called ``name`` over ``trie``.
-
-    ``None`` selects :data:`DEFAULT_MATCH_ENGINE`; a callable is used as
-    the factory directly (tests inject instrumented engines that way).
-    """
-    if name is None:
-        name = DEFAULT_MATCH_ENGINE
-    if not isinstance(name, str) and callable(name):
-        return name(trie)
-    return MATCH_ENGINES[name](trie)
-
-
-__all__ = [
-    "AutomatonMatchEngine",
-    "DEFAULT_MATCH_ENGINE",
-    "MATCH_ENGINES",
-    "ScanMatchEngine",
-    "get_match_engine",
-]
+__all__ = ["AutomatonMatchEngine", "ScanMatchEngine"]

@@ -19,62 +19,38 @@ appendix (``-lg:auto_trace:*``).
 """
 
 from dataclasses import dataclass, field, fields, replace
-from functools import cache, partial
+from functools import cache
 from typing import Optional
 
+from repro.analysis.lzw import find_repeats_lzw
+from repro.analysis.quadratic import find_repeats_quadratic
+from repro.analysis.tandem import find_tandem_repeats
 from repro.core.finder import TraceFinder
 from repro.core.hashing import TaskHasher
 from repro.core.jobs import JobExecutor
+from repro.core.matching import AutomatonMatchEngine
 from repro.core.replayer import TraceReplayer
 from repro.core.repeats import find_repeats
-from repro.core.sa_backends import get_backend
 from repro.core.scoring import ScoringPolicy
+from repro.registry import Registry
+
+#: Artifact-style algorithm name -> ``(tokens, min_length) -> repeats``
+#: callable: Algorithm 2 and the Section 4.2 baselines kept for the
+#: ablations. The one table :meth:`ApopheniaConfig.validate` and the
+#: executors' construction both read.
+REPEATS_ALGORITHMS = Registry("repeats algorithm", {
+    "quick_matching_of_substrings": find_repeats,
+    "lzw": find_repeats_lzw,
+    "tandem": find_tandem_repeats,
+    "quadratic": find_repeats_quadratic,
+})
 
 
-#: Artifact-style algorithm names accepted by
-#: :func:`_resolve_repeats_algorithm` (and therefore by
-#: :meth:`ApopheniaConfig.validate`); keep in lockstep with the dispatch
-#: below.
-REPEATS_ALGORITHMS = (
-    "quick_matching_of_substrings",
-    "lzw",
-    "tandem",
-    "quadratic",
-)
-
-
-def _resolve_repeats_algorithm(name, sa_backend=None):
-    """Map an artifact-style algorithm name to a callable.
-
-    ``sa_backend`` binds Algorithm 2 to a suffix-array backend, resolved
-    once here at processor construction, not per mining job. The value is
-    taken as given -- the ``REPRO_SA_BACKEND`` environment override is
-    layered into the config by :func:`repro.api.build_config`, never read
-    here. The baselines do not use suffix arrays, so the knob is ignored
-    for them.
-    """
-    if callable(name):
-        return name
-    if name == "quick_matching_of_substrings":
-        # Bind the resolved *callable*, not the name, so every mining job
-        # of this processor uses one backend.
-        return partial(find_repeats, backend=get_backend(sa_backend))
-    if name == "lzw":
-        from repro.analysis.lzw import find_repeats_lzw
-
-        return find_repeats_lzw
-    if name == "tandem":
-        from repro.analysis.tandem import find_tandem_repeats
-
-        return find_tandem_repeats
-    if name == "quadratic":
-        from repro.analysis.quadratic import find_repeats_quadratic
-
-        return find_repeats_quadratic
-    raise ValueError(
-        f"unknown repeats algorithm {name!r}; "
-        f"known: {list(REPEATS_ALGORITHMS)}"
-    )
+def _resolve_repeats_algorithm(name):
+    """The callable for an artifact-style algorithm name (a callable is
+    taken as given); unknown names raise the registry's ``ValueError``
+    listing the known ones."""
+    return name if callable(name) else REPEATS_ALGORITHMS[name]
 
 
 def _decision(default):
@@ -84,10 +60,9 @@ def _decision(default):
     (candidates, scores, op clocks, agreed ingest points) is only valid
     under the marked values that produced it, so ``repro.persist``
     records this slice and refuses to hydrate across a mismatch. The
-    mining algorithm, suffix-array backend and match engine are left
-    unmarked on purpose -- they are byte-identical on the decision
-    stream, so a state may hydrate into any of them -- as are the
-    deployment knobs (service, replication, fault and spill tier).
+    mining algorithm and the deployment knobs (service, replication,
+    fault and spill tier) are left unmarked on purpose: a state may
+    hydrate across any of them.
     """
     return field(default=default, metadata={"decision": True})
 
@@ -115,13 +90,6 @@ class ApopheniaConfig:
     repeats_algorithm:
         ``"quick_matching_of_substrings"`` (Algorithm 2), or one of the
         baselines ``"lzw"``, ``"tandem"``, ``"quadratic"`` for ablations.
-    sa_backend:
-        Suffix-array construction backend for Algorithm 2: ``"sais"``
-        (linear-time induced sorting, the default) or ``"doubling"`` (the
-        reference lambda-key prefix doubling). The ``REPRO_SA_BACKEND``
-        environment variable overrides this knob for configs built
-        through :func:`repro.api.build_config`. All backends produce
-        identical mining results; the choice only affects analysis cost.
     mining_memo_capacity:
         Recent identical-window mining results remembered by the
         :class:`~repro.core.jobs.JobExecutor` (0 disables the memo).
@@ -133,12 +101,6 @@ class ApopheniaConfig:
         (the default) reproduces the paper's scoring exactly, positive
         values stop misaligned full-buffer candidates from churning a
         profitably replaying steady state.
-    match_engine:
-        Active-pointer match engine for the replayer's serving path:
-        ``"automaton"`` (deduplicated suffix-automaton pointer set, the
-        default) or ``"scan"`` (the seed's explicit pointer scan, kept
-        as the reference baseline). Both produce byte-identical
-        decision streams; the choice only affects serving cost.
     job_base_latency_ops / job_per_token_latency_ops:
         Completion model of asynchronous mining jobs, in operations.
     initial_ingest_margin_ops:
@@ -204,13 +166,11 @@ class ApopheniaConfig:
     multi_scale_factor: int = _decision(250)
     identifier_algorithm: str = _decision("multi-scale")
     repeats_algorithm: object = "quick_matching_of_substrings"
-    sa_backend: Optional[str] = None
     mining_memo_capacity: int = 8
     count_cap: int = _decision(16)
     decay_rate: float = _decision(1e-4)
     replay_bonus: float = _decision(1.1)
     hysteresis: float = _decision(0.0)
-    match_engine: Optional[str] = None
     job_base_latency_ops: int = _decision(50)
     job_per_token_latency_ops: float = _decision(0.05)
     initial_ingest_margin_ops: int = _decision(128)
@@ -278,28 +238,7 @@ class ApopheniaConfig:
                 "identifier_algorithm must be 'multi-scale' or 'fixed', "
                 f"got {self.identifier_algorithm!r}"
             )
-        if self.sa_backend is not None and not callable(self.sa_backend):
-            from repro.core.sa_backends import BACKENDS
-
-            if self.sa_backend not in BACKENDS:
-                raise ValueError(
-                    f"unknown suffix-array backend {self.sa_backend!r}; "
-                    f"known: {BACKENDS.names()}"
-                )
-        if (isinstance(self.repeats_algorithm, str)
-                and self.repeats_algorithm not in REPEATS_ALGORITHMS):
-            raise ValueError(
-                f"unknown repeats algorithm {self.repeats_algorithm!r}; "
-                f"known: {list(REPEATS_ALGORITHMS)}"
-            )
-        if self.match_engine is not None and not callable(self.match_engine):
-            from repro.core.matching import MATCH_ENGINES
-
-            if self.match_engine not in MATCH_ENGINES:
-                raise ValueError(
-                    f"unknown match engine {self.match_engine!r}; "
-                    f"known: {MATCH_ENGINES.names()}"
-                )
+        _resolve_repeats_algorithm(self.repeats_algorithm)
         if self.hysteresis < 0:
             raise ValueError(
                 f"hysteresis must be >= 0, got {self.hysteresis}"
@@ -373,10 +312,15 @@ class ApopheniaProcessor:
         the submission counters). The multi-tenant service passes a
         per-session lane of its shared executor here; ``None`` builds a
         private :class:`JobExecutor` from ``config``.
+    match_engine:
+        The replayer's match-engine class, injected like ``executor``.
+        Only the parity suites pass anything but the default (the
+        :class:`~repro.core.matching.ScanMatchEngine` reference).
     """
 
     def __init__(self, runtime, config=None, node_id=0, coordinator=None,
-                 executor=None, stream_key=None):
+                 executor=None, stream_key=None,
+                 match_engine=AutomatonMatchEngine):
         self.runtime = runtime
         self.config = config or ApopheniaConfig()
         self.node_id = node_id
@@ -389,7 +333,7 @@ class ApopheniaProcessor:
         self.hasher = TaskHasher()
         self.executor = executor if executor is not None else JobExecutor(
             repeats_algorithm=_resolve_repeats_algorithm(
-                self.config.repeats_algorithm, self.config.sa_backend
+                self.config.repeats_algorithm
             ),
             base_latency_ops=self.config.job_base_latency_ops,
             per_token_latency_ops=self.config.job_per_token_latency_ops,
@@ -413,7 +357,7 @@ class ApopheniaProcessor:
             scoring=self.config.scoring_policy(),
             min_trace_length=self.config.min_trace_length,
             max_trace_length=self.config.max_trace_length,
-            match_engine=self.config.match_engine,
+            match_engine=match_engine,
             max_candidates=self.config.max_candidates,
             staleness_horizon=self.config.candidate_staleness_horizon,
         )

@@ -31,6 +31,7 @@ sort adjacently and blocks sort lexicographically -- the order the paper's
 sort produces -- without copying.
 """
 
+from repro.core.sa_backends import suffix_array_sais
 from repro.core.suffix_array import (
     lcp_array_from_ranks,
     rank_compress,
@@ -111,7 +112,8 @@ def _candidates(s, sa, lcp, min_length):
     return out
 
 
-def find_repeats(tokens, min_length=1, min_occurrences=2, backend=None):
+def find_repeats(tokens, min_length=1, min_occurrences=2,
+                 backend=suffix_array_sais):
     """Find non-overlapping repeated substrings with high coverage.
 
     Parameters
@@ -128,10 +130,10 @@ def find_repeats(tokens, min_length=1, min_occurrences=2, backend=None):
         paper's Figure 4 output (``{aa, bc}`` for ``aabcbcbaa``) reflects
         this filtering. Pass 1 to keep every selection.
     backend:
-        Suffix-array backend (see :mod:`repro.core.sa_backends`): a name,
-        ``None`` for the environment override / default, or a callable.
-        Every backend yields identical output here -- the suffix array is
-        unique -- so the choice is purely a performance knob.
+        Suffix-array construction callable (see
+        :mod:`repro.core.sa_backends`). The suffix array is unique, so
+        the reference construction yields identical output here; only
+        the property tests pass anything but the default.
 
     Returns
     -------

@@ -9,9 +9,8 @@ Since the serving-path refactor the replayer is *stream bookkeeping* over
 three separable layers:
 
 * the **match engine** (:mod:`repro.core.matching`) owns the candidate
-  trie and the active pointer set -- by default the deduplicating
-  automaton engine, with the seed's explicit pointer scan available as
-  the ``scan`` reference;
+  trie and the active pointer set -- the deduplicating automaton engine
+  (the seed's explicit pointer scan survives as its test reference);
 * the **candidate store** (:class:`~repro.core.candidates.CandidateStore`)
   owns candidate lifetime: admission, the rotation groups that let
   phase-shifted rediscoveries of one cycle reinforce a shared occurrence
@@ -45,7 +44,7 @@ Design constraints from the paper:
 from collections import deque
 
 from repro.core.candidates import CandidateStore
-from repro.core.matching import get_match_engine
+from repro.core.matching import AutomatonMatchEngine
 from repro.core.scoring import ReplayDecisionPolicy, ScoringPolicy
 
 
@@ -132,9 +131,9 @@ class TraceReplayer:
         configuration); leftover chunks shorter than ``min_trace_length``
         are flushed untraced.
     match_engine:
-        A :data:`~repro.core.matching.MATCH_ENGINES` name (or factory,
-        or prebuilt engine instance); ``None`` selects the default
-        automaton engine.
+        Engine class (a no-argument factory). Only the parity suites
+        pass anything but the default -- the
+        :class:`~repro.core.matching.ScanMatchEngine` reference.
     policy:
         A :class:`~repro.core.scoring.ReplayDecisionPolicy`; overrides
         ``scoring`` when given.
@@ -152,7 +151,7 @@ class TraceReplayer:
         scoring=None,
         min_trace_length=5,
         max_trace_length=None,
-        match_engine=None,
+        match_engine=AutomatonMatchEngine,
         policy=None,
         max_candidates=None,
         staleness_horizon=None,
@@ -165,10 +164,7 @@ class TraceReplayer:
         )
         self.min_trace_length = min_trace_length
         self.max_trace_length = max_trace_length
-        if hasattr(match_engine, "advance"):
-            self.engine = match_engine  # a prebuilt engine instance
-        else:
-            self.engine = get_match_engine(match_engine)
+        self.engine = match_engine()
         self.store = CandidateStore(
             self.engine,
             self.policy.scoring,
@@ -190,20 +186,6 @@ class TraceReplayer:
     def trie(self):
         """The engine's :class:`~repro.core.trie.CandidateTrie`."""
         return self.engine.trie
-
-    @property
-    def max_phases_per_cycle(self):
-        """Rotation-group admission bound (see the candidate store)."""
-        return self.store.max_phases_per_cycle
-
-    @max_phases_per_cycle.setter
-    def max_phases_per_cycle(self, value):
-        self.store.max_phases_per_cycle = value
-
-    @property
-    def _by_rotation(self):
-        """The store's rotation groups (compatibility spelling)."""
-        return self.store.by_rotation
 
     @property
     def stats(self):
@@ -321,20 +303,6 @@ class TraceReplayer:
             self._fire(match)
             return
         self._flush_safe_prefix()
-
-    def _worth_waiting(self, match, index):
-        """Compatibility spelling of the policy's deferral check."""
-        return self.policy.worth_waiting(
-            match, index, self.engine.pointers()
-        )
-
-    def _cycle_members(self, candidate):
-        """Compatibility spelling of the store's rotation-group lookup."""
-        return self.store.cycle_members(candidate)
-
-    def _record_fire(self, candidate):
-        """Compatibility spelling of the store's realized-record update."""
-        self.store.record_fire(candidate)
 
     def _fire(self, match):
         """Commit a match: flush its prefix, issue it as a trace, reprocess

@@ -1,11 +1,11 @@
 """Reference prefix-doubling suffix-array construction.
 
 This is the seed implementation, preserved verbatim as the reference
-backend: prefix doubling with Python's built-in sort and a per-element
+the property tests (``tests/test_sa_backends.py``) compare SA-IS
+against: prefix doubling with Python's built-in sort and a per-element
 lambda key at each doubling step. Each of the O(log n) rounds sorts with
-a closure that allocates a rank-pair tuple per comparison key, which is
-what makes this the slowest backend -- and the baseline the perf suite
-(``benchmarks/test_perf_mining.py``) measures the others against.
+a closure that allocates a rank-pair tuple per comparison key -- slow on
+purpose; it is an oracle, not an option, and must stay unoptimised.
 """
 
 

@@ -1,11 +1,10 @@
 """Suffix array and LCP array construction.
 
 Algorithm 2 of the paper is built on a suffix array and the Kasai et al.
-longest-common-prefix array [23]. Construction is delegated to one of the
-pluggable backends in :mod:`repro.core.sa_backends` (``sais`` by default,
-selectable per call or via ``ApopheniaConfig.sa_backend``; the
-``REPRO_SA_BACKEND`` environment variable reaches that field through
-:func:`repro.api.build_config`).
+longest-common-prefix array [23]. Construction is SA-IS
+(:func:`repro.core.sa_backends.suffix_array_sais`); the ``backend``
+argument of the functions below exists so the property tests can pass
+the reference construction (``suffix_array_doubling``) instead.
 
 The input is any sequence of hashable tokens (ints, strings, or task
 hashes); tokens are rank-compressed first so the construction only ever
@@ -17,7 +16,7 @@ each redundant pass is a full O(n) dict walk on the hot path. The public
 callers that hold raw tokens.
 """
 
-from repro.core.sa_backends import get_backend
+from repro.core.sa_backends import suffix_array_sais
 
 
 def rank_compress(tokens):
@@ -39,16 +38,15 @@ def rank_compress(tokens):
     return out
 
 
-def suffix_array_from_ranks(ranks, backend=None):
+def suffix_array_from_ranks(ranks, backend=suffix_array_sais):
     """Suffix array of an already rank-compressed token array.
 
-    ``backend`` is a backend name, ``None`` (environment override, then
-    the default), or a ``build(ranks)`` callable.
+    ``backend`` is the ``build(ranks)`` construction callable.
     """
-    return get_backend(backend)(ranks)
+    return backend(ranks)
 
 
-def suffix_array(tokens, backend=None):
+def suffix_array(tokens, backend=suffix_array_sais):
     """Return the suffix array of ``tokens`` as a list of start indices.
 
     The suffix array lists the starting positions of all suffixes of the
@@ -84,7 +82,7 @@ def lcp_array_from_ranks(ranks, sa):
     return lcp
 
 
-def lcp_array(tokens, sa=None, backend=None):
+def lcp_array(tokens, sa=None, backend=suffix_array_sais):
     """Kasai's algorithm: LCP of adjacent suffix-array entries.
 
     ``lcp[i]`` is the length of the longest common prefix of the suffixes

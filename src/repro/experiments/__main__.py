@@ -7,18 +7,16 @@ Usage::
     python -m repro.experiments --list
 
 Figures: fig6a fig6b fig7a fig7b fig8 fig9 fig10 sec63
-Extras (not paper figures): service (multi-tenant aggregate throughput),
-replayer (serving-path tokens/sec per match engine), replication
-(Section 5.1 agreement-margin convergence on the replicated backend),
-trace (corpus-wide capture/re-drive parity matrix across backends)
+Extras (not paper figures): replication (Section 5.1 agreement-margin
+convergence on the replicated backend), trace (corpus-wide
+capture/re-drive parity matrix across backends). Timings of the repo's
+own layers are not experiments: ``python3 bench/run.py`` measures them.
 """
 
 import sys
 
 from repro.registry import Registry
 
-from repro.experiments.multi_tenant import main as run_service_bench
-from repro.experiments.replayer_perf import main as run_replayer_bench
 from repro.experiments.replication_convergence import main as run_replication
 from repro.experiments.overheads import launch_overheads
 from repro.experiments.report import (
@@ -77,8 +75,6 @@ RUNNERS = Registry("experiment", {
     "fig9": run_fig9,
     "fig10": run_fig10,
     "sec63": run_sec63,
-    "service": run_service_bench,
-    "replayer": run_replayer_bench,
     "replication": run_replication,
     "trace": run_trace_redrive,
 })

@@ -1,152 +1,30 @@
-"""Multi-tenant aggregate throughput: one service vs. K isolated processors.
+"""Two deployments of one tenant population, driven identically.
 
-Not a paper figure: the ROADMAP's north star is a production-scale system
-serving many concurrent users, and this experiment tracks the service
-layer's multiplier. K application sessions (cycling through s3d, stencil,
-jacobi, cfd -- pairs of tenants run the same application, as real fleets
-do) are served two ways from identical pre-captured task streams, with
-identical task-by-task round-robin arrival order:
+K pre-captured application streams (see
+:func:`repro.apps.capture_stream`) are served two ways, with identical
+task-by-task round-robin arrival order and identical client code --
+:class:`repro.api.Session` facades either way:
 
-* **isolated** -- K independent processors on a
+* :func:`run_isolated` -- K independent processors on a
   :class:`~repro.api.StandaloneBackend` pool, one per tenant, all live
-  at once (the "one Apophenia per application" deployment of the paper,
+  at once (the paper's "one Apophenia per application" deployment,
   consolidated onto one node);
-* **service** -- one :class:`~repro.service.ApopheniaService` sharing a
-  single mining executor and cross-session memo across all tenants.
+* :func:`run_service` -- one :class:`~repro.service.ApopheniaService`
+  sharing a single mining executor and cross-session memo across all
+  tenants.
 
-Both deployments are driven through identical :class:`repro.api.Session`
-facades -- the timed loops run the same client code, so the measured gap
-is purely the backends' doing.
-
-The two deployments do identical per-task work outside of mining, so the
-measured gap is the shared executor's doing, via two compounding memo
-effects: *cross-tenant reuse* (duplicate tenants' identical windows are
-mined once, not twice) and *consolidated capacity* (one service-sized
-memo holds every tenant's steady-state windows, where the isolated
-deployment's paper-default 8-entry per-processor memos thrash). An
-equal-capacity control -- the isolated deployment with its per-processor
-memo grown to the service's capacity -- is measured once per comparison
-to keep the attribution honest: it isolates the cross-tenant effect
-(~1.05-1.1x) from the capacity effect (the rest).
-
-Reported: aggregate tokens/sec for both, the shared-memo hit rate, and a
-per-tenant decision check -- every session's ``ReplayerStats`` and trace
-boundaries must be byte-identical to its isolated run, because the
-service is allowed to change throughput, never decisions.
-
-Timing uses CPU time (``time.process_time``): both deployments are
-single-threaded and CPU-bound, so CPU seconds measure serving cost while
-staying immune to machine-load preemption that wall-clock timing picks
-up. On top of that, paired rounds (isolated and service back to back,
-best round kept) follow the same noise-suppression convention as
-:func:`repro.experiments.mining_perf.measure_mining_throughput`.
-
-Used by ``benchmarks/test_perf_service.py``; also runnable standalone::
-
-    PYTHONPATH=src python -m repro.experiments.multi_tenant
+Each returns a :class:`TenantOutcome` per tenant: the service may change
+throughput, never decisions, so the service and chaos suites
+(``tests/test_service.py``, ``tests/test_faults.py``) compare the two
+outcome sets byte for byte. Nothing here reads a clock: what the service
+path *costs* is measured by the ``service_8x`` workload of ``bench/``.
 """
 
-import time
 from collections import deque
 
 from repro.api import StandaloneBackend, open_session
-from repro.apps.base import build_app
-from repro.apps.jacobi import jacobi_task_stream
-from repro.core.processor import ApopheniaConfig
-from repro.runtime.region import RegionForest
 from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
-
-#: The tenant population cycles through these applications.
-TENANT_APPS = ("s3d", "stencil", "jacobi", "cfd")
-
-#: Per-session configuration shared by the isolated and service runs.
-#: Sized so CI-scale streams exercise the full multi-scale schedule
-#: (batchsize 1000 / factor 25 -> ruler periods of 64 triggers ending at
-#: a full-buffer slice) with mining a realistic share of serving cost.
-TENANT_CONFIG = ApopheniaConfig(
-    min_trace_length=5,
-    batchsize=1000,
-    multi_scale_factor=25,
-    # Large enough that steady-state windows from all 8 tenants stay
-    # resident; the isolated baseline keeps the paper's per-processor
-    # default (mining_memo_capacity=8), which these streams thrash.
-    shared_memo_capacity=1024,
-)
-
-
-class _CaptureExecutor:
-    """Collects tasks instead of executing them."""
-
-    def __init__(self):
-        self.tasks = []
-
-    def execute_task(self, task):
-        self.tasks.append(task)
-
-
-def tenant_specs(num_tenants):
-    """``[(session_id, app_name)]`` cycling through :data:`TENANT_APPS`."""
-    return [
-        (f"{TENANT_APPS[i % len(TENANT_APPS)]}-{i}", TENANT_APPS[i % len(TENANT_APPS)])
-        for i in range(num_tenants)
-    ]
-
-
-def capture_stream(app_name, num_tasks, gpus=4, task_scale=0.1):
-    """The first ``num_tasks`` of an application's stream, as
-    ``[(iteration, task)]``.
-
-    Captured once, outside any timed region, so the isolated and service
-    measurements feed *identical* streams and time only the serving path.
-    """
-    out = []
-    cap = _CaptureExecutor()
-    if app_name == "jacobi":
-        # The Figure 1 array program drives its executor directly.
-        jacobi_task_stream(cap, RegionForest(), iterations=num_tasks)
-        out = [(0, task) for task in cap.tasks[:num_tasks]]
-    else:
-        app = build_app(
-            app_name,
-            mode="untraced",
-            gpus=gpus,
-            task_scale=task_scale,
-            keep_task_log=False,
-        )
-        # Route the app's tasks into the capture buffer. Array-layer apps
-        # (cfd) bound their executor at setup, so rebind that too; setup
-        # tasks already issued stay out of the stream for every tenant
-        # alike.
-        app.executor = cap
-        if hasattr(app, "ctx"):
-            app.ctx.executor = cap
-        index = 0
-        while len(cap.tasks) < num_tasks:
-            start = len(cap.tasks)
-            app.iteration(index)
-            out.extend((index, task) for task in cap.tasks[start:])
-            index += 1
-        out = out[:num_tasks]
-    if len(out) < num_tasks:
-        raise ValueError(
-            f"{app_name} produced {len(out)} tasks, wanted {num_tasks}"
-        )
-    for _, task in out:
-        # Pre-warm the per-task signature caches: whichever deployment ran
-        # first would otherwise pay the one-time signature builds for the
-        # shared Task objects and hand every later round a free ride.
-        task.signature()
-    return out
-
-
-def capture_tenant_streams(specs, num_tasks, gpus=4, task_scale=0.1):
-    """Capture one stream per tenant (tenants do not share Task objects)."""
-    return {
-        sid: capture_stream(app_name, num_tasks, gpus, task_scale)
-        for sid, app_name in specs
-    }
-
 
 def _fresh_runtime():
     return Runtime(
@@ -180,224 +58,55 @@ class TenantOutcome:
         self.memo_hits = memo_hits
 
 
-def _outcome(session, num_tasks):
-    """Build a :class:`TenantOutcome` from the uniform stats surface.
-
-    Before :mod:`repro.api`, this reached into backend internals
-    (``processor.stats.as_tuple()``, ``session.lane.memo_hits``) with a
-    different spelling per deployment; :meth:`Session.stats` is the same
-    call either way.
-    """
-    stats = session.stats()
-    return TenantOutcome(
-        session.session_id,
-        stats.replayer_counters(),
-        session.decision_trace(),
-        num_tasks,
-        stats.memo_hits,
-    )
+def _drive(sessions, streams):
+    """Submit every stream's tasks, round-robin, to its session."""
+    for sid, iteration, task in _interleaved(streams):
+        session = sessions[sid]
+        session.set_iteration(iteration)
+        session.submit(task)
 
 
-def run_isolated(streams, config=TENANT_CONFIG):
+def _outcomes(sessions, streams):
+    """One :class:`TenantOutcome` per session, off the uniform
+    :meth:`Session.stats` surface."""
+    out = {}
+    for sid, session in sessions.items():
+        stats = session.stats()
+        out[sid] = TenantOutcome(
+            sid,
+            stats.replayer_counters(),
+            session.decision_trace(),
+            len(streams[sid]),
+            stats.memo_hits,
+        )
+    return out
+
+
+def run_isolated(streams, config):
     """K live processors, no sharing, interleaved arrival order.
 
-    Returns ``(outcomes, seconds)``. The tenants are facade sessions on
-    a :class:`~repro.api.StandaloneBackend` pool -- the paper's
-    one-Apophenia-per-application deployment behind the same client API
-    the service deployment uses, so the two timed loops run identical
-    client code.
+    Returns ``{session_id: TenantOutcome}``.
     """
     backend = StandaloneBackend(config)
     sessions = {
         sid: open_session(sid, backend=backend, runtime=_fresh_runtime())
         for sid in streams
     }
-    start = time.process_time()
-    for sid, iteration, task in _interleaved(streams):
-        session = sessions[sid]
-        session.set_iteration(iteration)
-        session.submit(task)
+    _drive(sessions, streams)
     for session in sessions.values():
         session.flush()
-    seconds = time.process_time() - start
-    outcomes = {
-        sid: _outcome(session, len(streams[sid]))
-        for sid, session in sessions.items()
-    }
-    return outcomes, seconds
+    return _outcomes(sessions, streams)
 
 
-def run_service(streams, config=TENANT_CONFIG):
+def run_service(streams, config):
     """One service, same interleaved arrival order.
 
-    Returns ``(outcomes, seconds, service)``.
+    Returns ``(outcomes, service)``.
     """
-    service_config = config.with_overrides(max_sessions=max(1, len(streams)))
-    service = ApopheniaService(service_config)
-    # Session admission stays outside the timed region, mirroring the
-    # untimed backend construction in run_isolated: both measurements
-    # time only the serving path.
-    sessions = {
-        sid: open_session(sid, backend=service) for sid in streams
-    }
-    start = time.process_time()
-    for sid, iteration, task in _interleaved(streams):
-        session = sessions[sid]
-        session.set_iteration(iteration)
-        session.submit(task)
+    service = ApopheniaService(
+        config.with_overrides(max_sessions=max(1, len(streams)))
+    )
+    sessions = {sid: open_session(sid, backend=service) for sid in streams}
+    _drive(sessions, streams)
     service.flush_all()
-    seconds = time.process_time() - start
-    outcomes = {
-        sid: _outcome(session, len(streams[sid]))
-        for sid, session in sessions.items()
-    }
-    return outcomes, seconds, service
-
-
-class ServiceComparison:
-    """Everything the perf suite asserts on, in one place."""
-
-    __slots__ = (
-        "num_tenants",
-        "tasks_total",
-        "isolated_seconds",
-        "service_seconds",
-        "control_seconds",
-        "round_speedups",
-        "isolated",
-        "served",
-        "service_stats",
-    )
-
-    def __init__(self, num_tenants, tasks_total, isolated_seconds,
-                 service_seconds, control_seconds, round_speedups, isolated,
-                 served, service_stats):
-        self.num_tenants = num_tenants
-        self.tasks_total = tasks_total
-        self.isolated_seconds = isolated_seconds  # best round
-        self.service_seconds = service_seconds  # best round
-        # One isolated run with per-processor memos grown to the service's
-        # shared capacity: the cross-tenant-sharing-only control.
-        self.control_seconds = control_seconds
-        self.round_speedups = round_speedups  # paired per-round ratios
-        self.isolated = isolated
-        self.served = served
-        self.service_stats = service_stats
-
-    @property
-    def isolated_tokens_per_sec(self):
-        return self.tasks_total / self.isolated_seconds
-
-    @property
-    def service_tokens_per_sec(self):
-        return self.tasks_total / self.service_seconds
-
-    @property
-    def speedup(self):
-        """Best paired-round speedup (noise-suppressed)."""
-        return max(self.round_speedups)
-
-    @property
-    def control_speedup(self):
-        """Service vs the equal-memo-capacity isolated control."""
-        return self.control_seconds / self.service_seconds
-
-    @property
-    def memo_hit_rate(self):
-        return self.service_stats["memo_hit_rate"]
-
-    def divergent_tenants(self):
-        """Session ids whose service decisions differ from isolated."""
-        bad = []
-        for sid, solo in self.isolated.items():
-            served = self.served[sid]
-            if (solo.stats != served.stats
-                    or solo.decision_trace != served.decision_trace):
-                bad.append(sid)
-        return bad
-
-
-def compare_multi_tenant(num_tenants=8, tasks_per_tenant=8000, gpus=4,
-                         task_scale=0.1, config=TENANT_CONFIG, rounds=3,
-                         target_speedup=None):
-    """Run both deployments over identical streams; returns the comparison.
-
-    Each round times the isolated and service deployments back to back and
-    records their paired ratio; machine-load noise hits adjacent
-    measurements roughly equally, so the best paired round estimates the
-    true ratio far more stably than comparing timings taken minutes apart.
-    When ``target_speedup`` is given, up to ``2 * rounds`` rounds run,
-    stopping early once a round reaches the target (a deployment whose
-    sharing is broken never gets there, so the floor still discriminates).
-    """
-    specs = tenant_specs(num_tenants)
-    streams = capture_tenant_streams(specs, tasks_per_tenant, gpus, task_scale)
-    # Untimed warmup pair over stream prefixes: the first execution of the
-    # serving code paths pays CPython's adaptive-specialization warmup,
-    # which would otherwise penalize whichever deployment runs first.
-    warmup = {sid: stream[: min(1500, len(stream))]
-              for sid, stream in streams.items()}
-    run_isolated(warmup, config)
-    run_service(warmup, config)
-    iso_times, srv_times, ratios = [], [], []
-    isolated = served = service = None
-    max_rounds = rounds if target_speedup is None else 2 * rounds
-    for _ in range(max_rounds):
-        isolated, iso_seconds = run_isolated(streams, config)
-        served, srv_seconds, service = run_service(streams, config)
-        iso_times.append(iso_seconds)
-        srv_times.append(srv_seconds)
-        ratios.append(iso_seconds / srv_seconds)
-        if target_speedup is not None and (
-            len(ratios) >= rounds and max(ratios) >= target_speedup
-        ):
-            break
-    _, control_seconds = run_isolated(
-        streams,
-        config.with_overrides(
-            mining_memo_capacity=config.shared_memo_capacity
-        ),
-    )
-    return ServiceComparison(
-        num_tenants,
-        sum(len(s) for s in streams.values()),
-        min(iso_times),
-        min(srv_times),
-        control_seconds,
-        ratios,
-        isolated,
-        served,
-        service.stats,
-    )
-
-
-def main():
-    comparison = compare_multi_tenant()
-    print(
-        f"{comparison.num_tenants} tenants, "
-        f"{comparison.tasks_total} tasks total, "
-        f"{len(comparison.round_speedups)} paired rounds"
-    )
-    print(
-        f"  isolated: {comparison.isolated_seconds * 1e3:8.1f} ms  "
-        f"{comparison.isolated_tokens_per_sec:10,.0f} tok/s"
-    )
-    print(
-        f"  service:  {comparison.service_seconds * 1e3:8.1f} ms  "
-        f"{comparison.service_tokens_per_sec:10,.0f} tok/s"
-    )
-    rounds = ", ".join(f"{r:.2f}x" for r in comparison.round_speedups)
-    print(f"  speedup:  {comparison.speedup:8.2f}x  (rounds: {rounds})")
-    print(
-        f"  vs equal-capacity memos: {comparison.control_speedup:.2f}x "
-        "(cross-tenant sharing alone)"
-    )
-    print(f"  shared-memo hit rate: {comparison.memo_hit_rate:6.1%}")
-    divergent = comparison.divergent_tenants()
-    print(f"  divergent tenants: {divergent or 'none'}")
-    if divergent:
-        raise SystemExit("service changed decisions -- invariant violated")
-
-
-if __name__ == "__main__":
-    main()
+    return _outcomes(sessions, streams), service

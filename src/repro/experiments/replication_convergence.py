@@ -21,8 +21,8 @@ Used by the benchmark suite; also runnable standalone::
 """
 
 from repro.api import open_session
+from repro.apps.base import capture_stream
 from repro.core.processor import ApopheniaConfig
-from repro.experiments.multi_tenant import capture_stream
 from repro.experiments.report import format_table
 
 #: Applications whose captured streams drive the convergence runs.

@@ -2,7 +2,7 @@
 
 Rules are plugins, registered in :data:`LINT_RULES` -- an instance of the
 one :class:`repro.registry.Registry` pattern behind every other extension
-point in the repo (suffix-array backends, tracing backends, apps, fault
+point in the repo (tracing backends, config profiles, apps, fault
 plans). A rule is a stateless object with a :meth:`Rule.check` generator;
 the walker (:mod:`repro.lint.walker`) parses each file once and hands
 every rule the same :class:`ModuleContext`.

@@ -1,14 +1,13 @@
 """One plugin-registry pattern for every extension point.
 
-The repo grew several ad-hoc name->implementation tables — suffix-array
-backends (``repro.core.sa_backends.BACKENDS``), applications
-(``repro.apps.base.APP_REGISTRY``) — each with its own lookup idiom and
-its own flavour of "unknown name" error. :class:`Registry` is the one
+The repo grew several ad-hoc name->implementation tables — applications
+(``repro.apps.base.APP_REGISTRY``), machines, experiment runners — each
+with its own lookup idiom and its own flavour of "unknown name" error. :class:`Registry` is the one
 pattern behind all of them, plus the new extension points the client API
 adds (tracing backends, configuration profiles):
 
 * mapping-like, so existing call sites (``sorted(APP_REGISTRY)``,
-  ``BACKENDS["sais"]``, ``name in BACKENDS``) keep working unchanged;
+  ``PROFILES["service"]``, ``name in PROFILES``) keep working unchanged;
 * uniform registration, either imperative (``reg.register(name, obj)``)
   or as a decorator (``@reg.register(name)``);
 * uniform, helpful lookup errors that name the registry's kind and list
@@ -38,8 +37,8 @@ class Registry:
     Parameters
     ----------
     kind:
-        Human-readable noun for error messages ("suffix-array backend",
-        "application", "tracing backend", "config profile").
+        Human-readable noun for error messages ("application",
+        "tracing backend", "config profile").
     entries:
         Optional initial ``{name: implementation}`` mapping.
     """

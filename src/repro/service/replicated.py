@@ -275,9 +275,7 @@ class ReplicatedBackend(SessionPool):
         # replicas mine byte-identical windows, so node 0's analysis
         # answers nodes 1..N-1 -- decision-neutral because results are
         # pure functions of the window.
-        algorithm = _resolve_repeats_algorithm(
-            config.repeats_algorithm, config.sa_backend
-        )
+        algorithm = _resolve_repeats_algorithm(config.repeats_algorithm)
         memo = (
             MiningMemo(config.mining_memo_capacity)
             if config.mining_memo_capacity else None

@@ -484,7 +484,7 @@ class ApopheniaService(SessionPool):
         super().__init__(config, runtime_factory)
         self.executor = SharedJobExecutor(
             repeats_algorithm=_resolve_repeats_algorithm(
-                self.config.repeats_algorithm, self.config.sa_backend
+                self.config.repeats_algorithm
             ),
             memo_capacity=self.config.shared_memo_capacity,
             max_outstanding_jobs=self.config.max_outstanding_jobs,

@@ -52,36 +52,21 @@ def record_stream(stream, app=None, config=CORPUS_CONFIG, session_id=None):
 
 def app_stream(app_name, num_tasks=CORPUS_TASKS):
     """A registered app's first ``num_tasks``, as ``[(iteration, task)]``."""
-    from repro.experiments.multi_tenant import capture_stream
+    from repro.apps.base import capture_stream
 
     return capture_stream(app_name, num_tasks, task_scale=0.05)
 
 
-def generative_stream(graph, num_tasks=CORPUS_TASKS, gpus=4):
+def generative_stream(graph, num_tasks=CORPUS_TASKS):
     """A phase-graph stream, as ``[(iteration, task)]``."""
-    from repro.apps.base import AppConfig
+    from repro.apps.base import AppConfig, capture_app_stream
     from repro.apps.generative import Generative
-
-    class _Capture:
-        def __init__(self):
-            self.tasks = []
-
-        def execute_task(self, task):
-            self.tasks.append(task)
 
     app = Generative(
         AppConfig(mode="untraced", task_scale=0.5, keep_task_log=False),
         graph=graph,
     )
-    capture = _Capture()
-    app.executor = capture
-    out, index = [], 0
-    while len(capture.tasks) < num_tasks:
-        start = len(capture.tasks)
-        app.iteration(index)
-        out.extend((index, task) for task in capture.tasks[start:])
-        index += 1
-    return out[:num_tasks]
+    return capture_app_stream(app, num_tasks)
 
 
 def _app_entry(name):

@@ -162,7 +162,7 @@ class TraceReplayHarness:
             return self.backend
         if self.backend == "replicated":
             return ReplicatedBackend(config, coordinate=self.coordinate)
-        return TRACING_BACKENDS[self.backend](config)
+        return TRACING_BACKENDS.resolve(self.backend)(config)
 
     def run(self):
         """Re-drive the stream; returns a :class:`ReplayVerdict`."""

@@ -25,9 +25,9 @@ from repro.api import (
     collect_session_stats,
     open_session,
 )
+from repro.apps.base import capture_stream
 from repro.core.jobs import MiningMemo
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
-from repro.experiments.multi_tenant import capture_stream
 from repro.registry import Registry, RegistryError
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
@@ -324,9 +324,15 @@ class TestConfigBuilder:
             env={"REPRO_MAX_TRACE_LENGTH": "none"}
         ).max_trace_length is None
 
-    def test_env_sa_backend_layering(self):
-        cfg = build_config(env={"REPRO_SA_BACKEND": "doubling"})
-        assert cfg.sa_backend == "doubling"
+    def test_stale_selection_variables_are_ignored(self):
+        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE`` named fields that
+        no longer exist: a leftover value (even a once-invalid one) is
+        ignored like any other unknown ``REPRO_*`` variable."""
+        stale = {"REPRO_SA_BACKEND": "btree", "REPRO_MATCH_ENGINE": "nope"}
+        assert build_config(env=stale) == build_config(env={})
+        assert build_config(
+            config=ApopheniaConfig(), env=stale
+        ) == ApopheniaConfig()
 
     def test_bad_env_value_names_the_variable(self):
         with pytest.raises(ValueError, match="REPRO_BATCHSIZE"):
@@ -340,7 +346,7 @@ class TestConfigBuilder:
             dict(multi_scale_factor=0),
             dict(max_trace_length=3, min_trace_length=5),
             dict(identifier_algorithm="psychic"),
-            dict(sa_backend="btree"),
+            dict(num_nodes=0),
             dict(repeats_algorithm="grep"),
             dict(max_sessions=0),
             dict(shared_memo_token_budget=0),
@@ -360,9 +366,8 @@ class TestRegistries:
     def test_uniform_pattern_across_plugin_points(self):
         registries = api.registries()
         assert set(registries) == {
-            "tracing_backends", "config_profiles", "sa_backends", "apps",
-            "fault_plans", "trace_formats", "persist_formats",
-            "phase_graphs",
+            "tracing_backends", "config_profiles", "apps", "fault_plans",
+            "trace_formats", "persist_formats", "phase_graphs",
         }
         for registry in registries.values():
             assert isinstance(registry, Registry)
@@ -373,12 +378,6 @@ class TestRegistries:
         assert get_app("s3d") is APP_REGISTRY["s3d"]
         with pytest.raises(RegistryError, match="s3d"):
             get_app("does-not-exist")
-
-    def test_sa_backend_registry_error_names_backends(self):
-        from repro.core.sa_backends import BACKENDS
-
-        with pytest.raises(RegistryError, match="sais"):
-            BACKENDS["btree"]
 
     def test_duplicate_registration_rejected(self):
         registry = Registry("thing")

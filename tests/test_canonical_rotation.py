@@ -44,7 +44,7 @@ class TestCanonicalRotation:
         r.ingest([Repeat("cdab", [2, 6])])
         r.ingest([Repeat("bcda", [1, 5])])
         r.ingest([Repeat("dabc", [3, 7])])  # 4th phase: not admitted
-        assert len(r.trie) == r.max_phases_per_cycle
+        assert len(r.trie) == r.store.max_phases_per_cycle
         # Shared count: every admitted phase sees the cycle total (8).
         for cand in r.trie.candidates.values():
             assert cand.occurrences == 8

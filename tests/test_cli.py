@@ -18,7 +18,7 @@ class TestCLI:
     def test_all_figures_registered(self):
         assert set(RUNNERS) == {
             "fig6a", "fig6b", "fig7a", "fig7b", "fig8", "fig9", "fig10",
-            "sec63", "service", "replayer", "replication", "trace",
+            "sec63", "replication", "trace",
         }
 
     def test_sec63_runs(self, capsys):

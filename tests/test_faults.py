@@ -25,9 +25,10 @@ import pytest
 
 import repro.api as api
 from repro.api import build_config, open_session
+from repro.apps.base import capture_stream
 from repro.core.jobs import JobExecutor, MiningMemo
 from repro.core.processor import ApopheniaConfig
-from repro.experiments.multi_tenant import capture_stream, run_service
+from repro.experiments.multi_tenant import run_service
 from repro.faults import (
     FAULT_PLANS,
     MAX_PROBE_BACKOFF,
@@ -689,8 +690,8 @@ class TestChaosProperty:
         self, app_streams
     ):
         streams = self._streams(app_streams)
-        clean, _, _ = run_service(streams, FAST_CONFIG)
-        chaotic, _, service = run_service(
+        clean, _ = run_service(streams, FAST_CONFIG)
+        chaotic, service = run_service(
             streams,
             FAST_CONFIG.with_overrides(
                 fault_plan=self.CHAOS_PLAN, fault_quarantine_threshold=4
@@ -723,8 +724,8 @@ class TestChaosProperty:
     def test_chaos_runs_are_reproducible(self, app_streams):
         streams = self._streams(app_streams)
         config = FAST_CONFIG.with_overrides(fault_plan=self.CHAOS_PLAN)
-        first, _, first_service = run_service(streams, config)
-        second, _, second_service = run_service(streams, config)
+        first, first_service = run_service(streams, config)
+        second, second_service = run_service(streams, config)
         for sid in streams:
             assert first[sid].stats == second[sid].stats, sid
             assert first[sid].decision_trace == second[sid].decision_trace
@@ -756,7 +757,7 @@ class TestChaosProperty:
                 seed=3, mining_delay_rate=0.5, mining_delay_ops=60
             ),
         )
-        outcomes, _, service = run_service(
+        outcomes, service = run_service(
             {"delayed": app_streams["jacobi"]}, config
         )
         assert _conserves_tasks(outcomes["delayed"])

@@ -1,32 +1,30 @@
 """Match-engine parity: the deduplicated automaton vs the scan reference.
 
-The load-bearing property of the serving-path refactor: every match
-engine produces byte-identical matching behaviour — completed matches,
+The load-bearing property of the serving-path refactor: both match
+engines produce byte-identical matching behaviour — completed matches,
 flush bounds, live-pointer enumeration — so the tbegin/tend decision
 stream stays a pure function of tokens + ingested candidates whichever
 engine serves it (Section 5.1's distributed-agreement argument). The
 scan engine is the seed semantics; these suites drive both engines in
 lockstep through randomized streams with mid-stream ingests, removals,
 resets, and the replayer's reset-then-reprocess-old-indices pattern,
-and through the real application streams.
+and through the real application streams. The scan reference is reached
+the only way it can be: by passing the class itself as the replayer's /
+processor's ``match_engine`` constructor argument.
 """
 
 import random
 
 import pytest
 
-from repro.core.matching import (
-    DEFAULT_MATCH_ENGINE,
-    MATCH_ENGINES,
-    AutomatonMatchEngine,
-    ScanMatchEngine,
-    get_match_engine,
-)
+from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
-from repro.registry import RegistryError
 from repro.runtime.runtime import Runtime
+
+#: The implementation and its reference, as the two classes.
+ENGINES = (AutomatonMatchEngine, ScanMatchEngine)
 
 
 def match_keys(matches):
@@ -151,7 +149,7 @@ class TestReplayerLevelParity:
             else:
                 replayer.process(None, payload)
         replayer.flush_all()
-        return fired, replayer.stats.decision_tuple()
+        return fired, replayer.stats
 
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_decision_streams(self, seed):
@@ -167,18 +165,46 @@ class TestReplayerLevelParity:
                     ("ingest", [Repeat(tokens, [0, length])])
                 )
             events.append(("token", rng.randrange(4)))
-        results = {
-            engine: self.drive(engine, events) for engine in MATCH_ENGINES
-        }
-        reference = results[DEFAULT_MATCH_ENGINE]
-        for engine, result in results.items():
-            assert result == reference, engine
+        self.assert_same_decisions(events)
+
+    def assert_same_decisions(self, events):
+        """Drive both engines; returns ``(automaton, scan)`` stats."""
+        fired_auto, stats_auto = self.drive(AutomatonMatchEngine, events)
+        fired_scan, stats_scan = self.drive(ScanMatchEngine, events)
+        assert fired_auto == fired_scan
+        assert stats_auto.decision_tuple() == stats_scan.decision_tuple()
+        return stats_auto, stats_scan
 
     def test_periodic_stream_with_rotations(self):
         events = [("ingest", [Repeat(("a", "b", "c", "d") * 3, [0, 12]),
                               Repeat(("c", "d", "a", "b") * 2, [0, 8])])]
         events += [("token", t) for t in ("a", "b", "c", "d") * 40]
-        assert self.drive("scan", events) == self.drive("automaton", events)
+        self.assert_same_decisions(events)
+
+    def test_periodic_ladder_dedup_engages(self):
+        """The pathological pointer-ladder workload: one 8-token cycle,
+        eight candidates spanning 4 to 24 periods at assorted phase
+        shifts, as successive full-buffer minings of a periodic stream
+        surface them. Every phase of every multiple keeps a pointer
+        alive in the scan reference (~40 deep); the automaton holds the
+        same live set -- equal peak -- but walks one state per token, so
+        it must report collapsed walks where the reference reports none."""
+        period = 8
+
+        def unit(shift):
+            return [(i + shift) % period for i in range(period)]
+
+        repeats = []
+        for mult, shift in [(4, 0), (6, 4), (8, 0), (10, 4), (12, 0),
+                            (16, 4), (20, 0), (24, 4)]:
+            tokens = tuple(unit(shift) * mult)
+            repeats.append(Repeat(tokens, [0, len(tokens)]))
+        events = [("ingest", repeats)]
+        events += [("token", t) for t in unit(0) * (6000 // period)]
+        automaton, scan = self.assert_same_decisions(events)
+        assert automaton.pointer_collapses > 0
+        assert scan.pointer_collapses == 0
+        assert automaton.active_pointer_peak == scan.active_pointer_peak > 1
 
 
 class TestProcessorLevelParity:
@@ -188,30 +214,30 @@ class TestProcessorLevelParity:
 
     @pytest.mark.parametrize("app_name", ("s3d", "stencil", "jacobi", "cfd"))
     def test_app_decision_streams_identical(self, app_name):
-        from repro.experiments.multi_tenant import capture_stream
+        from repro.apps.base import capture_stream
 
         stream = capture_stream(app_name, 700, task_scale=0.05)
         traces = {}
         stats = {}
-        for engine in MATCH_ENGINES:
-            config = ApopheniaConfig(
-                min_trace_length=3,
-                batchsize=200,
-                multi_scale_factor=25,
-                job_base_latency_ops=10,
-                initial_ingest_margin_ops=20,
-                match_engine=engine,
-            )
+        config = ApopheniaConfig(
+            min_trace_length=3,
+            batchsize=200,
+            multi_scale_factor=25,
+            job_base_latency_ops=10,
+            initial_ingest_margin_ops=20,
+        )
+        for engine in ENGINES:
             runtime = Runtime(analysis_mode="fast",
                               mismatch_policy="fallback",
                               keep_task_log=False)
-            processor = ApopheniaProcessor(runtime, config)
+            processor = ApopheniaProcessor(runtime, config,
+                                           match_engine=engine)
             for iteration, task in stream:
                 processor.set_iteration(iteration)
                 processor.execute_task(task)
             processor.flush()
-            traces[engine] = processor.decision_trace()
-            stats[engine] = processor.replayer.stats
+            traces[engine.name] = processor.decision_trace()
+            stats[engine.name] = processor.replayer.stats
         assert traces["automaton"] == traces["scan"]
         assert (stats["automaton"].decision_tuple()
                 == stats["scan"].decision_tuple())
@@ -225,28 +251,23 @@ class TestProcessorLevelParity:
 
 
 class TestEngineSurface:
-    def test_registry_and_default(self):
-        assert DEFAULT_MATCH_ENGINE in MATCH_ENGINES
-        assert isinstance(get_match_engine(None), AutomatonMatchEngine)
-        assert isinstance(get_match_engine("scan"), ScanMatchEngine)
-        with pytest.raises(RegistryError):
-            get_match_engine("nope")
-
     def test_factory_callable(self):
+        """``match_engine`` is a no-argument factory: the automaton by
+        default, anything engine-shaped a test injects otherwise."""
+        def replayer(**kwargs):
+            return TraceReplayer(on_flush=lambda tasks: None,
+                                 on_trace=lambda c, i, tasks: None, **kwargs)
+
+        assert isinstance(replayer().engine, AutomatonMatchEngine)
         built = []
 
-        def factory(trie):
-            engine = ScanMatchEngine(trie)
-            built.append(engine)
-            return engine
+        def factory():
+            built.append(ScanMatchEngine())
+            return built[-1]
 
-        engine = get_match_engine(factory)
-        assert built == [engine]
+        assert [replayer(match_engine=factory).engine] == built
 
     def test_config_validation(self):
-        ApopheniaConfig(match_engine="scan").validate()
-        with pytest.raises(ValueError, match="match engine"):
-            ApopheniaConfig(match_engine="nope").validate()
         with pytest.raises(ValueError, match="hysteresis"):
             ApopheniaConfig(hysteresis=-1.0).validate()
 

@@ -23,10 +23,11 @@ from repro.api import (
     SessionStateStore,
     open_session,
 )
+from repro.apps.base import capture_stream
+from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
-from repro.experiments.multi_tenant import capture_stream
 from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
@@ -246,7 +247,10 @@ class TestEvictionDeterminism:
         assert bounded[2] == baseline[2]
 
 
-@pytest.mark.parametrize("engine", ["scan", "automaton"])
+@pytest.mark.parametrize(
+    "engine", [ScanMatchEngine, AutomatonMatchEngine],
+    ids=lambda engine: engine.name,
+)
 class TestRemoveCandidateReconciliation:
     """Satellite audit: exact removal vs in-flight serving state, under
     both match engines."""

@@ -180,12 +180,12 @@ class TestCandidateRemoval:
     def test_removed_candidate_can_be_readmitted(self):
         h = Harness(min_trace_length=2)
         r = h.replayer
-        r.max_phases_per_cycle = 1  # one phase: eviction empties the group
+        r.store.max_phases_per_cycle = 1  # one phase: eviction empties the group
         r.ingest([Repeat("ab", [0, 2])])
         cand = r.trie.find("ab")
         assert r.remove_candidate(cand)
         assert r.trie.find("ab") is None
-        assert not r._by_rotation  # the emptied group is gone
+        assert not r.store.by_rotation  # the emptied group is gone
         # Re-discovery of the same cycle re-admits it with a fresh count.
         r.ingest([Repeat("ab", [0, 2])])
         again = r.trie.find("ab")
@@ -210,7 +210,7 @@ class TestCandidateRemoval:
         sibling = r.trie.find("ba")
         assert first.occurrences == sibling.occurrences == 4  # shared cycle
         assert r.remove_candidate(first)
-        (entry,) = r._by_rotation.values()
+        (entry,) = r.store.by_rotation.values()
         assert entry[0] == [sibling]
         # Reinforcement still reaches the surviving phase only.
         r.ingest([Repeat("ab", [0, 2])])
@@ -236,7 +236,9 @@ class TestWorthWaitingEdges:
         h.feed("ab")
         assert h.replayer.deferred is not None
         assert h.replayer.deferred.start_index == 0
-        assert h.replayer._worth_waiting(h.replayer.deferred, 1)
+        assert h.replayer.policy.worth_waiting(
+            h.replayer.deferred, 1, h.replayer.engine.pointers()
+        )
         assert not h.forwarded  # everything still buffered
         h.feed("q")  # the extension dies: the deferral fires
         assert [t[1] for t in h.traces()] == [("a", "b")]

@@ -25,9 +25,9 @@ import pytest
 
 import repro.api as api
 from repro.api import ReplicatedBackend, build_config, open_session
+from repro.apps.base import capture_stream
 from repro.core.coordination import IngestCoordinator
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
-from repro.experiments.multi_tenant import capture_stream
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 

@@ -1,30 +1,28 @@
-"""Pluggable suffix-array backends: equivalence, selection, and smoke perf.
+"""Suffix-array construction: SA-IS against its references.
 
 Determinism is load-bearing: the Section 5.1 agreement protocol assumes
-every node computes identical mining results, so all backends must agree
-byte-for-byte -- with each other, with a naive O(n^2 log n) oracle, and
-through ``find_repeats``.
+every node computes identical mining results, so SA-IS (the
+implementation) and the seed's prefix doubling (kept as the reference)
+must agree byte-for-byte -- with each other, with a naive O(n^2 log n)
+oracle, and through ``find_repeats``. The reference is reached by
+passing the function itself as ``backend=``; there is no name, config
+field or environment variable that selects it.
 """
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.core.repeats import find_repeats
-from repro.core.sa_backends import (
-    BACKENDS,
-    DEFAULT_BACKEND,
-    ENV_VAR,
-    available_backends,
-    get_backend,
-    resolve_backend_name,
-)
+from repro.core.sa_backends import suffix_array_doubling, suffix_array_sais
 from repro.core.suffix_array import (
     lcp_array_from_ranks,
     rank_compress,
     suffix_array_from_ranks,
 )
 
-ALL_BACKENDS = available_backends()
+#: The implementation first, then its reference.
+BACKENDS = {"sais": suffix_array_sais, "doubling": suffix_array_doubling}
+ALL_BACKENDS = sorted(BACKENDS)
 
 
 def naive_suffix_array(ranks):
@@ -121,108 +119,17 @@ class TestFindRepeatsEquivalence:
             assert {r.tokens for r in repeats} == {("a", "a"), ("b", "c")}
 
 
-class TestSelection:
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        # Selection semantics are asserted from a known-clean slate; an
-        # ambient REPRO_SA_BACKEND would change every resolution below.
-        monkeypatch.delenv(ENV_VAR, raising=False)
-
-    def test_default_is_sais(self):
-        assert DEFAULT_BACKEND == "sais"
-        assert resolve_backend_name() == "sais"
-        assert get_backend() is BACKENDS["sais"]
-
-    def test_explicit_name(self):
-        assert resolve_backend_name("doubling") == "doubling"
-        assert get_backend("doubling") is BACKENDS["doubling"]
-
-    def test_resolution_is_pure(self, monkeypatch):
-        # resolve_backend_name is a pure function of its argument: the
-        # REPRO_SA_BACKEND override is config layering (build_config),
-        # not backend resolution.
-        monkeypatch.setenv(ENV_VAR, "doubling")
-        assert resolve_backend_name() == DEFAULT_BACKEND
-        assert resolve_backend_name("sais") == "sais"
-
-    def test_unknown_name_rejected(self):
-        with pytest.raises(ValueError):
-            resolve_backend_name("btree")
-
-    def test_callable_passthrough(self):
-        build = BACKENDS["doubling"]
-        assert get_backend(build) is build
-
-    def test_config_knob_reaches_executor(self):
-        from repro.core.processor import _resolve_repeats_algorithm
-
-        algorithm = _resolve_repeats_algorithm(
-            "quick_matching_of_substrings", "doubling"
-        )
-        assert algorithm.keywords["backend"] is BACKENDS["doubling"]
-        assert [r.tokens for r in algorithm(list("ababab"), 2)] == [("a", "b")]
-
-    def test_config_binding_ignores_later_env_changes(self, monkeypatch):
-        # The backend callable is bound at processor construction; an env
-        # mutation mid-run must not silently switch (or break) mining.
-        from repro.core.processor import _resolve_repeats_algorithm
-
-        algorithm = _resolve_repeats_algorithm(
-            "quick_matching_of_substrings", "doubling"
-        )
-        monkeypatch.setenv(ENV_VAR, "not-a-backend")
-        assert [r.tokens for r in algorithm(list("ababab"), 2)] == [("a", "b")]
-
-
 class TestEnvPrecedenceThroughConfig:
-    """The documented REPRO_SA_BACKEND contract, now owned by build_config.
-
-    Environment beats code at the api surface -- including over an
-    explicit config, the one env exception on that path -- while backend
-    resolution itself stays pure (see TestSelection above).
-    """
-
-    @pytest.fixture(autouse=True)
-    def _clean_env(self, monkeypatch):
-        monkeypatch.delenv(ENV_VAR, raising=False)
-
-    def test_env_beats_profile_and_overrides(self, monkeypatch):
-        from repro.api import build_config
-
-        monkeypatch.setenv(ENV_VAR, "doubling")
-        assert build_config().sa_backend == "doubling"
-        assert build_config(sa_backend="sais").sa_backend == "doubling"
-
-    def test_env_beats_explicit_config(self, monkeypatch):
-        from repro.api import build_config
-        from repro.core.processor import ApopheniaConfig
-
-        monkeypatch.setenv(ENV_VAR, "doubling")
-        cfg = build_config(config=ApopheniaConfig(sa_backend="sais"))
-        assert cfg.sa_backend == "doubling"
+    """An explicit config is authoritative: no environment variable
+    layers onto it."""
 
     def test_explicit_config_pins_other_knobs(self, monkeypatch):
-        # Only the documented SA-backend exception layers onto an
-        # explicit config; every other REPRO_* variable is ignored there.
         from repro.api import build_config
         from repro.core.processor import ApopheniaConfig
 
         monkeypatch.setenv("REPRO_BATCHSIZE", "77")
         cfg = build_config(config=ApopheniaConfig(batchsize=500))
         assert cfg.batchsize == 500
-
-    def test_bad_env_backend_raises(self, monkeypatch):
-        from repro.api import build_config
-
-        monkeypatch.setenv(ENV_VAR, "btree")
-        with pytest.raises(ValueError):
-            build_config()
-
-    def test_apps_pick_up_env_backend(self, monkeypatch):
-        from repro.apps.base import AppConfig
-
-        monkeypatch.setenv(ENV_VAR, "doubling")
-        assert AppConfig(mode="auto").apophenia.sa_backend == "doubling"
 
 
 @pytest.mark.perf_smoke
@@ -243,7 +150,7 @@ def test_perf_smoke_backend_equivalence_2k_window():
         name: find_repeats(tokens, min_length=10, backend=BACKENDS[name])
         for name in ALL_BACKENDS
     }
-    reference = results[DEFAULT_BACKEND]
+    reference = results["sais"]
     assert reference, "smoke window unexpectedly mined no repeats"
     for name, repeats in results.items():
         assert repeats == reference, f"{name} diverged on the smoke window"

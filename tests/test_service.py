@@ -8,11 +8,8 @@ boundaries must be byte-identical to running its application alone.
 import pytest
 
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
-from repro.experiments.multi_tenant import (
-    capture_stream,
-    run_isolated,
-    run_service,
-)
+from repro.apps.base import capture_stream
+from repro.experiments.multi_tenant import run_isolated, run_service
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 from repro.service import ApopheniaService, SharedJobExecutor
@@ -50,8 +47,8 @@ class TestDecisionNeutrality:
         """The property test: four different apps interleaved task by task
         through one service make exactly the decisions they make alone."""
         streams = {f"{name}-0": stream for name, stream in app_streams.items()}
-        isolated, _ = run_isolated(streams, FAST_CONFIG)
-        served, _, service = run_service(streams, FAST_CONFIG)
+        isolated = run_isolated(streams, FAST_CONFIG)
+        served, service = run_service(streams, FAST_CONFIG)
         for sid in streams:
             assert served[sid].stats == isolated[sid].stats, sid
             assert served[sid].decision_trace == isolated[sid].decision_trace, sid
@@ -65,8 +62,8 @@ class TestDecisionNeutrality:
             "jacobi-a": app_streams["jacobi"],
             "jacobi-b": app_streams["jacobi"],
         }
-        isolated, _ = run_isolated(streams, FAST_CONFIG)
-        served, _, service = run_service(streams, FAST_CONFIG)
+        isolated = run_isolated(streams, FAST_CONFIG)
+        served, service = run_service(streams, FAST_CONFIG)
         for sid in streams:
             assert served[sid].stats == isolated[sid].stats
             assert served[sid].decision_trace == isolated[sid].decision_trace
@@ -77,6 +74,25 @@ class TestDecisionNeutrality:
         # Cross-session hits landed on the individual lanes.
         lane_hits = [served[sid].memo_hits for sid in streams]
         assert sum(lane_hits) == stats["memo_hits"]
+
+    def test_eight_tenants_round_robin_match_isolated_and_share(
+            self, app_streams):
+        """Two tenants each of s3d / stencil / jacobi / cfd, round-robin
+        through one service: no tenant's decisions diverge from its
+        isolated run, and the shared memo answers most mining jobs."""
+        streams = {
+            f"{name}-{i}": app_streams[name]
+            for i, name in enumerate(("s3d", "stencil", "jacobi", "cfd") * 2)
+        }
+        isolated = run_isolated(streams, FAST_CONFIG)
+        served, service = run_service(streams, FAST_CONFIG)
+        divergent = [
+            sid for sid in streams
+            if served[sid].stats != isolated[sid].stats
+            or served[sid].decision_trace != isolated[sid].decision_trace
+        ]
+        assert divergent == []
+        assert service.stats["memo_hit_rate"] > 0.5
 
     def test_evicted_session_decided_like_standalone(self, app_streams):
         """Eviction flushes the victim mid-stream; everything it decided up

@@ -154,6 +154,30 @@ class TestRedriveParity:
         assert document.header["config_dropped"] == []
         assert document.config() == config
 
+    @pytest.mark.parametrize("stale", [
+        {"sa_backend": None, "match_engine": None},
+        {"sa_backend": "doubling", "match_engine": "scan"},
+    ], ids=["null", "named"])
+    def test_header_with_retired_config_keys_still_redrives(
+            self, stale, corpus_docs):
+        """Regression: traces captured before ``sa_backend`` and
+        ``match_engine`` were retired carry 28 config keys. The loader
+        ignores keys that name no field (both selections were
+        decision-neutral), so such a trace loads to the same config and
+        re-drives byte-identical on every backend."""
+        current = corpus_docs["stencil"]
+        records = [json.loads(line) for line in current.dumps().splitlines()]
+        records[0]["config"].update(stale)
+        assert len(records[0]["config"]) == 28
+        old = TraceDocument.loads("".join(
+            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
+            for r in records
+        )).verify()
+        assert old.config() == current.config() == CORPUS_CONFIG
+        for backend, verdict in replay_on_all(old).items():
+            assert verdict.matched, (backend, verdict.summary())
+            assert verdict.actual_digest == current.footer["decisions_digest"]
+
     def test_rebuilt_forest_matches_topology(self, corpus_docs):
         document = corpus_docs["s3d"]
         _, regions = rebuild_forest(document)
