@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e api-check replication-check lint lint-baseline corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff api-check replication-check lint lint-baseline corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -25,6 +25,11 @@ bench:
 ## `make verify` runs the --quick size.
 bench-e2e:
 	python3 bench/run.py
+
+## Run the benchmark on this tree and compare it to the committed report,
+## writing nothing under bench/ (the run goes to $TMPDIR).
+bench-diff:
+	python3 bench/run.py --out "$${TMPDIR:-/tmp}/bench_head.json" && python3 bench/compare.py bench/results/latest.json "$${TMPDIR:-/tmp}/bench_head.json"
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

@@ -24,7 +24,7 @@ RO, RW, WD = Privilege.READ_ONLY, Privilege.READ_WRITE, Privilege.WRITE_DISCARD
 ITERATIONS = 300
 
 CONFIG = api.build_config(
-    profile="service",       # consolidated shared memo + per-lane quota
+    profile="service",       # consolidated, size-aware shared memo
     min_trace_length=3,
     batchsize=120,
     multi_scale_factor=30,

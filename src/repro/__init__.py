@@ -20,8 +20,8 @@ system (ASPLOS 2025) together with every substrate it depends on:
 * :mod:`repro.experiments` -- the harness that regenerates every figure and
   table in the paper's evaluation section.
 * :mod:`repro.service` -- the multi-tenant service layer: many concurrent
-  application sessions multiplexed over one shared mining executor with a
-  cross-session window memo, fair scheduling, and LRU session eviction.
+  application sessions multiplexed over one shared mining backend with a
+  cross-session window memo and LRU session eviction.
 * :mod:`repro.api` -- the deployment-agnostic client API: one session
   lifecycle (``open_session`` / ``submit`` / ``flush`` / ``stats`` /
   ``snapshot`` / ``close``) over interchangeable tracing backends, a

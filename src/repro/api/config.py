@@ -58,13 +58,11 @@ PROFILES = Registry("config profile", {
         initial_ingest_margin_ops=20,
     ),
     # Multi-tenant service: a consolidated shared memo sized for a whole
-    # tenant population, size-aware admission so one giant window cannot
-    # displace many tenants' working sets, and a per-lane quota so one
-    # runaway tenant cannot monopolize the shared executor.
+    # tenant population, with size-aware admission so one giant window
+    # cannot displace many tenants' working sets.
     "service": ApopheniaConfig(
         shared_memo_capacity=1024,
         shared_memo_token_budget=1_000_000,
-        lane_outstanding_quota=16,
     ),
     # Chaos: reduced-scale sizing with a fixed-seed fault plan injecting
     # mining failures, simulated overruns, and delayed completions. The

@@ -67,7 +67,7 @@ class TracingBackend(Protocol):
     config: object  # the default per-session ApopheniaConfig
 
     def open_session(self, session_id, runtime=None, config=None, node_id=0,
-                     priority=0, state=None):
+                     state=None):
         ...
 
     def close_session(self, session_id):
@@ -367,8 +367,8 @@ class Session:
 
 
 def open_session(session_id=None, *, backend="standalone", config=None,
-                 profile=None, runtime=None, node_id=0, priority=0,
-                 env=None, recorder=None, state=None, **overrides):
+                 profile=None, runtime=None, node_id=0, env=None,
+                 recorder=None, state=None, **overrides):
     """Open a tracing session on any deployment; returns a :class:`Session`.
 
     Parameters
@@ -392,9 +392,8 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         rebased onto a default profile.
     runtime:
         An application-owned runtime; omitted, the backend creates one.
-    node_id / priority:
-        Replication node id, and the session's scheduling class on
-        shared backends (lower serves first).
+    node_id:
+        Replication node id.
     recorder:
         Optional :class:`~repro.trace.TraceRecorder` attached from the
         first task (``session.record_to`` after the fact also works);
@@ -428,7 +427,6 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         runtime=runtime,
         config=session_config,
         node_id=node_id,
-        priority=priority,
         state=state,
     )
     session = Session(session_id, backend_obj, handle)

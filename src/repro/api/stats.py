@@ -12,7 +12,6 @@ whichever backend served the session, and
 """
 
 from dataclasses import dataclass
-from typing import Optional
 
 from repro.core.processor import ApopheniaProcessor
 from repro.core.replayer import ReplayerStats
@@ -25,9 +24,9 @@ class SessionStats:
     The replayer counters (``tasks_seen`` ... ``deferrals``) are the
     decision-stream-determined part: two runs of the same stream that
     made the same decisions have identical values, whichever backend
-    served them. The executor-side fields (memo hits, outstanding jobs,
-    quota, evictions) describe *how* the backend served the session and
-    may legitimately differ between deployments.
+    served them. The executor-side fields (memo hits, evictions)
+    describe *how* the backend served the session and may legitimately
+    differ between deployments.
     """
 
     session_id: object
@@ -50,9 +49,6 @@ class SessionStats:
     jobs_submitted: int
     tokens_analyzed: int
     memo_hits: int
-    outstanding_jobs: int
-    quota_limit: Optional[int]
-    quota_stalls: int
     evictions: int
     # Replication gauges (Section 5.1 agreement protocol). Single-node
     # backends report the no-coordinator defaults: 1 node, no waits, a
@@ -139,9 +135,6 @@ def collect_session_stats(handle):
         jobs_submitted=executor.jobs_submitted,
         tokens_analyzed=executor.tokens_analyzed,
         memo_hits=executor.memo_hits,
-        outstanding_jobs=executor.outstanding,
-        quota_limit=executor.quota_limit,
-        quota_stalls=executor.quota_stalls,
         evictions=pool.sessions_evicted,
         nodes=handle.num_nodes,
         coordinator_waits=coordinator.waits if coordinator else 0,

@@ -3,22 +3,25 @@
 Apophenia mines the task history buffer *asynchronously* so the application
 is never stalled waiting for a suffix-array analysis (Section 4.2). In the
 real implementation the jobs run on Legion's background worker threads; in
-this reproduction, job *results* are computed eagerly (they depend only on
-the job's input tokens, so they are deterministic across nodes) while job
-*completion times* are modeled in units of processed operations: a job
-submitted at operation ``t`` over ``n`` tokens completes at operation
-``t + base + ceil(n * per_token)``, with deterministic per-node jitter so
-the distributed agreement protocol (Section 5.1) has real skew to resolve.
-
-The multi-tenant service layer (:mod:`repro.service`) shares one mining
-backend across many sessions. The pieces it reuses live here so a session
-lane stays byte-identical to a standalone executor:
+this reproduction the asynchrony lives in the *op clock*, never in when
+the Python work runs: a job submitted at operation ``t`` over ``n`` tokens
+completes at operation ``t + base + ceil(n * per_token)``, with
+deterministic per-node jitter so the distributed agreement protocol
+(Section 5.1) has real skew to resolve, and its result -- a pure function
+of the job's input tokens, so deterministic across nodes -- is whatever
+the mining returns whenever it runs before the first ``job.result`` read.
 
 * :func:`completion_op` -- the completion-time model, as a pure function;
 * :class:`MiningMemo` -- the identical-window result cache, shareable
   because its key excludes node and session identity;
-* :class:`AnalysisJob` -- supports deferred results so a shared executor
-  can queue the actual mining work behind a fair scheduler.
+* :class:`AnalysisJob` -- one job; its mining work is a ``materialize``
+  thunk that runs at most once;
+* :class:`JobExecutor` -- the one mining executor: ``submit`` fixes job
+  id, fault, completion op and counters, the thunk runs the one
+  fault-contained mining path, and a single scheduling hook decides when.
+  A private executor mines inside ``submit``; a service lane
+  (:class:`repro.service.executor.SessionLane`, a subclass) queues the
+  job on its shared executor's FIFO instead.
 """
 
 import itertools
@@ -26,7 +29,6 @@ from collections import OrderedDict
 
 from repro.core.repeats import find_repeats
 from repro.faults import (
-    NULL_FAULT_PLAN,
     CircuitBreaker,
     InjectedMiningFault,
     MiningFault,
@@ -87,7 +89,7 @@ class AnalysisJob:
 
     @property
     def result(self):
-        """The mined repeats; forces deferred mining work if still queued."""
+        """The mined repeats; runs the mining work now if it has not."""
         if self._result is _UNMINED:
             self._materialize(self)
         return self._result
@@ -218,7 +220,8 @@ class MiningMemo:
 
 
 class JobExecutor:
-    """Runs repeat-finding jobs with simulated asynchronous completion.
+    """The one mining executor: runs repeat-finding jobs with simulated
+    asynchronous completion and per-job fault containment.
 
     Parameters
     ----------
@@ -237,17 +240,18 @@ class JobExecutor:
         tokens (see :class:`MiningMemo`). ``None`` keeps entry-count LRU.
     memo:
         An externally owned :class:`MiningMemo` to use instead of a private
-        one -- this is how replicated nodes or service tenants share one
-        cache. When given, ``memo_capacity`` is ignored.
+        one -- this is how replicated nodes share one cache. When given,
+        ``memo_capacity`` is ignored.
     fault_plan:
         A :class:`repro.faults.FaultPlan` (or spec string / ``None``)
         injecting deterministic mining faults; the default null plan
         costs one attribute check per submit.
     stream_key:
-        Stream identity the fault plan keys its decisions on. Replicated
-        node executors of one session pass the same key, so all replicas
-        fail identically (injected faults stay decision-neutral across
-        the replica set).
+        Stream identity the fault plan keys its decisions on. Every
+        backend passes the session id, so one (plan, session id, stream)
+        fails identically on every deployment, and the replicas of one
+        session fail identically (injected faults stay decision-neutral
+        across the replica set).
     deadline_tokens:
         Soft per-job deadline, in window tokens: a window larger than
         this degrades to the empty result instead of running (a stand-in
@@ -257,14 +261,6 @@ class JobExecutor:
         :class:`~repro.faults.CircuitBreaker`; ``None``/0 disables
         quarantine (failures are still contained and counted).
     """
-
-    #: A private executor mines inside ``submit``: nothing is ever
-    #: queued, so the queue gauges a service
-    #: :class:`~repro.service.executor.SessionLane` keeps are constants
-    #: here (one executor shape for every stats reader).
-    outstanding = 0
-    quota_limit = None
-    quota_stalls = 0
 
     def __init__(
         self,
@@ -281,22 +277,24 @@ class JobExecutor:
         quarantine_threshold=None,
     ):
         self.repeats_algorithm = repeats_algorithm
+        if memo is None and memo_capacity:
+            memo = MiningMemo(memo_capacity, token_budget=memo_token_budget)
+        self.memo = memo
+        self.fault_plan = resolve_fault_plan(fault_plan)
+        self.deadline_tokens = deadline_tokens
+        self._init_stream(stream_key, node_id, base_latency_ops,
+                          per_token_latency_ops, quarantine_threshold)
+
+    def _init_stream(self, stream_key, node_id, base_latency_ops,
+                     per_token_latency_ops, quarantine_threshold):
+        """The per-stream half of an executor: identity, completion
+        model, job-id counter, breaker and counters. (The other half --
+        algorithm, memo, fault plan, deadline -- is the mining backend,
+        which a service lane borrows from its shared executor.)"""
+        self.stream_key = stream_key
+        self.node_id = node_id
         self.base_latency_ops = base_latency_ops
         self.per_token_latency_ops = per_token_latency_ops
-        self.node_id = node_id
-        self.memo_capacity = memo_capacity
-        if memo is not None:
-            self.memo = memo
-        elif memo_capacity:
-            self.memo = MiningMemo(memo_capacity, token_budget=memo_token_budget)
-        else:
-            self.memo = None
-        self.fault_plan = (
-            resolve_fault_plan(fault_plan) if fault_plan is not None
-            else NULL_FAULT_PLAN
-        )
-        self.stream_key = stream_key
-        self.deadline_tokens = deadline_tokens
         self.breaker = CircuitBreaker(quarantine_threshold)
         self._ids = itertools.count()
         self.jobs_submitted = 0
@@ -312,9 +310,10 @@ class JobExecutor:
 
     def _mine(self, tokens, min_length):
         """Run the repeat finder, reusing a memoized identical window."""
-        if self.memo is None:
+        memo = self.memo
+        if memo is None:
             return self.repeats_algorithm(tokens, min_length)
-        result, hit = self.memo.mine(tokens, min_length, self.repeats_algorithm)
+        result, hit = memo.mine(tokens, min_length, self.repeats_algorithm)
         if hit:
             self.memo_hits += 1
         return result
@@ -342,17 +341,15 @@ class JobExecutor:
             return [], True
         try:
             if fault is not None:
-                if fault.kind == MiningFault.RAISE:
-                    raise InjectedMiningFault(
-                        f"injected mining failure (stream="
-                        f"{self.stream_key!r}, node={self.node_id})"
-                    )
+                # A raise or overrun kind (submit consumed a delay into
+                # the completion op). Raised inside the containment, so
+                # it takes exactly the path a real mining exception does.
                 if fault.kind == MiningFault.OVERRUN:
                     self.deadline_overruns += 1
-                    raise InjectedMiningFault(
-                        f"injected deadline overrun (stream="
-                        f"{self.stream_key!r}, node={self.node_id})"
-                    )
+                raise InjectedMiningFault(
+                    f"injected mining {fault.kind} (stream="
+                    f"{self.stream_key!r}, node={self.node_id})"
+                )
             result = self._mine(tokens, min_length)
         except Exception:
             self.mining_failures += 1
@@ -363,33 +360,44 @@ class JobExecutor:
         return result, False
 
     def submit(self, tokens, min_length, now_op):
-        """Submit a mining job; returns the :class:`AnalysisJob`."""
+        """Submit a mining job; returns the :class:`AnalysisJob`.
+
+        Everything the decision stream can see is fixed here: the job id,
+        the injected fault (a pure function of ``(stream, job id)``,
+        whenever the work runs) and the completion op. The mining itself
+        is the job's ``materialize`` thunk; :meth:`_schedule` says when
+        it runs.
+        """
         job_id = next(self._ids)
         plan = self.fault_plan
         fault = (
             plan.mining_fault(self.stream_key, job_id) if plan.active
             else None
         )
-        result, degraded = self._mine_contained(tokens, min_length, fault)
-        delay = (
-            fault.delay_ops
-            if fault is not None and fault.kind == MiningFault.DELAY else 0
-        )
-        job = AnalysisJob(
-            job_id,
+        completes = completion_op(
             now_op,
-            completion_op(
-                now_op,
-                len(tokens),
-                self.base_latency_ops,
-                self.per_token_latency_ops,
-                self.node_id,
-                job_id,
-            ) + delay,
             len(tokens),
-            result,
-            degraded=degraded,
+            self.base_latency_ops,
+            self.per_token_latency_ops,
+            self.node_id,
+            job_id,
         )
+        if fault is not None and fault.kind == MiningFault.DELAY:
+            completes += fault.delay_ops
+            fault = None  # the mining itself stays healthy, just late
         self.jobs_submitted += 1
         self.tokens_analyzed += len(tokens)
+
+        # The finder hands over a freshly copied slice; the thunk owns it
+        # until the job is fulfilled (which drops the thunk).
+        def materialize(job):
+            job._fulfill(*self._mine_contained(tokens, min_length, fault))
+
+        job = AnalysisJob(job_id, now_op, completes, len(tokens),
+                          materialize=materialize)
+        self._schedule(job)
         return job
+
+    def _schedule(self, job):
+        """The one scheduling hook: a private executor mines at once."""
+        job._materialize(job)

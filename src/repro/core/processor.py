@@ -109,22 +109,16 @@ class ApopheniaConfig:
         Node count of the replicated deployment, read by
         :class:`~repro.service.replicated.ReplicatedBackend` (every other
         backend serves single-node sessions and ignores it).
-    max_sessions / max_outstanding_jobs / shared_memo_capacity:
+    max_sessions / shared_memo_capacity:
         Service-layer knobs, read by :class:`~repro.service.ApopheniaService`
         (a single processor ignores them): the session budget before LRU
-        eviction, the bound on queued-but-unmined jobs before the shared
-        executor applies backpressure, and the capacity of the
-        cross-session :class:`~repro.core.jobs.MiningMemo`.
+        eviction, and the capacity of the cross-session
+        :class:`~repro.core.jobs.MiningMemo`.
     shared_memo_token_budget:
         Optional size-aware admission budget for the shared memo, in
         tokens: entries cost their window length, LRU eviction runs until
         held tokens fit, and windows larger than the whole budget are not
         admitted. ``None`` keeps pure entry-count LRU.
-    lane_outstanding_quota:
-        Optional per-session bound on queued-but-unmined mining jobs in
-        the shared executor; a tenant bursting past it drains its own
-        oldest work instead of consuming the global budget. ``None``
-        disables the quota.
     fault_plan:
         Fault injection schedule: ``None`` (no faults, the production
         default), a :class:`repro.faults.FaultPlan`-shaped object, or a
@@ -176,10 +170,8 @@ class ApopheniaConfig:
     initial_ingest_margin_ops: int = _decision(128)
     num_nodes: int = 2
     max_sessions: int = 64
-    max_outstanding_jobs: int = 64
     shared_memo_capacity: int = 256
     shared_memo_token_budget: Optional[int] = None
-    lane_outstanding_quota: Optional[int] = None
     fault_plan: object = None
     mining_deadline_tokens: Optional[int] = None
     fault_quarantine_threshold: Optional[int] = 8
@@ -244,18 +236,16 @@ class ApopheniaConfig:
                 f"hysteresis must be >= 0, got {self.hysteresis}"
             )
         for name in ("mining_memo_capacity", "shared_memo_capacity",
-                     "max_outstanding_jobs", "job_base_latency_ops",
-                     "initial_ingest_margin_ops"):
+                     "job_base_latency_ops", "initial_ingest_margin_ops"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
         if self.max_sessions < 1:
             raise ValueError(f"max_sessions must be >= 1, got {self.max_sessions}")
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        for name in ("shared_memo_token_budget", "lane_outstanding_quota",
-                     "mining_deadline_tokens", "fault_quarantine_threshold",
-                     "max_candidates", "candidate_staleness_horizon",
-                     "session_state_budget"):
+        for name in ("shared_memo_token_budget", "mining_deadline_tokens",
+                     "fault_quarantine_threshold", "max_candidates",
+                     "candidate_staleness_horizon", "session_state_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be None or >= 1, got {value}")
@@ -307,11 +297,9 @@ class ApopheniaProcessor:
         their independently numbered jobs cannot collide. ``None`` (the
         default) keeps the single-stream namespace.
     executor:
-        An injected mining executor satisfying the
-        :class:`~repro.core.jobs.JobExecutor` interface (``submit`` plus
-        the submission counters). The multi-tenant service passes a
-        per-session lane of its shared executor here; ``None`` builds a
-        private :class:`JobExecutor` from ``config``.
+        An injected :class:`~repro.core.jobs.JobExecutor`. The
+        multi-tenant service passes a per-session lane of its shared
+        executor here; ``None`` builds a private one from ``config``.
     match_engine:
         The replayer's match-engine class, injected like ``executor``.
         Only the parity suites pass anything but the default (the

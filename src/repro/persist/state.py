@@ -59,10 +59,9 @@ FORMAT_NAME = "repro-session-state"
 
 _MISSING = object()
 
-#: Executor/lane counters restored onto whatever executor serves the
-#: hydrated session (``jobs_submitted`` doubles as the next job id on
-#: both executor kinds -- ids and the counter start at zero and move
-#: together).
+#: :class:`~repro.core.jobs.JobExecutor` counters restored onto the
+#: hydrated session's executor (``jobs_submitted`` doubles as the next
+#: job id -- ids and the counter start at zero and move together).
 _EXECUTOR_COUNTERS = (
     "jobs_submitted",
     "tokens_analyzed",
@@ -560,8 +559,7 @@ def hydrate_processor(processor, state):
     jobs = payload["jobs"]
     executor._ids = itertools.count(jobs["next_job_id"])
     for name, value in jobs["counters"].items():
-        if hasattr(executor, name):
-            setattr(executor, name, value)
+        setattr(executor, name, value)
     finder.pending_jobs = deque(
         AnalysisJob(
             job["job_id"],

@@ -2,16 +2,17 @@
 
 The paper's system serves one application; the service layer serves many
 concurrent application *sessions* from one process without duplicating
-executors, memos, or schedulers:
+executors or memos:
 
 * :mod:`repro.service.service` -- the session core every tracing backend
   is built on (:class:`SessionPool`, :class:`SessionHandle`), the
   per-application :class:`StandaloneBackend`, and
   :class:`ApopheniaService`: session admission, LRU eviction, and
   per-task routing over the shared executor;
-* :mod:`repro.service.executor` -- the shared mining executor: per-session
-  submit lanes, a priority/fair scheduler, a cross-session window memo,
-  and an outstanding-job budget;
+* :mod:`repro.service.executor` -- the shared mining backend: one
+  algorithm, one cross-session window memo and one FIFO, fronted by
+  per-session lanes that are plain :class:`~repro.core.jobs.JobExecutor`
+  subclasses;
 * :mod:`repro.service.replicated` -- :class:`ReplicatedBackend`: each
   session served by N control-replicated node processors sharing one
   per-session ingestion coordinator (Section 5.1), on the same pool.

@@ -218,8 +218,8 @@ class ReplicatedBackend(SessionPool):
             raise ValueError("need at least one node")
         self.coordinate = coordinate
 
-    def _build(self, session_id, config, runtime, node_id, priority,
-               runtimes=None, coordinator=None):
+    def _build(self, session_id, config, runtime, node_id, runtimes=None,
+               coordinator=None):
         """N node replicas, one coordinator, one shared memo.
 
         The backend assigns node ids 0..N-1 itself, so ``node_id`` must
@@ -236,7 +236,6 @@ class ReplicatedBackend(SessionPool):
                 "replicated sessions own one runtime per node replica; "
                 "pass runtimes=[...] (one per node) instead of runtime="
             )
-        del priority  # nothing is shared between sessions, nothing to rank
         nodes = config.num_nodes
         if node_id != 0:
             raise ValueError(

@@ -20,14 +20,15 @@ plus whatever is genuinely its own:
 Sharing the mining backend is what makes the service more than N
 processors in a dict: identical windows from different tenants hit the
 same memo entry (safe because mining results are pure functions of the
-window), and one fair scheduler amortizes the analysis cost the paper
-attributes to a single application across the whole tenant population.
+window), so the analysis cost the paper attributes to a single
+application is paid once across the whole tenant population.
 
 ==================  ====================================================
-shared              mining algorithm, cross-session memo, submit queues,
-                    fair scheduler, outstanding-job budget
+shared              mining algorithm, cross-session memo, fault plan,
+                    soft deadline, the one FIFO ``pump()`` drains
 per-session         hasher, finder (history buffer + op clock), replayer
-                    (candidate trie + scoring), runtime, job-id counter
+                    (candidate trie + scoring), runtime, and the lane: a
+                    ``JobExecutor``'s job ids, breaker and counters
 ==================  ====================================================
 
 Service sessions are evicted least-recently-used when ``max_sessions``
@@ -109,7 +110,6 @@ METRICS = (
            lambda handle: handle.num_nodes - handle.live_nodes),
     Metric("coordinator_waits", add, _coordinator("waits")),
     Metric("agreements_pruned", add, _coordinator("agreements_pruned")),
-    Metric("outstanding", add, _executor("outstanding"), gauge=True),
     Metric("memo_tokens_held", add, _memo_tokens, gauge=True),
     # bool -> 0/1: the sum counts currently quarantined sessions.
     Metric("quarantined", add, _executor("quarantined"), gauge=True),
@@ -277,7 +277,7 @@ class SessionPool:
     # Session lifecycle
     # ------------------------------------------------------------------
     def open_session(self, session_id, runtime=None, config=None, node_id=0,
-                     priority=0, state=None, **deployment):
+                     state=None, **deployment):
         """Admit a session; returns its :class:`SessionHandle`.
 
         ``config`` overrides the per-session configuration; ``runtime``
@@ -293,7 +293,7 @@ class SessionPool:
             raise ValueError(f"session {session_id!r} already open")
         state = self._admit(session_id, state)
         handle = self._build(session_id, config or self.config, runtime,
-                             node_id, priority, **deployment)
+                             node_id, **deployment)
         for key, processor in zip(handle.runtime_keys, handle.processors):
             # Factory-tracked handles expose the session's replay-engine
             # counters (RuntimeHandle.serving_stats).
@@ -301,6 +301,13 @@ class SessionPool:
         if state is not None:
             for processor in handle.processors:
                 hydrate_processor(processor, state)
+            # The session's counters resume from the snapshot; what it
+            # brought along is not work this pool served (and if this
+            # pool did serve it, it was retired when that session closed).
+            for key, fold, read, gauge in METRICS:
+                if fold is add and not gauge:
+                    self._retired[key] -= read(handle)
+            for processor in handle.processors:
                 processor.warm_starts += 1
         self.sessions[session_id] = handle
         self.sessions_opened += 1
@@ -312,7 +319,7 @@ class SessionPool:
         """
         return state
 
-    def _build(self, session_id, config, runtime, node_id, priority):
+    def _build(self, session_id, config, runtime, node_id):
         """Construct the session's processors; returns its handle."""
         raise NotImplementedError
 
@@ -374,7 +381,7 @@ class SessionPool:
         """The :data:`METRICS` fold plus the pool's own counters.
 
         Counters are lifetime aggregates (closed sessions included);
-        gauges (``outstanding``, ``memo_tokens_held``, ``quarantined``,
+        gauges (``memo_tokens_held``, ``quarantined``,
         ``nodes`` / ``live_nodes``, ``ingest_margin_ops``,
         ``agreement_entries``, ``states_held``) describe what is open
         right now.
@@ -418,10 +425,14 @@ class StandaloneBackend(SessionPool):
             else RuntimeSessionFactory(keep_task_log=True),
         )
 
-    def _build(self, session_id, config, runtime, node_id, priority):
-        del priority  # nothing is shared, so nothing to prioritize
+    def _build(self, session_id, config, runtime, node_id):
         runtime, keys = self._runtime_for(session_id, runtime)
-        processor = ApopheniaProcessor(runtime, config, node_id=node_id)
+        # stream_key: the fault plan keys on the session id on every
+        # backend, so one (plan, session id, stream) fails the same way
+        # wherever it is served.
+        processor = ApopheniaProcessor(
+            runtime, config, node_id=node_id, stream_key=session_id
+        )
         return SessionHandle(session_id, self, [processor], keys)
 
 
@@ -432,10 +443,10 @@ class LaneHandle(SessionHandle):
     """One tenant's slice of the service.
 
     Serving calls are routed through the service so handle-driven
-    tenants get the same LRU stamp and scheduler pump as id-addressed
-    ones: a handle that bypassed the pump would never drain its own
-    submit queue, and one that bypassed the stamp would look idle and
-    get evicted while actively serving.
+    tenants get the same LRU stamp and pump as id-addressed ones: a
+    handle that bypassed the pump would leave its job on the shared
+    FIFO, and one that bypassed the stamp would look idle and get
+    evicted while actively serving.
     """
 
     __slots__ = ("last_used",)
@@ -466,8 +477,9 @@ class ApopheniaService(SessionPool):
     ----------
     config:
         :class:`~repro.core.processor.ApopheniaConfig`; the service reads
-        the service knobs (``max_sessions``, ``max_outstanding_jobs``,
-        ``shared_memo_capacity``) plus the mining algorithm, and uses the
+        the service knobs (``max_sessions``, ``shared_memo_capacity``,
+        ``shared_memo_token_budget``) plus the mining algorithm, the
+        fault plan and the mining deadline, and uses the
         rest as the default per-session configuration. ``open_session``
         may override the per-session part, but not the mining algorithm:
         all tenants share one executor, and the shared memo is only safe
@@ -487,12 +499,9 @@ class ApopheniaService(SessionPool):
                 self.config.repeats_algorithm
             ),
             memo_capacity=self.config.shared_memo_capacity,
-            max_outstanding_jobs=self.config.max_outstanding_jobs,
             memo_token_budget=self.config.shared_memo_token_budget,
-            lane_outstanding_quota=self.config.lane_outstanding_quota,
             fault_plan=self.config.fault_plan,
             deadline_tokens=self.config.mining_deadline_tokens,
-            quarantine_threshold=self.config.fault_quarantine_threshold,
         )
         self._tick = 0  # monotonic use counter backing LRU eviction
         # Evict-without-forgetting spill tier (None: forget on evict,
@@ -517,14 +526,13 @@ class ApopheniaService(SessionPool):
             state = self.state_store.pop(session_id)
         return state
 
-    def _build(self, session_id, config, runtime, node_id, priority):
+    def _build(self, session_id, config, runtime, node_id):
         runtime, keys = self._runtime_for(session_id, runtime)
         lane = self.executor.lane(
             session_id,
             node_id=node_id,
             base_latency_ops=config.job_base_latency_ops,
             per_token_latency_ops=config.job_per_token_latency_ops,
-            priority=priority,
             quarantine_threshold=config.fault_quarantine_threshold,
         )
         processor = ApopheniaProcessor(
@@ -558,10 +566,10 @@ class ApopheniaService(SessionPool):
         """Issue one task on behalf of ``session_id``.
 
         Touches the session's LRU stamp, runs the task through the
-        session's processor, then lets the shared scheduler drain any
-        mining work queued across *all* tenants. This is the service's
-        hot path -- it adds one dict lookup, one counter bump, and one
-        queue check on top of what a standalone processor pays.
+        session's processor, then pumps the job it may have queued. This
+        is the service's hot path -- it adds one dict lookup, one counter
+        bump, and one queue check on top of what a standalone processor
+        pays.
         """
         session = self._touch(session_id)
         # processors[0], not the `processor` property: a service session
@@ -571,14 +579,14 @@ class ApopheniaService(SessionPool):
 
     def set_iteration(self, session_id, iteration):
         """Advance a session's iteration; same routing as
-        ``execute_task`` (LRU stamp + scheduler pump)."""
+        ``execute_task`` (LRU stamp + pump)."""
         session = self._touch(session_id)
         session.processor.set_iteration(iteration)
         self._pump()
 
     def flush(self, session_id):
         """Drain one session's buffered tasks; same routing as
-        ``execute_task`` (LRU stamp + scheduler pump)."""
+        ``execute_task`` (LRU stamp + pump)."""
         session = self._touch(session_id)
         session.processor.flush()
         self._pump()
@@ -600,9 +608,10 @@ class ApopheniaService(SessionPool):
         return session
 
     def _pump(self):
-        """Let the shared scheduler drain queued mining work, if any."""
+        """Mine what the call just queued, if anything: every public
+        serving call ends here, so the FIFO is empty between calls."""
         executor = self.executor
-        if executor.outstanding:
+        if executor.queue:
             executor.pump()
 
     # ------------------------------------------------------------------
@@ -610,11 +619,15 @@ class ApopheniaService(SessionPool):
     # ------------------------------------------------------------------
     @property
     def backend_stats(self):
-        """The pool's fold, with the shared executor's own aggregates on
-        top: mining runs service-wide, so the executor -- not a sum over
-        lanes -- is the authority on jobs, memo and queue figures."""
+        """The pool's fold, with the shared memo's own figures on top
+        (one memo answers every lane: reported once, not summed) and the
+        jobs that neither hit it nor degraded -- the mines really run."""
         stats = super().backend_stats
         stats.update(self.executor.stats)
+        stats["mines_executed"] = (
+            stats["jobs_materialized"] - stats["memo_hits"]
+            - stats["degraded_jobs"]
+        )
         return stats
 
     #: The service's historical spelling of :attr:`backend_stats`.

@@ -7,10 +7,12 @@ application, the tbegin/tend stream produced via
 service backend. On top of that: the validating config builder with
 profiles and ``REPRO_*`` environment layering, the unified plugin
 registries, the uniform ``SessionStats`` surface, size-aware shared-memo
-admission, per-lane outstanding quotas, and the deprecation gate on
-shimmed constructors. (The open/close lifecycle contract every backend
+admission, and the deprecation gate on shimmed constructors. (The open/close lifecycle contract every backend
 shares lives in ``tests/test_session_contract.py``.)
 """
+
+import ast
+import pathlib
 
 import pytest
 
@@ -32,7 +34,7 @@ from repro.registry import Registry, RegistryError
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 from repro.runtime.task import Task
-from repro.service import ApopheniaService, SharedJobExecutor
+from repro.service import ApopheniaService
 
 pytestmark = pytest.mark.api
 
@@ -325,10 +327,14 @@ class TestConfigBuilder:
         ).max_trace_length is None
 
     def test_stale_selection_variables_are_ignored(self):
-        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE`` named fields that
-        no longer exist: a leftover value (even a once-invalid one) is
-        ignored like any other unknown ``REPRO_*`` variable."""
-        stale = {"REPRO_SA_BACKEND": "btree", "REPRO_MATCH_ENGINE": "nope"}
+        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE`` and the service
+        scheduler's ``REPRO_MAX_OUTSTANDING_JOBS`` /
+        ``REPRO_LANE_OUTSTANDING_QUOTA`` named fields that no longer
+        exist: a leftover value (even a once-invalid one) is ignored
+        like any other unknown ``REPRO_*`` variable."""
+        stale = {"REPRO_SA_BACKEND": "btree", "REPRO_MATCH_ENGINE": "nope",
+                 "REPRO_MAX_OUTSTANDING_JOBS": "2",
+                 "REPRO_LANE_OUTSTANDING_QUOTA": "0"}
         assert build_config(env=stale) == build_config(env={})
         assert build_config(
             config=ApopheniaConfig(), env=stale
@@ -350,7 +356,7 @@ class TestConfigBuilder:
             dict(repeats_algorithm="grep"),
             dict(max_sessions=0),
             dict(shared_memo_token_budget=0),
-            dict(lane_outstanding_quota=0),
+            dict(session_state_budget=0),
         ],
     )
     def test_validation_rejects(self, overrides):
@@ -360,6 +366,32 @@ class TestConfigBuilder:
     def test_validation_at_open_session(self):
         with pytest.raises(ValueError, match="min_trace_length"):
             open_session("bad", min_trace_length=1)
+
+    def test_every_config_field_has_a_reader(self):
+        """The dead-knob guard: a field nothing reads as an attribute
+        outside its own declaration (the ``ApopheniaConfig`` class, whose
+        ``validate`` touches every field) and the builder
+        (``api/config.py``) configures nothing. Deleting a knob's only
+        reader fails here instead of leaving the knob behind."""
+        root = pathlib.Path(repro.__file__).parent
+        read = set()
+        for path in sorted(root.rglob("*.py")):
+            if path == root / "api" / "config.py":
+                continue
+            pending = [ast.parse(path.read_text(encoding="utf-8"))]
+            while pending:
+                node = pending.pop()
+                if (isinstance(node, ast.ClassDef)
+                        and node.name == "ApopheniaConfig"):
+                    continue
+                if (isinstance(node, ast.Attribute)
+                        and isinstance(node.ctx, ast.Load)):
+                    read.add(node.attr)
+                pending.extend(ast.iter_child_nodes(node))
+        fields = ApopheniaConfig.field_names()
+        assert len(fields) == 24
+        assert len(ApopheniaConfig.decision_fields()) == 14
+        assert [name for name in fields if name not in read] == []
 
 
 class TestRegistries:
@@ -424,11 +456,9 @@ class TestSessionStatsSurface:
             assert stats.memo_hits == handle.lane.memo_hits
             assert stats.jobs_submitted == handle.lane.jobs_submitted
             assert stats.tokens_analyzed == handle.lane.tokens_analyzed
-            assert stats.outstanding_jobs == handle.lane.outstanding
             assert stats.evictions == service.sessions_evicted == 0
             assert stats.backend == "service"
             assert stats.session_id == "jacobi"
-            assert stats.quota_limit is None  # FAST_CONFIG sets no quota
             assert 0.0 <= stats.memo_hit_rate <= 1.0
             assert stats.replay_fraction == pytest.approx(
                 stats.tasks_traced / stats.tasks_seen
@@ -560,58 +590,12 @@ class TestSizeAwareMemoAdmission:
         assert service.executor.memo.token_budget == 4096
         assert "memo_tokens_held" in service.executor.stats
 
-
-class TestLaneOutstandingQuota:
-    def _counting(self, log):
-        def algorithm(tokens, min_length):
-            log.append(tuple(tokens))
-            return []
-
-        return algorithm
-
-    def test_runaway_lane_drains_its_own_work(self):
-        log = []
-        shared = SharedJobExecutor(
-            self._counting(log), memo_capacity=0,
-            max_outstanding_jobs=1000, lane_outstanding_quota=2,
-        )
-        runaway = shared.lane("runaway")
-        victim = shared.lane("victim")
-        victim.submit([("v", 0)] * 4, 1, now_op=0)
-        for i in range(8):
-            runaway.submit([("r", i)] * 4, 1, now_op=i)
-            assert runaway.outstanding <= 2
-        # The quota drains charged the burst to the runaway lane only:
-        # the victim's queued job was never touched.
-        assert victim.outstanding == 1
-        assert all(window[0][0] == "r" for window in log)
-        assert runaway.quota_stalls == 6
-        assert shared.lane_quota_drains == 6
-        # Runaway drains run oldest-first (submission order).
-        assert [w[0][1] for w in log] == list(range(6))
-
-    def test_quota_is_decision_neutral(self, app_streams):
-        stream = app_streams["s3d"]
-        baseline = _drive_direct(stream)
-        config = FAST_CONFIG.with_overrides(lane_outstanding_quota=1)
-        service = ApopheniaService(config)
-        with open_session("s3d", backend=service) as session:
-            throttled = _drive_session(session, stream)
-            stats = session.stats()
-        assert throttled.decisions == baseline.decisions
-        assert stats.quota_limit == 1  # surfaced in SessionStats
-
-    def test_quota_and_token_budget_together_decision_neutral(
-        self, app_streams
-    ):
-        """The 'service' profile ships both satellite knobs on; a session
-        served under aggressive settings of both must still decide
-        byte-identically to a direct standalone run."""
+    def test_token_budget_decision_neutral(self, app_streams):
+        """A session served under an aggressive shared-memo token budget
+        must still decide byte-identically to a direct standalone run."""
         stream = app_streams["cfd"]
         baseline = _drive_direct(stream)
-        config = FAST_CONFIG.with_overrides(
-            lane_outstanding_quota=2, shared_memo_token_budget=64
-        )
+        config = FAST_CONFIG.with_overrides(shared_memo_token_budget=64)
         service = ApopheniaService(config)
         with open_session("cfd", backend=service) as session:
             throttled = _drive_session(session, stream)
@@ -622,14 +606,6 @@ class TestLaneOutstandingQuota:
         # so the parity above exercised the size-aware admission path.
         assert memo.evictions + memo.oversize_rejections > 0
         assert memo.tokens_held <= 64
-
-    def test_quota_surfaces_in_session_stats(self):
-        config = FAST_CONFIG.with_overrides(lane_outstanding_quota=3)
-        service = ApopheniaService(config)
-        with open_session("t", backend=service) as session:
-            stats = session.stats()
-            assert stats.quota_limit == 3
-            assert stats.quota_stalls == 0
 
 
 class TestDeprecationShims:

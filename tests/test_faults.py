@@ -10,8 +10,8 @@ corrupted shared state. These suites pin the whole degradation ladder:
 * **Job containment** -- a failing mining job resolves to the empty
   degraded result; the poisoned result never enters a (shared) memo.
 * **Lane quarantine** -- consecutive failures trip a per-lane circuit
-  breaker: the lane serves pass-through results (no shared-scheduler
-  cost) until an exponential-backoff probe recovers it.
+  breaker: the lane's jobs resolve to pass-through results without
+  mining until an exponential-backoff probe recovers it.
 * **Replica-drop degradation** -- a replicated session survives a dead
   node: survivors keep byte-identical agreement, the coordinator stops
   counting the dead consumer, and the gauges say so.
@@ -368,41 +368,38 @@ class TestCircuitBreaker:
 
 
 class TestLaneQuarantine:
-    def _shared(self, fail_hi, threshold=3):
-        return SharedJobExecutor(
-            memo_capacity=0,
-            fault_plan=FaultPlan(fail_jobs=(0, fail_hi)),
-            quarantine_threshold=threshold,
+    """A lane is a ``JobExecutor``: the breaker is consulted when the
+    job's mining runs (the pump, or the first ``result`` read)."""
+
+    def _lane(self, fail_hi, threshold=3):
+        shared = SharedJobExecutor(
+            memo_capacity=0, fault_plan=FaultPlan(fail_jobs=(0, fail_hi)),
         )
+        return shared, shared.lane("t", quarantine_threshold=threshold)
 
     def test_lane_trips_serves_passthrough_then_recovers(self):
-        shared = self._shared(fail_hi=3, threshold=3)
-        lane = shared.lane("t")
+        shared, lane = self._lane(fail_hi=3, threshold=3)
         # Three contained failures trip the lane's breaker.
         for op in range(3):
             job = lane.submit(REPEATING_WINDOW, MIN_LENGTH, op * 100)
             assert job.result == [] and job.degraded
         assert lane.quarantined
-        assert shared.stats["quarantined"] == 1
         assert lane.mining_failures == 3
-        # Quarantined submits resolve immediately: already materialized,
-        # never enqueued, zero shared-scheduler cost.
+        # Quarantined jobs pump to the degraded result without mining.
         for op in range(3):  # backoff = max(2, threshold) = 3
             job = lane.submit(REPEATING_WINDOW, MIN_LENGTH, 300 + op * 100)
+            assert shared.pump() == 1 and not shared.queue
             assert job.materialized and job.degraded
-            assert shared.outstanding == 0
+        assert lane.mining_failures == 3 and lane.degraded_jobs == 6
         # The next submit is the probe; past the fail window it succeeds.
         probe = lane.submit(REPEATING_WINDOW, MIN_LENGTH, 700)
-        assert not probe.materialized  # genuinely enqueued
         assert probe.result  # materializes healthy
         assert not probe.degraded
         assert not lane.quarantined
         assert lane.breaker.recoveries == 1
-        assert shared.stats["quarantined"] == 0
 
     def test_failed_probe_requarantines_lane(self):
-        shared = self._shared(fail_hi=1000, threshold=2)
-        lane = shared.lane("t")
+        shared, lane = self._lane(fail_hi=1000, threshold=2)
         op = 0
 
         def submit():
@@ -424,29 +421,79 @@ class TestLaneQuarantine:
         shared = SharedJobExecutor(
             memo_capacity=0,
             fault_plan=FaultPlan(fail_jobs=(0, 1000), streams=("sick",)),
-            quarantine_threshold=2,
         )
-        sick = shared.lane("sick")
-        healthy = shared.lane("healthy")
+        sick = shared.lane("sick", quarantine_threshold=2)
+        healthy = shared.lane("healthy", quarantine_threshold=2)
         for op in range(3):
             sick.submit(REPEATING_WINDOW, MIN_LENGTH, op * 100).result
             job = healthy.submit(REPEATING_WINDOW, MIN_LENGTH, op * 100)
             assert job.result and not job.degraded
         assert sick.quarantined
         assert not healthy.quarantined
-        assert shared.stats["quarantined"] == 1
 
     def test_lane_deadline_overrun_not_a_breaker_failure(self):
-        shared = SharedJobExecutor(
-            memo_capacity=0, deadline_tokens=10, quarantine_threshold=2
-        )
-        lane = shared.lane("t")
+        shared = SharedJobExecutor(memo_capacity=0, deadline_tokens=10)
+        lane = shared.lane("t", quarantine_threshold=2)
         for op in range(4):
             job = lane.submit(REPEATING_WINDOW, MIN_LENGTH, op * 100)
-            assert job.degraded and job.materialized
+            assert job.result == [] and job.degraded
         assert lane.deadline_overruns == 4
         assert not lane.quarantined
         assert lane.breaker.consecutive_failures == 0
+
+
+# ---------------------------------------------------------------------------
+# One executor shape: the same faults and the same breaker on every backend
+# ---------------------------------------------------------------------------
+class TestOneExecutorOnEveryBackend:
+    PLAN = "seed=7,mining_failure_rate=0.5,streams=tenant-a"
+
+    def _serve(self, backend, stream):
+        config = FAST_CONFIG.with_overrides(fault_plan=self.PLAN)
+        with open_session("tenant-a", backend=backend,
+                          config=config) as session:
+            for iteration, task in stream:
+                session.set_iteration(iteration)
+                session.submit(task)
+            session.flush()
+            return session.stats(), session.snapshot().stable_digest()
+
+    @pytest.mark.parametrize("backend", sorted(api.TRACING_BACKENDS))
+    def test_fault_plan_is_keyed_by_session_id(self, backend, app_streams):
+        """Regression: the standalone backend built its executor with no
+        ``stream_key``, so a plan scoped to ``streams=tenant-a`` injected
+        nothing there (0 failures against the service's count) and an
+        unscoped one gave every standalone session one shared schedule.
+        The same (plan, session id, stream) must fail the same way
+        wherever it is served."""
+        stream = app_streams["s3d"]
+        stats, digest = self._serve(backend, stream)
+        reference, service_digest = self._serve("service", stream)
+        assert reference.mining_failures > 5  # the plan really fires
+        assert stats.mining_failures == reference.mining_failures
+        assert stats.degraded_jobs == reference.degraded_jobs
+        if backend == "standalone":
+            assert digest == service_digest
+
+    @pytest.mark.parametrize("threshold", [None, 3])
+    def test_session_config_sets_the_breaker_on_both_backends(
+            self, threshold):
+        """Regression: the service read a tenant's
+        ``fault_quarantine_threshold=None`` -- the documented "quarantine
+        disabled" -- as "inherit the service default", so the lane got a
+        breaker with threshold 8 where the standalone executor got
+        ``None``."""
+        config = FAST_CONFIG.with_overrides(
+            fault_quarantine_threshold=threshold
+        )
+        service = ApopheniaService(FAST_CONFIG)
+        assert FAST_CONFIG.fault_quarantine_threshold == 8
+        lane = service.open_session("t", config=config).lane
+        standalone = api.StandaloneBackend(FAST_CONFIG).open_session(
+            "t", config=config
+        ).processor.executor
+        assert lane.breaker.threshold is threshold
+        assert standalone.breaker.threshold is threshold
 
 
 # ---------------------------------------------------------------------------
@@ -536,7 +583,7 @@ class TestTeardownUnderFaults:
         assert len(service.sessions) == 0
         assert len(service.executor.lanes) == 0
         assert len(factory) == 0
-        assert service.executor.outstanding == 0
+        assert not service.executor.queue
 
     def test_close_exception_safe_with_faulty_lane(self, app_streams,
                                                    monkeypatch):

@@ -5,8 +5,11 @@ throughput, never decisions: every session's ``ReplayerStats`` and trace
 boundaries must be byte-identical to running its application alone.
 """
 
+from collections import deque
+
 import pytest
 
+from repro.api import open_session
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.apps.base import capture_stream
 from repro.experiments.multi_tenant import run_isolated, run_service
@@ -175,7 +178,7 @@ class TestSessionLifecycle:
 
 class TestServingPathRouting:
     """``flush`` and ``set_iteration`` must route through the service
-    exactly like ``execute_task``: LRU stamp plus scheduler pump.
+    exactly like ``execute_task``: LRU stamp plus pump.
     Before the fix a flush/iteration-heavy tenant looked idle and was
     evicted despite being active."""
 
@@ -206,9 +209,10 @@ class TestServingPathRouting:
         service = ApopheniaService(FAST_CONFIG)
         a = service.open_session("a")
         job = a.lane.submit([1, 2] * 6, 2, now_op=0)
-        assert service.executor.outstanding == 1
+        assert list(service.executor.queue) == [job]
+        assert not job.materialized
         a.flush()
-        assert service.executor.outstanding == 0
+        assert not service.executor.queue
         assert job.materialized
 
     def test_closed_handle_rejects_flush_and_set_iteration(self):
@@ -229,61 +233,54 @@ class TestSharedExecutor:
 
         return algorithm
 
-    def test_fair_round_robin_across_lanes(self):
+    def test_pump_drains_the_fifo_in_submission_order(self):
         log = []
         shared = SharedJobExecutor(self._counting(log), memo_capacity=0)
         a = shared.lane("a")
         b = shared.lane("b")
-        for i in range(3):
-            a.submit([("a", i)] * 4, 1, now_op=i)
-            b.submit([("b", i)] * 4, 1, now_op=i)
-        shared.pump()
-        owners = [window[0][0] for window in log]
-        assert owners == ["a", "b", "a", "b", "a", "b"]
-
-    def test_priority_lanes_served_first(self):
-        log = []
-        shared = SharedJobExecutor(self._counting(log), memo_capacity=0)
-        background = shared.lane("background", priority=1)
-        interactive = shared.lane("interactive", priority=0)
-        background.submit([("bg", 0)] * 4, 1, now_op=0)
-        background.submit([("bg", 1)] * 4, 1, now_op=1)
-        interactive.submit([("fg", 0)] * 4, 1, now_op=0)
-        shared.pump()
-        assert log[0][0][0] == "fg"
-
-    def test_backpressure_bounds_outstanding(self):
-        log = []
-        shared = SharedJobExecutor(
-            self._counting(log), memo_capacity=0, max_outstanding_jobs=2
-        )
-        lane = shared.lane("a")
-        for i in range(6):
-            lane.submit([i] * 4, 1, now_op=i)
-            assert shared.outstanding <= 2
-        assert shared.backpressure_drains > 0
+        jobs = [a.submit([("a", 0)] * 4, 1, now_op=0),
+                b.submit([("b", 0)] * 4, 1, now_op=0),
+                a.submit([("a", 1)] * 4, 1, now_op=1)]
+        assert list(shared.queue) == jobs and not log
+        assert shared.pump() == 3
+        assert [window[0] for window in log] == [("a", 0), ("b", 0), ("a", 1)]
+        assert not shared.queue and all(job.materialized for job in jobs)
 
     def test_result_forces_lazy_job(self):
+        """A job drained in its own submit op is ingested -- its
+        ``result`` read -- before the service reaches its pump: the read
+        runs the mining, and the pump then only drops the queue entry."""
         log = []
-        shared = SharedJobExecutor(self._counting(log), memo_capacity=0)
-        lane = shared.lane("a")
-        job = lane.submit([1, 2, 1, 2], 1, now_op=0)
+        service = ApopheniaService(FAST_CONFIG.with_overrides(
+            repeats_algorithm=self._counting(log),
+            job_base_latency_ops=0, job_per_token_latency_ops=0.0,
+        ))
+        handle = service.open_session("a")
+        pumped = []
+        pump = service.executor.pump
+        service.executor.pump = lambda: pumped.append(pump())
+        from repro.runtime.task import Task
+
+        for i in range(60):
+            handle.execute_task(Task(f"T{i % 3}"))
+        assert handle.lane.jobs_submitted == len(log) == len(pumped) > 0
+        assert set(pumped) == {0}  # every job was forced before its pump
+        # The same thing by hand: a read ahead of the pump mines once.
+        job = handle.lane.submit([1, 2, 1, 2], 1, now_op=0)
         assert not job.materialized
-        assert job.result == []  # forces the mine ahead of the scheduler
-        assert job.materialized
-        assert shared.forced_out_of_order == 1
-        # The scheduler later skips the already-forced queue entry.
-        assert shared.pump() == 0
-        assert len(log) == 1
+        assert job.result == [] and job.materialized
+        service.executor.pump()
+        assert pumped[-1] == 0
+        assert len(log) == handle.lane.jobs_submitted
 
     def test_release_lane_keeps_jobs_usable(self):
         log = []
         shared = SharedJobExecutor(self._counting(log), memo_capacity=0)
         lane = shared.lane("a")
         job = lane.submit([1, 2, 3, 4], 1, now_op=0)
-        shared.release_lane("a")
-        assert shared.outstanding == 0
+        assert shared.release_lane("a") is lane
         assert job.result == []  # still materializes after release
+        assert shared.pump() == 0 and not shared.queue
         # The name is free again for a future session.
         assert shared.lane("a") is not lane
 
@@ -297,6 +294,77 @@ class TestSharedExecutor:
         shared.pump()
         assert len(log) == 1
         assert a.memo_hits == 0 and b.memo_hits == 1
+
+
+class _DepthDeque(deque):
+    """The shared FIFO, remembering how deep it ever got."""
+
+    peak = 0
+
+    def append(self, job):
+        super().append(job)
+        self.peak = max(self.peak, len(self))
+
+
+class TestQueueTraffic:
+    """The fact the scheduler's deletion rests on (PR 15): through the
+    public surface the shared FIFO is empty after every serving call and
+    never holds more than one job inside it. A future path that queues
+    without pumping fails here, rather than silently needing a scheduler
+    again."""
+
+    def test_fifo_is_empty_between_calls_and_never_deeper_than_one(
+            self, app_streams):
+        service = ApopheniaService(FAST_CONFIG.with_overrides(
+            max_sessions=8, session_state_budget=1_000_000,
+        ))
+        queue = service.executor.queue = _DepthDeque()
+        calls = 0
+
+        def settled():
+            nonlocal calls
+            calls += 1
+            assert not queue, f"job left queued after public call {calls}"
+
+        names = ("s3d", "stencil", "jacobi", "cfd") * 2
+        streams = {f"{name}-{i}": app_streams[name]
+                   for i, name in enumerate(names)}
+        sessions = {}
+        for sid in streams:
+            sessions[sid] = open_session(sid, backend=service)
+            settled()
+        # Task-by-task round-robin, iteration marks included.
+        for step in range(400):
+            for sid, stream in streams.items():
+                iteration, task = stream[step]
+                sessions[sid].set_iteration(iteration)
+                settled()
+                sessions[sid].submit(task)
+                settled()
+        # LRU evict -> readmit: a ninth tenant spills the coldest one,
+        # which then comes back warm (spilling the next-coldest).
+        victim = next(iter(streams))
+        sessions["extra"] = open_session("extra", backend=service)
+        settled()
+        assert sessions[victim].handle.closed
+        sessions[victim] = open_session(victim, backend=service)
+        settled()
+        assert service.backend_stats["warm_starts"] == 1
+        # Bursts, fences and snapshots on whoever is still being served.
+        for sid, stream in streams.items():
+            session = sessions[sid]
+            if session.handle.closed:
+                continue
+            session.submit_many(task for _, task in stream[400:])
+            settled()
+            session.flush()
+            settled()
+            session.dehydrate()
+            settled()
+        service.flush_all()
+        settled()
+        jobs = service.backend_stats["jobs_materialized"]
+        assert jobs > 100 and queue.peak == 1
 
 
 class TestRuntimeSessionFactory:

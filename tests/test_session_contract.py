@@ -28,7 +28,7 @@ CONFIG = ApopheniaConfig(
 #: Keys that describe what is held right now; everything else is
 #: lifetime. With no session open they all read 0 -- except the
 #: service's shared memo, which deliberately outlives its tenants.
-GAUGES = ("outstanding", "memo_tokens_held", "quarantined", "states_held",
+GAUGES = ("memo_tokens_held", "quarantined", "states_held",
           "ingest_margin_ops", "agreement_entries", "nodes", "live_nodes")
 #: Session-level counters a close must not forget (the service used to
 #: sum these over *open* sessions only).
@@ -140,5 +140,11 @@ def test_state_warm_starts_once_per_session(pool):
     assert [p.warm_starts for p in warm.processors] == [1] * warm.num_nodes
     assert len(warm.processor.replayer.trie.candidates) == state.num_candidates
     assert pool.backend_stats["warm_starts"] == 1
+    # The warm session's counters resume from the snapshot, but the pool
+    # counts the work it served once (regression: the retired "cold" 300
+    # came back inside "warm"'s restored counters and were added again).
+    assert pool.backend_stats["tasks_seen"] == 300
+    _serve(warm)
     pool.close_session("warm")
     assert pool.backend_stats["warm_starts"] == 1  # lifetime
+    assert pool.backend_stats["tasks_seen"] == 600

@@ -155,20 +155,25 @@ class TestRedriveParity:
         assert document.config() == config
 
     @pytest.mark.parametrize("stale", [
-        {"sa_backend": None, "match_engine": None},
-        {"sa_backend": "doubling", "match_engine": "scan"},
-    ], ids=["null", "named"])
+        {"sa_backend": None, "match_engine": None,
+         "max_outstanding_jobs": 64, "lane_outstanding_quota": None},
+        {"sa_backend": "doubling", "match_engine": "scan",
+         "max_outstanding_jobs": 64, "lane_outstanding_quota": 16},
+        {"max_outstanding_jobs": 2, "lane_outstanding_quota": 1},
+    ], ids=["null", "named", "parent-commit"])
     def test_header_with_retired_config_keys_still_redrives(
             self, stale, corpus_docs):
         """Regression: traces captured before ``sa_backend`` and
-        ``match_engine`` were retired carry 28 config keys. The loader
-        ignores keys that name no field (both selections were
+        ``match_engine`` were retired carry 28 config keys; ones captured
+        before the service scheduler's ``max_outstanding_jobs`` and
+        ``lane_outstanding_quota`` went (PR 15) carry 26. The loader
+        ignores keys that name no field (all four were
         decision-neutral), so such a trace loads to the same config and
         re-drives byte-identical on every backend."""
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
-        assert len(records[0]["config"]) == 28
+        assert len(records[0]["config"]) == 24 + len(stale)
         old = TraceDocument.loads("".join(
             json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
             for r in records
