@@ -6,7 +6,7 @@
 verify:
 	bash scripts/verify.sh
 
-## Everything, benchmarks included.
+## Everything: benchmarks and every examples/*.py included.
 verify-full:
 	VERIFY_FULL=1 bash scripts/verify.sh
 

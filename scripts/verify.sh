@@ -3,6 +3,7 @@
 #
 #   scripts/verify.sh            # lint + unit suite + perf_smoke + quick bench
 #   VERIFY_FULL=1 scripts/verify.sh   # additionally the full benchmark suite
+#                                     # and every examples/*.py
 #
 # Used by `make verify`; keep it in sync with the tier-1 command recorded
 # in ROADMAP.md.
@@ -25,10 +26,12 @@ python -m pytest -x -q tests
 # `make replication-check`, `make verify-chaos`, `make trace-check` or
 # `make persist-check`.
 
-# The perf_smoke-marked guards: SA-IS vs its prefix-doubling reference on
-# a 2k-token window (tests/test_sa_backends.py), the null-fault-plan
-# hook-overhead guard (benchmarks/test_perf_faults.py), the trace-capture
-# overhead guard (benchmarks/test_perf_trace.py) and the warm-start guard
+# The perf_smoke-marked guards: the vectorised mining pipeline vs the
+# scalar one on every construction on a 2k-token window, and the same
+# window plus a corpus re-drive in a process where `import numpy` fails
+# (both tests/test_sa_backends.py); the null-fault-plan hook-overhead
+# guard (benchmarks/test_perf_faults.py), the trace-capture overhead
+# guard (benchmarks/test_perf_trace.py) and the warm-start guard
 # (benchmarks/test_perf_persist.py). What a layer costs per task is the
 # benchmark's business (next step), not a guard's.
 echo "== perf_smoke guards"
@@ -43,4 +46,12 @@ python3 bench/run.py --quick
 if [ "${VERIFY_FULL:-0}" = "1" ]; then
     echo "== full suite (benchmarks included)"
     python -m pytest -x -q
+
+    # Every example asserts what it prints; run them all so one cannot
+    # rot unnoticed (~10 s together).
+    echo "== examples"
+    for example in examples/*.py; do
+        echo "-- $example"
+        python "$example" > /dev/null
+    done
 fi

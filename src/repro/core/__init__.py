@@ -4,8 +4,9 @@ The subpackage implements the paper's core contribution:
 
 * :mod:`repro.core.hashing` -- task -> token hashing (Section 4.1),
 * :mod:`repro.core.suffix_array` -- suffix array + LCP construction,
-* :mod:`repro.core.sa_backends` -- the suffix-array builder (SA-IS) and
-  the seed's prefix-doubling construction kept as its test reference,
+* :mod:`repro.core.sa_backends` -- the suffix-array builders (SA-IS for
+  short windows, NumPy prefix multiplying for long ones) and the seed's
+  prefix-doubling construction kept as their test reference,
 * :mod:`repro.core.repeats` -- Algorithm 2: non-overlapping repeated
   substrings with high coverage in O(n log n) (Section 4.2),
 * :mod:`repro.core.trie` / :mod:`repro.core.matching` -- candidate trie

@@ -29,14 +29,55 @@ their start position: all positions sharing an ``l``-token prefix form a
 contiguous block of the suffix array, so equal substrings of equal length
 sort adjacently and blocks sort lexicographically -- the order the paper's
 sort produces -- without copying.
+
+Two pipelines compute steps 1-3, chosen by the window length alone, and
+return the same selection (``tests/test_sa_backends.py`` holds them equal on
+full ``Repeat`` lists): :func:`_select_scalar` on Python lists (SA-IS,
+Kasai, tuple sort, a ``bytearray`` greedy pass) and
+:func:`_select_vectorised` on ``int64`` arrays
+(:mod:`repro.core.sa_backends.multiplying` for the suffix array and LCP,
+then candidates, order and the greedy screen as array expressions).
+NumPy's fixed cost per call loses to the interpreter on short windows
+and wins beyond :data:`VECTOR_CUTOVER`. Both read only the
+rank-compressed window -- raw tokens are unsigned 64-bit hashes or
+arbitrary hashables and never enter an array -- so the result stays a
+pure function of the window, which is what replicas agree on
+(Section 5.1).
 """
 
-from repro.core.sa_backends import suffix_array_sais
+from repro.core.sa_backends import multiplying, suffix_array_sais
 from repro.core.suffix_array import (
+    inverse_suffix_array,
     lcp_array_from_ranks,
     rank_compress,
     suffix_array_from_ranks,
 )
+
+#: Windows of at least this many tokens take the NumPy pipeline.
+#:
+#: Measured, not tuned by hand: prefixes of the windows the six ``bench/``
+#: workloads mine, ``find_repeats(min_length=5)`` through each pipeline,
+#: best of 25 alternating repetitions, microseconds scalar / vectorised:
+#:
+#: ===============  =======  =======  =======  =======  =======  ========  =========  ==========
+#: tokens                64       96      128      160      192      256       1000        5000
+#: ===============  =======  =======  =======  =======  =======  ========  =========  ==========
+#: steady_s3d         69/67  150/182  235/218  291/315  354/295   406/228   2017/500  13370/2502
+#: adversarial_gen   105/89  173/129  233/128  297/177  307/147   386/169   2640/644  10984/1830
+#: irregular_novel  116/108  153/116  175/109  262/140  302/150   412/184   1995/422  10122/1581
+#: service_8x       179/233  214/250  349/292  435/299  517/300   708/334   3055/655           -
+#: ===============  =======  =======  =======  =======  =======  ========  =========  ==========
+#:
+#: NumPy pays ~100 us of fixed per-call cost a job; the pipelines are level
+#: between 64 and 160 tokens depending on the stream, and from 192 the
+#: vectorised one leads on all four. Real windows are
+#: ``multi_scale_factor * 2**k`` (25.., 250..), so the constant separates
+#: the 100- from the 200-token window and sits below the 250-token one.
+VECTOR_CUTOVER = 192
+
+#: Sorted candidates in the first block the greedy pass screens against
+#: ``covered`` at once; each later block is twice the one before.
+_GREEDY_FIRST_BLOCK = 32
 
 
 class Repeat:
@@ -112,8 +153,7 @@ def _candidates(s, sa, lcp, min_length):
     return out
 
 
-def find_repeats(tokens, min_length=1, min_occurrences=2,
-                 backend=suffix_array_sais):
+def find_repeats(tokens, min_length=1, min_occurrences=2, backend=None):
     """Find non-overlapping repeated substrings with high coverage.
 
     Parameters
@@ -131,9 +171,10 @@ def find_repeats(tokens, min_length=1, min_occurrences=2,
         this filtering. Pass 1 to keep every selection.
     backend:
         Suffix-array construction callable (see
-        :mod:`repro.core.sa_backends`). The suffix array is unique, so
-        the reference construction yields identical output here; only
-        the property tests pass anything but the default.
+        :mod:`repro.core.sa_backends`) for the scalar pipeline; passing
+        one also pins the scalar pipeline at any window size. The suffix
+        array is unique, so every construction yields identical output
+        here; only the property tests pass one.
 
     Returns
     -------
@@ -146,22 +187,38 @@ def find_repeats(tokens, min_length=1, min_occurrences=2,
     n = len(tokens)
     if n < 2 or min_length > n:
         return []
+    min_length = max(1, min_length)
     # Compress once; the suffix array, LCP array, and candidate keys below
     # all share this one dense array (the rank-compression contract).
     s = rank_compress(tokens)
+    if backend is None and n >= VECTOR_CUTOVER and multiplying.available(n):
+        selected = _select_vectorised(s, min_length)
+    else:
+        selected = _select_scalar(s, min_length, backend or suffix_array_sais)
+
+    repeats = []
+    for length, positions in selected:
+        if len(positions) < min_occurrences:
+            continue
+        first = positions[0]
+        repeats.append(Repeat(tokens[first : first + length], positions))
+    repeats.sort(key=lambda r: (-r.length, r.positions[0]))
+    return repeats
+
+
+def _select_scalar(s, min_length, backend):
+    """Steps 1-3 of Algorithm 2 on Python lists: ``(length, positions)``
+    per selected substring."""
+    n = len(s)
     sa = suffix_array_from_ranks(s, backend)
-    lcp = lcp_array_from_ranks(s, sa)
-    cands = _candidates(s, sa, lcp, max(1, min_length))
-    if not cands:
-        return []
+    rank = inverse_suffix_array(sa)
+    lcp = lcp_array_from_ranks(s, sa, rank)
+    cands = _candidates(s, sa, lcp, min_length)
 
     # Order: decreasing length; within a length, by suffix rank so equal
     # substrings are adjacent and groups are lexicographic; then by start.
     # Sorting pre-built key tuples runs entirely in C; a per-element
     # lambda key would dominate this function's runtime.
-    rank = [0] * n
-    for idx, start in enumerate(sa):
-        rank[start] = idx
     cands = [(-length, rank[start], start) for length, start in cands]
     cands.sort()
 
@@ -182,16 +239,78 @@ def find_repeats(tokens, min_length=1, min_occurrences=2,
             selected[key] = positions = []
         positions.append(start)
         covered[start:end] = b"\x01" * (end - start)
+    return [(len(key), positions) for key, positions in selected.items()]
 
-    repeats = []
-    for key, positions in selected.items():
-        if len(positions) < min_occurrences:
-            continue
-        first = positions[0]
-        sub = tuple(tokens[first : first + len(key)])
-        repeats.append(Repeat(sub, positions))
-    repeats.sort(key=lambda r: (-r.length, r.positions[0]))
-    return repeats
+
+def _select_vectorised(s, min_length):
+    """:func:`_select_scalar` as ``int64`` array expressions -- the same
+    candidates visited in the same order, so the same selection."""
+    np = multiplying.np
+    n = len(s)
+    sa, rank, levels = multiplying.suffix_levels(s)
+    lcp = multiplying.lcp_from_levels(sa, levels)
+
+    # :func:`_candidates`, both branches at once.
+    first = np.minimum(sa[:-1], sa[1:])
+    second = np.maximum(sa[:-1], sa[1:])
+    gap = second - first
+    overlap = gap < lcp
+    length = lcp + gap
+    length >>= 1
+    length -= length % gap
+    np.copyto(length, lcp, where=~overlap)
+    np.copyto(second, first + length, where=overlap)
+    keep = np.flatnonzero(length >= min_length)
+    first = first[keep]
+    second = second[keep]
+    length = length[keep]
+
+    # The (-length, suffix rank, start) order in one sort of packed keys.
+    # A suffix rank names its start, so two fields decide the order and
+    # the sorted key gives back all three.
+    bits = n.bit_length()
+    keys = n - length
+    keys <<= bits
+    keys = np.concatenate((keys | rank[first], keys | rank[second]))
+    keys.sort()
+    starts = sa[keys & ((1 << bits) - 1)]
+    keys >>= bits
+    lasts = starts - keys
+    lasts += n - 1
+
+    # The greedy pass. A block of candidates is screened against
+    # ``covered`` in one expression; the survivors are then re-tested one
+    # by one, since a selection inside the block may have covered them.
+    # Blocks start small and double: on a periodic window the first few
+    # selections cover most of it, and every later block is screened
+    # against them at once.
+    marks = bytearray(n)
+    covered = np.frombuffer(marks, dtype=np.bool_)
+    selected = []
+    low, block = 0, _GREEDY_FIRST_BLOCK
+    while low < len(keys):
+        taken = covered[starts[low : low + block]]
+        taken |= covered[lasts[low : low + block]]
+        free = np.flatnonzero(~taken)
+        free += low
+        low += block
+        block *= 2
+        for start, last in zip(starts[free].tolist(), lasts[free].tolist()):
+            if marks[start] or marks[last]:
+                continue
+            covered[start : last + 1] = True
+            # Equal substrings of one length are adjacent in the visiting
+            # order, so a selection either extends the newest group or
+            # opens the next one.
+            size = last + 1 - start
+            if selected and selected[-1][0] == size:
+                positions = selected[-1][1]
+                head = positions[0]
+                if s[head : head + size] == s[start : last + 1]:
+                    positions.append(start)
+                    continue
+            selected.append((size, [start]))
+    return selected
 
 
 def covered_tokens(repeats):

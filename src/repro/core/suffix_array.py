@@ -1,10 +1,15 @@
 """Suffix array and LCP array construction.
 
 Algorithm 2 of the paper is built on a suffix array and the Kasai et al.
-longest-common-prefix array [23]. Construction is SA-IS
+longest-common-prefix array [23]. These are the list-based entry points:
+construction is SA-IS
 (:func:`repro.core.sa_backends.suffix_array_sais`); the ``backend``
 argument of the functions below exists so the property tests can pass
-the reference construction (``suffix_array_doubling``) instead.
+the reference construction (``suffix_array_doubling``) instead. Long
+windows get the same two arrays from
+:mod:`repro.core.sa_backends.multiplying` on ``int64`` buffers, over the
+same :func:`rank_compress` output -- so the alphabet order, and with it
+the suffix array, is the one these functions see.
 
 The input is any sequence of hashable tokens (ints, strings, or task
 hashes); tokens are rank-compressed first so the construction only ever
@@ -58,15 +63,28 @@ def suffix_array(tokens, backend=suffix_array_sais):
     return suffix_array_from_ranks(rank_compress(tokens), backend)
 
 
-def lcp_array_from_ranks(ranks, sa):
-    """Kasai's algorithm over an already rank-compressed token array."""
+def inverse_suffix_array(sa):
+    """``rank[start]`` = index of the suffix starting at ``start`` in
+    ``sa``. Kasai and the candidate order of ``find_repeats`` both read
+    it; a caller needing both builds it once and passes it on."""
+    rank = [0] * len(sa)
+    for i, start in enumerate(sa):
+        rank[start] = i
+    return rank
+
+
+def lcp_array_from_ranks(ranks, sa, rank=None):
+    """Kasai's algorithm over an already rank-compressed token array.
+
+    ``rank`` is ``inverse_suffix_array(sa)`` when the caller already
+    holds it.
+    """
     s = ranks
     n = len(s)
     if n <= 1:
         return []
-    rank = [0] * n
-    for i, start in enumerate(sa):
-        rank[start] = i
+    if rank is None:
+        rank = inverse_suffix_array(sa)
     lcp = [0] * (n - 1)
     h = 0
     for i in range(n):
