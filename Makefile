@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff api-check replication-check lint lint-baseline corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint lint-baseline corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -30,6 +30,14 @@ bench-e2e:
 ## writing nothing under bench/ (the run goes to $TMPDIR).
 bench-diff:
 	python3 bench/run.py --out "$${TMPDIR:-/tmp}/bench_head.json" && python3 bench/compare.py bench/results/latest.json "$${TMPDIR:-/tmp}/bench_head.json"
+
+## Where one workload's submit time goes: one warm round, one round under
+## cProfile (top functions by self time), and wall-clock accumulators for
+## the functions named in WALL (module:attribute.path, comma-separated).
+## Sizes work; claims go through bench/run.py.
+WORKLOAD ?= steady_s3d
+profile:
+	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL))
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

@@ -1,0 +1,158 @@
+#!/usr/bin/env python3
+"""Where does ``submit`` spend its time on one benchmark workload?
+
+    python3 scripts/profile_submit.py <workload> [--seed N] [--top K]
+                                      [--wall name,...] [--quick]
+
+Builds one ``bench/workloads.py`` workload exactly as ``bench/run.py``
+does (both are imported, nothing under ``bench/`` is changed), runs one
+untimed warm round, then one round of the client loop under ``cProfile``
+and prints the top functions by self time.
+
+``--wall`` names functions as ``module:attribute.path`` (a function that
+another module imported by name is named where it is *called* from, e.g.
+``repro.core.candidates:canonical_rotation``). Each is wrapped with a
+wall-clock accumulator for one further round with the profiler off --
+``cProfile`` taxes every Python call and no native one, so it finds
+candidates and distorts their sizes -- and reported as calls, total,
+median, max and the number of calls over 1 ms: the ones that are the
+``submit_p999_cal_us`` population.
+
+This sizes work; it measures nothing against a bound. Claims go through
+``bench/run.py``.
+"""
+
+import argparse
+import contextlib
+import cProfile
+import functools
+import gc
+import importlib
+import pstats
+import statistics
+import sys
+import time
+from pathlib import Path
+
+REPO_ROOT = Path(__file__).resolve().parent.parent
+sys.path.insert(0, str(REPO_ROOT / "src"))
+sys.path.insert(0, str(REPO_ROOT / "bench"))
+
+from run import count_tasks, plain_loop  # noqa: E402
+from workloads import (  # noqa: E402
+    WORKLOADS,
+    Deployment,
+    build_schedule,
+    build_templates,
+)
+
+#: A call at least this long is a burst a submit's caller can see.
+BURST_S = 1e-3
+
+
+def one_round(workload, templates, profile=None):
+    """Build fresh tasks and a fresh deployment, then run the client
+    loop (under ``profile`` when given). Returns the number of tasks
+    submitted."""
+    schedule = build_schedule(workload, templates)
+    deployment = Deployment(workload)
+    gc.collect()
+    with profile or contextlib.nullcontext():
+        plain_loop(deployment, schedule)
+    deployment.close()
+    return count_tasks(schedule)
+
+
+def resolve(name):
+    """``module:attr.path`` -> ``(owner, attribute name, function)``."""
+    module_name, _, path = name.partition(":")
+    if not path:
+        raise ValueError(f"{name!r}: expected module:attribute.path")
+    owner = importlib.import_module(module_name)
+    *parents, leaf = path.split(".")
+    for part in parents:
+        owner = getattr(owner, part)
+    return owner, leaf, getattr(owner, leaf)
+
+
+class WallClock:
+    """Wraps named functions and keeps every call's wall-clock duration."""
+
+    def __init__(self, names):
+        self.durations = {name: [] for name in names}
+        self._patched = []
+
+    def __enter__(self):
+        for name, durations in self.durations.items():
+            owner, leaf, function = resolve(name)
+            self._patched.append((owner, leaf, function))
+            setattr(owner, leaf, self._timed(function, durations.append))
+        return self
+
+    def __exit__(self, *exc_info):
+        for owner, leaf, function in self._patched:
+            setattr(owner, leaf, function)
+        self._patched.clear()
+
+    @staticmethod
+    def _timed(function, record):
+        clock = time.perf_counter
+
+        @functools.wraps(function)
+        def timed(*args, **kwargs):
+            start = clock()
+            try:
+                return function(*args, **kwargs)
+            finally:
+                record(clock() - start)
+
+        return timed
+
+    def report(self, tasks):
+        print(f"{'wall clock':<58}{'calls':>8}{'total ms':>10}"
+              f"{'us/task':>9}{'median us':>11}{'max us':>10}{'>1ms':>6}")
+        for name, durations in self.durations.items():
+            total = sum(durations)
+            median = statistics.median(durations) if durations else 0.0
+            print(f"{name:<58}{len(durations):>8}{total * 1e3:>10.1f}"
+                  f"{total / tasks * 1e6:>9.2f}{median * 1e6:>11.1f}"
+                  f"{max(durations, default=0.0) * 1e6:>10.1f}"
+                  f"{sum(d >= BURST_S for d in durations):>6}")
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("workload", choices=list(WORKLOADS))
+    parser.add_argument("--seed", type=int, default=1)
+    parser.add_argument("--top", type=int, default=25,
+                        help="functions to print, by self time")
+    parser.add_argument("--wall", default="",
+                        help="comma-separated module:attribute.path names"
+                             " to time with the profiler off")
+    parser.add_argument("--quick", action="store_true",
+                        help="the benchmark's smoke-test size")
+    args = parser.parse_args(argv)
+
+    workload = WORKLOADS[args.workload]
+    if args.quick:
+        workload = workload.quick()
+    templates = build_templates(workload, args.seed)
+    one_round(workload, templates)  # warm: imports, caches, allocator
+
+    profile = cProfile.Profile()
+    tasks = one_round(workload, templates, profile=profile)
+    stats = pstats.Stats(profile, stream=sys.stdout)
+    print(f"{args.workload} seed {args.seed}: {tasks} tasks,"
+          f" {stats.total_tt / tasks * 1e6:.2f} us/task under cProfile")
+    stats.sort_stats("tottime").print_stats(args.top)
+
+    names = [name for name in args.wall.split(",") if name]
+    if names:
+        with WallClock(names) as wall:
+            tasks = one_round(workload, templates)
+        wall.report(tasks)
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -105,16 +105,22 @@ class CandidateStore:
         for repeat in repeats:
             if repeat.length < self.min_trace_length:
                 continue
-            key = (repeat.length, canonical_rotation(repeat.tokens))
+            # A re-discovery (the common case) reuses the key computed
+            # when its candidate was admitted.
+            existing = engine.find(repeat.tokens)
+            if existing is not None:
+                key = self.rotation_key(existing)
+            else:
+                key = (repeat.length, canonical_rotation(repeat.tokens))
             entry = self.by_rotation.get(key)
             if entry is None:
                 entry = [[], 0]
                 self.by_rotation[key] = entry
             members, _total = entry
             entry[1] += repeat.count
-            existing = engine.find(repeat.tokens)
             if existing is None and len(members) < self.max_phases_per_cycle:
                 existing = engine.insert(repeat.tokens)
+                existing.rotation_key = key
                 members.append(existing)
                 admitted += 1
             # All phases of a cycle share the cycle's appearance count.
@@ -122,6 +128,18 @@ class CandidateStore:
                 member.occurrences = max(member.occurrences, entry[1])
                 member.last_seen_at = now_index
         return admitted
+
+    @staticmethod
+    def rotation_key(candidate):
+        """The candidate's ``by_rotation`` key. Candidates admitted by
+        :meth:`ingest` (or restored by ``persist`` hydrate) carry it; one
+        inserted through the engine directly has it computed here, once."""
+        key = candidate.rotation_key
+        if key is None:
+            key = candidate.rotation_key = (
+                candidate.length, canonical_rotation(candidate.tokens)
+            )
+        return key
 
     # ------------------------------------------------------------------
     # Removal and eviction
@@ -138,7 +156,7 @@ class CandidateStore:
         """
         if not self.engine.remove(candidate):
             return False
-        key = (candidate.length, canonical_rotation(candidate.tokens))
+        key = self.rotation_key(candidate)
         entry = self.by_rotation.get(key)
         if entry is not None:
             members = entry[0]
@@ -210,9 +228,7 @@ class CandidateStore:
     # ------------------------------------------------------------------
     def cycle_members(self, candidate):
         """The candidate's rotation-group siblings (itself included)."""
-        entry = self.by_rotation.get(
-            (candidate.length, canonical_rotation(candidate.tokens))
-        )
+        entry = self.by_rotation.get(self.rotation_key(candidate))
         if entry is not None and candidate in entry[0]:
             return entry[0]
         return (candidate,)

@@ -11,6 +11,18 @@ Hashes are computed with BLAKE2b over a canonical encoding and truncated to
 64 bits. Python's built-in ``hash`` is avoided because it is randomized per
 process, and the distributed agreement protocol (Section 5.1) requires all
 nodes to compute identical tokens.
+
+Token *values* are agreed state; the route to them is local. The
+reference route is ``stable_hash(task.signature())``: :func:`_encode`
+walks the nested signature recursively. :class:`TaskHasher` reaches the
+same bytes without the walk -- a signature is ``(name, (requirement,
+...))`` and the tuple encoding is a concatenation of length-prefixed
+item encodings, so a miss joins the *cached* encodings of its
+requirements (a few hundred distinct ones per application, see
+:meth:`repro.runtime.task.RegionRequirement.signature`) around the
+encoded name. Both tables belong to the hasher instance and are sized
+by the stream's working set: nothing is process-global, nothing is
+evicted.
 """
 
 import hashlib
@@ -53,22 +65,50 @@ class TaskHasher:
 
     The cache matters for the front-end overhead budget (Section 6.3):
     steady-state iterative applications issue the same few hundred distinct
-    signatures over and over, so hashing amortizes to a dict lookup.
+    signatures over and over, so hashing amortizes to a dict lookup. A
+    stream that never repeats a task still repeats its *requirements*, so
+    a miss encodes the task name only and joins per-requirement bytes
+    encoded once (``_requirement_bytes``).
     """
 
     def __init__(self):
         self._cache = {}
+        # requirement signature -> b"<length>:<encoding>", its tuple item.
+        self._requirement_bytes = {}
         self.hashes_computed = 0
 
     def hash_task(self, task):
-        """Return the 64-bit token for a task launch."""
+        """Return the 64-bit token for a task launch.
+
+        Always equal to ``stable_hash(task.signature())``.
+        """
         signature = task.signature()
         token = self._cache.get(signature)
         if token is None:
-            token = stable_hash(signature)
+            digest = hashlib.blake2b(
+                self._canonical_bytes(signature), digest_size=8
+            ).digest()
+            token = int.from_bytes(digest, "little")
             self._cache[signature] = token
             self.hashes_computed += 1
         return token
+
+    def _canonical_bytes(self, signature):
+        """``_encode(signature)``, built from the cached requirement
+        encodings instead of by recursion: a tuple encodes as ``T<n>``
+        followed by ``<length>:<encoding>`` per item."""
+        name, requirements = signature
+        known = self._requirement_bytes
+        items = []
+        for requirement in requirements:
+            item = known.get(requirement)
+            if item is None:
+                encoded = _encode(requirement)
+                item = known[requirement] = b"%d:%b" % (len(encoded), encoded)
+            items.append(item)
+        name = _encode(name)
+        body = b"T%d%b" % (len(requirements), b"".join(items))
+        return b"T2%d:%b%d:%b" % (len(name), name, len(body), body)
 
     def __len__(self):
         return len(self._cache)

@@ -49,9 +49,8 @@ class ScanMatchEngine:
     Thin adapter over the seed-semantics matcher that lives on
     :class:`~repro.core.trie.CandidateTrie` (``advance`` / ``active`` /
     ``reset_pointers``). Kept as the baseline the automaton engine is
-    property-tested and benchmarked against — like the ``doubling``
-    suffix-array backend, it must not be "optimized" or the recorded
-    perf trajectory stops meaning anything.
+    property-tested against — like the ``doubling`` suffix-array
+    backend, it is a reference and must not be "optimized".
     """
 
     name = "scan"
@@ -327,9 +326,6 @@ class AutomatonMatchEngine:
                 )
                 child.chain_len = child.fail.chain_len + 1
                 queue.append(child)
-        # Root children were linked before the BFS; their out links are
-        # final (the root holds no candidate), but recompute defensively
-        # in case a candidate mark moved during a remove.
         self._built_version = self.trie.version
 
 

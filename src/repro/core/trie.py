@@ -77,6 +77,7 @@ class TraceCandidate:
         "recorded",
         "fires",
         "gap_tokens",
+        "rotation_key",
     )
 
     def __init__(self, trace_id, tokens):
@@ -92,6 +93,11 @@ class TraceCandidate:
         # its commits (the misalignment cost of choosing it).
         self.fires = 0
         self.gap_tokens = 0
+        # ``(length, canonical rotation)``: the candidate's rotation
+        # group in :class:`~repro.core.candidates.CandidateStore`, set by
+        # the store on admission so Booth's algorithm runs once per
+        # candidate rather than once per look-up.
+        self.rotation_key = None
 
     @property
     def length(self):

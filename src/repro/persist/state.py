@@ -32,7 +32,9 @@ Everything decision-relevant is persisted:
   "no deferral" -- dropping it would cost the warm-started session one
   commit its uninterrupted twin makes.
 
-Deliberately *not* persisted: the task hasher's memo (a pure cache),
+Deliberately *not* persisted: the task hasher's memo and its
+per-requirement encoding table (pure caches; the region-side signature
+intern tables belong to the application's regions, not the session),
 match-engine tick state (a dehydrate flushes, which resets the engine;
 all liveness arithmetic is tick-relative), and the mining memo
 (decision-neutral by construction).
@@ -518,6 +520,9 @@ def hydrate_processor(processor, state):
         ]
         for entry in payload["rotations"]
     }
+    for key, (members, _total) in store.by_rotation.items():
+        for member in members:
+            member.rotation_key = key
     rep = payload["replayer"]
     last_fired = rep["last_fired"]
     store.last_fired = (

@@ -43,9 +43,23 @@ class LogicalRegion:
         tree root.
     color:
         The color (index) of this region within its parent partition.
+
+    ``signatures`` is the region's intern table for requirement
+    signatures, filled by :meth:`repro.runtime.task.RegionRequirement.
+    signature`: one shared tuple per distinct ``(privilege, fields,
+    redop)`` requested on this region. It lives and dies with the region.
     """
 
-    __slots__ = ("uid", "extent", "fields", "parent", "color", "partitions", "name")
+    __slots__ = (
+        "uid",
+        "extent",
+        "fields",
+        "parent",
+        "color",
+        "partitions",
+        "name",
+        "signatures",
+    )
 
     def __init__(self, uid, extent, fields, parent=None, color=None, name=None):
         self.uid = uid
@@ -55,6 +69,7 @@ class LogicalRegion:
         self.color = color
         self.partitions = []
         self.name = name or f"region{uid}"
+        self.signatures = {}
 
     @property
     def is_root(self):

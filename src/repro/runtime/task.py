@@ -5,6 +5,17 @@ of :class:`RegionRequirement` objects stating which regions it accesses,
 with which fields and privileges. Everything that can affect the dependence
 analysis is part of the task's *signature*, which Apophenia hashes into the
 token stream (Section 4.1 of the paper).
+
+Signatures are values, but the route to them is shared: an application
+builds a fresh ``Task`` and fresh requirements per launch, while only a
+few hundred distinct ``(region, privilege, fields, redop)`` combinations
+ever occur. :meth:`RegionRequirement.signature` therefore hands out one
+interned tuple per combination, from a table on the region itself (so
+its lifetime is the region's and nothing here is process-global), and
+every holder of signatures -- the hasher's memo, trace templates, the
+task log, retained tasks -- shares those tuples instead of keeping
+copies. The lookup happens on the first ``signature()`` call, never in a
+constructor.
 """
 
 import itertools
@@ -42,18 +53,31 @@ class RegionRequirement:
     def signature(self):
         """A hashable value capturing everything that affects the analysis.
 
-        Cached: requirements are immutable after construction, and the
-        signature is rebuilt several times per task on the serving path
-        (hashing, then trace recording/validation).
+        ``(region uid, privilege value, sorted fields, redop)``, interned
+        on the region: equal requirements return the *same* tuple, so the
+        sort runs once per distinct requirement and a comparison between
+        two holders of it is an identity check. Cached on the requirement
+        too -- requirements are immutable after construction, and the
+        serving path asks several times per task (hashing, then trace
+        recording/validation).
         """
-        if self._signature is None:
-            self._signature = (
-                self.region.uid,
-                self.privilege.value,
-                tuple(sorted(self.fields)),
-                self.redop,
-            )
-        return self._signature
+        signature = self._signature
+        if signature is None:
+            # ``_value_`` is the member's plain attribute; ``.value`` and
+            # ``Enum.__hash__`` are Python-level calls, once per launch.
+            privilege = self.privilege._value_
+            table = self.region.signatures
+            key = (privilege, self.fields, self.redop)
+            signature = table.get(key)
+            if signature is None:
+                signature = table[key] = (
+                    self.region.uid,
+                    privilege,
+                    tuple(sorted(self.fields)),
+                    self.redop,
+                )
+            self._signature = signature
+        return signature
 
     def __repr__(self):
         fields = ",".join(sorted(self.fields))
@@ -126,7 +150,7 @@ class Task:
         if self._signature is None:
             self._signature = (
                 self.name,
-                tuple(req.signature() for req in self.requirements),
+                tuple([req.signature() for req in self.requirements]),
             )
         return self._signature
 

@@ -1,8 +1,16 @@
 """Booth's canonical rotation (candidate cycle deduplication)."""
 
+import os
+
+import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.candidates as candidates
 from repro.core.repeats import canonical_rotation
+from repro.trace import TraceDocument, TraceReplayHarness
+from repro.trace.corpus import corpus_path
+
+CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 
 
 def rotations(t):
@@ -48,3 +56,55 @@ class TestCanonicalRotation:
         # Shared count: every admitted phase sees the cycle total (8).
         for cand in r.trie.candidates.values():
             assert cand.occurrences == 8
+
+
+class TestRotationKeyOnCandidate:
+    """Booth's algorithm is O(L) pure Python: the store runs it when a
+    token tuple is first offered and keeps the key on the candidate."""
+
+    def test_directly_inserted_candidate_falls_back_to_computing(self):
+        from repro.core.replayer import TraceReplayer
+
+        r = TraceReplayer(on_flush=lambda ts: None,
+                          on_trace=lambda c, i, ts: None,
+                          min_trace_length=2)
+        outsider = r.engine.insert("cab")  # never went through the store
+        assert outsider.rotation_key is None
+        assert r.store.cycle_members(outsider) == (outsider,)
+        assert outsider.rotation_key == (3, tuple("abc"))
+        assert r.store.remove(outsider)
+
+    @pytest.mark.perf_smoke
+    @pytest.mark.parametrize("fixture", ["s3d", "generative-adversarial"])
+    def test_corpus_redrive_computes_one_key_per_offered_tuple(
+            self, fixture, monkeypatch):
+        computed, offered, stores = [], set(), []
+        ingest = candidates.CandidateStore.ingest
+
+        def counting(tokens):
+            computed.append(tuple(tokens))
+            return canonical_rotation(tokens)
+
+        def recording(store, repeats, now_index):
+            repeats = list(repeats)
+            offered.update(
+                tuple(r.tokens) for r in repeats
+                if r.length >= store.min_trace_length
+            )
+            if store not in stores:
+                stores.append(store)
+            return ingest(store, repeats, now_index)
+
+        monkeypatch.setattr(candidates, "canonical_rotation", counting)
+        monkeypatch.setattr(candidates.CandidateStore, "ingest", recording)
+        document = TraceDocument.load(corpus_path(CORPUS_DIR, fixture))
+        assert TraceReplayHarness(document, backend="standalone").run().matched
+        assert offered and len(computed) <= len(offered)
+        assert len(computed) == len(set(computed))  # no tuple twice
+        for store in stores:
+            assert store.by_rotation
+            for key, (members, _total) in store.by_rotation.items():
+                for member in members:
+                    assert member.rotation_key == key == (
+                        member.length, canonical_rotation(member.tokens)
+                    )

@@ -1,5 +1,9 @@
 """The ``python -m repro.experiments`` figure regeneration CLI."""
 
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
 from repro.experiments.__main__ import RUNNERS, main
@@ -26,3 +30,29 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "sec 6.3" in out
         assert "us" in out
+
+
+class TestProfileSubmit:
+    """``scripts/profile_submit.py``: the sizing tool behind ``make
+    profile`` runs a benchmark workload under the profiler."""
+
+    def test_quick_run_prints_profile_and_wall_clock(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "profile_submit.py"
+        wall = "repro.core.candidates:canonical_rotation," \
+            "repro.core.matching:AutomatonMatchEngine._rebuild"
+        done = subprocess.run(
+            [sys.executable, str(script), "steady_s3d", "--quick",
+             "--seed", "3", "--top", "40", "--wall", wall],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        out = done.stdout
+        assert "steady_s3d seed 3: 2000 tasks" in out
+        assert "Ordered by: internal time" in out and "hash_task" in out
+        rows = {
+            line.split()[0]: line.split()[1:]
+            for line in out.splitlines() if line.startswith("repro.core.")
+        }
+        assert sorted(rows) == sorted(wall.split(","))
+        assert all(int(row[0]) > 0 for row in rows.values())  # calls

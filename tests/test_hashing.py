@@ -1,12 +1,19 @@
 """Task hashing (Section 4.1): stability and analysis-sensitivity."""
 
+import gc
+import random
+import weakref
+from collections.abc import MutableMapping, MutableSequence, MutableSet
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import repro.core.hashing as hashing
+import repro.runtime.task as task_module
 from repro.core.hashing import TaskHasher, stable_hash
 from repro.runtime.privilege import Privilege
 from repro.runtime.region import RegionForest
-from repro.runtime.task import task
+from repro.runtime.task import RegionRequirement, Task, task
 
 RO = Privilege.READ_ONLY
 WD = Privilege.WRITE_DISCARD
@@ -83,8 +90,6 @@ class TestTaskHasher:
     def test_scalar_args_do_not_matter(self, forest):
         """Scalars/futures do not affect the dependence analysis, so they
         are excluded from trace identity (like Legion)."""
-        from repro.runtime.task import Task, RegionRequirement
-
         r = forest.create_region((10,))
         hasher = TaskHasher()
         a = hasher.hash_task(Task("T", [RegionRequirement(r, RO)], scalar_args=(1,)))
@@ -97,3 +102,198 @@ class TestTaskHasher:
         r2 = forest.create_region((10,))
         t = task("T", (r1, RO), (r2, WD))
         assert TaskHasher().hash_task(t) == TaskHasher().hash_task(t)
+
+
+# ----------------------------------------------------------------------
+# The route to the token: interned requirement signatures and cached
+# per-requirement encodings must be invisible in every *value*.
+# ----------------------------------------------------------------------
+FIELDS = ("u", "v", "w")
+NUM_REGIONS = 4
+
+names = st.one_of(
+    st.just(""),
+    st.text(max_size=12),
+    st.text(min_size=300, max_size=400),
+)
+requirement_specs = st.tuples(
+    st.integers(0, NUM_REGIONS - 1),
+    st.sampled_from(list(Privilege)),
+    st.none() | st.frozensets(st.sampled_from(FIELDS)),
+    st.none() | st.sampled_from(["sum", "max"]),
+)
+
+
+def fresh_regions():
+    forest = RegionForest()
+    return [forest.create_region((8,), fields=FIELDS) for _ in range(NUM_REGIONS)]
+
+
+def build(regions, name, specs):
+    return Task(name, [
+        RegionRequirement(regions[index], privilege, fields, redop)
+        for index, privilege, fields, redop in specs
+    ])
+
+
+def reference_signature(regions, name, specs):
+    """The signature as the pre-interning code built it."""
+    return (name, tuple(
+        (
+            regions[index].uid,
+            privilege.value,
+            tuple(sorted(regions[index].fields if fields is None else fields)),
+            redop,
+        )
+        for index, privilege, fields, redop in specs
+    ))
+
+
+class TestTokenRoute:
+    @given(names, st.lists(requirement_specs, max_size=6))
+    @settings(max_examples=200, deadline=None)
+    def test_token_and_signature_equal_the_reference(self, name, specs):
+        regions = fresh_regions()
+        launched = build(regions, name, specs)
+        expected = reference_signature(regions, name, specs)
+        assert launched.signature() == expected
+        assert TaskHasher().hash_task(launched) == stable_hash(expected)
+
+    @given(requirement_specs, requirement_specs)
+    @settings(max_examples=200, deadline=None)
+    def test_equal_requirements_share_one_signature_object(self, a, b):
+        regions = fresh_regions()
+
+        def signature(spec):
+            index, privilege, fields, redop = spec
+            return RegionRequirement(
+                regions[index], privilege, fields, redop
+            ).signature()
+
+        assert signature(a) is signature(a)
+        index, privilege, fields, redop = a
+        if fields is None:
+            # The default is the region's own field set, spelled out or not.
+            assert signature(a) is signature((index, privilege, FIELDS, redop))
+        if reference_signature(regions, "", [a]) != \
+                reference_signature(regions, "", [b]):
+            assert signature(a) is not signature(b)
+            assert signature(a) != signature(b)
+
+    @pytest.mark.parametrize("component", range(4))
+    def test_each_component_separates_signatures(self, component):
+        regions = fresh_regions()
+        base = [regions[0], RO, ("u",), None]
+        other = list(base)
+        other[component] = (regions[1], WD, ("u", "v"), "sum")[component]
+        a = RegionRequirement(*base).signature()
+        b = RegionRequirement(*other).signature()
+        assert a is not b and a != b
+        assert a[component] != b[component]
+
+    @given(names, names, st.lists(requirement_specs, min_size=1, max_size=6))
+    @settings(max_examples=100, deadline=None)
+    def test_cached_requirement_bytes_serve_any_task(self, first, second, specs):
+        """A requirement first seen under one task name is encoded from
+        the hasher's table under every other name, order and subset."""
+        regions = fresh_regions()
+        hasher = TaskHasher()
+        hasher.hash_task(build(regions, first, specs))
+        table = dict(hasher._requirement_bytes)
+        for name, reqs in (
+            (second, specs),
+            (second, specs[::-1]),
+            (first, specs[:1]),
+        ):
+            launched = build(regions, name, reqs)
+            assert hasher.hash_task(launched) == stable_hash(
+                reference_signature(regions, name, reqs)
+            )
+        assert hasher._requirement_bytes == table  # nothing re-encoded
+
+
+# ----------------------------------------------------------------------
+# Count guards (where a clock would otherwise go) and table lifetimes.
+# ----------------------------------------------------------------------
+def novel_stream(count, num_regions=64, seed=11):
+    """``count`` launches that never repeat over random region pairs --
+    the shape of the benchmark's ``irregular_novel`` workload."""
+    rng = random.Random(seed)
+    forest = RegionForest()
+    regions = [forest.create_region((64,)) for _ in range(num_regions)]
+    stream = []
+    for i in range(count):
+        src, dst = rng.sample(regions, 2)
+        stream.append(Task(f"NOVEL_{i}", [
+            RegionRequirement(src, RO),
+            RegionRequirement(dst, Privilege.READ_WRITE),
+        ]))
+    return forest, stream
+
+
+def distinct_requirement_signatures(stream):
+    return {
+        req.signature() for launched in stream for req in launched.requirements
+    }
+
+
+@pytest.mark.perf_smoke
+def test_a_miss_encodes_the_name_and_joins_cached_requirements(monkeypatch):
+    encodes, sorts = [], []
+    encode = hashing._encode
+    monkeypatch.setattr(
+        hashing, "_encode", lambda value: encodes.append(1) or encode(value)
+    )
+    monkeypatch.setattr(
+        task_module, "sorted",
+        lambda values: sorts.append(1) or sorted(values), raising=False,
+    )
+    _forest, stream = novel_stream(2000)
+    hasher = TaskHasher()
+    tokens = [hasher.hash_task(launched) for launched in stream]
+    distinct = len(distinct_requirement_signatures(stream))
+    assert hasher.hashes_computed == len(stream) == len(set(tokens))
+    assert distinct <= 2 * 64
+    # The recursive reference enters _encode 15 times per such task.
+    assert len(encodes) <= 2 * len(stream) + 8 * distinct
+    assert len(sorts) <= distinct
+    monkeypatch.undo()
+    assert tokens == [stable_hash(t.signature()) for t in stream]
+
+
+def test_tables_are_sized_by_the_working_set_and_owned_by_instances():
+    _forest, stream = novel_stream(10_000)
+    hasher = TaskHasher()
+    for launched in stream:
+        hasher.hash_task(launched)
+    assert set(hasher._requirement_bytes) == \
+        distinct_requirement_signatures(stream)
+    for module in (hashing, task_module):
+        shared = [
+            name for name, value in vars(module).items()
+            if not name.startswith("__")
+            and isinstance(value, (MutableMapping, MutableSequence, MutableSet))
+        ]
+        assert shared == [], f"{module.__name__} keeps process-global {shared}"
+
+
+def test_a_regions_signature_table_dies_with_its_forest():
+    class Redop(str):
+        """A weakly referenceable redop, held by the region's table."""
+
+    forest = RegionForest()
+    region = forest.create_region((8,))
+    redop = Redop("sum")
+    held = weakref.ref(redop)
+    hasher = TaskHasher()
+    hasher.hash_task(Task("T", [RegionRequirement(region, Privilege.REDUCE,
+                                                  redop=redop)]))
+    del redop
+    gc.collect()
+    assert held() is not None  # the table (and the hasher's memo) hold it
+    del hasher
+    gc.collect()
+    assert held() is not None  # the region's table alone still does
+    del forest, region
+    gc.collect()
+    assert held() is None

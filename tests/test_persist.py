@@ -155,6 +155,24 @@ class TestRoundTripByteStability:
         assert state.verify() is state
         assert state.payload["digest"] == state.stable_digest()
 
+    def test_hydrate_restores_rotation_keys(self, app_streams, monkeypatch):
+        """The rotation groups come back keyed; hydrate hands each member
+        its key instead of leaving Booth's algorithm to the next fire."""
+        import repro.core.candidates as candidates
+
+        with _open("standalone", "s3d") as session:
+            _drive(session, app_streams["s3d"][:SPLIT])
+            state = session.dehydrate()
+        monkeypatch.setattr(candidates, "canonical_rotation", None)
+        with _open("standalone", "s3d", state=state) as session:
+            store = session.handle.processor.replayer.store
+            assert store.by_rotation
+            for key, (members, _total) in store.by_rotation.items():
+                assert members
+                for member in members:
+                    assert member.rotation_key == key
+                    assert store.cycle_members(member) is members
+
     def test_dump_load_file_round_trip(self, app_streams, tmp_path):
         with _open("standalone", "s3d") as session:
             _drive(session, app_streams["s3d"][:SPLIT])
