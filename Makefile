@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint lint-baseline corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint lint-baseline loc loc-budget corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -54,6 +54,17 @@ lint:
 ## Accept the current violation set as the new baseline (review the diff!).
 lint-baseline:
 	PYTHONPATH=src python -m repro.lint src --write-baseline
+
+## Code lines of src/repro per package and in total (a line holding a
+## token that is neither a comment nor part of a docstring), checked
+## against size-budget.json -- which tier-1 also does.
+loc:
+	python3 scripts/loc.py
+
+## Accept the current total as the new size budget (review the diff! --
+## a PR that needs more code raises it deliberately, in-PR).
+loc-budget:
+	python3 scripts/loc.py --write
 
 ## The session-persistence (dehydrate/hydrate) suites on their own.
 persist-check:

@@ -62,7 +62,7 @@ def main():
             session.submit(task("BOUNDARY", (grid, RW), exec_cost=2e-4))
     service.flush_all()
 
-    shared = service.stats
+    shared = service.backend_stats
     print(f"Multi-tenant quickstart: {len(sessions)} tenants x "
           f"{ITERATIONS} iterations x 3 tasks")
     for tenant, session in sessions.items():
@@ -72,7 +72,7 @@ def main():
               f"replays: {session.runtime.engine.traces_replayed:4d}  "
               f"lane memo hits: {stats.memo_hits:3d}")
     print(f"  mining jobs answered by the shared memo: "
-          f"{shared['memo_hits']} of {shared['jobs_materialized']} "
+          f"{shared['memo_hits']} of {shared['jobs_submitted']} "
           f"({shared['memo_hit_rate']:.1%})")
 
     # Identical tenants submit identical windows: the second submission of

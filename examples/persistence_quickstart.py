@@ -78,7 +78,7 @@ def service_spill_tier(stream):
     first.flush()
     # A second tenant evicts s3d -- dehydrated, not forgotten.
     other = open_session("stencil", backend=service)
-    held = service.stats
+    held = service.backend_stats
     print(f"  after eviction: states_held={held['states_held']}, "
           f"state_tokens_held={held['state_tokens_held']}")
     # Re-admission pops the snapshot and warm-starts.

@@ -17,7 +17,10 @@ short of Algorithm 2 and motivates its design:
 
 All finders share the ``(tokens, min_length) -> list[Repeat]`` interface so
 they can be swapped into Apophenia via
-``ApopheniaConfig(repeats_algorithm=...)``. They also share Algorithm 2's
+``ApopheniaConfig(repeats_algorithm=...)``: importing this package
+registers ``"lzw"`` / ``"tandem"`` / ``"quadratic"`` in
+:data:`repro.core.jobs.REPEATS_ALGORITHMS` (the core itself knows
+Algorithm 2 only). They also share Algorithm 2's
 rank-compression contract: each finder compresses its window to dense
 integer ranks exactly once (:func:`repro.core.suffix_array.rank_compress`)
 and runs its inner loops over small ints, mapping back to the original
@@ -28,6 +31,11 @@ from repro.analysis.lzw import find_repeats_lzw
 from repro.analysis.tandem import find_tandem_repeats, tandem_repeats
 from repro.analysis.quadratic import find_repeats_quadratic
 from repro.analysis.metrics import finder_comparison
+from repro.core.jobs import REPEATS_ALGORITHMS
+
+REPEATS_ALGORITHMS.register("lzw", find_repeats_lzw)
+REPEATS_ALGORITHMS.register("tandem", find_tandem_repeats)
+REPEATS_ALGORITHMS.register("quadratic", find_repeats_quadratic)
 
 __all__ = [
     "find_repeats_lzw",

@@ -45,12 +45,12 @@ from repro.api.session import (
     TracingBackend,
     open_session,
 )
-from repro.api.stats import SessionStats, collect_session_stats
 from repro.core.processor import ApopheniaConfig
 from repro.errors import SessionClosedError
 from repro.faults import FaultPlan, NullFaultPlan
+from repro.metrics import SessionStats
 from repro.service.replicated import ReplicatedBackend
-from repro.service.service import ApopheniaService
+from repro.service.service import ApopheniaService, collect_session_stats
 
 
 def registries():

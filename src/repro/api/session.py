@@ -41,12 +41,15 @@ import itertools
 from typing import Protocol, runtime_checkable
 
 from repro.api.config import build_config, env_overrides, validate_config
-from repro.api.stats import collect_session_stats
 from repro.errors import SessionClosedError
 from repro.persist import dehydrate
 from repro.registry import Registry
 from repro.service.replicated import ReplicatedBackend
-from repro.service.service import ApopheniaService, StandaloneBackend
+from repro.service.service import (
+    ApopheniaService,
+    StandaloneBackend,
+    collect_session_stats,
+)
 from repro.stablehash import stable_digest
 
 
@@ -200,12 +203,13 @@ class Session:
     def _check_open(self):
         """Raise :class:`SessionClosedError` if this facade is closed.
 
-        The backends guard their own handles; this guard covers the
-        facade's closed mark too, so ``submit``/``flush``/``stats`` after
-        ``close()`` fail with the session key whichever side closed
-        first (backend-evicted handles would otherwise surface a bare
-        ``KeyError`` from the backend's session table, or worse, silently
-        read stats off a flushed processor the caller thinks is live).
+        Two facts, two marks: ``handle.closed`` says the backend no
+        longer serves the session (``close()``, or an LRU eviction under
+        the client), and guards the serving calls itself -- ``submit`` /
+        ``set_iteration`` / ``flush`` raise from there, with the session
+        key, whichever side closed first. ``closed`` says the client gave
+        this facade up, and guards the introspection calls: an evicted
+        session's final counters and decisions stay readable until then.
         """
         if self.closed:
             raise SessionClosedError(self.session_id)
@@ -215,7 +219,6 @@ class Session:
     # ------------------------------------------------------------------
     def submit(self, task):
         """Issue one task through the session's tracing pipeline."""
-        self._check_open()
         if self.recorder is not None:
             # Recorded before the serving path sees the task: capture
             # observes the stream as issued and cannot perturb decisions.
@@ -244,14 +247,12 @@ class Session:
         return count
 
     def set_iteration(self, iteration):
-        self._check_open()
         if self.recorder is not None:
             self.recorder.on_iteration(iteration)
         self.handle.set_iteration(iteration)
 
     def flush(self):
         """Drain all buffered tasks (program end, or a fence)."""
-        self._check_open()
         if self.recorder is not None:
             self.recorder.on_flush()
         self.handle.flush()
@@ -295,7 +296,7 @@ class Session:
     # Introspection
     # ------------------------------------------------------------------
     def stats(self):
-        """The uniform :class:`~repro.api.stats.SessionStats` snapshot."""
+        """The uniform :class:`~repro.metrics.SessionStats` snapshot."""
         self._check_open()
         return collect_session_stats(self.handle)
 

@@ -34,6 +34,30 @@ from repro.faults import (
     MiningFault,
     resolve_fault_plan,
 )
+from repro.registry import Registry, RegistryError
+
+#: Artifact-style algorithm name -> ``(tokens, min_length) -> repeats``
+#: callable. The core knows Algorithm 2 only; the Section 4.2 baselines
+#: kept for the ablations (``lzw`` / ``tandem`` / ``quadratic``) register
+#: themselves when :mod:`repro.analysis` is imported.
+REPEATS_ALGORITHMS = Registry("repeats algorithm", {
+    "quick_matching_of_substrings": find_repeats,
+})
+
+
+def resolve_repeats_algorithm(name):
+    """The callable for an artifact-style algorithm name (a callable is
+    taken as given); unknown names raise the registry's ``ValueError``
+    listing the known ones."""
+    if callable(name):
+        return name
+    try:
+        return REPEATS_ALGORITHMS[name]
+    except RegistryError as exc:
+        raise RegistryError(
+            f"{exc} (the ablation baselines register on "
+            "`import repro.analysis`)"
+        ) from None
 
 #: Sentinel for a job whose mining work has not run yet.
 _UNMINED = object()
@@ -308,6 +332,11 @@ class JobExecutor:
     def quarantined(self):
         return self.breaker.quarantined
 
+    @property
+    def memo_tokens_held(self):
+        memo = self.memo
+        return memo.tokens_held if memo is not None else 0
+
     def _mine(self, tokens, min_length):
         """Run the repeat finder, reusing a memoized identical window."""
         memo = self.memo
@@ -401,3 +430,33 @@ class JobExecutor:
     def _schedule(self, job):
         """The one scheduling hook: a private executor mines at once."""
         job._materialize(job)
+
+
+def stream_keywords(config, node_id=0):
+    """The per-stream half of a ``JobExecutor``'s keywords, read off an
+    ``ApopheniaConfig`` -- all a service lane takes (the mining backend
+    is the shared executor's)."""
+    return dict(
+        node_id=node_id,
+        base_latency_ops=config.job_base_latency_ops,
+        per_token_latency_ops=config.job_per_token_latency_ops,
+        quarantine_threshold=config.fault_quarantine_threshold,
+    )
+
+
+def executor_from_config(config, node_id=0, stream_key=None, memo=None):
+    """The mining executor an ``ApopheniaConfig`` describes -- the one
+    place its knobs become executor keywords. ``memo`` is an externally
+    owned :class:`MiningMemo` (how the replicas of one session share a
+    cache)."""
+    return JobExecutor(
+        repeats_algorithm=resolve_repeats_algorithm(config.repeats_algorithm),
+        # memo_capacity rides along for the memo=None case: a config that
+        # disables the memo must not fall back to a default-capacity one.
+        memo_capacity=config.mining_memo_capacity,
+        memo=memo,
+        fault_plan=config.fault_plan,
+        stream_key=stream_key,
+        deadline_tokens=config.mining_deadline_tokens,
+        **stream_keywords(config, node_id),
+    )

@@ -22,35 +22,12 @@ from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import Optional
 
-from repro.analysis.lzw import find_repeats_lzw
-from repro.analysis.quadratic import find_repeats_quadratic
-from repro.analysis.tandem import find_tandem_repeats
 from repro.core.finder import TraceFinder
 from repro.core.hashing import TaskHasher
-from repro.core.jobs import JobExecutor
+from repro.core.jobs import executor_from_config, resolve_repeats_algorithm
 from repro.core.matching import AutomatonMatchEngine
 from repro.core.replayer import TraceReplayer
-from repro.core.repeats import find_repeats
 from repro.core.scoring import ScoringPolicy
-from repro.registry import Registry
-
-#: Artifact-style algorithm name -> ``(tokens, min_length) -> repeats``
-#: callable: Algorithm 2 and the Section 4.2 baselines kept for the
-#: ablations. The one table :meth:`ApopheniaConfig.validate` and the
-#: executors' construction both read.
-REPEATS_ALGORITHMS = Registry("repeats algorithm", {
-    "quick_matching_of_substrings": find_repeats,
-    "lzw": find_repeats_lzw,
-    "tandem": find_tandem_repeats,
-    "quadratic": find_repeats_quadratic,
-})
-
-
-def _resolve_repeats_algorithm(name):
-    """The callable for an artifact-style algorithm name (a callable is
-    taken as given); unknown names raise the registry's ``ValueError``
-    listing the known ones."""
-    return name if callable(name) else REPEATS_ALGORITHMS[name]
 
 
 def _decision(default):
@@ -230,7 +207,7 @@ class ApopheniaConfig:
                 "identifier_algorithm must be 'multi-scale' or 'fixed', "
                 f"got {self.identifier_algorithm!r}"
             )
-        _resolve_repeats_algorithm(self.repeats_algorithm)
+        resolve_repeats_algorithm(self.repeats_algorithm)
         if self.hysteresis < 0:
             raise ValueError(
                 f"hysteresis must be >= 0, got {self.hysteresis}"
@@ -319,18 +296,9 @@ class ApopheniaProcessor:
         runtime.auto_tracing = True  # launches now cost 12us, Section 6.3
 
         self.hasher = TaskHasher()
-        self.executor = executor if executor is not None else JobExecutor(
-            repeats_algorithm=_resolve_repeats_algorithm(
-                self.config.repeats_algorithm
-            ),
-            base_latency_ops=self.config.job_base_latency_ops,
-            per_token_latency_ops=self.config.job_per_token_latency_ops,
-            node_id=node_id,
-            memo_capacity=self.config.mining_memo_capacity,
-            fault_plan=self.config.fault_plan,
-            stream_key=stream_key,
-            deadline_tokens=self.config.mining_deadline_tokens,
-            quarantine_threshold=self.config.fault_quarantine_threshold,
+        self.executor = (
+            executor if executor is not None
+            else executor_from_config(self.config, node_id, stream_key)
         )
         self.finder = TraceFinder(
             self.executor,

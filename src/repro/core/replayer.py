@@ -46,40 +46,36 @@ from collections import deque
 from repro.core.candidates import CandidateStore
 from repro.core.matching import AutomatonMatchEngine
 from repro.core.scoring import ReplayDecisionPolicy, ScoringPolicy
+from repro.metrics import MARKS, owned_by
+
+#: The :mod:`repro.metrics` fields owned by attributes of
+#: :class:`TraceReplayer`: ``TraceReplayer.stats`` syncs each into the
+#: :class:`ReplayerStats` slot of the same name.
+_SYNCED = owned_by("engine", "policy", "store")
 
 
 class ReplayerStats:
     """Counters describing the replayer's behaviour.
 
-    The first six slots are *decision-determined*: two runs of the same
-    stream that made the same tbegin/tend decisions have identical
-    values whatever engine served them (what
-    :meth:`decision_tuple` exposes and the decision-neutrality tests
-    compare). The next three describe *how* the serving path did
-    the work -- pointer-set pressure and hysteresis interventions -- and
-    may legitimately differ between match engines. Slots past
-    ``SNAPSHOT_FIELDS`` are lifecycle gauges excluded from
-    :meth:`as_tuple`: the snapshot tuple's width and ordering are frozen
-    by the recorded decision digests of every trace-corpus fixture, so
-    new gauges must be appended here and surfaced through
-    ``SessionStats`` / ``backend_stats`` instead.
+    The slots are the :mod:`repro.metrics` fields the replayer side
+    owns, in declaration order. The ones marked ``replayer`` are bumped
+    here and are *decision-determined*: two runs of the same stream that
+    made the same tbegin/tend decisions have identical values whatever
+    engine served them (what :meth:`decision_tuple` exposes and the
+    decision-neutrality tests compare). The ``engine`` / ``policy`` /
+    ``store`` ones describe *how* the serving path did the work and are
+    synced in from their owner by :attr:`TraceReplayer.stats`; the first
+    three may legitimately differ between match engines. Slots past
+    ``SNAPSHOT_FIELDS`` are excluded from :meth:`as_tuple`: the snapshot
+    tuple's width and ordering are frozen by the recorded decision
+    digests of every trace-corpus fixture, so a new gauge is declared
+    after them in ``SessionStats``.
     """
 
-    __slots__ = (
-        "tasks_seen",
-        "tasks_flushed",
-        "tasks_traced",
-        "traces_fired",
-        "candidates_ingested",
-        "deferrals",
-        "active_pointer_peak",
-        "pointer_collapses",
-        "hysteresis_suppressed",
-        "candidates_evicted",
-    )
+    __slots__ = owned_by("replayer", "engine", "policy", "store")
 
-    #: The decision-determined prefix of ``__slots__``.
-    DECISION_FIELDS = __slots__[:6]
+    #: The decision-determined slots: the replayer's own counters.
+    DECISION_FIELDS = owned_by("replayer")
 
     #: The slots covered by :meth:`as_tuple` -- frozen at the original
     #: nine by the corpus fixtures' recorded decision digests.
@@ -191,11 +187,9 @@ class TraceReplayer:
     def stats(self):
         """Counters, with the engine/policy/store-side gauges synced in."""
         stats = self._stats
-        engine = self.engine
-        stats.active_pointer_peak = engine.active_pointer_peak
-        stats.pointer_collapses = engine.pointer_collapses
-        stats.hysteresis_suppressed = self.policy.hysteresis_suppressed
-        stats.candidates_evicted = self.store.candidates_evicted
+        for name in _SYNCED:
+            owner = getattr(self, MARKS[name]["owner"])
+            setattr(stats, name, getattr(owner, name))
         return stats
 
     # ------------------------------------------------------------------

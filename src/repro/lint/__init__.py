@@ -53,10 +53,11 @@ narrowly dodged) a bug against:
 ``RPL008`` -- **no iteration over unordered sets in decision paths**
     where order can leak into decisions; set order varies with insertion
     history and ``PYTHONHASHSEED`` across processes.
-``RPL009`` -- **persist/trace serializers must emit canonical JSON**
-    (``sort_keys=True``, minimal separators): dehydrated session states
-    and corpus fixtures are digest-stamped and compared by byte, so a
-    non-canonical ``json.dumps`` breaks round-trip byte-stability.
+``RPL009`` -- **persist/trace serialize through ``repro.canon``**, whose
+    one ``json.dumps`` is canonical (``sort_keys=True``, minimal
+    separators): dehydrated session states and corpus fixtures are
+    digest-stamped and compared by byte, so a non-canonical
+    ``json.dumps`` breaks round-trip byte-stability.
 
 Suppression is explicit and documented: a trailing (or immediately
 preceding) ``# replint: allow[RPL003] <reason>`` comment suppresses one

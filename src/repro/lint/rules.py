@@ -571,43 +571,35 @@ class SetIterationRule(Rule):
 
 
 # ----------------------------------------------------------------------
-# RPL009 -- canonical JSON in serializer packages
+# RPL009 -- one canonical-JSON call site
 # ----------------------------------------------------------------------
 
 #: Packages whose on-disk documents are digest-stamped and compared by
-#: byte: trace corpus files and dehydrated session states.
+#: byte (trace corpus files, dehydrated session states), and the one
+#: module that serializes for them.
 _SERIALIZER_PACKAGES = ("repro/persist/", "repro/trace/")
+_CANON_MODULE = "repro/canon.py"
 
 _JSON_WRITERS = frozenset({"json.dump", "json.dumps"})
 
-#: The canonical separators pair, as the AST constant values.
-_CANONICAL_SEPARATORS = (",", ":")
 
-
-def _keyword(node, name):
-    for keyword in node.keywords:
-        if keyword.arg == name:
-            return keyword.value
-    return None
-
-
-def _is_true_constant(node):
-    return isinstance(node, ast.Constant) and node.value is True
-
-
-def _is_canonical_separators(node):
-    if not isinstance(node, (ast.Tuple, ast.List)):
-        return False
-    values = [
-        elt.value for elt in node.elts if isinstance(elt, ast.Constant)
-    ]
-    return len(node.elts) == 2 and tuple(values) == _CANONICAL_SEPARATORS
+def _is_canonical(call):
+    """``sort_keys=True, separators=(",", ":")``, as literal keywords."""
+    keywords = {keyword.arg: keyword.value for keyword in call.keywords}
+    sort_keys = keywords.get("sort_keys")
+    separators = keywords.get("separators")
+    return (
+        isinstance(sort_keys, ast.Constant) and sort_keys.value is True
+        and isinstance(separators, (ast.Tuple, ast.List))
+        and [getattr(elt, "value", None) for elt in separators.elts]
+        == [",", ":"]
+    )
 
 
 @register_rule
 class CanonicalJsonRule(Rule):
     rule_id = "RPL009"
-    title = "persist/trace serializers must emit canonical JSON"
+    title = "persist/trace serialize through repro.canon, which is canonical"
     rationale = (
         "Session states and trace-corpus documents are digest-stamped "
         "and compared byte-for-byte (loads(dumps()) round-trips, corpus "
@@ -615,15 +607,19 @@ class CanonicalJsonRule(Rule):
         "sort_keys leaks dict insertion history into the bytes, and the "
         "default separators add whitespace -- either way two equal "
         "payloads serialize differently and every byte-identity check "
-        "downstream turns flaky."
+        "downstream turns flaky. So there is one call site, "
+        "repro.canon.dumps, and it is the canonical expression."
     )
     hint = (
-        "call json.dumps(obj, sort_keys=True, separators=(\",\", \":\")) "
-        "-- the repo-wide canonical-serialization contract"
+        "call repro.canon.dumps(obj) -- the one json.dumps(obj, "
+        "sort_keys=True, separators=(\",\", \":\")) in the repo"
     )
 
     def applies_to(self, ctx):
-        return ctx.key is not None and ctx.key.startswith(_SERIALIZER_PACKAGES)
+        return ctx.key is not None and (
+            ctx.key == _CANON_MODULE
+            or ctx.key.startswith(_SERIALIZER_PACKAGES)
+        )
 
     def check(self, ctx):
         for node in ast.walk(ctx.tree):
@@ -632,17 +628,18 @@ class CanonicalJsonRule(Rule):
             resolved = ctx.resolve(node.func)
             if resolved not in _JSON_WRITERS:
                 continue
-            problems = []
-            if not _is_true_constant(_keyword(node, "sort_keys")):
-                problems.append("sort_keys=True")
-            if not _is_canonical_separators(_keyword(node, "separators")):
-                problems.append('separators=(",", ":")')
-            if problems:
+            if ctx.key != _CANON_MODULE:
                 yield ctx.violation(
                     self, node,
-                    f"{resolved}() in a serializer package without "
-                    f"{' and '.join(problems)} (non-canonical JSON breaks "
-                    f"byte-identity)",
+                    f"{resolved}() in a serializer package: its documents "
+                    f"are written by repro.canon.dumps only",
+                )
+            elif not _is_canonical(node):
+                yield ctx.violation(
+                    self, node,
+                    f"{resolved}() in repro.canon without sort_keys=True "
+                    f"and separators=(\",\", \":\") (non-canonical JSON "
+                    f"breaks byte-identity)",
                 )
 
 

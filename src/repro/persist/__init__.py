@@ -21,7 +21,6 @@ from repro.persist.state import (
     SessionState,
     dehydrate,
     dehydrate_processor,
-    format_for_version,
     hydrate_processor,
 )
 from repro.persist.store import SessionStateStore
@@ -35,6 +34,5 @@ __all__ = [
     "SessionStateStore",
     "dehydrate",
     "dehydrate_processor",
-    "format_for_version",
     "hydrate_processor",
 ]

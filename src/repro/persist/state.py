@@ -39,56 +39,37 @@ match-engine tick state (a dehydrate flushes, which resets the engine;
 all liveness arithmetic is tick-relative), and the mining memo
 (decision-neutral by construction).
 
-Serialization is canonical -- sorted keys, minimal separators, one JSON
-document -- so ``loads(dumps())`` round-trips byte-identically, and the
-payload carries a :func:`~repro.stablehash.stable_digest` stamp checked
-on load (tamper detection). Schema versions are plugin points in
+Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
+separators, one JSON document), so ``loads(dumps())`` round-trips
+byte-identically, and the payload carries a :func:`repro.canon.digest`
+stamp checked on load (tamper detection). Schema versions are plugin points in
 :data:`PERSIST_FORMATS`, mirroring :data:`repro.trace.TRACE_FORMATS`.
 """
 
 import itertools
-import json
 from collections import deque
 
+from repro import canon
 from repro.core.jobs import AnalysisJob, completion_op
 from repro.core.processor import ApopheniaConfig
 from repro.core.repeats import Repeat
 from repro.core.trie import CompletedMatch
+from repro.metrics import MARKS, owned_by
 from repro.registry import Registry
-from repro.stablehash import stable_digest
 
 FORMAT_NAME = "repro-session-state"
 
-_MISSING = object()
-
-#: :class:`~repro.core.jobs.JobExecutor` counters restored onto the
-#: hydrated session's executor (``jobs_submitted`` doubles as the next
-#: job id -- ids and the counter start at zero and move together).
-_EXECUTOR_COUNTERS = (
-    "jobs_submitted",
-    "tokens_analyzed",
-    "memo_hits",
-    "mining_failures",
-    "degraded_jobs",
-    "deadline_overruns",
-)
+#: What the payload's ``jobs.counters`` / ``gauges`` record and hydrate
+#: restores onto the executor / the match engine and decision policy:
+#: the ``restored`` :mod:`repro.metrics` fields those layers own
+#: (``jobs_submitted`` doubles as the next job id -- ids and the counter
+#: start at zero and move together).
+_EXECUTOR_COUNTERS = owned_by("executor", restored=True)
+_SERVING_GAUGES = owned_by("engine", "policy", restored=True)
 
 
 class PersistFormatError(ValueError):
     """A session-state document violated the schema or its digest."""
-
-
-def _require(payload, field, types, kind="state"):
-    value = payload.get(field, _MISSING)
-    if value is _MISSING:
-        raise PersistFormatError(f"{kind} is missing {field!r}")
-    if types is not None and not isinstance(value, types):
-        raise PersistFormatError(
-            f"{kind} field {field!r} must be "
-            f"{'/'.join(t.__name__ for t in types)}, "
-            f"got {type(value).__name__}"
-        )
-    return value
 
 
 class PersistFormatV1:
@@ -123,11 +104,8 @@ class PersistFormatV1:
                 f"session state is not an object: {payload!r}"
             )
         for field, (types, nullable) in cls._FIELDS.items():
-            if nullable and payload.get(field, _MISSING) is None:
-                if field not in payload:
-                    raise PersistFormatError(f"state is missing {field!r}")
-                continue
-            _require(payload, field, types)
+            canon.require(payload, field, types, "state",
+                          PersistFormatError, nullable)
         if payload["format"] != FORMAT_NAME:
             raise PersistFormatError(
                 f"not a {FORMAT_NAME} document: "
@@ -145,37 +123,22 @@ class PersistFormatV1:
                 ("gap_tokens", (int,)), ("replayed", (bool,)),
                 ("recorded", (bool,)),
             ):
-                _require(candidate, field, types, "candidate")
+                canon.require(candidate, field, types, "candidate",
+                              PersistFormatError)
         for job in payload["jobs"].get("pending", ()):
             for field, types in (
                 ("job_id", (int,)), ("submitted_at_op", (int,)),
                 ("num_tokens", (int,)), ("degraded", (bool,)),
                 ("result", (list,)),
             ):
-                _require(job, field, types, "pending job")
+                canon.require(job, field, types, "pending job",
+                              PersistFormatError)
         return payload
 
 
 #: Schema plugin point: ``"v<version>" -> format class`` (the same
 #: pattern as :data:`repro.trace.TRACE_FORMATS`).
 PERSIST_FORMATS = Registry("persist format", {"v1": PersistFormatV1})
-
-
-def format_for_version(version):
-    """Look up the schema class serving ``version``."""
-    return PERSIST_FORMATS[f"v{version}"]
-
-
-def _canonical(payload):
-    """The canonical JSON text of ``payload`` (sorted keys, minimal
-    separators -- the repo-wide serializer contract, lint rule RPL009)."""
-    return json.dumps(payload, sort_keys=True, separators=(",", ":"))
-
-
-def _payload_digest(payload):
-    """Digest over the canonical payload, ``digest`` field excluded."""
-    stripped = {k: v for k, v in payload.items() if k != "digest"}
-    return stable_digest(_canonical(stripped))
 
 
 class SessionState:
@@ -221,7 +184,7 @@ class SessionState:
     # -- integrity ------------------------------------------------------
     def stable_digest(self):
         """Recompute the digest over the canonical payload."""
-        return _payload_digest(self.payload)
+        return canon.digest(self.payload)
 
     def verify(self):
         """Check the payload's digest stamp; returns ``self``.
@@ -241,27 +204,16 @@ class SessionState:
     # -- serialization --------------------------------------------------
     def dumps(self):
         """The canonical JSON text of this state (byte-stable)."""
-        return _canonical(self.payload)
+        return canon.dumps(self.payload)
 
     @classmethod
     def loads(cls, text):
         """Parse, schema-check, and digest-check a state document."""
-        try:
-            payload = json.loads(text)
-        except json.JSONDecodeError as exc:
-            raise PersistFormatError(
-                f"session state is not valid JSON: {exc}"
-            ) from exc
+        payload = canon.loads(text, "session state", PersistFormatError)
         if not isinstance(payload, dict):
             raise PersistFormatError("session state must be a JSON object")
-        version = payload.get("version")
-        try:
-            schema = format_for_version(version)
-        except (KeyError, ValueError) as exc:
-            raise PersistFormatError(
-                f"no reader for state version {version!r}; "
-                f"known: {PERSIST_FORMATS.names()}"
-            ) from exc
+        schema = canon.reader(PERSIST_FORMATS, payload.get("version"),
+                              "state", PersistFormatError)
         schema.validate(payload)
         return cls(payload).verify()
 
@@ -302,7 +254,7 @@ def dehydrate(handle):
         processor.flush()
     return _stamp(
         _snapshot_processor(handle.processor),
-        handle.session_id, handle.backend.backend_kind,
+        handle.session_id, handle.backend_kind,
     )
 
 
@@ -317,7 +269,7 @@ def _stamp(payload, session_id, backend):
     """Add the session identity and the digest to a processor payload."""
     payload["session_id"] = session_id
     payload["backend"] = backend
-    payload["digest"] = _payload_digest(payload)
+    payload["digest"] = canon.digest(payload)
     return SessionState(payload)
 
 
@@ -433,11 +385,7 @@ def _snapshot_processor(processor):
                 for name in stats.DECISION_FIELDS
             },
         },
-        "gauges": {
-            "active_pointer_peak": stats.active_pointer_peak,
-            "pointer_collapses": stats.pointer_collapses,
-            "hysteresis_suppressed": stats.hysteresis_suppressed,
-        },
+        "gauges": {name: getattr(stats, name) for name in _SERVING_GAUGES},
         "finder": {
             "buffer": list(finder.buffer),
             "ops_observed": finder.ops_observed,
@@ -486,8 +434,8 @@ def hydrate_processor(processor, state):
         )
     config = processor.config
     for name in ApopheniaConfig.decision_fields():
-        recorded = payload["config"].get(name, _MISSING)
-        if recorded is not _MISSING and recorded != getattr(config, name):
+        recorded = payload["config"].get(name, getattr(config, name))
+        if recorded != getattr(config, name):
             raise PersistFormatError(
                 f"state was captured under {name}={recorded!r} but the "
                 f"session runs {name}={getattr(config, name)!r}; learned "
@@ -548,10 +496,9 @@ def hydrate_processor(processor, state):
     for name, value in rep["counters"].items():
         setattr(replayer._stats, name, value)
 
-    gauges = payload["gauges"]
-    engine.active_pointer_peak = gauges["active_pointer_peak"]
-    engine.pointer_collapses = gauges["pointer_collapses"]
-    replayer.policy.hysteresis_suppressed = gauges["hysteresis_suppressed"]
+    for name in _SERVING_GAUGES:
+        setattr(getattr(replayer, MARKS[name]["owner"]), name,
+                payload["gauges"][name])
 
     finder = processor.finder
     fin = payload["finder"]
@@ -620,6 +567,5 @@ __all__ = [
     "SessionState",
     "dehydrate",
     "dehydrate_processor",
-    "format_for_version",
     "hydrate_processor",
 ]

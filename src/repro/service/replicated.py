@@ -43,13 +43,9 @@ protocol exists for. The facade-visible surface -- ``submit`` /
 """
 
 from repro.core.coordination import IngestCoordinator
-from repro.core.jobs import JobExecutor, MiningMemo
-from repro.core.processor import (
-    ApopheniaProcessor,
-    _resolve_repeats_algorithm,
-)
+from repro.core.jobs import MiningMemo, executor_from_config
+from repro.core.processor import ApopheniaProcessor
 from repro.errors import SessionClosedError
-from repro.faults import resolve_fault_plan
 from repro.service.service import SessionHandle, SessionPool
 
 
@@ -269,22 +265,14 @@ class ReplicatedBackend(SessionPool):
             runtimes = [
                 self.runtime_factory.create(key).runtime for key in keys
             ]
-        # One resolution of the mining algorithm for the whole replica
-        # set, and one shared per-session memo:
-        # replicas mine byte-identical windows, so node 0's analysis
-        # answers nodes 1..N-1 -- decision-neutral because results are
-        # pure functions of the window.
-        algorithm = _resolve_repeats_algorithm(config.repeats_algorithm)
+        # One shared per-session memo: replicas mine byte-identical
+        # windows, so node 0's analysis answers nodes 1..N-1 --
+        # decision-neutral because results are pure functions of the
+        # window.
         memo = (
             MiningMemo(config.mining_memo_capacity)
             if config.mining_memo_capacity else None
         )
-        # One plan object for the whole replica set, keyed by the session
-        # id: every node executor consults the same deterministic
-        # schedule for the same stream, so injected mining faults hit all
-        # replicas identically -- degraded results stay replicated
-        # results, and the agreement invariant survives the fault.
-        faults = resolve_fault_plan(config.fault_plan)
         processors = [
             ApopheniaProcessor(
                 runtimes[node],
@@ -292,26 +280,20 @@ class ReplicatedBackend(SessionPool):
                 node_id=node,
                 coordinator=coordinator,
                 stream_key=session_id,
-                executor=JobExecutor(
-                    repeats_algorithm=algorithm,
-                    base_latency_ops=config.job_base_latency_ops,
-                    per_token_latency_ops=config.job_per_token_latency_ops,
-                    node_id=node,
-                    # memo_capacity rides along for the memo=None case:
-                    # a config that disables the memo must not fall back
-                    # to a private default-capacity cache per node.
-                    memo_capacity=config.mining_memo_capacity,
-                    memo=memo,
-                    fault_plan=faults,
-                    stream_key=session_id,
-                    deadline_tokens=config.mining_deadline_tokens,
-                    quarantine_threshold=config.fault_quarantine_threshold,
+                executor=executor_from_config(
+                    config, node, session_id, memo=memo
                 ),
             )
             for node in range(nodes)
         ]
+        # The plan is a pure schedule keyed by the session id, so every
+        # node executor resolved the same one: injected mining faults hit
+        # all replicas identically -- degraded results stay replicated
+        # results, and the agreement invariant survives the fault. The
+        # handle reads its node drops off node 0's.
         return ReplicatedSessionHandle(
-            session_id, self, processors, keys, coordinator, faults
+            session_id, self, processors, keys, coordinator,
+            processors[0].executor.fault_plan,
         )
 
     def _release(self, handle):

@@ -5,7 +5,7 @@ sessions, each a :class:`SessionHandle` over one or more
 :class:`~repro.core.processor.ApopheniaProcessor` replicas. The pool
 owns what every deployment does the same way -- the open template, the
 one exception-safe ``close_session``, and the ``backend_stats`` fold over
-the declared :data:`METRICS` table -- and a backend supplies ``_build``
+the marks of :mod:`repro.metrics` -- and a backend supplies ``_build``
 (what serves a session) and ``_release`` (what it registered elsewhere),
 plus whatever is genuinely its own:
 
@@ -41,93 +41,55 @@ re-mining from scratch. Without the budget (the default) eviction keeps
 the historical behaviour -- the tenant restarts cold.
 """
 
-from collections import namedtuple
 from operator import add
 
-from repro.core.processor import (
-    ApopheniaConfig,
-    ApopheniaProcessor,
-    _resolve_repeats_algorithm,
-)
+from repro import metrics
+from repro.core.jobs import resolve_repeats_algorithm, stream_keywords
+from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.errors import SessionClosedError
 from repro.persist import SessionStateStore, dehydrate, hydrate_processor
 from repro.runtime.session import RuntimeSessionFactory
 from repro.service.executor import SharedJobExecutor
 
 
-# ----------------------------------------------------------------------
-# The metric table
-# ----------------------------------------------------------------------
-#: One ``backend_stats`` key: ``read(handle)`` takes it off a session,
-#: ``fold(total, value)`` (``add`` or ``max``) combines sessions. A
-#: ``gauge`` describes open sessions only; every other metric is a
-#: lifetime value that survives ``close_session``.
-Metric = namedtuple("Metric", "key fold read gauge", defaults=(False,))
-
-
-def _replayer(name):
-    return lambda handle: getattr(handle.stats, name)
-
-
-def _executor(name):
-    return lambda handle: getattr(handle.processor.executor, name)
-
-
-def _coordinator(name):
-    def read(handle):
-        coordinator = handle.coordinator
-        return getattr(coordinator, name) if coordinator is not None else 0
-    return read
-
-
-def _memo_tokens(handle):
-    memo = handle.processor.executor.memo
-    return memo.tokens_held if memo is not None else 0
-
-
-#: Every per-session quantity a backend aggregates, declared once. The
-#: same table folds the open sessions (``backend_stats``) and a closing
-#: one into the pool's lifetime record (``close_session``), so a key
-#: means the same thing on every backend. Replicated sessions report the
-#: reference replica (replicas are byte-identical by the agreement
-#: invariant; a dropped node's counters froze at the drop point).
-METRICS = (
-    Metric("tasks_seen", add, _replayer("tasks_seen")),
-    Metric("jobs_materialized", add, _executor("jobs_submitted")),
-    Metric("memo_hits", add, _executor("memo_hits")),
-    Metric("mining_failures", add, _executor("mining_failures")),
-    Metric("degraded_jobs", add, _executor("degraded_jobs")),
-    Metric("deadline_overruns", add, _executor("deadline_overruns")),
-    # The pointer peak is a max (the worst ladder any session's stream
-    # built); collapses and suppressed switches are sums (total work the
-    # deduplicating engine avoided / churn the hysteresis absorbed).
-    Metric("active_pointer_peak", max, _replayer("active_pointer_peak")),
-    Metric("pointer_collapses", add, _replayer("pointer_collapses")),
-    Metric("hysteresis_suppressed", add, _replayer("hysteresis_suppressed")),
-    Metric("candidates_evicted", add, _replayer("candidates_evicted")),
-    Metric("warm_starts", add, lambda handle: handle.processor.warm_starts),
-    Metric("nodes_dropped", add,
-           lambda handle: handle.num_nodes - handle.live_nodes),
-    Metric("coordinator_waits", add, _coordinator("waits")),
-    Metric("agreements_pruned", add, _coordinator("agreements_pruned")),
-    Metric("memo_tokens_held", add, _memo_tokens, gauge=True),
-    # bool -> 0/1: the sum counts currently quarantined sessions.
-    Metric("quarantined", add, _executor("quarantined"), gauge=True),
-    Metric("nodes", add, lambda handle: handle.num_nodes, gauge=True),
-    Metric("live_nodes", add, lambda handle: handle.live_nodes, gauge=True),
-    # The worst current margin, and the live agreement-table entries
-    # (the gauge coordinator pruning bounds).
-    Metric("ingest_margin_ops", max, _coordinator("margin_ops"), gauge=True),
-    Metric("agreement_entries", add, _coordinator("agreement_table_size"),
-           gauge=True),
-)
+def collect_session_stats(handle):
+    """Build a :class:`~repro.metrics.SessionStats` from a backend's
+    session handle (what ``TracingBackend.open_session`` returned): every
+    field read off the owner its mark names. A hand-driven
+    :class:`~repro.core.processor.ApopheniaProcessor` is accepted too
+    and reads as the one session of a standalone pool.
+    """
+    if isinstance(handle, ApopheniaProcessor):
+        handle = SessionHandle(
+            None, StandaloneBackend(handle.config), [handle],
+            coordinator=handle.coordinator,
+        )
+    pool = handle.backend
+    processor = handle.processor
+    replayer = processor.replayer
+    return metrics.SessionStats(**metrics.read({
+        "handle": handle,
+        "pool": pool,
+        "spill": pool.state_store,
+        "coordinator": handle.coordinator,
+        "processor": processor,
+        "executor": processor.executor,
+        "replayer": replayer.stats,
+        "engine": replayer.engine,
+        "policy": replayer.policy,
+        "store": replayer.store,
+    }))
 
 
 def _fold(totals, handle, lifetime_only=False):
-    """Fold one session into ``totals`` by the :data:`METRICS` rules."""
-    for key, fold, read, gauge in METRICS:
-        if not (gauge and lifetime_only):
-            totals[key] = fold(totals[key], read(handle))
+    """Fold one session into ``totals`` by each metric's ``fold`` mark:
+    the same rule for the open sessions (``backend_stats``) and a closing
+    one's lifetime record (``close_session``), so a key means the same
+    thing on every backend."""
+    stats = collect_session_stats(handle)
+    for name, mark in metrics.MARKS.items():
+        if mark["fold"] and not (mark["gauge"] and lifetime_only):
+            totals[name] = mark["fold"](totals[name], getattr(stats, name))
 
 
 # ----------------------------------------------------------------------
@@ -202,6 +164,14 @@ class SessionHandle:
         return len(self._live)
 
     @property
+    def nodes_dropped(self):
+        return len(self.processors) - len(self._live)
+
+    @property
+    def backend_kind(self):
+        return self.backend.backend_kind
+
+    @property
     def live_processors(self):
         return list(self._live)
 
@@ -271,7 +241,9 @@ class SessionPool:
         self.state_store = None
         # Lifetime metrics of closed sessions, so backend_stats reports
         # the whole history, not just the sessions still open.
-        self._retired = dict.fromkeys((metric.key for metric in METRICS), 0)
+        self._retired = {
+            name: 0 for name, mark in metrics.MARKS.items() if mark["fold"]
+        }
 
     # ------------------------------------------------------------------
     # Session lifecycle
@@ -291,22 +263,41 @@ class SessionPool:
         """
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already open")
-        state = self._admit(session_id, state)
-        handle = self._build(session_id, config or self.config, runtime,
-                             node_id, **deployment)
-        for key, processor in zip(handle.runtime_keys, handle.processors):
-            # Factory-tracked handles expose the session's replay-engine
-            # counters (RuntimeHandle.serving_stats).
-            self.runtime_factory.bind_processor(key, processor)
-        if state is not None:
-            for processor in handle.processors:
-                hydrate_processor(processor, state)
+        admitted = self._admit(session_id, state)
+        tracked = set(self.runtime_factory.handles)
+        handle = None
+        try:
+            handle = self._build(session_id, config or self.config, runtime,
+                                 node_id, **deployment)
+            for key, processor in zip(handle.runtime_keys, handle.processors):
+                # Factory-tracked handles expose the session's
+                # replay-engine counters (RuntimeHandle.serving_stats).
+                self.runtime_factory.bind_processor(key, processor)
+            if admitted is not None:
+                for processor in handle.processors:
+                    hydrate_processor(processor, admitted)
+        except BaseException:
+            # A refused warm start (hydrate fails closed on a decision
+            # config mismatch) or a failed build must not wedge the id:
+            # give back the lane / coordinator stream, every runtime the
+            # factory stamped, and a state _admit took out of the store.
+            if handle is None:
+                handle = SessionHandle(
+                    session_id, self, (),
+                    set(self.runtime_factory.handles) - tracked,
+                )
+            self._discard(handle)
+            if admitted is not state:
+                self.state_store.put(session_id, admitted)
+            raise
+        if admitted is not None:
             # The session's counters resume from the snapshot; what it
             # brought along is not work this pool served (and if this
             # pool did serve it, it was retired when that session closed).
-            for key, fold, read, gauge in METRICS:
-                if fold is add and not gauge:
-                    self._retired[key] -= read(handle)
+            stats = collect_session_stats(handle)
+            for name, mark in metrics.MARKS.items():
+                if mark["restored"] and mark["fold"] is add:
+                    self._retired[name] -= getattr(stats, name)
             for processor in handle.processors:
                 processor.warm_starts += 1
         self.sessions[session_id] = handle
@@ -360,11 +351,17 @@ class SessionPool:
             # Retire before _release: pending-head agreements (and the
             # coordinator gauges that count them) die with the stream.
             _fold(self._retired, handle, lifetime_only=True)
+            self._discard(handle)
+        return handle
+
+    def _discard(self, handle):
+        """Give back everything ``_build`` registered for ``handle``."""
+        try:
             self._release(handle)
+        finally:
             for key in handle.runtime_keys:
                 self.runtime_factory.release(key)
             handle.closed = True
-        return handle
 
     def session(self, session_id):
         """Look up an open session (without touching any LRU position)."""
@@ -378,28 +375,24 @@ class SessionPool:
     # ------------------------------------------------------------------
     @property
     def backend_stats(self):
-        """The :data:`METRICS` fold plus the pool's own counters.
+        """Every :mod:`repro.metrics` metric, folded over the pool's
+        sessions, plus the pool's own figures.
 
         Counters are lifetime aggregates (closed sessions included);
-        gauges (``memo_tokens_held``, ``quarantined``,
-        ``nodes`` / ``live_nodes``, ``ingest_margin_ops``,
-        ``agreement_entries``, ``states_held``) describe what is open
-        right now.
+        ``gauge``-marked metrics describe what is open right now.
         """
         totals = dict(self._retired)
         for handle in self.sessions.values():
             _fold(totals, handle)
         store = self.state_store
+        totals.update(metrics.read({"pool": self, "spill": store}))
         totals.update(
-            lanes=len(self.sessions),
             sessions_open=len(self.sessions),
             sessions_opened=self.sessions_opened,
-            sessions_evicted=self.sessions_evicted,
-            states_held=store.states_held if store is not None else 0,
             state_tokens_held=store.tokens_held if store is not None else 0,
             memo_hit_rate=(
-                totals["memo_hits"] / totals["jobs_materialized"]
-                if totals["jobs_materialized"] else 0.0
+                totals["memo_hits"] / totals["jobs_submitted"]
+                if totals["jobs_submitted"] else 0.0
             ),
         )
         return totals
@@ -495,7 +488,7 @@ class ApopheniaService(SessionPool):
     def __init__(self, config=None, runtime_factory=None):
         super().__init__(config, runtime_factory)
         self.executor = SharedJobExecutor(
-            repeats_algorithm=_resolve_repeats_algorithm(
+            repeats_algorithm=resolve_repeats_algorithm(
                 self.config.repeats_algorithm
             ),
             memo_capacity=self.config.shared_memo_capacity,
@@ -529,11 +522,7 @@ class ApopheniaService(SessionPool):
     def _build(self, session_id, config, runtime, node_id):
         runtime, keys = self._runtime_for(session_id, runtime)
         lane = self.executor.lane(
-            session_id,
-            node_id=node_id,
-            base_latency_ops=config.job_base_latency_ops,
-            per_token_latency_ops=config.job_per_token_latency_ops,
-            quarantine_threshold=config.fault_quarantine_threshold,
+            session_id, **stream_keywords(config, node_id)
         )
         processor = ApopheniaProcessor(
             runtime, config, node_id=node_id, executor=lane
@@ -625,10 +614,7 @@ class ApopheniaService(SessionPool):
         stats = super().backend_stats
         stats.update(self.executor.stats)
         stats["mines_executed"] = (
-            stats["jobs_materialized"] - stats["memo_hits"]
+            stats["jobs_submitted"] - stats["memo_hits"]
             - stats["degraded_jobs"]
         )
         return stats
-
-    #: The service's historical spelling of :attr:`backend_stats`.
-    stats = backend_stats

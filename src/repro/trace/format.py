@@ -25,8 +25,7 @@ dispatch on the header's ``version`` so future schemas can coexist with
 checked-in v1 corpus files.
 """
 
-import json
-
+from repro import canon
 from repro.core.processor import ApopheniaConfig
 from repro.registry import Registry
 from repro.stablehash import stable_digest
@@ -40,21 +39,6 @@ _SCALARS = (bool, int, float, str)
 class TraceFormatError(ValueError):
     """A trace document violated the schema (or its integrity stamp)."""
 
-
-def _require(record, field, types, kind):
-    value = record.get(field, _MISSING)
-    if value is _MISSING:
-        raise TraceFormatError(f"{kind} record is missing {field!r}: {record}")
-    if not isinstance(value, types):
-        raise TraceFormatError(
-            f"{kind} record field {field!r} must be "
-            f"{'/'.join(t.__name__ for t in types)}, "
-            f"got {type(value).__name__}: {record}"
-        )
-    return value
-
-
-_MISSING = object()
 
 def config_to_dict(config):
     """``(serializable_fields, dropped_names)`` for a config object.
@@ -137,23 +121,24 @@ class TraceFormatV1:
         ),
     }
 
+    #: What the footer's ``gauges`` record beside the decision digest:
+    #: ``SessionStats`` attributes, frozen by the corpus fixtures' bytes.
+    FOOTER_GAUGES = ("tasks_seen", "tasks_traced", "replay_fraction",
+                     "traces_fired", "candidates_ingested")
+
     @classmethod
     def validate(cls, record):
         """Check one parsed record against the schema; returns it."""
         if not isinstance(record, dict):
             raise TraceFormatError(f"trace line is not an object: {record!r}")
-        kind = _require(record, "record", (str,), "trace")
+        kind = canon.require(record, "record", (str,), "trace line",
+                             TraceFormatError)
         schema = cls._SCHEMAS.get(kind)
         if schema is None:
             raise TraceFormatError(f"unknown record kind {kind!r}")
         for field, types, nullable in schema:
-            if nullable and record.get(field) is None:
-                if field not in record:
-                    raise TraceFormatError(
-                        f"{kind} record is missing {field!r}: {record}"
-                    )
-                continue
-            _require(record, field, types, kind)
+            canon.require(record, field, types, f"{kind} record",
+                          TraceFormatError, nullable)
         if kind == "task":
             cls._validate_reqs(record["reqs"])
         if kind == "header":
@@ -210,11 +195,6 @@ class TraceFormatV1:
 TRACE_FORMATS = Registry("trace format", {"v1": TraceFormatV1})
 
 
-def format_for_version(version):
-    """Look up the schema class serving ``version``."""
-    return TRACE_FORMATS[f"v{version}"]
-
-
 def stream_digest(records):
     """Process-stable digest of the canonical event stream."""
     keys = []
@@ -230,7 +210,7 @@ class TraceDocument:
 
     ``records`` holds topology and event records in capture order;
     ``header``/``footer`` are the first/last lines. Serialization is
-    canonical (sorted keys, minimal separators), so an unchanged capture
+    canonical (:func:`repro.canon.dumps` per line), so an unchanged capture
     re-serializes byte-identically -- the property ``make corpus``'s
     diff-review workflow rests on.
     """
@@ -308,10 +288,7 @@ class TraceDocument:
 
     def dumps(self):
         """The canonical JSON-lines text of this document."""
-        return "".join(
-            json.dumps(line, sort_keys=True, separators=(",", ":")) + "\n"
-            for line in self.lines()
-        )
+        return "".join(canon.dumps(line) + "\n" for line in self.lines())
 
     def dump(self, path):
         """Write the document to ``path``; returns the path."""
@@ -328,15 +305,10 @@ class TraceDocument:
                 f"trace document needs a header and a footer, "
                 f"got {len(lines)} line(s)"
             )
-        parsed = []
-        for lineno, line in enumerate(lines, start=1):
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise TraceFormatError(
-                    f"line {lineno} is not valid JSON: {exc}"
-                ) from exc
-            parsed.append(record)
+        parsed = [
+            canon.loads(line, f"line {lineno}", TraceFormatError)
+            for lineno, line in enumerate(lines, start=1)
+        ]
         header = parsed[0]
         if not isinstance(header, dict) or header.get("record") != "header":
             raise TraceFormatError("first line must be the header record")
@@ -344,14 +316,8 @@ class TraceDocument:
             raise TraceFormatError(
                 f"not a {FORMAT_NAME} file: format={header.get('format')!r}"
             )
-        version = header.get("version")
-        try:
-            schema = format_for_version(version)
-        except (KeyError, ValueError) as exc:
-            raise TraceFormatError(
-                f"no reader for schema version {version!r}; "
-                f"known: {TRACE_FORMATS.names()}"
-            ) from exc
+        schema = canon.reader(TRACE_FORMATS, header.get("version"),
+                              "schema", TraceFormatError)
         footer = parsed[-1]
         if not isinstance(footer, dict) or footer.get("record") != "end":
             raise TraceFormatError("last line must be the end record")

@@ -112,11 +112,8 @@ class TraceRecorder:
             "decisions_digest": snapshot.stable_digest(),
             "replayer": list(snapshot.replayer),
             "gauges": {
-                "tasks_seen": stats.tasks_seen,
-                "tasks_traced": stats.tasks_traced,
-                "replay_fraction": stats.replay_fraction,
-                "traces_fired": stats.traces_fired,
-                "candidates_ingested": stats.candidates_ingested,
+                name: getattr(stats, name)
+                for name in TraceFormatV1.FOOTER_GAUGES
             },
         }
 

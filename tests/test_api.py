@@ -229,8 +229,8 @@ class TestSessionLifecycle:
             session.flush()
             live = backend.backend_stats
         closed = backend.backend_stats
-        assert live["jobs_materialized"] > 0
-        assert closed["jobs_materialized"] == live["jobs_materialized"]
+        assert live["jobs_submitted"] > 0
+        assert closed["jobs_submitted"] == live["jobs_submitted"]
         assert closed["memo_hits"] == live["memo_hits"]
         assert closed["sessions_open"] == 0
         assert closed["sessions_opened"] == 1
@@ -456,7 +456,7 @@ class TestSessionStatsSurface:
             assert stats.memo_hits == handle.lane.memo_hits
             assert stats.jobs_submitted == handle.lane.jobs_submitted
             assert stats.tokens_analyzed == handle.lane.tokens_analyzed
-            assert stats.evictions == service.sessions_evicted == 0
+            assert stats.sessions_evicted == service.sessions_evicted == 0
             assert stats.backend == "service"
             assert stats.session_id == "jacobi"
             assert 0.0 <= stats.memo_hit_rate <= 1.0

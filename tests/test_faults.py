@@ -748,7 +748,7 @@ class TestChaosProperty:
         for sid, outcome in chaotic.items():
             assert _conserves_tasks(outcome), sid
         # Faults actually fired on the targeted tenants...
-        stats = service.stats
+        stats = service.backend_stats
         assert stats["mining_failures"] > 0
         assert stats["degraded_jobs"] > 0
         assert stats["deadline_overruns"] > 0
@@ -777,7 +777,7 @@ class TestChaosProperty:
             assert first[sid].stats == second[sid].stats, sid
             assert first[sid].decision_trace == second[sid].decision_trace
         for key in ("mining_failures", "degraded_jobs", "deadline_overruns"):
-            assert first_service.stats[key] == second_service.stats[key]
+            assert first_service.backend_stats[key] == second_service.backend_stats[key]
 
     def test_degradation_gauges_reach_the_stats_facade(self, app_streams):
         config = FAST_CONFIG.with_overrides(
@@ -808,5 +808,5 @@ class TestChaosProperty:
             {"delayed": app_streams["jacobi"]}, config
         )
         assert _conserves_tasks(outcomes["delayed"])
-        assert service.stats["mining_failures"] == 0
-        assert service.stats["degraded_jobs"] == 0
+        assert service.backend_stats["mining_failures"] == 0
+        assert service.backend_stats["degraded_jobs"] == 0

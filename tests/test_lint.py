@@ -351,8 +351,10 @@ class TestSetIterationRule:
 
 
 class TestCanonicalJsonRule:
-    #: A synthetic serializer module: RPL009's scope is path-based.
+    #: RPL009's scope is path-based: the serializer packages may not
+    #: call json.dumps at all; the one module that may, must be canonical.
     PERSIST = "src/repro/persist/fixture.py"
+    CANON = "src/repro/canon.py"
 
     def test_bare_dumps_in_serializer_fires(self):
         v = assert_fires("RPL009", """\
@@ -361,27 +363,37 @@ class TestCanonicalJsonRule:
             def dumps(payload):
                 return json.dumps(payload)
         """, path=self.PERSIST)
-        assert "sort_keys=True" in v.message
-        assert "separators" in v.message
+        assert "repro.canon.dumps" in v.message
 
     def test_sorted_but_default_separators_fires(self):
-        # Default separators insert spaces -- not byte-stable against
-        # the canonical form the digests are computed over.
-        assert_fires("RPL009", """\
+        # The one call site: default separators insert spaces -- not
+        # byte-stable against the form the digests are computed over.
+        v = assert_fires("RPL009", """\
             import json
 
-            def dumps(payload):
-                return json.dumps(payload, sort_keys=True)
-        """, path=self.PERSIST)
+            def dumps(value):
+                return json.dumps(value, sort_keys=True)
+        """, path=self.CANON)
+        assert "separators" in v.message
 
     def test_clean_twin_canonical_call(self):
-        assert_clean("RPL009", """\
+        # The same canonical expression: clean in repro.canon, and still
+        # a violation in a serializer package, which must call canon.
+        source = """\
             import json
 
-            def dumps(payload):
+            def dumps(value):
                 return json.dumps(
-                    payload, sort_keys=True, separators=(",", ":"),
+                    value, sort_keys=True, separators=(",", ":"),
                 )
+        """
+        assert_clean("RPL009", source, path=self.CANON)
+        assert_fires("RPL009", source, path=self.PERSIST)
+        assert_clean("RPL009", """\
+            from repro import canon
+
+            def dumps(payload):
+                return canon.dumps(payload)
         """, path=self.PERSIST)
 
     def test_json_dump_to_file_also_covered(self):
@@ -389,7 +401,8 @@ class TestCanonicalJsonRule:
             import json
 
             def dump(payload, fh):
-                json.dump(payload, fh, sort_keys=True)
+                json.dump(payload, fh, sort_keys=True,
+                          separators=(",", ":"))
         """, path="src/repro/trace/fixture.py")
 
     def test_exempt_outside_serializer_packages(self):

@@ -12,15 +12,16 @@ helper's decision-neutrality, and the service's evict-then-readmit warm
 start through the token-budgeted spill store.
 """
 
-import json
-
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from repro import canon
 from repro.api import (
     PersistFormatError,
     SessionClosedError,
     SessionState,
     SessionStateStore,
+    TraceRecorder,
     open_session,
 )
 from repro.apps.base import capture_stream
@@ -31,6 +32,7 @@ from repro.core.replayer import TraceReplayer
 from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
+from repro.trace import TraceDocument, TraceFormatError
 
 pytestmark = pytest.mark.persist
 
@@ -64,6 +66,41 @@ def app_streams():
         name: capture_stream(name, 700, task_scale=0.05)
         for name in PARITY_APPS
     }
+
+
+@pytest.fixture(scope="module")
+def documents(app_streams):
+    """Both canonical document kinds of one s3d session -- its dehydrated
+    state and its captured trace -- as ``(document, class, error type,
+    tamper)``: :mod:`repro.canon` is under both, so the round-trip,
+    tamper and unknown-version contracts are asserted once over the
+    two. ``tamper`` makes a schema-valid edit to the parsed records."""
+    def bump_a_counter(records):
+        records[0]["replayer"]["counters"]["tasks_seen"] += 1
+
+    def rename_a_task(records):
+        next(r for r in records if r["record"] == "task")["name"] = "X"
+
+    with _open("standalone", "s3d") as session:
+        recorder = session.record_to(TraceRecorder(app="s3d"))
+        _drive(session, app_streams["s3d"][:SPLIT])
+        state = session.dehydrate()
+    return (
+        (state, SessionState, PersistFormatError, bump_a_counter),
+        (recorder.document(), TraceDocument, TraceFormatError,
+         rename_a_task),
+    )
+
+
+def _edited(document, edit):
+    """``document``'s text with ``edit`` applied to its parsed records
+    (one per line), re-serialized through :func:`repro.canon.dumps`."""
+    text = document.dumps()
+    records = [canon.loads(line, "line", ValueError)
+               for line in text.splitlines()]
+    edit(records)
+    end = "\n" if text.endswith("\n") else ""
+    return "".join(canon.dumps(record) + end for record in records)
 
 
 def _fast_runtime():
@@ -173,12 +210,38 @@ class TestRoundTripByteStability:
                     assert member.rotation_key == key
                     assert store.cycle_members(member) is members
 
-    def test_dump_load_file_round_trip(self, app_streams, tmp_path):
-        with _open("standalone", "s3d") as session:
-            _drive(session, app_streams["s3d"][:SPLIT])
-            state = session.dehydrate()
-        path = state.dump(tmp_path / "s3d.state.json")
-        assert SessionState.load(path).dumps() == state.dumps()
+    def test_dump_load_file_round_trip(self, documents, tmp_path):
+        for document, kind, _error, _tamper in documents:
+            text = document.dumps()
+            assert _edited(document, lambda records: None) == text
+            path = document.dump(tmp_path / kind.__name__)
+            assert kind.load(path).dumps() == kind.loads(text).dumps() == text
+
+    json_values = st.recursive(
+        st.none() | st.booleans() | st.integers() | st.text(max_size=6),
+        lambda children: st.lists(children, max_size=4)
+        | st.dictionaries(st.text(max_size=4), children, max_size=4),
+        max_leaves=20,
+    )
+
+    @given(json_values)
+    @settings(max_examples=150, deadline=None)
+    def test_canonical_text_ignores_key_order(self, value):
+        """``canon.dumps`` is a function of the value, not of its dicts'
+        insertion history -- what a digest over it relies on."""
+        def reordered(node):
+            if isinstance(node, dict):
+                return {k: reordered(node[k]) for k in reversed(list(node))}
+            if isinstance(node, list):
+                return [reordered(item) for item in node]
+            return node
+
+        text = canon.dumps(value)
+        assert canon.dumps(reordered(value)) == text
+        assert canon.loads(text, "value", ValueError) == value
+        stamped = {"payload": value, "digest": "anything"}
+        assert canon.digest(stamped) == canon.digest(reordered(stamped)) \
+            == canon.digest({"payload": value})
 
 
 class TestDigestTamperDetection:
@@ -187,11 +250,10 @@ class TestDigestTamperDetection:
             _drive(session, app_streams["s3d"][:SPLIT])
             return session.dehydrate()
 
-    def test_tampered_payload_fails_loads(self, app_streams):
-        payload = json.loads(self._state(app_streams).dumps())
-        payload["replayer"]["counters"]["tasks_seen"] += 1
-        with pytest.raises(PersistFormatError, match="digest"):
-            SessionState.loads(json.dumps(payload))
+    def test_tampered_payload_fails_loads(self, documents):
+        for document, kind, error, tamper in documents:
+            with pytest.raises(error, match="digest"):
+                kind.loads(_edited(document, tamper)).verify()
 
     def test_tampered_candidate_fails_verify(self, app_streams):
         state = self._state(app_streams)
@@ -199,21 +261,32 @@ class TestDigestTamperDetection:
         with pytest.raises(PersistFormatError, match="digest"):
             state.verify()
 
-    def test_missing_field_rejected(self, app_streams):
-        payload = json.loads(self._state(app_streams).dumps())
-        del payload["rotations"]
-        with pytest.raises(PersistFormatError, match="rotations"):
-            SessionState.loads(json.dumps(payload))
+    def test_missing_field_rejected(self, documents):
+        """The error names the field, stamp or not: ``rotations`` of the
+        state, a task record's ``name``, and each kind's digest stamp."""
+        def holder(records, field):
+            return next(r for r in reversed(records) if field in r)
 
-    def test_unknown_version_rejected(self, app_streams):
-        payload = json.loads(self._state(app_streams).dumps())
-        payload["version"] = 99
-        with pytest.raises(PersistFormatError, match="version"):
-            SessionState.loads(json.dumps(payload))
+        for document, kind, error, _tamper in documents:
+            stamp = "digest" if kind is SessionState else "stream_digest"
+            body = "rotations" if kind is SessionState else "name"
+            for field in (body, stamp):
+                def drop(records):
+                    del holder(records, field)[field]
+                with pytest.raises(error, match=f"missing '{field}'"):
+                    kind.loads(_edited(document, drop))
 
-    def test_non_json_rejected(self):
-        with pytest.raises(PersistFormatError, match="JSON"):
-            SessionState.loads("not a document")
+    def test_unknown_version_rejected(self, documents):
+        for document, kind, error, _tamper in documents:
+            def from_the_future(records):
+                records[0]["version"] = 99
+            with pytest.raises(error, match="version 99"):
+                kind.loads(_edited(document, from_the_future))
+
+    def test_non_json_rejected(self, documents):
+        for document, kind, error, _tamper in documents:
+            with pytest.raises(error, match="not valid JSON"):
+                kind.loads(document.dumps()[:-40] + "not a document\n")
 
 
 class TestEvictionDeterminism:
@@ -399,7 +472,7 @@ class TestServiceEvictReadmit:
         # Re-admission pops the state and warm-starts (and stencil is
         # spilled in turn -- capacity is still one).
         resumed = open_session("s3d", backend=service)
-        assert service.stats["warm_starts"] == 1
+        assert service.backend_stats["warm_starts"] == 1
         assert "s3d" not in service.state_store
         assert "stencil" in service.state_store
         # The learned trie is back before any new task arrives.
@@ -426,7 +499,7 @@ class TestServiceEvictReadmit:
         assert service.state_store.states_held == 0
         assert service.state_store.oversize_rejections == 1
         resumed = open_session("s3d", backend=service)
-        assert service.stats["warm_starts"] == 0
+        assert service.backend_stats["warm_starts"] == 0
         assert not resumed.handle.processor.replayer.trie.candidates
 
     def test_stats_surface_gauges(self, app_streams):
@@ -434,7 +507,7 @@ class TestServiceEvictReadmit:
         session = open_session("s3d", backend=service)
         _drive(session, app_streams["s3d"][:SPLIT])
         open_session("stencil", backend=service)
-        stats = service.stats
+        stats = service.backend_stats
         assert stats["states_held"] == 1
         assert stats["state_tokens_held"] > 0
         assert stats["warm_starts"] == 0

@@ -130,12 +130,14 @@ class TestConfig:
 
     def test_unknown_repeats_algorithm(self):
         rt = Runtime()
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="import repro.analysis"):
             ApopheniaProcessor(
                 rt, ApopheniaConfig(repeats_algorithm="nonsense")
             )
 
     def test_baseline_algorithms_resolvable(self):
+        import repro.analysis  # noqa: F401 -- registers the baselines
+
         for name in ("lzw", "tandem", "quadratic", "quick_matching_of_substrings"):
             rt = Runtime()
             ApopheniaProcessor(rt, ApopheniaConfig(repeats_algorithm=name))

@@ -422,7 +422,7 @@ class TestBackendLifecycle:
             assert live["ingest_margin_ops"] > \
                 REPLICATED_CONFIG.initial_ingest_margin_ops
             assert live["agreements_pruned"] > 0
-            assert live["agreement_entries"] <= 2
+            assert live["agreement_table_size"] <= 2
             waits = live["coordinator_waits"]
         closed = backend.backend_stats
         # Lifetime counters survive session close, like other backends'.

@@ -72,7 +72,7 @@ class TestDecisionNeutrality:
             assert served[sid].decision_trace == isolated[sid].decision_trace
         # Task-by-task round-robin means the pair submits identical windows
         # back to back: at least half of all jobs are answered by the memo.
-        stats = service.stats
+        stats = service.backend_stats
         assert stats["memo_hits"] >= stats["mines_executed"]
         # Cross-session hits landed on the individual lanes.
         lane_hits = [served[sid].memo_hits for sid in streams]
@@ -95,7 +95,7 @@ class TestDecisionNeutrality:
             or served[sid].decision_trace != isolated[sid].decision_trace
         ]
         assert divergent == []
-        assert service.stats["memo_hit_rate"] > 0.5
+        assert service.backend_stats["memo_hit_rate"] > 0.5
 
     def test_evicted_session_decided_like_standalone(self, app_streams):
         """Eviction flushes the victim mid-stream; everything it decided up
@@ -363,7 +363,7 @@ class TestQueueTraffic:
             settled()
         service.flush_all()
         settled()
-        jobs = service.backend_stats["jobs_materialized"]
+        jobs = service.backend_stats["jobs_submitted"]
         assert jobs > 100 and queue.peak == 1
 
 

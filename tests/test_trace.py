@@ -14,6 +14,7 @@ import os
 import pytest
 
 import repro.api as api
+from repro import canon
 from repro.apps.generative import PHASE_GRAPHS, PhaseGraph
 from repro.core.hashing import TaskHasher
 from repro.registry import Registry
@@ -174,10 +175,9 @@ class TestRedriveParity:
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
         assert len(records[0]["config"]) == 24 + len(stale)
-        old = TraceDocument.loads("".join(
-            json.dumps(r, sort_keys=True, separators=(",", ":")) + "\n"
-            for r in records
-        )).verify()
+        old = TraceDocument.loads(
+            "".join(canon.dumps(r) + "\n" for r in records)
+        ).verify()
         assert old.config() == current.config() == CORPUS_CONFIG
         for backend, verdict in replay_on_all(old).items():
             assert verdict.matched, (backend, verdict.summary())
@@ -321,10 +321,7 @@ class TestFormatErrors:
     def test_unknown_schema_version(self, corpus_docs):
         record = dict(corpus_docs["stencil"].header, version=99)
         text = corpus_docs["stencil"].dumps()
-        text = (
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            + "\n" + text.split("\n", 1)[1]
-        )
+        text = canon.dumps(record) + "\n" + text.split("\n", 1)[1]
         with pytest.raises(TraceFormatError, match="version 99"):
             TraceDocument.loads(text)
 
