@@ -252,9 +252,18 @@ class TraceReplayer:
         self._advance(token, index)
 
     def flush_all(self):
-        """Drain everything (end of program): fire a deferred match if one
-        is complete, then flush the rest untraced."""
-        if self.deferred is not None:
+        """A fence: fire every held match, then flush the rest untraced.
+
+        Firing re-feeds the pending tail, which can complete and hold
+        another match; that one is complete and lies entirely inside
+        ``pending`` too (no speculation), so it fires as well -- each
+        fire consumes at least one buffered task, so the loop ends.
+        Afterwards ``pending`` is empty, ``deferred`` is ``None`` and the
+        engine is reset: what a fence leaves behind is a function of the
+        stream alone, and a second call invokes no callback and moves no
+        counter.
+        """
+        while self.deferred is not None:
             match = self.deferred
             self.deferred = None
             self._fire(match)

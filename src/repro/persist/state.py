@@ -26,18 +26,16 @@ Everything decision-relevant is persisted:
   still-pending jobs (a replicated warm start that reset the margin
   would ingest at different points: divergence).
 
-* the held deferral, if one survived the dehydrate fence: ``flush_all``
-  fires the held match, but reprocessing the pending tail inside that
-  fire can complete and defer a *new* match, so "flushed" does not mean
-  "no deferral" -- dropping it would cost the warm-started session one
-  commit its uninterrupted twin makes.
-
 Deliberately *not* persisted: the task hasher's memo and its
 per-requirement encoding table (pure caches; the region-side signature
 intern tables belong to the application's regions, not the session),
-match-engine tick state (a dehydrate flushes, which resets the engine;
-all liveness arithmetic is tick-relative), and the mining memo
-(decision-neutral by construction).
+the mining memo (decision-neutral by construction), and anything in
+flight -- a dehydrate flushes, and a fence
+(:meth:`~repro.core.replayer.TraceReplayer.flush_all`) leaves no
+buffered task, no held match and a reset engine (all liveness
+arithmetic is tick-relative), so a state is *learned* state only. A v1
+document from a tree whose fence could leave a match held still loads;
+that field is ignored (its tasks were already forwarded).
 
 Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
@@ -53,7 +51,6 @@ from repro import canon
 from repro.core.jobs import AnalysisJob, completion_op
 from repro.core.processor import ApopheniaConfig
 from repro.core.repeats import Repeat
-from repro.core.trie import CompletedMatch
 from repro.metrics import MARKS, owned_by
 from repro.registry import Registry
 
@@ -345,19 +342,6 @@ def _snapshot_processor(processor):
             "agreed": agreed,
         }
 
-    # A deferral can survive the dehydrate fence: flush_all fires the
-    # held match, but the pending-tail reprocess inside that fire may
-    # complete and hold a new one. Its candidate is in the trie, so it
-    # snapshots by id.
-    deferred = replayer.deferred
-    deferred_state = None
-    if deferred is not None:
-        deferred_state = {
-            "candidate": deferred.candidate.trace_id,
-            "start_index": deferred.start_index,
-            "end_index": deferred.end_index,
-        }
-
     last_fired = store.last_fired
     return {
         "format": FORMAT_NAME,
@@ -379,7 +363,6 @@ def _snapshot_processor(processor):
                 last_fired.trace_id if last_fired is not None else None
             ),
             "candidates_evicted": store.candidates_evicted,
-            "deferred": deferred_state,
             "counters": {
                 name: getattr(stats, name)
                 for name in stats.DECISION_FIELDS
@@ -479,20 +462,6 @@ def hydrate_processor(processor, state):
     store.flushed_since_fire = rep["flushed_since_fire"]
     store.candidates_evicted = rep["candidates_evicted"]
     replayer.stream_index = rep["stream_index"]
-    deferred = rep.get("deferred")
-    if deferred is not None:
-        candidate = trie.candidates[deferred["candidate"]]
-        # The match's completion node is the candidate's terminal trie
-        # node (worth_waiting reads its max_below); recover it by walk.
-        node = trie.root
-        for token in candidate.tokens:
-            node = node.children[token]
-        replayer.deferred = CompletedMatch(
-            candidate,
-            deferred["start_index"],
-            deferred["end_index"],
-            node,
-        )
     for name, value in rep["counters"].items():
         setattr(replayer._stats, name, value)
 

@@ -188,12 +188,8 @@ class TraceReplayHarness:
                     session.set_iteration(event["index"])
                 else:
                     session.flush()
-            # No extra flush: the recorder finalizes on a flush fence, so
-            # the recorded events already end exactly where the capture
-            # snapshot was taken. Flushing again is *not* a no-op for the
-            # counters (a match re-held while the post-fire tail was
-            # reprocessed fires on the next fence), so any unrecorded
-            # fence here would drift the replayer tuple off the capture.
+            # The recorder finalizes on a flush fence, so the recorded
+            # events already end where the capture snapshot was taken.
             snapshot = session.snapshot()
             stats = session.stats()
         expected = document.footer["decisions_digest"]

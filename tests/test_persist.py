@@ -133,9 +133,12 @@ def _drive(session, stream):
 
 
 def _uninterrupted(backend, app_name, stream):
-    """Run A: one session across both halves, flushed at the fence."""
+    """Run A: one session across both halves, flushed at the fence --
+    twice: what a fence leaves behind does not depend on how many times
+    somebody flushed."""
     with _open(backend, app_name) as session:
         _drive(session, stream[:SPLIT])
+        session.flush()
         session.flush()
         _drive(session, stream[SPLIT:])
         session.flush()
@@ -168,10 +171,12 @@ class TestWarmStartParity:
     ):
         stream = app_streams[app_name]
         uninterrupted = _uninterrupted(backend, app_name, stream)
-        hydrated, stats, _, handle = _evicted_and_rehydrated(
+        hydrated, stats, blob, handle = _evicted_and_rehydrated(
             backend, app_name, stream
         )
         assert hydrated.decisions == uninterrupted.decisions
+        # Learned state only: a fence leaves no match held to carry.
+        assert "deferred" not in SessionState.loads(blob).payload["replayer"]
         assert uninterrupted.decision_trace, app_name  # traces really fired
         assert stats.warm_starts == 1
         if backend == "replicated":
@@ -581,6 +586,30 @@ class TestHydrateGuards:
         processor.execute_task(task)
         with pytest.raises(PersistFormatError, match="fresh"):
             hydrate_processor(processor, state)
+
+    def test_held_match_of_an_older_document_is_dropped(self, app_streams):
+        """A v1 state written when a fence could leave a match held
+        still loads; that match's tasks were already forwarded, so the
+        first task served must not fire it (it used to: an empty
+        trace)."""
+        payload = self._state(app_streams).payload
+        candidate = payload["candidates"][0]
+        end = payload["replayer"]["stream_index"]
+        payload["replayer"]["deferred"] = {
+            "candidate": candidate["trace_id"],
+            "start_index": end - len(candidate["tokens"]),
+            "end_index": end,
+        }
+        payload["digest"] = canon.digest(payload)
+        processor = hydrate_processor(
+            ApopheniaProcessor(_fast_runtime(), FAST_CONFIG),
+            SessionState.loads(canon.dumps(payload)),
+        )
+        fired = processor.replayer.stats.traces_fired
+        iteration, task = app_streams["s3d"][SPLIT]
+        processor.set_iteration(iteration)
+        processor.execute_task(task)
+        assert processor.replayer.stats.traces_fired == fired
 
     def test_dehydrate_accepts_bare_processor(self, app_streams):
         processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)

@@ -1,7 +1,9 @@
 """The trace replayer state machine on synthetic token streams."""
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
 from repro.core.scoring import ScoringPolicy
@@ -300,3 +302,58 @@ class TestWorthWaitingEdges:
         assert h.replayer.policy.worth_waiting(
             match, 2, iter([(1, deep_node)])
         )
+
+
+@st.composite
+def _words(draw):
+    """One to three candidate strings, the later ones extending an
+    earlier one: a match that is a proper prefix of a longer candidate
+    is what the replayer holds."""
+    words = [draw(st.text("ab", min_size=2, max_size=3))]
+    for _ in range(draw(st.integers(0, 2))):
+        words.append(
+            draw(st.sampled_from(words)) * draw(st.integers(1, 2))
+            + draw(st.text("ab", min_size=1, max_size=3))
+        )
+    return words
+
+
+#: A token, a word to feed (non-negative) or ingest (negative), a fence.
+_OPS = st.lists(
+    st.one_of(st.sampled_from("ab"), st.integers(-3, 2), st.none()),
+    max_size=40,
+)
+
+
+@pytest.mark.parametrize("engine", [AutomatonMatchEngine, ScanMatchEngine])
+@settings(max_examples=200, deadline=None)
+@given(words=_words(), ops=_OPS)
+# Firing the held "aa" re-feeds a tail that completes and holds another.
+@example(words=["aa", "aaaa"], ops=[-1, -2, 0, 1, None])
+def test_a_fence_is_a_fence(engine, words, ops):
+    """Tokens, ingests and fences in any order (streams made of the
+    ingested words, so matches overlap and get held): a held match
+    always lies inside ``pending``, a fence leaves nothing in flight (so
+    a second one is a no-op), and every fire issues a real trace."""
+    h = Harness(min_trace_length=2, match_engine=engine)
+    replayer = h.replayer
+    for op in ops:
+        if op is None:
+            h.finish()
+            assert not replayer.pending and replayer.deferred is None
+            events, counters = len(h.events), replayer.stats.as_tuple()
+            h.finish()
+            assert len(h.events) == events
+            assert replayer.stats.as_tuple() == counters
+        elif isinstance(op, int) and op < 0:
+            word = words[op % len(words)]
+            replayer.ingest([Repeat(word, [0, len(word)])])
+        else:
+            for token in op if isinstance(op, str) else words[op % len(words)]:
+                h.feed(token)
+                held = replayer.deferred
+                assert held is None or (
+                    held.start_index >= replayer.pending[0][0]
+                )
+    assert all(len(tasks) >= 2 for _, _, tasks in h.traces())
+    assert replayer.stats.traces_fired == len(h.traces())

@@ -124,16 +124,17 @@ def test_counters_are_lifetime_and_gauges_are_open_only(pool):
     _serve(handle)
     handle.flush()
     live = pool.backend_stats
+    session = collect_session_stats(handle)
     assert live["sessions_open"] == 1 and live["nodes"] == handle.num_nodes
     assert live["tasks_seen"] == 300 and live["pointer_collapses"] > 0
-    pool.close_session("a")
+    # A fence leaves nothing in flight: a second one moves no counter.
+    handle.flush()
+    assert collect_session_stats(handle) == session
+    assert pool.backend_stats == live
+    pool.close_session("a")  # flushes once more
     closed = pool.backend_stats
     for key in LIFETIME:
-        # flush_all is not counter-idempotent (ROADMAP 4(b)): the match
-        # it re-held while reprocessing the tail fires, empty, on the
-        # closing flush -- once, and nothing else may move.
-        refired = key == "traces_fired"
-        assert closed[key] - live[key] in ((0, 1) if refired else (0,)), key
+        assert closed[key] == live[key], key
     for key in GAUGES:
         if (pool.backend_kind, key) != ("service", "memo_tokens_held"):
             assert closed[key] == 0, key

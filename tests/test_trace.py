@@ -79,11 +79,12 @@ class TestCorpusIntegrity:
         assert document.footer["events"] == len(document.records)
         assert document.stream_digest() == document.footer["stream_digest"]
 
-    @pytest.mark.parametrize("name", ["stencil", "generative-adversarial"])
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
     def test_builder_regenerates_fixture_exactly(self, name):
         """The corpus builders are deterministic end to end: rebuilding a
-        fixture from scratch reproduces the checked-in bytes. (Two
-        representative entries; `make corpus` + git diff covers all.)"""
+        fixture from scratch reproduces the checked-in bytes, footer
+        included -- a decision change that moves a footer fails here
+        until `make corpus` accepts it."""
         with open(corpus_path(CORPUS_DIR, name), encoding="utf-8") as fh:
             text = fh.read()
         assert CORPUS_ENTRIES[name]().dumps() == text
@@ -113,6 +114,23 @@ class TestRedriveParity:
         assert verdict.actual_digest == (
             corpus_docs[name].footer["decisions_digest"]
         )
+
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    @pytest.mark.parametrize("name", CORPUS_NAMES)
+    def test_an_extra_trailing_fence_decides_nothing(
+        self, name, backend, corpus_docs
+    ):
+        """A fence leaves nothing in flight, so a second one after the
+        recorded last reaches the same footer digest."""
+        recorded = corpus_docs[name]
+        document = TraceDocument(
+            recorded.header,
+            recorded.records + [{"record": "flush"}],
+            dict(recorded.footer),
+        )
+        document.footer["stream_digest"] = document.stream_digest()
+        verdict = TraceReplayHarness(document, backend=backend).run()
+        assert verdict.matched, verdict.summary()
 
     def test_replay_on_all_covers_every_backend(self, corpus_docs):
         verdicts = replay_on_all(corpus_docs["jacobi"])
