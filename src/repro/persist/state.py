@@ -56,11 +56,14 @@ from repro.registry import Registry
 
 FORMAT_NAME = "repro-session-state"
 
-#: What the payload's ``jobs.counters`` / ``gauges`` record and hydrate
-#: restores onto the executor / the match engine and decision policy:
+#: What the payload's ``replayer.counters`` / ``jobs.counters`` /
+#: ``gauges`` record and hydrate restores -- these names and no others,
+#: whatever a document carries -- onto the replayer's stats / the
+#: executor / the match engine and decision policy:
 #: the ``restored`` :mod:`repro.metrics` fields those layers own
 #: (``jobs_submitted`` doubles as the next job id -- ids and the counter
 #: start at zero and move together).
+_REPLAYER_COUNTERS = owned_by("replayer", restored=True)
 _EXECUTOR_COUNTERS = owned_by("executor", restored=True)
 _SERVING_GAUGES = owned_by("engine", "policy", restored=True)
 
@@ -69,40 +72,83 @@ class PersistFormatError(ValueError):
     """A session-state document violated the schema or its digest."""
 
 
+_INT, _OPT_INT = (int,), (int, type(None))
+
+
 class PersistFormatV1:
     """Schema v1 of the session-state document."""
 
     version = 1
 
-    #: top-level field -> (types, nullable)
-    _FIELDS = {
-        "format": ((str,), False),
-        "version": ((int,), False),
-        "session_id": ((str,), True),
-        "backend": ((str,), True),
-        "config": ((dict,), False),
-        "candidates": ((list,), False),
-        "next_candidate_id": ((int,), False),
-        "rotations": ((list,), False),
-        "replayer": ((dict,), False),
-        "gauges": ((dict,), False),
-        "finder": ((dict,), False),
-        "jobs": ((dict,), False),
-        "coordinator": ((dict,), True),
-        "trace_log": ((list,), False),
-        "digest": ((str,), False),
+    #: object kind -> {field: spec}, for everything hydrate indexes. A
+    #: spec is the tuple of types a value may have, the kind of a nested
+    #: object, or ``[kind]`` for a list of such objects.
+    _SCHEMA = {
+        "state": {
+            "format": (str,), "version": _INT,
+            "session_id": (str, type(None)), "backend": (str, type(None)),
+            "config": (dict,), "candidates": ["candidate"],
+            "next_candidate_id": _INT, "rotations": ["rotation"],
+            "replayer": "replayer", "gauges": "gauges", "finder": "finder",
+            "jobs": "jobs", "coordinator": (dict, type(None)),
+            "trace_log": (list,), "digest": (str,),
+        },
+        "candidate": {
+            "trace_id": _INT, "tokens": (list,), "occurrences": _INT,
+            "last_seen_at": _OPT_INT, "fires": _INT, "gap_tokens": _INT,
+            "replayed": (bool,), "recorded": (bool,),
+        },
+        "rotation": {
+            "length": _INT, "rotation": (list,), "members": (list,),
+            "total": _INT,
+        },
+        "replayer": {
+            "stream_index": _INT, "flushed_since_fire": _INT,
+            "last_fired": _OPT_INT, "candidates_evicted": _INT,
+            "counters": "replayer counters",
+        },
+        "replayer counters": dict.fromkeys(_REPLAYER_COUNTERS, _INT),
+        "gauges": dict.fromkeys(_SERVING_GAUGES, _INT),
+        "finder": {
+            "buffer": (list,), "ops_observed": _INT, "sampler": "sampler",
+        },
+        "sampler": {"arrivals": _INT, "trigger": _INT},
+        "jobs": {
+            "next_job_id": _INT, "counters": "job counters",
+            "pending": ["pending job"],
+        },
+        "job counters": dict.fromkeys(_EXECUTOR_COUNTERS, _INT),
+        "pending job": {
+            "job_id": _INT, "submitted_at_op": _INT, "num_tokens": _INT,
+            "degraded": (bool,), "result": (list,),
+        },
+        "coordinator": {
+            "margin_ops": _INT, "waits": _INT, "agreed": (list,),
+        },
     }
+
+    @classmethod
+    def _check(cls, value, kind):
+        """``value`` is an object carrying every field of ``kind``."""
+        if not isinstance(value, dict):
+            raise PersistFormatError(f"{kind} is not an object: {value!r}")
+        for field, spec in cls._SCHEMA[kind].items():
+            if isinstance(spec, tuple):
+                canon.require(value, field, spec, kind, PersistFormatError)
+            elif isinstance(spec, str):
+                cls._check(canon.require(value, field, (dict,), kind,
+                                         PersistFormatError), spec)
+            else:
+                for item in canon.require(value, field, (list,), kind,
+                                          PersistFormatError):
+                    cls._check(item, spec[0])
 
     @classmethod
     def validate(cls, payload):
         """Check a parsed payload against the schema; returns it."""
-        if not isinstance(payload, dict):
-            raise PersistFormatError(
-                f"session state is not an object: {payload!r}"
-            )
-        for field, (types, nullable) in cls._FIELDS.items():
-            canon.require(payload, field, types, "state",
-                          PersistFormatError, nullable)
+        cls._check(payload, "state")
+        if payload["coordinator"] is not None:
+            cls._check(payload["coordinator"], "coordinator")
         if payload["format"] != FORMAT_NAME:
             raise PersistFormatError(
                 f"not a {FORMAT_NAME} document: "
@@ -113,23 +159,6 @@ class PersistFormatV1:
                 f"schema v{cls.version} reader cannot load "
                 f"version {payload['version']!r}"
             )
-        for candidate in payload["candidates"]:
-            for field, types in (
-                ("trace_id", (int,)), ("tokens", (list,)),
-                ("occurrences", (int,)), ("fires", (int,)),
-                ("gap_tokens", (int,)), ("replayed", (bool,)),
-                ("recorded", (bool,)),
-            ):
-                canon.require(candidate, field, types, "candidate",
-                              PersistFormatError)
-        for job in payload["jobs"].get("pending", ()):
-            for field, types in (
-                ("job_id", (int,)), ("submitted_at_op", (int,)),
-                ("num_tokens", (int,)), ("degraded", (bool,)),
-                ("result", (list,)),
-            ):
-                canon.require(job, field, types, "pending job",
-                              PersistFormatError)
         return payload
 
 
@@ -364,8 +393,7 @@ def _snapshot_processor(processor):
             ),
             "candidates_evicted": store.candidates_evicted,
             "counters": {
-                name: getattr(stats, name)
-                for name in stats.DECISION_FIELDS
+                name: getattr(stats, name) for name in _REPLAYER_COUNTERS
             },
         },
         "gauges": {name: getattr(stats, name) for name in _SERVING_GAUGES},
@@ -401,10 +429,13 @@ def hydrate_processor(processor, state):
 
     The processor must be *fresh* (no tasks served) and built from a
     config whose decision-relevant slice matches the state's -- both are
-    checked. Replicated backends call this once per node replica with
-    the same state: per-node job completion times are recomputed from
-    the node's own id (:func:`~repro.core.jobs.completion_op`), and the
-    shared coordinator restore is idempotent.
+    checked, and a raw payload is validated first (a
+    :class:`SessionState` was when it was loaded), so a refused state
+    leaves the processor untouched. Replicated backends call this once
+    per node replica with the same state: per-node job completion times
+    are recomputed from the node's own id
+    (:func:`~repro.core.jobs.completion_op`), and the shared coordinator
+    restore is idempotent.
     """
     if isinstance(state, SessionState):
         payload = state.payload
@@ -462,8 +493,8 @@ def hydrate_processor(processor, state):
     store.flushed_since_fire = rep["flushed_since_fire"]
     store.candidates_evicted = rep["candidates_evicted"]
     replayer.stream_index = rep["stream_index"]
-    for name, value in rep["counters"].items():
-        setattr(replayer._stats, name, value)
+    for name in _REPLAYER_COUNTERS:
+        setattr(replayer._stats, name, rep["counters"][name])
 
     for name in _SERVING_GAUGES:
         setattr(getattr(replayer, MARKS[name]["owner"]), name,
@@ -479,8 +510,8 @@ def hydrate_processor(processor, state):
     executor = processor.executor
     jobs = payload["jobs"]
     executor._ids = itertools.count(jobs["next_job_id"])
-    for name, value in jobs["counters"].items():
-        setattr(executor, name, value)
+    for name in _EXECUTOR_COUNTERS:
+        setattr(executor, name, jobs["counters"][name])
     finder.pending_jobs = deque(
         AnalysisJob(
             job["job_id"],

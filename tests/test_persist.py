@@ -268,7 +268,10 @@ class TestDigestTamperDetection:
 
     def test_missing_field_rejected(self, documents):
         """The error names the field, stamp or not: ``rotations`` of the
-        state, a task record's ``name``, and each kind's digest stamp."""
+        state, a task record's ``name``, and each kind's digest stamp.
+        So it does inside a state's nested sections: hydrate restores
+        the declared metrics and nothing else a counter table names -- a
+        digest is a checksum, anyone can restamp it."""
         def holder(records, field):
             return next(r for r in reversed(records) if field in r)
 
@@ -280,6 +283,37 @@ class TestDigestTamperDetection:
                     del holder(records, field)[field]
                 with pytest.raises(error, match=f"missing '{field}'"):
                     kind.loads(_edited(document, drop))
+
+        for section, field, value, complaint in (
+            # Would hydrate into an executor that degrades every job ...
+            ("jobs", "counters", {"deadline_tokens": 1},
+             "missing 'jobs_submitted'"),
+            # ... or whose next submit raises TypeError.
+            ("jobs", "counters", {"_schedule": 0},
+             "missing 'jobs_submitted'"),
+            ("replayer", "counters", {"not_a_counter": 1},
+             "missing 'tasks_seen'"),
+            ("finder", "sampler", {}, "missing 'arrivals'"),
+            (None, "finder", {}, "missing 'buffer'"),
+        ):
+            def put(records):
+                state = records[0]
+                (state[section] if section else state)[field] = value
+                state["digest"] = canon.digest(state)
+            text = _edited(documents[0][0], put)
+            with pytest.raises(PersistFormatError, match=complaint):
+                SessionState.loads(text)
+            # As a raw payload hydrate refuses it before touching the
+            # target.
+            target = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
+            with pytest.raises(PersistFormatError, match=complaint):
+                hydrate_processor(
+                    target, canon.loads(text, "state", ValueError)
+                )
+            assert not target.replayer.trie.candidates
+            assert not target.finder.buffer
+            assert not any(target.replayer.stats.as_tuple())
+            assert target.executor.jobs_submitted == 0
 
     def test_unknown_version_rejected(self, documents):
         for document, kind, error, _tamper in documents:
@@ -587,7 +621,7 @@ class TestHydrateGuards:
         with pytest.raises(PersistFormatError, match="fresh"):
             hydrate_processor(processor, state)
 
-    def test_held_match_of_an_older_document_is_dropped(self, app_streams):
+    def test_undeclared_fields_are_dropped(self, app_streams):
         """A v1 state written when a fence could leave a match held
         still loads; that match's tasks were already forwarded, so the
         first task served must not fire it (it used to: an empty
@@ -600,11 +634,14 @@ class TestHydrateGuards:
             "start_index": end - len(candidate["tokens"]),
             "end_index": end,
         }
+        # Nor does a name a counter table does not declare land anywhere.
+        payload["jobs"]["counters"]["deadline_tokens"] = 1
         payload["digest"] = canon.digest(payload)
         processor = hydrate_processor(
             ApopheniaProcessor(_fast_runtime(), FAST_CONFIG),
             SessionState.loads(canon.dumps(payload)),
         )
+        assert processor.executor.deadline_tokens is None
         fired = processor.replayer.stats.traces_fired
         iteration, task = app_streams["s3d"][SPLIT]
         processor.set_iteration(iteration)
