@@ -61,15 +61,13 @@ class ReplayerStats:
     owns, in declaration order. The ones marked ``replayer`` are bumped
     here and are *decision-determined*: two runs of the same stream that
     made the same tbegin/tend decisions have identical values whatever
-    engine served them (what :meth:`decision_tuple` exposes and the
-    decision-neutrality tests compare). The ``engine`` / ``policy`` /
-    ``store`` ones describe *how* the serving path did the work and are
-    synced in from their owner by :attr:`TraceReplayer.stats`; the first
-    three may legitimately differ between match engines. Slots past
-    ``SNAPSHOT_FIELDS`` are excluded from :meth:`as_tuple`: the snapshot
-    tuple's width and ordering are frozen by the recorded decision
-    digests of every trace-corpus fixture, so a new gauge is declared
-    after them in ``SessionStats``.
+    engine or deployment served them -- :meth:`as_tuple`, which is what
+    equality, the decision-neutrality tests and the decision digest of a
+    :class:`~repro.api.SessionSnapshot` compare. The ``engine`` /
+    ``policy`` / ``store`` ones describe *how* the serving path did the
+    work and are synced in from their owner by
+    :attr:`TraceReplayer.stats`; they may legitimately differ between
+    match engines.
     """
 
     __slots__ = owned_by("replayer", "engine", "policy", "store")
@@ -77,23 +75,12 @@ class ReplayerStats:
     #: The decision-determined slots: the replayer's own counters.
     DECISION_FIELDS = owned_by("replayer")
 
-    #: The slots covered by :meth:`as_tuple` -- frozen at the original
-    #: nine by the corpus fixtures' recorded decision digests.
-    SNAPSHOT_FIELDS = __slots__[:9]
-
     def __init__(self):
         for name in self.__slots__:
             setattr(self, name, 0)
 
     def as_tuple(self):
-        """The snapshot counters, in slot order (width is frozen -- see
-        ``SNAPSHOT_FIELDS``)."""
-        return tuple(getattr(self, name) for name in self.SNAPSHOT_FIELDS)
-
-    def decision_tuple(self):
-        """The decision-determined counters only, in slot order -- the
-        decision-neutrality tests compare runs across deployments (and
-        match engines) with this."""
+        """The decision-determined counters, in slot order."""
         return tuple(getattr(self, name) for name in self.DECISION_FIELDS)
 
     def __eq__(self, other):

@@ -119,16 +119,9 @@ class SessionStats:
 
     def replayer_counters(self):
         """The replayer's decision-determined counters, in
-        :meth:`~repro.core.replayer.ReplayerStats.decision_tuple` order --
+        :meth:`~repro.core.replayer.ReplayerStats.as_tuple` order --
         what the decision-neutrality property tests compare."""
         return tuple(getattr(self, name) for name in owned_by("replayer"))
-
-    def serving_counters(self):
-        """The engine/policy gauges -- the snapshot slots past the
-        decision-determined prefix -- in ``ReplayerStats`` slot order."""
-        return tuple(
-            getattr(self, name) for name in owned_by("engine", "policy")
-        )
 
 
 #: ``field name -> marks``, in declaration order: the table, read-only.

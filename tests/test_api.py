@@ -448,10 +448,11 @@ class TestSessionStatsSurface:
             stats = session.stats()
             handle = session.handle
             # Replayer counters == the internals-poking tuple.
-            assert stats.replayer_counters() == \
-                handle.processor.stats.decision_tuple()
-            assert stats.serving_counters() == \
-                handle.processor.stats.as_tuple()[6:9]
+            internals = handle.processor.stats
+            assert stats.replayer_counters() == internals.as_tuple()
+            for gauge in ("active_pointer_peak", "pointer_collapses",
+                          "hysteresis_suppressed"):
+                assert getattr(stats, gauge) == getattr(internals, gauge)
             # Executor-side counters == the per-lane internals.
             assert stats.memo_hits == handle.lane.memo_hits
             assert stats.jobs_submitted == handle.lane.jobs_submitted

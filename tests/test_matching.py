@@ -17,6 +17,7 @@ import random
 
 import pytest
 
+from repro.api import SessionSnapshot
 from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
@@ -172,7 +173,7 @@ class TestReplayerLevelParity:
         fired_auto, stats_auto = self.drive(AutomatonMatchEngine, events)
         fired_scan, stats_scan = self.drive(ScanMatchEngine, events)
         assert fired_auto == fired_scan
-        assert stats_auto.decision_tuple() == stats_scan.decision_tuple()
+        assert stats_auto == stats_scan
         return stats_auto, stats_scan
 
     def test_periodic_stream_with_rotations(self):
@@ -217,7 +218,7 @@ class TestProcessorLevelParity:
         from repro.apps.base import capture_stream
 
         stream = capture_stream(app_name, 700, task_scale=0.05)
-        traces = {}
+        snapshots = {}
         stats = {}
         config = ApopheniaConfig(
             min_trace_length=3,
@@ -236,12 +237,13 @@ class TestProcessorLevelParity:
                 processor.set_iteration(iteration)
                 processor.execute_task(task)
             processor.flush()
-            traces[engine.name] = processor.decision_trace()
+            snapshots[engine.name] = SessionSnapshot.of(processor)
             stats[engine.name] = processor.replayer.stats
-        assert traces["automaton"] == traces["scan"]
-        assert (stats["automaton"].decision_tuple()
-                == stats["scan"].decision_tuple())
-        assert traces["automaton"], app_name  # traces actually fired
+        assert snapshots["automaton"] == snapshots["scan"]
+        assert (snapshots["automaton"].stable_digest()
+                == snapshots["scan"].stable_digest())
+        # traces actually fired
+        assert snapshots["automaton"].decision_trace, app_name
         assert stats["scan"].pointer_collapses == 0
         if app_name != "cfd":
             # The dedup must actually engage on these periodic streams
