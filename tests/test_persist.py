@@ -622,10 +622,10 @@ class TestHydrateGuards:
             hydrate_processor(processor, state)
 
     def test_undeclared_fields_are_dropped(self, app_streams):
-        """A v1 state written when a fence could leave a match held
-        still loads; that match's tasks were already forwarded, so the
-        first task served must not fire it (it used to: an empty
-        trace)."""
+        """Hydrate restores what the schema declares and nothing else.
+        A v1 state written when a fence could leave a match held still
+        loads; that match's tasks were already forwarded, so the first
+        task served must not fire it (it used to: an empty trace)."""
         payload = self._state(app_streams).payload
         candidate = payload["candidates"][0]
         end = payload["replayer"]["stream_index"]

@@ -349,7 +349,8 @@ def test_a_fence_is_a_fence(engine, words, ops):
             word = words[op % len(words)]
             replayer.ingest([Repeat(word, [0, len(word)])])
         else:
-            for token in op if isinstance(op, str) else words[op % len(words)]:
+            fed = op if isinstance(op, str) else words[op % len(words)]
+            for token in fed:
                 h.feed(token)
                 held = replayer.deferred
                 assert held is None or (
