@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint lint-baseline loc loc-budget corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint loc loc-budget corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -51,10 +51,6 @@ replication-check:
 lint:
 	PYTHONPATH=src python -m repro.lint src
 
-## Accept the current violation set as the new baseline (review the diff!).
-lint-baseline:
-	PYTHONPATH=src python -m repro.lint src --write-baseline
-
 ## Code lines of src/repro per package and in total (a line holding a
 ## token that is neither a comment nor part of a docstring), checked
 ## against size-budget.json -- which tier-1 also does.
@@ -75,6 +71,6 @@ trace-check:
 	PYTHONPATH=src python -m pytest -x -q -m trace tests
 
 ## Regenerate the re-drive corpus fixtures (review the diff! -- same
-## accept-the-delta workflow as lint-baseline).
+## accept-the-delta workflow as loc-budget).
 corpus:
 	PYTHONPATH=src python -m repro.trace corpus tests/corpus

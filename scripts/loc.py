@@ -11,9 +11,8 @@ free and deleting them is not a reduction.
                                       # when over size-budget.json (`make loc`)
     python3 scripts/loc.py --write    # rewrite size-budget.json (`make loc-budget`)
 
-``size-budget.json`` is reviewed like ``lint-baseline.json``: a PR that
-needs more code raises the budget deliberately, and the diff is the
-review. ``tests/test_repo_guards.py`` runs the check in tier-1.
+``size-budget.json`` is an accept-the-delta file: a PR that needs more
+code raises the budget deliberately, and the diff is the review. ``tests/test_repo_guards.py`` runs the check in tier-1.
 """
 
 import argparse

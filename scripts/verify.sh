@@ -12,9 +12,9 @@ cd "$(dirname "$0")/.."
 export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 
 # Static analysis first: the determinism & invariant linter (rules
-# RPL001-RPL009, see `python -m repro.lint --list-rules`) over src/,
-# against the checked-in baseline (lint-baseline.json). Fails on any
-# fresh violation; runs before the tests because it is the cheapest gate.
+# RPL001-RPL009, see `python -m repro.lint --list-rules`) over src/.
+# Fails on any violation no reasoned `# replint: allow[...]` pragma
+# accepts; runs before the tests because it is the cheapest gate.
 echo "== static analysis"
 python -m repro.lint src
 

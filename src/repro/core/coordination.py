@@ -19,24 +19,22 @@ the collective communication a real implementation would use). Each node
 registers its job completion estimates; the coordinator hands out a single
 agreed ingest operation count per job index.
 
-Two production constraints shape the bookkeeping beyond the paper's
-description:
+One coordinator serves one replica set: the backend builds it with the
+session's node processors, every processor registers its node id at
+construction, and it goes when the session's handle goes -- so its tables
+are keyed by the job index alone and nothing outlives the session that
+has to be released.
 
-* **Bounded state.** Agreements are consumed exactly once per node (a
-  node pops each mining job from its FIFO pending queue the first time
-  its clock passes the agreed point), so once every registered node has
-  :meth:`retire`-d a job its entry is pruned. Without pruning a
-  perpetually-running tenant leaks one table entry per mining job.
-* **Shared coordinators.** Several replicated sessions may share one
-  coordinator (one collective per deployment, not per tenant). Each
-  session numbers its own jobs from zero, so agreement keys are
-  namespaced by an opaque ``stream`` identity -- two streams with
-  identical job indices get independent agreements.
+**Bounded state.** Agreements are consumed exactly once per node (a node
+pops each mining job from its FIFO pending queue the first time its clock
+passes the agreed point), so once every live node has :meth:`retire`-d a
+job its entry is pruned. Without pruning a perpetually-running tenant
+leaks one table entry per mining job.
 """
 
 
 class IngestCoordinator:
-    """Agreement on per-job ingestion points across replicated nodes.
+    """Agreement on per-job ingestion points across one replica set.
 
     Parameters
     ----------
@@ -45,86 +43,44 @@ class IngestCoordinator:
         results are ingested.
     growth_factor:
         Multiplier applied to the margin whenever any node had to wait.
-    num_nodes:
-        Number of replicated nodes consuming each agreement; entries are
-        pruned after that many :meth:`retire` calls. ``None`` (the
-        default) derives the count per stream from :meth:`register_node`
-        calls -- node processors register themselves at construction --
-        falling back to 1 when nothing registered (a private,
-        single-node coordinator). Per-stream derivation is what lets
-        sessions with *different* replica counts share one coordinator:
-        each stream's entries are pruned at its own node count.
     """
 
-    def __init__(self, initial_margin_ops=128, growth_factor=2.0,
-                 num_nodes=None):
+    def __init__(self, initial_margin_ops=128, growth_factor=2.0):
         self.margin_ops = initial_margin_ops
         self.growth_factor = growth_factor
-        self.num_nodes = num_nodes
-        self._registered = {}  # stream -> set of live node ids
-        # (stream, job_index) -> agreed ingest op count (fixed at first ask).
-        self._agreed = {}
-        # (stream, job_index) -> set of consumer identities. Nodes that
-        # pass their id to retire() are tracked exactly; anonymous
-        # retires get unique placeholder tokens, preserving the legacy
-        # count-based semantics.
-        self._consumed = {}
-        self._dropped = {}  # stream -> set of dead node ids
+        self.nodes = set()  # live node ids: who must consume each entry
+        self._agreed = {}  # job_index -> agreed ingest op (fixed at first ask)
+        self._consumed = {}  # job_index -> node ids that ingested past it
         self.waits = 0
         self.agreements_issued = 0
         self.agreements_pruned = 0
         self.nodes_dropped = 0
 
-    def node_count(self, stream=None):
-        """Nodes a stream's agreements must serve before pruning."""
-        if self.num_nodes is not None:
-            dropped = self._dropped.get(stream)
-            alive = self.num_nodes - (len(dropped) if dropped else 0)
-            return max(1, alive)
-        nodes = self._live_nodes(stream)
-        return max(1, len(nodes)) if nodes else 1
-
-    def _live_nodes(self, stream):
-        """Registered (still-live) node ids consuming ``stream``."""
-        nodes = self._registered.get(stream)
-        if nodes is None and stream is not None:
-            # Nodes registered without a stream identity (the legacy
-            # single-stream deployment) consume every stream.
-            nodes = self._registered.get(None)
-        return nodes
-
-    def register_node(self, node_id, stream=None):
+    def register_node(self, node_id):
         """Declare a consuming node (called by each node processor).
 
         Registration must happen before any agreement is retired --
         construction-time registration satisfies this, since replicated
         deployments build every node processor before serving a task.
-        ``stream`` scopes the registration, so sessions with different
-        replica counts sharing one coordinator each prune at their own
-        node count.
         """
-        self._registered.setdefault(stream, set()).add(node_id)
+        self.nodes.add(node_id)
 
     @property
     def agreement_table_size(self):
         """Live (issued, not yet fully consumed) agreement entries."""
         return len(self._agreed)
 
-    def agree(self, job_index, submitted_at_op, stream=None):
+    def agree(self, job_index, submitted_at_op):
         """Fix (or look up) the agreed ingest point for ``job_index``.
 
         All nodes submit job ``job_index`` at the same operation count (the
         sampling schedule is deterministic), so the first node to call this
         fixes the agreement and the rest observe the same value.
-        ``stream`` namespaces the key: sessions sharing a coordinator pass
-        their session identity so their independently numbered jobs cannot
-        collide.
         """
-        key = (stream, job_index)
-        agreed = self._agreed.get(key)
+        agreed = self._agreed.get(job_index)
         if agreed is None:
             agreed = submitted_at_op + self.margin_ops
-            self._agreed[key] = agreed
+            self._agreed[job_index] = agreed
             self.agreements_issued += 1
         return agreed
 
@@ -140,82 +96,45 @@ class IngestCoordinator:
         self.margin_ops = max(needed, grown)
         return self.margin_ops
 
-    def retire(self, job_index, stream=None, node=None):
-        """One node consumed (ingested past) the agreement for ``job_index``.
+    def retire(self, job_index, node):
+        """Node ``node`` consumed (ingested past) the agreement for
+        ``job_index``.
 
         Every node pops each job from its FIFO pending queue exactly once,
-        so tracking consumptions against the live node set tells the
+        so tracking consumers against the live node set tells the
         coordinator when no node will ever ask about this job again -- at
         which point the entry is pruned, keeping the agreement table
         bounded by the number of in-flight jobs rather than growing one
         entry per mining job for the life of the tenant.
 
-        ``node`` identifies the consumer; node processors pass their id.
-        Identified consumers make pruning exact under :meth:`drop_node`:
-        an entry is pruned only once every *live* node consumed it, so a
-        dead node's earlier retires cannot prune an entry a surviving
-        node still needs (re-agreeing after the margin grew would make
-        the survivor ingest at a different point: divergence).
-        Anonymous retires fall back to the legacy consumption count.
+        Consumers are identified, which keeps pruning exact under
+        :meth:`drop_node`: an entry is pruned only once every *live* node
+        consumed it, so a dead node's earlier retires cannot prune an
+        entry a surviving node still needs (re-agreeing after the margin
+        grew would make the survivor ingest at a different point:
+        divergence).
         """
-        key = (stream, job_index)
-        if key not in self._agreed:
-            return
-        consumed = self._consumed.setdefault(key, set())
-        consumed.add(node if node is not None else ("anon", len(consumed)))
-        self._maybe_prune(key)
+        if job_index in self._agreed:
+            self._consumed.setdefault(job_index, set()).add(node)
+            self._maybe_prune(job_index)
 
-    def _maybe_prune(self, key):
-        stream = key[0]
-        consumed = self._consumed.get(key)
-        if not consumed:
-            return
-        live = self._live_nodes(stream)
-        if live is not None and all(
-            not isinstance(token, tuple) for token in consumed
-        ):
-            done = live <= consumed
-        else:
-            done = len(consumed) >= self.node_count(stream)
-        if done:
-            del self._agreed[key]
-            del self._consumed[key]
+    def _maybe_prune(self, job_index):
+        if self.nodes <= self._consumed[job_index]:
+            del self._agreed[job_index]
+            del self._consumed[job_index]
             self.agreements_pruned += 1
 
-    def drop_node(self, node_id, stream=None):
+    def drop_node(self, node_id):
         """A replica died mid-run: stop counting it as a consumer.
 
-        Unregisters the node from the stream's live set (reusing the
-        :meth:`release_stream` bookkeeping at node granularity) and
-        re-examines the stream's outstanding agreements -- entries only
-        the dead node had yet to consume become prunable immediately.
-        Returns the number of entries pruned by the drop.
+        Removes the node from the live set and re-examines the
+        outstanding agreements -- entries only the dead node had yet to
+        consume become prunable immediately. Returns the number of
+        entries pruned by the drop.
         """
-        nodes = self._registered.get(stream)
-        if nodes is not None:
-            nodes.discard(node_id)
-        self._dropped.setdefault(stream, set()).add(node_id)
+        self.nodes.discard(node_id)
         self.nodes_dropped += 1
         before = self.agreements_pruned
-        for key in [k for k in self._agreed if k[0] == stream]:
-            self._maybe_prune(key)
+        for job_index in list(self._consumed):
+            self._maybe_prune(job_index)
         return self.agreements_pruned - before
-
-    def release_stream(self, stream):
-        """Drop a departed stream's agreements and node registration.
-
-        Closing a session discards its finder's pending jobs, so
-        agreements already fixed for still-pending heads would never
-        reach their consumption watermark -- on a coordinator shared
-        across sessions they would leak one entry per closed session.
-        Called by the serving backend at session teardown; returns the
-        number of entries dropped (not counted as pruned: they were
-        abandoned, not consumed).
-        """
-        stale = [key for key in self._agreed if key[0] == stream]
-        for key in stale:
-            del self._agreed[key]
-            self._consumed.pop(key, None)  # replint: allow[RPL006] plain-dict bookkeeping: del/pop-with-default on own dicts cannot raise, nothing here can leak
-        self._registered.pop(stream, None)
-        self._dropped.pop(stream, None)
-        return len(stale)

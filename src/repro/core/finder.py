@@ -88,17 +88,15 @@ class TraceFinder:
             return self.batchsize
         return None
 
-    def drain_completed(self, now_op, coordinator=None, stream=None,
-                        node=None):
+    def drain_completed(self, now_op, coordinator=None, node=None):
         """Yield jobs whose agreed ingestion point has been reached.
 
         Jobs are drained in submission order (FIFO), matching the
         deterministic ingestion requirement of Section 5.1. When a
         coordinator is supplied, its agreed ingest point gates each job
-        and late jobs report a wait (growing the margin); ``stream`` is
-        the session/stream identity namespacing the agreement keys on a
-        shared coordinator, and ``node`` identifies this consumer so
-        the coordinator's pruning stays exact when a replica drops out.
+        and late jobs report a wait (growing the margin); ``node``
+        identifies this consumer so the coordinator's pruning stays
+        exact when a replica drops out.
         Popping a job consumes its agreement
         (:meth:`~repro.core.coordination.IngestCoordinator.retire`), so
         the coordinator can prune entries every node has ingested past.
@@ -107,9 +105,7 @@ class TraceFinder:
         while self.pending_jobs:
             job = self.pending_jobs[0]
             if coordinator is not None:
-                agreed = coordinator.agree(
-                    job.job_id, job.submitted_at_op, stream=stream
-                )
+                agreed = coordinator.agree(job.job_id, job.submitted_at_op)
                 if now_op < agreed:
                     break
                 if not job.complete_by(now_op):
@@ -120,5 +116,5 @@ class TraceFinder:
                 break
             ready.append(self.pending_jobs.popleft())
             if coordinator is not None:
-                coordinator.retire(job.job_id, stream=stream, node=node)
+                coordinator.retire(job.job_id, node)
         return ready

@@ -267,12 +267,9 @@ class ApopheniaProcessor:
         coordinator so agreement pruning knows how many nodes consume
         each entry.
     stream_key:
-        Identity namespacing this processor's agreement keys on a shared
-        coordinator. All N node replicas of one session pass the *same*
-        key (they must land on the same agreement entries), while
-        distinct sessions sharing a coordinator pass distinct keys so
-        their independently numbered jobs cannot collide. ``None`` (the
-        default) keeps the single-stream namespace.
+        The stream identity the default executor's fault plan keys on
+        (the session id, on every backend); unused with an injected
+        ``executor``, which carries its own.
     executor:
         An injected :class:`~repro.core.jobs.JobExecutor`. The
         multi-tenant service passes a per-session lane of its shared
@@ -290,9 +287,8 @@ class ApopheniaProcessor:
         self.config = config or ApopheniaConfig()
         self.node_id = node_id
         self.coordinator = coordinator
-        self.stream_key = stream_key
         if coordinator is not None:
-            coordinator.register_node(node_id, stream=stream_key)
+            coordinator.register_node(node_id)
         runtime.auto_tracing = True  # launches now cost 12us, Section 6.3
 
         self.hasher = TaskHasher()
@@ -331,8 +327,7 @@ class ApopheniaProcessor:
         token = self.hasher.hash_task(task)
         self.finder.observe(token)  # the job lands on its pending queue
         for done in self.finder.drain_completed(
-            self.finder.ops_observed, self.coordinator,
-            stream=self.stream_key, node=self.node_id,
+            self.finder.ops_observed, self.coordinator, self.node_id
         ):
             self.replayer.ingest(done.result)
         self.replayer.process(task, token)

@@ -7,8 +7,8 @@ pure functions of the token stream*. The property suites enforce that
 contract dynamically, which means a hazard is invisible until a workload
 happens to trip it. This package enforces the statically recognizable
 part at commit time: ``python -m repro.lint src`` runs as its own step of
-``scripts/verify.sh`` (and ``make lint``), failing on any violation not
-recorded in the checked-in baseline.
+``scripts/verify.sh`` (and ``make lint``), failing on any violation no
+reasoned pragma accepts.
 
 Every rule encodes an invariant this codebase has actually shipped (or
 narrowly dodged) a bug against:
@@ -62,10 +62,7 @@ narrowly dodged) a bug against:
 Suppression is explicit and documented: a trailing (or immediately
 preceding) ``# replint: allow[RPL003] <reason>`` comment suppresses one
 line, and the reason is mandatory -- a reasonless pragma reports the
-violation anyway, annotated. Pre-existing violations live in
-``lint-baseline.json`` (matched by rule + module + source text, so they
-expire when the line is touched); the gate fails only on *fresh*
-violations, and the baseline is burned down toward an empty list.
+violation anyway, annotated. There is no other suppression path.
 
 Adding a rule: subclass :class:`repro.lint.base.Rule` in
 ``repro/lint/rules.py``, decorate with ``@register_rule``, give it a
@@ -83,13 +80,7 @@ from repro.lint.base import (
     module_key,
     register_rule,
 )
-from repro.lint.pragmas import (
-    apply_baseline,
-    apply_pragmas,
-    collect_pragmas,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.pragmas import apply_pragmas, collect_pragmas
 from repro.lint.walker import LintResult, lint_paths, lint_source
 from repro.lint.cli import main
 
@@ -100,15 +91,12 @@ __all__ = [
     "LintViolation",
     "ModuleContext",
     "Rule",
-    "apply_baseline",
     "apply_pragmas",
     "collect_pragmas",
     "is_decision_path",
     "lint_paths",
     "lint_source",
-    "load_baseline",
     "main",
     "module_key",
     "register_rule",
-    "write_baseline",
 ]

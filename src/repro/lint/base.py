@@ -38,8 +38,8 @@ def module_key(path):
 
     Reported paths vary with how the linter was invoked (``src``, an
     absolute tmp dir, a single file); the module key is the suffix from
-    the last ``repro`` path component on, so baseline entries and
-    package classification survive any invocation style.
+    the last ``repro`` path component on, so package classification
+    survives any invocation style.
     """
     parts = PurePath(path).parts
     for i in range(len(parts) - 1, -1, -1):
@@ -58,30 +58,18 @@ def is_decision_path(key):
 class LintViolation:
     """One rule violation at one source location."""
 
-    __slots__ = ("rule_id", "path", "key_path", "line", "col", "message",
-                 "hint", "line_text", "note")
+    __slots__ = ("rule_id", "path", "line", "col", "message", "hint",
+                 "note")
 
-    def __init__(self, rule_id, path, key_path, line, col, message,
-                 hint=None, line_text="", note=None):
+    def __init__(self, rule_id, path, line, col, message, hint=None,
+                 note=None):
         self.rule_id = rule_id
         self.path = path
-        self.key_path = key_path
         self.line = line
         self.col = col
         self.message = message
         self.hint = hint
-        self.line_text = line_text
         self.note = note
-
-    def baseline_key(self):
-        """The (rule, module, source-text) identity baseline matching uses.
-
-        Line numbers drift as files are edited; the stripped source text
-        of the offending line is stable until the violation itself is
-        touched, which is exactly when a baseline entry should expire.
-        """
-        return (self.rule_id, self.key_path or self.path,
-                self.line_text.strip())
 
     def as_dict(self):
         data = {
@@ -119,11 +107,6 @@ class ModuleContext:
         self.tree = tree
         self.aliases = _import_aliases(tree)
 
-    def line_text(self, lineno):
-        if 1 <= lineno <= len(self.lines):
-            return self.lines[lineno - 1]
-        return ""
-
     def resolve(self, node):
         """Dotted name of a Name/Attribute chain, through import aliases.
 
@@ -149,9 +132,8 @@ class ModuleContext:
         line = getattr(node, "lineno", 1)
         col = getattr(node, "col_offset", 0)
         return LintViolation(
-            rule.rule_id, self.path, self.key, line, col, message,
+            rule.rule_id, self.path, line, col, message,
             hint=hint if hint is not None else rule.hint,
-            line_text=self.line_text(line),
         )
 
 

@@ -2,13 +2,11 @@
 
 ::
 
-    python -m repro.lint src                 # text report, baseline applied
+    python -m repro.lint src                 # text report
     python -m repro.lint src --json          # machine-readable report
-    python -m repro.lint src --write-baseline  # accept current state
     python -m repro.lint --list-rules        # rule table with rationale
 
-Exit code is the number of fresh (non-baselined, non-suppressed)
-violations, capped at :data:`EXIT_CAP` so it never collides with shell
+Exit code is the number of violations no pragma suppressed, capped at :data:`EXIT_CAP` so it never collides with shell
 signal codes; 0 means clean. The verify gate runs this as its own named
 step -- see ``scripts/verify.sh``.
 """
@@ -16,7 +14,6 @@ step -- see ``scripts/verify.sh``.
 import argparse
 import sys
 
-from repro.lint.pragmas import apply_baseline, load_baseline, write_baseline
 from repro.lint.report import (
     dump_json,
     render_json,
@@ -27,9 +24,6 @@ from repro.lint.walker import lint_paths
 
 #: Exit codes above this are reserved by shells (126/127/128+signal).
 EXIT_CAP = 100
-
-#: Baseline looked for when ``--baseline`` is not given.
-DEFAULT_BASELINE = "lint-baseline.json"
 
 
 def build_parser():
@@ -47,20 +41,6 @@ def build_parser():
     parser.add_argument(
         "--rules", default=None,
         help="comma-separated rule ids to run (default: all)",
-    )
-    parser.add_argument(
-        "--baseline", default=DEFAULT_BASELINE,
-        help=f"baseline file of known violations (default: "
-             f"{DEFAULT_BASELINE}; missing file = empty baseline)",
-    )
-    parser.add_argument(
-        "--no-baseline", action="store_true",
-        help="ignore the baseline file; report every violation",
-    )
-    parser.add_argument(
-        "--write-baseline", action="store_true",
-        help="rewrite the baseline file from the current violations "
-             "and exit 0",
     )
     parser.add_argument(
         "--json", action="store_true", dest="as_json",
@@ -84,25 +64,11 @@ def main(argv=None, stdout=None):
         if args.rules else None
     )
     result = lint_paths(args.paths, rules=rules)
-    if args.write_baseline:
-        entries = write_baseline(args.baseline, result.violations)
-        print(
-            f"wrote {entries} baseline entr"
-            f"{'y' if entries == 1 else 'ies'} "
-            f"({len(result.violations)} violations) to {args.baseline}",
-            file=stdout,
-        )
-        return 0
-    if args.no_baseline:
-        fresh, baselined = list(result.violations), []
-    else:
-        baseline = load_baseline(args.baseline)
-        fresh, baselined = apply_baseline(result.violations, baseline)
     if args.as_json:
-        print(dump_json(render_json(fresh, baselined, result)), file=stdout)
+        print(dump_json(render_json(result)), file=stdout)
     else:
-        print(render_text(fresh, baselined, result), file=stdout)
-    return min(len(fresh), EXIT_CAP)
+        print(render_text(result), file=stdout)
+    return min(len(result.violations), EXIT_CAP)
 
 
-__all__ = ["DEFAULT_BASELINE", "EXIT_CAP", "build_parser", "main"]
+__all__ = ["EXIT_CAP", "build_parser", "main"]

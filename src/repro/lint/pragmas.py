@@ -1,23 +1,13 @@
-"""Per-line suppressions and the checked-in baseline.
+"""Per-line suppressions: the one way to accept a violation.
 
-Two burn-down mechanisms, for two lifetimes:
-
-* **Pragmas** -- ``# replint: allow[RPL003] reason`` on (or directly
-  above) the offending line. Permanent, reviewed annotations for sites
-  that are intentional: the pragma *requires a reason*, so every
-  suppression documents itself. A reasonless pragma does not suppress --
-  the violation is reported with a note saying why.
-* **Baseline** -- a checked-in JSON file of known pre-existing
-  violations, matched by ``(rule, module, source text)`` so entries
-  survive unrelated line drift but expire the moment the offending line
-  is edited. The baseline lets the verify gate fail on *new* violations
-  while old ones are burned down incrementally; the goal state is an
-  empty ``entries`` list.
+``# replint: allow[RPL003] reason`` on (or directly above) the offending
+line. Permanent, reviewed annotations for sites that are intentional: the
+pragma *requires a reason*, so every suppression documents itself. A
+reasonless pragma does not suppress -- the violation is reported with a
+note saying why.
 """
 
-import json
 import re
-from collections import Counter
 
 #: ``# replint: allow[RPL001,RPL004] why this is fine``
 _PRAGMA_RE = re.compile(
@@ -87,87 +77,4 @@ def apply_pragmas(violations, pragmas):
     return kept, suppressed
 
 
-# ----------------------------------------------------------------------
-# Baseline
-# ----------------------------------------------------------------------
-
-BASELINE_VERSION = 1
-
-
-def load_baseline(path):
-    """Load a baseline file into a ``Counter`` of baseline keys.
-
-    A missing file is an empty baseline (the common case for fresh
-    checkouts of a clean tree); a malformed one raises ``ValueError``
-    naming the file.
-    """
-    try:
-        with open(path, encoding="utf-8") as handle:
-            data = json.load(handle)
-    except FileNotFoundError:
-        return Counter()
-    except json.JSONDecodeError as exc:
-        raise ValueError(f"malformed baseline file {path}: {exc}") from None
-    if data.get("version") != BASELINE_VERSION:
-        raise ValueError(
-            f"baseline file {path} has version {data.get('version')!r}; "
-            f"this linter writes version {BASELINE_VERSION}"
-        )
-    counts = Counter()
-    for entry in data.get("entries", []):
-        key = (entry["rule"], entry["path"], entry["line_text"])
-        counts[key] += int(entry.get("count", 1))
-    return counts
-
-
-def apply_baseline(violations, baseline):
-    """Split ``violations`` into (fresh, baselined) against ``baseline``.
-
-    Matching is multiset subtraction on :meth:`LintViolation.baseline_key`:
-    N baseline entries absorb at most N identical violations, so adding a
-    second copy of a baselined hazard still fails the gate.
-    """
-    remaining = Counter(baseline)
-    fresh, baselined = [], []
-    for violation in violations:
-        key = violation.baseline_key()
-        if remaining[key] > 0:
-            remaining[key] -= 1
-            baselined.append(violation)
-        else:
-            fresh.append(violation)
-    return fresh, baselined
-
-
-def write_baseline(path, violations, note=None):
-    """Write ``violations`` as the new baseline for ``path``."""
-    counts = Counter(v.baseline_key() for v in violations)
-    entries = [
-        {"rule": rule, "path": key_path, "line_text": line_text,
-         "count": count}
-        for (rule, key_path, line_text), count in sorted(counts.items())
-    ]
-    data = {
-        "version": BASELINE_VERSION,
-        "note": note or (
-            "Known pre-existing violations, matched by (rule, module, "
-            "source text). Burn entries down to zero; never add to this "
-            "file to ship a new violation."
-        ),
-        "entries": entries,
-    }
-    with open(path, "w", encoding="utf-8") as handle:
-        json.dump(data, handle, indent=2, sort_keys=False)
-        handle.write("\n")
-    return len(entries)
-
-
-__all__ = [
-    "BASELINE_VERSION",
-    "Pragma",
-    "apply_baseline",
-    "apply_pragmas",
-    "collect_pragmas",
-    "load_baseline",
-    "write_baseline",
-]
+__all__ = ["Pragma", "apply_pragmas", "collect_pragmas"]

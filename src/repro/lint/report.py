@@ -11,11 +11,12 @@ from collections import Counter
 from repro.lint.base import LINT_RULES
 
 #: Schema version of the ``--json`` document.
-JSON_VERSION = 1
+JSON_VERSION = 2
 
 
-def render_text(fresh, baselined, result):
+def render_text(result):
     """Human-readable report; one line per violation plus a summary."""
+    fresh = result.violations
     lines = []
     for violation in fresh:
         lines.append(
@@ -28,8 +29,8 @@ def render_text(fresh, baselined, result):
             lines.append(f"    hint: {violation.hint}")
     summary = (
         f"{len(fresh)} violation{'s' if len(fresh) != 1 else ''} "
-        f"({len(baselined)} baselined, {len(result.suppressed)} suppressed "
-        f"by pragma) in {result.files_checked} files"
+        f"({len(result.suppressed)} suppressed by pragma) "
+        f"in {result.files_checked} files"
     )
     if fresh:
         lines.append(summary)
@@ -38,8 +39,9 @@ def render_text(fresh, baselined, result):
     return "\n".join(lines)
 
 
-def render_json(fresh, baselined, result):
+def render_json(result):
     """The machine-readable report as a dict (caller dumps it)."""
+    fresh = result.violations
     counts = Counter(v.rule_id for v in fresh)
     return {
         "version": JSON_VERSION,
@@ -47,7 +49,6 @@ def render_json(fresh, baselined, result):
         "rules_run": list(result.rules_run),
         "violations": [v.as_dict() for v in fresh],
         "counts": {rule: counts[rule] for rule in sorted(counts)},
-        "baselined": len(baselined),
         "suppressed": len(result.suppressed),
     }
 

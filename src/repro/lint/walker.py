@@ -3,7 +3,7 @@
 One :func:`ast.parse` per file; every enabled rule walks the same tree
 through a shared :class:`~repro.lint.base.ModuleContext`. Files are
 visited in sorted path order and rules in sorted id order, so output (and
-therefore the baseline and the exit code) is deterministic -- the linter
+therefore the exit code) is deterministic -- the linter
 holds itself to the invariants it checks.
 """
 
@@ -20,7 +20,7 @@ _SKIP_DIRS = frozenset({"__pycache__", ".git", ".hypothesis"})
 
 
 class LintResult:
-    """Outcome of one lint run, before baseline subtraction."""
+    """Outcome of one lint run: what no pragma accepted, and what one did."""
 
     __slots__ = ("violations", "suppressed", "files_checked", "rules_run")
 
@@ -75,7 +75,7 @@ def lint_source(source, path, rules=None):
         tree = ast.parse(source)
     except SyntaxError as exc:
         violation = LintViolation(
-            "RPL000", str(path), None, exc.lineno or 1, exc.offset or 0,
+            "RPL000", str(path), exc.lineno or 1, exc.offset or 0,
             f"syntax error: {exc.msg}",
             hint="the linter only checks files that parse",
         )

@@ -360,9 +360,7 @@ def _snapshot_processor(processor):
     if coordinator is not None:
         agreed = []
         for job in finder.pending_jobs:
-            point = coordinator._agreed.get(
-                (processor.stream_key, job.job_id)
-            )
+            point = coordinator._agreed.get(job.job_id)
             if point is not None:
                 agreed.append([job.job_id, point])
         coordinator_state = {
@@ -434,8 +432,8 @@ def hydrate_processor(processor, state):
     leaves the processor untouched. Replicated backends call this once
     per node replica with the same state: per-node job completion times
     are recomputed from the node's own id
-    (:func:`~repro.core.jobs.completion_op`), and the shared coordinator
-    restore is idempotent.
+    (:func:`~repro.core.jobs.completion_op`), and the replica set's
+    coordinator restore is idempotent.
     """
     if isinstance(state, SessionState):
         payload = state.payload
@@ -547,9 +545,8 @@ def hydrate_processor(processor, state):
         )
         coordinator.waits = max(coordinator.waits, restored["waits"])
         for job_id, point in restored["agreed"]:
-            key = (processor.stream_key, job_id)
-            if key not in coordinator._agreed:
-                coordinator._agreed[key] = point
+            if job_id not in coordinator._agreed:
+                coordinator._agreed[job_id] = point
                 coordinator.agreements_issued += 1
 
     processor.trace_log = [

@@ -15,7 +15,7 @@ The runtime provides the pieces of Legion that Apophenia depends on:
   (:mod:`repro.runtime.costmodel`, :mod:`repro.runtime.pipeline`),
 * machine descriptions of the Perlmutter and Eos supercomputers
   (:mod:`repro.runtime.machine`), and
-* per-session runtime handles for the multi-tenant service layer
+* the per-session runtime spec of the session pools
   (:mod:`repro.runtime.session`).
 """
 
@@ -25,7 +25,7 @@ from repro.runtime.privilege import Privilege
 from repro.runtime.runtime import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineConfig, PERLMUTTER, EOS
-from repro.runtime.session import RuntimeHandle, RuntimeSessionFactory
+from repro.runtime.session import RuntimeSessionFactory
 
 __all__ = [
     "RegionForest",
@@ -35,7 +35,6 @@ __all__ = [
     "RegionRequirement",
     "Privilege",
     "Runtime",
-    "RuntimeHandle",
     "RuntimeSessionFactory",
     "CostModel",
     "MachineConfig",

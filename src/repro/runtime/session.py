@@ -1,6 +1,7 @@
-"""Per-session runtime handles for the multi-tenant service layer.
+"""The per-session runtime spec of the session pools.
 
-Every tenant of an :class:`~repro.service.ApopheniaService` needs its own
+Every session of a :class:`~repro.service.service.SessionPool` -- and
+every node replica of a replicated one -- needs its own
 :class:`~repro.runtime.runtime.Runtime`: region forests, pipeline clocks,
 tracing-engine namespaces, and iteration counters must stay isolated
 between tenants, exactly as two applications on one machine own separate
@@ -8,70 +9,15 @@ Legion runtime instances. What *is* shared is the machine description and
 the calibrated cost model -- the service is one deployment on one machine.
 
 :class:`RuntimeSessionFactory` pins that shared spec once and stamps out
-identically configured runtimes on demand; :class:`RuntimeHandle` binds a
-session id to its runtime and exposes the result accessors experiments
-need without reaching through the service.
+identically configured runtimes on demand. It is a spec, not a registry:
+a runtime it created belongs to the processor it was handed to and is
+reachable only through the session's handle, so there is nothing to give
+back when the session goes.
 """
-
-import itertools
 
 from repro.runtime.costmodel import DEFAULT_COST_MODEL
 from repro.runtime.machine import PERLMUTTER
-from repro.runtime.runtime import Runtime, TaskMode
-
-
-class RuntimeHandle:
-    """One session's runtime plus convenience accessors.
-
-    When the serving backend binds its processor
-    (:meth:`RuntimeSessionFactory.bind_processor`), the handle also
-    exposes the session's replay-engine counters, so experiments can
-    read per-tenant serving-path behaviour (pointer pressure, dedup
-    collapses, hysteresis interventions) from the factory without
-    reaching through the service.
-    """
-
-    __slots__ = ("session_id", "runtime", "created_seq", "processor")
-
-    def __init__(self, session_id, runtime, created_seq=0):
-        self.session_id = session_id
-        self.runtime = runtime
-        self.created_seq = created_seq
-        self.processor = None  # bound by the serving backend, if any
-
-    @property
-    def tasks_launched(self):
-        return self.runtime.tasks_launched
-
-    @property
-    def total_time(self):
-        return self.runtime.total_time
-
-    def throughput(self, warmup_iterations, end_iteration=None):
-        return self.runtime.throughput(warmup_iterations, end_iteration)
-
-    def traced_fraction(self):
-        return self.runtime.traced_fraction()
-
-    def replayed_tasks(self):
-        """Count of tasks executed as memoized replays."""
-        return sum(
-            1 for r in self.runtime.task_log if r.mode == TaskMode.REPLAYED
-        )
-
-    def serving_stats(self):
-        """The bound processor's replay-engine counters
-        (:class:`~repro.core.replayer.ReplayerStats`), or ``None`` when
-        no serving backend bound a processor to this handle."""
-        if self.processor is None:
-            return None
-        return self.processor.replayer.stats
-
-    def __repr__(self):
-        return (
-            f"RuntimeHandle({self.session_id!r}, "
-            f"tasks={self.runtime.tasks_launched})"
-        )
+from repro.runtime.runtime import Runtime
 
 
 class RuntimeSessionFactory:
@@ -98,14 +44,10 @@ class RuntimeSessionFactory:
         self.analysis_mode = analysis_mode
         self.mismatch_policy = mismatch_policy
         self.keep_task_log = keep_task_log
-        self.handles = {}
-        self._seq = itertools.count()
 
-    def create(self, session_id):
-        """Create (and track) a fresh runtime handle for ``session_id``."""
-        if session_id in self.handles:
-            raise ValueError(f"session {session_id!r} already has a runtime")
-        runtime = Runtime(
+    def create(self):
+        """A fresh :class:`~repro.runtime.runtime.Runtime` of this spec."""
+        return Runtime(
             cost_model=self.cost_model,
             machine=self.machine,
             gpus=self.gpus,
@@ -113,24 +55,3 @@ class RuntimeSessionFactory:
             analysis_mode=self.analysis_mode,
             keep_task_log=self.keep_task_log,
         )
-        handle = RuntimeHandle(session_id, runtime, next(self._seq))
-        self.handles[session_id] = handle
-        return handle
-
-    def bind_processor(self, session_id, processor):
-        """Attach the serving processor to a tracked handle (no-op for
-        application-owned runtimes the factory never saw)."""
-        handle = self.handles.get(session_id)
-        if handle is not None:
-            handle.processor = processor
-        return handle
-
-    def release(self, session_id):
-        """Drop the handle for an evicted/closed session, if tracked."""
-        handle = self.handles.pop(session_id, None)
-        if handle is not None:
-            handle.processor = None  # the backend retired the session
-        return handle
-
-    def __len__(self):
-        return len(self.handles)

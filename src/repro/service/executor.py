@@ -21,6 +21,10 @@ function of ``(window, min_length)``; the shared memo is keyed exactly so
 (no node or session identity) and copies results in and out, so a hit
 from another tenant's insert returns the same value mining would have.
 
+The executor does not know its lanes: a lane points at the executor, the
+session's processor holds the lane, and the only thing the two share
+between calls is the (empty) FIFO.
+
 There is no scheduler. Every public serving call of the service ends in
 a ``pump()`` and a finder submits at most one job per token, so the FIFO
 never holds more than one job (pinned by ``tests/test_service.py``); a
@@ -94,23 +98,15 @@ class SharedJobExecutor:
         )
         self.fault_plan = resolve_fault_plan(fault_plan)
         self.deadline_tokens = deadline_tokens
-        self.lanes = {}
         self.queue = deque()  # submitted, not yet pumped AnalysisJobs
 
     def lane(self, session_key, **stream):
-        """Create the :class:`SessionLane` of a new session; ``stream``
-        is the per-stream half of a ``JobExecutor``'s parameters."""
-        if session_key in self.lanes:
-            raise ValueError(f"lane {session_key!r} already exists")
-        lane = self.lanes[session_key] = SessionLane(
-            self, session_key, **stream
-        )
-        return lane
-
-    def release_lane(self, session_key):
-        """Drop a closed session's lane. Jobs it still has queued or
-        referenced keep working -- a job carries its own mining thunk."""
-        return self.lanes.pop(session_key, None)
+        """A new :class:`SessionLane` over this executor; ``stream`` is
+        the per-stream half of a ``JobExecutor``'s parameters. The lane
+        belongs to the processor it is handed to -- the executor keeps no
+        table of them, and a job a dropped lane still has queued keeps
+        working (it carries its own mining thunk)."""
+        return SessionLane(self, session_key, **stream)
 
     def pump(self):
         """Drain the FIFO; returns how many jobs were mined here (a job

@@ -18,15 +18,14 @@ shared multi-tenant service, or control-replicated across N nodes::
 Each session is a full N-way replica set:
 
 * N :class:`~repro.core.processor.ApopheniaProcessor` node replicas, one
-  per node id, each fronting its own runtime stamped out by the
-  :class:`~repro.runtime.session.RuntimeSessionFactory` (node replicas own
-  distinct region forests, exactly as real nodes own distinct Legion
-  instances);
-* one per-session :class:`~repro.core.coordination.IngestCoordinator`
-  carrying the agreement protocol, with agreement keys namespaced by the
-  session id (:attr:`~repro.core.processor.ApopheniaProcessor.stream_key`)
-  so a deployment-wide coordinator could serve several sessions without
-  job-index collisions;
+  per node id, each fronting its own runtime built from the
+  :class:`~repro.runtime.session.RuntimeSessionFactory` spec (node
+  replicas own distinct region forests, exactly as real nodes own
+  distinct Legion instances);
+* one :class:`~repro.core.coordination.IngestCoordinator` carrying the
+  agreement protocol -- one per replica set by construction: ``_build``
+  makes it, only this session's processors and handle hold it, and its
+  tables are keyed by the job index alone;
 * one per-session :class:`~repro.core.jobs.MiningMemo` shared by the N
   node executors -- nodes mine byte-identical windows (the token stream is
   replicated), so one node's analysis answers the other N-1 for free,
@@ -49,11 +48,6 @@ from repro.errors import SessionClosedError
 from repro.service.service import SessionHandle, SessionPool
 
 
-def _node_key(session_id, node_id):
-    """Runtime-factory key of one node replica's runtime."""
-    return f"{session_id}@node{node_id}"
-
-
 class ReplicatedSessionHandle(SessionHandle):
     """One session's N-node replica set.
 
@@ -67,10 +61,8 @@ class ReplicatedSessionHandle(SessionHandle):
 
     __slots__ = ("faults", "_drops_armed")
 
-    def __init__(self, session_id, backend, processors, runtime_keys,
-                 coordinator, faults):
-        super().__init__(session_id, backend, processors, runtime_keys,
-                         coordinator)
+    def __init__(self, session_id, backend, processors, coordinator, faults):
+        super().__init__(session_id, backend, processors, coordinator)
         self.faults = faults
         self._drops_armed = faults.active and faults.has_node_drops
 
@@ -134,8 +126,8 @@ class ReplicatedSessionHandle(SessionHandle):
         agreement because the coordinator merely stops counting the dead
         node as a consumer (its already-fixed ingest points are
         untouched, and per-node retire tracking keeps pruning exact), and
-        the dead node's runtime stays allocated until ``close_session``
-        so nothing the application still references is torn down early.
+        the dead node's processor and runtime stay on the handle, so
+        nothing the application still references is torn down early.
         Refuses to drop the last live node -- a session with zero
         replicas is an outage, not a degradation.
         """
@@ -152,7 +144,7 @@ class ReplicatedSessionHandle(SessionHandle):
             )
         self._live = live
         if self.coordinator is not None:
-            self.coordinator.drop_node(node_id, stream=self.session_id)
+            self.coordinator.drop_node(node_id)
         return len(self._live)
 
     # ------------------------------------------------------------------
@@ -185,8 +177,8 @@ class ReplicatedBackend(SessionPool):
         session-level config) and ``initial_ingest_margin_ops`` seeds
         each session's agreement protocol.
     runtime_factory:
-        :class:`~repro.runtime.session.RuntimeSessionFactory` stamping
-        out one runtime per node replica (keys ``<session>@node<j>``).
+        :class:`~repro.runtime.session.RuntimeSessionFactory`, the spec
+        one runtime per node replica is built from.
     num_nodes:
         Replica count override for sessions opened without their own
         config; defaults to ``config.num_nodes``.
@@ -214,18 +206,14 @@ class ReplicatedBackend(SessionPool):
             raise ValueError("need at least one node")
         self.coordinate = coordinate
 
-    def _build(self, session_id, config, runtime, node_id, runtimes=None,
-               coordinator=None):
+    def _build(self, session_id, config, runtime, node_id, runtimes=None):
         """N node replicas, one coordinator, one shared memo.
 
         The backend assigns node ids 0..N-1 itself, so ``node_id`` must
-        be 0 (the protocol default), and per-node runtimes are stamped
+        be 0 (the protocol default), and per-node runtimes are built
         from the runtime factory -- a single caller-owned ``runtime``
         cannot serve N replicas. ``runtimes`` injects one caller-owned
-        runtime per node; ``coordinator`` injects a shared agreement
-        object for deployments running one collective across sessions
-        (agreement keys are namespaced by the session id, so sessions
-        sharing one cannot collide on their job indices).
+        runtime per node.
         """
         if runtime is not None:
             raise ValueError(
@@ -238,33 +226,18 @@ class ReplicatedBackend(SessionPool):
                 f"the replicated backend assigns node ids 0..{nodes - 1} "
                 f"itself; got node_id={node_id}"
             )
-        if runtimes is not None and len(runtimes) != nodes:
+        if runtimes is None:
+            runtimes = [self.runtime_factory.create() for _ in range(nodes)]
+        elif len(runtimes) != nodes:
             raise ValueError(
                 f"got {len(runtimes)} runtimes for {nodes} nodes"
             )
-        if coordinator is None:
-            if self.coordinate:
-                coordinator = IngestCoordinator(
-                    initial_margin_ops=config.initial_ingest_margin_ops,
-                    num_nodes=nodes,
-                )
-        elif (coordinator.num_nodes is not None
-                and coordinator.num_nodes != nodes):
-            # A fixed consumer count that disagrees with the replica set
-            # would prune agreements early (late nodes re-agree at a
-            # possibly grown margin: divergence) or never (leak). Shared
-            # coordinators serving mixed replica counts leave num_nodes
-            # unset and rely on per-stream node registration instead.
-            raise ValueError(
-                f"coordinator expects {coordinator.num_nodes} consumers "
-                f"per agreement but the session runs {nodes} nodes"
+        coordinator = (
+            IngestCoordinator(
+                initial_margin_ops=config.initial_ingest_margin_ops
             )
-        keys = ()
-        if runtimes is None:
-            keys = tuple(_node_key(session_id, node) for node in range(nodes))
-            runtimes = [
-                self.runtime_factory.create(key).runtime for key in keys
-            ]
+            if self.coordinate else None
+        )
         # One shared per-session memo: replicas mine byte-identical
         # windows, so node 0's analysis answers nodes 1..N-1 --
         # decision-neutral because results are pure functions of the
@@ -279,7 +252,6 @@ class ReplicatedBackend(SessionPool):
                 config,
                 node_id=node,
                 coordinator=coordinator,
-                stream_key=session_id,
                 executor=executor_from_config(
                     config, node, session_id, memo=memo
                 ),
@@ -292,16 +264,9 @@ class ReplicatedBackend(SessionPool):
         # results, and the agreement invariant survives the fault. The
         # handle reads its node drops off node 0's.
         return ReplicatedSessionHandle(
-            session_id, self, processors, keys, coordinator,
+            session_id, self, processors, coordinator,
             processors[0].executor.fault_plan,
         )
-
-    def _release(self, handle):
-        if handle.coordinator is not None:
-            # Pending-head agreements die with the session's finders; on
-            # a shared coordinator they would otherwise never reach their
-            # consumption watermark.
-            handle.coordinator.release_stream(handle.session_id)
 
 
 __all__ = ["ReplicatedBackend", "ReplicatedSessionHandle"]

@@ -6,8 +6,11 @@ sessions, each a :class:`SessionHandle` over one or more
 owns what every deployment does the same way -- the open template, the
 one exception-safe ``close_session``, and the ``backend_stats`` fold over
 the marks of :mod:`repro.metrics` -- and a backend supplies ``_build``
-(what serves a session) and ``_release`` (what it registered elsewhere),
-plus whatever is genuinely its own:
+(what serves a session) plus whatever is genuinely its own. The table is
+the only place a session id leads anywhere: ``sessions[sid]`` -> handle
+-> ``processors`` -> (runtime, executor or lane, coordinator), each built
+for that handle and referenced by nothing else, so closing, evicting or
+refusing a session is dropping the entry -- there is nothing to give back:
 
 * :class:`StandaloneBackend` -- the paper's one Apophenia per
   application: a private executor and memo per session, nothing shared;
@@ -96,32 +99,29 @@ def _fold(totals, handle, lifetime_only=False):
 # The session handle
 # ----------------------------------------------------------------------
 class SessionHandle:
-    """One open session: its processors and where they are registered.
+    """One open session, and the owner of everything that serves it.
 
     The one handle shape every backend returns and every cross-cutting
     consumer (stats, snapshots, persistence, trace capture, the
     benchmark's tracer) reads: ``session_id``, the owning ``backend``,
     ``processors`` (one per node replica; one for single-node backends),
     the live subset still serving, ``processor`` (the reference replica
-    the facade reports), the shared ``coordinator`` or ``None``, and
-    ``closed``. ``runtime_keys`` names the runtimes the backend's factory
-    stamped for this session -- parallel to ``processors``, or empty when
-    the caller owns the runtimes.
+    the facade reports), the replica set's ``coordinator`` or ``None``,
+    and ``closed``. Runtimes, executors / lanes and the coordinator are
+    reached through ``processors`` and live exactly as long as the handle.
 
     Serving calls look ``execute_task`` / ``set_iteration`` / ``flush``
     up on each processor at call time; nothing here caches a bound
     method, so instance-level wrappers on a processor stay in the path.
     """
 
-    __slots__ = ("session_id", "backend", "processors", "runtime_keys",
-                 "coordinator", "closed", "_live")
+    __slots__ = ("session_id", "backend", "processors", "coordinator",
+                 "closed", "_live")
 
-    def __init__(self, session_id, backend, processors, runtime_keys=(),
-                 coordinator=None):
+    def __init__(self, session_id, backend, processors, coordinator=None):
         self.session_id = session_id
         self.backend = backend
         self.processors = processors
-        self.runtime_keys = runtime_keys
         self.coordinator = coordinator
         self.closed = False
         self._live = list(processors)
@@ -213,7 +213,7 @@ class SessionPool:
     """The session table and lifecycle under every tracing backend.
 
     Subclasses set ``backend_kind`` and implement :meth:`_build`; they
-    may override :meth:`_admit` and :meth:`_release`.
+    may override :meth:`_admit`.
 
     Parameters
     ----------
@@ -222,17 +222,14 @@ class SessionPool:
         per-session configuration (``open_session`` may override it) and
         the backend's own deployment knobs.
     runtime_factory:
-        :class:`~repro.runtime.session.RuntimeSessionFactory` used when a
-        session is opened without application-provided runtimes.
+        :class:`~repro.runtime.session.RuntimeSessionFactory`, the spec
+        of the runtimes built for sessions opened without
+        application-provided ones.
     """
 
     def __init__(self, config=None, runtime_factory=None):
         self.config = config or ApopheniaConfig()
-        # Explicit None check: an empty factory is falsy (it has __len__).
-        self.runtime_factory = (
-            runtime_factory if runtime_factory is not None
-            else RuntimeSessionFactory()
-        )
+        self.runtime_factory = runtime_factory or RuntimeSessionFactory()
         self.sessions = {}  # session_id -> SessionHandle
         self.sessions_opened = 0
         # Only the service evicts, and only it may run a spill tier;
@@ -264,33 +261,15 @@ class SessionPool:
         if session_id in self.sessions:
             raise ValueError(f"session {session_id!r} already open")
         admitted = self._admit(session_id, state)
-        tracked = set(self.runtime_factory.handles)
-        handle = None
-        try:
-            handle = self._build(session_id, config or self.config, runtime,
-                                 node_id, **deployment)
-            for key, processor in zip(handle.runtime_keys, handle.processors):
-                # Factory-tracked handles expose the session's
-                # replay-engine counters (RuntimeHandle.serving_stats).
-                self.runtime_factory.bind_processor(key, processor)
-            if admitted is not None:
-                for processor in handle.processors:
-                    hydrate_processor(processor, admitted)
-        except BaseException:
-            # A refused warm start (hydrate fails closed on a decision
-            # config mismatch) or a failed build must not wedge the id:
-            # give back the lane / coordinator stream, every runtime the
-            # factory stamped, and a state _admit took out of the store.
-            if handle is None:
-                handle = SessionHandle(
-                    session_id, self, (),
-                    set(self.runtime_factory.handles) - tracked,
-                )
-            self._discard(handle)
-            if admitted is not state:
-                self.state_store.put(session_id, admitted)
-            raise
+        # Nothing below is registered anywhere until the handle enters
+        # the table, so a failing build or a refused warm start (hydrate
+        # fails closed on a decision config mismatch) just propagates:
+        # the half-built session is garbage and the id opens again.
+        handle = self._build(session_id, config or self.config, runtime,
+                             node_id, **deployment)
         if admitted is not None:
+            for processor in handle.processors:
+                hydrate_processor(processor, admitted)
             # The session's counters resume from the snapshot; what it
             # brought along is not work this pool served (and if this
             # pool did serve it, it was retired when that session closed).
@@ -300,6 +279,11 @@ class SessionPool:
                     self._retired[name] -= getattr(stats, name)
             for processor in handle.processors:
                 processor.warm_starts += 1
+        if self.state_store is not None:
+            # An open session has no spilled state, whichever state
+            # warm-started it: a snapshot this admission superseded must
+            # not resurrect after a later, deliberate close.
+            self.state_store.pop(session_id)
         self.sessions[session_id] = handle
         self.sessions_opened += 1
         return handle
@@ -314,25 +298,14 @@ class SessionPool:
         """Construct the session's processors; returns its handle."""
         raise NotImplementedError
 
-    def _release(self, handle):
-        """Drop whatever ``_build`` registered outside the pool."""
-
-    def _runtime_for(self, session_id, runtime):
-        """``(runtime, runtime_keys)`` of a single-node session: the
-        caller's own runtime, or a factory one tracked under its id."""
-        if runtime is not None:
-            return runtime, ()
-        return self.runtime_factory.create(session_id).runtime, (session_id,)
-
     def close_session(self, session_id):
         """Flush and retire a session; returns its handle for inspection.
 
-        Teardown is exception-safe: the table entry, the backend's own
-        registrations (lane, coordinator stream), every factory-owned
-        runtime, and the handle's closed mark are released even when the
-        flush raises (the error still propagates), so a failing tenant
-        cannot leak resources or leave a half-closed handle behind --
-        and its lifetime counters still reach ``backend_stats``.
+        Teardown is exception-safe: the table entry goes, the handle is
+        marked closed and its lifetime counters reach ``backend_stats``
+        even when the flush raises (the error still propagates). That is
+        all there is to release -- everything serving the session hangs
+        off the handle, so a failing tenant has nothing to leak.
         """
         handle = self.sessions.get(session_id)
         if handle is None:
@@ -342,26 +315,14 @@ class SessionPool:
             )
         try:
             # The processors directly, not handle.flush(): teardown must
-            # not touch LRU stamps or pump other tenants' work into a
-            # lane that is about to be released.
+            # not touch LRU stamps or pump other tenants' work.
             for processor in handle.live_processors:
                 processor.flush()
         finally:
             del self.sessions[session_id]
-            # Retire before _release: pending-head agreements (and the
-            # coordinator gauges that count them) die with the stream.
-            _fold(self._retired, handle, lifetime_only=True)
-            self._discard(handle)
-        return handle
-
-    def _discard(self, handle):
-        """Give back everything ``_build`` registered for ``handle``."""
-        try:
-            self._release(handle)
-        finally:
-            for key in handle.runtime_keys:
-                self.runtime_factory.release(key)
             handle.closed = True
+            _fold(self._retired, handle, lifetime_only=True)
+        return handle
 
     def session(self, session_id):
         """Look up an open session (without touching any LRU position)."""
@@ -414,19 +375,19 @@ class StandaloneBackend(SessionPool):
         # factories default it off for fleet-scale reasons.
         super().__init__(
             config,
-            runtime_factory if runtime_factory is not None
-            else RuntimeSessionFactory(keep_task_log=True),
+            runtime_factory or RuntimeSessionFactory(keep_task_log=True),
         )
 
     def _build(self, session_id, config, runtime, node_id):
-        runtime, keys = self._runtime_for(session_id, runtime)
+        if runtime is None:
+            runtime = self.runtime_factory.create()
         # stream_key: the fault plan keys on the session id on every
         # backend, so one (plan, session id, stream) fails the same way
         # wherever it is served.
         processor = ApopheniaProcessor(
             runtime, config, node_id=node_id, stream_key=session_id
         )
-        return SessionHandle(session_id, self, [processor], keys)
+        return SessionHandle(session_id, self, [processor])
 
 
 # ----------------------------------------------------------------------
@@ -511,38 +472,36 @@ class ApopheniaService(SessionPool):
         """Admitting a session beyond ``max_sessions`` evicts the
         least-recently-used tenant first. With no explicit ``state``, a
         state the spill tier holds for this id (the tenant was evicted
-        earlier) is popped and applied -- re-admission transparently
-        resumes the learned steady state."""
+        earlier) is applied -- re-admission transparently resumes the
+        learned steady state. Only looked at here: ``open_session`` takes
+        it out of the tier once the session is really open."""
         while len(self.sessions) >= max(1, self.config.max_sessions):
             self._evict_lru()
         if state is None and self.state_store is not None:
-            state = self.state_store.pop(session_id)
+            state = self.state_store.get(session_id)
         return state
 
     def _build(self, session_id, config, runtime, node_id):
-        runtime, keys = self._runtime_for(session_id, runtime)
+        if runtime is None:
+            runtime = self.runtime_factory.create()
         lane = self.executor.lane(
             session_id, **stream_keywords(config, node_id)
         )
         processor = ApopheniaProcessor(
             runtime, config, node_id=node_id, executor=lane
         )
-        handle = LaneHandle(session_id, self, [processor], keys)
+        handle = LaneHandle(session_id, self, [processor])
         self._tick += 1
         handle.last_used = self._tick
         return handle
-
-    def _release(self, handle):
-        self.executor.release_lane(handle.session_id)
 
     def _evict_lru(self):
         victim_id = min(
             self.sessions, key=lambda sid: self.sessions[sid].last_used
         )
         if self.state_store is not None:
-            # Dehydrate BEFORE close_session: dehydrate flushes the
-            # victim itself, and teardown releases the lane the snapshot
-            # still needs to read pending-job state from.
+            # dehydrate flushes the victim itself; close_session then
+            # finds nothing left to flush.
             state = dehydrate(self.sessions[victim_id])
             self.state_store.put(victim_id, state)
         self.close_session(victim_id)

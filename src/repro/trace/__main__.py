@@ -8,7 +8,7 @@ Usage::
     python -m repro.trace show FILE
 
 ``corpus`` rewrites the checked-in fixtures (default ``tests/corpus``);
-review the diff before committing, exactly like ``make lint-baseline``.
+review the diff before committing, exactly like ``make loc-budget``.
 """
 
 import argparse
@@ -32,8 +32,8 @@ def _cmd_corpus(args):
         return 2
     for name, path in build_corpus(args.directory, names):
         print(f"wrote {path}")
-    print("review the diff before committing (make corpus is the "
-          "lint-baseline workflow for fixtures)")
+    print("review the diff before committing (for fixtures, the diff "
+          "is the review)")
     return 0
 
 

@@ -5,7 +5,7 @@ session under :data:`CORPUS_CONFIG` and exports the trace. The builders
 are deterministic end to end -- app region uids restart per forest, the
 generative graphs carry fixed seeds, serialization is canonical -- so
 ``make corpus`` regenerates byte-identical files when nothing changed,
-and a diff *is* the review (the same workflow as ``make lint-baseline``).
+and a diff *is* the review (the same workflow as ``make loc-budget``).
 
 Entries are a :class:`~repro.registry.Registry` (name -> builder), so
 the trace suite, the CLI, and the experiments runner iterate one list.

@@ -229,79 +229,69 @@ class TestIngestCoordinator:
     def test_agreement_table_pruned_after_all_nodes_consume(self):
         """Regression: agreements used to live forever -- one dict entry
         per mining job for the life of the tenant."""
-        c = IngestCoordinator(initial_margin_ops=10, num_nodes=2)
+        c = IngestCoordinator(initial_margin_ops=10)
+        c.register_node(0)
+        c.register_node(1)
         for job in range(50):
             c.agree(job, job * 100)
-            c.retire(job)  # node 0 ingested
+            c.retire(job, 0)  # node 0 ingested
             assert c.agreement_table_size == 1  # node 1 still owes a pop
-            c.retire(job)  # node 1 ingested: entry pruned
+            c.retire(job, 1)  # node 1 ingested: entry pruned
             assert c.agreement_table_size == 0
         assert c.agreements_issued == 50
         assert c.agreements_pruned == 50
 
     def test_retire_of_unknown_agreement_is_harmless(self):
-        c = IngestCoordinator(num_nodes=2)
-        c.retire(7)  # never agreed: no-op, no KeyError
+        c = IngestCoordinator()
+        c.register_node(0)
+        c.retire(7, 0)  # never agreed: no-op, no KeyError
         assert c.agreement_table_size == 0
         assert c.agreements_pruned == 0
 
     def test_node_registration_sets_prune_watermark(self):
-        """Without an explicit num_nodes the consumer count comes from
-        construction-time node registration (what node processors do)."""
+        """The consumers of an entry are the registered node ids (what
+        node processors do at construction), each counted once."""
         c = IngestCoordinator(initial_margin_ops=10)
-        assert c.node_count() == 1  # nothing registered: private coordinator
         c.register_node(0)
         c.register_node(1)
         c.register_node(1)  # idempotent
-        assert c.node_count() == 2
+        assert c.nodes == {0, 1}
         c.agree(0, 100)
-        c.retire(0)
+        c.retire(0, 0)
+        c.retire(0, 0)  # the same consumer again: node 1 still owes a pop
         assert c.agreement_table_size == 1
-        c.retire(0)
+        c.retire(0, 1)
         assert c.agreement_table_size == 0
 
-    def test_per_stream_registration_prunes_at_each_streams_count(self):
-        """Sessions with different replica counts sharing a coordinator:
-        each stream prunes at its own registered node count."""
+    def test_drop_node_prunes_what_only_the_dead_node_owed(self):
+        """Pruning stays exact under a drop: an entry goes once every
+        *live* node consumed it, so the drop frees what only the dead
+        node still owed and nothing a survivor still needs."""
         c = IngestCoordinator(initial_margin_ops=10)
         for node in range(3):
-            c.register_node(node, stream="big")
-        c.register_node(0, stream="small")
-        assert c.node_count("big") == 3
-        assert c.node_count("small") == 1
-        c.agree(0, 100, stream="big")
-        c.agree(0, 100, stream="small")
-        c.retire(0, stream="small")  # small's single node consumed
+            c.register_node(node)
+        assert c.agree(0, 100) == 110
+        assert c.agree(1, 200) == 210
+        c.retire(0, 0)
+        c.retire(0, 1)  # job 0: only node 2 still owes a pop
+        c.retire(1, 2)  # job 1: the dead node consumed it, survivors not
+        assert c.drop_node(2) == 1 and c.nodes_dropped == 1
         assert c.agreement_table_size == 1
-        c.retire(0, stream="big")
-        c.retire(0, stream="big")
-        assert c.agreement_table_size == 1  # big still owes one pop
-        c.retire(0, stream="big")
-        assert c.agreement_table_size == 0
-        # Stream-less registration (legacy single stream) covers streams
-        # that never registered explicitly.
-        d = IngestCoordinator()
-        d.register_node(0)
-        d.register_node(1)
-        assert d.node_count("anything") == 2
-
-    def test_streams_get_independent_agreements(self):
-        """Two sessions sharing a coordinator number their own jobs from
-        zero; the stream namespace keeps job 0 from colliding."""
-        c = IngestCoordinator(initial_margin_ops=100)
-        assert c.agree(0, 50, stream="lane-a") == 150
-        assert c.agree(0, 900, stream="lane-b") == 1000  # not 150
-        assert c.agree(0, 50, stream="lane-a") == 150  # still sticky
-        assert c.agreement_table_size == 2
+        c.report_wait(1, 500)  # the margin grows ...
+        assert c.agree(1, 200) == 210  # ... and the survivors' point holds
+        c.retire(1, 0)
+        c.retire(1, 1)
+        assert c.agreement_table_size == 0 and c.agreements_pruned == 2
 
     def test_finder_drain_retires_consumed_agreements(self):
         ex = JobExecutor(base_latency_ops=5, per_token_latency_ops=0.0)
-        c = IngestCoordinator(initial_margin_ops=50, num_nodes=1)
+        c = IngestCoordinator(initial_margin_ops=50)
+        c.register_node(0)
         finder = TraceFinder(ex, batchsize=40, multi_scale_factor=10,
                              min_trace_length=1)
         for i in range(200):
             finder.observe(i % 4)
-            finder.drain_completed(finder.ops_observed, c, stream="s")
+            finder.drain_completed(finder.ops_observed, c, node=0)
         assert c.agreements_issued > 3
         # Every issued agreement this single node consumed was pruned.
         assert c.agreements_pruned >= c.agreements_issued - 1

@@ -5,9 +5,9 @@ seeds the hazard the rule exists for, and a *clean twin* -- the same
 shape written the sanctioned way -- that must pass. Fixtures are linted
 as source text through :func:`repro.lint.lint_source` with synthetic
 ``repro/...`` paths, so package classification (decision-path vs exempt)
-is part of what is under test. The suite also pins the pragma contract,
-the baseline round-trip, the JSON schema, and -- end to end -- that the
-repo's own ``src/`` tree is clean modulo the checked-in baseline.
+is part of what is under test. The suite also pins the pragma contract
+(the one suppression path), the JSON schema, and -- end to end -- that
+the repo's own ``src/`` tree is clean.
 """
 
 import io
@@ -23,12 +23,7 @@ from repro.lint import (
     module_key,
 )
 from repro.lint.base import is_decision_path
-from repro.lint.cli import DEFAULT_BASELINE, EXIT_CAP, main as lint_main
-from repro.lint.pragmas import (
-    apply_baseline,
-    load_baseline,
-    write_baseline,
-)
+from repro.lint.cli import EXIT_CAP, main as lint_main
 from repro.lint.report import JSON_VERSION
 
 pytestmark = pytest.mark.lint
@@ -453,64 +448,6 @@ class TestPragmas:
         assert rule_ids(kept) == ["RPL003"]
 
 
-class TestBaseline:
-    def _violations(self):
-        kept, _ = run("""\
-            def token(task):
-                return hash(task.key)
-        """, rules=["RPL003"])
-        assert len(kept) == 1
-        return kept
-
-    def test_round_trip(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        violations = self._violations()
-        write_baseline(path, violations)
-        fresh, baselined = apply_baseline(violations, load_baseline(path))
-        assert fresh == []
-        assert len(baselined) == 1
-
-    def test_matching_survives_line_drift(self, tmp_path):
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._violations())
-        # The same statement, two lines further down: still baselined.
-        drifted, _ = run("""\
-            import math
-
-            def token(task):
-                return hash(task.key)
-        """, rules=["RPL003"])
-        fresh, baselined = apply_baseline(drifted, load_baseline(path))
-        assert fresh == []
-        assert len(baselined) == 1
-
-    def test_multiset_semantics(self, tmp_path):
-        # One baseline entry absorbs one violation; a second copy of the
-        # same hazard is fresh and fails the gate.
-        path = tmp_path / "baseline.json"
-        write_baseline(path, self._violations())
-        doubled, _ = run("""\
-            def token(task):
-                return hash(task.key)
-
-            def token2(task):
-                return hash(task.key)
-        """, rules=["RPL003"])
-        assert len(doubled) == 2
-        fresh, baselined = apply_baseline(doubled, load_baseline(path))
-        assert len(fresh) == 1
-        assert len(baselined) == 1
-
-    def test_missing_file_is_empty(self, tmp_path):
-        assert load_baseline(tmp_path / "absent.json") == {}
-
-    def test_malformed_file_raises(self, tmp_path):
-        path = tmp_path / "bad.json"
-        path.write_text("{not json")
-        with pytest.raises(ValueError):
-            load_baseline(path)
-
-
 class TestCli:
     def _write_fixture(self, tmp_path):
         pkg = tmp_path / "repro" / "core"
@@ -524,9 +461,7 @@ class TestCli:
     def test_exit_code_counts_fresh_violations(self, tmp_path):
         root = self._write_fixture(tmp_path)
         out = io.StringIO()
-        code = lint_main(
-            [str(root), "--no-baseline", "--rules", "RPL003"], stdout=out
-        )
+        code = lint_main([str(root), "--rules", "RPL003"], stdout=out)
         assert code == 1
         assert "RPL003" in out.getvalue()
 
@@ -536,33 +471,17 @@ class TestCli:
     def test_json_schema(self, tmp_path):
         root = self._write_fixture(tmp_path)
         out = io.StringIO()
-        lint_main(
-            [str(root), "--no-baseline", "--rules", "RPL003", "--json"],
-            stdout=out,
-        )
+        lint_main([str(root), "--rules", "RPL003", "--json"], stdout=out)
         doc = json.loads(out.getvalue())
         assert doc["version"] == JSON_VERSION
         assert doc["files_checked"] == 1
         assert doc["rules_run"] == ["RPL003"]
         assert doc["counts"] == {"RPL003": 1}
-        assert doc["baselined"] == 0 and doc["suppressed"] == 0
+        assert doc["suppressed"] == 0 and "baselined" not in doc
         (violation,) = doc["violations"]
         assert violation["rule"] == "RPL003"
         assert violation["path"].endswith("fixture.py")
         assert {"line", "col", "message", "hint"} <= violation.keys()
-
-    def test_write_baseline_then_clean(self, tmp_path):
-        root = self._write_fixture(tmp_path)
-        baseline = tmp_path / "baseline.json"
-        out = io.StringIO()
-        assert lint_main(
-            [str(root), "--baseline", str(baseline), "--write-baseline"],
-            stdout=out,
-        ) == 0
-        code = lint_main(
-            [str(root), "--baseline", str(baseline)], stdout=io.StringIO()
-        )
-        assert code == 0
 
     def test_list_rules_names_all_eight(self):
         out = io.StringIO()
@@ -575,7 +494,7 @@ class TestCli:
         bad = tmp_path / "broken.py"
         bad.write_text("def broken(:\n")
         out = io.StringIO()
-        code = lint_main([str(bad), "--no-baseline"], stdout=out)
+        code = lint_main([str(bad)], stdout=out)
         assert code == 1
         assert "RPL000" in out.getvalue()
 
@@ -602,19 +521,12 @@ class TestRuleRegistry:
 class TestSelfApplication:
     """The gate the verify script runs, as a test: src/ must be clean."""
 
-    def test_src_clean_modulo_baseline(self):
+    def test_src_clean(self):
         out = io.StringIO()
-        code = lint_main(["src", "--baseline", DEFAULT_BASELINE], stdout=out)
+        code = lint_main(["src"], stdout=out)
         assert code == 0, f"repo lint gate failed:\n{out.getvalue()}"
-
-    def test_checked_in_baseline_is_empty(self):
-        # The burn-down reached zero in this PR; keep it there. Delete
-        # this test only if a future change deliberately baselines a
-        # violation it cannot yet fix.
-        baseline = load_baseline(DEFAULT_BASELINE)
-        assert sum(baseline.values()) == 0
 
     def test_lint_package_lints_itself(self):
         out = io.StringIO()
-        code = lint_main(["src/repro/lint", "--no-baseline"], stdout=out)
+        code = lint_main(["src/repro/lint"], stdout=out)
         assert code == 0, out.getvalue()

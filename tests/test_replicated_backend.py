@@ -16,10 +16,13 @@ never touches backend internals:
   same jitter makes nodes genuinely diverge, so the agreement protocol
   is doing real work.
 * **Bounded, session-scoped agreement state.** The agreement table is
-  pruned as every node consumes an entry, and keys are namespaced by
-  session identity so sessions sharing one coordinator cannot collide on
-  their independently numbered job indices.
+  pruned as every node consumes an entry, and each replica set has its
+  own coordinator, so two sessions' independently numbered job indices
+  have no table to collide in.
 """
+
+import gc
+import weakref
 
 import pytest
 
@@ -72,7 +75,7 @@ def _fast_runtime():
 
 def _drive_standalone_coordinated(stream, margin, config=REPLICATED_CONFIG):
     """A single processor gated by its own private coordinator."""
-    coordinator = IngestCoordinator(initial_margin_ops=margin, num_nodes=1)
+    coordinator = IngestCoordinator(initial_margin_ops=margin)
     processor = ApopheniaProcessor(
         _fast_runtime(), config, coordinator=coordinator
     )
@@ -192,8 +195,8 @@ class TestDivergenceDemonstration:
 
 
 class TestBoundedSessionScopedAgreements:
-    """Satellites: pruning keeps the table bounded; session-namespaced
-    keys make one coordinator shareable across sessions."""
+    """Pruning keeps the table bounded, and every session's agreements
+    are its own: one coordinator per replica set, by construction."""
 
     def test_agreement_table_bounded_over_long_run(self, app_streams):
         with open_session(
@@ -209,121 +212,65 @@ class TestBoundedSessionScopedAgreements:
             assert coordinator.agreement_table_size <= 2
             assert session.stats().agreement_table_size <= 2
 
-    def test_two_sessions_share_one_coordinator_safely(self, app_streams):
-        """Two lanes with identical job indices on one coordinator must
-        get independent agreements (the pre-fix bare-``job_index`` key
-        collided across sessions, handing one lane the other's agreed
-        ingestion points).
-
-        The margin is set high enough that no node ever waits, so the
-        shared coordinator carries no cross-session margin coupling and
-        each lane must decide *exactly* as it does on a private
-        coordinator. Lane b samples on a different schedule, so its job
-        ``j`` is submitted at a different op than lane a's job ``j`` --
-        under the old colliding keys, b would inherit a's agreed points
-        and shift its every ingestion.
-        """
-        cfg_a = REPLICATED_CONFIG.with_overrides(
-            initial_ingest_margin_ops=200
-        )
+    def test_interleaved_sessions_as_alone(self, app_streams):
+        """Two sessions of one backend number their jobs from zero and
+        sample on different schedules, so job ``j`` of one is submitted
+        at a different op than job ``j`` of the other; served interleaved
+        they must each decide *exactly* as they do alone -- each replica
+        set has its own coordinator, so there is no table where equal job
+        indices could meet."""
+        cfg_a = REPLICATED_CONFIG
         cfg_b = cfg_a.with_overrides(multi_scale_factor=20)
-        # Reference: each app on its own private per-session coordinator.
-        with open_session(
-            "solo-a", backend="replicated", config=cfg_a
-        ) as solo:
-            _drive(solo, app_streams["s3d"])
-            reference_a = solo.decision_trace()
-        with open_session(
-            "solo-b", backend="replicated", config=cfg_b
-        ) as solo:
-            _drive(solo, app_streams["jacobi"])
-            reference_b = solo.decision_trace()
-        assert reference_a and reference_b  # both actually fired traces
-        # coordinator= is backend-level plumbing (deployments running one
-        # collective across sessions), so it is passed to the backend's
-        # own open_session, not through the facade.
-        shared = IngestCoordinator(initial_margin_ops=200)
+        references = {}
+        for key, cfg, app in (("a", cfg_a, "s3d"), ("b", cfg_b, "jacobi")):
+            with open_session(
+                f"solo-{key}", backend="replicated", config=cfg
+            ) as solo:
+                _drive(solo, app_streams[app])
+                references[key] = (solo.decision_trace(), solo.stats())
+            assert references[key][0]  # it actually fired traces
         backend = ReplicatedBackend(cfg_a)
-        a = backend.open_session("lane-a", coordinator=shared)
-        b = backend.open_session("lane-b", config=cfg_b, coordinator=shared)
+        handles = {
+            "a": backend.open_session("lane-a"),
+            "b": backend.open_session("lane-b", config=cfg_b),
+        }
+        assert handles["a"].coordinator is not handles["b"].coordinator
         streams = {"a": app_streams["s3d"], "b": app_streams["jacobi"]}
-        handles = {"a": a, "b": b}
         for i in range(max(len(s) for s in streams.values())):
             for key in ("a", "b"):
                 if i < len(streams[key]):
                     iteration, task = streams[key][i]
                     handles[key].set_iteration(iteration)
                     handles[key].execute_task(task)
-        a.flush()
-        b.flush()
-        assert shared.waits == 0 and shared.margin_ops == 200
-        assert a.decisions_agree()
-        assert b.decisions_agree()
-        assert a.decision_trace() == reference_a
-        assert b.decision_trace() == reference_b
-        # Shared-table hygiene: consumed entries are pruned per stream.
-        assert shared.agreements_pruned > 0
-        assert shared.agreement_table_size <= 4
-        backend.close_session("lane-a")
-        backend.close_session("lane-b")
-
-    def test_agreements_prune_on_shared_coordinator(self):
-        shared = IngestCoordinator(initial_margin_ops=50, num_nodes=2)
-        assert shared.agree(0, 100, stream="x") == 150
-        assert shared.agree(0, 900, stream="y") == 950  # independent key
-        shared.retire(0, stream="x")
-        assert shared.agreement_table_size == 2  # one of two nodes consumed
-        shared.retire(0, stream="x")
-        assert shared.agreement_table_size == 1  # x entry pruned
-        assert shared.agreements_pruned == 1
-
-    def test_session_close_releases_shared_coordinator_state(
-        self, app_streams
-    ):
-        """Closing a session discards its finders' pending jobs, so
-        agreements fixed for still-pending heads would leak on a shared
-        coordinator -- teardown must release the departed stream."""
-        shared = IngestCoordinator(
-            initial_margin_ops=REPLICATED_CONFIG.initial_ingest_margin_ops
-        )
-        backend = ReplicatedBackend(REPLICATED_CONFIG)
-        survivor = backend.open_session("survivor", coordinator=shared)
-        departing = backend.open_session("departing", coordinator=shared)
-        for handle in (survivor, departing):
-            for iteration, task in app_streams["s3d"][:200]:
-                handle.set_iteration(iteration)
-                handle.execute_task(task)
-        # Steady state holds live (not yet fully consumed) entries.
-        assert shared.agreement_table_size > 0
-        backend.close_session("departing")
-        assert all(
-            key[0] != "departing" for key in shared._agreed
-        )
-        assert shared.node_count("departing") == 1  # registration dropped
-        # The survivor keeps serving on the shared coordinator.
-        assert shared.node_count("survivor") == 3
-        for iteration, task in app_streams["s3d"][200:400]:
-            survivor.set_iteration(iteration)
-            survivor.execute_task(task)
-        assert survivor.decisions_agree()
-        backend.close_session("survivor")
-        assert shared.agreement_table_size == 0
+        for key, handle in handles.items():
+            handle.flush()
+            trace, stats = references[key]
+            assert handle.decisions_agree()
+            assert handle.decision_trace() == trace
+            # The tight margin made both wait and grow -- independently.
+            coordinator = handle.coordinator
+            assert coordinator.waits == stats.coordinator_waits > 0
+            assert coordinator.margin_ops == stats.ingest_margin_ops
+            assert coordinator.agreement_table_size <= 2
 
 
 class TestBackendLifecycle:
     def test_runtimes_stamped_and_released_via_factory(self):
-        factory = RuntimeSessionFactory()
+        """One runtime of the factory's spec per node, each node's own,
+        and nothing holds them once the session is gone."""
+        factory = RuntimeSessionFactory(gpus=2, keep_task_log=True)
         backend = ReplicatedBackend(
             REPLICATED_CONFIG, runtime_factory=factory
         )
         session = open_session("sim", backend=backend)
-        assert len(factory) == REPLICATED_CONFIG.num_nodes
-        assert {f"sim@node{i}" for i in range(3)} == set(factory.handles)
-        handles = dict(factory.handles)
+        runtimes = session.handle.runtimes
+        assert len({id(r) for r in runtimes}) == REPLICATED_CONFIG.num_nodes
+        assert all((r.gpus, r.keep_task_log) == (2, True) for r in runtimes)
+        stamped = [weakref.ref(r) for r in runtimes]
         session.close()
-        assert len(factory) == 0
-        # Each node handle had its serving processor bound while open.
-        assert all(h.processor is None for h in handles.values())
+        del session, runtimes
+        gc.collect()
+        assert [ref() for ref in stamped if ref() is not None] == []
 
     def test_per_node_runtimes_are_isolated(self):
         backend = ReplicatedBackend(REPLICATED_CONFIG)
@@ -346,18 +293,6 @@ class TestBackendLifecycle:
             backend.open_session("s", node_id=2)
         with pytest.raises(ValueError, match="3 nodes"):
             backend.open_session("s", runtimes=[_fast_runtime()])
-
-    def test_rejects_coordinator_with_mismatched_node_count(self):
-        """A fixed consumer count that disagrees with the replica set
-        would prune agreements early (divergence) or never (leak)."""
-        backend = ReplicatedBackend(REPLICATED_CONFIG)  # 3 nodes
-        with pytest.raises(ValueError, match="consumers"):
-            backend.open_session(
-                "s", coordinator=IngestCoordinator(num_nodes=2)
-            )
-        backend.open_session(
-            "ok", coordinator=IngestCoordinator(num_nodes=3)
-        )
 
     def test_backend_num_nodes_override_survives_session_overrides(self):
         """The backend-level replica count is rebased onto the config,

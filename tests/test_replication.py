@@ -23,14 +23,13 @@ CONFIG = ApopheniaConfig(
 )
 
 
-def open_replicated(num_nodes, config=CONFIG, coordinator=None):
+def open_replicated(num_nodes, config=CONFIG):
     """One replicated session over caller-owned per-node runtimes (nodes
     own distinct region forests, so tasks are rebuilt per node)."""
     backend = ReplicatedBackend(config, num_nodes=num_nodes)
     return backend.open_session(
         "replicated-run",
         runtimes=[Runtime(analysis_mode="fast") for _ in range(num_nodes)],
-        coordinator=coordinator,
     )
 
 
@@ -107,6 +106,9 @@ class TestAgreement:
             ReplicatedBackend(CONFIG, num_nodes=0)
 
     def test_shared_coordinator_instance(self):
-        coordinator = IngestCoordinator()
-        run = open_replicated(2, coordinator=coordinator)
-        assert run.coordinator is coordinator
+        """The replica set shares one coordinator -- the session's own."""
+        run, other = open_replicated(2), open_replicated(2)
+        assert isinstance(run.coordinator, IngestCoordinator)
+        assert all(p.coordinator is run.coordinator for p in run.processors)
+        assert run.coordinator.nodes == {0, 1}
+        assert other.coordinator is not run.coordinator

@@ -278,11 +278,12 @@ class TestSharedExecutor:
         shared = SharedJobExecutor(self._counting(log), memo_capacity=0)
         lane = shared.lane("a")
         job = lane.submit([1, 2, 3, 4], 1, now_op=0)
-        assert shared.release_lane("a") is lane
-        assert job.result == []  # still materializes after release
-        assert shared.pump() == 0 and not shared.queue
-        # The name is free again for a future session.
+        # The executor keeps no table of lanes: dropping the lane is the
+        # release, and the name is free for a future session at once.
         assert shared.lane("a") is not lane
+        del lane
+        assert job.result == []  # still materializes: it carries its thunk
+        assert shared.pump() == 0 and not shared.queue
 
     def test_memo_shared_across_lanes(self):
         log = []
@@ -368,26 +369,20 @@ class TestQueueTraffic:
 
 
 class TestRuntimeSessionFactory:
+    """The factory is the runtime *spec*: it tracks nothing it built."""
+
     def test_sessions_get_isolated_runtimes(self):
         factory = RuntimeSessionFactory()
-        a = factory.create("a")
-        b = factory.create("b")
-        assert a.runtime is not b.runtime
-        assert a.runtime.forest is not b.runtime.forest
-        assert len(factory) == 2
-        factory.release("a")
-        assert len(factory) == 1
-
-    def test_duplicate_session_rejected(self):
-        factory = RuntimeSessionFactory()
-        factory.create("a")
-        with pytest.raises(ValueError):
-            factory.create("a")
+        a, b = factory.create(), factory.create()
+        assert a is not b and a.forest is not b.forest
+        assert not hasattr(factory, "handles")
 
     def test_service_uses_factory(self):
-        factory = RuntimeSessionFactory()
+        factory = RuntimeSessionFactory(gpus=2, keep_task_log=True)
         service = ApopheniaService(FAST_CONFIG, runtime_factory=factory)
-        service.open_session("a")
-        assert "a" in factory.handles
-        service.close_session("a")
-        assert "a" not in factory.handles
+        a = service.open_session("a").runtime
+        b = service.open_session("b").runtime
+        assert a is not b
+        for runtime in (a, b):  # the spec's keywords reached Runtime
+            assert (runtime.gpus, runtime.keep_task_log) == (2, True)
+            assert runtime.analysis_mode == "fast"

@@ -7,7 +7,9 @@ open/close lifecycle, the exception-safe teardown and the meaning of each
 """
 
 import ast
+import gc
 import pathlib
+import weakref
 from dataclasses import fields
 from operator import add
 
@@ -20,10 +22,12 @@ from repro.api import (
     SessionClosedError,
     open_session,
 )
-from repro.core.processor import ApopheniaConfig
+from repro.core.coordination import IngestCoordinator
+from repro.core.jobs import JobExecutor
+from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.metrics import MARKS, SessionStats
 from repro.persist import dehydrate
-from repro.runtime.session import RuntimeSessionFactory
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import Task
 from repro.service.service import SessionHandle, collect_session_stats
 from repro.trace import TraceFormatV1
@@ -47,12 +51,18 @@ CONFIG = ApopheniaConfig(
 METRICS = [name for name in MARKS if name not in ("session_id", "backend")]
 GAUGES = [name for name in METRICS if MARKS[name]["gauge"]]
 LIFETIME = [name for name in METRICS if not MARKS[name]["gauge"]]
+#: The lifetime counters a session carries (the pool's own, such as
+#: ``sessions_evicted``, move when the pool acts, not when a session goes).
+SERVED = [name for name in LIFETIME if MARKS[name]["fold"]]
+
+#: One slot and a spill tier: what the service needs to evict (the other
+#: backends ignore both knobs).
+SPILLING = CONFIG.with_overrides(max_sessions=1, session_state_budget=100_000)
 
 
 @pytest.fixture(params=sorted(TRACING_BACKENDS))
 def pool(request):
-    factory = RuntimeSessionFactory()
-    backend = TRACING_BACKENDS[request.param](CONFIG, runtime_factory=factory)
+    backend = TRACING_BACKENDS[request.param](CONFIG)
     assert backend.backend_kind == request.param
     return backend
 
@@ -64,20 +74,100 @@ def _serve(handle, tasks=300):
         handle.execute_task(Task(f"T{i % 3}"))
 
 
-def _registrations(pool, handle):
-    """Everything a session registers outside its handle."""
-    sid = handle.session_id
-    found = [key for key in pool.runtime_factory.handles if sid in key]
-    if sid in pool.sessions:
-        found.append("session table")
-    if pool.backend_kind == "service" and sid in pool.executor.lanes:
-        found.append("lane")
-    coordinator = handle.coordinator
-    if coordinator is not None:
-        found += [key for key in coordinator._agreed if key[0] == sid]
-        if sid in coordinator._registered:
-            found.append("coordinator stream")
-    return found
+def _referents(handle):
+    """Weak references to everything that serves a session: its
+    processors and each one's runtime and executor (the service's lane),
+    plus the replica set's coordinator."""
+    serving = list(handle.processors)
+    for processor in handle.processors:
+        serving += [processor.runtime, processor.executor]
+    if handle.coordinator is not None:
+        serving.append(handle.coordinator)
+    return [weakref.ref(obj) for obj in serving]
+
+
+def _serving_objects():
+    """Identities of every live object of a kind a session is built of."""
+    gc.collect()
+    kinds = (ApopheniaProcessor, Runtime, JobExecutor, IngestCoordinator)
+    return {id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)}
+
+
+def _boom():
+    raise RuntimeError("flush failed")
+
+
+def _close(pool, handle):
+    pool.close_session("tenant")
+
+
+def _close_with_the_last_flush_raising(pool, handle):
+    # The replicas before it flush fine, then this raises. (Set on the
+    # instance: ``monkeypatch`` would keep the processor alive.)
+    handle.processors[-1].flush = _boom
+    with pytest.raises(RuntimeError, match="flush failed"):
+        pool.close_session("tenant")
+
+
+def _refuse_the_next_admissions(pool, handle):
+    state = dehydrate(handle)
+    pool.close_session("tenant")
+    before = _serving_objects()
+    with pytest.raises(PersistFormatError, match="min_trace_length"):
+        pool.open_session(
+            "tenant", config=SPILLING.with_overrides(min_trace_length=7),
+            state=state,
+        )
+    with pytest.raises(ValueError, match="identifier_algorithm"):
+        pool.open_session(
+            "tenant", config=SPILLING.with_overrides(identifier_algorithm="?")
+        )
+    # What the refused attempts built before failing is garbage too.
+    assert _serving_objects() <= before
+
+
+def _evict(pool, handle):
+    pool.open_session("other")
+    assert pool.sessions_evicted == 1 and "tenant" in pool.state_store
+
+
+LEAVING = {
+    "close": _close,
+    "close_raising": _close_with_the_last_flush_raising,
+    "refused": _refuse_the_next_admissions,
+    "evicted": _evict,
+}
+
+
+@pytest.mark.parametrize("kind, leaving", [
+    (kind, leaving) for kind in sorted(TRACING_BACKENDS) for leaving in LEAVING
+    if leaving != "evicted" or kind == "service"  # only the service evicts
+])
+def test_a_session_out_of_the_table_is_garbage(kind, leaving):
+    """Leak-freedom is structural, not a release protocol: the session
+    table is the only path from an id to what serves it, so however a
+    session leaves the table -- closed, closed with a flush that raises,
+    closed and then refused re-admission (a mismatched warm start, a
+    failing ``_build``), evicted -- dropping the handle frees every
+    processor, runtime, executor / lane and coordinator it had, its
+    lifetime counters stay in ``backend_stats``, and the id opens again
+    at once. (PR 5 onwards found the leaked lane / runtime / coordinator
+    registration once per backend, and PR 22 the ``already has a
+    runtime`` wedge; there is no registry left for either.)"""
+    pool = TRACING_BACKENDS[kind](SPILLING)
+    handle = pool.open_session("tenant")
+    _serve(handle, 600)
+    handle.flush()  # a fence: the teardown's own flush moves no counter
+    served = {name: pool.backend_stats[name] for name in SERVED}
+    referents = _referents(handle)
+    assert len(referents) >= 3 * handle.num_nodes  # not vacuous
+    LEAVING[leaving](pool, handle)
+    assert handle.closed and "tenant" not in pool.sessions
+    del handle
+    gc.collect()
+    assert [ref() for ref in referents if ref() is not None] == []
+    assert {name: pool.backend_stats[name] for name in SERVED} == served
+    pool.open_session("tenant")
 
 
 def test_duplicate_open_and_unknown_close(pool):
@@ -93,29 +183,19 @@ def test_duplicate_open_and_unknown_close(pool):
 
 
 def test_close_is_exception_safe(pool, monkeypatch):
-    """Regression (found once per backend, PR 5 onwards): a flush that
-    raises during close must still free the table entry, every factory
-    runtime, and the lane / coordinator registration, mark the handle
-    closed, keep the lifetime counters, and leave the id reusable."""
+    """A flush that raises during close still frees the table entry,
+    marks the handle closed and keeps the lifetime counters (that nothing
+    else is left behind is ``test_a_session_out_of_the_table_is_garbage``)."""
     handle = pool.open_session("crashy")
     _serve(handle)
-    assert _registrations(pool, handle)  # not vacuous
     served = pool.backend_stats["tasks_seen"]
-
-    def boom():
-        raise RuntimeError("flush failed")
-
-    # The last replica: the ones before it flush fine, then this raises.
-    monkeypatch.setattr(handle.processors[-1], "flush", boom)
+    monkeypatch.setattr(handle.processors[-1], "flush", _boom)
     with pytest.raises(RuntimeError, match="flush failed"):
         pool.close_session("crashy")
-    assert handle.closed
-    assert _registrations(pool, handle) == []
-    assert len(pool) == 0 and len(pool.runtime_factory) == 0
+    assert handle.closed and len(pool) == 0
     assert pool.backend_stats["tasks_seen"] == served
     with pytest.raises(SessionClosedError):
         handle.execute_task(Task("T"))
-    pool.open_session("crashy")  # the id is immediately reusable
 
 
 def test_counters_are_lifetime_and_gauges_are_open_only(pool):
@@ -169,10 +249,11 @@ def test_state_warm_starts_once_per_session(pool):
 
 
 def test_refused_admission_does_not_wedge_the_session_id(pool):
-    """Regression: a refused warm start (hydrate fails closed under a
-    mismatched decision config) or a failing build released nothing, so
-    the id's runtime(s) and lane leaked and every later open raised
-    ``session 'tenant' already has a runtime``."""
+    """A refused warm start (hydrate fails closed under a mismatched
+    decision config) or a failing build moves no counter and leaves the
+    id free (regression: the runtimes and lane built for the refused
+    attempt stayed registered, and every later open raised ``session
+    'tenant' already has a runtime``)."""
     handle = pool.open_session("tenant")
     _serve(handle, 600)
     state = dehydrate(handle)
@@ -187,29 +268,60 @@ def test_refused_admission_does_not_wedge_the_session_id(pool):
         pool.open_session(
             "tenant", config=CONFIG.with_overrides(identifier_algorithm="?")
         )
-    assert len(pool.runtime_factory) == 0
-    assert pool.backend_kind != "service" or not pool.executor.lanes
     assert pool.backend_stats == before
-    warm = pool.open_session("tenant", state=state)  # the id opens cleanly
+    pool.open_session("tenant", state=state)  # the id opens cleanly
     assert pool.backend_stats["warm_starts"] == 1
-    assert len(pool.runtime_factory) == warm.num_nodes
+
+
+def _tier(service):
+    """The spill tier's contents and traffic, as one comparable value."""
+    store = service.state_store
+    return (store.get("tenant"), len(store), store.tokens_held,
+            store.states_stored, store.states_restored)
 
 
 def test_refused_admission_keeps_the_spilled_state():
-    """The service's half of the same regression: the state ``_admit``
-    popped out of the spill tier for a refused warm start goes back, so
-    a retry under the matching config still warm-starts."""
-    service = TRACING_BACKENDS["service"](
-        CONFIG.with_overrides(max_sessions=1, session_state_budget=100_000)
-    )
+    """The service's half of the same regression: a refused warm start
+    or a failing build leaves the spill tier exactly as it found it --
+    the state still held, and no restore or store counted that never
+    happened -- so a retry under the matching config still warm-starts."""
+    service = TRACING_BACKENDS["service"](SPILLING)
     _serve(service.open_session("tenant"), 600)
     service.open_session("other")  # evicts and spills "tenant"
+    service.close_session("other")
+    found = _tier(service)
     assert "tenant" in service.state_store
     with pytest.raises(PersistFormatError, match="min_trace_length"):
         open_session("tenant", backend=service, min_trace_length=7)
-    assert "tenant" in service.state_store and not service.executor.lanes
+    with pytest.raises(ValueError, match="identifier_algorithm"):
+        service.open_session(
+            "tenant", config=SPILLING.with_overrides(identifier_algorithm="?")
+        )
+    assert _tier(service) == found
     with open_session("tenant", backend=service) as session:
         assert session.stats().warm_starts == 1
+        assert "tenant" not in service.state_store
+
+
+def test_an_open_session_has_no_spilled_state():
+    """Regression: ``_admit`` popped the spilled state only when no
+    explicit ``state`` was passed, so a session warm-started from its own
+    snapshot left the superseded one in the tier -- and after a
+    deliberate close (which everywhere else means the next open is cold)
+    the next open resurrected it."""
+    service = TRACING_BACKENDS["service"](SPILLING)
+    handle = service.open_session("a")
+    _serve(handle, 600)
+    explicit = dehydrate(handle)
+    service.open_session("b")  # evicts and spills "a" at stream index 600
+    service.close_session("b")
+    assert "a" in service.state_store
+    warm = service.open_session("a", state=explicit)
+    assert "a" not in service.state_store
+    _serve(warm, 900)
+    service.close_session("a")
+    cold = collect_session_stats(service.open_session("a"))
+    assert (cold.warm_starts, cold.tasks_seen) == (0, 0)
 
 
 def test_every_metric_is_declared_once_on_the_schema():

@@ -3,9 +3,9 @@
 The acceptance property of the trace subsystem is encoded here over the
 checked-in fixtures under ``tests/corpus/``: every captured stream must
 re-drive to a byte-identical decision stream on every tracing backend.
-The fixtures are regenerated with ``make corpus`` (diff-review workflow,
-like ``make lint-baseline``); the canonical-serialization tests below
-are what make that diff meaningful.
+The fixtures are regenerated with ``make corpus`` (a diff-review
+workflow, like ``make loc-budget``); the canonical-serialization tests
+below are what make that diff meaningful.
 """
 
 import json
