@@ -104,19 +104,19 @@ def _drive_tail(processor, stream):
     """Serve ``stream`` then flush; returns ``(tasks served, tasks
     traced)`` at the first new trace fire and the tasks traced over the
     whole tail. Every fire counted must carry tasks."""
-    stats = processor.replayer.stats
-    fired, traced_at_start = stats.traces_fired, stats.tasks_traced
+    replayer = processor.replayer
+    fired, traced_at_start = replayer.traces_fired, replayer.tasks_traced
     traced = traced_at_start
     first = None
     for served, (iteration, task) in enumerate(stream, start=1):
         processor.set_iteration(iteration)
         processor.execute_task(task)
-        if stats.traces_fired > fired:
-            assert stats.tasks_traced > traced, "a fire traced no tasks"
-            fired, traced = stats.traces_fired, stats.tasks_traced
+        if replayer.traces_fired > fired:
+            assert replayer.tasks_traced > traced, "a fire traced no tasks"
+            fired, traced = replayer.traces_fired, replayer.tasks_traced
             first = first or (served, traced - traced_at_start)
     processor.flush()
-    return first, stats.tasks_traced - traced_at_start
+    return first, replayer.tasks_traced - traced_at_start
 
 
 @pytest.mark.perf_smoke

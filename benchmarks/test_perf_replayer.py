@@ -46,17 +46,17 @@ def test_hysteresis_closes_reduced_scale_churn(benchmark, save):
             processor.set_iteration(index)
             app.iteration(index)
             if (index + 1) % 50 == 0:
-                stats = processor.replayer.stats
-                seen, traced = stats.tasks_seen, stats.tasks_traced
+                replayer = processor.replayer
+                seen, traced = replayer.tasks_seen, replayer.tasks_traced
                 fractions.append(
                     (traced - last[1]) / max(1, seen - last[0])
                 )
                 last = (seen, traced)
         processor.flush()
         tail = fractions[len(fractions) // 2:]
-        return sum(tail) / len(tail), processor.replayer.stats
+        return sum(tail) / len(tail), processor.replayer.policy
 
-    (off_tail, off_stats), (on_tail, on_stats) = benchmark.pedantic(
+    (off_tail, off_policy), (on_tail, on_policy) = benchmark.pedantic(
         lambda: (run(0.0), run(2.0)), rounds=1, iterations=1
     )
 
@@ -65,8 +65,8 @@ def test_hysteresis_closes_reduced_scale_churn(benchmark, save):
         format_table(
             ["hysteresis", "tail replay fraction", "suppressed switches"],
             [
-                ["off (0.0)", f"{off_tail:.3f}", off_stats.hysteresis_suppressed],
-                ["on  (2.0)", f"{on_tail:.3f}", on_stats.hysteresis_suppressed],
+                ["off (0.0)", f"{off_tail:.3f}", off_policy.hysteresis_suppressed],
+                ["on  (2.0)", f"{on_tail:.3f}", on_policy.hysteresis_suppressed],
             ],
             title=(
                 "perf_replayer_churn: HTR task_scale=0.1, natural "
@@ -81,7 +81,7 @@ def test_hysteresis_closes_reduced_scale_churn(benchmark, save):
     # Hysteresis must actually intervene, and must lift the depressed
     # steady state meaningfully toward the ~0.95 the old power-of-two
     # pinned buffer achieved.
-    assert on_stats.hysteresis_suppressed > 0
+    assert on_policy.hysteresis_suppressed > 0
     assert off_tail < 0.92  # the pathology is present with hysteresis off
     assert on_tail >= off_tail + 0.02
     assert on_tail >= 0.92

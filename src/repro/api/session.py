@@ -111,13 +111,14 @@ class SessionSnapshot:
     @classmethod
     def of(cls, source, session_id=None, backend="standalone"):
         """Snapshot anything that serves a stream -- a session handle or
-        a hand-driven processor: both carry ``decision_trace()`` and the
-        replayer ``stats``."""
+        a hand-driven processor: both carry ``decision_trace()`` and read
+        as a :class:`~repro.metrics.SessionStats`, whose
+        ``replayer_counters()`` are the counters recorded."""
         return cls(
             session_id,
             backend,
             tuple(source.decision_trace()),
-            source.stats.as_tuple(),
+            collect_session_stats(source).replayer_counters(),
         )
 
     @property

@@ -237,11 +237,6 @@ class MiningMemo:
         self.insert(key, result)
         return result, False
 
-    @property
-    def hit_rate(self):
-        total = self.hits + self.misses
-        return self.hits / total if total else 0.0
-
 
 class JobExecutor:
     """The one mining executor: runs repeat-finding jobs with simulated

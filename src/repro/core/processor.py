@@ -278,6 +278,12 @@ class ApopheniaProcessor:
         The replayer's match-engine class, injected like ``executor``.
         Only the parity suites pass anything but the default (the
         :class:`~repro.core.matching.ScanMatchEngine` reference).
+
+    The processor holds no statistics object: each counter lives on the
+    layer that bumps it (``replayer``, ``executor``, the replayer's
+    ``engine`` / ``policy`` / ``store``), and
+    :func:`~repro.service.service.collect_session_stats` reads a
+    processor as a :class:`~repro.metrics.SessionStats`.
     """
 
     def __init__(self, runtime, config=None, node_id=0, coordinator=None,
@@ -362,10 +368,6 @@ class ApopheniaProcessor:
     # ------------------------------------------------------------------
     # Introspection
     # ------------------------------------------------------------------
-    @property
-    def stats(self):
-        return self.replayer.stats
-
     def decision_trace(self):
         """A deterministic summary of all tracing decisions, used by the
         control-replication tests to assert that every node agreed."""

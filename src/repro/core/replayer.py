@@ -46,53 +46,6 @@ from collections import deque
 from repro.core.candidates import CandidateStore
 from repro.core.matching import AutomatonMatchEngine
 from repro.core.scoring import ReplayDecisionPolicy, ScoringPolicy
-from repro.metrics import MARKS, owned_by
-
-#: The :mod:`repro.metrics` fields owned by attributes of
-#: :class:`TraceReplayer`: ``TraceReplayer.stats`` syncs each into the
-#: :class:`ReplayerStats` slot of the same name.
-_SYNCED = owned_by("engine", "policy", "store")
-
-
-class ReplayerStats:
-    """Counters describing the replayer's behaviour.
-
-    The slots are the :mod:`repro.metrics` fields the replayer side
-    owns, in declaration order. The ones marked ``replayer`` are bumped
-    here and are *decision-determined*: two runs of the same stream that
-    made the same tbegin/tend decisions have identical values whatever
-    engine or deployment served them -- :meth:`as_tuple`, which is what
-    equality, the decision-neutrality tests and the decision digest of a
-    :class:`~repro.api.SessionSnapshot` compare. The ``engine`` /
-    ``policy`` / ``store`` ones describe *how* the serving path did the
-    work and are synced in from their owner by
-    :attr:`TraceReplayer.stats`; they may legitimately differ between
-    match engines.
-    """
-
-    __slots__ = owned_by("replayer", "engine", "policy", "store")
-
-    #: The decision-determined slots: the replayer's own counters.
-    DECISION_FIELDS = owned_by("replayer")
-
-    def __init__(self):
-        for name in self.__slots__:
-            setattr(self, name, 0)
-
-    def as_tuple(self):
-        """The decision-determined counters, in slot order."""
-        return tuple(getattr(self, name) for name in self.DECISION_FIELDS)
-
-    def __eq__(self, other):
-        if not isinstance(other, ReplayerStats):
-            return NotImplemented
-        return self.as_tuple() == other.as_tuple()
-
-    def __repr__(self):
-        fields = ", ".join(
-            f"{name}={getattr(self, name)}" for name in self.__slots__
-        )
-        return f"ReplayerStats({fields})"
 
 
 class TraceReplayer:
@@ -106,8 +59,8 @@ class TraceReplayer:
         Callback ``(candidate, chunk_index, tasks) -> None``: issue tasks
         as one trace (the processor wraps them in ``tbegin``/``tend``).
     scoring:
-        :class:`~repro.core.scoring.ScoringPolicy`; shorthand for
-        passing ``policy=ReplayDecisionPolicy(scoring)``.
+        :class:`~repro.core.scoring.ScoringPolicy` the
+        :class:`~repro.core.scoring.ReplayDecisionPolicy` decides with.
     min_trace_length / max_trace_length:
         Candidate length bounds. Long matches are split into chunks of at
         most ``max_trace_length`` (the paper's FlexFlow auto-200
@@ -117,14 +70,20 @@ class TraceReplayer:
         Engine class (a no-argument factory). Only the parity suites
         pass anything but the default -- the
         :class:`~repro.core.matching.ScanMatchEngine` reference.
-    policy:
-        A :class:`~repro.core.scoring.ReplayDecisionPolicy`; overrides
-        ``scoring`` when given.
     max_candidates / staleness_horizon:
         Candidate lifecycle bounds, forwarded to the
         :class:`~repro.core.candidates.CandidateStore`; both default to
         ``None`` (unbounded -- byte-identical to the historical
         behaviour).
+
+    The replayer's counters (``tasks_seen`` ... ``deferrals``, the
+    ``replayer``-owned fields of :class:`~repro.metrics.SessionStats`)
+    are plain attributes bumped where the work happens. They are
+    *decision-determined*: two runs of one stream that made the same
+    tbegin/tend decisions agree on them whatever engine or deployment
+    served them -- :meth:`SessionStats.replayer_counters
+    <repro.metrics.SessionStats.replayer_counters>` is the one tuple
+    the parity suites and snapshot digests compare.
     """
 
     def __init__(
@@ -135,16 +94,12 @@ class TraceReplayer:
         min_trace_length=5,
         max_trace_length=None,
         match_engine=AutomatonMatchEngine,
-        policy=None,
         max_candidates=None,
         staleness_horizon=None,
     ):
         self.on_flush = on_flush
         self.on_trace = on_trace
-        self.policy = (
-            policy if policy is not None
-            else ReplayDecisionPolicy(scoring or ScoringPolicy())
-        )
+        self.policy = ReplayDecisionPolicy(scoring or ScoringPolicy())
         self.min_trace_length = min_trace_length
         self.max_trace_length = max_trace_length
         self.engine = match_engine()
@@ -158,7 +113,13 @@ class TraceReplayer:
         self.pending = deque()  # (index, task, token), stream order
         self.deferred = None  # CompletedMatch being extended, or None
         self.stream_index = 0
-        self._stats = ReplayerStats()
+        # The decision-determined counters (see the class docstring).
+        self.tasks_seen = 0
+        self.tasks_flushed = 0
+        self.tasks_traced = 0
+        self.traces_fired = 0
+        self.candidates_ingested = 0
+        self.deferrals = 0
 
     @property
     def scoring(self):
@@ -169,15 +130,6 @@ class TraceReplayer:
     def trie(self):
         """The engine's :class:`~repro.core.trie.CandidateTrie`."""
         return self.engine.trie
-
-    @property
-    def stats(self):
-        """Counters, with the engine/policy/store-side gauges synced in."""
-        stats = self._stats
-        for name in _SYNCED:
-            owner = getattr(self, MARKS[name]["owner"])
-            setattr(stats, name, getattr(owner, name))
-        return stats
 
     # ------------------------------------------------------------------
     # Candidate ingestion (IngestCandidates of Algorithm 1)
@@ -193,7 +145,7 @@ class TraceReplayer:
         candidate is protected -- committing a match whose candidate was
         just evicted would issue a trace for a ghost.
         """
-        self._stats.candidates_ingested += self.store.ingest(
+        self.candidates_ingested += self.store.ingest(
             repeats, self.stream_index
         )
         if (
@@ -234,7 +186,7 @@ class TraceReplayer:
         """Consume one task and its hash token."""
         index = self.stream_index
         self.stream_index += 1
-        self._stats.tasks_seen += 1
+        self.tasks_seen += 1
         self.pending.append((index, task, token))
         self._advance(token, index)
 
@@ -283,7 +235,7 @@ class TraceReplayer:
         held = self.policy.select(completed, self.deferred, index)
         if held is not None and held is not self.deferred:
             if self.deferred is None:
-                self._stats.deferrals += 1
+                self.deferrals += 1
             self.deferred = held
         if self.deferred is not None and not self.policy.worth_waiting(
             self.deferred, index, self.engine.pointers()
@@ -306,7 +258,7 @@ class TraceReplayer:
         self.store.record_fire(match.candidate)
         self._issue_trace(match.candidate, [item[1] for item in trace_items])
         self.engine.reset()
-        self._stats.traces_fired += 1
+        self.traces_fired += 1
         # Reprocess the tail through the engine so matches that began
         # after the committed trace are rediscovered.
         for index, task, token in tail:
@@ -322,10 +274,10 @@ class TraceReplayer:
             chunk = tasks[start : start + limit]
             if len(chunk) >= self.min_trace_length:
                 self.on_trace(candidate, chunk_index, chunk)
-                self._stats.tasks_traced += len(chunk)
+                self.tasks_traced += len(chunk)
             else:
                 self.on_flush(chunk)
-                self._stats.tasks_flushed += len(chunk)
+                self.tasks_flushed += len(chunk)
             start += limit
             chunk_index += 1
         if not candidate.recorded:
@@ -350,5 +302,5 @@ class TraceReplayer:
             batch.append(self.pending.popleft()[1])
         if batch:
             self.on_flush(batch)
-            self._stats.tasks_flushed += len(batch)
+            self.tasks_flushed += len(batch)
             self.store.note_flushed(len(batch))

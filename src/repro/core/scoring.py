@@ -106,27 +106,18 @@ class ScoringPolicy:
             length * candidate.fires + candidate.gap_tokens
         )
 
-    def _discounted(self, candidate):
-        """True when hysteresis applies to this candidate at all."""
-        return (
+    def discount(self, candidate):
+        """The hysteresis factor on a candidate's score or potential:
+        ``realized_share ** hysteresis``, and ``1.0`` (exact: ``x * 1.0
+        == x``) when hysteresis is off, the candidate never fired, or it
+        is shorter than ``hysteresis_min_length``. Never above 1."""
+        if (
             self.hysteresis
             and candidate.fires
             and candidate.length >= self.hysteresis_min_length
-        )
-
-    def weighted_score(self, candidate, now_index):
-        """:meth:`score` with the hysteresis weighting applied."""
-        value = self.score(candidate, now_index)
-        if self._discounted(candidate):
-            value *= self.realized_share(candidate) ** self.hysteresis
-        return value
-
-    def weighted_potential(self, candidate, now_index):
-        """:meth:`potential` with the hysteresis weighting applied."""
-        value = self.potential(candidate, now_index)
-        if self._discounted(candidate):
-            value *= self.realized_share(candidate) ** self.hysteresis
-        return value
+        ):
+            return self.realized_share(candidate) ** self.hysteresis
+        return 1.0
 
     def best(self, matches, now_index):
         """Pick the highest-scoring match; ties break to the longest, then
@@ -188,12 +179,11 @@ class ReplayDecisionPolicy:
         # cheaper by the incumbent's own record -- hysteresis resists
         # switching, it does not invite it).
         scoring = self.scoring
-        cs = scoring.weighted_score(challenger.candidate, now_index)
+        raw = scoring.score(challenger.candidate, now_index)
+        cs = raw * scoring.discount(challenger.candidate)
         inc = scoring.score(incumbent.candidate, now_index)
         if cs != inc:
-            if scoring.hysteresis and (cs > inc) != (
-                scoring.score(challenger.candidate, now_index) > inc
-            ):
+            if (cs > inc) != (raw > inc):
                 self.hysteresis_suppressed += 1
             return cs > inc
         if challenger.candidate.length != incumbent.candidate.length:
@@ -212,21 +202,6 @@ class ReplayDecisionPolicy:
         (a match-engine's live pointer set); enumeration stops at the
         first pointer past the match's region.
         """
-        scoring = self.scoring
-        hysteresis = scoring.hysteresis
-        if not hysteresis:
-            threshold = scoring.score(match.candidate, now_index)
-            for start, node in pointers:
-                if start >= match.end_index:
-                    # Pointers arrive sorted by start: every later one
-                    # also consumes only stream beyond the match.
-                    break
-                deep = node.deep
-                if deep is None or deep.length <= node.depth:
-                    continue  # nothing deeper can complete from here
-                if scoring.potential(deep, now_index) > threshold:
-                    return True
-            return False
         # Hysteresis discounts only the speculative side, and only for
         # full-buffer-scale candidates with a realized record (see
         # ``hysteresis_min_length``): the candidate being waited *for*
@@ -235,20 +210,26 @@ class ReplayDecisionPolicy:
         # holding is never made cheaper, only chasing. Untried
         # candidates keep the paper's optimistic potential, so
         # exploration is untouched.
+        scoring = self.scoring
         threshold = scoring.score(match.candidate, now_index)
-        raw_would_wait = False
+        suppressed = False
         for start, node in pointers:
             if start >= match.end_index:
+                # Pointers arrive sorted by start: every later one
+                # also consumes only stream beyond the match.
                 break
             deep = node.deep
             if deep is None or deep.length <= node.depth:
+                continue  # nothing deeper can complete from here
+            potential = scoring.potential(deep, now_index)
+            if potential <= threshold:
                 continue
-            if scoring.weighted_potential(deep, now_index) > threshold:
+            if potential * scoring.discount(deep) > threshold:
                 return True
-            if scoring.potential(deep, now_index) > threshold:
-                raw_would_wait = True
-        if raw_would_wait:
+            suppressed = True  # the paper's scoring would have waited
+        if suppressed:
             self.hysteresis_suppressed += 1
         return False
+
 
 __all__ = ["ReplayDecisionPolicy", "ScoringPolicy"]

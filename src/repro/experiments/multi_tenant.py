@@ -52,7 +52,7 @@ class TenantOutcome:
 
     def __init__(self, session_id, stats, decision_trace, tasks, memo_hits):
         self.session_id = session_id
-        self.stats = stats  # ReplayerStats counter tuple
+        self.stats = stats  # SessionStats.replayer_counters()
         self.decision_trace = decision_trace
         self.tasks = tasks
         self.memo_hits = memo_hits

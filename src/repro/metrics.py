@@ -3,11 +3,13 @@
 :class:`SessionStats` is both the snapshot ``Session.stats()`` returns
 and the table everything else that lists metrics is derived from --
 :func:`~repro.service.service.collect_session_stats`, the
-``backend_stats`` fold and warm-start subtraction, the
-:class:`~repro.core.replayer.ReplayerStats` slots, what
+``backend_stats`` fold and warm-start subtraction, what
 :mod:`repro.persist` restores, and the lifecycle contract's gauge /
-lifetime lists. Each field is marked once with :func:`_metric`; consumers
-read the marks through :data:`MARKS` instead of keeping a list of names.
+lifetime lists. It is the only class that holds metric values: every
+counter is a plain attribute of the object that bumps it until a
+:class:`SessionStats` reads it. Each field is marked once with
+:func:`_metric`; consumers read the marks through :data:`MARKS` instead
+of keeping a list of names.
 
 Section 5.1 rests on one line -- what every replica must compute
 identically versus what may stay local. The ``decision`` mark draws it
@@ -29,11 +31,10 @@ def _metric(owner, attr=None, *, fold=add, gauge=False, decision=False,
 
     ``owner`` / ``attr`` say where the value lives (``attr`` defaults to
     the field's name): ``handle``, ``pool``, ``spill`` (the pool's state
-    store), ``coordinator``, ``processor``, ``executor``, ``replayer``
-    (its :class:`~repro.core.replayer.ReplayerStats`) and the replayer's
-    own ``engine`` / ``policy`` / ``store``, whose values are synced into
-    the ``ReplayerStats`` slot of the same name. An absent owner (no
-    coordinator, no spill tier) reads as ``default``.
+    store), ``coordinator``, and the :func:`processor_owners` --
+    ``processor``, ``executor``, ``replayer`` and the replayer's own
+    ``engine`` / ``policy`` / ``store``. An absent owner (no coordinator,
+    no spill tier) reads as ``default``.
 
     ``fold`` combines sessions into ``backend_stats`` (``add`` or
     ``max``; ``None``: identity, never folded -- ``pool`` / ``spill``
@@ -118,9 +119,10 @@ class SessionStats:
         return self.tasks_traced / self.tasks_seen if self.tasks_seen else 0.0
 
     def replayer_counters(self):
-        """The replayer's decision-determined counters, in
-        :meth:`~repro.core.replayer.ReplayerStats.as_tuple` order --
-        what the decision-neutrality property tests compare."""
+        """The replayer's decision-determined counters, in declaration
+        order: the one tuple the decision-neutrality property tests, a
+        :class:`~repro.api.SessionSnapshot` digest and a corpus footer
+        compare."""
         return tuple(getattr(self, name) for name in owned_by("replayer"))
 
 
@@ -138,6 +140,21 @@ def owned_by(*owners, **marks):
     )
 
 
+def processor_owners(processor):
+    """``{owner name: object}`` for the owners one processor holds: the
+    lookup both ``collect_session_stats`` and :mod:`repro.persist` read
+    (and restore) through."""
+    replayer = processor.replayer
+    return {
+        "processor": processor,
+        "executor": processor.executor,
+        "replayer": replayer,
+        "engine": replayer.engine,
+        "policy": replayer.policy,
+        "store": replayer.store,
+    }
+
+
 def read(owners):
     """``{field name: value}`` for every field whose owner ``owners``
     names; an owner mapped to ``None`` reads as the field's default."""
@@ -153,4 +170,4 @@ def read(owners):
     return values
 
 
-__all__ = ["MARKS", "SessionStats", "owned_by", "read"]
+__all__ = ["MARKS", "SessionStats", "owned_by", "processor_owners", "read"]

@@ -51,21 +51,35 @@ from repro import canon
 from repro.core.jobs import AnalysisJob, completion_op
 from repro.core.processor import ApopheniaConfig
 from repro.core.repeats import Repeat
-from repro.metrics import MARKS, owned_by
+from repro.metrics import MARKS, owned_by, processor_owners
 from repro.registry import Registry
 
 FORMAT_NAME = "repro-session-state"
 
 #: What the payload's ``replayer.counters`` / ``jobs.counters`` /
 #: ``gauges`` record and hydrate restores -- these names and no others,
-#: whatever a document carries -- onto the replayer's stats / the
-#: executor / the match engine and decision policy:
-#: the ``restored`` :mod:`repro.metrics` fields those layers own
+#: whatever a document carries -- onto the replayer / the executor /
+#: the match engine and decision policy: the ``restored``
+#: :mod:`repro.metrics` fields those layers own, read and written
+#: through :func:`~repro.metrics.processor_owners`
 #: (``jobs_submitted`` doubles as the next job id -- ids and the counter
 #: start at zero and move together).
 _REPLAYER_COUNTERS = owned_by("replayer", restored=True)
 _EXECUTOR_COUNTERS = owned_by("executor", restored=True)
 _SERVING_GAUGES = owned_by("engine", "policy", restored=True)
+
+
+def _counted(owners, names):
+    """``{name: value}`` for restored metrics, off their owners."""
+    return {
+        name: getattr(owners[MARKS[name]["owner"]], name) for name in names
+    }
+
+
+def _restore(owners, names, values):
+    """Write ``values[name]`` back onto each name's owner."""
+    for name in names:
+        setattr(owners[MARKS[name]["owner"]], name, values[name])
 
 
 class PersistFormatError(ValueError):
@@ -304,7 +318,7 @@ def _snapshot_processor(processor):
     replayer = processor.replayer
     store = replayer.store
     trie = replayer.trie
-    stats = replayer.stats  # property access syncs the gauges
+    owners = processor_owners(processor)
     config = processor.config
 
     candidates = [
@@ -390,11 +404,9 @@ def _snapshot_processor(processor):
                 last_fired.trace_id if last_fired is not None else None
             ),
             "candidates_evicted": store.candidates_evicted,
-            "counters": {
-                name: getattr(stats, name) for name in _REPLAYER_COUNTERS
-            },
+            "counters": _counted(owners, _REPLAYER_COUNTERS),
         },
-        "gauges": {name: getattr(stats, name) for name in _SERVING_GAUGES},
+        "gauges": _counted(owners, _SERVING_GAUGES),
         "finder": {
             "buffer": list(finder.buffer),
             "ops_observed": finder.ops_observed,
@@ -405,10 +417,7 @@ def _snapshot_processor(processor):
         },
         "jobs": {
             "next_job_id": executor.jobs_submitted,
-            "counters": {
-                name: getattr(executor, name)
-                for name in _EXECUTOR_COUNTERS
-            },
+            "counters": _counted(owners, _EXECUTOR_COUNTERS),
             "pending": pending,
         },
         "coordinator": coordinator_state,
@@ -491,12 +500,9 @@ def hydrate_processor(processor, state):
     store.flushed_since_fire = rep["flushed_since_fire"]
     store.candidates_evicted = rep["candidates_evicted"]
     replayer.stream_index = rep["stream_index"]
-    for name in _REPLAYER_COUNTERS:
-        setattr(replayer._stats, name, rep["counters"][name])
-
-    for name in _SERVING_GAUGES:
-        setattr(getattr(replayer, MARKS[name]["owner"]), name,
-                payload["gauges"][name])
+    owners = processor_owners(processor)
+    _restore(owners, _REPLAYER_COUNTERS, rep["counters"])
+    _restore(owners, _SERVING_GAUGES, payload["gauges"])
 
     finder = processor.finder
     fin = payload["finder"]
@@ -508,8 +514,7 @@ def hydrate_processor(processor, state):
     executor = processor.executor
     jobs = payload["jobs"]
     executor._ids = itertools.count(jobs["next_job_id"])
-    for name in _EXECUTOR_COUNTERS:
-        setattr(executor, name, jobs["counters"][name])
+    _restore(owners, _EXECUTOR_COUNTERS, jobs["counters"])
     finder.pending_jobs = deque(
         AnalysisJob(
             job["job_id"],

@@ -119,13 +119,3 @@ class SharedJobExecutor:
                 job.result
                 ran += 1
         return ran
-
-    @property
-    def stats(self):
-        """The shared memo's figures: it answers every lane, so it is
-        reported once, from here, not summed over lanes."""
-        memo = self.memo
-        return {
-            "memo_hit_rate": memo.hit_rate if memo is not None else 0.0,
-            "memo_tokens_held": memo.tokens_held if memo is not None else 0,
-        }

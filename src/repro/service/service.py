@@ -68,19 +68,12 @@ def collect_session_stats(handle):
             coordinator=handle.coordinator,
         )
     pool = handle.backend
-    processor = handle.processor
-    replayer = processor.replayer
     return metrics.SessionStats(**metrics.read({
         "handle": handle,
         "pool": pool,
         "spill": pool.state_store,
         "coordinator": handle.coordinator,
-        "processor": processor,
-        "executor": processor.executor,
-        "replayer": replayer.stats,
-        "engine": replayer.engine,
-        "policy": replayer.policy,
-        "store": replayer.store,
+        **metrics.processor_owners(handle.processor),
     }))
 
 
@@ -191,9 +184,9 @@ class SessionHandle:
 
     @property
     def stats(self):
-        """The reference replica's
-        :class:`~repro.core.replayer.ReplayerStats`."""
-        return self._live[0].stats
+        """This session's :class:`~repro.metrics.SessionStats` (the
+        reference replica's counters): :func:`collect_session_stats`."""
+        return collect_session_stats(self)
 
     def decision_trace(self):
         return self._live[0].decision_trace()
@@ -567,11 +560,14 @@ class ApopheniaService(SessionPool):
     # ------------------------------------------------------------------
     @property
     def backend_stats(self):
-        """The pool's fold, with the shared memo's own figures on top
-        (one memo answers every lane: reported once, not summed) and the
-        jobs that neither hit it nor degraded -- the mines really run."""
+        """The pool's fold, with the shared memo's size reported once
+        (every lane holds the one memo: the ``add`` fold would count it
+        per lane) and the jobs that neither hit it nor degraded -- the
+        mines really run. ``memo_hit_rate`` keeps the pool's formula,
+        ``memo_hits / jobs_submitted``, as on every backend."""
         stats = super().backend_stats
-        stats.update(self.executor.stats)
+        memo = self.executor.memo
+        stats["memo_tokens_held"] = memo.tokens_held if memo is not None else 0
         stats["mines_executed"] = (
             stats["jobs_submitted"] - stats["memo_hits"]
             - stats["degraded_jobs"]

@@ -447,12 +447,15 @@ class TestSessionStatsSurface:
             _drive_session(session, stream)
             stats = session.stats()
             handle = session.handle
-            # Replayer counters == the internals-poking tuple.
-            internals = handle.processor.stats
-            assert stats.replayer_counters() == internals.as_tuple()
-            for gauge in ("active_pointer_peak", "pointer_collapses",
-                          "hysteresis_suppressed"):
-                assert getattr(stats, gauge) == getattr(internals, gauge)
+            # Replayer-side counters == the replayer's own attributes.
+            replayer = handle.processor.replayer
+            assert stats.tasks_seen == replayer.tasks_seen
+            assert stats.traces_fired == replayer.traces_fired
+            assert stats.pointer_collapses == replayer.engine.pointer_collapses
+            assert stats.active_pointer_peak == \
+                replayer.engine.active_pointer_peak
+            assert stats.hysteresis_suppressed == \
+                replayer.policy.hysteresis_suppressed
             # Executor-side counters == the per-lane internals.
             assert stats.memo_hits == handle.lane.memo_hits
             assert stats.jobs_submitted == handle.lane.jobs_submitted
@@ -589,7 +592,7 @@ class TestSizeAwareMemoAdmission:
         config = FAST_CONFIG.with_overrides(shared_memo_token_budget=4096)
         service = ApopheniaService(config)
         assert service.executor.memo.token_budget == 4096
-        assert "memo_tokens_held" in service.executor.stats
+        assert "memo_tokens_held" in service.backend_stats
 
     def test_token_budget_decision_neutral(self, app_streams):
         """A session served under an aggressive shared-memo token budget

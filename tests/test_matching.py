@@ -22,6 +22,7 @@ from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
+from repro.metrics import owned_by
 from repro.runtime.runtime import Runtime
 
 #: The implementation and its reference, as the two classes.
@@ -150,7 +151,7 @@ class TestReplayerLevelParity:
             else:
                 replayer.process(None, payload)
         replayer.flush_all()
-        return fired, replayer.stats
+        return fired, replayer
 
     @pytest.mark.parametrize("seed", range(25))
     def test_randomized_decision_streams(self, seed):
@@ -169,12 +170,14 @@ class TestReplayerLevelParity:
         self.assert_same_decisions(events)
 
     def assert_same_decisions(self, events):
-        """Drive both engines; returns ``(automaton, scan)`` stats."""
-        fired_auto, stats_auto = self.drive(AutomatonMatchEngine, events)
-        fired_scan, stats_scan = self.drive(ScanMatchEngine, events)
+        """Drive both engines; returns the ``(automaton, scan)``
+        replayers."""
+        fired_auto, auto = self.drive(AutomatonMatchEngine, events)
+        fired_scan, scan = self.drive(ScanMatchEngine, events)
         assert fired_auto == fired_scan
-        assert stats_auto == stats_scan
-        return stats_auto, stats_scan
+        assert [getattr(auto, name) for name in owned_by("replayer")] == \
+            [getattr(scan, name) for name in owned_by("replayer")]
+        return auto, scan
 
     def test_periodic_stream_with_rotations(self):
         events = [("ingest", [Repeat(("a", "b", "c", "d") * 3, [0, 12]),
@@ -203,6 +206,7 @@ class TestReplayerLevelParity:
         events = [("ingest", repeats)]
         events += [("token", t) for t in unit(0) * (6000 // period)]
         automaton, scan = self.assert_same_decisions(events)
+        automaton, scan = automaton.engine, scan.engine
         assert automaton.pointer_collapses > 0
         assert scan.pointer_collapses == 0
         assert automaton.active_pointer_peak == scan.active_pointer_peak > 1
@@ -238,7 +242,7 @@ class TestProcessorLevelParity:
                 processor.execute_task(task)
             processor.flush()
             snapshots[engine.name] = SessionSnapshot.of(processor)
-            stats[engine.name] = processor.replayer.stats
+            stats[engine.name] = processor.replayer.engine
         assert snapshots["automaton"] == snapshots["scan"]
         assert (snapshots["automaton"].stable_digest()
                 == snapshots["scan"].stable_digest())

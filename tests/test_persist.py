@@ -22,6 +22,7 @@ from repro.api import (
     SessionState,
     SessionStateStore,
     TraceRecorder,
+    collect_session_stats,
     open_session,
 )
 from repro.apps.base import capture_stream
@@ -312,7 +313,9 @@ class TestDigestTamperDetection:
                 )
             assert not target.replayer.trie.candidates
             assert not target.finder.buffer
-            assert not any(target.replayer.stats.as_tuple())
+            assert not any(
+                collect_session_stats(target).replayer_counters()
+            )
             assert target.executor.jobs_submitted == 0
 
     def test_unknown_version_rejected(self, documents):
@@ -345,7 +348,7 @@ class TestEvictionDeterminism:
         )
         return (
             processor.decision_trace(),
-            replayer.stats.candidates_evicted,
+            replayer.store.candidates_evicted,
             survivors,
         )
 
@@ -642,11 +645,11 @@ class TestHydrateGuards:
             SessionState.loads(canon.dumps(payload)),
         )
         assert processor.executor.deadline_tokens is None
-        fired = processor.replayer.stats.traces_fired
+        fired = processor.replayer.traces_fired
         iteration, task = app_streams["s3d"][SPLIT]
         processor.set_iteration(iteration)
         processor.execute_task(task)
-        assert processor.replayer.stats.traces_fired == fired
+        assert processor.replayer.traces_fired == fired
 
     def test_dehydrate_accepts_bare_processor(self, app_streams):
         processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)

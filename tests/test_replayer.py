@@ -7,6 +7,12 @@ from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
 from repro.core.scoring import ScoringPolicy
+from repro.metrics import owned_by
+
+
+def _counters(replayer):
+    """The replayer's decision-determined counters."""
+    return tuple(getattr(replayer, name) for name in owned_by("replayer"))
 
 
 class Harness:
@@ -69,7 +75,7 @@ class TestMatching:
         h.feed("abcabc")
         h.finish()
         assert len(h.traces()) == 2
-        assert h.replayer.stats.tasks_traced == 6
+        assert h.replayer.tasks_traced == 6
 
     def test_min_length_rejected_at_ingest(self):
         h = Harness(min_trace_length=5)
@@ -77,7 +83,7 @@ class TestMatching:
         h.feed("abcabc")
         h.finish()
         assert not h.traces()
-        assert h.replayer.stats.candidates_ingested == 0
+        assert h.replayer.candidates_ingested == 0
 
     def test_prefers_longer_candidate(self):
         h = Harness(min_trace_length=2, scoring=ScoringPolicy(decay_rate=0.0))
@@ -140,7 +146,7 @@ class TestChunking:
         # 6 = 4 + 2; the 2-task runt is below min length -> flushed.
         trace_lengths = [len(t[2]) for t in h.traces()]
         assert trace_lengths == [4, 4]
-        assert h.replayer.stats.tasks_flushed >= 4
+        assert h.replayer.tasks_flushed >= 4
 
     def test_chunk_indices_stable_across_fires(self):
         chunks = []
@@ -341,10 +347,10 @@ def test_a_fence_is_a_fence(engine, words, ops):
         if op is None:
             h.finish()
             assert not replayer.pending and replayer.deferred is None
-            events, counters = len(h.events), replayer.stats.as_tuple()
+            events, counters = len(h.events), _counters(replayer)
             h.finish()
             assert len(h.events) == events
-            assert replayer.stats.as_tuple() == counters
+            assert _counters(replayer) == counters
         elif isinstance(op, int) and op < 0:
             word = words[op % len(words)]
             replayer.ingest([Repeat(word, [0, len(word)])])
@@ -357,4 +363,4 @@ def test_a_fence_is_a_fence(engine, words, ops):
                     held.start_index >= replayer.pending[0][0]
                 )
     assert all(len(tasks) >= 2 for _, _, tasks in h.traces())
-    assert replayer.stats.traces_fired == len(h.traces())
+    assert replayer.traces_fired == len(h.traces())

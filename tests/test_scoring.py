@@ -83,23 +83,17 @@ class TestHysteresis:
     def test_off_by_default_and_exact(self):
         policy = ScoringPolicy()  # hysteresis = 0
         dirty = self.fired(gap_tokens=500)
-        assert policy.weighted_score(dirty, 0) == policy.score(dirty, 0)
-        assert policy.weighted_potential(dirty, 0) == \
-            policy.potential(dirty, 0)
+        assert policy.discount(dirty) == 1.0
 
     def test_discount_applies_to_dirty_candidates_only(self):
         policy = ScoringPolicy(hysteresis=2.0, decay_rate=0.0)
         dirty = self.fired(200, fires=4, gap_tokens=200)  # share 0.8
         clean = self.fired(200, fires=4, gap_tokens=0)
         fresh = candidate(200, 16)
-        assert policy.weighted_potential(dirty, 0) == pytest.approx(
-            policy.potential(dirty, 0) * 0.8 ** 2
-        )
-        assert policy.weighted_potential(clean, 0) == \
-            policy.potential(clean, 0)
+        assert policy.discount(dirty) == pytest.approx(0.8 ** 2)
+        assert policy.discount(clean) == 1.0
         # Untried candidates keep the optimistic paper treatment.
-        assert policy.weighted_potential(fresh, 0) == \
-            policy.potential(fresh, 0)
+        assert policy.discount(fresh) == 1.0
 
     def test_min_length_gate(self):
         """Short-fragment candidates are never discounted: the churn is
@@ -108,8 +102,8 @@ class TestHysteresis:
         policy = ScoringPolicy(hysteresis=2.0, hysteresis_min_length=100)
         short = self.fired(length=9, fires=4, gap_tokens=36)
         long = self.fired(length=100, fires=4, gap_tokens=400)
-        assert policy.weighted_score(short, 0) == policy.score(short, 0)
-        assert policy.weighted_score(long, 0) < policy.score(long, 0)
+        assert policy.discount(short) == 1.0
+        assert policy.discount(long) < 1.0
 
     def test_worth_waiting_suppresses_dirty_speculation(self):
         from repro.core.scoring import ReplayDecisionPolicy

@@ -1,7 +1,7 @@
 """Multi-tenant service layer: decision neutrality, eviction, sharing.
 
 The service's load-bearing invariant is that multiplexing changes
-throughput, never decisions: every session's ``ReplayerStats`` and trace
+throughput, never decisions: every session's replayer counters and trace
 boundaries must be byte-identical to running its application alone.
 """
 
@@ -16,6 +16,7 @@ from repro.experiments.multi_tenant import run_isolated, run_service
 from repro.runtime.runtime import Runtime
 from repro.runtime.session import RuntimeSessionFactory
 from repro.service import ApopheniaService, SharedJobExecutor
+from repro.service.service import collect_session_stats
 
 pytestmark = pytest.mark.service
 
@@ -118,7 +119,8 @@ class TestDecisionNeutrality:
             standalone.set_iteration(iteration)
             standalone.execute_task(task)
         standalone.flush()
-        assert victim.stats == standalone.stats
+        assert victim.stats.replayer_counters() == \
+            collect_session_stats(standalone).replayer_counters()
         assert victim.decision_trace() == standalone.decision_trace()
 
 

@@ -20,6 +20,7 @@ from repro.api import (
     TRACING_BACKENDS,
     PersistFormatError,
     SessionClosedError,
+    SessionSnapshot,
     open_session,
 )
 from repro.core.coordination import IngestCoordinator
@@ -370,6 +371,52 @@ def test_backend_stats_reports_every_metric_under_the_schema_spelling(pool):
     for name in METRICS:
         if MARKS[name]["fold"] is not None:  # one session: its own values
             assert stats[name] == getattr(session, name), name
+
+
+@pytest.mark.parametrize("plan", [None, "seed=7,mining_failure_rate=0.3"])
+@pytest.mark.parametrize("kind", sorted(TRACING_BACKENDS))
+def test_memo_hit_rate_is_hits_per_job_on_every_backend(kind, plan):
+    """One formula for ``memo_hit_rate``: ``memo_hits / jobs_submitted``,
+    as on ``SessionStats``. A degraded job never looks the memo up, so
+    under faults the shared memo's own hits-per-lookup is another
+    number; the service used to report that one under this key."""
+    pool = TRACING_BACKENDS[kind](CONFIG.with_overrides(fault_plan=plan))
+    for sid in ("a", "b"):
+        _serve(pool.open_session(sid))
+    stats = pool.backend_stats
+    assert stats["memo_hits"] > 0
+    assert (stats["degraded_jobs"] > 0) == (plan is not None)
+    assert stats["memo_hit_rate"] == \
+        stats["memo_hits"] / stats["jobs_submitted"]
+
+
+@pytest.mark.parametrize("kind", sorted(TRACING_BACKENDS))
+def test_one_stats_type_on_every_path(kind):
+    """``SessionStats`` is the only stats type: the handle's ``stats``
+    is the facade's ``stats()`` while the session serves and after it
+    leaves the table (evicted, on the service; closed, elsewhere), and
+    the objects that count hold plain counters, no stats object."""
+    pool = TRACING_BACKENDS[kind](SPILLING)
+    session = open_session("tenant", backend=pool)
+    _serve(session.handle)
+    assert session.handle.stats == session.stats()
+    if kind == "service":
+        pool.open_session("other")  # evicts the tenant
+    else:
+        pool.close_session("tenant")
+    assert session.handle.closed
+    assert session.handle.stats == session.stats()
+    processor = session.handle.processor
+    assert not hasattr(processor, "stats")
+    assert not hasattr(processor.replayer, "stats")
+
+
+def test_a_processor_snapshots_like_its_handle():
+    with open_session("solo", backend="standalone") as session:
+        _serve(session.handle)
+        session.flush()
+        assert SessionSnapshot.of(session.handle.processor) == \
+            SessionSnapshot.of(session.handle)
 
 
 def test_replicas_differ_only_in_what_the_schema_calls_local():
