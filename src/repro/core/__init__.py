@@ -5,13 +5,12 @@ The subpackage implements the paper's core contribution:
 * :mod:`repro.core.hashing` -- task -> token hashing (Section 4.1),
 * :mod:`repro.core.suffix_array` -- suffix array + LCP construction,
 * :mod:`repro.core.sa_backends` -- the suffix-array builders (SA-IS for
-  short windows, NumPy prefix multiplying for long ones) and the seed's
-  prefix-doubling construction kept as their test reference,
+  short windows, NumPy prefix multiplying for long ones),
 * :mod:`repro.core.repeats` -- Algorithm 2: non-overlapping repeated
   substrings with high coverage in O(n log n) (Section 4.2),
 * :mod:`repro.core.trie` / :mod:`repro.core.matching` -- candidate trie
   and active-pointer matching (Section 4.3): the deduplicating automaton
-  engine, plus the seed's pointer scan kept as its test reference,
+  engine with incrementally maintained suffix links,
 * :mod:`repro.core.scoring` -- the exploration/exploitation scoring
   function for choosing among matched traces (Section 4.3),
 * :mod:`repro.core.sampler` -- ruler-function multi-scale buffer sampling

@@ -1,13 +1,11 @@
-"""The pointer-set match engine over the candidate trie, and its reference.
+"""The pointer-set match engine over the candidate trie.
 
 The replayer's trie advance is the dominant serving cost on periodic
-streams: the reference matcher (:class:`ScanMatchEngine`, the seed
-semantics) keeps one explicit :class:`~repro.core.trie.ActivePointer`
-per live match attempt, and every stream token pays one child lookup
-*per pointer*. On a periodic stream whose period divides a long
-candidate, pointers pile up at every phase of the cycle — depths ``d,
-d-p, d-2p, ...`` down the same path — and each token re-walks that
-whole ladder.
+streams. The seed matcher keeps one explicit pointer per live match
+attempt, and every stream token pays one child lookup *per pointer*. On
+a periodic stream whose period divides a long candidate, pointers pile
+up at every phase of the cycle — depths ``d, d-p, d-2p, ...`` down the
+same path — and each token re-walks that whole ladder.
 
 :class:`AutomatonMatchEngine` deduplicates the ladder. The live pointer
 set is always a set of *suffixes* of the recent stream that are trie
@@ -21,79 +19,50 @@ and completed matches fall out of the ``out`` links.
 
 Exactness is load-bearing: the tbegin/tend decision stream must be a
 pure function of tokens + ingested candidates (Section 5.1's
-distributed-agreement argument), so the automaton must equal the scan
-engine *byte for byte* — including the scan engine's refusal to
-resurrect pointers. A suffix that failed under the trie-as-it-was must
-stay dead even if a candidate ingested later makes its path valid
-again. The engine therefore tracks liveness epochs: on every structural
-change (a candidate actually inserted or removed) it snapshots the
-currently-live pointer starts (``_frozen``) and bumps the epoch; a chain
-entry is *live* only if it was born after the last structural change or
-its start is in the snapshot. ``tests/test_matching.py`` property-tests
-scan/automaton parity on streams with mid-stream ingests and removals.
+distributed-agreement argument), so the automaton must equal the seed's
+pointer scan *byte for byte* — including its refusal to resurrect
+pointers. A suffix that failed under the trie-as-it-was must stay dead
+even if a candidate ingested later makes its path valid again. The
+engine therefore tracks liveness epochs: on every structural change (a
+candidate actually inserted or removed) it snapshots the currently-live
+pointer starts (``_frozen``) and bumps the epoch; a chain entry is
+*live* only if it was born after the last structural change or its start
+is in the snapshot. ``tests/test_matching.py`` property-tests parity
+against the scan reference (kept under ``tests/``, passed in as
+``TraceReplayer(match_engine=...)``) on streams with mid-stream ingests
+and removals.
+
+Relinking. The links are a pure function of the candidate set; how they
+are maintained is local. :meth:`AutomatonMatchEngine.insert` keeps them
+current by touching only the nodes an ingest changes, through the
+reverse suffix links the nodes carry (each node heads an intrusive list
+of the nodes whose ``fail`` it is; the root's list is bucketed by last
+token on the engine):
+
+* a candidate ending on an existing node moves only ``out``, and only in
+  that node's reverse-link subtree, stopping wherever ``out`` comes out
+  unchanged;
+* each new node, shallowest first, is linked by the usual goto walk from
+  its parent's ``fail`` and then adopts every existing node whose longest
+  trie suffix it now is (the root bucket for its token, or a walk of the
+  parent's reverse-link subtree); ``out`` / ``chain_len`` are then
+  recomputed over the new nodes' reverse-link subtrees, each node once.
+
+The whole-trie BFS (:meth:`AutomatonMatchEngine._rebuild`) runs only in
+bulk: once at the first :meth:`~AutomatonMatchEngine.advance` (so
+construction and a hydrate's inserts pay one), after ``remove()``, and
+after the trie was mutated behind the engine's back. Every link ends
+where that BFS would put it — ``tests/test_relink.py`` checks it after
+every step of a state machine — so ``chain_len`` (and with it the
+pointer gauges) stays exact.
 
 The automaton is *the* engine: there is no config field, registry name
-or environment variable selecting one. The scan engine stays here, as
-it was, only as the reference the parity suites construct directly
-(``TraceReplayer(match_engine=ScanMatchEngine)``).
+or environment variable selecting one.
 """
 
 from collections import deque
 
 from repro.core.trie import CandidateTrie, CompletedMatch
-
-
-class ScanMatchEngine:
-    """Reference engine: one explicit pointer per live match attempt.
-
-    Thin adapter over the seed-semantics matcher that lives on
-    :class:`~repro.core.trie.CandidateTrie` (``advance`` / ``active`` /
-    ``reset_pointers``). Kept as the baseline the automaton engine is
-    property-tested against — like the ``doubling`` suffix-array
-    backend, it is a reference and must not be "optimized".
-    """
-
-    name = "scan"
-
-    def __init__(self, trie=None):
-        self.trie = trie if trie is not None else CandidateTrie()
-        #: Most pointers simultaneously alive (what every token walks).
-        self.active_pointer_peak = 0
-        #: Pointers represented implicitly instead of walked: the scan
-        #: engine deduplicates nothing, so this is always 0.
-        self.pointer_collapses = 0
-
-    # -- candidate-set mutation ----------------------------------------
-    def insert(self, tokens):
-        return self.trie.insert(tokens)
-
-    def remove(self, candidate):
-        return self.trie.remove(candidate)
-
-    def find(self, tokens):
-        return self.trie.find(tokens)
-
-    # -- stream matching ------------------------------------------------
-    def advance(self, token, index):
-        completed = self.trie.advance(token, index)
-        active = len(self.trie.active)
-        if active > self.active_pointer_peak:
-            self.active_pointer_peak = active
-        return completed
-
-    def reset(self):
-        self.trie.reset_pointers()
-
-    def earliest_active_start(self):
-        return self.trie.earliest_active_start()
-
-    def pointers(self):
-        """Yield ``(start_index, node)`` per live pointer, start ascending."""
-        for pointer in self.trie.active:
-            yield pointer.start_index, pointer.node
-
-    def __len__(self):
-        return len(self.trie)
 
 
 class AutomatonMatchEngine:
@@ -121,8 +90,12 @@ class AutomatonMatchEngine:
         self._last_index = -1  # stream index of the last advance
         self._epoch = 0  # entries born in a later tick are live
         self._frozen = frozenset()  # pre-epoch live pointer starts
+        # The trie version the links are current for: None until the
+        # first advance() links the trie in one BFS.
         self._built_version = None
-        self._rebuild()
+        # The root's reverse suffix links: last token -> head of the list
+        # of nodes whose fail is the root (None: the list emptied).
+        self._root_fails = {}
         self.active_pointer_peak = 0
         self.pointer_collapses = 0
 
@@ -130,19 +103,26 @@ class AutomatonMatchEngine:
     def insert(self, tokens):
         """Ingest a candidate; freezes liveness if the trie changes.
 
-        Relinking is deferred to the next :meth:`advance` (the version
-        check), so one ingest batch of k new candidates pays one O(trie)
-        rebuild, not k. Between the insert and that rebuild the existing
-        nodes' links are untouched and the new nodes are on no chain, so
-        freezes and pointer enumeration still see exactly the
-        pre-mutation live set -- which is the correct one.
+        On a linked trie the links are brought up to date here,
+        incrementally (:meth:`_relink`); before the first advance they are
+        left for that advance's one BFS. The freeze runs first, on the
+        pre-mutation links. An insert only adds paths, so the relink only
+        adds new nodes to a chain, and no new node is live: pointer
+        enumeration still sees exactly the pre-mutation live set --
+        which is the correct one.
         """
         tokens = tuple(tokens)
-        existing = self.trie.find(tokens)
+        trie = self.trie
+        existing = trie.find(tokens)
         if existing is not None:
             return existing  # reinforcement: no structural change
         self._freeze()
-        return self.trie.insert(tokens)
+        linked = self._built_version == trie.version
+        candidate = trie.insert(tokens)
+        if linked:
+            self._relink(tokens)
+            self._built_version = trie.version
+        return candidate
 
     def remove(self, candidate):
         """Remove a candidate; freezes liveness if the trie changes.
@@ -170,11 +150,11 @@ class AutomatonMatchEngine:
         scan engine's order (ascending start index).
         """
         if self._built_version != self.trie.version:
-            # The trie was mutated behind the engine's back (insert() /
-            # remove() on the trie directly): relink so matching is
-            # structurally correct. Liveness epochs cannot be
-            # reconstructed for that path — serving code must mutate
-            # through the engine.
+            # The first advance, or the trie was mutated behind the
+            # engine's back (insert() / remove() on the trie directly):
+            # relink so matching is structurally correct. Liveness epochs
+            # cannot be reconstructed for the second path — serving code
+            # must mutate through the engine.
             self._rebuild()
         self._ticks += 1
         self._last_index = index
@@ -295,38 +275,160 @@ class AutomatonMatchEngine:
         self._frozen = frozenset(frozen)
         self._epoch = self._ticks
 
-    def _rebuild(self):
-        """Recompute ``fail`` / ``out`` / ``chain_len`` links (BFS).
+    def _relink(self, tokens):
+        """Update the links for the candidate ``tokens`` just inserted
+        into a linked trie, touching only the nodes the insert changed.
 
-        O(trie) per *structural* ingest — rare next to token advances:
-        steady-state re-discoveries of known candidates are no-ops and
-        never land here.
+        A node whose ``fail`` is ``None`` is one the insert created (every
+        linked node but the root has a ``fail``). See the module
+        docstring for the three steps.
+        """
+        root = self.trie.root
+        node = root
+        for i, token in enumerate(tokens):
+            child = node.children[token]
+            if child.fail is None:
+                break
+            node = child
+        else:
+            # The candidate ends on an existing node: only `out` moves.
+            self._refresh(node.fchild)
+            return
+        fresh = []
+        for token in tokens[i:]:
+            parent, node = node, node.children[token]
+            fresh.append(node)
+            # 1. Link the new node: the usual goto walk.
+            fail = root
+            if parent is not root:
+                fail = parent.fail
+                while fail is not root and token not in fail.children:
+                    fail = fail.fail
+                fail = fail.children.get(token, root)
+            node.fail = fail
+            # 2. Adopt every existing node whose longest trie suffix the
+            #    new node now is: those ending in `token` that failed to
+            #    the root, or else the `token` children of the parent's
+            #    reverse-link subtree, walked down to the first node on
+            #    each branch that has one. That child's old fail was
+            #    found above the parent (nothing walked to reach it had a
+            #    `token` child), so it is shallower and moves; below it,
+            #    every extension already fails to it or deeper.
+            if parent is root:
+                adopted = node.fchild = self._root_fails.pop(token, None)
+                while adopted is not None:
+                    adopted.fail = node
+                    adopted = adopted.fnext
+            else:
+                moves = []
+                stack = [parent.fchild]
+                while stack:
+                    y = stack.pop()
+                    while y is not None:
+                        c = y.children.get(token)
+                        if c is not None:
+                            moves.append(c)
+                        elif y.fchild is not None:
+                            stack.append(y.fchild)
+                        y = y.fnext
+                for c in moves:
+                    self._unlink(c, token)
+                    c.fail = node
+                    self._link(c, node, token)
+            self._link(node, fail, token)
+        # 3. out / chain_len over the new nodes' reverse-link subtrees
+        #    (the adopted nodes hang in them), shallowest first. A new
+        #    node still at chain_len 0 is one no earlier walk reached.
+        for top in fresh:
+            if not top.chain_len:
+                f = top.fail
+                top.chain_len = f.chain_len + 1
+                top.out = f if f.candidate is not None else f.out
+                self._refresh(top.fchild)
+
+    @staticmethod
+    def _refresh(head):
+        """Recompute ``out`` / ``chain_len`` down the reverse-link lists
+        from ``head`` (fail before the nodes that fail to it), not
+        descending below a node whose values come out unchanged: nothing
+        under it can change either."""
+        stack = [head]
+        while stack:
+            x = stack.pop()
+            while x is not None:
+                f = x.fail
+                out = f if f.candidate is not None else f.out
+                chain_len = f.chain_len + 1
+                if out is not x.out or chain_len != x.chain_len:
+                    x.out = out
+                    x.chain_len = chain_len
+                    if x.fchild is not None:
+                        stack.append(x.fchild)
+                x = x.fnext
+
+    def _link(self, node, fail, token):
+        """Push ``node`` onto ``fail``'s reverse-link list."""
+        if fail is self.trie.root:
+            head = self._root_fails.get(token)
+            self._root_fails[token] = node
+        else:
+            head = fail.fchild
+            fail.fchild = node
+        node.fprev = None
+        node.fnext = head
+        if head is not None:
+            head.fprev = node
+
+    def _unlink(self, node, token):
+        """Take ``node`` off its ``fail``'s reverse-link list."""
+        prev, nxt = node.fprev, node.fnext
+        if nxt is not None:
+            nxt.fprev = prev
+        if prev is not None:
+            prev.fnext = nxt
+        elif node.fail is self.trie.root:
+            self._root_fails[token] = nxt  # None once the bucket empties
+        else:
+            node.fail.fchild = nxt
+
+    def _rebuild(self):
+        """Recompute every link from scratch (BFS), reverse links included.
+
+        O(trie); runs only in bulk (see the module docstring) -- a
+        single ingest on a linked trie goes through :meth:`_relink`.
         """
         root = self.trie.root
         root.fail = None
         root.out = None
         root.chain_len = 0
-        queue = deque()
-        for child in root.children.values():
-            child.fail = root
-            child.out = None
-            child.chain_len = 1
-            queue.append(child)
+        buckets = self._root_fails = {}
+        queue = deque([root])
         while queue:
             node = queue.popleft()
             for token, child in node.children.items():
-                fail = node.fail
-                while fail is not root and token not in fail.children:
-                    fail = fail.fail
-                target = fail.children.get(token)
-                child.fail = target if target is not None else root
-                child.out = (
-                    child.fail if child.fail.candidate is not None
-                    else child.fail.out
-                )
-                child.chain_len = child.fail.chain_len + 1
+                # The goto walk and _link, inlined: this loop is the
+                # whole of a hydrated session's first advance.
+                fail = root
+                if node is not root:
+                    fail = node.fail
+                    while fail is not root and token not in fail.children:
+                        fail = fail.fail
+                    fail = fail.children.get(token, root)
+                child.fail = fail
+                child.out = fail if fail.candidate is not None else fail.out
+                child.chain_len = fail.chain_len + 1
+                child.fchild = None
+                child.fprev = None
+                if fail is root:
+                    head = child.fnext = buckets.get(token)
+                    buckets[token] = child
+                else:
+                    head = child.fnext = fail.fchild
+                    fail.fchild = child
+                if head is not None:
+                    head.fprev = child
                 queue.append(child)
         self._built_version = self.trie.version
 
 
-__all__ = ["AutomatonMatchEngine", "ScanMatchEngine"]
+__all__ = ["AutomatonMatchEngine"]

@@ -277,7 +277,7 @@ class ApopheniaProcessor:
     match_engine:
         The replayer's match-engine class, injected like ``executor``.
         Only the parity suites pass anything but the default (the
-        :class:`~repro.core.matching.ScanMatchEngine` reference).
+        ``ScanMatchEngine`` reference of ``tests/references.py``).
 
     The processor holds no statistics object: each counter lives on the
     layer that bumps it (``replayer``, ``executor``, the replayer's

@@ -68,8 +68,8 @@ class TraceReplayer:
         are flushed untraced.
     match_engine:
         Engine class (a no-argument factory). Only the parity suites
-        pass anything but the default -- the
-        :class:`~repro.core.matching.ScanMatchEngine` reference.
+        pass anything but the default -- the ``ScanMatchEngine``
+        reference of ``tests/references.py``.
     max_candidates / staleness_horizon:
         Candidate lifecycle bounds, forwarded to the
         :class:`~repro.core.candidates.CandidateStore`; both default to

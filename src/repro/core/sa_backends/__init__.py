@@ -1,11 +1,13 @@
-"""Suffix-array construction: two implementations, one result, one reference.
+"""Suffix-array construction: two implementations, one result.
 
 The suffix array of a string over a totally ordered alphabet is unique,
 so every construction here produces byte-identical output on a
 *rank-compressed* token array (dense non-negative ints, as produced by
 :func:`repro.core.suffix_array.rank_compress`); the Section 5.1
 distributed-agreement protocol depends on this, and the property tests
-in ``tests/test_sa_backends.py`` enforce it.
+in ``tests/test_sa_backends.py`` enforce it, against a naive oracle and
+the seed's prefix-doubling construction (``suffix_array_doubling``, kept
+unoptimised in ``tests/references.py``).
 
 ``suffix_array_sais``
     Pure-Python SA-IS (suffix array by induced sorting), O(n). What
@@ -18,24 +20,18 @@ in ``tests/test_sa_backends.py`` enforce it.
     (:mod:`repro.core.sa_backends.multiplying`).
     ``suffix_array_multiplying`` is its ``build(ranks) -> list[int]``
     form.
-``suffix_array_doubling``
-    The seed's prefix-doubling construction with per-element lambda sort
-    keys, O(n log^2 n) comparisons. Kept unoptimised as the reference
-    the property tests compare against.
 
-Which of the first two runs is decided by the window length alone (see
+Which one runs is decided by the window length alone (see
 ``repeats.VECTOR_CUTOVER``). There is no selection surface -- no config
 field, registry name or environment variable. A test that wants a
 particular scalar construction passes the function itself
 (``find_repeats(tokens, backend=suffix_array_doubling)``).
 """
 
-from repro.core.sa_backends.doubling import suffix_array_doubling
 from repro.core.sa_backends.multiplying import suffix_array_multiplying
 from repro.core.sa_backends.sais import suffix_array_sais
 
 __all__ = [
-    "suffix_array_doubling",
     "suffix_array_multiplying",
     "suffix_array_sais",
 ]

@@ -5,7 +5,8 @@ longest-common-prefix array [23]. These are the list-based entry points:
 construction is SA-IS
 (:func:`repro.core.sa_backends.suffix_array_sais`); the ``backend``
 argument of the functions below exists so the property tests can pass
-the reference construction (``suffix_array_doubling``) instead. Long
+the reference construction (``suffix_array_doubling`` in
+``tests/references.py``) instead. Long
 windows get the same two arrays from
 :mod:`repro.core.sa_backends.multiplying` on ``int64`` buffers, over the
 same :func:`rank_compress` output -- so the alphabet order, and with it

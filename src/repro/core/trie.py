@@ -1,4 +1,4 @@
-"""Candidate trie and active-pointer matching (Section 4.3).
+"""Candidate trie (Section 4.3).
 
 The trace replayer ingests candidate traces (token tuples produced by
 Algorithm 2) into a trie. As the application issues tasks, a set of
@@ -12,52 +12,61 @@ A matched candidate may be a prefix of a longer one (the node has both a
 candidate mark and children); the pointer keeps advancing so the replayer
 can prefer the longer match if it completes.
 
-This module owns the trie *structure* and the explicit pointer-scan
-matcher (:meth:`CandidateTrie.advance`), which is the reference
-semantics. The production serving path drives the trie through a
-pluggable :mod:`repro.core.matching` engine; the default automaton
-engine deduplicates the pointer set through the suffix links this
-module's nodes carry (``fail`` / ``out`` / ``chain_len``, maintained by
-:class:`~repro.core.matching.AutomatonMatchEngine`).
+This module owns the trie *structure* only. Matching is
+:class:`~repro.core.matching.AutomatonMatchEngine`, which represents the
+whole pointer set as one state over the suffix links this module's nodes
+carry (``fail`` / ``out`` / ``chain_len``, plus the reverse suffix links
+``fchild`` / ``fnext`` / ``fprev``), all maintained by the engine. The
+seed's explicit pointer scan -- one object per pointer, re-walked on
+every token -- is the reference the parity suites compare the engine
+against, and lives with them under ``tests/``.
 """
 
 
 class TrieNode:
     """One node of the candidate trie.
 
-    ``max_below`` tracks the maximum length of any candidate at or below
-    this node, and ``deep`` references that deepest candidate; the replayer
-    uses them to decide whether a completed match might still extend into a
-    longer (or higher-scoring) candidate and is worth deferring.
+    ``deep`` references the deepest candidate at or below this node (its
+    length against ``depth`` says how much further a match here could
+    still extend); the replayer uses it to decide whether a completed
+    match is worth deferring.
 
     ``fail`` / ``out`` / ``chain_len`` are the automaton links of
     :class:`~repro.core.matching.AutomatonMatchEngine` (deepest proper
     suffix that is also a trie path; nearest suffix bearing a candidate;
-    number of suffix-chain entries at or above this node). They are
-    ``None``/0 until an automaton engine adopts the trie, and the scan
-    matcher never reads them.
+    number of suffix-chain entries at or above this node).
+    ``fchild`` / ``fnext`` / ``fprev`` thread the reverse of ``fail``
+    intrusively: ``fchild`` heads the doubly linked list of nodes whose
+    ``fail`` is this node, and ``fnext`` / ``fprev`` are this node's
+    neighbours on its own ``fail``'s list (the root's list is kept by the
+    engine, bucketed by last token). All six are ``None``/0 until an
+    engine links the trie.
     """
 
     __slots__ = (
         "children",
         "candidate",
         "depth",
-        "max_below",
         "deep",
         "fail",
         "out",
         "chain_len",
+        "fchild",
+        "fnext",
+        "fprev",
     )
 
     def __init__(self, depth=0):
         self.children = {}
         self.candidate = None  # TraceCandidate terminating here, if any
         self.depth = depth
-        self.max_below = depth
         self.deep = None  # deepest TraceCandidate at or below this node
         self.fail = None  # automaton suffix link
         self.out = None  # nearest candidate-bearing suffix node
         self.chain_len = 0  # suffix-chain entries at or above this node
+        self.fchild = None  # first node whose fail is this one
+        self.fnext = None  # siblings on this node's fail's list
+        self.fprev = None
 
 
 class TraceCandidate:
@@ -110,25 +119,11 @@ class TraceCandidate:
         )
 
 
-class ActivePointer:
-    """A potential in-progress match of some candidate(s)."""
-
-    __slots__ = ("node", "start_index")
-
-    def __init__(self, node, start_index):
-        self.node = node
-        self.start_index = start_index
-
-    def __repr__(self):
-        return f"ActivePointer(start={self.start_index}, depth={self.node.depth})"
-
-
 class CompletedMatch:
     """A candidate fully matched against the task stream.
 
-    ``node`` is the trie node the match completed at; the replayer uses its
-    ``max_below`` to see whether a longer candidate could still extend the
-    match.
+    ``node`` is the trie node the match completed at; its ``deep``
+    says whether a longer candidate could still extend the match.
     """
 
     __slots__ = ("candidate", "start_index", "end_index", "node")
@@ -147,14 +142,13 @@ class CompletedMatch:
 
 
 class CandidateTrie:
-    """Trie of candidate traces with active-pointer stream matching."""
+    """Trie of candidate traces."""
 
     def __init__(self):
         self.root = TrieNode()
         self.candidates = {}  # trace_id -> TraceCandidate
         self._by_tokens = {}  # tokens tuple -> TraceCandidate
         self._next_id = 0
-        self.active = []
         #: Bumped on every structural change (a candidate actually added
         #: or removed); the automaton matcher uses it to invalidate its
         #: links when the trie is mutated behind its back.
@@ -188,8 +182,7 @@ class CandidateTrie:
         path.append(node)
         candidate = TraceCandidate(self._next_id, tokens)
         for visited in path:
-            if length > visited.max_below or visited.deep is None:
-                visited.max_below = max(visited.max_below, length)
+            if visited.deep is None or length > visited.deep.length:
                 visited.deep = candidate
         self._next_id += 1
         node.candidate = candidate
@@ -211,12 +204,12 @@ class CandidateTrie:
     def remove(self, candidate):
         """Remove a candidate's terminal mark (its nodes may be shared).
 
-        ``max_below``/``deep`` are recomputed bottom-up along the removed
-        candidate's path: a node whose deepest candidate was the removed
-        one must fall back to the next-deepest survivor, or the replayer
-        would keep deferring matches waiting for an extension that can no
-        longer complete. Branches left with no candidate at or below them
-        are pruned so dead tokens stop spawning active pointers.
+        ``deep`` is recomputed bottom-up along the removed candidate's
+        path: a node whose deepest candidate was the removed one must
+        fall back to the next-deepest survivor, or the replayer would keep
+        deferring matches waiting for an extension that can no longer
+        complete. Branches left with no candidate at or below them are
+        pruned so dead tokens stop spawning active pointers.
 
         Returns ``True`` when the candidate was actually removed,
         ``False`` for stale references (a no-op).
@@ -244,63 +237,9 @@ class CandidateTrie:
                 ):
                     deepest = child.deep
             node.deep = deepest
-            node.max_below = deepest.length if deepest is not None else node.depth
             if i > 0 and not node.children and deepest is None:
                 del path[i - 1].children[candidate.tokens[i - 1]]
         return True
-
-    # ------------------------------------------------------------------
-    # Stream matching (AdvanceActiveCandidates / Filter* of Algorithm 1)
-    # ------------------------------------------------------------------
-    def advance(self, token, index):
-        """Advance all pointers by one stream token.
-
-        ``index`` is the absolute stream position of ``token``. Returns the
-        list of :class:`CompletedMatch` objects for candidates whose final
-        token is ``token``.
-        """
-        completed = []
-        survivors = []
-        for pointer in self.active:
-            child = pointer.node.children.get(token)
-            if child is None:
-                continue  # FilterInvalidCandidates
-            pointer.node = child
-            if child.candidate is not None:
-                completed.append(
-                    CompletedMatch(
-                        child.candidate, pointer.start_index, index + 1, child
-                    )
-                )
-            if child.children:
-                survivors.append(pointer)
-        root_child = self.root.children.get(token)
-        if root_child is not None:
-            if root_child.candidate is not None:
-                completed.append(
-                    CompletedMatch(root_child.candidate, index, index + 1, root_child)
-                )
-            if root_child.children:
-                survivors.append(ActivePointer(root_child, index))
-        self.active = survivors
-        return completed
-
-    def reset_pointers(self):
-        """Drop all active pointers (after a replay consumes the stream)."""
-        self.active = []
-
-    def earliest_active_start(self):
-        """Smallest stream index any active pointer began at, or ``None``.
-
-        ``active`` is sorted by ``start_index`` ascending by construction:
-        ``advance`` keeps survivors in order and appends the (newest) root
-        pointer last -- so the earliest start is the first element. This
-        runs once per stream token; scanning instead of indexing was ~15%
-        of end-to-end serving time.
-        """
-        if not self.active:
-            return None
-        return self.active[0].start_index
 
     def __len__(self):
         return len(self.candidates)

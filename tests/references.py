@@ -1,0 +1,185 @@
+"""Reference implementations the parity suites compare ``src/`` against.
+
+Nothing under ``src/repro`` imports these; they are the seed's
+semantics, kept unchanged and slow on purpose, and reached only through
+the injection seams the production code keeps for them:
+
+* :class:`ScanMatchEngine` -- one explicit :class:`ActivePointer` per
+  live match attempt, re-walked on every token, over
+  :class:`PointerScanTrie` (the candidate trie plus the seed's pointer
+  scan). Passed as ``TraceReplayer(match_engine=ScanMatchEngine)`` /
+  ``ApopheniaProcessor(..., match_engine=ScanMatchEngine)``.
+* :func:`suffix_array_doubling` -- prefix doubling with a per-element
+  lambda sort key. Passed as ``find_repeats(tokens,
+  backend=suffix_array_doubling)`` or ``suffix_array(..., backend=...)``.
+"""
+
+from repro.core.trie import CandidateTrie, CompletedMatch
+
+
+class ActivePointer:
+    """A potential in-progress match of some candidate(s)."""
+
+    __slots__ = ("node", "start_index")
+
+    def __init__(self, node, start_index):
+        self.node = node
+        self.start_index = start_index
+
+    def __repr__(self):
+        return f"ActivePointer(start={self.start_index}, depth={self.node.depth})"
+
+
+class PointerScanTrie(CandidateTrie):
+    """Candidate trie with the seed's active-pointer stream matching
+    (AdvanceActiveCandidates / Filter* of Algorithm 1)."""
+
+    def __init__(self):
+        super().__init__()
+        self.active = []
+
+    def advance(self, token, index):
+        """Advance all pointers by one stream token.
+
+        ``index`` is the absolute stream position of ``token``. Returns the
+        list of :class:`CompletedMatch` objects for candidates whose final
+        token is ``token``.
+        """
+        completed = []
+        survivors = []
+        for pointer in self.active:
+            child = pointer.node.children.get(token)
+            if child is None:
+                continue  # FilterInvalidCandidates
+            pointer.node = child
+            if child.candidate is not None:
+                completed.append(
+                    CompletedMatch(
+                        child.candidate, pointer.start_index, index + 1, child
+                    )
+                )
+            if child.children:
+                survivors.append(pointer)
+        root_child = self.root.children.get(token)
+        if root_child is not None:
+            if root_child.candidate is not None:
+                completed.append(
+                    CompletedMatch(root_child.candidate, index, index + 1, root_child)
+                )
+            if root_child.children:
+                survivors.append(ActivePointer(root_child, index))
+        self.active = survivors
+        return completed
+
+    def reset_pointers(self):
+        """Drop all active pointers (after a replay consumes the stream)."""
+        self.active = []
+
+    def earliest_active_start(self):
+        """Smallest stream index any active pointer began at, or ``None``.
+
+        ``active`` is sorted by ``start_index`` ascending by construction:
+        ``advance`` keeps survivors in order and appends the (newest) root
+        pointer last -- so the earliest start is the first element. This
+        runs once per stream token; scanning instead of indexing was ~15%
+        of end-to-end serving time.
+        """
+        if not self.active:
+            return None
+        return self.active[0].start_index
+
+
+class ScanMatchEngine:
+    """Reference engine: one explicit pointer per live match attempt.
+
+    Thin adapter over the seed-semantics matcher of
+    :class:`PointerScanTrie` (``advance`` / ``active`` /
+    ``reset_pointers``). Kept as the baseline the automaton engine is
+    property-tested against — like :func:`suffix_array_doubling`, it is
+    a reference and must not be "optimized".
+    """
+
+    name = "scan"
+
+    def __init__(self, trie=None):
+        self.trie = trie if trie is not None else PointerScanTrie()
+        #: Most pointers simultaneously alive (what every token walks).
+        self.active_pointer_peak = 0
+        #: Pointers represented implicitly instead of walked: the scan
+        #: engine deduplicates nothing, so this is always 0.
+        self.pointer_collapses = 0
+
+    # -- candidate-set mutation ----------------------------------------
+    def insert(self, tokens):
+        return self.trie.insert(tokens)
+
+    def remove(self, candidate):
+        return self.trie.remove(candidate)
+
+    def find(self, tokens):
+        return self.trie.find(tokens)
+
+    # -- stream matching ------------------------------------------------
+    def advance(self, token, index):
+        completed = self.trie.advance(token, index)
+        active = len(self.trie.active)
+        if active > self.active_pointer_peak:
+            self.active_pointer_peak = active
+        return completed
+
+    def reset(self):
+        self.trie.reset_pointers()
+
+    def earliest_active_start(self):
+        return self.trie.earliest_active_start()
+
+    def pointers(self):
+        """Yield ``(start_index, node)`` per live pointer, start ascending."""
+        for pointer in self.trie.active:
+            yield pointer.start_index, pointer.node
+
+    def __len__(self):
+        return len(self.trie)
+
+
+def suffix_array_doubling(s):
+    """Suffix array of a rank-compressed token array, by prefix doubling.
+
+    The seed implementation, preserved verbatim as the reference the
+    property tests (``tests/test_sa_backends.py``) compare SA-IS and
+    prefix multiplying against: prefix doubling with Python's built-in
+    sort and a per-element lambda key at each doubling step. Each of the
+    O(log n) rounds sorts with a closure that allocates a rank-pair tuple
+    per comparison key -- slow on purpose; it is an oracle, not an
+    option, and must stay unoptimised.
+    """
+    n = len(s)
+    if n == 0:
+        return []
+    if n == 1:
+        return [0]
+    order = sorted(range(n), key=lambda i: s[i])
+    ranks = [0] * n
+    ranks[order[0]] = 0
+    for i in range(1, n):
+        ranks[order[i]] = ranks[order[i - 1]] + (
+            1 if s[order[i]] != s[order[i - 1]] else 0
+        )
+    k = 1
+    tmp = [0] * n
+    while k < n:
+        def key(i):
+            second = ranks[i + k] if i + k < n else -1
+            return (ranks[i], second)
+
+        order.sort(key=key)
+        tmp[order[0]] = 0
+        for i in range(1, n):
+            tmp[order[i]] = tmp[order[i - 1]] + (
+                1 if key(order[i]) != key(order[i - 1]) else 0
+            )
+        ranks = tmp[:]
+        if ranks[order[-1]] == n - 1:
+            break
+        k <<= 1
+    return order

@@ -40,7 +40,7 @@ class TestProfileSubmit:
         script = Path(__file__).resolve().parent.parent / "scripts" \
             / "profile_submit.py"
         wall = "repro.core.candidates:canonical_rotation," \
-            "repro.core.matching:AutomatonMatchEngine._rebuild"
+            "repro.core.matching:AutomatonMatchEngine.insert"
         done = subprocess.run(
             [sys.executable, str(script), "steady_s3d", "--quick",
              "--seed", "3", "--top", "40", "--wall", wall],

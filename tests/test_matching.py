@@ -18,7 +18,8 @@ import random
 import pytest
 
 from repro.api import SessionSnapshot
-from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
+from references import ScanMatchEngine
+from repro.core.matching import AutomatonMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer

@@ -26,7 +26,8 @@ from repro.api import (
     open_session,
 )
 from repro.apps.base import capture_stream
-from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
+from references import ScanMatchEngine
+from repro.core.matching import AutomatonMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer

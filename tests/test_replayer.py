@@ -3,7 +3,8 @@
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from repro.core.matching import AutomatonMatchEngine, ScanMatchEngine
+from references import ScanMatchEngine
+from repro.core.matching import AutomatonMatchEngine
 from repro.core.repeats import Repeat
 from repro.core.replayer import TraceReplayer
 from repro.core.scoring import ScoringPolicy

@@ -25,9 +25,9 @@ from repro.core.repeats import (
     _select_vectorised,
     find_repeats,
 )
+from references import suffix_array_doubling
 from repro.core.sa_backends import (
     multiplying,
-    suffix_array_doubling,
     suffix_array_multiplying,
     suffix_array_sais,
 )

@@ -1,7 +1,8 @@
-"""Candidate trie and active-pointer matching."""
+"""Candidate trie structure, and the reference pointer scan over it."""
 
 import pytest
 
+from references import PointerScanTrie
 from repro.core.trie import CandidateTrie
 
 
@@ -52,26 +53,26 @@ class TestInsert:
         with pytest.raises(ValueError):
             CandidateTrie().insert("")
 
-    def test_max_below_and_deep(self):
+    def test_deep_and_depth(self):
         trie = CandidateTrie()
         short = trie.insert("ab")
         long = trie.insert("abcd")
         node = trie.root.children["a"]
-        assert node.max_below == 4
-        assert node.deep is long
+        assert node.depth == 1
+        assert node.deep is long and node.deep.length == 4
         terminal = node.children["b"]
         assert terminal.candidate is short
-        assert terminal.max_below == 4
+        assert terminal.depth == 2 and terminal.deep is long
 
     def test_remove(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         c = trie.insert("ab")
         trie.remove(c)
         assert len(trie) == 0
         assert advance_all(trie, "abab") == []
 
     def test_remove_clears_stale_deep_references(self):
-        # Removing the deepest candidate must demote max_below/deep on its
+        # Removing the deepest candidate must demote deep on its
         # path, or the replayer would defer forever for an extension that
         # can no longer complete.
         trie = CandidateTrie()
@@ -79,14 +80,14 @@ class TestInsert:
         long = trie.insert("abcd")
         trie.remove(long)
         node = trie.root.children["a"]
-        assert node.max_below == 2
-        assert node.deep is short
+        assert node.deep is short and node.deep.length == 2
         terminal = node.children["b"]
-        assert terminal.max_below == 2
+        # The deepest candidate now ends here: nothing can extend a match.
         assert terminal.deep is short
+        assert terminal.deep.length == terminal.depth == 2
 
     def test_remove_prunes_dead_branches(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         short = trie.insert("ab")
         long = trie.insert("abcd")
         trie.remove(long)
@@ -96,13 +97,13 @@ class TestInsert:
         assert m.candidate is short
 
     def test_remove_middle_candidate_keeps_descendants(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         long = trie.insert("abcd")
         short = trie.insert("ab")
         trie.remove(short)
         node = trie.root.children["a"].children["b"]
         assert node.candidate is None
-        assert node.max_below == 4 and node.deep is long
+        assert node.deep is long and node.deep.length == 4
         (m,) = advance_all(trie, "abcd")
         assert m.candidate is long
 
@@ -113,7 +114,7 @@ class TestInsert:
         again = trie.insert("abcd")
         assert again is not long
         node = trie.root.children["a"]
-        assert node.max_below == 4 and node.deep is again
+        assert node.deep is again and node.deep.length == 4
 
     def test_remove_stale_reference_is_noop(self):
         # Removing an already-removed candidate after its tokens were
@@ -132,13 +133,15 @@ class TestInsert:
         right = trie.insert("abyzw")
         trie.remove(right)
         node = trie.root.children["a"].children["b"]
-        assert node.max_below == 3
-        assert node.deep is left
+        assert node.deep is left and node.deep.length == 3
 
 
 class TestMatching:
+    """The seed's explicit pointer scan: the reference semantics the
+    automaton engine is property-tested against (tests/test_matching.py)."""
+
     def test_simple_match(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         c = trie.insert("abc")
         completed = advance_all(trie, "xxabcyy")
         assert len(completed) == 1
@@ -147,7 +150,7 @@ class TestMatching:
         assert (match.start_index, match.end_index) == (2, 5)
 
     def test_overlapping_occurrences_all_reported(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("aa")
         completed = advance_all(trie, "aaaa")
         # matches at [0,2), [1,3), [2,4)
@@ -158,7 +161,7 @@ class TestMatching:
         ]
 
     def test_prefix_and_extension_both_complete(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         short = trie.insert("ab")
         long = trie.insert("abcd")
         completed = advance_all(trie, "abcd")
@@ -166,20 +169,20 @@ class TestMatching:
         assert kinds == {(2, 0), (4, 0)}
 
     def test_no_false_matches(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("abc")
         assert advance_all(trie, "ababab") == []
 
     def test_match_node_exposed(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("ab")
         trie.insert("abc")
         (m,) = advance_all(trie, "ab")
         assert m.node.depth == 2
-        assert m.node.max_below == 3
+        assert m.node.deep.length == 3
 
     def test_reset_pointers(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("abc")
         trie.advance("a", 0)
         trie.advance("b", 1)
@@ -187,7 +190,7 @@ class TestMatching:
         assert trie.advance("c", 2) == []
 
     def test_earliest_active_start(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("abc")
         trie.insert("bcx")
         assert trie.earliest_active_start() is None
@@ -198,14 +201,14 @@ class TestMatching:
         assert trie.earliest_active_start() == 0
 
     def test_multiple_candidates_same_token_prefix(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         c1 = trie.insert("ab")
         c2 = trie.insert("ac")
         done = advance_all(trie, "acab")
         assert [m.candidate for m in done] == [c2, c1]
 
     def test_self_overlapping_candidate_periodic_stream(self):
-        trie = CandidateTrie()
+        trie = PointerScanTrie()
         trie.insert("abab")
         completed = advance_all(trie, "ababab")
         starts = [m.start_index for m in completed]
