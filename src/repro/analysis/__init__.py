@@ -15,12 +15,11 @@ short of Algorithm 2 and motivates its design:
 * :mod:`repro.analysis.metrics` -- coverage/latency comparison helpers for
   the ablation benchmarks.
 
-All finders share the ``(tokens, min_length) -> list[Repeat]`` interface so
-they can be swapped into Apophenia via
-``ApopheniaConfig(repeats_algorithm=...)``: importing this package
-registers ``"lzw"`` / ``"tandem"`` / ``"quadratic"`` in
-:data:`repro.core.jobs.REPEATS_ALGORITHMS` (the core itself knows
-Algorithm 2 only). They also share Algorithm 2's
+All finders share Algorithm 2's ``(tokens, min_length) -> list[Repeat]``
+interface. The ablation calls them directly (:func:`finder_comparison`);
+they are not configuration -- the core runs Algorithm 2 only, and a
+test that wants another finder in the pipeline passes the function to
+:class:`~repro.core.jobs.JobExecutor`. They also share Algorithm 2's
 rank-compression contract: each finder compresses its window to dense
 integer ranks exactly once (:func:`repro.core.suffix_array.rank_compress`)
 and runs its inner loops over small ints, mapping back to the original
@@ -31,11 +30,6 @@ from repro.analysis.lzw import find_repeats_lzw
 from repro.analysis.tandem import find_tandem_repeats, tandem_repeats
 from repro.analysis.quadratic import find_repeats_quadratic
 from repro.analysis.metrics import finder_comparison
-from repro.core.jobs import REPEATS_ALGORITHMS
-
-REPEATS_ALGORITHMS.register("lzw", find_repeats_lzw)
-REPEATS_ALGORITHMS.register("tandem", find_tandem_repeats)
-REPEATS_ALGORITHMS.register("quadratic", find_repeats_quadratic)
 
 __all__ = [
     "find_repeats_lzw",

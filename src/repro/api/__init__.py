@@ -57,23 +57,16 @@ def registries():
     """Every plugin registry in the system, by name.
 
     One introspection point over the unified registry pattern: tracing
-    backends, configuration profiles, applications, fault plans, trace
-    formats, persisted-session-state formats, and phase graphs. Imported lazily so ``repro.api`` itself
-    stays light.
+    backends, configuration profiles, applications and phase graphs.
+    Imported lazily so ``repro.api`` itself stays light.
     """
     from repro.apps.base import APP_REGISTRY
     from repro.apps.generative import PHASE_GRAPHS
-    from repro.faults import FAULT_PLANS
-    from repro.persist import PERSIST_FORMATS
-    from repro.trace.format import TRACE_FORMATS
 
     return {
         "tracing_backends": TRACING_BACKENDS,
         "config_profiles": PROFILES,
         "apps": APP_REGISTRY,
-        "fault_plans": FAULT_PLANS,
-        "trace_formats": TRACE_FORMATS,
-        "persist_formats": PERSIST_FORMATS,
         "phase_graphs": PHASE_GRAPHS,
     }
 

@@ -102,7 +102,7 @@ def _parse_env_value(field, raw):
         return int(raw)
     if ftype is float:
         return float(raw)
-    return raw  # str and the repeats_algorithm object field
+    return raw  # str and the fault_plan object field
 
 
 def env_overrides(env=None):

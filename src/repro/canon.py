@@ -40,11 +40,15 @@ def digest(payload):
 
 def require(mapping, field, types, kind, error, nullable=False):
     """``mapping[field]``, checked: present, and an instance of ``types``
-    (or ``None`` where ``nullable``); anything else raises ``error``."""
+    (or ``None`` where ``nullable``); anything else raises ``error``. A
+    ``bool`` is no ``int`` here: it passes only where ``types`` names
+    ``bool``."""
     value = mapping.get(field, _MISSING)
     if value is _MISSING:
         raise error(f"{kind} is missing {field!r}")
-    if not (isinstance(value, types) or (nullable and value is None)):
+    typed = isinstance(value, types) and (
+        bool in types or not isinstance(value, bool))
+    if not (typed or (nullable and value is None)):
         raise error(
             f"{kind} field {field!r} must be "
             f"{'/'.join(t.__name__ for t in types)}, "
@@ -53,16 +57,4 @@ def require(mapping, field, types, kind, error, nullable=False):
     return value
 
 
-def reader(formats, version, what, error):
-    """The schema class ``formats`` (a ``"v<version>"``-keyed registry)
-    holds for ``version``; an unknown version raises ``error``."""
-    try:
-        return formats[f"v{version}"]
-    except (KeyError, ValueError) as exc:
-        raise error(
-            f"no reader for {what} version {version!r}; "
-            f"known: {formats.names()}"
-        ) from exc
-
-
-__all__ = ["digest", "dumps", "loads", "reader", "require"]
+__all__ = ["digest", "dumps", "loads", "require"]

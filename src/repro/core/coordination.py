@@ -40,14 +40,12 @@ class IngestCoordinator:
     ----------
     initial_margin_ops:
         Starting margin (operations after submission) at which analysis
-        results are ingested.
-    growth_factor:
-        Multiplier applied to the margin whenever any node had to wait.
+        results are ingested; it doubles (at least) whenever any node
+        had to wait.
     """
 
-    def __init__(self, initial_margin_ops=128, growth_factor=2.0):
+    def __init__(self, initial_margin_ops=128):
         self.margin_ops = initial_margin_ops
-        self.growth_factor = growth_factor
         self.nodes = set()  # live node ids: who must consume each entry
         self._agreed = {}  # job_index -> agreed ingest op (fixed at first ask)
         self._consumed = {}  # job_index -> node ids that ingested past it
@@ -92,8 +90,7 @@ class IngestCoordinator:
         """
         self.waits += 1
         needed = self.margin_ops + max(1, lateness_ops)
-        grown = int(self.margin_ops * self.growth_factor)
-        self.margin_ops = max(needed, grown)
+        self.margin_ops = max(needed, 2 * self.margin_ops)
         return self.margin_ops
 
     def retire(self, job_index, node):

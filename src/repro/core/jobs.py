@@ -34,30 +34,6 @@ from repro.faults import (
     MiningFault,
     resolve_fault_plan,
 )
-from repro.registry import Registry, RegistryError
-
-#: Artifact-style algorithm name -> ``(tokens, min_length) -> repeats``
-#: callable. The core knows Algorithm 2 only; the Section 4.2 baselines
-#: kept for the ablations (``lzw`` / ``tandem`` / ``quadratic``) register
-#: themselves when :mod:`repro.analysis` is imported.
-REPEATS_ALGORITHMS = Registry("repeats algorithm", {
-    "quick_matching_of_substrings": find_repeats,
-})
-
-
-def resolve_repeats_algorithm(name):
-    """The callable for an artifact-style algorithm name (a callable is
-    taken as given); unknown names raise the registry's ``ValueError``
-    listing the known ones."""
-    if callable(name):
-        return name
-    try:
-        return REPEATS_ALGORITHMS[name]
-    except RegistryError as exc:
-        raise RegistryError(
-            f"{exc} (the ablation baselines register on "
-            "`import repro.analysis`)"
-        ) from None
 
 #: Sentinel for a job whose mining work has not run yet.
 _UNMINED = object()
@@ -254,9 +230,6 @@ class JobExecutor:
     memo_capacity:
         Number of recent ``(window, min_length) -> result`` entries kept in
         a private :class:`MiningMemo`. Set to 0 to disable.
-    memo_token_budget:
-        Optional size-aware admission budget for the private memo, in
-        tokens (see :class:`MiningMemo`). ``None`` keeps entry-count LRU.
     memo:
         An externally owned :class:`MiningMemo` to use instead of a private
         one -- this is how replicated nodes share one cache. When given,
@@ -288,7 +261,6 @@ class JobExecutor:
         per_token_latency_ops=0.05,
         node_id=0,
         memo_capacity=8,
-        memo_token_budget=None,
         memo=None,
         fault_plan=None,
         stream_key=None,
@@ -297,7 +269,7 @@ class JobExecutor:
     ):
         self.repeats_algorithm = repeats_algorithm
         if memo is None and memo_capacity:
-            memo = MiningMemo(memo_capacity, token_budget=memo_token_budget)
+            memo = MiningMemo(memo_capacity)
         self.memo = memo
         self.fault_plan = resolve_fault_plan(fault_plan)
         self.deadline_tokens = deadline_tokens
@@ -434,7 +406,6 @@ def stream_keywords(config, node_id=0):
     return dict(
         node_id=node_id,
         base_latency_ops=config.job_base_latency_ops,
-        per_token_latency_ops=config.job_per_token_latency_ops,
         quarantine_threshold=config.fault_quarantine_threshold,
     )
 
@@ -445,10 +416,6 @@ def executor_from_config(config, node_id=0, stream_key=None, memo=None):
     owned :class:`MiningMemo` (how the replicas of one session share a
     cache)."""
     return JobExecutor(
-        repeats_algorithm=resolve_repeats_algorithm(config.repeats_algorithm),
-        # memo_capacity rides along for the memo=None case: a config that
-        # disables the memo must not fall back to a default-capacity one.
-        memo_capacity=config.mining_memo_capacity,
         memo=memo,
         fault_plan=config.fault_plan,
         stream_key=stream_key,

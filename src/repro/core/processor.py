@@ -20,11 +20,12 @@ appendix (``-lg:auto_trace:*``).
 
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
-from typing import Optional
+from typing import Optional, get_args
 
+from repro import canon
 from repro.core.finder import TraceFinder
 from repro.core.hashing import TaskHasher
-from repro.core.jobs import executor_from_config, resolve_repeats_algorithm
+from repro.core.jobs import executor_from_config
 from repro.core.matching import AutomatonMatchEngine
 from repro.core.replayer import TraceReplayer
 from repro.core.scoring import ScoringPolicy
@@ -37,9 +38,8 @@ def _decision(default):
     (candidates, scores, op clocks, agreed ingest points) is only valid
     under the marked values that produced it, so ``repro.persist``
     records this slice and refuses to hydrate across a mismatch. The
-    mining algorithm and the deployment knobs (service, replication,
-    fault and spill tier) are left unmarked on purpose: a state may
-    hydrate across any of them.
+    deployment knobs (service, replication, fault and spill tier) are
+    left unmarked on purpose: a state may hydrate across any of them.
     """
     return field(default=default, metadata={"decision": True})
 
@@ -47,6 +47,13 @@ def _decision(default):
 @dataclass(frozen=True)
 class ApopheniaConfig:
     """Tuning knobs, named after the artifact's command-line flags.
+
+    A field is a knob some deployment sets. What the paper fixes is not
+    here: Algorithm 2 as the repeat finder, the 8-entry window memo and
+    the per-token job latency are :class:`~repro.core.jobs.JobExecutor`
+    defaults, the scoring constants (count cap 16, decay 1e-4, replay
+    bonus 1.1) :class:`~repro.core.scoring.ScoringPolicy` defaults --
+    constructor arguments a test may pass, not configuration.
 
     Attributes
     ----------
@@ -64,22 +71,15 @@ class ApopheniaConfig:
         ruler-function sampling schedule.
     identifier_algorithm:
         ``"multi-scale"`` (the paper's scheme) or ``"fixed"``.
-    repeats_algorithm:
-        ``"quick_matching_of_substrings"`` (Algorithm 2), or one of the
-        baselines ``"lzw"``, ``"tandem"``, ``"quadratic"`` for ablations.
-    mining_memo_capacity:
-        Recent identical-window mining results remembered by the
-        :class:`~repro.core.jobs.JobExecutor` (0 disables the memo).
-    count_cap / decay_rate / replay_bonus:
-        Scoring policy parameters (Section 4.3).
     hysteresis:
         Strength of the realized-replay-share weighting in trace
         scoring (see :class:`~repro.core.scoring.ScoringPolicy`); 0
         (the default) reproduces the paper's scoring exactly, positive
         values stop misaligned full-buffer candidates from churning a
         profitably replaying steady state.
-    job_base_latency_ops / job_per_token_latency_ops:
-        Completion model of asynchronous mining jobs, in operations.
+    job_base_latency_ops:
+        Fixed part of an asynchronous mining job's completion time, in
+        operations.
     initial_ingest_margin_ops:
         Starting margin of the distributed ingestion agreement.
     num_nodes:
@@ -136,14 +136,8 @@ class ApopheniaConfig:
     batchsize: int = _decision(5000)
     multi_scale_factor: int = _decision(250)
     identifier_algorithm: str = _decision("multi-scale")
-    repeats_algorithm: object = "quick_matching_of_substrings"
-    mining_memo_capacity: int = 8
-    count_cap: int = _decision(16)
-    decay_rate: float = _decision(1e-4)
-    replay_bonus: float = _decision(1.1)
     hysteresis: float = _decision(0.0)
     job_base_latency_ops: int = _decision(50)
-    job_per_token_latency_ops: float = _decision(0.05)
     initial_ingest_margin_ops: int = _decision(128)
     num_nodes: int = 2
     max_sessions: int = 64
@@ -174,7 +168,8 @@ class ApopheniaConfig:
         return replace(self, **kwargs)
 
     def validate(self):
-        """Check cross-field invariants; returns ``self`` for chaining.
+        """Check each field's type and the cross-field invariants;
+        returns ``self`` for chaining.
 
         Raises ``ValueError`` naming the offending field. Construction
         stays unvalidated (experiments deliberately build degenerate
@@ -182,6 +177,15 @@ class ApopheniaConfig:
         backend is built, so misconfiguration fails fast at the client
         surface instead of deep in a mining job.
         """
+        for f in fields(self):
+            # ``Optional[int]`` is (int, NoneType), a float field takes an
+            # int, and ``fault_plan`` (an ``object``) is resolved below.
+            types = get_args(f.type) or (f.type,)
+            if float in types:
+                types += (int,)
+            if object not in types:
+                canon.require(vars(self), f.name, types, "config",
+                              ValueError)
         if self.min_trace_length < 2:
             raise ValueError(
                 f"min_trace_length must be >= 2, got {self.min_trace_length}"
@@ -207,12 +211,11 @@ class ApopheniaConfig:
                 "identifier_algorithm must be 'multi-scale' or 'fixed', "
                 f"got {self.identifier_algorithm!r}"
             )
-        resolve_repeats_algorithm(self.repeats_algorithm)
         if self.hysteresis < 0:
             raise ValueError(
                 f"hysteresis must be >= 0, got {self.hysteresis}"
             )
-        for name in ("mining_memo_capacity", "shared_memo_capacity",
+        for name in ("shared_memo_capacity",
                      "job_base_latency_ops", "initial_ingest_margin_ops"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
@@ -240,9 +243,6 @@ class ApopheniaConfig:
         # repeats up to batchsize/2 tokens), so only candidates within
         # reach of that scale ever pay the realized-share discount.
         return ScoringPolicy(
-            count_cap=self.count_cap,
-            decay_rate=self.decay_rate,
-            replay_bonus=self.replay_bonus,
             hysteresis=self.hysteresis,
             hysteresis_min_length=self.batchsize // 8,
         )

@@ -41,7 +41,12 @@ from dataclasses import dataclass
 
 @dataclass(frozen=True)
 class ScoringPolicy:
-    """Tunable knobs of the trace scoring function."""
+    """Parameters of the trace scoring function.
+
+    ``count_cap`` / ``decay_rate`` / ``replay_bonus`` are the paper's
+    constants; only tests pass other values. ``hysteresis`` and its
+    length gate come from :meth:`ApopheniaConfig.scoring_policy`.
+    """
 
     count_cap: int = 16
     decay_rate: float = 1e-4  # per task since last appearance

@@ -28,7 +28,6 @@ Plans flow through :class:`~repro.core.processor.ApopheniaConfig`
 variable can configure chaos runs without code changes.
 """
 
-from repro.registry import Registry
 from repro.stablehash import mix64, stable_hash
 
 #: Probe backoff is capped so a permanently faulty tenant still gets
@@ -115,7 +114,7 @@ class FaultPlan:
         fail *identically*, which is what keeps injected faults
         decision-neutral across the replica set.
     mining_failure_rate / mining_overrun_rate / mining_delay_rate:
-        Independent-per-job probabilities (summed, must stay <= 1) of
+        Independent-per-job probabilities (each in [0, 1], summed too) of
         raising from the mining algorithm, overrunning the soft
         deadline, and completing ``mining_delay_ops`` late.
     fail_jobs:
@@ -138,8 +137,14 @@ class FaultPlan:
                  mining_overrun_rate=0.0, mining_delay_rate=0.0,
                  mining_delay_ops=100, fail_jobs=None, drop_nodes=(),
                  streams=None):
-        total = mining_failure_rate + mining_overrun_rate + mining_delay_rate
-        if not 0.0 <= total <= 1.0:
+        rates = {"mining_failure_rate": mining_failure_rate,
+                 "mining_overrun_rate": mining_overrun_rate,
+                 "mining_delay_rate": mining_delay_rate}
+        for name, rate in rates.items():
+            if not 0.0 <= rate <= 1.0:
+                raise ValueError(f"{name} must be within [0, 1], got {rate}")
+        total = sum(rates.values())
+        if total > 1.0:
             raise ValueError(
                 f"fault rates must sum to within [0, 1], got {total}"
             )
@@ -234,18 +239,16 @@ def parse_fault_spec(text):
     if text.lower() in ("", "null", "none", "off"):
         return NULL_FAULT_PLAN
     kwargs = {}
-    for item in text.split(","):
-        item = item.strip()
-        if not item:
-            continue
-        if "=" not in item:
-            raise ValueError(
-                f"bad fault spec item {item!r} (expected key=value)"
-            )
-        key, _, raw = item.partition("=")
-        key = key.strip()
-        raw = raw.strip()
-        try:
+    try:
+        for item in text.split(","):
+            item = item.strip()
+            if not item:
+                continue
+            key, eq, raw = item.partition("=")
+            if not eq:
+                raise ValueError(f"item {item!r} is not key=value")
+            key = key.strip()
+            raw = raw.strip()
             if key in ("seed", "mining_delay_ops"):
                 kwargs[key] = int(raw)
             elif key in ("mining_failure_rate", "mining_overrun_rate",
@@ -264,11 +267,10 @@ def parse_fault_spec(text):
                 kwargs[key] = tuple(raw.split("+"))
             else:
                 raise ValueError(f"unknown fault spec key {key!r}")
-        except ValueError as exc:
-            raise ValueError(
-                f"bad fault spec {text!r}: {exc}"
-            ) from None
-    return FaultPlan(**kwargs)
+        # Inside the ``try``: a value FaultPlan refuses is a bad spec too.
+        return FaultPlan(**kwargs)
+    except ValueError as exc:
+        raise ValueError(f"bad fault spec {text!r}: {exc}") from None
 
 
 def resolve_fault_plan(plan):
@@ -289,13 +291,6 @@ def resolve_fault_plan(plan):
         f"fault_plan must be None, a spec string, or a FaultPlan-shaped "
         f"object; got {plan!r}"
     )
-
-
-#: The fault-plan plugin point, surfaced by ``repro.api.registries()``.
-FAULT_PLANS = Registry("fault plan", {
-    "null": NullFaultPlan,
-    "seeded": FaultPlan,
-})
 
 
 class CircuitBreaker:
@@ -377,7 +372,6 @@ class CircuitBreaker:
 
 __all__ = [
     "CircuitBreaker",
-    "FAULT_PLANS",
     "FaultPlan",
     "InjectedMiningFault",
     "MAX_PROBE_BACKOFF",

@@ -9,13 +9,11 @@ Public surface:
   ``Session.dehydrate()`` and ``open_session(..., state=...)``;
   :func:`dehydrate_processor` snapshots a processor no backend serves);
 * :class:`SessionStateStore` -- the token-budgeted LRU spill tier the
-  service parks evicted tenants' states in;
-* :data:`PERSIST_FORMATS` -- the schema-version registry.
+  service parks evicted tenants' states in.
 """
 
 from repro.persist.state import (
     FORMAT_NAME,
-    PERSIST_FORMATS,
     PersistFormatError,
     PersistFormatV1,
     SessionState,
@@ -27,7 +25,6 @@ from repro.persist.store import SessionStateStore
 
 __all__ = [
     "FORMAT_NAME",
-    "PERSIST_FORMATS",
     "PersistFormatError",
     "PersistFormatV1",
     "SessionState",

@@ -40,8 +40,8 @@ that field is ignored (its tasks were already forwarded).
 Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
 byte-identically, and the payload carries a :func:`repro.canon.digest`
-stamp checked on load (tamper detection). Schema versions are plugin points in
-:data:`PERSIST_FORMATS`, mirroring :data:`repro.trace.TRACE_FORMATS`.
+stamp checked on load (tamper detection). :class:`PersistFormatV1` is the
+one schema; a document of any other version is refused.
 """
 
 import itertools
@@ -52,7 +52,6 @@ from repro.core.jobs import AnalysisJob, completion_op
 from repro.core.processor import ApopheniaConfig
 from repro.core.repeats import Repeat
 from repro.metrics import MARKS, owned_by, processor_owners
-from repro.registry import Registry
 
 FORMAT_NAME = "repro-session-state"
 
@@ -176,11 +175,6 @@ class PersistFormatV1:
         return payload
 
 
-#: Schema plugin point: ``"v<version>" -> format class`` (the same
-#: pattern as :data:`repro.trace.TRACE_FORMATS`).
-PERSIST_FORMATS = Registry("persist format", {"v1": PersistFormatV1})
-
-
 class SessionState:
     """One dehydrated session: an immutable, digest-stamped payload.
 
@@ -203,10 +197,6 @@ class SessionState:
     @property
     def backend(self):
         return self.payload.get("backend")
-
-    @property
-    def version(self):
-        return self.payload["version"]
 
     @property
     def num_candidates(self):
@@ -252,10 +242,7 @@ class SessionState:
         payload = canon.loads(text, "session state", PersistFormatError)
         if not isinstance(payload, dict):
             raise PersistFormatError("session state must be a JSON object")
-        schema = canon.reader(PERSIST_FORMATS, payload.get("version"),
-                              "state", PersistFormatError)
-        schema.validate(payload)
-        return cls(payload).verify()
+        return cls(PersistFormatV1.validate(payload)).verify()
 
     def dump(self, path):
         """Write the state to ``path``; returns the path."""
@@ -521,12 +508,13 @@ def hydrate_processor(processor, state):
             job["submitted_at_op"],
             # Recomputed, not recorded: completion times carry per-node
             # jitter, so each replica derives its own from its node id
-            # -- exactly the value its uninterrupted run would hold.
+            # and its executor's completion model -- exactly the value
+            # its uninterrupted run would hold.
             completion_op(
                 job["submitted_at_op"],
                 job["num_tokens"],
-                config.job_base_latency_ops,
-                config.job_per_token_latency_ops,
+                executor.base_latency_ops,
+                executor.per_token_latency_ops,
                 processor.node_id,
                 job["job_id"],
             ),
@@ -563,7 +551,6 @@ def hydrate_processor(processor, state):
 
 __all__ = [
     "FORMAT_NAME",
-    "PERSIST_FORMATS",
     "PersistFormatError",
     "PersistFormatV1",
     "SessionState",

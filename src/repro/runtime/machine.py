@@ -14,8 +14,6 @@ relative throughput, and interconnect latency/bandwidth.
 
 from dataclasses import dataclass
 
-from repro.registry import Registry
-
 
 @dataclass(frozen=True)
 class MachineConfig:
@@ -75,5 +73,3 @@ EOS = MachineConfig(
     network_latency=1.1e-5,
     network_bandwidth=4.0e10,
 )
-
-MACHINES = Registry("machine", {m.name: m for m in (PERLMUTTER, EOS)})

@@ -179,9 +179,6 @@ class ReplicatedBackend(SessionPool):
     runtime_factory:
         :class:`~repro.runtime.session.RuntimeSessionFactory`, the spec
         one runtime per node replica is built from.
-    num_nodes:
-        Replica count override for sessions opened without their own
-        config; defaults to ``config.num_nodes``.
     coordinate:
         ``False`` disables the agreement protocol -- every node ingests
         at its own completion times, which *diverges* under per-node
@@ -192,15 +189,8 @@ class ReplicatedBackend(SessionPool):
     #: :class:`repro.api.TracingBackend` discriminator.
     backend_kind = "replicated"
 
-    def __init__(self, config=None, runtime_factory=None, num_nodes=None,
-                 coordinate=True):
+    def __init__(self, config=None, runtime_factory=None, coordinate=True):
         super().__init__(config, runtime_factory)
-        if num_nodes is not None:
-            # Rebase the config so every consumer -- per-session config
-            # layering included -- sees the backend's replica count; a
-            # bare attribute would be silently dropped the moment a
-            # session layered an unrelated override onto the config.
-            self.config = self.config.with_overrides(num_nodes=num_nodes)
         self.num_nodes = self.config.num_nodes
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
@@ -242,10 +232,7 @@ class ReplicatedBackend(SessionPool):
         # windows, so node 0's analysis answers nodes 1..N-1 --
         # decision-neutral because results are pure functions of the
         # window.
-        memo = (
-            MiningMemo(config.mining_memo_capacity)
-            if config.mining_memo_capacity else None
-        )
+        memo = MiningMemo()
         processors = [
             ApopheniaProcessor(
                 runtimes[node],

@@ -47,7 +47,7 @@ the historical behaviour -- the tenant restarts cold.
 from operator import add
 
 from repro import metrics
-from repro.core.jobs import resolve_repeats_algorithm, stream_keywords
+from repro.core.jobs import stream_keywords
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.errors import SessionClosedError
 from repro.persist import SessionStateStore, dehydrate, hydrate_processor
@@ -425,12 +425,11 @@ class ApopheniaService(SessionPool):
     config:
         :class:`~repro.core.processor.ApopheniaConfig`; the service reads
         the service knobs (``max_sessions``, ``shared_memo_capacity``,
-        ``shared_memo_token_budget``) plus the mining algorithm, the
-        fault plan and the mining deadline, and uses the
-        rest as the default per-session configuration. ``open_session``
-        may override the per-session part, but not the mining algorithm:
-        all tenants share one executor, and the shared memo is only safe
-        while every tenant computes the same pure function of the window.
+        ``shared_memo_token_budget``) plus the fault plan and the mining
+        deadline, and uses the rest as the default per-session
+        configuration. ``open_session`` may override the per-session
+        part; all tenants share one executor, whose one mining algorithm
+        keeps the shared memo a pure function of the window.
     runtime_factory:
         :class:`~repro.runtime.session.RuntimeSessionFactory` used when a
         session is opened without an application-provided runtime.
@@ -442,9 +441,6 @@ class ApopheniaService(SessionPool):
     def __init__(self, config=None, runtime_factory=None):
         super().__init__(config, runtime_factory)
         self.executor = SharedJobExecutor(
-            repeats_algorithm=resolve_repeats_algorithm(
-                self.config.repeats_algorithm
-            ),
             memo_capacity=self.config.shared_memo_capacity,
             memo_token_budget=self.config.shared_memo_token_budget,
             fault_plan=self.config.fault_plan,

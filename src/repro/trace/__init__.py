@@ -4,8 +4,7 @@ Three pieces (see ISSUE 8 / the ROADMAP's scenario-diversity item):
 
 * :class:`TraceRecorder` -- hooks a :class:`repro.api.Session` and
   serializes its task stream to the versioned JSON-lines format of
-  :mod:`repro.trace.format` (:data:`TRACE_FORMATS` is the schema
-  registry);
+  :mod:`repro.trace.format`;
 * :class:`TraceReplayHarness` -- rebuilds the shadow region forest and
   re-issues a captured trace against any backend, asserting the
   decision stream is byte-identical to the capture digest;
@@ -17,7 +16,6 @@ Command line: ``python -m repro.trace {capture,replay,show,corpus}``.
 """
 
 from repro.trace.format import (
-    TRACE_FORMATS,
     TraceDocument,
     TraceFormatError,
     TraceFormatV1,
@@ -34,7 +32,6 @@ from repro.trace.replay import (
 __all__ = [
     "REPLAY_BACKENDS",
     "ReplayVerdict",
-    "TRACE_FORMATS",
     "TraceDocument",
     "TraceFormatError",
     "TraceFormatV1",

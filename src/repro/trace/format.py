@@ -20,14 +20,12 @@ A trace file is one JSON object per line:
   the capture session's :class:`~repro.api.SessionSnapshot` decisions
   (the byte-identity target a re-drive must hit).
 
-Schema versions are plugin points in :data:`TRACE_FORMATS`; readers
-dispatch on the header's ``version`` so future schemas can coexist with
-checked-in v1 corpus files.
+:class:`TraceFormatV1` is the one schema; a header of any other
+``version`` is refused.
 """
 
 from repro import canon
 from repro.core.processor import ApopheniaConfig
-from repro.registry import Registry
 from repro.stablehash import stable_digest
 
 FORMAT_NAME = "repro-trace"
@@ -46,10 +44,10 @@ def config_to_dict(config):
     The header records *every* ``ApopheniaConfig`` field, so a re-drive
     runs under exactly the captured knobs. Only JSON-scalar (or ``None``)
     values can be recorded: ``fault_plan`` spec *strings* survive (they
-    are how chaos runs are recorded everywhere else); resolved plan
-    objects and callable knobs (a custom ``repeats_algorithm``) do not --
-    their names are listed under ``config_dropped`` so the reader knows
-    the recorded config is partial, rather than silently lost.
+    are how chaos runs are recorded everywhere else); a resolved plan
+    object does not -- its name is listed under ``config_dropped`` so
+    the reader knows the recorded config is partial, rather than
+    silently lost.
     """
     fields, dropped = {}, []
     for name in ApopheniaConfig.field_names():
@@ -63,7 +61,8 @@ def config_to_dict(config):
 
 def config_from_dict(fields):
     """Rebuild an :class:`~repro.core.processor.ApopheniaConfig`
-    (unknown keys, e.g. from a newer writer, are ignored)."""
+    (unknown keys -- a retired knob, or one from a newer writer -- are
+    ignored)."""
     names = ApopheniaConfig.field_names()
     return ApopheniaConfig(
         **{k: v for k, v in fields.items() if k in names}
@@ -191,10 +190,6 @@ class TraceFormatV1:
         return None
 
 
-#: Schema plugin point: ``"v<version>" -> format class``.
-TRACE_FORMATS = Registry("trace format", {"v1": TraceFormatV1})
-
-
 def stream_digest(records):
     """Process-stable digest of the canonical event stream."""
     keys = []
@@ -226,10 +221,6 @@ class TraceDocument:
     # Introspection
     # ------------------------------------------------------------------
     @property
-    def version(self):
-        return self.header["version"]
-
-    @property
     def app(self):
         return self.header.get("app")
 
@@ -242,8 +233,14 @@ class TraceDocument:
         return self.footer["tasks"]
 
     def config(self):
-        """The recorded :class:`ApopheniaConfig` (dropped fields default)."""
-        return config_from_dict(self.header["config"])
+        """The recorded :class:`ApopheniaConfig` (dropped fields default),
+        validated: the header is outside the stream digest, so a value of
+        the wrong type or out of range raises :class:`TraceFormatError`
+        here rather than deep inside a re-drive."""
+        try:
+            return config_from_dict(self.header["config"]).validate()
+        except ValueError as exc:
+            raise TraceFormatError(f"header config: {exc}") from None
 
     def events(self):
         """Iterate the stream events (iteration/task/flush) in order."""
@@ -312,17 +309,11 @@ class TraceDocument:
         header = parsed[0]
         if not isinstance(header, dict) or header.get("record") != "header":
             raise TraceFormatError("first line must be the header record")
-        if header.get("format") != FORMAT_NAME:
-            raise TraceFormatError(
-                f"not a {FORMAT_NAME} file: format={header.get('format')!r}"
-            )
-        schema = canon.reader(TRACE_FORMATS, header.get("version"),
-                              "schema", TraceFormatError)
         footer = parsed[-1]
         if not isinstance(footer, dict) or footer.get("record") != "end":
             raise TraceFormatError("last line must be the end record")
         for record in parsed:
-            schema.validate(record)
+            TraceFormatV1.validate(record)
         return cls(header, parsed[1:-1], footer)
 
     @classmethod

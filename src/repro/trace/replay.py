@@ -168,8 +168,9 @@ class TraceReplayHarness:
         """Re-drive the stream; returns a :class:`ReplayVerdict`."""
         document = self.document.verify()
         config = (
-            self.config if self.config is not None else document.config()
-        ).validate()
+            self.config.validate() if self.config is not None
+            else document.config()
+        )
         _, regions = rebuild_forest(document)
         backend_obj = self._resolve_backend(config)
         session_id = (

@@ -327,14 +327,17 @@ class TestConfigBuilder:
         ).max_trace_length is None
 
     def test_stale_selection_variables_are_ignored(self):
-        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE`` and the service
+        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE``, the service
         scheduler's ``REPRO_MAX_OUTSTANDING_JOBS`` /
-        ``REPRO_LANE_OUTSTANDING_QUOTA`` named fields that no longer
-        exist: a leftover value (even a once-invalid one) is ignored
-        like any other unknown ``REPRO_*`` variable."""
+        ``REPRO_LANE_OUTSTANDING_QUOTA`` and the paper constants'
+        ``REPRO_DECAY_RATE`` / ``REPRO_REPEATS_ALGORITHM`` named fields
+        that no longer exist: a leftover value (even a once-invalid one)
+        is ignored like any other unknown ``REPRO_*`` variable."""
         stale = {"REPRO_SA_BACKEND": "btree", "REPRO_MATCH_ENGINE": "nope",
                  "REPRO_MAX_OUTSTANDING_JOBS": "2",
-                 "REPRO_LANE_OUTSTANDING_QUOTA": "0"}
+                 "REPRO_LANE_OUTSTANDING_QUOTA": "0",
+                 "REPRO_DECAY_RATE": "0.5",
+                 "REPRO_REPEATS_ALGORITHM": "lzw"}
         assert build_config(env=stale) == build_config(env={})
         assert build_config(
             config=ApopheniaConfig(), env=stale
@@ -353,8 +356,12 @@ class TestConfigBuilder:
             dict(max_trace_length=3, min_trace_length=5),
             dict(identifier_algorithm="psychic"),
             dict(num_nodes=0),
-            dict(repeats_algorithm="grep"),
             dict(max_sessions=0),
+            dict(batchsize="abc"),
+            dict(batchsize=None),
+            dict(hysteresis="high"),
+            dict(num_nodes=True),
+            dict(max_candidates=2.5),
             dict(shared_memo_token_budget=0),
             dict(session_state_budget=0),
         ],
@@ -389,8 +396,8 @@ class TestConfigBuilder:
                     read.add(node.attr)
                 pending.extend(ast.iter_child_nodes(node))
         fields = ApopheniaConfig.field_names()
-        assert len(fields) == 24
-        assert len(ApopheniaConfig.decision_fields()) == 14
+        assert len(fields) == 18
+        assert len(ApopheniaConfig.decision_fields()) == 10
         assert [name for name in fields if name not in read] == []
 
 
@@ -398,8 +405,7 @@ class TestRegistries:
     def test_uniform_pattern_across_plugin_points(self):
         registries = api.registries()
         assert set(registries) == {
-            "tracing_backends", "config_profiles", "apps", "fault_plans",
-            "trace_formats", "persist_formats", "phase_graphs",
+            "tracing_backends", "config_profiles", "apps", "phase_graphs",
         }
         for registry in registries.values():
             assert isinstance(registry, Registry)

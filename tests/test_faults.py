@@ -33,13 +33,11 @@ from repro.core.jobs import JobExecutor, MiningMemo
 from repro.core.processor import ApopheniaConfig
 from repro.experiments.multi_tenant import run_service
 from repro.faults import (
-    FAULT_PLANS,
     MAX_PROBE_BACKOFF,
     NULL_FAULT_PLAN,
     CircuitBreaker,
     FaultPlan,
     MiningFault,
-    NullFaultPlan,
     parse_fault_spec,
     resolve_fault_plan,
 )
@@ -149,6 +147,20 @@ class TestFaultPlan:
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="rates"):
             FaultPlan(mining_failure_rate=0.8, mining_delay_rate=0.3)
+        # Each rate on its own, not just the sum: a negative rate used to
+        # hide inside a legal total and halve the delayed jobs.
+        for name in ("mining_failure_rate", "mining_overrun_rate",
+                     "mining_delay_rate"):
+            for rate in (-0.5, 1.5):
+                with pytest.raises(ValueError, match=name):
+                    FaultPlan(**{name: rate})
+        with pytest.raises(ValueError, match="mining_overrun_rate"):
+            FaultPlan(mining_overrun_rate=-0.5, mining_delay_rate=1.0)
+        with pytest.raises(ValueError,
+                           match="bad fault spec.*mining_failure_rate"):
+            parse_fault_spec(
+                "seed=3,mining_failure_rate=-0.5,mining_delay_rate=1.0"
+            )
         with pytest.raises(ValueError, match="fail_jobs"):
             FaultPlan(fail_jobs=(5, 2))
         with pytest.raises(ValueError, match="mining_delay_ops"):
@@ -213,10 +225,6 @@ class TestFaultPlan:
         assert plan.active
         assert cfg.fault_quarantine_threshold == 4
 
-    def test_fault_plans_registry_surfaced(self):
-        assert api.registries()["fault_plans"] is FAULT_PLANS
-        assert FAULT_PLANS["null"] is NullFaultPlan
-        assert FAULT_PLANS["seeded"] is FaultPlan
 
 
 # ---------------------------------------------------------------------------

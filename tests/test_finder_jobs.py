@@ -200,18 +200,20 @@ class TestIngestCoordinator:
         assert c.agree(0, 50) == 150
 
     def test_margin_grows_on_wait(self):
-        c = IngestCoordinator(initial_margin_ops=100, growth_factor=2.0)
+        c = IngestCoordinator(initial_margin_ops=100)
         c.agree(0, 0)
         new = c.report_wait(0, lateness_ops=500)
         assert new >= 600
         assert c.waits == 1
         # Future jobs use the grown margin.
         assert c.agree(1, 1000) == 1000 + new
+        # A small lateness still doubles the margin.
+        assert c.report_wait(1, lateness_ops=1) == 2 * new
 
     def test_steady_state_no_more_waits(self):
         """After enough growth, ingest points exceed job latencies and the
         protocol stops stalling (the paper's steady-state claim)."""
-        c = IngestCoordinator(initial_margin_ops=1, growth_factor=2.0)
+        c = IngestCoordinator(initial_margin_ops=1)
         latency = 300
         waits = 0
         for job in range(20):

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.runtime.costmodel import CostModel, DEFAULT_COST_MODEL
-from repro.runtime.machine import EOS, MACHINES, PERLMUTTER
+from repro.runtime.machine import EOS, PERLMUTTER
 from repro.runtime.pipeline import Pipeline
 
 
@@ -99,10 +99,6 @@ class TestCostModel:
 
 
 class TestMachines:
-    def test_registry(self):
-        assert MACHINES["perlmutter"] is PERLMUTTER
-        assert MACHINES["eos"] is EOS
-
     def test_paper_configs(self):
         assert PERLMUTTER.gpus_per_node == 4  # 4x A100
         assert PERLMUTTER.gpu_memory_gb == 40.0

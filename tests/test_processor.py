@@ -118,7 +118,6 @@ class TestConfig:
             batchsize=5000,
             multi_scale_factor=500,
             identifier_algorithm="multi-scale",
-            repeats_algorithm="quick_matching_of_substrings",
         )
         assert cfg.min_trace_length == 25
         assert cfg.max_trace_length == 200
@@ -127,20 +126,6 @@ class TestConfig:
         cfg = ApopheniaConfig()
         assert cfg.with_overrides(batchsize=9).batchsize == 9
         assert cfg.batchsize == 5000
-
-    def test_unknown_repeats_algorithm(self):
-        rt = Runtime()
-        with pytest.raises(ValueError, match="import repro.analysis"):
-            ApopheniaProcessor(
-                rt, ApopheniaConfig(repeats_algorithm="nonsense")
-            )
-
-    def test_baseline_algorithms_resolvable(self):
-        import repro.analysis  # noqa: F401 -- registers the baselines
-
-        for name in ("lzw", "tandem", "quadratic", "quick_matching_of_substrings"):
-            rt = Runtime()
-            ApopheniaProcessor(rt, ApopheniaConfig(repeats_algorithm=name))
 
     def test_min_trace_length_respected(self):
         rt, proc, iteration = jacobi_fixture(analysis_mode="fast")

@@ -295,24 +295,14 @@ class TestBackendLifecycle:
             backend.open_session("s", runtimes=[_fast_runtime()])
 
     def test_backend_num_nodes_override_survives_session_overrides(self):
-        """The backend-level replica count is rebased onto the config,
-        so layering an unrelated per-session knob cannot silently drop
-        it back to the config default."""
-        backend = ReplicatedBackend(num_nodes=5)
-        assert backend.config.num_nodes == 5
+        """The backend's replica count is its config's, so layering an
+        unrelated per-session knob cannot drop it back to the default."""
+        backend = ReplicatedBackend(ApopheniaConfig(num_nodes=5))
+        assert backend.num_nodes == 5
         with open_session(
             "t", backend=backend, initial_ingest_margin_ops=50
         ) as session:
             assert session.handle.num_nodes == 5
-
-    def test_disabled_memo_stays_disabled_per_node(self):
-        """mining_memo_capacity=0 must not fall back to a private
-        default-capacity memo in each node executor."""
-        cfg = REPLICATED_CONFIG.with_overrides(mining_memo_capacity=0)
-        with open_session("nomemo", backend="replicated", config=cfg) as s:
-            assert all(
-                p.executor.memo is None for p in s.handle.processors
-            )
 
     def test_num_nodes_from_config_builder_and_env(self):
         assert build_config(env={}, num_nodes=5).num_nodes == 5

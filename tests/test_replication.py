@@ -26,7 +26,7 @@ CONFIG = ApopheniaConfig(
 def open_replicated(num_nodes, config=CONFIG):
     """One replicated session over caller-owned per-node runtimes (nodes
     own distinct region forests, so tasks are rebuilt per node)."""
-    backend = ReplicatedBackend(config, num_nodes=num_nodes)
+    backend = ReplicatedBackend(config.with_overrides(num_nodes=num_nodes))
     return backend.open_session(
         "replicated-run",
         runtimes=[Runtime(analysis_mode="fast") for _ in range(num_nodes)],
@@ -103,7 +103,7 @@ class TestAgreement:
 
     def test_rejects_zero_nodes(self):
         with pytest.raises(ValueError):
-            ReplicatedBackend(CONFIG, num_nodes=0)
+            ReplicatedBackend(CONFIG.with_overrides(num_nodes=0))
 
     def test_shared_coordinator_instance(self):
         """The replica set shares one coordinator -- the session's own."""

@@ -253,11 +253,12 @@ class TestSharedExecutor:
         ``result`` read -- before the service reaches its pump: the read
         runs the mining, and the pump then only drops the queue entry."""
         log = []
-        service = ApopheniaService(FAST_CONFIG.with_overrides(
-            repeats_algorithm=self._counting(log),
-            job_base_latency_ops=0, job_per_token_latency_ops=0.0,
-        ))
+        service = ApopheniaService(
+            FAST_CONFIG.with_overrides(job_base_latency_ops=0)
+        )
+        service.executor.repeats_algorithm = self._counting(log)
         handle = service.open_session("a")
+        handle.lane.per_token_latency_ops = 0.0
         pumped = []
         pump = service.executor.pump
         service.executor.pump = lambda: pumped.append(pump())

@@ -179,20 +179,24 @@ class TestRedriveParity:
         {"sa_backend": "doubling", "match_engine": "scan",
          "max_outstanding_jobs": 64, "lane_outstanding_quota": 16},
         {"max_outstanding_jobs": 2, "lane_outstanding_quota": 1},
-    ], ids=["null", "named", "parent-commit"])
+        {"repeats_algorithm": "quick_matching_of_substrings",
+         "mining_memo_capacity": 8, "count_cap": 16, "decay_rate": 1e-4,
+         "replay_bonus": 1.1, "job_per_token_latency_ops": 0.05},
+    ], ids=["null", "named", "parent-commit", "paper-constants"])
     def test_header_with_retired_config_keys_still_redrives(
             self, stale, corpus_docs):
         """Regression: traces captured before ``sa_backend`` and
         ``match_engine`` were retired carry 28 config keys; ones captured
         before the service scheduler's ``max_outstanding_jobs`` and
-        ``lane_outstanding_quota`` went (PR 15) carry 26. The loader
-        ignores keys that name no field (all four were
-        decision-neutral), so such a trace loads to the same config and
-        re-drives byte-identical on every backend."""
+        ``lane_outstanding_quota`` went (PR 15) carry 26; ones captured
+        before the paper's constants stopped being knobs carry 24, six
+        of them at the values the components now fix. The loader ignores
+        keys that name no field, so such a trace loads to the same config
+        and re-drives byte-identical on every backend."""
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
-        assert len(records[0]["config"]) == 24 + len(stale)
+        assert len(records[0]["config"]) == 18 + len(stale)
         old = TraceDocument.loads(
             "".join(canon.dumps(r) + "\n" for r in records)
         ).verify()
@@ -337,11 +341,32 @@ class TestFormatErrors:
             TraceDocument.loads(text)
 
     def test_unknown_schema_version(self, corpus_docs):
-        record = dict(corpus_docs["stencil"].header, version=99)
-        text = corpus_docs["stencil"].dumps()
-        text = canon.dumps(record) + "\n" + text.split("\n", 1)[1]
-        with pytest.raises(TraceFormatError, match="version 99"):
-            TraceDocument.loads(text)
+        text = corpus_docs["stencil"].dumps().split("\n", 1)[1]
+        for version in (99, 2, 0, "1", None, True):
+            record = dict(corpus_docs["stencil"].header, version=version)
+            with pytest.raises(TraceFormatError, match="version"):
+                TraceDocument.loads(canon.dumps(record) + "\n" + text)
+
+    @pytest.mark.parametrize("bad", [
+        {"batchsize": "abc"},
+        {"min_trace_length": 1},
+        {"multi_scale_factor": None},
+    ], ids=["wrong-type", "out-of-range", "null-number"])
+    def test_header_config_fails_closed(self, bad, corpus_docs):
+        """The header is outside the stream digest, so a hand-edited
+        config loads and verifies; reading it raises the format's own
+        error instead of a ``TypeError`` deep inside the re-drive."""
+        records = [json.loads(line)
+                   for line in corpus_docs["stencil"].dumps().splitlines()]
+        records[0]["config"].update(bad)
+        document = TraceDocument.loads(
+            "".join(canon.dumps(r) + "\n" for r in records)
+        ).verify()
+        field = next(iter(bad))
+        with pytest.raises(TraceFormatError, match=field):
+            document.config()
+        with pytest.raises(TraceFormatError, match=field):
+            TraceReplayHarness(document).run()
 
     def test_unknown_record_kind(self):
         with pytest.raises(TraceFormatError, match="unknown record kind"):
@@ -372,8 +397,6 @@ class TestFormatErrors:
 class TestRegistryExposure:
     def test_trace_registries_in_api(self):
         registries = api.registries()
-        assert isinstance(registries["trace_formats"], Registry)
-        assert registries["trace_formats"]["v1"] is TraceFormatV1
         assert isinstance(registries["phase_graphs"], Registry)
         assert {"steady", "baseline", "nested", "adversarial"} <= set(
             registries["phase_graphs"]
