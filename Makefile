@@ -33,11 +33,13 @@ bench-diff:
 
 ## Where one workload's submit time goes: one warm round, one round under
 ## cProfile (top functions by self time), and wall-clock accumulators for
-## the functions named in WALL (module:attribute.path, comma-separated).
+## the functions named in WALL (module:attribute.path, comma-separated);
+## GC=1 adds a round under a gc.callbacks probe (pauses per generation,
+## tracked objects at full collections, what the young ones promote).
 ## Sizes work; claims go through bench/run.py.
 WORKLOAD ?= steady_s3d
 profile:
-	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL))
+	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL)) $(if $(GC),--gc)
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

@@ -2,7 +2,7 @@
 """Where does ``submit`` spend its time on one benchmark workload?
 
     python3 scripts/profile_submit.py <workload> [--seed N] [--top K]
-                                      [--wall name,...] [--quick]
+                                      [--wall name,...] [--quick] [--gc]
 
 Builds one ``bench/workloads.py`` workload exactly as ``bench/run.py``
 does (both are imported, nothing under ``bench/`` is changed), runs one
@@ -18,6 +18,13 @@ candidates and distorts their sizes -- and reported as calls, total,
 median, max and the number of calls over 1 ms: the ones that are the
 ``submit_p999_cal_us`` population.
 
+``--gc`` runs one further round with the profiler off under a
+``gc.callbacks`` probe and prints, per generation, the collections, their
+total and maximum pause and the µs/task they cost; the tracked-object
+count at each full collection; and the types most common among the
+objects a young collection is about to promote (both young generations
+are counted at the start of each generation-1 collection).
+
 This sizes work; it measures nothing against a bound. Claims go through
 ``bench/run.py``.
 """
@@ -32,6 +39,7 @@ import pstats
 import statistics
 import sys
 import time
+from collections import Counter
 from pathlib import Path
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -120,6 +128,55 @@ class WallClock:
                   f"{sum(d >= BURST_S for d in durations):>6}")
 
 
+class GcProbe:
+    """A ``gc.callbacks`` probe over one round: pause per generation,
+    tracked objects at each full collection, and a census by type of
+    the young generations at each generation-1 start (what that
+    collection promotes to generation 2, less what it frees)."""
+
+    def __init__(self):
+        self.pauses = {generation: [] for generation in range(3)}
+        self.tracked = []
+        self.promoted = Counter()
+        self._start = None
+
+    def __enter__(self):
+        gc.callbacks.append(self._on_gc)
+        return self
+
+    def __exit__(self, *exc_info):
+        gc.callbacks.remove(self._on_gc)
+
+    def _on_gc(self, phase, info):
+        generation = info["generation"]
+        if phase == "stop":
+            self.pauses[generation].append(time.perf_counter() - self._start)
+            return
+        # The census runs before the clock starts: it is not the pause.
+        if generation == 2:
+            self.tracked.append(len(gc.get_objects()))
+        elif generation == 1:
+            for young in (0, 1):
+                self.promoted.update(
+                    type(o).__name__ for o in gc.get_objects(young)
+                )
+        self._start = time.perf_counter()
+
+    def report(self, tasks, top):
+        print(f"{'gc generation':<16}{'collections':>12}{'total ms':>10}"
+              f"{'us/task':>9}{'max ms':>9}")
+        for generation, pauses in self.pauses.items():
+            total = sum(pauses)
+            print(f"{'gen ' + str(generation):<16}{len(pauses):>12}"
+                  f"{total * 1e3:>10.1f}{total / tasks * 1e6:>9.2f}"
+                  f"{max(pauses, default=0.0) * 1e3:>9.1f}")
+        print("tracked objects at each full collection:",
+              ", ".join(f"{n:,}" for n in self.tracked) or "none")
+        print(f"young objects at generation-1 starts, top {top} types:")
+        for name, count in self.promoted.most_common(top):
+            print(f"  {name:<40}{count:>12,}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=list(WORKLOADS))
@@ -131,6 +188,8 @@ def main(argv=None):
                              " to time with the profiler off")
     parser.add_argument("--quick", action="store_true",
                         help="the benchmark's smoke-test size")
+    parser.add_argument("--gc", action="store_true",
+                        help="one more round under a gc.callbacks probe")
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
@@ -151,6 +210,10 @@ def main(argv=None):
         with WallClock(names) as wall:
             tasks = one_round(workload, templates)
         wall.report(tasks)
+    if args.gc:
+        probe = GcProbe()
+        tasks = one_round(workload, templates, profile=probe)
+        probe.report(tasks, args.top)
     return 0
 
 

@@ -14,8 +14,11 @@ whole set collapses into a single automaton state (the deepest live
 node) plus the trie's suffix links (``TrieNode.fail``), exactly the
 Aho–Corasick construction. One token costs one child lookup (amortized)
 instead of one per pointer, root dispatch is token-indexed by
-construction (a token that begins no candidate is one failed dict probe),
-and completed matches fall out of the ``out`` links.
+construction (``CandidateTrie.heads``: a token that begins no candidate
+is one failed dict probe), and completed matches fall out of the ``out``
+links. Below the root a child lookup walks the node's sibling list
+(``kid`` / ``sib``, see :mod:`repro.core.trie`) in place; mined tries
+are almost all single-child chains, so that is one comparison.
 
 Exactness is load-bearing: the tbegin/tend decision stream must be a
 pure function of tokens + ingested candidates (Section 5.1's
@@ -169,13 +172,15 @@ class AutomatonMatchEngine:
         matched = None
         while True:
             if s is root:
-                matched = s.children.get(token)
+                matched = self.trie.heads.get(token)
                 break
             # Pre-token liveness: entry of depth d was born at tick
             # (ticks-1) - d + 1 and started at stream index `index - d`.
             if (born_base - s.depth > epoch
                     or index - s.depth in frozen):
-                child = s.children.get(token)
+                child = s.kid
+                while child is not None and child.token != token:
+                    child = child.sib
                 if child is not None:
                     matched = child
                     break
@@ -209,7 +214,7 @@ class AutomatonMatchEngine:
         # drops them from its survivor list.
         s = matched
         while s is not root and (
-            not s.children
+            s.kid is None
             or not (born_base - s.depth + 1 > epoch
                     or index + 1 - s.depth in frozen)
         ):
@@ -244,8 +249,8 @@ class AutomatonMatchEngine:
         frozen = self._frozen
         s = self._state
         while s is not root:
-            if s.children and (born_base - s.depth + 1 > epoch
-                               or index + 1 - s.depth in frozen):
+            if s.kid is not None and (born_base - s.depth + 1 > epoch
+                                      or index + 1 - s.depth in frozen):
                 yield index + 1 - s.depth, s
             s = s.fail
 
@@ -268,8 +273,8 @@ class AutomatonMatchEngine:
         old_frozen = self._frozen
         s = self._state
         while s is not root:
-            if s.children and (born_base - s.depth + 1 > epoch
-                               or index + 1 - s.depth in old_frozen):
+            if s.kid is not None and (born_base - s.depth + 1 > epoch
+                                      or index + 1 - s.depth in old_frozen):
                 frozen.add(index + 1 - s.depth)
             s = s.fail
         self._frozen = frozenset(frozen)
@@ -284,9 +289,10 @@ class AutomatonMatchEngine:
         docstring for the three steps.
         """
         root = self.trie.root
+        child_of = self.trie.child
         node = root
         for i, token in enumerate(tokens):
-            child = node.children[token]
+            child = child_of(node, token)
             if child.fail is None:
                 break
             node = child
@@ -296,16 +302,14 @@ class AutomatonMatchEngine:
             return
         fresh = []
         for token in tokens[i:]:
-            parent, node = node, node.children[token]
+            parent, node = node, child_of(node, token)
             fresh.append(node)
-            # 1. Link the new node: the usual goto walk.
-            fail = root
-            if parent is not root:
-                fail = parent.fail
-                while fail is not root and token not in fail.children:
-                    fail = fail.fail
-                fail = fail.children.get(token, root)
-            node.fail = fail
+            # 1. Link the new node: the usual goto walk, falling off the
+            #    root (its fail is None) when no suffix extends by `token`.
+            fail = parent.fail
+            while fail is not None and child_of(fail, token) is None:
+                fail = fail.fail
+            fail = node.fail = root if fail is None else child_of(fail, token)
             # 2. Adopt every existing node whose longest trie suffix the
             #    new node now is: those ending in `token` that failed to
             #    the root, or else the `token` children of the parent's
@@ -325,7 +329,7 @@ class AutomatonMatchEngine:
                 while stack:
                     y = stack.pop()
                     while y is not None:
-                        c = y.children.get(token)
+                        c = child_of(y, token)
                         if c is not None:
                             moves.append(c)
                         elif y.fchild is not None:
@@ -398,27 +402,40 @@ class AutomatonMatchEngine:
         single ingest on a linked trie goes through :meth:`_relink`.
         """
         root = self.trie.root
-        root.fail = None
-        root.out = None
+        heads = self.trie.heads
+        root.fail = root.out = None
         root.chain_len = 0
-        buckets = self._root_fails = {}
-        queue = deque([root])
+        # A depth-1 node fails to the root and is alone in its token's
+        # bucket: every deeper node ending in that token fails to it or
+        # below.
+        buckets = self._root_fails = dict(heads)
+        for child in heads.values():
+            child.fail = root
+            child.out = child.fchild = child.fnext = child.fprev = None
+            child.chain_len = 1
+        queue = deque(heads.values())
         while queue:
             node = queue.popleft()
-            for token, child in node.children.items():
-                # The goto walk and _link, inlined: this loop is the
-                # whole of a hydrated session's first advance.
-                fail = root
-                if node is not root:
-                    fail = node.fail
-                    while fail is not root and token not in fail.children:
-                        fail = fail.fail
-                    fail = fail.children.get(token, root)
-                child.fail = fail
+            child = node.kid
+            while child is not None:
+                # The goto walk and _link, inlined over the sibling
+                # lists: this loop is the whole of a hydrated session's
+                # first advance.
+                token = child.token
+                fail = node.fail
+                while fail is not root:
+                    found = fail.kid
+                    while found is not None and found.token != token:
+                        found = found.sib
+                    if found is not None:
+                        break
+                    fail = fail.fail
+                else:
+                    found = heads.get(token, root)
+                fail = child.fail = found
                 child.out = fail if fail.candidate is not None else fail.out
                 child.chain_len = fail.chain_len + 1
-                child.fchild = None
-                child.fprev = None
+                child.fchild = child.fprev = None
                 if fail is root:
                     head = child.fnext = buckets.get(token)
                     buckets[token] = child
@@ -428,6 +445,7 @@ class AutomatonMatchEngine:
                 if head is not None:
                     head.fprev = child
                 queue.append(child)
+                child = child.sib
         self._built_version = self.trie.version
 
 

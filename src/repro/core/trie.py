@@ -20,16 +20,31 @@ carry (``fail`` / ``out`` / ``chain_len``, plus the reverse suffix links
 seed's explicit pointer scan -- one object per pointer, re-walked on
 every token -- is the reference the parity suites compare the engine
 against, and lives with them under ``tests/``.
+
+Node shape. A node is one object and holds no container: its children
+form a singly linked sibling list (``kid`` is the first child, ``sib``
+the next one, ``token`` the label of the edge into a node), appended at
+the tail, so children enumerate in insertion order. The root's children
+are the one token-indexed dispatch dict, :attr:`CandidateTrie.heads`.
+Mined tries are almost all single-child chains thousands of nodes deep,
+so a dict per node was more memory than the node and most of what the
+collector walked. How a node stores its children is local; the links
+between nodes are agreed state, and do not move.
 """
 
 
 class TrieNode:
     """One node of the candidate trie.
 
+    ``token`` labels the edge into the node, ``kid`` is its first child
+    and ``sib`` its next sibling (the root's children are
+    :attr:`CandidateTrie.heads`, so its ``kid`` stays ``None``).
+
     ``deep`` references the deepest candidate at or below this node (its
     length against ``depth`` says how much further a match here could
     still extend); the replayer uses it to decide whether a completed
-    match is worth deferring.
+    match is worth deferring. No pointer is ever at the root, so the
+    root's stays ``None``.
 
     ``fail`` / ``out`` / ``chain_len`` are the automaton links of
     :class:`~repro.core.matching.AutomatonMatchEngine` (deepest proper
@@ -44,7 +59,9 @@ class TrieNode:
     """
 
     __slots__ = (
-        "children",
+        "token",
+        "kid",
+        "sib",
         "candidate",
         "depth",
         "deep",
@@ -56,8 +73,10 @@ class TrieNode:
         "fprev",
     )
 
-    def __init__(self, depth=0):
-        self.children = {}
+    def __init__(self, depth=0, token=None):
+        self.token = token  # label of the edge into this node
+        self.kid = None  # first child
+        self.sib = None  # next child of the same parent
         self.candidate = None  # TraceCandidate terminating here, if any
         self.depth = depth
         self.deep = None  # deepest TraceCandidate at or below this node
@@ -146,6 +165,8 @@ class CandidateTrie:
 
     def __init__(self):
         self.root = TrieNode()
+        #: The root's children: token -> depth-1 node.
+        self.heads = {}
         self.candidates = {}  # trace_id -> TraceCandidate
         self._by_tokens = {}  # tokens tuple -> TraceCandidate
         self._next_id = 0
@@ -153,6 +174,15 @@ class CandidateTrie:
         #: or removed); the automaton matcher uses it to invalidate its
         #: links when the trie is mutated behind its back.
         self.version = 0
+
+    def child(self, node, token):
+        """``node``'s child on ``token``, or ``None``."""
+        if node is self.root:
+            return self.heads.get(token)
+        child = node.kid
+        while child is not None and child.token != token:
+            child = child.sib
+        return child
 
     # ------------------------------------------------------------------
     # Ingestion
@@ -173,13 +203,20 @@ class CandidateTrie:
         length = len(tokens)
         path = []
         for token in tokens:
-            path.append(node)
-            child = node.children.get(token)
+            child = self.child(node, token)
             if child is None:
-                child = TrieNode(node.depth + 1)
-                node.children[token] = child
+                child = TrieNode(node.depth + 1, token)
+                if node is self.root:
+                    self.heads[token] = child
+                elif node.kid is None:
+                    node.kid = child
+                else:
+                    last = node.kid
+                    while last.sib is not None:
+                        last = last.sib
+                    last.sib = child  # the tail: insertion order
             node = child
-        path.append(node)
+            path.append(node)
         candidate = TraceCandidate(self._next_id, tokens)
         for visited in path:
             if visited.deep is None or length > visited.deep.length:
@@ -206,39 +243,42 @@ class CandidateTrie:
 
         ``deep`` is recomputed bottom-up along the removed candidate's
         path: a node whose deepest candidate was the removed one must
-        fall back to the next-deepest survivor, or the replayer would keep
+        fall back to the next-deepest survivor (the first child's, in
+        insertion order, among equals), or the replayer would keep
         deferring matches waiting for an extension that can no longer
         complete. Branches left with no candidate at or below them are
-        pruned so dead tokens stop spawning active pointers.
+        unlinked from their parent, so dead tokens stop spawning active
+        pointers.
 
         Returns ``True`` when the candidate was actually removed,
         ``False`` for stale references (a no-op).
         """
         if self._by_tokens.get(candidate.tokens) is not candidate:
             return False  # stale reference: tokens are not (or no longer) its
-        node = self.root
-        path = [node]
+        node, path = self.root, []  # a live candidate's path is intact
         for token in candidate.tokens:
-            node = node.children.get(token)
-            if node is None:
-                return False
+            node = self.child(node, token)
             path.append(node)
-        if node.candidate is candidate:
-            node.candidate = None
+        node.candidate = None
         self.candidates.pop(candidate.trace_id, None)
         del self._by_tokens[candidate.tokens]
         self.version += 1
-        for i in range(len(path) - 1, -1, -1):
-            node = path[i]
+        for node in reversed(path):
             deepest = node.candidate
-            for child in node.children.values():
-                if child.deep is not None and (
-                    deepest is None or child.deep.length > deepest.length
-                ):
+            prev, child = None, node.kid
+            while child is not None:
+                # Every child but the one just emptied holds a candidate.
+                if child.deep is None:
+                    if prev is None:
+                        node.kid = child.sib
+                    else:
+                        prev.sib = child.sib
+                elif deepest is None or child.deep.length > deepest.length:
                     deepest = child.deep
+                prev, child = child, child.sib
             node.deep = deepest
-            if i > 0 and not node.children and deepest is None:
-                del path[i - 1].children[candidate.tokens[i - 1]]
+        if path[0].deep is None:
+            del self.heads[path[0].token]
         return True
 
     def __len__(self):

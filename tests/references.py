@@ -48,7 +48,7 @@ class PointerScanTrie(CandidateTrie):
         completed = []
         survivors = []
         for pointer in self.active:
-            child = pointer.node.children.get(token)
+            child = self.child(pointer.node, token)
             if child is None:
                 continue  # FilterInvalidCandidates
             pointer.node = child
@@ -58,15 +58,15 @@ class PointerScanTrie(CandidateTrie):
                         child.candidate, pointer.start_index, index + 1, child
                     )
                 )
-            if child.children:
+            if child.kid is not None:
                 survivors.append(pointer)
-        root_child = self.root.children.get(token)
+        root_child = self.heads.get(token)
         if root_child is not None:
             if root_child.candidate is not None:
                 completed.append(
                     CompletedMatch(root_child.candidate, index, index + 1, root_child)
                 )
-            if root_child.children:
+            if root_child.kid is not None:
                 survivors.append(ActivePointer(root_child, index))
         self.active = survivors
         return completed

@@ -56,3 +56,30 @@ class TestProfileSubmit:
         }
         assert sorted(rows) == sorted(wall.split(","))
         assert all(int(row[0]) > 0 for row in rows.values())  # calls
+
+    def test_gc_probe_prints_pauses_and_promotions(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "profile_submit.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "tenant_churn", "--quick",
+             "--seed", "3", "--top", "5", "--gc"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        start = lines.index(next(line for line in lines
+                                 if line.startswith("gc generation")))
+        rows = [line.split() for line in lines[start + 1:start + 4]]
+        assert [row[:2] for row in rows] == [
+            ["gen", "0"], ["gen", "1"], ["gen", "2"],
+        ]
+        assert int(rows[0][2]) > 0  # a 2,000-task round collects gen 0
+        full = lines[start + 4].split(":", 1)
+        assert full[0] == "tracked objects at each full collection"
+        assert (full[1].strip() == "none") == (rows[2][2] == "0")
+        assert lines[start + 5] == \
+            "young objects at generation-1 starts, top 5 types:"
+        census = [line.split() for line in lines[start + 6:]
+                  if line.startswith("  ")]
+        assert len(census) == (5 if int(rows[1][2]) else 0)
+        assert all(int(row[-1].replace(",", "")) > 0 for row in census)

@@ -7,7 +7,8 @@ candidate set, which replicas must agree on -- so the incremental path
 has to leave every link exactly where a from-scratch construction puts
 it. :class:`RelinkMachine` drives one engine through arbitrary
 interleavings of ``insert`` (periodic rotations and multiples of one
-unit, plus random tokens), ``remove``, ``advance`` and ``reset`` and,
+unit, random tokens, and prefixes that branch into siblings),
+``remove``, ``advance`` and ``reset`` and,
 after every step, compares every node's ``(fail, out, chain_len)`` with
 links computed straight from their definitions, and checks that every
 node sits in exactly its ``fail``'s reverse list.
@@ -42,12 +43,16 @@ from repro.core.processor import ApopheniaConfig
 def node_paths(trie):
     """``{path tuple: node}`` over every node of ``trie``, root = ()."""
     paths = {(): trie.root}
-    stack = [((), trie.root)]
+    stack = [((token,), node) for token, node in trie.heads.items()]
     while stack:
         path, node = stack.pop()
-        for token, child in node.children.items():
-            paths[path + (token,)] = child
-            stack.append((path + (token,), child))
+        assert node.token == path[-1] and node.depth == len(path)
+        assert trie.child(paths[path[:-1]], path[-1]) is node
+        paths[path] = node
+        child = node.kid
+        while child is not None:
+            stack.append((path + (child.token,), child))
+            child = child.sib
     return paths
 
 
@@ -146,6 +151,26 @@ class RelinkMachine(RuleBasedStateMachine):
             st.integers(0, self.alphabet - 1), min_size=1, max_size=40,
         ), label="tokens"))
 
+    @rule(data=st.data())
+    def insert_branching(self, data):
+        """Candidates that share a prefix and then diverge, so one node
+        gets several children: a cut of a held candidate when there is
+        one (a cut at 0 diverges at the root), else a random prefix."""
+        symbols = st.integers(0, self.alphabet - 1)
+        held = sorted(self.engine.trie.candidates.values(),
+                      key=lambda c: c.trace_id)
+        if held:
+            stem = data.draw(st.sampled_from(held), label="stem").tokens
+            cut = data.draw(st.integers(0, len(stem)), label="cut")
+            prefix = list(stem[:cut])
+        else:
+            prefix = data.draw(st.lists(symbols, max_size=20), label="prefix")
+        tails = data.draw(st.lists(
+            st.lists(symbols, min_size=1, max_size=6), min_size=2, max_size=4,
+        ), label="tails")
+        for tail in tails:
+            self.engine.insert(prefix + tail)
+
     @precondition(lambda self: len(self.engine))
     @rule(data=st.data())
     def remove(self, data):
@@ -217,6 +242,11 @@ class TestRelinkOracleExamples:
         assert before == {
             id(n): n.chain_len for n in node_paths(engine.trie).values()
         }
+
+    def test_siblings_under_one_node(self):
+        # "a" gets the children b, c, d one insert at a time, and "abd"
+        # then hangs below the first of them.
+        self.linked("bd", "ab", "acx", "ad", "abd", "d")
 
     def test_periodic_multiples_and_rotations(self):
         unit = "abcd"

@@ -256,8 +256,6 @@ class TestWorthWaitingEdges:
         """A pointer whose node's deepest candidate ends exactly at the
         node (``deep.length == node.depth``) cannot complete anything
         deeper and must not hold a deferral open."""
-        from repro.core.trie import TrieNode
-
         h = Harness(min_trace_length=2)
         h.replayer.ingest([Repeat("ab", [0, 5])])
         h.feed("ab")  # completes; no longer candidate exists anywhere
@@ -265,25 +263,28 @@ class TestWorthWaitingEdges:
         if match is None:  # already fired: the wait correctly ended
             assert [t[1] for t in h.traces()] == [("a", "b")]
             return
-        # Direct policy check with a hand-built exhausted node.
-        node = TrieNode(depth=2)
-        node.children = {"x": TrieNode(depth=3)}
-        node.deep = h.replayer.trie.find("ab")
+        # Direct policy check with the exhausted node itself.
+        trie = h.replayer.trie
+        node = trie.child(trie.child(trie.root, "a"), "b")
+        assert node.deep is trie.find("ab")
         assert node.deep.length == node.depth
         assert not h.replayer.policy.worth_waiting(
             match, 2, iter([(0, node)])
         )
 
     def test_pointer_with_no_deep_is_ignored(self):
-        from repro.core.trie import CompletedMatch, TrieNode
+        from repro.core.trie import CandidateTrie, CompletedMatch
 
         h = Harness(min_trace_length=2)
         h.replayer.ingest([Repeat("ab", [0, 5])])
         h.feed("ab")
         cand = h.replayer.trie.find("ab")
         match = CompletedMatch(cand, 0, 2)
-        node = TrieNode(depth=1)
-        node.children = {"x": TrieNode(depth=2)}
+        # A node whose only candidate was removed: nothing is below it.
+        trie = CandidateTrie()
+        trie.insert("xy")
+        node = trie.child(trie.root, "x")
+        trie.remove(trie.find("xy"))
         assert node.deep is None
         assert not h.replayer.policy.worth_waiting(
             match, 2, iter([(0, node)])
@@ -292,14 +293,14 @@ class TestWorthWaitingEdges:
     def test_pointer_past_match_end_breaks_scan(self):
         """Pointers starting at or beyond the match end never justify
         waiting (they consume only stream beyond the match)."""
-        from repro.core.trie import CompletedMatch, TrieNode
+        from repro.core.trie import CompletedMatch
 
         h = Harness(min_trace_length=2)
         h.replayer.ingest([Repeat("ab", [0, 5]), Repeat("abcde", [0, 10])])
-        cand = h.replayer.trie.find("ab")
-        deep_node = TrieNode(depth=1)
-        deep_node.children = {"b": TrieNode(depth=2)}
-        deep_node.deep = h.replayer.trie.find("abcde")
+        trie = h.replayer.trie
+        cand = trie.find("ab")
+        deep_node = trie.child(trie.root, "a")
+        assert deep_node.depth == 1 and deep_node.deep is trie.find("abcde")
         match = CompletedMatch(cand, 0, 2)
         # Same node, but the pointer starts at the match end: no wait.
         assert not h.replayer.policy.worth_waiting(

@@ -107,14 +107,18 @@ class TestHysteresis:
 
     def test_worth_waiting_suppresses_dirty_speculation(self):
         from repro.core.scoring import ReplayDecisionPolicy
-        from repro.core.trie import CompletedMatch, TrieNode
 
         scoring = ScoringPolicy(hysteresis=2.0, decay_rate=0.0)
         policy = ReplayDecisionPolicy(scoring)
         held = self.fired(200, fires=8, gap_tokens=0)  # proven, clean
         dirty = self.fired(210, fires=8, gap_tokens=420)  # share 0.8
-        node = TrieNode(depth=50)
-        node.children = {"x": TrieNode(depth=51)}
+        # A pointer 50 tokens into a trie holding the dirty candidate.
+        trie = CandidateTrie()
+        trie.insert(dirty.tokens)
+        node = trie.root
+        for token in dirty.tokens[:50]:
+            node = trie.child(node, token)
+        assert node.depth == 50 and node.kid is not None
         node.deep = dirty
         match = CompletedMatch(held, 0, 200)
         # Raw scoring would wait (210 > 200 at full cap + bonus); the

@@ -1,9 +1,11 @@
 """Candidate trie structure, and the reference pointer scan over it."""
 
+import gc
+
 import pytest
 
 from references import PointerScanTrie
-from repro.core.trie import CandidateTrie
+from repro.core.trie import CandidateTrie, TrieNode
 
 
 def advance_all(trie, tokens, start=0):
@@ -11,6 +13,28 @@ def advance_all(trie, tokens, start=0):
     for i, token in enumerate(tokens, start=start):
         completed.extend(trie.advance(token, i))
     return completed
+
+
+def node_at(trie, tokens):
+    """The node ``tokens`` spells from the root, or ``None``."""
+    node = trie.root
+    for token in tokens:
+        node = trie.child(node, token)
+        if node is None:
+            return None
+    return node
+
+
+def labels(trie, node):
+    """``node``'s children's tokens, in enumeration order."""
+    if node is trie.root:
+        return list(trie.heads)
+    tokens = []
+    child = node.kid
+    while child is not None:
+        tokens.append(child.token)
+        child = child.sib
+    return tokens
 
 
 class TestInsert:
@@ -57,10 +81,10 @@ class TestInsert:
         trie = CandidateTrie()
         short = trie.insert("ab")
         long = trie.insert("abcd")
-        node = trie.root.children["a"]
+        node = node_at(trie, "a")
         assert node.depth == 1
         assert node.deep is long and node.deep.length == 4
-        terminal = node.children["b"]
+        terminal = trie.child(node, "b")
         assert terminal.candidate is short
         assert terminal.depth == 2 and terminal.deep is long
 
@@ -79,9 +103,9 @@ class TestInsert:
         short = trie.insert("ab")
         long = trie.insert("abcd")
         trie.remove(long)
-        node = trie.root.children["a"]
+        node = node_at(trie, "a")
         assert node.deep is short and node.deep.length == 2
-        terminal = node.children["b"]
+        terminal = trie.child(node, "b")
         # The deepest candidate now ends here: nothing can extend a match.
         assert terminal.deep is short
         assert terminal.deep.length == terminal.depth == 2
@@ -92,7 +116,8 @@ class TestInsert:
         long = trie.insert("abcd")
         trie.remove(long)
         # The c/d tail held no other candidate; it must not spawn pointers.
-        assert "c" not in trie.root.children["a"].children["b"].children
+        assert trie.child(node_at(trie, "ab"), "c") is None
+        assert node_at(trie, "ab").kid is None
         (m,) = advance_all(trie, "ab")
         assert m.candidate is short
 
@@ -101,7 +126,7 @@ class TestInsert:
         long = trie.insert("abcd")
         short = trie.insert("ab")
         trie.remove(short)
-        node = trie.root.children["a"].children["b"]
+        node = node_at(trie, "ab")
         assert node.candidate is None
         assert node.deep is long and node.deep.length == 4
         (m,) = advance_all(trie, "abcd")
@@ -113,7 +138,7 @@ class TestInsert:
         trie.remove(long)
         again = trie.insert("abcd")
         assert again is not long
-        node = trie.root.children["a"]
+        node = node_at(trie, "a")
         assert node.deep is again and node.deep.length == 4
 
     def test_remove_stale_reference_is_noop(self):
@@ -132,8 +157,85 @@ class TestInsert:
         left = trie.insert("abx")
         right = trie.insert("abyzw")
         trie.remove(right)
-        node = trie.root.children["a"].children["b"]
+        node = node_at(trie, "ab")
         assert node.deep is left and node.deep.length == 3
+
+
+class TestNodeShape:
+    """One object per node: children are a sibling list (the root's are
+    the ``heads`` dict), kept in insertion order and unlinked in place."""
+
+    @pytest.mark.parametrize("n", [1, 2, 50])
+    def test_an_n_token_candidate_adds_n_nodes_and_no_dict(self, n):
+        trie = CandidateTrie()
+        tokens = tuple(range(1000, 1000 + n))
+        # The trie's own tables start untracked (empty) and become
+        # tracked by this insert; they are not new objects.
+        own = {id(trie.heads), id(trie.candidates), id(trie._by_tokens)}
+        gc.collect()
+        gc.disable()
+        try:
+            before = {id(o) for o in gc.get_objects()}
+            trie.insert(tokens)
+            added = [type(o) for o in gc.get_objects()
+                     if id(o) not in before and id(o) not in own]
+        finally:
+            gc.enable()
+        assert added.count(TrieNode) == n
+        assert added.count(dict) == 0
+        assert not hasattr(trie.root, "__dict__")
+        assert "children" not in TrieNode.__slots__
+
+    def test_children_enumerate_in_insertion_order(self):
+        trie = CandidateTrie()
+        for tail in "zbqa":
+            trie.insert("p" + tail)
+            trie.insert(tail)
+        assert labels(trie, node_at(trie, "p")) == list("zbqa")
+        assert labels(trie, trie.root) == list("pzbqa")
+        assert trie.root.kid is None  # the root's children are `heads`
+
+    @pytest.mark.parametrize("prefix", ["", "p"], ids=["root", "node"])
+    @pytest.mark.parametrize("gone, left", [
+        ("x", "yz"),  # the head of the list
+        ("y", "xz"),  # the middle
+        ("z", "xy"),  # the tail
+    ])
+    def test_remove_unlinks_a_sibling_anywhere(self, prefix, gone, left):
+        trie = PointerScanTrie()
+        for tail in "xyz":
+            trie.insert(prefix + tail + "w")
+        parent = node_at(trie, prefix)
+        assert trie.remove(trie.find(prefix + gone + "w"))
+        assert labels(trie, parent) == list(left)
+        assert trie.child(parent, gone) is None
+        # Matching no longer reaches the pruned branch, and still
+        # reaches both of its siblings.
+        assert advance_all(trie, prefix + gone + "w") == []
+        for t in left:
+            trie.reset_pointers()
+            (m,) = advance_all(trie, prefix + t + "w")
+            assert m.candidate is trie.find(prefix + t + "w")
+
+    def test_a_reinserted_child_goes_to_the_tail(self):
+        trie = CandidateTrie()
+        for tail in "xyz":
+            trie.insert("p" + tail)
+        trie.remove(trie.find("px"))
+        trie.insert("px")
+        assert labels(trie, node_at(trie, "p")) == list("yzx")
+
+    def test_deep_falls_back_to_the_first_inserted_of_equal_length(self):
+        # `remove` keeps the first child's deep among equals, so the
+        # fallback is decided by insertion order, not by token order.
+        trie = CandidateTrie()
+        first = trie.insert("azq")
+        trie.insert("abq")
+        longest = trie.insert("amnop")
+        assert node_at(trie, "a").deep is longest
+        trie.remove(longest)
+        assert labels(trie, node_at(trie, "a")) == list("zb")
+        assert node_at(trie, "a").deep is first
 
 
 class TestMatching:
