@@ -35,6 +35,7 @@ import cProfile
 import functools
 import gc
 import importlib
+import inspect
 import pstats
 import statistics
 import sys
@@ -72,7 +73,11 @@ def one_round(workload, templates, profile=None):
 
 
 def resolve(name):
-    """``module:attr.path`` -> ``(owner, attribute name, function)``."""
+    """``module:attr.path`` -> ``(owner, attribute name, attribute)``.
+
+    The attribute is read as stored (``inspect.getattr_static``), so a
+    ``staticmethod`` or ``classmethod`` comes back as that object, not
+    as the function or bound method a plain ``getattr`` would give."""
     module_name, _, path = name.partition(":")
     if not path:
         raise ValueError(f"{name!r}: expected module:attribute.path")
@@ -80,7 +85,7 @@ def resolve(name):
     *parents, leaf = path.split(".")
     for part in parents:
         owner = getattr(owner, part)
-    return owner, leaf, getattr(owner, leaf)
+    return owner, leaf, inspect.getattr_static(owner, leaf)
 
 
 class WallClock:
@@ -92,14 +97,19 @@ class WallClock:
 
     def __enter__(self):
         for name, durations in self.durations.items():
-            owner, leaf, function = resolve(name)
-            self._patched.append((owner, leaf, function))
-            setattr(owner, leaf, self._timed(function, durations.append))
+            owner, leaf, stored = resolve(name)
+            self._patched.append((owner, leaf, stored))
+            if isinstance(stored, (staticmethod, classmethod)):
+                timed = self._timed(stored.__func__, durations.append)
+                timed = type(stored)(timed)  # re-wrap as what it was
+            else:
+                timed = self._timed(stored, durations.append)
+            setattr(owner, leaf, timed)
         return self
 
     def __exit__(self, *exc_info):
-        for owner, leaf, function in self._patched:
-            setattr(owner, leaf, function)
+        for owner, leaf, stored in self._patched:
+            setattr(owner, leaf, stored)
         self._patched.clear()
 
     @staticmethod

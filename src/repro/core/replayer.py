@@ -232,11 +232,13 @@ class TraceReplayer:
         dropped (if disjoint, it is rediscovered when the pending tail is
         reprocessed after the winner fires).
         """
-        held = self.policy.select(completed, self.deferred, index)
-        if held is not None and held is not self.deferred:
-            if self.deferred is None:
-                self.deferrals += 1
-            self.deferred = held
+        # ``select`` with nothing completed is the incumbent: skip it.
+        if completed:
+            held = self.policy.select(completed, self.deferred, index)
+            if held is not self.deferred:
+                if self.deferred is None:
+                    self.deferrals += 1
+                self.deferred = held
         if self.deferred is not None and not self.policy.worth_waiting(
             self.deferred, index, self.engine.pointers()
         ):
@@ -253,7 +255,9 @@ class TraceReplayer:
         trace_items = []
         while self.pending and self.pending[0][0] < match.end_index:
             trace_items.append(self.pending.popleft())
-        tail = list(self.pending)
+        # Detach the tail: a fire while it is re-fed swaps in a deque
+        # of its own, so this one is never mutated while it is iterated.
+        tail = self.pending
         self.pending = deque()
         self.store.record_fire(match.candidate)
         self._issue_trace(match.candidate, [item[1] for item in trace_items])
@@ -261,9 +265,9 @@ class TraceReplayer:
         self.traces_fired += 1
         # Reprocess the tail through the engine so matches that began
         # after the committed trace are rediscovered.
-        for index, task, token in tail:
-            self.pending.append((index, task, token))
-            self._advance(token, index)
+        for item in tail:
+            self.pending.append(item)
+            self._advance(item[2], item[0])
 
     def _issue_trace(self, candidate, tasks):
         """Issue a committed match, chunking to ``max_trace_length``."""
@@ -293,7 +297,8 @@ class TraceReplayer:
             bound = start if bound is None else min(bound, start)
         if bound is None:
             bound = self.stream_index
-        self._flush_upto(bound)
+        if self.pending and self.pending[0][0] < bound:
+            self._flush_upto(bound)
 
     def _flush_upto(self, bound):
         """Forward pending tasks with stream index < ``bound`` untraced."""

@@ -81,6 +81,17 @@ class ScoringPolicy:
             score *= self.replay_bonus
         return score
 
+    def ceiling(self, candidate):
+        """The candidate's undecayed score: :meth:`score` without the
+        decay factor, with the same operations in the same order. That
+        factor is at most 1 (``decay_rate >= 0``) and IEEE rounding is
+        monotone, so ``score(candidate, now) <= ceiling(candidate)``
+        holds exactly at every ``now``."""
+        ceiling = candidate.length * min(candidate.occurrences, self.count_cap)
+        if candidate.replayed:
+            ceiling *= self.replay_bonus
+        return ceiling
+
     def potential(self, candidate, now_index):
         """Optimistic score of a candidate if it were to complete now.
 
@@ -215,8 +226,16 @@ class ReplayDecisionPolicy:
         # holding is never made cheaper, only chasing. Untried
         # candidates keep the paper's optimistic potential, so
         # exploration is untouched.
+        #
+        # The held match's decayed score (an ``exp``) is the threshold.
+        # Almost every call returns on its first pointer, whose
+        # discounted potential clears even the undecayed ceiling, so the
+        # threshold is computed only when a pointer does not -- the
+        # answer and the suppression count are those of the decayed
+        # comparison throughout.
         scoring = self.scoring
-        threshold = scoring.score(match.candidate, now_index)
+        ceiling = scoring.ceiling(match.candidate)
+        threshold = None
         suppressed = False
         for start, node in pointers:
             if start >= match.end_index:
@@ -227,9 +246,14 @@ class ReplayDecisionPolicy:
             if deep is None or deep.length <= node.depth:
                 continue  # nothing deeper can complete from here
             potential = scoring.potential(deep, now_index)
+            discounted = potential * scoring.discount(deep)
+            if discounted > ceiling:
+                return True
+            if threshold is None:
+                threshold = scoring.score(match.candidate, now_index)
             if potential <= threshold:
                 continue
-            if potential * scoring.discount(deep) > threshold:
+            if discounted > threshold:
                 return True
             suppressed = True  # the paper's scoring would have waited
         if suppressed:

@@ -99,6 +99,7 @@ class TraceCandidate:
     __slots__ = (
         "trace_id",
         "tokens",
+        "length",
         "occurrences",
         "last_seen_at",
         "replayed",
@@ -111,6 +112,7 @@ class TraceCandidate:
     def __init__(self, trace_id, tokens):
         self.trace_id = trace_id
         self.tokens = tuple(tokens)
+        self.length = len(self.tokens)  # read on every serving step
         self.occurrences = 0
         self.last_seen_at = None
         self.replayed = False
@@ -126,10 +128,6 @@ class TraceCandidate:
         # the store on admission so Booth's algorithm runs once per
         # candidate rather than once per look-up.
         self.rotation_key = None
-
-    @property
-    def length(self):
-        return len(self.tokens)
 
     def __repr__(self):
         return (

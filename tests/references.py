@@ -12,6 +12,11 @@ the injection seams the production code keeps for them:
 * :func:`suffix_array_doubling` -- prefix doubling with a per-element
   lambda sort key. Passed as ``find_repeats(tokens,
   backend=suffix_array_doubling)`` or ``suffix_array(..., backend=...)``.
+* :func:`worth_waiting` -- the deferral check with the held match's
+  decayed score computed up front on every call. Called as
+  ``worth_waiting(policy, match, now_index, pointers)`` on a
+  :class:`~repro.core.scoring.ReplayDecisionPolicy`, beside that
+  policy's own method (``tests/test_scoring.py``).
 """
 
 from repro.core.trie import CandidateTrie, CompletedMatch
@@ -183,3 +188,38 @@ def suffix_array_doubling(s):
             break
         k <<= 1
     return order
+
+
+def worth_waiting(self, match, now_index, pointers):
+    """``ReplayDecisionPolicy.worth_waiting`` as it was before the score
+    ceiling: the held match's decayed score is the threshold, computed
+    before the first pointer is looked at. ``self`` is the policy; its
+    ``hysteresis_suppressed`` counter moves exactly as the method's."""
+    # Hysteresis discounts only the speculative side, and only for
+    # full-buffer-scale candidates with a realized record (see
+    # ``hysteresis_min_length``): the candidate being waited *for*
+    # pays for the misalignment gaps its past commits stranded,
+    # while the completed match in hand keeps its full score --
+    # holding is never made cheaper, only chasing. Untried
+    # candidates keep the paper's optimistic potential, so
+    # exploration is untouched.
+    scoring = self.scoring
+    threshold = scoring.score(match.candidate, now_index)
+    suppressed = False
+    for start, node in pointers:
+        if start >= match.end_index:
+            # Pointers arrive sorted by start: every later one
+            # also consumes only stream beyond the match.
+            break
+        deep = node.deep
+        if deep is None or deep.length <= node.depth:
+            continue  # nothing deeper can complete from here
+        potential = scoring.potential(deep, now_index)
+        if potential <= threshold:
+            continue
+        if potential * scoring.discount(deep) > threshold:
+            return True
+        suppressed = True  # the paper's scoring would have waited
+    if suppressed:
+        self.hysteresis_suppressed += 1
+    return False

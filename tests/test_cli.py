@@ -57,6 +57,23 @@ class TestProfileSubmit:
         assert sorted(rows) == sorted(wall.split(","))
         assert all(int(row[0]) > 0 for row in rows.values())  # calls
 
+    def test_wall_clock_wraps_a_staticmethod(self):
+        """``_refresh`` is a ``staticmethod``: it is timed as one, so
+        the engine's ``self._refresh(head)`` calls still bind no
+        ``self``."""
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "profile_submit.py"
+        wall = "repro.core.matching:AutomatonMatchEngine._refresh"
+        done = subprocess.run(
+            [sys.executable, str(script), "steady_s3d", "--quick",
+             "--seed", "3", "--top", "1", "--wall", wall],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        rows = [line.split() for line in done.stdout.splitlines()
+                if line.startswith(wall)]
+        assert len(rows) == 1 and int(rows[0][1]) > 0  # calls
+
     def test_gc_probe_prints_pauses_and_promotions(self):
         script = Path(__file__).resolve().parent.parent / "scripts" \
             / "profile_submit.py"

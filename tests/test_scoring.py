@@ -1,11 +1,19 @@
 """The trace selection scoring function (Section 4.3)."""
 
+import functools
 import math
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from repro.core.scoring import ScoringPolicy
+import references
+from repro.apps.base import capture_stream
+from repro.core.matching import AutomatonMatchEngine
+from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
+from repro.core.scoring import ReplayDecisionPolicy, ScoringPolicy
 from repro.core.trie import CandidateTrie, CompletedMatch
+from repro.runtime.runtime import Runtime
 
 
 def candidate(length=10, occurrences=1, last_seen=None, replayed=False):
@@ -159,3 +167,123 @@ class TestBest:
         a = CompletedMatch(c, 0, 5)
         b = CompletedMatch(c, 3, 8)
         assert policy.best([a, b], 8) is a
+
+
+class TestCeiling:
+    """The undecayed score bounds the score exactly, so
+    ``worth_waiting`` can skip the decay without moving a decision."""
+
+    @given(
+        length=st.integers(1, 500),
+        occurrences=st.integers(0, 40),
+        now=st.integers(0, 10**7),
+        seen=st.one_of(st.none(), st.integers(-10**7, 10**7)),
+        replayed=st.booleans(),
+        decay_rate=st.sampled_from([0.0, 1e-4, 1e-2, 1.0]),
+        hysteresis=st.sampled_from([0.0, 1.0, 2.0]),
+        fires=st.integers(0, 50),
+        gap=st.integers(0, 10**5),
+    )
+    def test_score_never_exceeds_ceiling(
+        self, length, occurrences, now, seen, replayed, decay_rate,
+        hysteresis, fires, gap,
+    ):
+        scoring = ScoringPolicy(decay_rate=decay_rate, hysteresis=hysteresis)
+        # ``seen`` is an offset: the last sighting lies before or after now.
+        c = candidate(length, occurrences,
+                      None if seen is None else now + seen, replayed)
+        c.fires, c.gap_tokens = fires, gap
+        assert scoring.score(c, now) <= scoring.ceiling(c)
+        # ... and a discount never lifts a potential (the other half of
+        # the exactness argument).
+        assert scoring.discount(c) <= 1.0
+
+    @pytest.mark.parametrize("app_name, num_tasks, hysteresis", [
+        ("s3d", 700, 0.0), ("stencil", 700, 0.0), ("jacobi", 700, 0.0),
+        ("cfd", 2000, 0.0), ("s3d", 3000, 2.0),
+    ])
+    def test_worth_waiting_matches_reference_call_by_call(
+        self, monkeypatch, app_name, num_tasks, hysteresis
+    ):
+        """On real streams, every deferral check answers as the
+        reference (the decayed threshold computed up front) does, and
+        moves ``hysteresis_suppressed`` by the same amount."""
+        method = ReplayDecisionPolicy.worth_waiting
+        seen = {"calls": 0, "waits": 0, "suppressed": 0}
+
+        def checked(policy, match, now_index, pointers):
+            pointers = list(pointers)
+            before = policy.hysteresis_suppressed
+            want = references.worth_waiting(
+                policy, match, now_index, iter(pointers)
+            )
+            bumped = policy.hysteresis_suppressed - before
+            policy.hysteresis_suppressed = before
+            got = method(policy, match, now_index, iter(pointers))
+            assert got == want
+            assert policy.hysteresis_suppressed - before == bumped
+            seen["calls"] += 1
+            seen["waits"] += got
+            seen["suppressed"] += bumped
+            return got
+
+        monkeypatch.setattr(ReplayDecisionPolicy, "worth_waiting", checked)
+        config = ApopheniaConfig(
+            min_trace_length=3,
+            batchsize=200,
+            multi_scale_factor=25,
+            job_base_latency_ops=10,
+            initial_ingest_margin_ops=20,
+            hysteresis=hysteresis,
+        )
+        processor = ApopheniaProcessor(
+            Runtime(analysis_mode="fast", mismatch_policy="fallback",
+                    keep_task_log=False),
+            config,
+        )
+        for iteration, task in capture_stream(app_name, num_tasks,
+                                              task_scale=0.05):
+            processor.set_iteration(iteration)
+            processor.execute_task(task)
+        processor.flush()
+        # Both answers occur, and the hysteresis stream suppresses.
+        assert 0 < seen["waits"] < seen["calls"], seen
+        assert (seen["suppressed"] > 0) == (hysteresis > 0), seen
+
+
+@pytest.mark.perf_smoke
+def test_perf_smoke_deferral_checks_skip_the_decay(monkeypatch):
+    """Count guard, no clock: on the ``steady_s3d`` ``--quick`` stream
+    (seed 1) of ``bench/``, the serving path scores a candidate on at
+    most 0.3 of the match engine's advances (0.845 when every deferral
+    check paid for the held match's decayed score; 0.157 with the
+    ceiling). The advance count pins the stream itself."""
+    monkeypatch.syspath_prepend(
+        str(Path(__file__).resolve().parent.parent / "bench")
+    )
+    from run import plain_loop
+    from workloads import (
+        WORKLOADS, Deployment, build_schedule, build_templates,
+    )
+
+    counts = {"score": 0, "advance": 0}
+
+    def counted(name, function):
+        @functools.wraps(function)
+        def wrapper(*args):
+            counts[name] += 1
+            return function(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(ScoringPolicy, "score",
+                        counted("score", ScoringPolicy.score))
+    monkeypatch.setattr(AutomatonMatchEngine, "advance",
+                        counted("advance", AutomatonMatchEngine.advance))
+    workload = WORKLOADS["steady_s3d"].quick()
+    deployment = Deployment(workload)
+    plain_loop(deployment,
+               build_schedule(workload, build_templates(workload, 1)))
+    deployment.close()
+    assert counts["advance"] == 3143
+    assert counts["score"] <= 0.3 * counts["advance"], counts
