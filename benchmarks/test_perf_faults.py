@@ -58,7 +58,7 @@ def test_null_plan_gate_never_calls_into_the_plan():
         def should_drop_node(self, stream, node_id, at_op):
             raise TrippedGate("submit consulted an inactive plan")
 
-    executor = JobExecutor(fault_plan=InertPlan(), memo_capacity=0)
+    executor = JobExecutor(fault_plan=InertPlan())
     tokens = _smoke_window(400)
     for op in range(5):
         job = executor.submit(tokens, 10, op * 1000)
@@ -89,9 +89,9 @@ def test_null_plan_submit_overhead_under_two_percent():
         return time.process_time() - start
 
     def executor_round():
-        # memo off: every submit must pay the real mining cost, exactly
-        # like the raw loop (a memo hit would make the ratio vacuous).
-        executor = JobExecutor(memo_capacity=0)
+        # No memo (a standalone executor has none): every submit pays
+        # the real mining cost, exactly like the raw loop.
+        executor = JobExecutor()
         start = time.process_time()
         for op in range(submits):
             executor.submit(tokens, min_length, op * 1000)

@@ -12,8 +12,11 @@ of the job's input tokens, so deterministic across nodes -- is whatever
 the mining returns whenever it runs before the first ``job.result`` read.
 
 * :func:`completion_op` -- the completion-time model, as a pure function;
-* :class:`MiningMemo` -- the identical-window result cache, shareable
-  because its key excludes node and session identity;
+* :class:`MiningMemo` -- the identical-window result cache, a front
+  over :class:`~repro.lru.LRU`; only shared executors have one (a
+  replica set's one-entry memo, a service's cross-tenant memo): its key
+  excludes node and session identity, and a lone stream's schedule does
+  not re-mine a window;
 * :class:`AnalysisJob` -- one job; its mining work is a ``materialize``
   thunk that runs at most once;
 * :class:`JobExecutor` -- the one mining executor: ``submit`` fixes job
@@ -25,7 +28,6 @@ the mining returns whenever it runs before the first ``job.result`` read.
 """
 
 import itertools
-from collections import OrderedDict
 
 from repro.core.repeats import find_repeats
 from repro.faults import (
@@ -34,6 +36,7 @@ from repro.faults import (
     MiningFault,
     resolve_fault_plan,
 )
+from repro.lru import LRU
 
 #: Sentinel for a job whose mining work has not run yet.
 _UNMINED = object()
@@ -114,103 +117,47 @@ class AnalysisJob:
         )
 
 
-class MiningMemo:
+class MiningMemo(LRU):
     """LRU cache of ``(window, min_length) -> [Repeat, ...]`` results.
 
-    Steady-state iterative applications keep re-mining identical buffer
-    slices (the multi-scale schedule revisits the same sizes and a
-    converged stream repeats exactly); the memo answers those jobs without
-    re-running the analysis. Results are pure functions of the key, and the
-    key deliberately excludes node and session identity, so one memo may be
-    shared across replicated nodes and across the tenants of an
-    :class:`~repro.service.ApopheniaService` without changing any decision.
+    Results are pure functions of the key, and the key deliberately
+    excludes node and session identity, so one memo may be shared across
+    the replicas of a session and across the tenants of an
+    :class:`~repro.service.ApopheniaService` without changing any
+    decision. Nothing else has one: a standalone executor mines every
+    job, because a single stream's multi-scale schedule does not re-mine
+    a window it mined before (an 8-entry private memo got no hit in 240
+    jobs on each of three benchmark workloads), while a replica set's
+    jobs arrive in lockstep -- node 0 mines, nodes 1..N-1 hit before
+    the next window exists -- so one entry serves every hit it can get.
 
-    The memo is defensive about aliasing: it stores a private shallow copy
-    on insert and hands out a fresh shallow copy on every hit, so a caller
-    mutating a returned result list can never corrupt what later hits (or
-    other tenants) observe.
-
-    Admission is size-aware when a ``token_budget`` is set: every entry
-    costs its window length in tokens, and an insert evicts
-    least-recently-used entries until the total held tokens fit the
-    budget. A window larger than the whole budget is simply not admitted
-    -- one 5000-token window can no longer displace many small entries,
-    which matters once the memo is shared across the tenants of an
-    :class:`~repro.service.ApopheniaService` (tenants with small buffers
-    would otherwise lose their entire working set to one big tenant's
-    slice). ``token_budget=None`` (the default) preserves the pure
-    entry-count LRU.
+    The memo is defensive about aliasing: it stores each result as a
+    tuple and hands out a fresh list on every hit, so a caller mutating
+    a returned result can never corrupt what later hits (or other
+    tenants) observe. Every entry costs its window length in tokens
+    (the :class:`~repro.lru.LRU` ``token_budget`` currency), so a
+    service's budget keeps one tenant's giant window from flushing
+    everyone else's small ones.
     """
 
-    def __init__(self, capacity=8, token_budget=None):
-        self.capacity = capacity
-        self.token_budget = token_budget
-        self._entries = OrderedDict()
-        self.tokens_held = 0
+    def __init__(self, capacity=None, token_budget=None):
+        super().__init__(token_budget, capacity)
         self.hits = 0
         self.misses = 0
-        self.insertions = 0
-        self.evictions = 0
-        self.oversize_rejections = 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    @staticmethod
-    def key(tokens, min_length):
-        return (tuple(tokens), min_length)
-
-    def lookup(self, key):
-        """Return a copy of the cached result for ``key``, or ``None``."""
-        entry = self._entries.get(key)
-        if entry is None:
-            self.misses += 1
-            return None
-        self._entries.move_to_end(key)
-        self.hits += 1
-        return list(entry)
-
-    def insert(self, key, result):
-        if not self.capacity:
-            return
-        cost = len(key[0])
-        if self.token_budget is not None and cost > self.token_budget:
-            # Admitting this window would mean evicting *everything* and
-            # still not fitting; refusing keeps many small entries alive
-            # instead of caching one giant window nobody else can share.
-            self.oversize_rejections += 1
-            return
-        if key in self._entries:
-            # Re-insert replaces the entry: release its held tokens so
-            # the accounting cannot drift, and refresh its LRU position
-            # (plain assignment would leave it at the stale slot).
-            self.tokens_held -= cost
-            self._entries.move_to_end(key)
-        self._entries[key] = list(result)
-        self.tokens_held += cost
-        self.insertions += 1
-        if len(self._entries) > self.capacity:
-            self._evict_lru()
-        if self.token_budget is not None:
-            while self.tokens_held > self.token_budget:
-                self._evict_lru()
-
-    def _evict_lru(self):
-        victim_key, _ = self._entries.popitem(last=False)
-        self.tokens_held -= len(victim_key[0])
-        self.evictions += 1
 
     def mine(self, tokens, min_length, algorithm):
         """Look up ``(tokens, min_length)`` or compute it via ``algorithm``.
 
         Returns ``(result, hit)``.
         """
-        key = self.key(tokens, min_length)
-        cached = self.lookup(key)
+        key = (tuple(tokens), min_length)
+        cached = self.get(key)
         if cached is not None:
-            return cached, True
+            self.hits += 1
+            return list(cached), True
+        self.misses += 1
         result = algorithm(tokens, min_length)
-        self.insert(key, result)
+        self.put(key, tuple(result), len(key[0]))
         return result, False
 
 
@@ -227,13 +174,10 @@ class JobExecutor:
         Completion-time model, in units of processed operations.
     node_id:
         Used to derive deterministic per-node jitter.
-    memo_capacity:
-        Number of recent ``(window, min_length) -> result`` entries kept in
-        a private :class:`MiningMemo`. Set to 0 to disable.
     memo:
-        An externally owned :class:`MiningMemo` to use instead of a private
-        one -- this is how replicated nodes share one cache. When given,
-        ``memo_capacity`` is ignored.
+        An externally owned :class:`MiningMemo` consulted before mining
+        -- how the replicas of one session share their analyses. ``None``
+        (the default) mines every job.
     fault_plan:
         A :class:`repro.faults.FaultPlan` (or spec string / ``None``)
         injecting deterministic mining faults; the default null plan
@@ -260,7 +204,6 @@ class JobExecutor:
         base_latency_ops=50,
         per_token_latency_ops=0.05,
         node_id=0,
-        memo_capacity=8,
         memo=None,
         fault_plan=None,
         stream_key=None,
@@ -268,8 +211,6 @@ class JobExecutor:
         quarantine_threshold=None,
     ):
         self.repeats_algorithm = repeats_algorithm
-        if memo is None and memo_capacity:
-            memo = MiningMemo(memo_capacity)
         self.memo = memo
         self.fault_plan = resolve_fault_plan(fault_plan)
         self.deadline_tokens = deadline_tokens

@@ -49,10 +49,10 @@ class ApopheniaConfig:
     """Tuning knobs, named after the artifact's command-line flags.
 
     A field is a knob some deployment sets. What the paper fixes is not
-    here: Algorithm 2 as the repeat finder, the 8-entry window memo and
-    the per-token job latency are :class:`~repro.core.jobs.JobExecutor`
-    defaults, the scoring constants (count cap 16, decay 1e-4, replay
-    bonus 1.1) :class:`~repro.core.scoring.ScoringPolicy` defaults --
+    here: Algorithm 2 as the repeat finder and the per-token job
+    latency are :class:`~repro.core.jobs.JobExecutor` defaults, the
+    scoring constants (count cap 16, decay 1e-4, replay bonus 1.1)
+    :class:`~repro.core.scoring.ScoringPolicy` defaults --
     constructor arguments a test may pass, not configuration.
 
     Attributes

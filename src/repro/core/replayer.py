@@ -188,7 +188,9 @@ class TraceReplayer:
         self.stream_index += 1
         self.tasks_seen += 1
         self.pending.append((index, task, token))
-        self._advance(token, index)
+        match = self._advance(token, index)
+        if match is not None:
+            self._fire(match)
 
     def flush_all(self):
         """A fence: fire every held match, then flush the rest untraced.
@@ -214,16 +216,18 @@ class TraceReplayer:
     # Internals
     # ------------------------------------------------------------------
     def _advance(self, token, index):
+        """Feed one token; returns the match to fire now, or ``None``."""
         completed = self.engine.advance(token, index)
         for match in completed:
             candidate = match.candidate
             candidate.occurrences += 1
             candidate.last_seen_at = match.end_index
-        self._handle(completed, index)
+        return self._handle(completed, index)
 
     def _handle(self, completed, index):
-        """One SelectReplayTrace step: ask the policy what to hold, fire
-        the deferral once waiting stops paying, flush what cannot match.
+        """One SelectReplayTrace step: ask the policy what to hold,
+        release the deferral once waiting stops paying (returned for the
+        caller to fire), flush what cannot match.
 
         The best completed match is held (one deferral slot). It is
         committed only when no overlapping active pointer could still
@@ -244,30 +248,43 @@ class TraceReplayer:
         ):
             match = self.deferred
             self.deferred = None
-            self._fire(match)
-            return
+            return match
         self._flush_safe_prefix()
+        return None
 
     def _fire(self, match):
         """Commit a match: flush its prefix, issue it as a trace, reprocess
-        the tail of the pending buffer."""
-        self._flush_upto(match.start_index)
-        trace_items = []
-        while self.pending and self.pending[0][0] < match.end_index:
-            trace_items.append(self.pending.popleft())
-        # Detach the tail: a fire while it is re-fed swaps in a deque
-        # of its own, so this one is never mutated while it is iterated.
-        tail = self.pending
-        self.pending = deque()
-        self.store.record_fire(match.candidate)
-        self._issue_trace(match.candidate, [item[1] for item in trace_items])
-        self.engine.reset()
-        self.traces_fired += 1
-        # Reprocess the tail through the engine so matches that began
-        # after the committed trace are rediscovered.
-        for item in tail:
-            self.pending.append(item)
-            self._advance(item[2], item[0])
+        the tail of the pending buffer -- and every match that re-feed
+        fires in turn.
+
+        A fire during a re-feed detaches the pending buffer as a tail of
+        its own, fed to the end before the interrupted tail resumes: a
+        stack of tails, always fed from the top, so nested fires cost a
+        list entry each rather than a Python frame (a stream of short
+        matches under one long candidate nests one fire per match).
+        """
+        tails = []
+        while match is not None:
+            self._flush_upto(match.start_index)
+            trace_items = []
+            while self.pending and self.pending[0][0] < match.end_index:
+                trace_items.append(self.pending.popleft())
+            tails.append(self.pending)
+            self.pending = deque()
+            self.store.record_fire(match.candidate)
+            self._issue_trace(match.candidate, [i[1] for i in trace_items])
+            self.engine.reset()
+            self.traces_fired += 1
+            # Reprocess the tails through the engine so matches that
+            # began after the committed trace are rediscovered.
+            match = None
+            while match is None and tails:
+                if tails[-1]:
+                    item = tails[-1].popleft()
+                    self.pending.append(item)
+                    match = self._advance(item[2], item[0])
+                else:
+                    tails.pop()
 
     def _issue_trace(self, candidate, tasks):
         """Issue a committed match, chunking to ``max_trace_length``."""

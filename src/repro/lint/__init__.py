@@ -41,7 +41,9 @@ narrowly dodged) a bug against:
 ``RPL005`` -- **memo/cache classes must not return stored mutable
     containers by reference**. The PR 2 executor-memo bug: a returned
     stored list, mutated by one caller, corrupted every later hit for
-    every tenant sharing the memo.
+    every tenant sharing the memo. A stored entry is ``self.<map>[k]``,
+    ``self.<map>.get(k)``, or an inherited ``self.get(k)`` (a memo
+    that fronts a generic LRU).
 ``RPL006`` -- **teardown must be exception-safe**: methods named
     ``close*``/``release*``/``drop*`` are flagged for bare/swallowed
     exceptions and for multiple resource releases outside ``try``/

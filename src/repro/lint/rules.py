@@ -259,15 +259,16 @@ def _self_attr(node):
 
 def _stored_lookup(node):
     """True for expressions that read an entry out of ``self.<storage>``:
-    ``self._entries[key]`` or ``self._entries.get(key, ...)``."""
+    ``self._entries[key]``, ``self._entries.get(key, ...)``, or the
+    class's own (often inherited) ``self.get(key)`` -- a memo that is a
+    front over a generic map reads its entries that way."""
     if isinstance(node, ast.Subscript) and _self_attr(node.value):
         return True
-    if (isinstance(node, ast.Call)
-            and isinstance(node.func, ast.Attribute)
-            and node.func.attr in ("get", "setdefault")
-            and _self_attr(node.func.value)):
-        return True
-    return False
+    func = node.func if isinstance(node, ast.Call) else None
+    return isinstance(func, ast.Attribute) and (
+        (func.attr in ("get", "setdefault") and _self_attr(func.value))
+        or (func.attr == "get" and getattr(func.value, "id", "") == "self")
+    )
 
 
 @register_rule
@@ -278,7 +279,8 @@ class MemoAliasRule(Rule):
         "The PR 2 executor memo returned its stored result list by "
         "reference; one caller's in-place mutation corrupted every later "
         "hit for every tenant sharing the memo. Copy on the way out "
-        "(list(entry)), like MiningMemo does now."
+        "(list(entry)), like MiningMemo does now -- also when the entry "
+        "comes from an inherited self.get()."
     )
     hint = "return a copy (list(entry) / dict(entry)), never the stored object"
 

@@ -9,7 +9,8 @@ Public surface:
   ``Session.dehydrate()`` and ``open_session(..., state=...)``;
   :func:`dehydrate_processor` snapshots a processor no backend serves);
 * :class:`SessionStateStore` -- the token-budgeted LRU spill tier the
-  service parks evicted tenants' states in.
+  service parks evicted tenants' states in (a front over
+  :class:`repro.lru.LRU`, the one size-aware LRU of the package).
 """
 
 from repro.persist.state import (

@@ -172,7 +172,44 @@ class PersistFormatV1:
                 f"schema v{cls.version} reader cannot load "
                 f"version {payload['version']!r}"
             )
+        cls._check_contents(payload)
         return payload
+
+    @classmethod
+    def _check_contents(cls, payload):
+        """What hydrate relies on beyond field types, checked before it
+        touches the processor (so a refused document leaves it as it
+        was): unique trace ids, every reference to one resolving,
+        non-empty token runs of hashable scalars, and every entry
+        hydrate unpacks as a pair being a pair of the right types."""
+        candidates, rotations = payload["candidates"], payload["rotations"]
+        ids = {record["trace_id"] for record in candidates}
+        refs = [member for entry in rotations for member in entry["members"]]
+        if payload["replayer"]["last_fired"] is not None:
+            refs.append(payload["replayer"]["last_fired"])
+        runs = [record["tokens"] for record in candidates]
+        runs += [entry["rotation"] for entry in rotations]
+        pairs = [(entry, list, list) for job in payload["jobs"]["pending"]
+                 for entry in job["result"]]
+        pairs += [(entry, list, int) for entry in payload["trace_log"]]
+        pairs += [(entry, int, int)
+                  for entry in (payload["coordinator"] or {}).get("agreed", ())]
+        checks = {
+            "duplicate candidate trace_id": len(ids) == len(candidates),
+            "a rotation member or last_fired names no candidate": all(
+                isinstance(ref, int) and ref in ids for ref in refs),
+            "a candidate or rotation token run is empty or not flat": all(
+                run and not any(isinstance(t, (list, dict)) for t in run)
+                for run in runs),
+            "a pending result, trace_log or agreed entry is no typed pair":
+                all(isinstance(entry, list) and len(entry) == 2
+                    and isinstance(entry[0], first)
+                    and isinstance(entry[1], second)
+                    for entry, first, second in pairs),
+        }
+        for problem, ok in checks.items():
+            if not ok:
+                raise PersistFormatError(f"session state: {problem}")
 
 
 class SessionState:

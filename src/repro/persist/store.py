@@ -2,20 +2,24 @@
 
 The service's LRU eviction spills :class:`~repro.persist.SessionState`
 snapshots here instead of discarding a tenant's learned state; a
-re-admission pops the state back out and warm-starts. The store is the
-same size-aware LRU shape as :class:`~repro.core.jobs.MiningMemo`: every
-entry costs its :attr:`~repro.persist.SessionState.token_cost` (candidate
-traces plus buffered history), inserts evict least-recently-used states
+re-admission pops the state back out and warm-starts. The store is a
+front over the package's one size-aware LRU (:class:`~repro.lru.LRU`,
+the class under :class:`~repro.core.jobs.MiningMemo` too): every entry
+costs its :attr:`~repro.persist.SessionState.token_cost` (candidate
+traces plus buffered history), a put evicts least-recently-used states
 until the held tokens fit the budget, and a state larger than the whole
 budget is rejected outright -- one enormous tenant must not flush every
 other tenant's learned state out of the spill tier.
 """
 
-from collections import OrderedDict
+from repro.lru import LRU
 
 
-class SessionStateStore:
+class SessionStateStore(LRU):
     """LRU ``session_id -> SessionState`` spill store.
+
+    ``get`` peeks (refreshing recency), ``pop`` consumes, ``put`` holds
+    a state under its session id and returns whether it was admitted.
 
     Parameters
     ----------
@@ -25,69 +29,9 @@ class SessionStateStore:
         service always passes its ``session_state_budget``).
     """
 
-    def __init__(self, token_budget=None):
-        self.token_budget = token_budget
-        self._entries = OrderedDict()  # session_id -> SessionState
-        self.tokens_held = 0
-        self.states_stored = 0
-        self.states_restored = 0
-        self.evictions = 0
-        self.oversize_rejections = 0
-
-    def __len__(self):
-        return len(self._entries)
-
-    def __contains__(self, session_id):
-        return session_id in self._entries
-
     def put(self, session_id, state):
-        """Hold ``state`` under ``session_id``; returns ``True`` if admitted.
-
-        Re-storing a session replaces its previous state (tokens released
-        first, LRU position refreshed). A state costlier than the whole
-        budget is not admitted.
-        """
-        cost = state.token_cost
-        if self.token_budget is not None and cost > self.token_budget:
-            self.oversize_rejections += 1
-            return False
-        existing = self._entries.pop(session_id, None)
-        if existing is not None:
-            self.tokens_held -= existing.token_cost
-        self._entries[session_id] = state
-        self.tokens_held += cost
-        self.states_stored += 1
-        if self.token_budget is not None:
-            while self.tokens_held > self.token_budget:
-                self._evict_lru()
-        return True
-
-    def pop(self, session_id):
-        """Remove and return the stored state, or ``None``."""
-        state = self._entries.pop(session_id, None)
-        if state is not None:
-            self.tokens_held -= state.token_cost
-            self.states_restored += 1
-        return state
-
-    def get(self, session_id):
-        """Peek at a stored state without consuming it (LRU refresh)."""
-        state = self._entries.get(session_id)
-        if state is not None:
-            self._entries.move_to_end(session_id)
-        return state
-
-    def _evict_lru(self):
-        _, victim = self._entries.popitem(last=False)
-        self.tokens_held -= victim.token_cost
-        self.evictions += 1
+        return super().put(session_id, state, state.token_cost)
 
     @property
     def states_held(self):
-        return len(self._entries)
-
-    def __repr__(self):
-        return (
-            f"SessionStateStore(states={len(self._entries)}, "
-            f"tokens={self.tokens_held}, budget={self.token_budget})"
-        )
+        return len(self)

@@ -26,8 +26,8 @@ Each session is a full N-way replica set:
   agreement protocol -- one per replica set by construction: ``_build``
   makes it, only this session's processors and handle hold it, and its
   tables are keyed by the job index alone;
-* one per-session :class:`~repro.core.jobs.MiningMemo` shared by the N
-  node executors -- nodes mine byte-identical windows (the token stream is
+* one per-session, one-entry :class:`~repro.core.jobs.MiningMemo`
+  shared by the N node executors -- nodes mine byte-identical windows (the token stream is
   replicated), so one node's analysis answers the other N-1 for free,
   which is safe for exactly the reason the multi-tenant memo is: results
   are pure functions of ``(window, min_length)``.
@@ -231,8 +231,10 @@ class ReplicatedBackend(SessionPool):
         # One shared per-session memo: replicas mine byte-identical
         # windows, so node 0's analysis answers nodes 1..N-1 --
         # decision-neutral because results are pure functions of the
-        # window.
-        memo = MiningMemo()
+        # window. One entry is all it needs: every node submits a window
+        # before any node can submit the next (at most one job per
+        # token, tokens fed to the replicas in turn).
+        memo = MiningMemo(1)
         processors = [
             ApopheniaProcessor(
                 runtimes[node],

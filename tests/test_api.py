@@ -530,13 +530,27 @@ class TestEvictionFlushOrdering:
 
 
 class TestSizeAwareMemoAdmission:
+    """The memo's admission rules, on the LRU it fronts: an entry costs
+    its window length; ``_insert`` stores one as ``mine`` does."""
+
     def _window(self, tag, n):
         return [(tag, i % 4) for i in range(n)]
+
+    @staticmethod
+    def _key(window):
+        return (tuple(window), 2)
+
+    def _insert(self, memo, window):
+        memo.put(self._key(window), (), len(window))
+
+    def _held(self, memo, window):
+        return memo.get(self._key(window)) is not None
 
     def test_oversized_window_not_admitted(self):
         memo = MiningMemo(capacity=8, token_budget=10)
         big = self._window("big", 12)
-        memo.insert(MiningMemo.key(big, 2), [])
+        result, hit = memo.mine(big, 2, lambda tokens, min_length: [])
+        assert result == [] and not hit
         assert len(memo) == 0
         assert memo.oversize_rejections == 1
         assert memo.tokens_held == 0
@@ -545,52 +559,52 @@ class TestSizeAwareMemoAdmission:
         memo = MiningMemo(capacity=8, token_budget=12)
         smalls = [self._window(f"s{i}", 3) for i in range(4)]
         for window in smalls:
-            memo.insert(MiningMemo.key(window, 2), [])
+            self._insert(memo, window)
         assert memo.tokens_held == 12 and len(memo) == 4
         # The regression this knob exists for: pre-budget, one giant
         # window would displace the whole working set.
-        memo.insert(MiningMemo.key(self._window("big", 5000), 2), [])
+        self._insert(memo, self._window("big", 5000))
         assert len(memo) == 4
         for window in smalls:
-            assert memo.lookup(MiningMemo.key(window, 2)) is not None
+            assert self._held(memo, window)
 
     def test_token_weighted_lru_evicts_until_budget_fits(self):
         memo = MiningMemo(capacity=8, token_budget=10)
         a, b, c = (self._window(t, 4) for t in "abc")
-        memo.insert(MiningMemo.key(a, 2), [])
-        memo.insert(MiningMemo.key(b, 2), [])
-        memo.lookup(MiningMemo.key(a, 2))  # a is now most recently used
-        memo.insert(MiningMemo.key(c, 2), [])  # 12 > 10: evict LRU (b)
+        self._insert(memo, a)
+        self._insert(memo, b)
+        self._held(memo, a)  # a is now most recently used
+        self._insert(memo, c)  # 12 > 10: evict LRU (b)
         assert memo.tokens_held == 8
-        assert memo.lookup(MiningMemo.key(b, 2)) is None
-        assert memo.lookup(MiningMemo.key(a, 2)) is not None
+        assert not self._held(memo, b)
+        assert self._held(memo, a)
         assert memo.evictions == 1
 
     def test_reinsert_same_key_does_not_leak_held_tokens(self):
         memo = MiningMemo(capacity=8, token_budget=10)
-        key = MiningMemo.key(self._window("a", 4), 2)
-        memo.insert(key, [])
-        memo.insert(key, [])  # replace, not accumulate
+        a = self._window("a", 4)
+        self._insert(memo, a)
+        self._insert(memo, a)  # replace, not accumulate
         assert memo.tokens_held == 4
         # The accounting stays exact, so budget eviction cannot underflow.
-        memo.insert(MiningMemo.key(self._window("b", 6), 2), [])
+        self._insert(memo, self._window("b", 6))
         assert memo.tokens_held == 10 and len(memo) == 2
 
     def test_reinsert_refreshes_lru_position(self):
         memo = MiningMemo(capacity=8, token_budget=8)
-        a = MiningMemo.key(self._window("a", 3), 2)
-        b = MiningMemo.key(self._window("b", 3), 2)
-        memo.insert(a, [])
-        memo.insert(b, [])
-        memo.insert(a, [])  # refresh: a is now the hottest entry
-        memo.insert(MiningMemo.key(self._window("c", 3), 2), [])  # over budget
-        assert memo.lookup(b) is None  # the genuinely cold entry went
-        assert memo.lookup(a) is not None
+        a = self._window("a", 3)
+        b = self._window("b", 3)
+        self._insert(memo, a)
+        self._insert(memo, b)
+        self._insert(memo, a)  # refresh: a is now the hottest entry
+        self._insert(memo, self._window("c", 3))  # over budget
+        assert not self._held(memo, b)  # the genuinely cold entry went
+        assert self._held(memo, a)
 
     def test_entry_count_lru_unchanged_without_budget(self):
         memo = MiningMemo(capacity=2)
         for tag in "abc":
-            memo.insert(MiningMemo.key(self._window(tag, 4), 2), [])
+            self._insert(memo, self._window(tag, 4))
         assert len(memo) == 2 and memo.evictions == 1
         assert memo.token_budget is None
 

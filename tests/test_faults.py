@@ -235,7 +235,7 @@ class TestJobContainment:
         def broken(tokens, min_length):
             raise RuntimeError("suffix array exploded")
 
-        executor = JobExecutor(repeats_algorithm=broken, memo_capacity=8)
+        executor = JobExecutor(repeats_algorithm=broken, memo=MiningMemo(8))
         job = executor.submit(REPEATING_WINDOW, MIN_LENGTH, now_op=0)
         assert job.degraded
         assert job.result == []

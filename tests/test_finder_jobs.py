@@ -49,7 +49,7 @@ class TestJobExecutor:
             calls.append(tuple(tokens))
             return []
 
-        ex = JobExecutor(repeats_algorithm=counting)
+        ex = JobExecutor(repeats_algorithm=counting, memo=MiningMemo(1))
         window = list("ababab")
         first = ex.submit(window, 2, now_op=0)
         second = ex.submit(list(window), 2, now_op=100)
@@ -61,7 +61,7 @@ class TestJobExecutor:
         assert ex.jobs_submitted == 2
 
     def test_memo_distinguishes_min_length(self):
-        ex = JobExecutor()
+        ex = JobExecutor(memo=MiningMemo(2))
         a = ex.submit(list("ababab"), 2, now_op=0)
         b = ex.submit(list("ababab"), 3, now_op=0)
         assert ex.memo_hits == 0
@@ -74,7 +74,7 @@ class TestJobExecutor:
             calls.append(tuple(tokens))
             return []
 
-        ex = JobExecutor(repeats_algorithm=counting, memo_capacity=2)
+        ex = JobExecutor(repeats_algorithm=counting, memo=MiningMemo(2))
         ex.submit(list("aa"), 1, now_op=0)
         ex.submit(list("bb"), 1, now_op=0)
         ex.submit(list("cc"), 1, now_op=0)  # evicts "aa"
@@ -86,7 +86,7 @@ class TestJobExecutor:
         """Regression: the memo used to return its stored list by
         reference, so a caller mutating the returned repeats corrupted
         every later hit on the same window."""
-        ex = JobExecutor()
+        ex = JobExecutor(memo=MiningMemo(1))
         window = list("ababab")
         first = ex.submit(window, 2, now_op=0)
         # A badly behaved consumer destroys its copy of the result.
@@ -127,13 +127,16 @@ class TestJobExecutor:
         assert memo.hits == 1 and memo.misses == 1
 
     def test_memo_disabled(self):
+        """A standalone executor has no memo (a lone stream's schedule
+        does not re-mine a window): every job mines."""
         calls = []
 
         def counting(tokens, min_length):
             calls.append(tuple(tokens))
             return []
 
-        ex = JobExecutor(repeats_algorithm=counting, memo_capacity=0)
+        ex = JobExecutor(repeats_algorithm=counting)
+        assert ex.memo is None
         ex.submit(list("aa"), 1, now_op=0)
         ex.submit(list("aa"), 1, now_op=0)
         assert len(calls) == 2

@@ -234,6 +234,29 @@ class TestMemoAliasRule:
                     return list(self._entries[key])
         """)
 
+    def test_inherited_lookup_returned_by_reference_fires(self):
+        """A memo that is a front over a generic LRU reads entries with
+        its inherited ``self.get``; handing that object out is the same
+        aliasing bug."""
+        assert_fires("RPL005", """\
+            class MiningMemo(LRU):
+                def mine(self, key, compute):
+                    cached = self.get(key)
+                    if cached is not None:
+                        return cached
+                    return compute()
+        """)
+
+    def test_inherited_lookup_copied_is_clean(self):
+        assert_clean("RPL005", """\
+            class MiningMemo(LRU):
+                def mine(self, key, compute):
+                    cached = self.get(key)
+                    if cached is not None:
+                        return list(cached)
+                    return compute()
+        """)
+
     def test_non_memo_classes_ignored(self):
         assert_clean("RPL005", """\
             class StreamIndex:

@@ -616,7 +616,7 @@ class TestSessionStateStore:
         assert store.pop("a").token_cost == 70
         assert store.tokens_held == 0
         assert store.pop("a") is None
-        assert store.states_restored == 1
+        assert "a" not in store
 
     def test_replacement_releases_old_cost(self):
         store = SessionStateStore(token_budget=100)
@@ -681,6 +681,53 @@ class TestHydrateGuards:
         processor.set_iteration(iteration)
         processor.execute_task(task)
         assert processor.replayer.traces_fired == fired
+
+    @pytest.mark.parametrize("case", [
+        "rotation member not a candidate",
+        "unknown last_fired",
+        "rotation made of lists",
+        "pending job result entry [[1]]",
+        "trace_log entry 5",
+        "candidate with empty tokens",
+        "duplicate trace_id",
+    ])
+    def test_malformed_contents_fail_closed(self, app_streams, case):
+        """Documents that pass the field-type schema and carry a valid
+        digest, yet would break hydrate partway through (or, the
+        duplicate id, be silently accepted): each is refused as a
+        :class:`PersistFormatError` on load and on a raw-payload
+        hydrate, and the refused hydrate leaves the processor as
+        fresh as it was."""
+        payload = self._state(app_streams).payload
+        candidates = payload["candidates"]
+        rotation = payload["rotations"][0]
+        pending_job = {"job_id": 0, "submitted_at_op": 0, "num_tokens": 1,
+                       "degraded": False, "result": [[1]]}
+        edit = {
+            "rotation member not a candidate": lambda: rotation[
+                "members"].append(candidates[-1]["trace_id"] + 1),
+            "unknown last_fired": lambda: payload["replayer"].update(
+                last_fired=candidates[-1]["trace_id"] + 1),
+            "rotation made of lists": lambda: rotation.update(
+                rotation=[[token] for token in rotation["rotation"]]),
+            "pending job result entry [[1]]": lambda: payload["jobs"][
+                "pending"].append(pending_job),
+            "trace_log entry 5": lambda: payload["trace_log"].append(5),
+            "candidate with empty tokens": lambda: candidates[0].update(
+                tokens=[]),
+            "duplicate trace_id": lambda: candidates[1].update(
+                trace_id=candidates[0]["trace_id"]),
+        }[case]
+        edit()
+        payload["digest"] = canon.digest(payload)
+        with pytest.raises(PersistFormatError):
+            SessionState.loads(canon.dumps(payload))
+        processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
+        before = dehydrate_processor(processor).payload
+        with pytest.raises(PersistFormatError):
+            hydrate_processor(processor, payload)
+        assert dehydrate_processor(processor).payload == before
+        hydrate_processor(processor, self._state(app_streams))  # still fresh
 
     def test_dehydrate_accepts_bare_processor(self, app_streams):
         processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)

@@ -115,6 +115,26 @@ class TestMatching:
         assert ("a", "b") in fired
         assert fired.count(("c", "d")) == 2
 
+    def test_nested_fires_do_not_recurse(self):
+        """A long candidate keeps every short match held until the
+        stream breaks off at its end; firing the first short match
+        re-feeds a tail whose own break fires the next, and so on: the
+        fires nest one per short match. They once nested as Python
+        frames (``RecursionError`` from m=400); 2,000 deep, each fires
+        in stream order with every task forwarded once. (The re-feeds
+        make this quadratic: ~10M engine steps, about a minute.)"""
+        m = 2000
+        s = (1, 2, 3, 4, 5)
+        stream = s * m + (7,)
+        h = Harness()
+        h.replayer.ingest([Repeat(s, [0]), Repeat(s * (m + 5) + (9,), [0])])
+        h.feed(stream)
+        h.finish()
+        traces = h.traces()
+        assert [t[1] for t in traces] == [s] * m
+        assert [t[2][0][0] for t in traces] == list(range(0, 5 * m, 5))
+        assert h.forwarded == list(enumerate(stream))
+
     def test_occurrences_counted(self):
         h = Harness(min_trace_length=2)
         h.replayer.ingest([Repeat("ab", [0, 2])])

@@ -324,7 +324,8 @@ class TestBackendLifecycle:
 
     def test_replica_set_shares_one_mining_memo(self, app_streams):
         """Replicas mine byte-identical windows: node 0 pays for the
-        analysis, nodes 1..N-1 hit the shared per-session memo."""
+        analysis, nodes 1..N-1 hit the shared per-session memo -- every
+        job, with the memo's one entry."""
         with open_session(
             "memo", backend="replicated", config=REPLICATED_CONFIG
         ) as session:
@@ -332,6 +333,9 @@ class TestBackendLifecycle:
             processors = session.handle.processors
             memos = {id(p.executor.memo) for p in processors}
             assert len(memos) == 1
+            assert processors[0].executor.memo.capacity == 1
+            assert processors[0].executor.memo_hits == 0
+            assert processors[1].executor.jobs_submitted > 0
             assert all(
                 p.executor.memo_hits == p.executor.jobs_submitted
                 for p in processors[1:]

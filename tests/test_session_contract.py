@@ -278,14 +278,15 @@ def _tier(service):
     """The spill tier's contents and traffic, as one comparable value."""
     store = service.state_store
     return (store.get("tenant"), len(store), store.tokens_held,
-            store.states_stored, store.states_restored)
+            store.evictions, store.oversize_rejections)
 
 
 def test_refused_admission_keeps_the_spilled_state():
     """The service's half of the same regression: a refused warm start
     or a failing build leaves the spill tier exactly as it found it --
-    the state still held, and no restore or store counted that never
-    happened -- so a retry under the matching config still warm-starts."""
+    the state still held, and nothing evicted or refused that a store
+    that never happened would have pushed out -- so a retry under the
+    matching config still warm-starts."""
     service = TRACING_BACKENDS["service"](SPILLING)
     _serve(service.open_session("tenant"), 600)
     service.open_session("other")  # evicts and spills "tenant"
@@ -379,12 +380,22 @@ def test_memo_hit_rate_is_hits_per_job_on_every_backend(kind, plan):
     """One formula for ``memo_hit_rate``: ``memo_hits / jobs_submitted``,
     as on ``SessionStats``. A degraded job never looks the memo up, so
     under faults the shared memo's own hits-per-lookup is another
-    number; the service used to report that one under this key."""
+    number; the service used to report that one under this key. Where
+    the hits land is the memo sizing: the service's tenants share one
+    memo; a replica set's memo answers nodes 1..N-1 (the pool reports
+    node 0, which mines); a standalone session has no memo."""
     pool = TRACING_BACKENDS[kind](CONFIG.with_overrides(fault_plan=plan))
-    for sid in ("a", "b"):
-        _serve(pool.open_session(sid))
+    handles = [pool.open_session(sid) for sid in ("a", "b")]
+    for handle in handles:
+        _serve(handle)
     stats = pool.backend_stats
-    assert stats["memo_hits"] > 0
+    if kind == "service":
+        assert stats["memo_hits"] > 0
+    elif kind == "replicated":
+        assert handles[0].processors[1].executor.memo_hits > 0
+    else:
+        assert handles[0].processor.executor.memo is None
+        assert stats["memo_hits"] == 0
     assert (stats["degraded_jobs"] > 0) == (plan is not None)
     assert stats["memo_hit_rate"] == \
         stats["memo_hits"] / stats["jobs_submitted"]
