@@ -102,9 +102,11 @@ def test_ablation_multiscale_vs_fixed(benchmark, save):
     slices arrive -- the paper's exploration feature -- and every switch
     transiently dips the traced fraction, so that metric flips on
     schedule details. Both policies must still get there eventually.)
+    The fixed policy is the same schedule at ``multi_scale_factor =
+    batchsize``.
     """
 
-    def measure(identifier):
+    def measure(factor):
         run = run_app(
             "stencil",
             "auto",
@@ -116,8 +118,7 @@ def test_ablation_multiscale_vs_fixed(benchmark, save):
             apophenia=ApopheniaConfig(
                 min_trace_length=5,
                 batchsize=300,
-                multi_scale_factor=30,
-                identifier_algorithm=identifier,
+                multi_scale_factor=factor,
                 job_base_latency_ops=20,
                 initial_ingest_margin_ops=30,
             ),
@@ -134,7 +135,7 @@ def test_ablation_multiscale_vs_fixed(benchmark, save):
         return first_replay, steady if steady is not None else 10**9
 
     def both():
-        return measure("multi-scale"), measure("fixed")
+        return measure(30), measure(300)
 
     (multi_first, multi_steady), (fixed_first, fixed_steady) = (
         benchmark.pedantic(both, rounds=1, iterations=1)

@@ -138,7 +138,8 @@ def test_warm_start_pays_zero_remining_jobs(stream):
         ApopheniaProcessor(_fast_runtime(), FAST_CONFIG), state
     )
     # Hydrate restored the job-id clock; it submitted no jobs itself.
-    assert warm.executor.jobs_submitted == state.payload["jobs"]["next_job_id"]
+    assert warm.executor.jobs_submitted == (
+        state.payload["jobs"]["counters"]["jobs_submitted"])
 
     twin = _mined_processor(stream[:SPLIT])  # the never-evicted run
     warm_first, warm_traced = _drive_tail(warm, stream[SPLIT:])

@@ -26,10 +26,11 @@ class TraceFinder:
         Trigger granularity of the sampling schedule.
     min_trace_length:
         Minimum repeat length to mine for.
-    identifier_algorithm:
-        ``"multi-scale"`` uses the ruler-function schedule; ``"fixed"``
-        analyzes the whole buffer each time it fills (the strawman
-        Section 4.4 improves on).
+
+    The op clock ``ops_observed`` is the schedule's only state: the
+    :class:`~repro.core.sampler.MultiScaleSampler` reads each trigger
+    off it. ``multi_scale_factor == batchsize`` is the "fixed" strawman
+    Section 4.4 improves on (mine the whole buffer each time it fills).
     """
 
     def __init__(
@@ -38,16 +39,10 @@ class TraceFinder:
         batchsize=5000,
         multi_scale_factor=250,
         min_trace_length=5,
-        identifier_algorithm="multi-scale",
     ):
-        if identifier_algorithm not in ("multi-scale", "fixed"):
-            raise ValueError(
-                "identifier_algorithm must be 'multi-scale' or 'fixed'"
-            )
         self.executor = executor
         self.batchsize = batchsize
         self.min_trace_length = min_trace_length
-        self.identifier_algorithm = identifier_algorithm
         self.buffer = deque(maxlen=batchsize)
         self.sampler = MultiScaleSampler(multi_scale_factor, batchsize)
         self.ops_observed = 0
@@ -61,7 +56,7 @@ class TraceFinder:
         """
         self.buffer.append(token)
         self.ops_observed += 1
-        slice_size = self._trigger_size()
+        slice_size = self.sampler.size_at(self.ops_observed)
         if slice_size is None:
             return None
         # Copy only the analyzed tail. A deque iterates O(1) per step from
@@ -79,14 +74,6 @@ class TraceFinder:
         job = self.executor.submit(tokens, self.min_trace_length, self.ops_observed)
         self.pending_jobs.append(job)
         return job
-
-    def _trigger_size(self):
-        if self.identifier_algorithm == "multi-scale":
-            return self.sampler.observe()
-        # Fixed strategy: analyze the full buffer every time it fills.
-        if self.ops_observed % self.batchsize == 0:
-            return self.batchsize
-        return None
 
     def drain_completed(self, now_op, coordinator=None, node=None):
         """Yield jobs whose agreed ingestion point has been reached.

@@ -27,8 +27,6 @@ the mining returns whenever it runs before the first ``job.result`` read.
   job on its shared executor's FIFO instead.
 """
 
-import itertools
-
 from repro.core.repeats import find_repeats
 from repro.faults import (
     CircuitBreaker,
@@ -220,15 +218,16 @@ class JobExecutor:
     def _init_stream(self, stream_key, node_id, base_latency_ops,
                      per_token_latency_ops, quarantine_threshold):
         """The per-stream half of an executor: identity, completion
-        model, job-id counter, breaker and counters. (The other half --
-        algorithm, memo, fault plan, deadline -- is the mining backend,
-        which a service lane borrows from its shared executor.)"""
+        model, breaker and counters; ``jobs_submitted`` is also the
+        job-id clock (a job's id is the count submitted before it). (The
+        other half -- algorithm, memo, fault plan, deadline -- is the
+        mining backend, which a service lane borrows from its shared
+        executor.)"""
         self.stream_key = stream_key
         self.node_id = node_id
         self.base_latency_ops = base_latency_ops
         self.per_token_latency_ops = per_token_latency_ops
         self.breaker = CircuitBreaker(quarantine_threshold)
-        self._ids = itertools.count()
         self.jobs_submitted = 0
         self.tokens_analyzed = 0
         self.memo_hits = 0
@@ -305,7 +304,7 @@ class JobExecutor:
         is the job's ``materialize`` thunk; :meth:`_schedule` says when
         it runs.
         """
-        job_id = next(self._ids)
+        job_id = self.jobs_submitted
         plan = self.fault_plan
         fault = (
             plan.mining_fault(self.stream_key, job_id) if plan.active

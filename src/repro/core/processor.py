@@ -68,9 +68,10 @@ class ApopheniaConfig:
         ``-lg:auto_trace:batchsize``; capacity of the task history buffer.
     multi_scale_factor:
         ``-lg:auto_trace:multi_scale_factor``; granularity of the
-        ruler-function sampling schedule.
-    identifier_algorithm:
-        ``"multi-scale"`` (the paper's scheme) or ``"fixed"``.
+        ruler-function sampling schedule. The artifact's
+        ``-lg:auto_trace:identifier_algorithm=fixed`` (mine the whole
+        buffer each time it fills) is ``multi_scale_factor = batchsize``:
+        the same schedule, not a separate knob.
     hysteresis:
         Strength of the realized-replay-share weighting in trace
         scoring (see :class:`~repro.core.scoring.ScoringPolicy`); 0
@@ -135,7 +136,6 @@ class ApopheniaConfig:
     max_trace_length: Optional[int] = _decision(None)
     batchsize: int = _decision(5000)
     multi_scale_factor: int = _decision(250)
-    identifier_algorithm: str = _decision("multi-scale")
     hysteresis: float = _decision(0.0)
     job_base_latency_ops: int = _decision(50)
     initial_ingest_margin_ops: int = _decision(128)
@@ -205,11 +205,6 @@ class ApopheniaConfig:
             raise ValueError(
                 f"multi_scale_factor must be >= 1, got "
                 f"{self.multi_scale_factor}"
-            )
-        if self.identifier_algorithm not in ("multi-scale", "fixed"):
-            raise ValueError(
-                "identifier_algorithm must be 'multi-scale' or 'fixed', "
-                f"got {self.identifier_algorithm!r}"
             )
         if self.hysteresis < 0:
             raise ValueError(
@@ -307,7 +302,6 @@ class ApopheniaProcessor:
             batchsize=self.config.batchsize,
             multi_scale_factor=self.config.multi_scale_factor,
             min_trace_length=self.config.min_trace_length,
-            identifier_algorithm=self.config.identifier_algorithm,
         )
         self.replayer = TraceReplayer(
             on_flush=self._forward_untraced,

@@ -112,8 +112,8 @@ class TraceReplayer:
         )
         self.pending = deque()  # (index, task, token), stream order
         self.deferred = None  # CompletedMatch being extended, or None
-        self.stream_index = 0
-        # The decision-determined counters (see the class docstring).
+        # The decision-determined counters (see the class docstring);
+        # ``tasks_seen`` is also the next task's stream index.
         self.tasks_seen = 0
         self.tasks_flushed = 0
         self.tasks_traced = 0
@@ -146,7 +146,7 @@ class TraceReplayer:
         just evicted would issue a trace for a ghost.
         """
         self.candidates_ingested += self.store.ingest(
-            repeats, self.stream_index
+            repeats, self.tasks_seen
         )
         if (
             self.store.max_candidates is not None
@@ -155,7 +155,7 @@ class TraceReplayer:
             protected = (
                 (self.deferred.candidate,) if self.deferred is not None else ()
             )
-            self.store.evict_due(self.stream_index, protected=protected)
+            self.store.evict_due(self.tasks_seen, protected=protected)
 
     def remove_candidate(self, candidate):
         """Evict a candidate from the trie and its rotation group (see
@@ -184,8 +184,7 @@ class TraceReplayer:
     # ------------------------------------------------------------------
     def process(self, task, token):
         """Consume one task and its hash token."""
-        index = self.stream_index
-        self.stream_index += 1
+        index = self.tasks_seen
         self.tasks_seen += 1
         self.pending.append((index, task, token))
         match = self._advance(token, index)
@@ -209,7 +208,7 @@ class TraceReplayer:
             self.deferred = None
             self._fire(match)
         if self.pending:
-            self._flush_upto(self.stream_index)
+            self._flush_upto(self.tasks_seen)
         self.engine.reset()
 
     # ------------------------------------------------------------------
@@ -313,7 +312,7 @@ class TraceReplayer:
             start = self.deferred.start_index
             bound = start if bound is None else min(bound, start)
         if bound is None:
-            bound = self.stream_index
+            bound = self.tasks_seen
         if self.pending and self.pending[0][0] < bound:
             self._flush_upto(bound)
 

@@ -10,10 +10,11 @@ of the buffer whose sizes follow the *ruler function*:
 
 Every ``multi_scale_factor`` tasks (the paper suggests 250), the finder
 analyzes the most recent ``multi_scale_factor * 2**ruler(k)`` tokens, where
-``k`` counts triggers. The resulting schedule analyzes short recent windows
-frequently and exponentially longer windows exponentially rarely, adding
-only a log factor over a single full-buffer analysis: total work is
-O(n log^2 n) for an O(n log n) miner.
+``k`` counts triggers -- the arrival count over the factor, so the
+schedule keeps no counter of its own. The resulting schedule analyzes
+short recent windows frequently and exponentially longer windows
+exponentially rarely, adding only a log factor over a single full-buffer
+analysis: total work is O(n log^2 n) for an O(n log n) miner.
 """
 
 
@@ -34,15 +35,22 @@ def ruler_powers(count):
 
 
 class MultiScaleSampler:
-    """Decides, per arriving token, how much of the buffer to analyze.
+    """Says, per arriving token, how much of the buffer to analyze.
+
+    The schedule is a pure function of the arrival count: the sampler
+    holds only its two parameters, and the finder's op clock
+    (``TraceFinder.ops_observed``) is the one counter it reads.
 
     Parameters
     ----------
     factor:
         The ``multi_scale_factor``: granularity (in tasks) of triggers.
+        ``factor == capacity`` is the "fixed" strawman Section 4.4
+        improves on (the artifact's ``identifier_algorithm=fixed``):
+        the whole buffer is mined each time it fills.
     capacity:
         The history buffer capacity (``batchsize``); slice sizes are capped
-        to it, and the trigger counter wraps when the largest slice reaches
+        to it, and the trigger count wraps when the largest slice reaches
         the capacity so the schedule stays periodic. Every period *must*
         end with a capacity-sized slice: a schedule that tops out below the
         buffer can never find repeats longer than its largest slice, making
@@ -54,8 +62,6 @@ class MultiScaleSampler:
             raise ValueError("factor and capacity must be positive")
         self.factor = factor
         self.capacity = capacity
-        self._arrivals = 0
-        self._trigger = 0
         # Triggers per full period: the smallest power of two ``p`` with
         # factor * p >= capacity, so the period's final slice (the only k
         # in [1, p] with ruler(k) = log2(p)) is capacity-sized after
@@ -68,20 +74,11 @@ class MultiScaleSampler:
         slices = -(-capacity // factor)  # ceil(capacity / factor)
         self._period = 1 << (slices - 1).bit_length()
 
-    def observe(self):
-        """Note one arriving token.
-
-        Returns the slice size (in tokens, counted from the most recent) to
-        analyze now, or ``None`` if no analysis should be triggered.
-        """
-        self._arrivals += 1
-        if self._arrivals % self.factor != 0:
+    def size_at(self, op):
+        """The slice size (in tokens, counted from the most recent) to
+        analyze when the ``op``-th token arrives (``op >= 1``), or
+        ``None`` if that arrival triggers no analysis."""
+        if op % self.factor:
             return None
-        self._trigger += 1
-        k = ((self._trigger - 1) % self._period) + 1
-        size = self.factor * (2 ** ruler(k))
-        return min(size, self.capacity)
-
-    @property
-    def arrivals(self):
-        return self._arrivals
+        k = (op // self.factor - 1) % self._period + 1
+        return min(self.factor * 2 ** ruler(k), self.capacity)

@@ -2,11 +2,11 @@
 
 A :class:`SessionState` captures everything a tracing session has
 *learned* -- the candidate trie, rotation groups, realized-replay
-records, sampler schedule position, op-clock offsets, pending mining
-jobs, and (replicated) the coordinator's agreement margin -- as one
-canonically-serialized JSON document. The service's LRU eviction
-dehydrates a victim tenant into such a snapshot instead of discarding
-it, and re-admission hydrates, so eviction no longer forgets.
+records, op clocks, pending mining jobs, and (replicated) the
+coordinator's agreement margin -- as one canonically-serialized JSON
+document. The service's LRU eviction dehydrates a victim tenant into
+such a snapshot instead of discarding it, and re-admission hydrates, so
+eviction no longer forgets.
 
 The headline property, tested by the ``persist`` suite: a hydrated
 session's subsequent decision stream is **byte-identical** to a session
@@ -18,10 +18,11 @@ Everything decision-relevant is persisted:
   trace identities and scoring tie-breaks),
 * rotation groups and shared occurrence totals,
 * realized-replay records (fires / gap tokens / last-fired cycle),
-* the finder's history buffer, op clock, and the multi-scale sampler's
-  trigger position,
-* pending mining jobs with their mined results and the job-id counter
-  (job ids feed the completion-time jitter),
+* the finder's history buffer and op clock (the multi-scale schedule is
+  read off it),
+* pending mining jobs with their mined results, and the executor's
+  ``jobs_submitted``, which is its job-id clock (job ids feed the
+  completion-time jitter),
 * the coordinator's grown margin and the agreed ingest points of
   still-pending jobs (a replicated warm start that reset the margin
   would ingest at different points: divergence).
@@ -33,9 +34,17 @@ the mining memo (decision-neutral by construction), and anything in
 flight -- a dehydrate flushes, and a fence
 (:meth:`~repro.core.replayer.TraceReplayer.flush_all`) leaves no
 buffered task, no held match and a reset engine (all liveness
-arithmetic is tick-relative), so a state is *learned* state only. A v1
-document from a tree whose fence could leave a match held still loads;
-that field is ignored (its tasks were already forwarded).
+arithmetic is tick-relative), so a state is *learned* state only.
+
+Each clock is recorded once, by the counter that owns it. Older v1
+documents carry copies that are ignored on load: a held match from a
+tree whose fence could leave one (its tasks were already forwarded),
+and ``finder.sampler`` / ``replayer.stream_index`` / ``jobs.next_job_id``,
+which always equalled ``finder.ops_observed``, the replayer's
+``tasks_seen`` and the executor's ``jobs_submitted``. A document whose
+config slice names an ``identifier_algorithm`` other than
+``"multi-scale"`` is refused: that schedule is spelled
+``multi_scale_factor = batchsize`` here.
 
 Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
@@ -44,7 +53,6 @@ stamp checked on load (tamper detection). :class:`PersistFormatV1` is the
 one schema; a document of any other version is refused.
 """
 
-import itertools
 from collections import deque
 
 from repro import canon
@@ -61,8 +69,8 @@ FORMAT_NAME = "repro-session-state"
 #: the match engine and decision policy: the ``restored``
 #: :mod:`repro.metrics` fields those layers own, read and written
 #: through :func:`~repro.metrics.processor_owners`
-#: (``jobs_submitted`` doubles as the next job id -- ids and the counter
-#: start at zero and move together).
+#: (``tasks_seen`` doubles as the replayer's stream position and
+#: ``jobs_submitted`` as the executor's job-id clock).
 _REPLAYER_COUNTERS = owned_by("replayer", restored=True)
 _EXECUTOR_COUNTERS = owned_by("executor", restored=True)
 _SERVING_GAUGES = owned_by("engine", "policy", restored=True)
@@ -116,20 +124,14 @@ class PersistFormatV1:
             "total": _INT,
         },
         "replayer": {
-            "stream_index": _INT, "flushed_since_fire": _INT,
+            "flushed_since_fire": _INT,
             "last_fired": _OPT_INT, "candidates_evicted": _INT,
             "counters": "replayer counters",
         },
         "replayer counters": dict.fromkeys(_REPLAYER_COUNTERS, _INT),
         "gauges": dict.fromkeys(_SERVING_GAUGES, _INT),
-        "finder": {
-            "buffer": (list,), "ops_observed": _INT, "sampler": "sampler",
-        },
-        "sampler": {"arrivals": _INT, "trigger": _INT},
-        "jobs": {
-            "next_job_id": _INT, "counters": "job counters",
-            "pending": ["pending job"],
-        },
+        "finder": {"buffer": (list,), "ops_observed": _INT},
+        "jobs": {"counters": "job counters", "pending": ["pending job"]},
         "job counters": dict.fromkeys(_EXECUTOR_COUNTERS, _INT),
         "pending job": {
             "job_id": _INT, "submitted_at_op": _INT, "num_tokens": _INT,
@@ -180,20 +182,26 @@ class PersistFormatV1:
         """What hydrate relies on beyond field types, checked before it
         touches the processor (so a refused document leaves it as it
         was): unique trace ids, every reference to one resolving,
-        non-empty token runs of hashable scalars, and every entry
-        hydrate unpacks as a pair being a pair of the right types."""
+        non-empty token runs of hashable scalars, every entry hydrate
+        unpacks as a pair being a pair of the right types, and id clocks
+        that run ahead of every id the document holds (a clock behind
+        them would hand out a live candidate's id or a pending job's id
+        again)."""
         candidates, rotations = payload["candidates"], payload["rotations"]
+        jobs = payload["jobs"]
         ids = {record["trace_id"] for record in candidates}
         refs = [member for entry in rotations for member in entry["members"]]
         if payload["replayer"]["last_fired"] is not None:
             refs.append(payload["replayer"]["last_fired"])
         runs = [record["tokens"] for record in candidates]
         runs += [entry["rotation"] for entry in rotations]
-        pairs = [(entry, list, list) for job in payload["jobs"]["pending"]
+        pairs = [(entry, list, list) for job in jobs["pending"]
                  for entry in job["result"]]
         pairs += [(entry, list, int) for entry in payload["trace_log"]]
         pairs += [(entry, int, int)
                   for entry in (payload["coordinator"] or {}).get("agreed", ())]
+        job_ids = [job["job_id"] for job in jobs["pending"]]
+        job_ids.append(jobs["counters"]["jobs_submitted"])
         checks = {
             "duplicate candidate trace_id": len(ids) == len(candidates),
             "a rotation member or last_fired names no candidate": all(
@@ -206,6 +214,10 @@ class PersistFormatV1:
                     and isinstance(entry[0], first)
                     and isinstance(entry[1], second)
                     for entry, first, second in pairs),
+            "next_candidate_id is not past every candidate trace_id": all(
+                tid < payload["next_candidate_id"] for tid in ids),
+            "pending job ids do not increase up to jobs_submitted": all(
+                a < b for a, b in zip(job_ids, job_ids[1:])),
         }
         for problem, ok in checks.items():
             if not ok:
@@ -374,8 +386,6 @@ def _snapshot_processor(processor):
     ]
 
     finder = processor.finder
-    sampler = finder.sampler
-    executor = processor.executor
     pending = []
     for job in finder.pending_jobs:
         # Lane-scheduled jobs may still be queued unmined; accessing
@@ -422,7 +432,6 @@ def _snapshot_processor(processor):
         "next_candidate_id": trie._next_id,
         "rotations": rotations,
         "replayer": {
-            "stream_index": replayer.stream_index,
             "flushed_since_fire": store.flushed_since_fire,
             "last_fired": (
                 last_fired.trace_id if last_fired is not None else None
@@ -434,13 +443,8 @@ def _snapshot_processor(processor):
         "finder": {
             "buffer": list(finder.buffer),
             "ops_observed": finder.ops_observed,
-            "sampler": {
-                "arrivals": sampler._arrivals,
-                "trigger": sampler._trigger,
-            },
         },
         "jobs": {
-            "next_job_id": executor.jobs_submitted,
             "counters": _counted(owners, _EXECUTOR_COUNTERS),
             "pending": pending,
         },
@@ -472,19 +476,24 @@ def hydrate_processor(processor, state):
         payload = state.payload
     else:
         payload = PersistFormatV1.validate(state)
-    if processor.replayer.stream_index != 0 or processor.finder.ops_observed:
+    if processor.replayer.tasks_seen or processor.finder.ops_observed:
         raise PersistFormatError(
             "hydrate target must be a fresh processor (it has already "
             "served tasks)"
         )
-    config = processor.config
-    for name in ApopheniaConfig.decision_fields():
-        recorded = payload["config"].get(name, getattr(config, name))
-        if recorded != getattr(config, name):
+    expected = {
+        name: getattr(processor.config, name)
+        for name in ApopheniaConfig.decision_fields()
+    }
+    # A retired knob: its "fixed" is ``multi_scale_factor = batchsize``.
+    expected["identifier_algorithm"] = "multi-scale"
+    for name, value in expected.items():
+        recorded = payload["config"].get(name, value)
+        if recorded != value:
             raise PersistFormatError(
                 f"state was captured under {name}={recorded!r} but the "
-                f"session runs {name}={getattr(config, name)!r}; learned "
-                "state is only valid under the schedule that produced it"
+                f"session runs {name}={value!r}; learned state is only "
+                "valid under the schedule that produced it"
             )
 
     replayer = processor.replayer
@@ -523,7 +532,6 @@ def hydrate_processor(processor, state):
     )
     store.flushed_since_fire = rep["flushed_since_fire"]
     store.candidates_evicted = rep["candidates_evicted"]
-    replayer.stream_index = rep["stream_index"]
     owners = processor_owners(processor)
     _restore(owners, _REPLAYER_COUNTERS, rep["counters"])
     _restore(owners, _SERVING_GAUGES, payload["gauges"])
@@ -532,12 +540,9 @@ def hydrate_processor(processor, state):
     fin = payload["finder"]
     finder.buffer = deque(fin["buffer"], maxlen=finder.batchsize)
     finder.ops_observed = fin["ops_observed"]
-    finder.sampler._arrivals = fin["sampler"]["arrivals"]
-    finder.sampler._trigger = fin["sampler"]["trigger"]
 
     executor = processor.executor
     jobs = payload["jobs"]
-    executor._ids = itertools.count(jobs["next_job_id"])
     _restore(owners, _EXECUTOR_COUNTERS, jobs["counters"])
     finder.pending_jobs = deque(
         AnalysisJob(

@@ -17,6 +17,11 @@ the injection seams the production code keeps for them:
   ``worth_waiting(policy, match, now_index, pointers)`` on a
   :class:`~repro.core.scoring.ReplayDecisionPolicy`, beside that
   policy's own method (``tests/test_scoring.py``).
+* :class:`FixedTrigger` -- the trace finder's retired
+  ``identifier_algorithm="fixed"`` trigger. Set as a
+  :class:`~repro.core.finder.TraceFinder`'s ``sampler``, beside a finder
+  running the multi-scale schedule at ``multi_scale_factor = batchsize``
+  (``tests/test_finder_jobs.py``).
 """
 
 from repro.core.trie import CandidateTrie, CompletedMatch
@@ -223,3 +228,18 @@ def worth_waiting(self, match, now_index, pointers):
     if suppressed:
         self.hysteresis_suppressed += 1
     return False
+
+
+class FixedTrigger:
+    """The fixed strategy the finder once branched to: analyze the full
+    buffer every time it fills. Answers ``size_at`` off the finder's op
+    clock, as :class:`~repro.core.sampler.MultiScaleSampler` does."""
+
+    def __init__(self, batchsize):
+        self.batchsize = batchsize
+
+    def size_at(self, ops_observed):
+        # Fixed strategy: analyze the full buffer every time it fills.
+        if ops_observed % self.batchsize == 0:
+            return self.batchsize
+        return None

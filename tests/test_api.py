@@ -354,7 +354,7 @@ class TestConfigBuilder:
             dict(batchsize=6, min_trace_length=5),
             dict(multi_scale_factor=0),
             dict(max_trace_length=3, min_trace_length=5),
-            dict(identifier_algorithm="psychic"),
+            dict(job_base_latency_ops=-1),
             dict(num_nodes=0),
             dict(max_sessions=0),
             dict(batchsize="abc"),
@@ -396,8 +396,8 @@ class TestConfigBuilder:
                     read.add(node.attr)
                 pending.extend(ast.iter_child_nodes(node))
         fields = ApopheniaConfig.field_names()
-        assert len(fields) == 18
-        assert len(ApopheniaConfig.decision_fields()) == 10
+        assert len(fields) == 17
+        assert len(ApopheniaConfig.decision_fields()) == 9
         assert [name for name in fields if name not in read] == []
 
 

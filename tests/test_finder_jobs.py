@@ -6,6 +6,20 @@ from repro.core.coordination import IngestCoordinator
 from repro.core.finder import TraceFinder
 from repro.core.jobs import JobExecutor, MiningMemo
 
+import references
+
+
+class RecordingExecutor(JobExecutor):
+    """A private executor that logs each submitted ``(op, window)``."""
+
+    def __init__(self):
+        super().__init__()
+        self.windows = []
+
+    def submit(self, tokens, min_length, now_op):
+        self.windows.append((now_op, tuple(tokens)))
+        return super().submit(tokens, min_length, now_op)
+
 
 class TestJobExecutor:
     def test_submit_computes_result(self):
@@ -163,17 +177,40 @@ class TestTraceFinder:
         assert all(j is None for j in jobs)
 
     def test_fixed_strategy(self):
+        """The fixed strawman is the schedule at factor == batchsize."""
         ex = JobExecutor()
-        finder = TraceFinder(ex, batchsize=50, multi_scale_factor=10,
-                             min_trace_length=1, identifier_algorithm="fixed")
+        finder = TraceFinder(ex, batchsize=50, multi_scale_factor=50,
+                             min_trace_length=1)
         jobs = [finder.observe(i % 5) for i in range(150)]
         submitted = [j for j in jobs if j is not None]
         assert len(submitted) == 3
         assert all(j.num_tokens == 50 for j in submitted)
 
+    @pytest.mark.parametrize("batchsize", [10, 37, 250, 1000, 5000])
+    def test_fixed_strategy_matches_the_retired_trigger(self, batchsize):
+        """The retired ``identifier_algorithm="fixed"`` trigger (kept
+        unchanged as ``references.FixedTrigger``) and the multi-scale
+        schedule at ``multi_scale_factor = batchsize`` submit the same
+        jobs: same op, same window."""
+        submitted = []
+        for trigger in (None, references.FixedTrigger(batchsize)):
+            ex = RecordingExecutor()
+            finder = TraceFinder(ex, batchsize=batchsize,
+                                 multi_scale_factor=batchsize)
+            if trigger is not None:
+                finder.sampler = trigger
+            for i in range(3 * batchsize + 7):
+                finder.observe((i * 7) % 13 + i // 97)
+            submitted.append(ex.windows)
+        assert len(submitted[0]) == 3
+        assert submitted[0] == submitted[1]
+
     def test_bad_identifier_rejected(self):
-        with pytest.raises(ValueError):
-            TraceFinder(JobExecutor(), identifier_algorithm="magic")
+        """The finder has one schedule: ``identifier_algorithm`` is no
+        longer an argument, whatever its value."""
+        for identifier in ("multi-scale", "fixed", "magic"):
+            with pytest.raises(TypeError):
+                TraceFinder(JobExecutor(), identifier_algorithm=identifier)
 
     def test_drain_in_fifo_order(self):
         ex = JobExecutor(base_latency_ops=5, per_token_latency_ops=0.0)

@@ -211,6 +211,48 @@ class TestWarmStartParity:
             backend, "s3d", stream
         ).decisions
 
+    @pytest.mark.parametrize("backend", BACKENDS)
+    def test_state_with_retired_clock_copies_still_hydrates(
+        self, app_streams, backend
+    ):
+        """A state dehydrated while the sampler, the replayer's stream
+        position and the executor's job ids kept counters of their own
+        carries copies of ``ops_observed``, ``tasks_seen`` and
+        ``jobs_submitted``, and ``identifier_algorithm`` in its decision
+        slice. Hydrate ignores the copies, so the warm start matches the
+        uninterrupted run. A state captured under the fixed finder is
+        refused: this tree spells that schedule
+        ``multi_scale_factor = batchsize``."""
+        stream = app_streams["s3d"]
+        with _open(backend, "s3d") as session:
+            _drive(session, stream[:SPLIT])
+            payload = session.dehydrate().payload
+        ops = payload["finder"]["ops_observed"]
+        payload["finder"]["sampler"] = {
+            "arrivals": ops,
+            "trigger": ops // FAST_CONFIG.multi_scale_factor,
+        }
+        payload["replayer"]["stream_index"] = (
+            payload["replayer"]["counters"]["tasks_seen"])
+        payload["jobs"]["next_job_id"] = (
+            payload["jobs"]["counters"]["jobs_submitted"])
+
+        def stamped(identifier):
+            payload["config"]["identifier_algorithm"] = identifier
+            payload["digest"] = canon.digest(payload)
+            return SessionState.loads(canon.dumps(payload))
+
+        state = stamped("multi-scale")
+        with _open(backend, "s3d", state=state) as session:
+            _drive(session, stream[SPLIT:])
+            session.flush()
+            hydrated = session.snapshot()
+        assert hydrated.decisions == _uninterrupted(
+            backend, "s3d", stream
+        ).decisions
+        with pytest.raises(PersistFormatError, match="identifier_algorithm"):
+            _open(backend, "s3d", state=stamped("fixed"))
+
 
 class TestRoundTripByteStability:
     """``loads(dumps())`` is the identity on bytes, per backend."""
@@ -322,7 +364,8 @@ class TestDigestTamperDetection:
              "missing 'jobs_submitted'"),
             ("replayer", "counters", {"not_a_counter": 1},
              "missing 'tasks_seen'"),
-            ("finder", "sampler", {}, "missing 'arrivals'"),
+            ("jobs", "pending", [{"job_id": 0}],
+             "missing 'submitted_at_op'"),
             (None, "finder", {}, "missing 'buffer'"),
         ):
             def put(records):
@@ -435,7 +478,7 @@ class TestRemoveCandidateReconciliation:
 
         def feed(self, tokens):
             for i, token in enumerate(
-                tokens, start=self.replayer.stream_index
+                tokens, start=self.replayer.tasks_seen
             ):
                 self.replayer.process((i, token), token)
 
@@ -662,7 +705,7 @@ class TestHydrateGuards:
         task served must not fire it (it used to: an empty trace)."""
         payload = self._state(app_streams).payload
         candidate = payload["candidates"][0]
-        end = payload["replayer"]["stream_index"]
+        end = payload["replayer"]["counters"]["tasks_seen"]
         payload["replayer"]["deferred"] = {
             "candidate": candidate["trace_id"],
             "start_index": end - len(candidate["tokens"]),
@@ -690,6 +733,9 @@ class TestHydrateGuards:
         "trace_log entry 5",
         "candidate with empty tokens",
         "duplicate trace_id",
+        "next_candidate_id 0",
+        "jobs_submitted at a pending job_id",
+        "pending job ids not increasing",
     ])
     def test_malformed_contents_fail_closed(self, app_streams, case):
         """Documents that pass the field-type schema and carry a valid
@@ -697,12 +743,21 @@ class TestHydrateGuards:
         duplicate id, be silently accepted): each is refused as a
         :class:`PersistFormatError` on load and on a raw-payload
         hydrate, and the refused hydrate leaves the processor as
-        fresh as it was."""
+        fresh as it was. An id clock at or behind an id the document
+        holds would hand that id out again: the next ingest overwrites
+        a live candidate's trie entry, the next submit repeats a job id
+        (and its coordinator agreement key)."""
         payload = self._state(app_streams).payload
         candidates = payload["candidates"]
         rotation = payload["rotations"][0]
-        pending_job = {"job_id": 0, "submitted_at_op": 0, "num_tokens": 1,
-                       "degraded": False, "result": [[1]]}
+        jobs = payload["jobs"]
+        clock = jobs["counters"]["jobs_submitted"]
+        assert clock >= 2  # room for two pending ids below the clock
+
+        def pending(job_id, result=()):
+            jobs["pending"].append({
+                "job_id": job_id, "submitted_at_op": 0, "num_tokens": 1,
+                "degraded": False, "result": list(result)})
         edit = {
             "rotation member not a candidate": lambda: rotation[
                 "members"].append(candidates[-1]["trace_id"] + 1),
@@ -710,13 +765,17 @@ class TestHydrateGuards:
                 last_fired=candidates[-1]["trace_id"] + 1),
             "rotation made of lists": lambda: rotation.update(
                 rotation=[[token] for token in rotation["rotation"]]),
-            "pending job result entry [[1]]": lambda: payload["jobs"][
-                "pending"].append(pending_job),
+            "pending job result entry [[1]]": lambda: pending(0, [[1]]),
             "trace_log entry 5": lambda: payload["trace_log"].append(5),
             "candidate with empty tokens": lambda: candidates[0].update(
                 tokens=[]),
             "duplicate trace_id": lambda: candidates[1].update(
                 trace_id=candidates[0]["trace_id"]),
+            "next_candidate_id 0": lambda: payload.update(
+                next_candidate_id=0),
+            "jobs_submitted at a pending job_id": lambda: pending(clock),
+            "pending job ids not increasing": lambda: (
+                pending(clock - 1), pending(clock - 2)),
         }[case]
         edit()
         payload["digest"] = canon.digest(payload)

@@ -117,7 +117,6 @@ class TestConfig:
             max_trace_length=200,
             batchsize=5000,
             multi_scale_factor=500,
-            identifier_algorithm="multi-scale",
         )
         assert cfg.min_trace_length == 25
         assert cfg.max_trace_length == 200

@@ -35,7 +35,7 @@ class Harness:
         self.forwarded.extend(tasks)
 
     def feed(self, tokens):
-        for i, token in enumerate(tokens, start=self.replayer.stream_index):
+        for i, token in enumerate(tokens, start=self.replayer.tasks_seen):
             # task payload == (index, token) so ordering is checkable
             self.replayer.process((i, token), token)
 
@@ -44,6 +44,22 @@ class Harness:
 
     def traces(self):
         return [e for e in self.events if e[0] == "trace"]
+
+
+def check_nested_fires(m):
+    """Feed ``m`` copies of a short candidate under one long candidate
+    the stream breaks off from, and check that the ``m`` nested fires
+    each issue in stream order with every task forwarded once."""
+    s = (1, 2, 3, 4, 5)
+    stream = s * m + (7,)
+    h = Harness()
+    h.replayer.ingest([Repeat(s, [0]), Repeat(s * (m + 5) + (9,), [0])])
+    h.feed(stream)
+    h.finish()
+    traces = h.traces()
+    assert [t[1] for t in traces] == [s] * m
+    assert [t[2][0][0] for t in traces] == list(range(0, 5 * m, 5))
+    assert h.forwarded == list(enumerate(stream))
 
 
 class TestForwardingInvariants:
@@ -120,20 +136,11 @@ class TestMatching:
         stream breaks off at its end; firing the first short match
         re-feeds a tail whose own break fires the next, and so on: the
         fires nest one per short match. They once nested as Python
-        frames (``RecursionError`` from m=400); 2,000 deep, each fires
-        in stream order with every task forwarded once. (The re-feeds
-        make this quadratic: ~10M engine steps, about a minute.)"""
-        m = 2000
-        s = (1, 2, 3, 4, 5)
-        stream = s * m + (7,)
-        h = Harness()
-        h.replayer.ingest([Repeat(s, [0]), Repeat(s * (m + 5) + (9,), [0])])
-        h.feed(stream)
-        h.finish()
-        traces = h.traces()
-        assert [t[1] for t in traces] == [s] * m
-        assert [t[2][0][0] for t in traces] == list(range(0, 5 * m, 5))
-        assert h.forwarded == list(enumerate(stream))
+        frames (``RecursionError`` from m=400); 400 deep, each fires
+        in stream order with every task forwarded once. The 2,000-deep
+        case (~10M engine steps: the re-feeds make it quadratic) is
+        ``benchmarks/test_nested_fires_deep.py``."""
+        check_nested_fires(400)
 
     def test_occurrences_counted(self):
         h = Harness(min_trace_length=2)

@@ -19,35 +19,40 @@ class TestRuler:
             ruler(0)
 
 
+def sizes_over(sampler, n):
+    """The sampler's answer at each of the first ``n`` arrivals."""
+    return [sampler.size_at(op) for op in range(1, n + 1)]
+
+
 class TestMultiScaleSampler:
     def test_figure5_schedule(self):
         """Buffer of 8, factor 1: slice sizes follow 1 2 1 4 1 2 1 8."""
         sampler = MultiScaleSampler(factor=1, capacity=8)
-        sizes = [sampler.observe() for _ in range(8)]
+        sizes = sizes_over(sampler, 8)
         assert sizes == [1, 2, 1, 4, 1, 2, 1, 8]
 
     def test_factor_gates_triggers(self):
         sampler = MultiScaleSampler(factor=250, capacity=1000)
-        sizes = [sampler.observe() for _ in range(1000)]
+        sizes = sizes_over(sampler, 1000)
         triggers = [(i + 1, s) for i, s in enumerate(sizes) if s is not None]
         assert [t[0] for t in triggers] == [250, 500, 750, 1000]
         assert [t[1] for t in triggers] == [250, 500, 250, 1000]
 
     def test_slices_capped_at_capacity(self):
         sampler = MultiScaleSampler(factor=100, capacity=250)
-        sizes = [s for s in (sampler.observe() for _ in range(2000)) if s]
+        sizes = [s for s in sizes_over(sampler, 2000) if s]
         assert max(sizes) <= 250
 
     def test_schedule_is_periodic(self):
         sampler = MultiScaleSampler(factor=1, capacity=4)
-        sizes = [sampler.observe() for _ in range(12)]
+        sizes = sizes_over(sampler, 12)
         assert sizes == [1, 2, 1, 4] * 3
 
     def test_full_buffer_sampled_regularly(self):
         """The largest slice (the full buffer) recurs, so long traces are
         eventually discoverable (the H2-H4/H5-H7 example of Figure 5)."""
         sampler = MultiScaleSampler(factor=1, capacity=8)
-        sizes = [sampler.observe() for _ in range(32)]
+        sizes = sizes_over(sampler, 32)
         assert sizes.count(8) == 4
 
     def test_full_buffer_reached_at_paper_defaults(self):
@@ -56,7 +61,7 @@ class TestMultiScaleSampler:
         otherwise repeats longer than 4000 tokens are unfindable despite
         the 5000-token buffer."""
         sampler = MultiScaleSampler(factor=250, capacity=5000)
-        sizes = [s for s in (sampler.observe() for _ in range(250 * 64)) if s]
+        sizes = [s for s in sizes_over(sampler, 250 * 64) if s]
         assert max(sizes) == 5000
         # Two full periods of 32 triggers, each ending at the capacity.
         assert len(sizes) == 64
@@ -67,7 +72,7 @@ class TestMultiScaleSampler:
         """ceil, not floor: capacity 5000 / factor 300 floors to 16 (a
         power of two) but 300 * 16 = 4800 still undershoots the buffer."""
         sampler = MultiScaleSampler(factor=300, capacity=5000)
-        sizes = [s for s in (sampler.observe() for _ in range(300 * 32)) if s]
+        sizes = [s for s in sizes_over(sampler, 300 * 32) if s]
         assert max(sizes) == 5000
         assert sizes[-1] == 5000
 
@@ -78,11 +83,20 @@ class TestMultiScaleSampler:
 
         factor, capacity = 250, 5000
         sampler = MultiScaleSampler(factor=factor, capacity=capacity)
-        sizes = [s for s in (sampler.observe() for _ in range(250 * 32)) if s]
+        sizes = [s for s in sizes_over(sampler, 250 * 32) if s]
         expected = [
             min(factor * 2 ** ruler(k), capacity) for k in range(1, 33)
         ]
         assert sizes == expected
+
+    def test_answer_is_a_function_of_the_arrival_count(self):
+        """No clock of its own: asking out of order, or twice, answers
+        exactly what asking in arrival order does."""
+        sampler = MultiScaleSampler(factor=3, capacity=20)
+        forward = sizes_over(sampler, 100)
+        backward = [sampler.size_at(op) for op in range(100, 0, -1)]
+        assert backward == forward[::-1]
+        assert sizes_over(sampler, 100) == forward
 
     def test_rejects_bad_params(self):
         with pytest.raises(ValueError):
@@ -98,6 +112,6 @@ class TestMultiScaleSampler:
         factor, capacity = 10, 640
         sampler = MultiScaleSampler(factor=factor, capacity=capacity)
         n = 6400
-        total = sum(s for s in (sampler.observe() for _ in range(n)) if s)
+        total = sum(s for s in sizes_over(sampler, n) if s)
         bound = n * (math.log2(capacity / factor) + 2)
         assert total <= bound

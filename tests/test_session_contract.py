@@ -119,9 +119,9 @@ def _refuse_the_next_admissions(pool, handle):
             "tenant", config=SPILLING.with_overrides(min_trace_length=7),
             state=state,
         )
-    with pytest.raises(ValueError, match="identifier_algorithm"):
+    with pytest.raises(ValueError, match="factor and capacity"):
         pool.open_session(
-            "tenant", config=SPILLING.with_overrides(identifier_algorithm="?")
+            "tenant", config=SPILLING.with_overrides(multi_scale_factor=0)
         )
     # What the refused attempts built before failing is garbage too.
     assert _serving_objects() <= before
@@ -265,9 +265,9 @@ def test_refused_admission_does_not_wedge_the_session_id(pool):
             "tenant", config=CONFIG.with_overrides(min_trace_length=7),
             state=state,
         )
-    with pytest.raises(ValueError, match="identifier_algorithm"):
+    with pytest.raises(ValueError, match="factor and capacity"):
         pool.open_session(
-            "tenant", config=CONFIG.with_overrides(identifier_algorithm="?")
+            "tenant", config=CONFIG.with_overrides(multi_scale_factor=0)
         )
     assert pool.backend_stats == before
     pool.open_session("tenant", state=state)  # the id opens cleanly
@@ -295,9 +295,9 @@ def test_refused_admission_keeps_the_spilled_state():
     assert "tenant" in service.state_store
     with pytest.raises(PersistFormatError, match="min_trace_length"):
         open_session("tenant", backend=service, min_trace_length=7)
-    with pytest.raises(ValueError, match="identifier_algorithm"):
+    with pytest.raises(ValueError, match="factor and capacity"):
         service.open_session(
-            "tenant", config=SPILLING.with_overrides(identifier_algorithm="?")
+            "tenant", config=SPILLING.with_overrides(multi_scale_factor=0)
         )
     assert _tier(service) == found
     with open_session("tenant", backend=service) as session:

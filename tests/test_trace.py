@@ -182,7 +182,9 @@ class TestRedriveParity:
         {"repeats_algorithm": "quick_matching_of_substrings",
          "mining_memo_capacity": 8, "count_cap": 16, "decay_rate": 1e-4,
          "replay_bonus": 1.1, "job_per_token_latency_ops": 0.05},
-    ], ids=["null", "named", "parent-commit", "paper-constants"])
+        {"identifier_algorithm": "multi-scale"},
+    ], ids=["null", "named", "parent-commit", "paper-constants",
+            "identifier-algorithm"])
     def test_header_with_retired_config_keys_still_redrives(
             self, stale, corpus_docs):
         """Regression: traces captured before ``sa_backend`` and
@@ -190,13 +192,15 @@ class TestRedriveParity:
         before the service scheduler's ``max_outstanding_jobs`` and
         ``lane_outstanding_quota`` went (PR 15) carry 26; ones captured
         before the paper's constants stopped being knobs carry 24, six
-        of them at the values the components now fix. The loader ignores
+        of them at the values the components now fix; ones captured
+        before the fixed finder became ``multi_scale_factor = batchsize``
+        carry ``identifier_algorithm``. The loader ignores
         keys that name no field, so such a trace loads to the same config
         and re-drives byte-identical on every backend."""
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
-        assert len(records[0]["config"]) == 18 + len(stale)
+        assert len(records[0]["config"]) == 17 + len(stale)
         old = TraceDocument.loads(
             "".join(canon.dumps(r) + "\n" for r in records)
         ).verify()
