@@ -18,6 +18,7 @@ Configuration mirrors the runtime flags listed in the paper's artifact
 appendix (``-lg:auto_trace:*``).
 """
 
+import sys
 from dataclasses import dataclass, field, fields, replace
 from functools import cache
 from typing import Optional, get_args
@@ -177,15 +178,14 @@ class ApopheniaConfig:
         backend is built, so misconfiguration fails fast at the client
         surface instead of deep in a mining job.
         """
+        spec = {}
         for f in fields(self):
             # ``Optional[int]`` is (int, NoneType), a float field takes an
             # int, and ``fault_plan`` (an ``object``) is resolved below.
             types = get_args(f.type) or (f.type,)
-            if float in types:
-                types += (int,)
             if object not in types:
-                canon.require(vars(self), f.name, types, "config",
-                              ValueError)
+                spec[f.name] = types + (int,) if float in types else types
+        canon.check(vars(self), "config", {"config": spec}, ValueError)
         if self.min_trace_length < 2:
             raise ValueError(
                 f"min_trace_length must be >= 2, got {self.min_trace_length}"
@@ -196,10 +196,11 @@ class ApopheniaConfig:
                 f"max_trace_length {self.max_trace_length} < "
                 f"min_trace_length {self.min_trace_length}"
             )
-        if self.batchsize < 2 * self.min_trace_length:
+        # At most ``sys.maxsize``: the finder's history is a bounded deque.
+        if not 2 * self.min_trace_length <= self.batchsize <= sys.maxsize:
             raise ValueError(
-                f"batchsize {self.batchsize} cannot hold one repeat of "
-                f"min_trace_length {self.min_trace_length} twice"
+                f"batchsize {self.batchsize} is not in [2 * min_trace_length"
+                f", sys.maxsize] = [{2 * self.min_trace_length}, {sys.maxsize}]"
             )
         if self.multi_scale_factor < 1:
             raise ValueError(

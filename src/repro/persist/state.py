@@ -50,7 +50,13 @@ Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
 byte-identically, and the payload carries a :func:`repro.canon.digest`
 stamp checked on load (tamper detection). :class:`PersistFormatV1` is the
-one schema; a document of any other version is refused.
+one schema; a document of any other version is refused. It is written
+in :func:`repro.canon.check`'s grammar, the trace format's too, and
+says what every list holds -- token runs, rows, ids -- so a document
+whose digest checks out (anyone can restamp one) still fails closed
+with :class:`PersistFormatError` at load instead of inside hydrate or
+a later submit. A :class:`SessionState` built in process (dehydrate,
+the service's spill tier) is not re-validated when it is hydrated.
 """
 
 from collections import deque
@@ -101,9 +107,8 @@ class PersistFormatV1:
 
     version = 1
 
-    #: object kind -> {field: spec}, for everything hydrate indexes. A
-    #: spec is the tuple of types a value may have, the kind of a nested
-    #: object, or ``[kind]`` for a list of such objects.
+    #: kind -> spec in :func:`repro.canon.check`'s grammar, for
+    #: everything hydrate reads, down to the items of every list.
     _SCHEMA = {
         "state": {
             "format": (str,), "version": _INT,
@@ -112,15 +117,16 @@ class PersistFormatV1:
             "next_candidate_id": _INT, "rotations": ["rotation"],
             "replayer": "replayer", "gauges": "gauges", "finder": "finder",
             "jobs": "jobs", "coordinator": (dict, type(None)),
-            "trace_log": (list,), "digest": (str,),
+            "trace_log": [[[canon.SCALAR], _INT]], "digest": (str,),
         },
+        "tokens": [canon.SCALAR],
         "candidate": {
-            "trace_id": _INT, "tokens": (list,), "occurrences": _INT,
+            "trace_id": _INT, "tokens": "tokens", "occurrences": _INT,
             "last_seen_at": _OPT_INT, "fires": _INT, "gap_tokens": _INT,
             "replayed": (bool,), "recorded": (bool,),
         },
         "rotation": {
-            "length": _INT, "rotation": (list,), "members": (list,),
+            "length": _INT, "rotation": "tokens", "members": [_INT],
             "total": _INT,
         },
         "replayer": {
@@ -130,40 +136,25 @@ class PersistFormatV1:
         },
         "replayer counters": dict.fromkeys(_REPLAYER_COUNTERS, _INT),
         "gauges": dict.fromkeys(_SERVING_GAUGES, _INT),
-        "finder": {"buffer": (list,), "ops_observed": _INT},
+        "finder": {"buffer": "tokens", "ops_observed": _INT},
         "jobs": {"counters": "job counters", "pending": ["pending job"]},
         "job counters": dict.fromkeys(_EXECUTOR_COUNTERS, _INT),
         "pending job": {
             "job_id": _INT, "submitted_at_op": _INT, "num_tokens": _INT,
-            "degraded": (bool,), "result": (list,),
+            "degraded": (bool,), "result": [["tokens", [_INT]]],
         },
         "coordinator": {
-            "margin_ops": _INT, "waits": _INT, "agreed": (list,),
+            "margin_ops": _INT, "waits": _INT, "agreed": [[_INT, _INT]],
         },
     }
 
     @classmethod
-    def _check(cls, value, kind):
-        """``value`` is an object carrying every field of ``kind``."""
-        if not isinstance(value, dict):
-            raise PersistFormatError(f"{kind} is not an object: {value!r}")
-        for field, spec in cls._SCHEMA[kind].items():
-            if isinstance(spec, tuple):
-                canon.require(value, field, spec, kind, PersistFormatError)
-            elif isinstance(spec, str):
-                cls._check(canon.require(value, field, (dict,), kind,
-                                         PersistFormatError), spec)
-            else:
-                for item in canon.require(value, field, (list,), kind,
-                                          PersistFormatError):
-                    cls._check(item, spec[0])
-
-    @classmethod
     def validate(cls, payload):
         """Check a parsed payload against the schema; returns it."""
-        cls._check(payload, "state")
+        canon.check(payload, "state", cls._SCHEMA, PersistFormatError)
         if payload["coordinator"] is not None:
-            cls._check(payload["coordinator"], "coordinator")
+            canon.check(payload["coordinator"], "coordinator", cls._SCHEMA,
+                        PersistFormatError)
         if payload["format"] != FORMAT_NAME:
             raise PersistFormatError(
                 f"not a {FORMAT_NAME} document: "
@@ -179,14 +170,15 @@ class PersistFormatV1:
 
     @classmethod
     def _check_contents(cls, payload):
-        """What hydrate relies on beyond field types, checked before it
+        """What hydrate relies on beyond the schema, checked before it
         touches the processor (so a refused document leaves it as it
         was): unique trace ids, every reference to one resolving,
-        non-empty token runs of hashable scalars, every entry hydrate
-        unpacks as a pair being a pair of the right types, and id clocks
-        that run ahead of every id the document holds (a clock behind
-        them would hand out a live candidate's id or a pending job's id
-        again)."""
+        non-empty candidate and rotation token runs, agreed ingest
+        points only for pending jobs (the coordinator retires an entry
+        when its job is ingested, so any other would stay for good), and
+        id clocks that run ahead of every id the document holds (a clock
+        behind them would hand out a live candidate's id or a pending
+        job's id again)."""
         candidates, rotations = payload["candidates"], payload["rotations"]
         jobs = payload["jobs"]
         ids = {record["trace_id"] for record in candidates}
@@ -195,29 +187,20 @@ class PersistFormatV1:
             refs.append(payload["replayer"]["last_fired"])
         runs = [record["tokens"] for record in candidates]
         runs += [entry["rotation"] for entry in rotations]
-        pairs = [(entry, list, list) for job in jobs["pending"]
-                 for entry in job["result"]]
-        pairs += [(entry, list, int) for entry in payload["trace_log"]]
-        pairs += [(entry, int, int)
-                  for entry in (payload["coordinator"] or {}).get("agreed", ())]
         job_ids = [job["job_id"] for job in jobs["pending"]]
-        job_ids.append(jobs["counters"]["jobs_submitted"])
+        clocks = job_ids + [jobs["counters"]["jobs_submitted"]]
+        agreed = (payload["coordinator"] or {}).get("agreed", ())
         checks = {
             "duplicate candidate trace_id": len(ids) == len(candidates),
             "a rotation member or last_fired names no candidate": all(
-                isinstance(ref, int) and ref in ids for ref in refs),
-            "a candidate or rotation token run is empty or not flat": all(
-                run and not any(isinstance(t, (list, dict)) for t in run)
-                for run in runs),
-            "a pending result, trace_log or agreed entry is no typed pair":
-                all(isinstance(entry, list) and len(entry) == 2
-                    and isinstance(entry[0], first)
-                    and isinstance(entry[1], second)
-                    for entry, first, second in pairs),
+                ref in ids for ref in refs),
+            "a candidate or rotation token run is empty": all(runs),
+            "an agreed ingest point names no pending job": all(
+                job_id in job_ids for job_id, _point in agreed),
             "next_candidate_id is not past every candidate trace_id": all(
                 tid < payload["next_candidate_id"] for tid in ids),
             "pending job ids do not increase up to jobs_submitted": all(
-                a < b for a, b in zip(job_ids, job_ids[1:])),
+                a < b for a, b in zip(clocks, clocks[1:])),
         }
         for problem, ok in checks.items():
             if not ok:

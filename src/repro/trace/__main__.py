@@ -9,12 +9,14 @@ Usage::
 
 ``corpus`` rewrites the checked-in fixtures (default ``tests/corpus``);
 review the diff before committing, exactly like ``make loc-budget``.
+A file that is missing, unreadable or malformed prints ``error: ...``
+to stderr and exits 2.
 """
 
 import argparse
 import sys
 
-from repro.trace.format import TraceDocument
+from repro.trace.format import TraceDocument, TraceFormatError
 from repro.trace.replay import REPLAY_BACKENDS, TraceReplayHarness
 
 
@@ -113,7 +115,12 @@ def main(argv=None):
     show.set_defaults(func=_cmd_show)
 
     args = parser.parse_args(argv)
-    return args.func(args)
+    try:
+        return args.func(args)
+    except (TraceFormatError, OSError) as exc:
+        # A malformed or unreadable file is the user's input, not a bug.
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -21,17 +21,23 @@ A trace file is one JSON object per line:
   (the byte-identity target a re-drive must hit).
 
 :class:`TraceFormatV1` is the one schema; a header of any other
-``version`` is refused.
+``version`` is refused. It is written in :func:`repro.canon.check`'s
+grammar, the session state's too, down to the items of every list:
+requirement rows, their privileges and fields, topology field lists
+and partition kinds. The topology is outside the stream digest, so a
+record the re-drive could not read is refused at load, not met as a
+``TypeError`` in the middle of one.
 """
 
 from repro import canon
 from repro.core.processor import ApopheniaConfig
+from repro.runtime.privilege import Privilege
+from repro.runtime.region import PartitionKind
 from repro.stablehash import stable_digest
 
 FORMAT_NAME = "repro-trace"
 
-#: JSON-scalar types a trace record field may carry.
-_SCALARS = (bool, int, float, str)
+_INT, _OPT_STR, _NUMBER = (int,), (str, type(None)), (int, float)
 
 
 class TraceFormatError(ValueError):
@@ -52,7 +58,7 @@ def config_to_dict(config):
     fields, dropped = {}, []
     for name in ApopheniaConfig.field_names():
         value = getattr(config, name)
-        if value is None or isinstance(value, _SCALARS):
+        if value is None or isinstance(value, canon.SCALAR):
             fields[name] = value
         else:
             dropped.append(name)
@@ -74,50 +80,40 @@ class TraceFormatV1:
 
     version = 1
 
-    #: record kind -> (field, allowed scalar types, nullable)
-    _SCHEMAS = {
-        "header": (
-            ("format", (str,), False),
-            ("version", (int,), False),
-            ("session_id", (str,), True),
-            ("backend", (str,), True),
-            ("app", (str,), True),
-            ("config", (dict,), False),
-            ("config_dropped", (list,), False),
-            ("meta", (dict,), False),
-        ),
-        "region": (
-            ("uid", (int,), False),
-            ("extent", (list,), False),
-            ("fields", (list,), False),
-            ("name", (str,), False),
-            ("partition", (int,), True),
-            ("color", (int, str), True),
-        ),
-        "partition": (
-            ("uid", (int,), False),
-            ("region", (int,), False),
-            ("kind", (str,), False),
-            ("name", (str,), False),
-        ),
-        "task": (
-            ("name", (str,), False),
-            ("reqs", (list,), False),
-            ("exec_cost", (int, float), False),
-            ("comm_cost", (int, float), False),
-        ),
-        "iteration": (
-            ("index", (int,), False),
-        ),
-        "flush": (),
-        "end": (
-            ("events", (int,), False),
-            ("tasks", (int,), False),
-            ("stream_digest", (str,), False),
-            ("decisions_digest", (str,), False),
-            ("replayer", (list,), False),
-            ("gauges", (dict,), False),
-        ),
+    #: record kind -> ``{field: spec}``, and the requirement row, in
+    #: :func:`repro.canon.check`'s grammar: what the loader, the shadow
+    #: forest and the task synthesis read, down to the items of every
+    #: list.
+    _SCHEMA = {
+        "header": {
+            "format": (str,), "version": _INT, "session_id": _OPT_STR,
+            "backend": _OPT_STR, "app": _OPT_STR, "config": (dict,),
+            "config_dropped": [(str,)], "meta": (dict,),
+        },
+        "region": {
+            "uid": _INT, "extent": [canon.SCALAR], "fields": [(str,)],
+            "name": (str,), "partition": (int, type(None)),
+            "color": (int, str, type(None)),
+        },
+        "partition": {
+            "uid": _INT, "region": _INT, "name": (str,),
+            "kind": frozenset((PartitionKind.DISJOINT,
+                               PartitionKind.ALIASED)),
+        },
+        "task": {
+            "name": (str,), "reqs": ["requirement"],
+            "exec_cost": _NUMBER, "comm_cost": _NUMBER,
+        },
+        # [region_uid, privilege, [fields...], redop]
+        "requirement": [
+            _INT, frozenset(p.value for p in Privilege), [(str,)], _OPT_STR,
+        ],
+        "iteration": {"index": _INT},
+        "flush": {},
+        "end": {
+            "events": _INT, "tasks": _INT, "stream_digest": (str,),
+            "decisions_digest": (str,), "replayer": [_INT], "gauges": (dict,),
+        },
     }
 
     #: What the footer's ``gauges`` record beside the decision digest:
@@ -130,16 +126,11 @@ class TraceFormatV1:
         """Check one parsed record against the schema; returns it."""
         if not isinstance(record, dict):
             raise TraceFormatError(f"trace line is not an object: {record!r}")
-        kind = canon.require(record, "record", (str,), "trace line",
-                             TraceFormatError)
-        schema = cls._SCHEMAS.get(kind)
-        if schema is None:
+        kind = record.get("record")
+        spec = cls._SCHEMA.get(kind) if isinstance(kind, str) else None
+        if not isinstance(spec, dict):  # ``requirement`` is a row
             raise TraceFormatError(f"unknown record kind {kind!r}")
-        for field, types, nullable in schema:
-            canon.require(record, field, types, f"{kind} record",
-                          TraceFormatError, nullable)
-        if kind == "task":
-            cls._validate_reqs(record["reqs"])
+        canon.check(record, kind, cls._SCHEMA, TraceFormatError)
         if kind == "header":
             if record["format"] != FORMAT_NAME:
                 raise TraceFormatError(
@@ -151,19 +142,6 @@ class TraceFormatV1:
                     f"version {record['version']!r}"
                 )
         return record
-
-    @staticmethod
-    def _validate_reqs(reqs):
-        for req in reqs:
-            if (not isinstance(req, list) or len(req) != 4
-                    or not isinstance(req[0], int)
-                    or not isinstance(req[1], str)
-                    or not isinstance(req[2], list)
-                    or not (req[3] is None or isinstance(req[3], str))):
-                raise TraceFormatError(
-                    "task requirement must be "
-                    f"[region_uid, privilege, [fields...], redop], got {req!r}"
-                )
 
     @staticmethod
     def event_key(record):

@@ -7,6 +7,10 @@ from pathlib import Path
 import pytest
 
 from repro.experiments.__main__ import RUNNERS, main
+from repro.trace import TraceDocument
+from repro.trace.__main__ import main as trace_main
+
+FIXTURE = Path(__file__).resolve().parent / "corpus" / "stencil.jsonl"
 
 
 class TestCLI:
@@ -30,6 +34,37 @@ class TestCLI:
         out = capsys.readouterr().out
         assert "sec 6.3" in out
         assert "us" in out
+
+
+class TestTraceCLI:
+    """``python -m repro.trace``: ``show`` and ``replay`` read a corpus
+    fixture, and a file they cannot read is an ``error:`` line and
+    exit 2, not a traceback."""
+
+    def test_show_prints_the_decisions_digest(self, capsys):
+        digest = TraceDocument.load(FIXTURE).footer["decisions_digest"]
+        assert trace_main(["show", str(FIXTURE)]) == 0
+        assert f"decisions:      {digest}" in capsys.readouterr().out
+
+    def test_replay_standalone_is_byte_identical(self, capsys):
+        digest = TraceDocument.load(FIXTURE).footer["decisions_digest"]
+        assert trace_main(
+            ["replay", str(FIXTURE), "--backend", "standalone"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("standalone: byte-identical")
+        assert f"digest {digest}" in out
+
+    @pytest.mark.parametrize("command", ["show", "replay"])
+    def test_truncated_or_missing_file_fails_closed(
+            self, command, tmp_path, capsys):
+        text = FIXTURE.read_text()
+        truncated = tmp_path / "truncated.jsonl"
+        truncated.write_text(text[:len(text) // 2])
+        for path in (truncated, tmp_path / "missing.jsonl"):
+            assert trace_main([command, str(path)]) == 2
+            captured = capsys.readouterr()
+            assert captured.err.startswith("error: ")
+            assert "Traceback" not in captured.err
 
 
 class TestProfileSubmit:

@@ -736,6 +736,9 @@ class TestHydrateGuards:
         "next_candidate_id 0",
         "jobs_submitted at a pending job_id",
         "pending job ids not increasing",
+        "pending result tokens that are lists",
+        "finder buffer entry a list",
+        "agreed ingest point for no pending job",
     ])
     def test_malformed_contents_fail_closed(self, app_streams, case):
         """Documents that pass the field-type schema and carry a valid
@@ -746,7 +749,12 @@ class TestHydrateGuards:
         fresh as it was. An id clock at or behind an id the document
         holds would hand that id out again: the next ingest overwrites
         a live candidate's trie entry, the next submit repeats a job id
-        (and its coordinator agreement key)."""
+        (and its coordinator agreement key). A pending result's token
+        that is a list raises ``TypeError`` at the next ingest; a
+        finder-buffer entry that is one degrades every later mining job
+        over it, silently, inside containment; an agreed ingest point
+        for a job that is not pending is never retired, so the
+        agreement table outgrows the jobs in flight."""
         payload = self._state(app_streams).payload
         candidates = payload["candidates"]
         rotation = payload["rotations"][0]
@@ -776,6 +784,14 @@ class TestHydrateGuards:
             "jobs_submitted at a pending job_id": lambda: pending(clock),
             "pending job ids not increasing": lambda: (
                 pending(clock - 1), pending(clock - 2)),
+            "pending result tokens that are lists": lambda: jobs[
+                "pending"][0]["result"][0].__setitem__(0, [
+                    [token] for token in jobs["pending"][0]["result"][0][0]]),
+            "finder buffer entry a list": lambda: payload[
+                "finder"]["buffer"].__setitem__(-1, [1, 2]),
+            "agreed ingest point for no pending job": lambda: payload.update(
+                coordinator={"margin_ops": 20, "waits": 0,
+                             "agreed": [[10 ** 6, 5]]}),
         }[case]
         edit()
         payload["digest"] = canon.digest(payload)

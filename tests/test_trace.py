@@ -36,7 +36,11 @@ from repro.trace.corpus import (
     generative_stream,
     record_stream,
 )
-from repro.trace.format import config_from_dict, config_to_dict
+from repro.trace.format import (
+    config_from_dict,
+    config_to_dict,
+    stream_digest,
+)
 
 pytestmark = pytest.mark.trace
 
@@ -382,6 +386,41 @@ class TestFormatErrors:
                 "record": "task", "name": "T", "reqs": [[1, "rw"]],
                 "exec_cost": 0.0, "comm_cost": 0.0,
             })
+
+    @pytest.mark.parametrize("case", [
+        "region fields holding a list",
+        "privilege 'bogus'",
+        "requirement field a list",
+        "partition kind 'bogus'",
+    ])
+    def test_schema_checks_what_lists_hold(self, case, corpus_docs):
+        """Documents whose records have every field at its type, and
+        whose stream digest is restamped, yet that the re-drive cannot
+        read: a field list holding a list (``TypeError`` hashing it), a
+        privilege no :class:`~repro.runtime.privilege.Privilege` has
+        (``ValueError``), a partition kind the region tree does not
+        know (silently read as aliased). Each is refused as a
+        :class:`TraceFormatError` at load, before any re-drive."""
+        records = [json.loads(line)
+                   for line in corpus_docs["stencil"].dumps().splitlines()]
+        region = next(r for r in records if r["record"] == "region")
+        partition = next(r for r in records if r["record"] == "partition")
+        requirement = next(
+            r for r in records if r["record"] == "task")["reqs"][0]
+        {
+            "region fields holding a list": lambda: region.update(
+                fields=[region["fields"]]),
+            "privilege 'bogus'": lambda: requirement.__setitem__(
+                1, "bogus"),
+            "requirement field a list": lambda: requirement.__setitem__(
+                2, [requirement[2]]),
+            "partition kind 'bogus'": lambda: partition.update(
+                kind="bogus"),
+        }[case]()
+        records[-1]["stream_digest"] = stream_digest(records[1:-1])
+        text = "".join(canon.dumps(r) + "\n" for r in records)
+        with pytest.raises(TraceFormatError):
+            TraceDocument.loads(text)
 
     def test_undeclared_region_reference(self, corpus_docs):
         document = corpus_docs["stencil"]
