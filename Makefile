@@ -1,6 +1,6 @@
 # Convenience targets; see ROADMAP.md for the canonical commands.
 
-.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff profile api-check replication-check lint loc loc-budget corpus trace-check persist-check
+.PHONY: verify verify-full verify-chaos test bench bench-e2e bench-diff pairs profile api-check replication-check lint loc loc-budget corpus trace-check persist-check
 
 ## Tier-1 tests plus the perf_smoke guards (the pre-commit check).
 verify:
@@ -30,6 +30,15 @@ bench-e2e:
 ## writing nothing under bench/ (the run goes to $TMPDIR).
 bench-diff:
 	python3 bench/run.py --out "$${TMPDIR:-/tmp}/bench_head.json" && python3 bench/compare.py bench/results/latest.json "$${TMPDIR:-/tmp}/bench_head.json"
+
+## The claim protocol: alternating bench/run.py --trace 0 pairs of two
+## checkouts, PARENT (required) and CHANGE (default: this one), on
+## WORKLOAD; per end-to-end metric both medians, the pairs the change
+## won and the parent's IQR (unresolved where it exceeds the bound).
+## Writes nothing under bench/.
+CHANGE ?= .
+pairs:
+	python3 scripts/pairs.py $(PARENT) $(CHANGE) --workload $(WORKLOAD) $(if $(PAIRS),--pairs $(PAIRS)) $(if $(SEED),--seed $(SEED)) $(if $(QUICK),--quick)
 
 ## Where one workload's submit time goes: one warm round, one round under
 ## cProfile (top functions by self time), and wall-clock accumulators for

@@ -264,20 +264,10 @@ class AutomatonMatchEngine:
         Must run with the *pre-mutation* links: the live set is defined
         by the trie's history, and relinking first would let paths that
         only become valid after the mutation smuggle dead starts back in.
+        The live set is what :meth:`pointers` yields; its generator reads
+        the old ``_frozen`` before the assignment below replaces it.
         """
-        frozen = set()
-        root = self.trie.root
-        index = self._last_index
-        born_base = self._ticks
-        epoch = self._epoch
-        old_frozen = self._frozen
-        s = self._state
-        while s is not root:
-            if s.kid is not None and (born_base - s.depth + 1 > epoch
-                                      or index + 1 - s.depth in old_frozen):
-                frozen.add(index + 1 - s.depth)
-            s = s.fail
-        self._frozen = frozenset(frozen)
+        self._frozen = frozenset(start for start, _ in self.pointers())
         self._epoch = self._ticks
 
     def _relink(self, tokens):

@@ -3,7 +3,9 @@
 Public surface:
 
 * :class:`SessionState` -- one session's learned state as a versioned,
-  canonically-serialized, digest-stamped JSON document;
+  canonically-serialized JSON document; its text carries a digest stamp
+  (``dumps`` writes it, ``loads`` checks it), a state built in process
+  none;
 * :func:`dehydrate` / :func:`hydrate_processor` -- snapshot a live
   session / restore one onto a fresh processor (the facade spells these
   ``Session.dehydrate()`` and ``open_session(..., state=...)``;

@@ -48,15 +48,20 @@ config slice names an ``identifier_algorithm`` other than
 
 Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
-byte-identically, and the payload carries a :func:`repro.canon.digest`
-stamp checked on load (tamper detection). :class:`PersistFormatV1` is the
-one schema; a document of any other version is refused. It is written
-in :func:`repro.canon.check`'s grammar, the trace format's too, and
-says what every list holds -- token runs, rows, ids -- so a document
-whose digest checks out (anyone can restamp one) still fails closed
-with :class:`PersistFormatError` at load instead of inside hydrate or
-a later submit. A :class:`SessionState` built in process (dehydrate,
-the service's spill tier) is not re-validated when it is hydrated.
+byte-identically. The digest stamp is a property of the *text*:
+:meth:`SessionState.dumps` writes :func:`repro.canon.digest` of the
+payload into the document, and the one reader behind
+:meth:`SessionState.loads` and a raw-payload :func:`hydrate_processor`
+checks it and strips it (tamper detection). A state built in process
+(dehydrate, the service's spill tier) crosses no process boundary, so
+it carries no digest and nothing computes one for it; it is not
+re-validated when it is hydrated either. :class:`PersistFormatV1` is
+the one schema; a document of any other version is refused. It is
+written in :func:`repro.canon.check`'s grammar, the trace format's too,
+and says what every list holds -- token runs, rows, ids -- so a
+document whose digest checks out (anyone can restamp one) still fails
+closed with :class:`PersistFormatError` at load instead of inside
+hydrate or a later submit.
 """
 
 from collections import deque
@@ -101,6 +106,18 @@ class PersistFormatError(ValueError):
 
 _INT, _OPT_INT = (int,), (int, type(None))
 
+#: A candidate record: the :class:`~repro.core.trie.TraceCandidate`
+#: attributes a state carries, each with its schema spec -- the one
+#: declaration the schema, the snapshot and hydrate all read. Hydrate
+#: re-inserts a candidate at its ``trace_id`` with its ``tokens`` and
+#: copies the rest back onto it.
+_CANDIDATE = {
+    "trace_id": _INT, "tokens": "tokens", "occurrences": _INT,
+    "last_seen_at": _OPT_INT, "fires": _INT, "gap_tokens": _INT,
+    "replayed": (bool,), "recorded": (bool,),
+}
+_COPIED = tuple(_CANDIDATE)[2:]  # all but trace_id and tokens
+
 
 class PersistFormatV1:
     """Schema v1 of the session-state document."""
@@ -120,11 +137,7 @@ class PersistFormatV1:
             "trace_log": [[[canon.SCALAR], _INT]], "digest": (str,),
         },
         "tokens": [canon.SCALAR],
-        "candidate": {
-            "trace_id": _INT, "tokens": "tokens", "occurrences": _INT,
-            "last_seen_at": _OPT_INT, "fires": _INT, "gap_tokens": _INT,
-            "replayed": (bool,), "recorded": (bool,),
-        },
+        "candidate": _CANDIDATE,
         "rotation": {
             "length": _INT, "rotation": "tokens", "members": [_INT],
             "total": _INT,
@@ -149,24 +162,33 @@ class PersistFormatV1:
     }
 
     @classmethod
-    def validate(cls, payload):
-        """Check a parsed payload against the schema; returns it."""
-        canon.check(payload, "state", cls._SCHEMA, PersistFormatError)
-        if payload["coordinator"] is not None:
-            canon.check(payload["coordinator"], "coordinator", cls._SCHEMA,
+    def validate(cls, document):
+        """The payload of a parsed state document, its schema, contents
+        and digest stamp checked and the stamp stripped: the one reader
+        behind :meth:`SessionState.loads` and a raw-payload
+        :func:`hydrate_processor`. ``document`` is left as it was."""
+        canon.check(document, "state", cls._SCHEMA, PersistFormatError)
+        if document["coordinator"] is not None:
+            canon.check(document["coordinator"], "coordinator", cls._SCHEMA,
                         PersistFormatError)
-        if payload["format"] != FORMAT_NAME:
+        if document["format"] != FORMAT_NAME:
             raise PersistFormatError(
                 f"not a {FORMAT_NAME} document: "
-                f"format={payload['format']!r}"
+                f"format={document['format']!r}"
             )
-        if payload["version"] != cls.version:
+        if document["version"] != cls.version:
             raise PersistFormatError(
                 f"schema v{cls.version} reader cannot load "
-                f"version {payload['version']!r}"
+                f"version {document['version']!r}"
             )
-        cls._check_contents(payload)
-        return payload
+        cls._check_contents(document)
+        recorded, actual = document["digest"], canon.digest(document)
+        if recorded != actual:
+            raise PersistFormatError(
+                f"state digest mismatch: payload says {recorded}, "
+                f"contents hash to {actual}"
+            )
+        return {k: v for k, v in document.items() if k != "digest"}
 
     @classmethod
     def _check_contents(cls, payload):
@@ -208,12 +230,13 @@ class PersistFormatV1:
 
 
 class SessionState:
-    """One dehydrated session: an immutable, digest-stamped payload.
+    """One dehydrated session: an immutable payload.
 
     Build one with :func:`dehydrate`; apply one with
     :func:`hydrate_processor` (or ``open_session(..., state=...)`` on
     the facade). The payload is plain JSON data, so states survive any
-    transport that carries text.
+    transport that carries text; :meth:`dumps` stamps that text with the
+    payload's digest and :meth:`loads` checks it.
     """
 
     __slots__ = ("payload",)
@@ -243,38 +266,19 @@ class SessionState:
         )
         return candidates + len(self.payload["finder"]["buffer"])
 
-    # -- integrity ------------------------------------------------------
-    def stable_digest(self):
-        """Recompute the digest over the canonical payload."""
-        return canon.digest(self.payload)
-
-    def verify(self):
-        """Check the payload's digest stamp; returns ``self``.
-
-        A tampered (or corrupted) document fails here, before any
-        hydrate interprets it.
-        """
-        recorded = self.payload.get("digest")
-        actual = self.stable_digest()
-        if recorded != actual:
-            raise PersistFormatError(
-                f"state digest mismatch: payload says {recorded}, "
-                f"contents hash to {actual}"
-            )
-        return self
-
     # -- serialization --------------------------------------------------
     def dumps(self):
-        """The canonical JSON text of this state (byte-stable)."""
-        return canon.dumps(self.payload)
+        """The canonical JSON text of this state, stamped with its
+        digest (byte-stable)."""
+        payload = self.payload
+        return canon.dumps(dict(payload, digest=canon.digest(payload)))
 
     @classmethod
     def loads(cls, text):
-        """Parse, schema-check, and digest-check a state document."""
-        payload = canon.loads(text, "session state", PersistFormatError)
-        if not isinstance(payload, dict):
-            raise PersistFormatError("session state must be a JSON object")
-        return cls(PersistFormatV1.validate(payload)).verify()
+        """Parse a state document and check its schema, contents and
+        digest stamp (:meth:`PersistFormatV1.validate`)."""
+        document = canon.loads(text, "session state", PersistFormatError)
+        return cls(PersistFormatV1.validate(document))
 
     def dump(self, path):
         """Write the state to ``path``; returns the path."""
@@ -311,9 +315,8 @@ def dehydrate(handle):
     """
     for processor in handle.live_processors:
         processor.flush()
-    return _stamp(
-        _snapshot_processor(handle.processor),
-        handle.session_id, handle.backend_kind,
+    return _snapshot_processor(
+        handle.processor, handle.session_id, handle.backend_kind
     )
 
 
@@ -321,19 +324,11 @@ def dehydrate_processor(processor, session_id=None):
     """:func:`dehydrate` for a hand-driven processor no backend serves
     (the twin of :func:`hydrate_processor`); flushes it first."""
     processor.flush()
-    return _stamp(_snapshot_processor(processor), session_id, None)
+    return _snapshot_processor(processor, session_id, None)
 
 
-def _stamp(payload, session_id, backend):
-    """Add the session identity and the digest to a processor payload."""
-    payload["session_id"] = session_id
-    payload["backend"] = backend
-    payload["digest"] = canon.digest(payload)
-    return SessionState(payload)
-
-
-def _snapshot_processor(processor):
-    """The v1 payload of one (flushed) processor."""
+def _snapshot_processor(processor, session_id, backend):
+    """The :class:`SessionState` of one (flushed) processor."""
     replayer = processor.replayer
     store = replayer.store
     trie = replayer.trie
@@ -341,16 +336,8 @@ def _snapshot_processor(processor):
     config = processor.config
 
     candidates = [
-        {
-            "trace_id": c.trace_id,
-            "tokens": list(c.tokens),
-            "occurrences": c.occurrences,
-            "last_seen_at": c.last_seen_at,
-            "replayed": c.replayed,
-            "recorded": c.recorded,
-            "fires": c.fires,
-            "gap_tokens": c.gap_tokens,
-        }
+        {name: getattr(c, name) for name in _CANDIDATE}
+        | {"tokens": list(c.tokens)}
         for c in sorted(
             trie.candidates.values(), key=lambda c: c.trace_id
         )
@@ -401,9 +388,11 @@ def _snapshot_processor(processor):
         }
 
     last_fired = store.last_fired
-    return {
+    return SessionState({
         "format": FORMAT_NAME,
         "version": PersistFormatV1.version,
+        "session_id": session_id,
+        "backend": backend,
         # The decision-relevant slice, checked at hydrate: restoring
         # learned state into a session whose schedule or scoring differs
         # would corrupt, not warm-start.
@@ -436,7 +425,7 @@ def _snapshot_processor(processor):
             [list(trace_id), length]
             for trace_id, length in processor.trace_log
         ],
-    }
+    })
 
 
 # ----------------------------------------------------------------------
@@ -447,11 +436,12 @@ def hydrate_processor(processor, state):
 
     The processor must be *fresh* (no tasks served) and built from a
     config whose decision-relevant slice matches the state's -- both are
-    checked, and a raw payload is validated first (a
-    :class:`SessionState` was when it was loaded), so a refused state
-    leaves the processor untouched. Replicated backends call this once
-    per node replica with the same state: per-node job completion times
-    are recomputed from the node's own id
+    checked, and a raw payload (a parsed document) first goes through
+    the reader :meth:`SessionState.loads` uses -- schema, contents,
+    digest stamp --, so a refused state leaves the processor untouched.
+    Replicated backends call this once per node replica with the same
+    state: per-node job completion times are recomputed from the node's
+    own id
     (:func:`~repro.core.jobs.completion_op`), and the replica set's
     coordinator restore is idempotent.
     """
@@ -490,12 +480,8 @@ def hydrate_processor(processor, state):
     for record in payload["candidates"]:
         trie._next_id = record["trace_id"]
         candidate = engine.insert(tuple(record["tokens"]))
-        candidate.occurrences = record["occurrences"]
-        candidate.last_seen_at = record["last_seen_at"]
-        candidate.replayed = record["replayed"]
-        candidate.recorded = record["recorded"]
-        candidate.fires = record["fires"]
-        candidate.gap_tokens = record["gap_tokens"]
+        for name in _COPIED:
+            setattr(candidate, name, record[name])
     trie._next_id = payload["next_candidate_id"]
 
     store.by_rotation = {

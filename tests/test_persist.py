@@ -12,6 +12,8 @@ helper's decision-neutrality, and the service's evict-then-readmit warm
 start through the token-budgeted spill store.
 """
 
+import hashlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -59,6 +61,16 @@ BACKENDS = ("standalone", "service", "replicated")
 #: The dehydrate fence sits mid-stream: both halves must be long enough
 #: to mine and fire, or "parity" would be vacuous.
 SPLIT = 350
+
+#: sha256 of ``SessionState.dumps()`` for the s3d state dehydrated at
+#: ``SPLIT``, per backend (``test_dumps_bytes_are_pinned`` says how to
+#: regenerate them).
+PINNED_STATE_SHA256 = {
+    "standalone":
+        "d293e475898dd74d64ceba6eabfb04389325b9e1dcfba273bed139414a36a271",
+    "replicated":
+        "002c8e19b7b39c8f630f3019557aa753cbbc86481e91fed117eb2351787816cd",
+}
 
 
 @pytest.fixture(scope="module")
@@ -265,8 +277,24 @@ class TestRoundTripByteStability:
         state = SessionState.loads(blob)
         assert state.dumps() == blob
         assert SessionState.loads(state.dumps()).dumps() == blob
-        assert state.verify() is state
-        assert state.payload["digest"] == state.stable_digest()
+        # The stamp is the text's: loads strips it, dumps writes it back.
+        assert "digest" not in state.payload
+        assert canon.loads(blob, "state", ValueError)["digest"] == (
+            canon.digest(state.payload))
+
+    @pytest.mark.parametrize("backend", ["standalone", "replicated"])
+    def test_dumps_bytes_are_pinned(self, app_streams, backend):
+        """``SessionState.dumps()`` of one fixed s3d state (dehydrated at
+        ``SPLIT``) hashes to a recorded sha256, so a change that moves
+        the writer's bytes cannot do so unnoticed. One that moves them
+        on purpose records the new values: run this test, copy each
+        ``got`` from its failure message into ``PINNED_STATE_SHA256``,
+        and say in the change what moved and why."""
+        with _open(backend, "s3d") as session:
+            _drive(session, app_streams["s3d"][:SPLIT])
+            state = session.dehydrate()
+        got = hashlib.sha256(state.dumps().encode()).hexdigest()
+        assert got == PINNED_STATE_SHA256[backend], f"got {got}"
 
     def test_hydrate_restores_rotation_keys(self, app_streams, monkeypatch):
         """The rotation groups come back keyed; hydrate hands each member
@@ -321,21 +349,10 @@ class TestRoundTripByteStability:
 
 
 class TestDigestTamperDetection:
-    def _state(self, app_streams):
-        with _open("standalone", "s3d") as session:
-            _drive(session, app_streams["s3d"][:SPLIT])
-            return session.dehydrate()
-
     def test_tampered_payload_fails_loads(self, documents):
         for document, kind, error, tamper in documents:
             with pytest.raises(error, match="digest"):
                 kind.loads(_edited(document, tamper)).verify()
-
-    def test_tampered_candidate_fails_verify(self, app_streams):
-        state = self._state(app_streams)
-        state.payload["candidates"][0]["occurrences"] += 1
-        with pytest.raises(PersistFormatError, match="digest"):
-            state.verify()
 
     def test_missing_field_rejected(self, documents):
         """The error names the field, stamp or not: ``rotations`` of the
@@ -629,6 +646,44 @@ class TestServiceEvictReadmit:
         assert stats["warm_starts"] == 0
 
 
+class TestDigestOnlyInText:
+    """The digest stamp is the text's: ``dumps`` writes it, ``loads``
+    checks it, and a state that never leaves the process has none."""
+
+    def test_in_process_round_trips_compute_no_digest(
+        self, app_streams, monkeypatch
+    ):
+        def no_digest(payload):
+            raise AssertionError("a digest was computed in process")
+
+        monkeypatch.setattr(canon, "digest", no_digest)
+        stream = app_streams["s3d"]
+        service = ApopheniaService(FAST_CONFIG.with_overrides(
+            max_sessions=1, session_state_budget=100_000))
+        _drive(open_session("s3d", backend=service), stream[:SPLIT])
+        open_session("stencil", backend=service)  # evicts s3d
+        assert "digest" not in service.state_store.get("s3d").payload
+        resumed = open_session("s3d", backend=service)  # re-admits it
+        assert resumed.stats().warm_starts == 1
+        with _open("standalone", "s3d") as session:
+            _drive(session, stream[:SPLIT])
+            state = session.dehydrate()
+        assert "digest" not in state.payload
+        with _open("standalone", "s3d", state=state) as session:
+            assert session.stats().warm_starts == 1
+            assert session.handle.processor.replayer.trie.candidates
+
+    def test_dumps_and_loads_digest_once_each(self, documents, monkeypatch):
+        state = documents[0][0]
+        digest, calls = canon.digest, []
+        monkeypatch.setattr(canon, "digest", lambda payload: (
+            calls.append(payload), digest(payload))[1])
+        text = state.dumps()
+        assert len(calls) == 1
+        SessionState.loads(text)
+        assert len(calls) == 2
+
+
 class _StubState:
     def __init__(self, token_cost):
         self.token_cost = token_cost
@@ -803,6 +858,28 @@ class TestHydrateGuards:
             hydrate_processor(processor, payload)
         assert dehydrate_processor(processor).payload == before
         hydrate_processor(processor, self._state(app_streams))  # still fresh
+
+    def test_stale_digest_raw_payload_refused(self, app_streams):
+        """A raw payload is read like a loaded document, digest stamp
+        included: a candidate edited under a stale digest is refused
+        both ways, the refused hydrate leaves the processor fresh, and
+        the reader leaves the caller's dict as it was."""
+        document = canon.loads(
+            self._state(app_streams).dumps(), "state", ValueError)
+        document["candidates"][0]["occurrences"] += 5
+        with pytest.raises(PersistFormatError, match="digest mismatch"):
+            SessionState.loads(canon.dumps(document))
+        processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
+        before = dehydrate_processor(processor).payload
+        with pytest.raises(PersistFormatError, match="digest mismatch"):
+            hydrate_processor(processor, document)
+        assert dehydrate_processor(processor).payload == before
+        document["candidates"][0]["occurrences"] -= 5
+        hydrate_processor(processor, document)  # still fresh
+        assert "digest" in document
+        assert processor.replayer.trie.candidates[
+            document["candidates"][0]["trace_id"]
+        ].occurrences == document["candidates"][0]["occurrences"]
 
     def test_dehydrate_accepts_bare_processor(self, app_streams):
         processor = ApopheniaProcessor(_fast_runtime(), FAST_CONFIG)
