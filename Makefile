@@ -44,11 +44,13 @@ pairs:
 ## cProfile (top functions by self time), and wall-clock accumulators for
 ## the functions named in WALL (module:attribute.path, comma-separated);
 ## GC=1 adds a round under a gc.callbacks probe (pauses per generation,
-## tracked objects at full collections, what the young ones promote).
+## tracked objects at full collections, what the young ones promote);
+## ALLOC=1 adds a round under tracemalloc (current and peak MB, and the
+## lines holding the most memory at the end of the loop, with blocks).
 ## Sizes work; claims go through bench/run.py.
 WORKLOAD ?= steady_s3d
 profile:
-	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL)) $(if $(GC),--gc)
+	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL)) $(if $(GC),--gc) $(if $(ALLOC),--alloc)
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

@@ -3,6 +3,7 @@
 
     python3 scripts/profile_submit.py <workload> [--seed N] [--top K]
                                       [--wall name,...] [--quick] [--gc]
+                                      [--alloc]
 
 Builds one ``bench/workloads.py`` workload exactly as ``bench/run.py``
 does (both are imported, nothing under ``bench/`` is changed), runs one
@@ -25,6 +26,12 @@ count at each full collection; and the types most common among the
 objects a young collection is about to promote (both young generations
 are counted at the start of each generation-1 collection).
 
+``--alloc`` runs one further round's client loop with the profiler off
+under ``tracemalloc`` and prints the current and peak traced MB, and the
+source lines holding the most memory when the loop ends (before the
+deployment closes its sessions), by size, with block counts: what a
+session keeps for its whole life shows up there.
+
 This sizes work; it measures nothing against a bound. Claims go through
 ``bench/run.py``.
 """
@@ -40,6 +47,7 @@ import pstats
 import statistics
 import sys
 import time
+import tracemalloc
 from collections import Counter
 from pathlib import Path
 
@@ -187,6 +195,36 @@ class GcProbe:
             print(f"  {name:<40}{count:>12,}")
 
 
+class AllocProbe:
+    """``tracemalloc`` over one round's client loop: current and peak
+    traced memory, and a snapshot of what is still held at its end."""
+
+    def __enter__(self):
+        tracemalloc.start()
+        return self
+
+    def __exit__(self, *exc_info):
+        self.current, self.peak = tracemalloc.get_traced_memory()
+        self.snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.Filter(False, tracemalloc.__file__)]
+        )
+        tracemalloc.stop()
+
+    def report(self, top):
+        print(f"tracemalloc: {self.current / 1e6:.2f} MB held at the end"
+              f" of the loop, {self.peak / 1e6:.2f} MB peak")
+        print(f"{'held at the end, by line':<58}{'KiB':>10}{'blocks':>10}")
+        for stat in self.snapshot.statistics("lineno")[:top]:
+            frame = stat.traceback[0]
+            path = Path(frame.filename)
+            if path.is_relative_to(REPO_ROOT):
+                path = path.relative_to(REPO_ROOT)
+            site = f"{path}:{frame.lineno}"
+            if len(site) > 57:
+                site = "..." + site[-54:]
+            print(f"{site:<58}{stat.size / 1024:>10.0f}{stat.count:>10,}")
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("workload", choices=list(WORKLOADS))
@@ -200,6 +238,8 @@ def main(argv=None):
                         help="the benchmark's smoke-test size")
     parser.add_argument("--gc", action="store_true",
                         help="one more round under a gc.callbacks probe")
+    parser.add_argument("--alloc", action="store_true",
+                        help="one more round under tracemalloc")
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
@@ -224,6 +264,10 @@ def main(argv=None):
         probe = GcProbe()
         tasks = one_round(workload, templates, profile=probe)
         probe.report(tasks, args.top)
+    if args.alloc:
+        probe = AllocProbe()
+        one_round(workload, templates, profile=probe)
+        probe.report(args.top)
     return 0
 
 

@@ -44,13 +44,6 @@ class SubPeriod:
         self.every = every
         self.body = [(str(kind), int(count)) for kind, count in body]
 
-    def as_dict(self):
-        return {"every": self.every, "body": [list(p) for p in self.body]}
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(data["every"], data["body"])
-
 
 class Burst:
     """Probabilistic irregularity: a window of high fan-out tasks."""
@@ -67,20 +60,6 @@ class Burst:
         self.prob = float(prob)
         self.width = (int(lo), int(hi))
         self.fanout = int(fanout)
-
-    def as_dict(self):
-        return {
-            "kind": self.kind,
-            "prob": self.prob,
-            "width": list(self.width),
-            "fanout": self.fanout,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data["kind"], data["prob"], data["width"], data.get("fanout", 2)
-        )
 
 
 class Phase:
@@ -100,29 +79,6 @@ class Phase:
         self.burst = burst
         self.drift = float(drift)
         self.sub = sub
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "body": [list(p) for p in self.body],
-            "steps": list(self.steps),
-            "burst": self.burst.as_dict() if self.burst else None,
-            "drift": self.drift,
-            "sub": self.sub.as_dict() if self.sub else None,
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        burst = data.get("burst")
-        sub = data.get("sub")
-        return cls(
-            data["name"],
-            data["body"],
-            data["steps"],
-            burst=Burst.from_dict(burst) if burst else None,
-            drift=data.get("drift", 0.0),
-            sub=SubPeriod.from_dict(sub) if sub else None,
-        )
 
 
 class PhaseGraph:
@@ -160,25 +116,6 @@ class PhaseGraph:
         return PhaseGraph(
             self.name, seed, self.start, list(self.phases.values()),
             self.edges,
-        )
-
-    def as_dict(self):
-        return {
-            "name": self.name,
-            "seed": self.seed,
-            "start": self.start,
-            "phases": [p.as_dict() for p in self.phases.values()],
-            "edges": {s: [list(e) for e in t] for s, t in self.edges.items()},
-        }
-
-    @classmethod
-    def from_dict(cls, data):
-        return cls(
-            data["name"],
-            data["seed"],
-            data["start"],
-            [Phase.from_dict(p) for p in data["phases"]],
-            {s: [tuple(e) for e in t] for s, t in data.get("edges", {}).items()},
         )
 
     def __repr__(self):
@@ -272,7 +209,6 @@ class Generative(Application):
         self._offset = 0  # drift rotation of the region footprint
         self._burst_left = 0
         self._burst = None
-        self.phase_history = [self._phase.name]
 
     # ------------------------------------------------------------------
     # Phase machine
@@ -292,7 +228,6 @@ class Generative(Application):
         self._phase = self.graph.phases[chosen]
         self._steps_left = self._draw_steps(self._phase)
         self._step = 0
-        self.phase_history.append(chosen)
 
     def iteration(self, index):
         rng = self._rng

@@ -197,8 +197,7 @@ class AutomatonMatchEngine:
                     or index + 1 - node.depth in frozen):
                 completed.append(
                     CompletedMatch(
-                        node.candidate, index + 1 - node.depth, index + 1,
-                        node,
+                        node.candidate, index + 1 - node.depth, index + 1
                     )
                 )
             node = node.out

@@ -137,19 +137,14 @@ class TraceCandidate:
 
 
 class CompletedMatch:
-    """A candidate fully matched against the task stream.
+    """A candidate fully matched against the task stream."""
 
-    ``node`` is the trie node the match completed at; its ``deep``
-    says whether a longer candidate could still extend the match.
-    """
+    __slots__ = ("candidate", "start_index", "end_index")
 
-    __slots__ = ("candidate", "start_index", "end_index", "node")
-
-    def __init__(self, candidate, start_index, end_index, node=None):
+    def __init__(self, candidate, start_index, end_index):
         self.candidate = candidate
         self.start_index = start_index
         self.end_index = end_index  # exclusive
-        self.node = node
 
     def __repr__(self):
         return (

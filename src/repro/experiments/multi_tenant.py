@@ -23,13 +23,7 @@ path *costs* is measured by the ``service_8x`` workload of ``bench/``.
 from collections import deque
 
 from repro.api import StandaloneBackend, open_session
-from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
-
-def _fresh_runtime():
-    return Runtime(
-        analysis_mode="fast", mismatch_policy="fallback", keep_task_log=False
-    )
 
 
 def _interleaved(streams):
@@ -88,10 +82,7 @@ def run_isolated(streams, config):
     Returns ``{session_id: TenantOutcome}``.
     """
     backend = StandaloneBackend(config)
-    sessions = {
-        sid: open_session(sid, backend=backend, runtime=_fresh_runtime())
-        for sid in streams
-    }
+    sessions = {sid: open_session(sid, backend=backend) for sid in streams}
     _drive(sessions, streams)
     for session in sessions.values():
         session.flush()

@@ -194,17 +194,24 @@ class PersistFormatV1:
     def _check_contents(cls, payload):
         """What hydrate relies on beyond the schema, checked before it
         touches the processor (so a refused document leaves it as it
-        was): unique trace ids, every reference to one resolving,
-        non-empty candidate and rotation token runs, agreed ingest
-        points only for pending jobs (the coordinator retires an entry
-        when its job is ingested, so any other would stay for good), and
-        id clocks that run ahead of every id the document holds (a clock
-        behind them would hand out a live candidate's id or a pending
-        job's id again)."""
+        was): unique trace ids and token runs (the trie holds one
+        candidate per run), every reference to one resolving, each
+        candidate in at most one rotation group, whose ``length`` is its
+        rotation's and every member's (hydrate keys a candidate to one
+        group, and later admissions of that cycle look the group up by
+        that key), non-empty candidate and rotation token runs, agreed
+        ingest points only for pending jobs (the coordinator retires an
+        entry when its job is ingested, so any other would stay for
+        good), and id clocks that run ahead of every id the document
+        holds (a clock behind them would hand out a live candidate's id
+        or a pending job's id again)."""
         candidates, rotations = payload["candidates"], payload["rotations"]
         jobs = payload["jobs"]
-        ids = {record["trace_id"] for record in candidates}
-        refs = [member for entry in rotations for member in entry["members"]]
+        lengths = {r["trace_id"]: len(r["tokens"]) for r in candidates}
+        ids = lengths.keys()
+        tokens = {tuple(record["tokens"]) for record in candidates}
+        members = [m for entry in rotations for m in entry["members"]]
+        refs = list(members)
         if payload["replayer"]["last_fired"] is not None:
             refs.append(payload["replayer"]["last_fired"])
         runs = [record["tokens"] for record in candidates]
@@ -214,8 +221,17 @@ class PersistFormatV1:
         agreed = (payload["coordinator"] or {}).get("agreed", ())
         checks = {
             "duplicate candidate trace_id": len(ids) == len(candidates),
+            "two candidates with one token run": len(tokens) == len(
+                candidates),
             "a rotation member or last_fired names no candidate": all(
                 ref in ids for ref in refs),
+            "a candidate in more than one rotation group": len(
+                set(members)) == len(members),
+            "a rotation length is not its rotation's or a member's": all(
+                entry["length"] == len(entry["rotation"])
+                and all(lengths.get(m) == entry["length"]
+                        for m in entry["members"])
+                for entry in rotations),
             "a candidate or rotation token run is empty": all(runs),
             "an agreed ingest point names no pending job": all(
                 job_id in job_ids for job_id, _point in agreed),

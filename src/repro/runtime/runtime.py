@@ -72,7 +72,8 @@ class Runtime:
         task stream).
     keep_task_log:
         Record a :class:`TaskRecord` per task (needed for Figure 10 style
-        timelines). Disable for very long runs to save memory.
+        timelines and :meth:`traced_fraction`). Disable for very long
+        runs to save memory.
     """
 
     def __init__(
@@ -113,10 +114,8 @@ class Runtime:
         self.task_log = []
         self.dependences = {}  # uid -> TaskDependencies (full mode only)
         self._trace_aborted = False
-        self._record_start_uid = None
         self._record_uids = []
         self.tasks_launched = 0
-        self._outstanding = []
 
     # ------------------------------------------------------------------
     # Launch accounting (used by the Apophenia front-end)
@@ -134,21 +133,17 @@ class Runtime:
     # ------------------------------------------------------------------
     # Public task interface
     # ------------------------------------------------------------------
-    def execute_task(self, task, ready_at=None, charge_launch=True):
+    def execute_task(self, task, charge_launch=True):
         """Issue one task to the runtime.
 
-        ``ready_at`` overrides the time the task becomes visible to the
-        analysis stage (Apophenia passes the forwarding time for tasks it
-        buffered). ``charge_launch=False`` skips the application-stage
-        charge for tasks whose launch was already accounted via
+        ``charge_launch=False`` skips the application-stage charge for
+        tasks whose launch was already accounted via
         :meth:`charge_launch`.
         """
         if charge_launch:
             launched = self.charge_launch()
         else:
             launched = self.pipeline.app_clock
-        if ready_at is not None:
-            launched = max(launched, ready_at)
 
         status = self.engine.status
         if status is TraceStatus.RECORDING:
@@ -328,7 +323,16 @@ class Runtime:
         return (done[-1] - done[0]) / (t1 - t0)
 
     def traced_fraction(self):
-        """Fraction of logged tasks that were recorded or replayed."""
+        """Fraction of logged tasks that were recorded or replayed.
+
+        Raises :class:`ValueError` on a runtime built without
+        ``keep_task_log``: it logged nothing, so any fraction would be
+        made up."""
+        if not self.keep_task_log:
+            raise ValueError(
+                "traced_fraction needs a runtime built with "
+                "keep_task_log=True"
+            )
         if not self.task_log:
             return 0.0
         traced = sum(1 for r in self.task_log if r.mode != TaskMode.ANALYZED)

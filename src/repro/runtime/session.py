@@ -23,10 +23,13 @@ from repro.runtime.runtime import Runtime
 class RuntimeSessionFactory:
     """Builds identically configured per-session runtimes.
 
-    Parameters mirror :class:`~repro.runtime.runtime.Runtime`; the defaults
-    are tuned for service workloads (``fast`` analysis, ``fallback``
-    mismatch policy, no task log) where many long-lived tenants would make
-    full dependence analysis and per-task logs prohibitively expensive.
+    Parameters mirror :class:`~repro.runtime.runtime.Runtime`. The
+    defaults are the one spec every pool builds from -- ``fast``
+    analysis, ``fallback`` mismatch policy, no task log: a session's
+    decisions read none of the three, and a per-task log would grow for
+    the session's whole life. A caller that wants
+    :meth:`~repro.runtime.runtime.Runtime.traced_fraction` passes
+    ``keep_task_log=True`` (or its own runtime).
     """
 
     def __init__(

@@ -126,12 +126,6 @@ class TracingEngine:
             return TraceStatus.REPLAYING
         raise TraceNestingError("task observed outside of any trace")
 
-    def record_edges(self, edges):
-        """Store intra-trace dependence edges captured during recording."""
-        if self.status is not TraceStatus.RECORDING:
-            raise TraceNestingError("record_edges while not recording")
-        self._recording_template.internal_edges.extend(edges)
-
     def end(self, trace_id):
         """Leave a trace.
 

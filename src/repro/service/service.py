@@ -356,20 +356,11 @@ class StandaloneBackend(SessionPool):
     """N independent processors behind the common session surface.
 
     The "one Apophenia per application" deployment of the paper. Nothing
-    is shared between sessions -- each gets its own processor, executor,
-    memo, and (unless provided) its own runtime from ``runtime_factory``.
+    is shared between sessions -- each gets its own processor, executor
+    and (unless provided) its own runtime from ``runtime_factory``.
     """
 
     backend_kind = "standalone"
-
-    def __init__(self, config=None, runtime_factory=None):
-        # keep_task_log=True: standalone sessions are the interactive /
-        # example path where callers inspect traced fractions; service
-        # factories default it off for fleet-scale reasons.
-        super().__init__(
-            config,
-            runtime_factory or RuntimeSessionFactory(keep_task_log=True),
-        )
 
     def _build(self, session_id, config, runtime, node_id):
         if runtime is None:

@@ -64,9 +64,7 @@ class PointerScanTrie(CandidateTrie):
             pointer.node = child
             if child.candidate is not None:
                 completed.append(
-                    CompletedMatch(
-                        child.candidate, pointer.start_index, index + 1, child
-                    )
+                    CompletedMatch(child.candidate, pointer.start_index, index + 1)
                 )
             if child.kid is not None:
                 survivors.append(pointer)
@@ -74,7 +72,7 @@ class PointerScanTrie(CandidateTrie):
         if root_child is not None:
             if root_child.candidate is not None:
                 completed.append(
-                    CompletedMatch(root_child.candidate, index, index + 1, root_child)
+                    CompletedMatch(root_child.candidate, index, index + 1)
                 )
             if root_child.kid is not None:
                 survivors.append(ActivePointer(root_child, index))

@@ -135,3 +135,24 @@ class TestProfileSubmit:
                   if line.startswith("  ")]
         assert len(census) == (5 if int(rows[1][2]) else 0)
         assert all(int(row[-1].replace(",", "")) > 0 for row in census)
+
+    def test_alloc_probe_prints_memory_and_sites(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "profile_submit.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "steady_s3d", "--quick",
+             "--seed", "3", "--top", "5", "--alloc"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        start = lines.index(next(line for line in lines
+                                 if line.startswith("tracemalloc: ")))
+        current, peak = (float(word) for word in lines[start].split()
+                         if word.replace(".", "").isdigit())
+        assert 0 < current <= peak
+        assert lines[start + 1].split()[-2:] == ["KiB", "blocks"]
+        sites = [line.split() for line in lines[start + 2:]]
+        assert 1 <= len(sites) <= 5
+        assert any(site[0].startswith("src/repro/") for site in sites)
+        assert all(int(site[-1].replace(",", "")) > 0 for site in sites)

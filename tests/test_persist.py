@@ -794,6 +794,9 @@ class TestHydrateGuards:
         "pending result tokens that are lists",
         "finder buffer entry a list",
         "agreed ingest point for no pending job",
+        "two candidates with one token run",
+        "a candidate in two rotation groups",
+        "rotation length one past its run",
     ])
     def test_malformed_contents_fail_closed(self, app_streams, case):
         """Documents that pass the field-type schema and carry a valid
@@ -809,13 +812,20 @@ class TestHydrateGuards:
         finder-buffer entry that is one degrades every later mining job
         over it, silently, inside containment; an agreed ingest point
         for a job that is not pending is never retired, so the
-        agreement table outgrows the jobs in flight."""
+        agreement table outgrows the jobs in flight. Two candidates
+        with one token run make hydrate's second insert return the
+        first candidate (a bare ``KeyError`` after the processor was
+        touched); a candidate listed in a second group is keyed to one,
+        so a later removal leaves a stale member in the other; and a
+        group whose ``length`` is not its run's is never found again by
+        the admissions of that cycle."""
         payload = self._state(app_streams).payload
         candidates = payload["candidates"]
         rotation = payload["rotations"][0]
         jobs = payload["jobs"]
         clock = jobs["counters"]["jobs_submitted"]
         assert clock >= 2  # room for two pending ids below the clock
+        first = candidates[0]["trace_id"]
 
         def pending(job_id, result=()):
             jobs["pending"].append({
@@ -847,6 +857,14 @@ class TestHydrateGuards:
             "agreed ingest point for no pending job": lambda: payload.update(
                 coordinator={"margin_ops": 20, "waits": 0,
                              "agreed": [[10 ** 6, 5]]}),
+            "two candidates with one token run": lambda: candidates[1].update(
+                tokens=list(candidates[0]["tokens"])),
+            "a candidate in two rotation groups": lambda: next(
+                entry for entry in payload["rotations"]
+                if first not in entry["members"]
+            )["members"].append(first),
+            "rotation length one past its run": lambda: rotation.update(
+                length=rotation["length"] + 1),
         }[case]
         edit()
         payload["digest"] = canon.digest(payload)

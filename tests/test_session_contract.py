@@ -29,6 +29,7 @@ from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.metrics import MARKS, SessionStats
 from repro.persist import dehydrate
 from repro.runtime.runtime import Runtime
+from repro.runtime.session import RuntimeSessionFactory
 from repro.runtime.task import Task
 from repro.service.service import SessionHandle, collect_session_stats
 from repro.trace import TraceFormatV1
@@ -181,6 +182,27 @@ def test_duplicate_open_and_unknown_close(pool):
     pool.close_session("a")
     with pytest.raises(KeyError, match="unknown or already-closed"):
         pool.close_session("a")  # double close: the same clear error
+
+
+def test_every_pool_builds_runtimes_from_the_one_spec(pool):
+    """No pool keeps a per-task log by default: a served session's
+    runtimes hold no task record, and ``traced_fraction`` says why it
+    cannot answer instead of reading 0. A pool handed a spec that keeps
+    the log still answers."""
+    handle = pool.open_session("tenant")
+    _serve(handle)
+    for processor in handle.processors:
+        assert processor.runtime.task_log == []
+        with pytest.raises(ValueError, match="keep_task_log"):
+            processor.runtime.traced_fraction()
+    logging = type(pool)(
+        CONFIG, runtime_factory=RuntimeSessionFactory(keep_task_log=True)
+    ).open_session("tenant")
+    _serve(logging)
+    logging.flush()
+    for processor in logging.processors:
+        assert len(processor.runtime.task_log) == 300
+        assert 0.0 < processor.runtime.traced_fraction() <= 1.0
 
 
 def test_close_is_exception_safe(pool, monkeypatch):

@@ -15,7 +15,7 @@ import pytest
 
 import repro.api as api
 from repro import canon
-from repro.apps.generative import PHASE_GRAPHS, PhaseGraph
+from repro.apps.generative import PHASE_GRAPHS
 from repro.core.hashing import TaskHasher
 from repro.registry import Registry
 from repro.trace import (
@@ -301,19 +301,13 @@ class TestGenerativeDeterminism:
         churn = corpus_docs["generative-adversarial"].footer["gauges"]
         assert steady["replay_fraction"] > churn["replay_fraction"] + 0.2
 
-    def test_phase_graph_dict_round_trip(self):
-        for name in PHASE_GRAPHS.names():
-            graph = PHASE_GRAPHS[name]
-            clone = PhaseGraph.from_dict(graph.as_dict())
-            assert clone.as_dict() == graph.as_dict()
-            assert self._tokens(clone, 60) == self._tokens(graph, 60)
-
     def test_with_seed_preserves_structure(self):
         graph = PHASE_GRAPHS["nested"]
         reseeded = graph.with_seed(1234)
         assert reseeded.seed == 1234
-        expected = dict(graph.as_dict(), seed=1234)
-        assert reseeded.as_dict() == expected
+        assert (reseeded.name, reseeded.start, reseeded.phases,
+                reseeded.edges) == (graph.name, graph.start, graph.phases,
+                                    graph.edges)
 
     def test_generative_is_a_registered_app(self):
         from repro.apps import APP_REGISTRY, build_app

@@ -275,14 +275,6 @@ class TestMatching:
         trie.insert("abc")
         assert advance_all(trie, "ababab") == []
 
-    def test_match_node_exposed(self):
-        trie = PointerScanTrie()
-        trie.insert("ab")
-        trie.insert("abc")
-        (m,) = advance_all(trie, "ab")
-        assert m.node.depth == 2
-        assert m.node.deep.length == 3
-
     def test_reset_pointers(self):
         trie = PointerScanTrie()
         trie.insert("abc")
