@@ -46,11 +46,13 @@ pairs:
 ## GC=1 adds a round under a gc.callbacks probe (pauses per generation,
 ## tracked objects at full collections, what the young ones promote);
 ## ALLOC=1 adds a round under tracemalloc (current and peak MB, and the
-## lines holding the most memory at the end of the loop, with blocks).
+## lines holding the most memory at the end of the loop, with blocks);
+## CYCLES=1 adds a round with the collector off and prints what
+## gc.collect() finds once the deployment is closed, by type.
 ## Sizes work; claims go through bench/run.py.
 WORKLOAD ?= steady_s3d
 profile:
-	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL)) $(if $(GC),--gc) $(if $(ALLOC),--alloc)
+	python3 scripts/profile_submit.py $(WORKLOAD) $(if $(SEED),--seed $(SEED)) $(if $(TOP),--top $(TOP)) $(if $(WALL),--wall $(WALL)) $(if $(GC),--gc) $(if $(ALLOC),--alloc) $(if $(CYCLES),--cycles)
 
 ## Public-API snapshot + client-facade suites on their own.
 api-check:

@@ -3,7 +3,7 @@
 
     python3 scripts/profile_submit.py <workload> [--seed N] [--top K]
                                       [--wall name,...] [--quick] [--gc]
-                                      [--alloc]
+                                      [--alloc] [--cycles]
 
 Builds one ``bench/workloads.py`` workload exactly as ``bench/run.py``
 does (both are imported, nothing under ``bench/`` is changed), runs one
@@ -31,6 +31,11 @@ under ``tracemalloc`` and prints the current and peak traced MB, and the
 source lines holding the most memory when the loop ends (before the
 deployment closes its sessions), by size, with block counts: what a
 session keeps for its whole life shows up there.
+
+``--cycles`` runs one further round with the collector disabled, closes
+and drops the deployment, and prints what ``gc.collect()`` then finds,
+by type: every object there is one that reference counting could not
+free, so a closed session that is not acyclic shows up by the thousand.
 
 This sizes work; it measures nothing against a bound. Claims go through
 ``bench/run.py``.
@@ -78,6 +83,27 @@ def one_round(workload, templates, profile=None):
         plain_loop(deployment, schedule)
     deployment.close()
     return count_tasks(schedule)
+
+
+def cycle_census(workload, templates):
+    """One round and the deployment's close with the collector disabled;
+    returns what ``gc.collect()`` then finds once the deployment is
+    dropped, by type name."""
+    schedule = build_schedule(workload, templates)
+    deployment = Deployment(workload)
+    gc.collect()
+    gc.disable()
+    try:
+        plain_loop(deployment, schedule)
+        deployment.close()
+        del deployment, schedule
+        gc.set_debug(gc.DEBUG_SAVEALL)  # keep what it finds to count it
+        gc.collect()
+        return Counter(type(o).__name__ for o in gc.garbage)
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        gc.enable()
 
 
 def resolve(name):
@@ -240,6 +266,9 @@ def main(argv=None):
                         help="one more round under a gc.callbacks probe")
     parser.add_argument("--alloc", action="store_true",
                         help="one more round under tracemalloc")
+    parser.add_argument("--cycles", action="store_true",
+                        help="one more round with the collector off: what"
+                             " only gc.collect() frees once it is closed")
     args = parser.parse_args(argv)
 
     workload = WORKLOADS[args.workload]
@@ -268,6 +297,12 @@ def main(argv=None):
         probe = AllocProbe()
         one_round(workload, templates, profile=probe)
         probe.report(args.top)
+    if args.cycles:
+        found = cycle_census(workload, templates)
+        print(f"cycle census: {sum(found.values()):,} objects only"
+              " gc.collect() frees after the deployment closed")
+        for name, count in found.most_common(args.top):
+            print(f"  {name:<40}{count:>12,}")
     return 0
 
 

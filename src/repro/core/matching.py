@@ -53,11 +53,13 @@ token on the engine):
 
 The whole-trie BFS (:meth:`AutomatonMatchEngine._rebuild`) runs only in
 bulk: once at the first :meth:`~AutomatonMatchEngine.advance` (so
-construction and a hydrate's inserts pay one), after ``remove()``, and
-after the trie was mutated behind the engine's back. Every link ends
-where that BFS would put it — ``tests/test_relink.py`` checks it after
-every step of a state machine — so ``chain_len`` (and with it the
-pointer gauges) stays exact.
+construction and a hydrate's inserts pay one), after ``remove()`` or
+:meth:`~AutomatonMatchEngine.unlink` (what a closed session calls, so
+that its trie is a tree reference counting frees), and after the trie
+was mutated behind the engine's back. Every link ends where that BFS
+would put it — ``tests/test_relink.py`` checks it after every step of a
+state machine — so ``chain_len`` (and with it the pointer gauges) stays
+exact.
 
 The automaton is *the* engine: there is no config field, registry name
 or environment variable selecting one.
@@ -226,6 +228,29 @@ class AutomatonMatchEngine:
         self._state = self.trie.root
         self._epoch = self._ticks
         self._frozen = frozenset()
+
+    def unlink(self):
+        """Drop every link, leaving the trie a plain tree of candidates.
+
+        A linked trie is a web of cycles (``fail`` / ``out`` point up to
+        suffixes, the reverse lists point back down), so it is freed
+        only by a full collection; a closed session calls this so that
+        reference counting frees it. Afterwards the engine is what a
+        hydrated one is before its first advance: every candidate held,
+        no link, no pointer, and the next advance relinks in one BFS.
+        """
+        self.reset()
+        self._root_fails = {}
+        self._built_version = None
+        stack = list(self.trie.heads.values())
+        while stack:
+            node = stack.pop()
+            while node is not None:
+                node.fail = node.out = None
+                node.fchild = node.fnext = node.fprev = None
+                node.chain_len = 0
+                stack.append(node.sib)
+                node = node.kid
 
     def earliest_active_start(self):
         """Start of the deepest live pointer — the state itself, O(1)."""

@@ -20,7 +20,7 @@ appendix (``-lg:auto_trace:*``).
 
 import sys
 from dataclasses import dataclass, field, fields, replace
-from functools import cache
+from functools import cache, partial
 from typing import Optional, get_args
 
 from repro import canon
@@ -244,6 +244,22 @@ class ApopheniaConfig:
         )
 
 
+def _forward_untraced(runtime, tasks):
+    """The replayer's ``on_flush``: forward ``tasks`` untraced."""
+    for task in tasks:
+        runtime.execute_task(task, charge_launch=False)
+
+
+def _forward_trace(runtime, trace_log, candidate, chunk_index, tasks):
+    """The replayer's ``on_trace``: issue ``tasks`` as one trace and log
+    its ``(trace_id, length)``."""
+    trace_id = ("apophenia", candidate.trace_id, chunk_index, len(tasks))
+    runtime.begin_trace(trace_id)
+    _forward_untraced(runtime, tasks)
+    runtime.end_trace(trace_id)
+    trace_log.append((trace_id, len(tasks)))
+
+
 class ApopheniaProcessor:
     """Automatic tracing front-end for one (replicated) runtime node.
 
@@ -304,9 +320,13 @@ class ApopheniaProcessor:
             multi_scale_factor=self.config.multi_scale_factor,
             min_trace_length=self.config.min_trace_length,
         )
+        self.trace_log = []  # (trace_id, length) of every issued trace
+        # The callbacks reach the runtime and the log, not the processor:
+        # a bound method here would make every session a reference cycle
+        # that only a full collection frees.
         self.replayer = TraceReplayer(
-            on_flush=self._forward_untraced,
-            on_trace=self._forward_trace,
+            on_flush=partial(_forward_untraced, runtime),
+            on_trace=partial(_forward_trace, runtime, self.trace_log),
             scoring=self.config.scoring_policy(),
             min_trace_length=self.config.min_trace_length,
             max_trace_length=self.config.max_trace_length,
@@ -314,7 +334,6 @@ class ApopheniaProcessor:
             max_candidates=self.config.max_candidates,
             staleness_horizon=self.config.candidate_staleness_horizon,
         )
-        self.trace_log = []  # (trace_id, length) of every issued trace
         self.warm_starts = 0  # sessions hydrated from a SessionState
 
     # ------------------------------------------------------------------
@@ -344,21 +363,6 @@ class ApopheniaProcessor:
 
     def set_iteration(self, iteration):
         self.runtime.set_iteration(iteration)
-
-    # ------------------------------------------------------------------
-    # Replayer callbacks
-    # ------------------------------------------------------------------
-    def _forward_untraced(self, tasks):
-        for task in tasks:
-            self.runtime.execute_task(task, charge_launch=False)
-
-    def _forward_trace(self, candidate, chunk_index, tasks):
-        trace_id = ("apophenia", candidate.trace_id, chunk_index, len(tasks))
-        self.runtime.begin_trace(trace_id)
-        for task in tasks:
-            self.runtime.execute_task(task, charge_launch=False)
-        self.runtime.end_trace(trace_id)
-        self.trace_log.append((trace_id, len(tasks)))
 
     # ------------------------------------------------------------------
     # Introspection

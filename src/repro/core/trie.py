@@ -55,7 +55,7 @@ class TrieNode:
     ``fail`` is this node, and ``fnext`` / ``fprev`` are this node's
     neighbours on its own ``fail``'s list (the root's list is kept by the
     engine, bucketed by last token). All six are ``None``/0 until an
-    engine links the trie.
+    engine links the trie, and again once it unlinks it.
     """
 
     __slots__ = (
@@ -192,28 +192,33 @@ class CandidateTrie:
         existing = self._by_tokens.get(tokens)
         if existing is not None:
             return existing
-        node = self.root
-        length = len(tokens)
-        path = []
+        candidate = TraceCandidate(self._next_id, tokens)
+        length = candidate.length
+        # The prefix the trie already holds: the new candidate may become
+        # the deepest at or below each of its nodes.
+        node, depth = self.root, 0
         for token in tokens:
             child = self.child(node, token)
             if child is None:
-                child = TrieNode(node.depth + 1, token)
-                if node is self.root:
-                    self.heads[token] = child
-                elif node.kid is None:
-                    node.kid = child
-                else:
-                    last = node.kid
-                    while last.sib is not None:
-                        last = last.sib
-                    last.sib = child  # the tail: insertion order
+                break
+            node, depth = child, depth + 1
+            if node.deep is None or length > node.deep.length:
+                node.deep = candidate
+        # The rest is a fresh chain: nothing to look up below its first
+        # node, and the new candidate is the deepest all along it.
+        for token in tokens[depth:]:
+            child = TrieNode(node.depth + 1, token)
+            child.deep = candidate
+            if node is self.root:
+                self.heads[token] = child
+            elif node.kid is None:
+                node.kid = child
+            else:
+                last = node.kid
+                while last.sib is not None:
+                    last = last.sib
+                last.sib = child  # the tail: insertion order
             node = child
-            path.append(node)
-        candidate = TraceCandidate(self._next_id, tokens)
-        for visited in path:
-            if visited.deep is None or length > visited.deep.length:
-                visited.deep = candidate
         self._next_id += 1
         node.candidate = candidate
         self.candidates[candidate.trace_id] = candidate

@@ -569,7 +569,8 @@ def hydrate_processor(processor, state):
                 coordinator._agreed[job_id] = point
                 coordinator.agreements_issued += 1
 
-    processor.trace_log = [
+    # In place: the replayer's on_trace callback holds this very list.
+    processor.trace_log[:] = [
         (tuple(trace_id), length)
         for trace_id, length in payload["trace_log"]
     ]

@@ -87,14 +87,6 @@ class Pipeline:
         self.stats.tasks += 1
         return self.exec_clock
 
-    def process_task(self, launch_cost, analysis_cost, exec_cost, ready_at=None):
-        """Convenience: push one task through all three stages."""
-        launched = self.launch(launch_cost)
-        if ready_at is not None:
-            launched = max(launched, ready_at)
-        analyzed = self.analyze(launched, analysis_cost)
-        return self.execute(analyzed, exec_cost)
-
     @property
     def now(self):
         """Completion time of all work issued so far."""

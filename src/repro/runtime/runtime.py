@@ -71,9 +71,10 @@ class Runtime:
         tracing decisions are unaffected because they depend only on the
         task stream).
     keep_task_log:
-        Record a :class:`TaskRecord` per task (needed for Figure 10 style
-        timelines and :meth:`traced_fraction`). Disable for very long
-        runs to save memory.
+        Record a :class:`TaskRecord` per task and each iteration's end
+        (needed for Figure 10 style timelines, :meth:`traced_fraction`
+        and :meth:`throughput`). Disable for very long runs to save
+        memory.
     """
 
     def __init__(
@@ -206,7 +207,7 @@ class Runtime:
     def fence(self):
         """Execution fence: later tasks depend on everything issued so far."""
         if self.analysis_mode == "full":
-            deps = self.analyzer.fence(-1, [r.uid for r in self._last_records()])
+            deps = self.analyzer.fence(-1, [r.uid for r in self.task_log[-64:]])
             self.dependences[deps.uid] = deps
         # A fence serializes the pipeline: execution must drain.
         now = self.pipeline.now
@@ -226,7 +227,8 @@ class Runtime:
             self.dependences[task.uid] = deps
         analyzed = self.pipeline.analyze(ready_at, analysis_cost)
         exec_done = self.pipeline.execute(analyzed, task.exec_cost + task.comm_cost)
-        self._log(task, mode, exec_done)
+        if self.keep_task_log:
+            self._log(task, mode, exec_done)
 
     def _replay(self, template, tasks):
         """Charge a validated trace replay and execute its tasks.
@@ -253,7 +255,8 @@ class Runtime:
             exec_done = self.pipeline.execute(
                 analyzed, task.exec_cost + task.comm_cost
             )
-            self._log(task, TaskMode.REPLAYED, exec_done)
+            if self.keep_task_log:
+                self._log(task, TaskMode.REPLAYED, exec_done)
 
     def _internal_edges(self, uids):
         """Intra-trace dependence edges (pairs of trace-local indices)."""
@@ -268,10 +271,9 @@ class Runtime:
                     edges.append((index_of[dep_uid], index_of[uid]))
         return sorted(edges)
 
-    def _last_records(self):
-        return self.task_log[-64:] if self.keep_task_log else []
-
     def _log(self, task, mode, exec_done):
+        """Log a task and its iteration's end (``keep_task_log`` only:
+        both grow for the runtime's whole life)."""
         # Buffered tasks are forwarded long after they were launched; the
         # iteration recorded at launch time (stamped into provenance by
         # set_iteration/charge_launch) is the meaningful one.
@@ -283,9 +285,14 @@ class Runtime:
         prev = self.iteration_end.get(iteration)
         if prev is None or exec_done > prev:
             self.iteration_end[iteration] = exec_done
-        if self.keep_task_log:
-            self.task_log.append(
-                TaskRecord(task.uid, task.name, iteration, mode, exec_done)
+        self.task_log.append(
+            TaskRecord(task.uid, task.name, iteration, mode, exec_done)
+        )
+
+    def _require_log(self, reading):
+        if not self.keep_task_log:
+            raise ValueError(
+                f"{reading} needs a runtime built with keep_task_log=True"
             )
 
     # ------------------------------------------------------------------
@@ -302,7 +309,10 @@ class Runtime:
         ``end_iteration`` (exclusive) bounds the measurement window; the
         experiment harness uses it to exclude the end-of-run flush, where
         tasks buffered for an in-progress trace match drain untraced.
+        Raises :class:`ValueError` on a runtime built without
+        ``keep_task_log``, which records no iteration's end.
         """
+        self._require_log("throughput")
         if not self.iteration_end:
             return 0.0
         iterations = sorted(self.iteration_end)
@@ -328,11 +338,7 @@ class Runtime:
         Raises :class:`ValueError` on a runtime built without
         ``keep_task_log``: it logged nothing, so any fraction would be
         made up."""
-        if not self.keep_task_log:
-            raise ValueError(
-                "traced_fraction needs a runtime built with "
-                "keep_task_log=True"
-            )
+        self._require_log("traced_fraction")
         if not self.task_log:
             return 0.0
         traced = sum(1 for r in self.task_log if r.mode != TaskMode.ANALYZED)

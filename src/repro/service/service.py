@@ -295,10 +295,13 @@ class SessionPool:
         """Flush and retire a session; returns its handle for inspection.
 
         Teardown is exception-safe: the table entry goes, the handle is
-        marked closed and its lifetime counters reach ``backend_stats``
-        even when the flush raises (the error still propagates). That is
-        all there is to release -- everything serving the session hangs
-        off the handle, so a failing tenant has nothing to leak.
+        marked closed, its lifetime counters reach ``backend_stats`` and
+        its match engines drop their links even when the flush raises
+        (the error still propagates). That is all there is -- everything
+        serving the session hangs off the handle, so a failing tenant has
+        nothing to leak, and with no link left in it nothing in it is a
+        cycle: reference counting frees it when the last holder of the
+        handle lets go.
         """
         handle = self.sessions.get(session_id)
         if handle is None:
@@ -315,6 +318,11 @@ class SessionPool:
             del self.sessions[session_id]
             handle.closed = True
             _fold(self._retired, handle, lifetime_only=True)
+            # Not a release: the automaton links are the one cycle left
+            # in a session, and without them dropping the handle frees
+            # it at once instead of at the next full collection.
+            for processor in handle.processors:
+                processor.replayer.engine.unlink()
         return handle
 
     def session(self, session_id):

@@ -17,6 +17,10 @@ the injection seams the production code keeps for them:
   ``worth_waiting(policy, match, now_index, pointers)`` on a
   :class:`~repro.core.scoring.ReplayDecisionPolicy`, beside that
   policy's own method (``tests/test_scoring.py``).
+* :class:`PathInsertTrie` -- the candidate trie whose ``insert`` looks
+  every token up with ``child()`` and sets ``deep`` in a second pass
+  over the whole path. Compared node by node with
+  :meth:`~repro.core.trie.CandidateTrie.insert` (``tests/test_trie.py``).
 * :class:`FixedTrigger` -- the trace finder's retired
   ``identifier_algorithm="fixed"`` trigger. Set as a
   :class:`~repro.core.finder.TraceFinder`'s ``sampler``, beside a finder
@@ -24,7 +28,12 @@ the injection seams the production code keeps for them:
   (``tests/test_finder_jobs.py``).
 """
 
-from repro.core.trie import CandidateTrie, CompletedMatch
+from repro.core.trie import (
+    CandidateTrie,
+    CompletedMatch,
+    TraceCandidate,
+    TrieNode,
+)
 
 
 class ActivePointer:
@@ -95,6 +104,47 @@ class PointerScanTrie(CandidateTrie):
         if not self.active:
             return None
         return self.active[0].start_index
+
+
+class PathInsertTrie(CandidateTrie):
+    """Candidate trie with the two-pass insert: a child look-up and a
+    path entry per token, then ``deep`` over the whole path."""
+
+    def insert(self, tokens):
+        tokens = tuple(tokens)
+        if not tokens:
+            raise ValueError("cannot insert an empty candidate")
+        existing = self._by_tokens.get(tokens)
+        if existing is not None:
+            return existing
+        node = self.root
+        length = len(tokens)
+        path = []
+        for token in tokens:
+            child = self.child(node, token)
+            if child is None:
+                child = TrieNode(node.depth + 1, token)
+                if node is self.root:
+                    self.heads[token] = child
+                elif node.kid is None:
+                    node.kid = child
+                else:
+                    last = node.kid
+                    while last.sib is not None:
+                        last = last.sib
+                    last.sib = child  # the tail: insertion order
+            node = child
+            path.append(node)
+        candidate = TraceCandidate(self._next_id, tokens)
+        for visited in path:
+            if visited.deep is None or length > visited.deep.length:
+                visited.deep = candidate
+        self._next_id += 1
+        node.candidate = candidate
+        self.candidates[candidate.trace_id] = candidate
+        self._by_tokens[tokens] = candidate
+        self.version += 1
+        return candidate
 
 
 class ScanMatchEngine:

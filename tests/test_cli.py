@@ -156,3 +156,18 @@ class TestProfileSubmit:
         assert 1 <= len(sites) <= 5
         assert any(site[0].startswith("src/repro/") for site in sites)
         assert all(int(site[-1].replace(",", "")) > 0 for site in sites)
+
+    def test_cycle_census_finds_nothing_a_closed_deployment_left(self):
+        script = Path(__file__).resolve().parent.parent / "scripts" \
+            / "profile_submit.py"
+        done = subprocess.run(
+            [sys.executable, str(script), "tenant_churn", "--quick",
+             "--seed", "3", "--top", "5", "--cycles"],
+            capture_output=True, text=True, timeout=300,
+        )
+        assert done.returncode == 0, done.stdout + done.stderr
+        lines = done.stdout.splitlines()
+        start = lines.index(next(line for line in lines
+                                 if line.startswith("cycle census: ")))
+        assert lines[start].split()[2] == "0", lines[start:]
+        assert lines[start + 1:] == []  # no type to list

@@ -10,14 +10,14 @@ from repro.runtime.pipeline import Pipeline
 class TestPipeline:
     def test_stages_serialize_per_task(self):
         p = Pipeline()
-        done = p.process_task(1.0, 2.0, 3.0)
+        done = p.execute(p.analyze(p.launch(1.0), 2.0), 3.0)
         assert done == pytest.approx(6.0)
         assert p.now == pytest.approx(6.0)
 
     def test_pipelining_overlaps_stages(self):
         p = Pipeline()
         for _ in range(10):
-            p.process_task(0.0, 1.0, 0.5)
+            p.execute(p.analyze(p.launch(0.0), 1.0), 0.5)
         # Analysis is the bottleneck: 10 x 1.0; exec trails by its last 0.5.
         assert p.analysis_clock == pytest.approx(10.0)
         assert p.exec_clock == pytest.approx(10.5)
@@ -25,12 +25,12 @@ class TestPipeline:
     def test_exec_bottleneck(self):
         p = Pipeline()
         for _ in range(10):
-            p.process_task(0.0, 0.1, 1.0)
+            p.execute(p.analyze(p.launch(0.0), 0.1), 1.0)
         assert p.exec_clock == pytest.approx(0.1 + 10.0)
 
     def test_stall_accounting(self):
         p = Pipeline()
-        p.process_task(0.0, 1.0, 1.0)
+        p.execute(p.analyze(p.launch(0.0), 1.0), 1.0)
         assert p.stats.exec_stalls == pytest.approx(1.0)
 
     def test_ready_at_delays_analysis(self):
@@ -49,7 +49,7 @@ class TestPipeline:
     def test_busy_accounting(self):
         p = Pipeline()
         for _ in range(4):
-            p.process_task(0.25, 0.5, 0.125)
+            p.execute(p.analyze(p.launch(0.25), 0.5), 0.125)
         assert p.stats.app_busy == pytest.approx(1.0)
         assert p.stats.analysis_busy == pytest.approx(2.0)
         assert p.stats.exec_busy == pytest.approx(0.5)

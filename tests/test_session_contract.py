@@ -26,6 +26,7 @@ from repro.api import (
 from repro.core.coordination import IngestCoordinator
 from repro.core.jobs import JobExecutor
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
+from repro.core.trie import TrieNode
 from repro.metrics import MARKS, SessionStats
 from repro.persist import dehydrate
 from repro.runtime.runtime import Runtime
@@ -95,6 +96,20 @@ def _serving_objects():
     return {id(obj) for obj in gc.get_objects() if isinstance(obj, kinds)}
 
 
+def _trie_nodes(pool):
+    """Live trie nodes less the roots of ``pool``'s open sessions (an
+    open session here is a fresh one, whose trie is its root alone)."""
+    roots = {
+        id(processor.replayer.trie.root)
+        for handle in pool.sessions.values()
+        for processor in handle.processors
+    }
+    return sum(
+        isinstance(obj, TrieNode) and id(obj) not in roots
+        for obj in gc.get_objects()
+    )
+
+
 def _boom():
     raise RuntimeError("flush failed")
 
@@ -155,21 +170,53 @@ def test_a_session_out_of_the_table_is_garbage(kind, leaving):
     lifetime counters stay in ``backend_stats``, and the id opens again
     at once. (PR 5 onwards found the leaked lane / runtime / coordinator
     registration once per backend, and PR 22 the ``already has a
-    runtime`` wedge; there is no registry left for either.)"""
+    runtime`` wedge; there is no registry left for either.)
+
+    And a closed session is no cycle: with the collector off, reference
+    counting alone frees all of it -- every trie node included -- the
+    moment the handle goes."""
     pool = TRACING_BACKENDS[kind](SPILLING)
-    handle = pool.open_session("tenant")
-    _serve(handle, 600)
-    handle.flush()  # a fence: the teardown's own flush moves no counter
-    served = {name: pool.backend_stats[name] for name in SERVED}
-    referents = _referents(handle)
-    assert len(referents) >= 3 * handle.num_nodes  # not vacuous
-    LEAVING[leaving](pool, handle)
-    assert handle.closed and "tenant" not in pool.sessions
-    del handle
     gc.collect()
-    assert [ref() for ref in referents if ref() is not None] == []
+    gc.disable()
+    try:
+        nodes = _trie_nodes(pool)
+        handle = pool.open_session("tenant")
+        _serve(handle, 600)
+        handle.flush()  # a fence: the teardown's own flush moves no counter
+        served = {name: pool.backend_stats[name] for name in SERVED}
+        referents = _referents(handle)
+        assert len(referents) >= 3 * handle.num_nodes  # not vacuous
+        assert _trie_nodes(pool) > nodes + 10
+        LEAVING[leaving](pool, handle)
+        assert handle.closed and "tenant" not in pool.sessions
+        del handle
+        assert [ref() for ref in referents if ref() is not None] == []
+        assert _trie_nodes(pool) == nodes
+    finally:
+        gc.enable()
     assert {name: pool.backend_stats[name] for name in SERVED} == served
     pool.open_session("tenant")
+
+
+def test_an_evicted_session_dehydrates_to_its_spilled_state():
+    """Eviction unlinks the session's match engine but keeps its trie:
+    the client's evicted ``Session`` still dehydrates, to the very state
+    the spill tier holds, and warm-starts from it."""
+    pool = TRACING_BACKENDS["service"](SPILLING)
+    session = open_session("tenant", backend=pool)
+    _serve(session.handle, 600)
+    pool.open_session("other")
+    assert session.handle.closed and "tenant" in pool.state_store
+    state = session.dehydrate()
+    assert state.num_candidates > 0  # not vacuous
+    assert state.dumps() == pool.state_store.get("tenant").dumps()
+    pool.close_session("other")
+    warm = pool.open_session("tenant")
+    assert warm.processor.warm_starts == 1
+    traced = warm.processor.replayer.tasks_traced
+    _serve(warm, 30)
+    warm.flush()
+    assert warm.processor.replayer.tasks_traced > traced
 
 
 def test_duplicate_open_and_unknown_close(pool):
@@ -186,23 +233,32 @@ def test_duplicate_open_and_unknown_close(pool):
 
 def test_every_pool_builds_runtimes_from_the_one_spec(pool):
     """No pool keeps a per-task log by default: a served session's
-    runtimes hold no task record, and ``traced_fraction`` says why it
-    cannot answer instead of reading 0. A pool handed a spec that keeps
-    the log still answers."""
+    runtimes hold no task record and no iteration's end, and
+    ``traced_fraction`` / ``throughput`` say why they cannot answer
+    instead of reading 0. A pool handed a spec that keeps the log still
+    answers."""
     handle = pool.open_session("tenant")
-    _serve(handle)
+    for iteration in range(3):
+        handle.set_iteration(iteration)
+        _serve(handle)
     for processor in handle.processors:
         assert processor.runtime.task_log == []
+        assert processor.runtime.iteration_end == {}
         with pytest.raises(ValueError, match="keep_task_log"):
             processor.runtime.traced_fraction()
+        with pytest.raises(ValueError, match="keep_task_log"):
+            processor.runtime.throughput(0)
     logging = type(pool)(
         CONFIG, runtime_factory=RuntimeSessionFactory(keep_task_log=True)
     ).open_session("tenant")
-    _serve(logging)
+    for iteration in range(3):
+        logging.set_iteration(iteration)
+        _serve(logging)
     logging.flush()
     for processor in logging.processors:
-        assert len(processor.runtime.task_log) == 300
+        assert len(processor.runtime.task_log) == 900
         assert 0.0 < processor.runtime.traced_fraction() <= 1.0
+        assert processor.runtime.throughput(0) > 0.0
 
 
 def test_close_is_exception_safe(pool, monkeypatch):

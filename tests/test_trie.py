@@ -1,10 +1,11 @@
 """Candidate trie structure, and the reference pointer scan over it."""
 
 import gc
+import random
 
 import pytest
 
-from references import PointerScanTrie
+from references import PathInsertTrie, PointerScanTrie
 from repro.core.trie import CandidateTrie, TrieNode
 
 
@@ -236,6 +237,47 @@ class TestNodeShape:
         trie.remove(longest)
         assert labels(trie, node_at(trie, "a")) == list("zb")
         assert node_at(trie, "a").deep is first
+
+
+def shape(trie):
+    """Every node, in enumeration order: (token, depth, deep id, candidate
+    id, child tokens), plus the trie's candidate ids."""
+    def trace_id(candidate):
+        return None if candidate is None else candidate.trace_id
+
+    rows, stack = [], [trie.root]
+    while stack:
+        node = stack.pop()
+        kids = labels(trie, node)
+        rows.append((node.token, node.depth, trace_id(node.deep),
+                     trace_id(node.candidate), kids))
+        stack.extend(reversed([trie.child(node, k) for k in kids]))
+    return rows, sorted(trie.candidates), trie._next_id, trie.version
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_one_pass_insert_builds_the_two_pass_trie(seed):
+    """Shared prefixes, prefixes of candidates, re-inserts and removals
+    in between: after every step both inserts left the same trie, node
+    by node."""
+    rng = random.Random(seed)
+    fast, slow = CandidateTrie(), PathInsertTrie()
+    for _ in range(300):
+        live = sorted(fast._by_tokens)
+        if live and rng.random() < 0.25:
+            tokens = rng.choice(live)
+            assert fast.remove(fast.find(tokens))
+            assert slow.remove(slow.find(tokens))
+        else:
+            if live and rng.random() < 0.2:
+                tokens = rng.choice(live)  # a re-insert
+            else:
+                tokens = tuple(rng.choice("abc")
+                               for _ in range(rng.randint(1, 7)))
+            assert fast.insert(tokens).trace_id == \
+                slow.insert(tokens).trace_id
+        assert shape(fast) == shape(slow)
+    assert len(fast) > 10  # not vacuous
 
 
 class TestMatching:
