@@ -17,7 +17,7 @@ Run:  python examples/multi_tenant_quickstart.py
 
 import repro.api as api
 from repro.runtime.privilege import Privilege
-from repro.runtime.session import RuntimeSessionFactory
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import task
 
 RO, RW, WD = Privilege.READ_ONLY, Privilege.READ_WRITE, Privilege.WRITE_DISCARD
@@ -33,13 +33,14 @@ CONFIG = api.build_config(
 
 
 def main():
-    # Session runtimes default to no per-task log; keep it here so the
-    # traced fraction can be reported.
-    service = api.ApopheniaService(
-        CONFIG, runtime_factory=RuntimeSessionFactory(keep_task_log=True)
-    )
+    # Session runtimes default to no per-task log; bring our own (a
+    # Runtime keeps one by default) so the traced fraction can be reported.
+    service = api.ApopheniaService(CONFIG)
     sessions = {
-        tenant: api.open_session(tenant, backend=service)
+        tenant: api.open_session(
+            tenant, backend=service,
+            runtime=Runtime(analysis_mode="fast", mismatch_policy="fallback"),
+        )
         for tenant in ("alice", "bob")
     }
     regions = {}

@@ -69,7 +69,7 @@ class TracingBackend(Protocol):
     backend_kind: str
     config: object  # the default per-session ApopheniaConfig
 
-    def open_session(self, session_id, runtime=None, config=None, node_id=0,
+    def open_session(self, session_id, runtime=None, config=None,
                      state=None):
         ...
 
@@ -369,8 +369,8 @@ class Session:
 
 
 def open_session(session_id=None, *, backend="standalone", config=None,
-                 profile=None, runtime=None, node_id=0, env=None,
-                 recorder=None, state=None, **overrides):
+                 profile=None, runtime=None, env=None, recorder=None,
+                 state=None, **overrides):
     """Open a tracing session on any deployment; returns a :class:`Session`.
 
     Parameters
@@ -394,8 +394,6 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         rebased onto a default profile.
     runtime:
         An application-owned runtime; omitted, the backend creates one.
-    node_id:
-        Replication node id.
     recorder:
         Optional :class:`~repro.trace.TraceRecorder` attached from the
         first task (``session.record_to`` after the fact also works);
@@ -428,7 +426,6 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         session_id,
         runtime=runtime,
         config=session_config,
-        node_id=node_id,
         state=state,
     )
     session = Session(session_id, backend_obj, handle)

@@ -14,14 +14,14 @@ its lifetime without reaching into replayer internals.
 * the candidates themselves (through the match engine's trie),
 * the rotation groups (``(length, canonical rotation) -> [members, count]``),
 * the realized-replay record (last fired cycle, tokens stranded since),
-* and the eviction policy: a capacity bound (``max_candidates``) and a
-  staleness horizon, both off by default, that score candidates by
-  *realized replay share* (:meth:`~repro.core.scoring.ScoringPolicy.
-  realized_share`) and evict through the exact-removal path
-  (:meth:`remove`), so an evicted candidate neither lingers as a stale
-  rotation-group member nor blocks re-admission of its own tokens.
+* and the eviction policy: a capacity bound (``max_candidates``), off
+  by default, that ranks candidates by *realized replay share*
+  (:meth:`~repro.core.scoring.ScoringPolicy.realized_share`) and evicts
+  through the exact-removal path (:meth:`remove`), so an evicted
+  candidate neither lingers as a stale rotation-group member nor blocks
+  re-admission of its own tokens.
 
-The replayer delegates here; with both knobs at their ``None`` defaults
+The replayer delegates here; with the bound at its ``None`` default
 every operation is byte-identical to the pre-refactor code path.
 """
 
@@ -46,9 +46,6 @@ class CandidateStore:
         Capacity bound on the trie's candidate count, or ``None`` for
         unbounded (the default -- byte-identical to the historical
         behaviour).
-    staleness_horizon:
-        Evict candidates not seen in the stream (matched or re-mined)
-        for more than this many stream indices, or ``None`` to disable.
     """
 
     def __init__(
@@ -57,13 +54,11 @@ class CandidateStore:
         scoring,
         min_trace_length,
         max_candidates=None,
-        staleness_horizon=None,
     ):
         self.engine = engine
         self.scoring = scoring
         self.min_trace_length = min_trace_length
         self.max_candidates = max_candidates
-        self.staleness_horizon = staleness_horizon
         # (length, canonical rotation) -> [candidates, total count]:
         # phase-shifted rediscoveries of one cycle reinforce a shared
         # occurrence count, and at most ``max_phases_per_cycle`` rotations
@@ -171,32 +166,21 @@ class CandidateStore:
             self.last_fired = None
         return True
 
-    def evict_due(self, now_index, protected=()):
-        """Apply the staleness horizon and capacity bound; returns the
-        number of candidates evicted.
+    def evict_due(self, protected=()):
+        """Apply the capacity bound; returns the number of candidates
+        evicted.
 
         Ranking is by realized replay share (ascending: candidates whose
         commits strand the most tokens go first), tie-broken by
         ``last_seen_at`` then trace id -- all intrinsic to the candidate,
         so two replicas holding identical tries evict identically.
         ``protected`` candidates (e.g. the held deferral's) are never
-        evicted; both knobs ``None`` (the default) makes this a no-op.
+        evicted; ``max_candidates=None`` (the default) makes this a no-op.
         """
         evicted = 0
         # A tuple, not a set: membership only (one or two entries), and
         # the determinism linter rightly dislikes sets on this path.
         protected = tuple(id(c) for c in protected)
-        horizon = self.staleness_horizon
-        if horizon is not None:
-            stale = [
-                c
-                for c in self.trie.candidates.values()
-                if now_index - c.last_seen_at > horizon
-                and id(c) not in protected
-            ]
-            for candidate in stale:
-                if self.remove(candidate):
-                    evicted += 1
         cap = self.max_candidates
         if cap is not None:
             while len(self.trie.candidates) > cap:

@@ -63,7 +63,7 @@ class AnalysisJob:
     """One asynchronous mining job over a slice of the history buffer.
 
     ``degraded`` marks a job whose mining work failed (or was skipped by
-    a quarantine/deadline): its result is the empty no-repeats value --
+    a quarantine): its result is the empty no-repeats value --
     valid input for the replayer, because mining is advisory -- and must
     never be memoized as the true analysis of its window.
     """
@@ -186,10 +186,6 @@ class JobExecutor:
         fails identically on every deployment, and the replicas of one
         session fail identically (injected faults stay decision-neutral
         across the replica set).
-    deadline_tokens:
-        Soft per-job deadline, in window tokens: a window larger than
-        this degrades to the empty result instead of running (a stand-in
-        for wall-clock mining budgets). ``None`` disables it.
     quarantine_threshold:
         Consecutive-failure threshold of the executor's
         :class:`~repro.faults.CircuitBreaker`; ``None``/0 disables
@@ -205,13 +201,11 @@ class JobExecutor:
         memo=None,
         fault_plan=None,
         stream_key=None,
-        deadline_tokens=None,
         quarantine_threshold=None,
     ):
         self.repeats_algorithm = repeats_algorithm
         self.memo = memo
         self.fault_plan = resolve_fault_plan(fault_plan)
-        self.deadline_tokens = deadline_tokens
         self._init_stream(stream_key, node_id, base_latency_ops,
                           per_token_latency_ops, quarantine_threshold)
 
@@ -220,7 +214,7 @@ class JobExecutor:
         """The per-stream half of an executor: identity, completion
         model, breaker and counters; ``jobs_submitted`` is also the
         job-id clock (a job's id is the count submitted before it). (The
-        other half -- algorithm, memo, fault plan, deadline -- is the
+        other half -- algorithm, memo, fault plan -- is the
         mining backend, which a service lane borrows from its shared
         executor.)"""
         self.stream_key = stream_key
@@ -263,14 +257,6 @@ class JobExecutor:
         result can never poison it (failed analyses must not answer
         other callers' identical windows).
         """
-        if (self.deadline_tokens is not None
-                and len(tokens) > self.deadline_tokens):
-            # Soft deadline: a pathological window degrades instead of
-            # stalling. Deliberately not a breaker failure -- the stream
-            # is healthy, this window is just over budget.
-            self.deadline_overruns += 1
-            self.degraded_jobs += 1
-            return [], True
         breaker = self.breaker
         if not breaker.allow():
             self.degraded_jobs += 1
@@ -359,6 +345,5 @@ def executor_from_config(config, node_id=0, stream_key=None, memo=None):
         memo=memo,
         fault_plan=config.fault_plan,
         stream_key=stream_key,
-        deadline_tokens=config.mining_deadline_tokens,
         **stream_keywords(config, node_id),
     )

@@ -45,6 +45,53 @@ def _decision(default):
     return field(default=default, metadata={"decision": True})
 
 
+#: A retired knob that no decision ever read: any recorded value loads.
+NEUTRAL = object()
+
+#: The knobs older documents record that name no field any more, and
+#: the one value this tree honours for each (what it runs is that
+#: value's schedule), or :data:`NEUTRAL`. A retired decision knob is
+#: agreed state: a trace header or session state recorded under another
+#: value was produced by a schedule this tree cannot run, so both readers
+#: refuse it (:func:`check_recorded`) instead of re-driving it under
+#: this tree's value.
+RETIRED = {
+    # The artifact's fixed finder is ``multi_scale_factor = batchsize``.
+    "identifier_algorithm": "multi-scale",
+    # The paper's finder and constants, component defaults since.
+    "repeats_algorithm": "quick_matching_of_substrings",
+    "count_cap": 16,
+    "decay_rate": 1e-4,
+    "replay_bonus": 1.1,
+    "job_per_token_latency_ops": 0.05,
+    # Bounds only tests ever set.
+    "candidate_staleness_horizon": None,
+    "mining_deadline_tokens": None,
+    # Selection, memo and scheduler knobs: no decision read them.
+    **dict.fromkeys(("sa_backend", "match_engine", "mining_memo_capacity",
+                     "max_outstanding_jobs", "lane_outstanding_quota"),
+                    NEUTRAL),
+}
+
+
+def check_recorded(recorded, error):
+    """Refuse, with ``error``, a document's recorded config (name ->
+    value) that names a retired knob at a value other than the one
+    :data:`RETIRED` honours, or a key that names no knob at all."""
+    names = ApopheniaConfig.field_names()
+    for name, value in recorded.items():
+        if name in names:
+            continue
+        if name not in RETIRED:
+            raise error(f"config key {name!r} names no knob")
+        honoured = RETIRED[name]
+        if honoured is not NEUTRAL and value != honoured:
+            raise error(
+                f"recorded under the retired knob {name}={value!r}; this "
+                f"tree runs only {name}={honoured!r}"
+            )
+
+
 @dataclass(frozen=True)
 class ApopheniaConfig:
     """Tuning knobs, named after the artifact's command-line flags.
@@ -104,26 +151,17 @@ class ApopheniaConfig:
         spec string (see :func:`repro.faults.parse_fault_spec`) -- the
         string form is what the ``REPRO_FAULT_PLAN`` environment
         variable carries through :func:`repro.api.build_config`.
-    mining_deadline_tokens:
-        Soft per-job mining deadline, in window tokens: a larger window
-        degrades to the empty (no-repeats) result instead of running,
-        bounding the time any single analysis can hold a worker.
-        ``None`` disables the deadline.
     fault_quarantine_threshold:
         Consecutive mining failures before a session's lane/executor is
         quarantined (pass-through tracing, no mining, exponential
-        backoff re-probes). ``None``/0 disables quarantine; failures
-        are still contained per job and counted.
+        backoff re-probes). ``None`` disables quarantine; failures are
+        still contained per job and counted.
     max_candidates:
         Capacity bound on the candidate trie: after every ingestion the
         :class:`~repro.core.candidates.CandidateStore` evicts the
         poorest-realized-share candidates until the count fits. ``None``
         (the default) keeps the historical unbounded behaviour,
         byte-identical to before the lifecycle layer existed.
-    candidate_staleness_horizon:
-        Evict candidates not seen in the stream (matched or re-mined)
-        for more than this many stream indices; ``None`` disables the
-        horizon.
     session_state_budget:
         Token budget of the service's
         :class:`~repro.persist.SessionStateStore`: LRU-evicted sessions
@@ -145,10 +183,8 @@ class ApopheniaConfig:
     shared_memo_capacity: int = 256
     shared_memo_token_budget: Optional[int] = None
     fault_plan: object = None
-    mining_deadline_tokens: Optional[int] = None
     fault_quarantine_threshold: Optional[int] = 8
     max_candidates: Optional[int] = _decision(None)
-    candidate_staleness_horizon: Optional[int] = _decision(None)
     session_state_budget: Optional[int] = None
 
     @classmethod
@@ -219,9 +255,8 @@ class ApopheniaConfig:
             raise ValueError(f"max_sessions must be >= 1, got {self.max_sessions}")
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
-        for name in ("shared_memo_token_budget", "mining_deadline_tokens",
-                     "fault_quarantine_threshold", "max_candidates",
-                     "candidate_staleness_horizon", "session_state_budget"):
+        for name in ("shared_memo_token_budget", "fault_quarantine_threshold",
+                     "max_candidates", "session_state_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be None or >= 1, got {value}")
@@ -332,7 +367,6 @@ class ApopheniaProcessor:
             max_trace_length=self.config.max_trace_length,
             match_engine=match_engine,
             max_candidates=self.config.max_candidates,
-            staleness_horizon=self.config.candidate_staleness_horizon,
         )
         self.warm_starts = 0  # sessions hydrated from a SessionState
 

@@ -15,7 +15,7 @@ three separable layers:
   owns candidate lifetime: admission, the rotation groups that let
   phase-shifted rediscoveries of one cycle reinforce a shared occurrence
   count, the realized-replay records behind the scoring hysteresis, and
-  the capacity/staleness eviction policy;
+  the capacity eviction policy;
 * the **decision policy**
   (:class:`~repro.core.scoring.ReplayDecisionPolicy`) owns
   SelectReplayTrace: choosing among completions, defending the deferred
@@ -70,11 +70,11 @@ class TraceReplayer:
         Engine class (a no-argument factory). Only the parity suites
         pass anything but the default -- the ``ScanMatchEngine``
         reference of ``tests/references.py``.
-    max_candidates / staleness_horizon:
-        Candidate lifecycle bounds, forwarded to the
-        :class:`~repro.core.candidates.CandidateStore`; both default to
-        ``None`` (unbounded -- byte-identical to the historical
-        behaviour).
+    max_candidates:
+        Candidate capacity bound, forwarded to the
+        :class:`~repro.core.candidates.CandidateStore`; ``None`` (the
+        default) is unbounded -- byte-identical to the historical
+        behaviour.
 
     The replayer's counters (``tasks_seen`` ... ``deferrals``, the
     ``replayer``-owned fields of :class:`~repro.metrics.SessionStats`)
@@ -95,7 +95,6 @@ class TraceReplayer:
         max_trace_length=None,
         match_engine=AutomatonMatchEngine,
         max_candidates=None,
-        staleness_horizon=None,
     ):
         self.on_flush = on_flush
         self.on_trace = on_trace
@@ -108,7 +107,6 @@ class TraceReplayer:
             self.policy.scoring,
             min_trace_length,
             max_candidates=max_candidates,
-            staleness_horizon=staleness_horizon,
         )
         self.pending = deque()  # (index, task, token), stream order
         self.deferred = None  # CompletedMatch being extended, or None
@@ -148,14 +146,11 @@ class TraceReplayer:
         self.candidates_ingested += self.store.ingest(
             repeats, self.tasks_seen
         )
-        if (
-            self.store.max_candidates is not None
-            or self.store.staleness_horizon is not None
-        ):
+        if self.store.max_candidates is not None:
             protected = (
                 (self.deferred.candidate,) if self.deferred is not None else ()
             )
-            self.store.evict_due(self.tasks_seen, protected=protected)
+            self.store.evict_due(protected=protected)
 
     def remove_candidate(self, candidate):
         """Evict a candidate from the trie and its rotation group (see

@@ -42,9 +42,9 @@ tree whose fence could leave one (its tasks were already forwarded),
 and ``finder.sampler`` / ``replayer.stream_index`` / ``jobs.next_job_id``,
 which always equalled ``finder.ops_observed``, the replayer's
 ``tasks_seen`` and the executor's ``jobs_submitted``. A document whose
-config slice names an ``identifier_algorithm`` other than
-``"multi-scale"`` is refused: that schedule is spelled
-``multi_scale_factor = batchsize`` here.
+config slice names a retired knob at a value other than the one this
+tree honours (:data:`~repro.core.processor.RETIRED`) is refused: its
+learned state came from a schedule this tree cannot run.
 
 Serialization is canonical (:mod:`repro.canon`: sorted keys, minimal
 separators, one JSON document), so ``loads(dumps())`` round-trips
@@ -68,7 +68,7 @@ from collections import deque
 
 from repro import canon
 from repro.core.jobs import AnalysisJob, completion_op
-from repro.core.processor import ApopheniaConfig
+from repro.core.processor import ApopheniaConfig, check_recorded
 from repro.core.repeats import Repeat
 from repro.metrics import MARKS, owned_by, processor_owners
 
@@ -470,13 +470,9 @@ def hydrate_processor(processor, state):
             "hydrate target must be a fresh processor (it has already "
             "served tasks)"
         )
-    expected = {
-        name: getattr(processor.config, name)
-        for name in ApopheniaConfig.decision_fields()
-    }
-    # A retired knob: its "fixed" is ``multi_scale_factor = batchsize``.
-    expected["identifier_algorithm"] = "multi-scale"
-    for name, value in expected.items():
+    check_recorded(payload["config"], PersistFormatError)
+    for name in ApopheniaConfig.decision_fields():
+        value = getattr(processor.config, name)
         recorded = payload["config"].get(name, value)
         if recorded != value:
             raise PersistFormatError(

@@ -25,7 +25,6 @@ from repro.runtime.privilege import Privilege
 from repro.runtime.runtime import Runtime
 from repro.runtime.costmodel import CostModel
 from repro.runtime.machine import MachineConfig, PERLMUTTER, EOS
-from repro.runtime.session import RuntimeSessionFactory
 
 __all__ = [
     "RegionForest",
@@ -35,7 +34,6 @@ __all__ = [
     "RegionRequirement",
     "Privilege",
     "Runtime",
-    "RuntimeSessionFactory",
     "CostModel",
     "MachineConfig",
     "PERLMUTTER",

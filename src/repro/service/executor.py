@@ -6,8 +6,8 @@ expensive part of an instance is the mining backend -- the suffix-array
 analysis jobs -- so that is what the service shares:
 
 * :class:`SharedJobExecutor` owns the repeat-finding algorithm, one
-  cross-session :class:`~repro.core.jobs.MiningMemo`, the fault plan, the
-  soft deadline, and the single FIFO of queued jobs that ``pump()`` drains;
+  cross-session :class:`~repro.core.jobs.MiningMemo`, the fault plan, and
+  the single FIFO of queued jobs that ``pump()`` drains;
 * :class:`SessionLane` is the per-session front: a
   :class:`~repro.core.jobs.JobExecutor` whose mining backend is the shared
   executor's and whose scheduling hook queues instead of mining.
@@ -55,7 +55,6 @@ class SessionLane(JobExecutor):
     repeats_algorithm = property(lambda self: self.shared.repeats_algorithm)
     memo = property(lambda self: self.shared.memo)
     fault_plan = property(lambda self: self.shared.fault_plan)
-    deadline_tokens = property(lambda self: self.shared.deadline_tokens)
 
     def _schedule(self, job):
         """Queue the job; the service's pump (or the first ``job.result``
@@ -83,21 +82,19 @@ class SharedJobExecutor:
     memo_token_budget:
         Optional size-aware admission budget for the shared memo, in
         tokens (:class:`MiningMemo`). ``None`` keeps entry-count LRU.
-    fault_plan / deadline_tokens:
-        As on :class:`~repro.core.jobs.JobExecutor`; every lane reads
-        them here.
+    fault_plan:
+        As on :class:`~repro.core.jobs.JobExecutor`; every lane reads it
+        here.
     """
 
     def __init__(self, repeats_algorithm=find_repeats, memo_capacity=256,
-                 memo_token_budget=None, fault_plan=None,
-                 deadline_tokens=None):
+                 memo_token_budget=None, fault_plan=None):
         self.repeats_algorithm = repeats_algorithm
         self.memo = (
             MiningMemo(memo_capacity, token_budget=memo_token_budget)
             if memo_capacity else None
         )
         self.fault_plan = resolve_fault_plan(fault_plan)
-        self.deadline_tokens = deadline_tokens
         self.queue = deque()  # submitted, not yet pumped AnalysisJobs
 
     def lane(self, session_key, **stream):

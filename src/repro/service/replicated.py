@@ -18,10 +18,10 @@ shared multi-tenant service, or control-replicated across N nodes::
 Each session is a full N-way replica set:
 
 * N :class:`~repro.core.processor.ApopheniaProcessor` node replicas, one
-  per node id, each fronting its own runtime built from the
-  :class:`~repro.runtime.session.RuntimeSessionFactory` spec (node
-  replicas own distinct region forests, exactly as real nodes own
-  distinct Legion instances);
+  per node id, each fronting its own runtime of the
+  :func:`~repro.runtime.session.session_runtime` spec (node replicas own
+  distinct region forests, exactly as real nodes own distinct Legion
+  instances);
 * one :class:`~repro.core.coordination.IngestCoordinator` carrying the
   agreement protocol -- one per replica set by construction: ``_build``
   makes it, only this session's processors and handle hold it, and its
@@ -45,6 +45,7 @@ from repro.core.coordination import IngestCoordinator
 from repro.core.jobs import MiningMemo, executor_from_config
 from repro.core.processor import ApopheniaProcessor
 from repro.errors import SessionClosedError
+from repro.runtime.session import session_runtime
 from repro.service.service import SessionHandle, SessionPool
 
 
@@ -54,9 +55,7 @@ class ReplicatedSessionHandle(SessionHandle):
     The common :class:`~repro.service.service.SessionHandle` shape --
     serving calls fan out to every live replica, introspection reports
     the lowest-id live one -- plus the replication-specific surface:
-    ``decisions_agree()`` / ``decision_traces()``, node drops, and
-    ``execute_task_factory`` for applications whose nodes must build
-    their own task copies against their own region forests.
+    ``decisions_agree()`` / ``decision_traces()`` and node drops.
     """
 
     __slots__ = ("faults", "_drops_armed")
@@ -75,9 +74,7 @@ class ReplicatedSessionHandle(SessionHandle):
         Control replication means every node sees the same stream; the
         runtimes run in ``fast`` analysis mode, so sharing one
         :class:`~repro.runtime.task.Task` object across replicas is safe
-        (the same sharing the facade parity suites rely on). Applications
-        whose nodes must own their task copies use
-        :meth:`execute_task_factory`.
+        (the same sharing the facade parity suites rely on).
         """
         if self.closed:  # _check_open, inlined on the per-task path
             raise SessionClosedError(self.session_id)
@@ -85,16 +82,6 @@ class ReplicatedSessionHandle(SessionHandle):
             self._check_drops()
         for processor in self._live:
             processor.execute_task(task)
-
-    def execute_task_factory(self, make_task):
-        """Issue one logical task with per-node copies:
-        ``make_task(node)`` builds node ``node``'s structurally identical
-        task against that node's own region forest."""
-        self._check_open()
-        if self._drops_armed:
-            self._check_drops()
-        for processor in self._live:
-            processor.execute_task(make_task(processor.node_id))
 
     # ------------------------------------------------------------------
     # Degradation (node drops)
@@ -176,9 +163,6 @@ class ReplicatedBackend(SessionPool):
         picks the replica count (overridable per session via a
         session-level config) and ``initial_ingest_margin_ops`` seeds
         each session's agreement protocol.
-    runtime_factory:
-        :class:`~repro.runtime.session.RuntimeSessionFactory`, the spec
-        one runtime per node replica is built from.
     coordinate:
         ``False`` disables the agreement protocol -- every node ingests
         at its own completion times, which *diverges* under per-node
@@ -189,21 +173,20 @@ class ReplicatedBackend(SessionPool):
     #: :class:`repro.api.TracingBackend` discriminator.
     backend_kind = "replicated"
 
-    def __init__(self, config=None, runtime_factory=None, coordinate=True):
-        super().__init__(config, runtime_factory)
+    def __init__(self, config=None, coordinate=True):
+        super().__init__(config)
         self.num_nodes = self.config.num_nodes
         if self.num_nodes < 1:
             raise ValueError("need at least one node")
         self.coordinate = coordinate
 
-    def _build(self, session_id, config, runtime, node_id, runtimes=None):
+    def _build(self, session_id, config, runtime, runtimes=None):
         """N node replicas, one coordinator, one shared memo.
 
-        The backend assigns node ids 0..N-1 itself, so ``node_id`` must
-        be 0 (the protocol default), and per-node runtimes are built
-        from the runtime factory -- a single caller-owned ``runtime``
-        cannot serve N replicas. ``runtimes`` injects one caller-owned
-        runtime per node.
+        The backend assigns node ids 0..N-1 itself and builds one
+        runtime per node -- a single caller-owned ``runtime`` cannot
+        serve N replicas. ``runtimes`` injects one caller-owned runtime
+        per node.
         """
         if runtime is not None:
             raise ValueError(
@@ -211,13 +194,8 @@ class ReplicatedBackend(SessionPool):
                 "pass runtimes=[...] (one per node) instead of runtime="
             )
         nodes = config.num_nodes
-        if node_id != 0:
-            raise ValueError(
-                f"the replicated backend assigns node ids 0..{nodes - 1} "
-                f"itself; got node_id={node_id}"
-            )
         if runtimes is None:
-            runtimes = [self.runtime_factory.create() for _ in range(nodes)]
+            runtimes = [session_runtime() for _ in range(nodes)]
         elif len(runtimes) != nodes:
             raise ValueError(
                 f"got {len(runtimes)} runtimes for {nodes} nodes"

@@ -13,7 +13,7 @@ for that handle and referenced by nothing else, so closing, evicting or
 refusing a session is dropping the entry -- there is nothing to give back:
 
 * :class:`StandaloneBackend` -- the paper's one Apophenia per
-  application: a private executor and memo per session, nothing shared;
+  application: a private executor per session, nothing shared;
 * :class:`ApopheniaService` -- N sessions over ONE shared mining executor
   (:class:`~repro.service.executor.SharedJobExecutor`), with LRU
   eviction and the spill tier;
@@ -28,7 +28,7 @@ application is paid once across the whole tenant population.
 
 ==================  ====================================================
 shared              mining algorithm, cross-session memo, fault plan,
-                    soft deadline, the one FIFO ``pump()`` drains
+                    the one FIFO ``pump()`` drains
 per-session         hasher, finder (history buffer + op clock), replayer
                     (candidate trie + scoring), runtime, and the lane: a
                     ``JobExecutor``'s job ids, breaker and counters
@@ -51,7 +51,7 @@ from repro.core.jobs import stream_keywords
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.errors import SessionClosedError
 from repro.persist import SessionStateStore, dehydrate, hydrate_processor
-from repro.runtime.session import RuntimeSessionFactory
+from repro.runtime.session import session_runtime
 from repro.service.executor import SharedJobExecutor
 
 
@@ -214,15 +214,14 @@ class SessionPool:
         :class:`~repro.core.processor.ApopheniaConfig`; the default
         per-session configuration (``open_session`` may override it) and
         the backend's own deployment knobs.
-    runtime_factory:
-        :class:`~repro.runtime.session.RuntimeSessionFactory`, the spec
-        of the runtimes built for sessions opened without
-        application-provided ones.
+
+    A session opened without an application-provided runtime gets a
+    fresh one of the one spec,
+    :func:`~repro.runtime.session.session_runtime`.
     """
 
-    def __init__(self, config=None, runtime_factory=None):
+    def __init__(self, config=None):
         self.config = config or ApopheniaConfig()
-        self.runtime_factory = runtime_factory or RuntimeSessionFactory()
         self.sessions = {}  # session_id -> SessionHandle
         self.sessions_opened = 0
         # Only the service evicts, and only it may run a spill tier;
@@ -238,13 +237,13 @@ class SessionPool:
     # ------------------------------------------------------------------
     # Session lifecycle
     # ------------------------------------------------------------------
-    def open_session(self, session_id, runtime=None, config=None, node_id=0,
+    def open_session(self, session_id, runtime=None, config=None,
                      state=None, **deployment):
         """Admit a session; returns its :class:`SessionHandle`.
 
         ``config`` overrides the per-session configuration; ``runtime``
-        is an application-owned runtime (omitted, the factory stamps
-        one). ``state`` warm-starts the session from a
+        is an application-owned runtime (omitted, the pool builds one).
+        ``state`` warm-starts the session from a
         :class:`~repro.persist.SessionState`: every processor of the
         handle hydrates from the same snapshot, so a replica set resumes
         with byte-identical learned state (the snapshot's coordinator
@@ -259,7 +258,7 @@ class SessionPool:
         # fails closed on a decision config mismatch) just propagates:
         # the half-built session is garbage and the id opens again.
         handle = self._build(session_id, config or self.config, runtime,
-                             node_id, **deployment)
+                             **deployment)
         if admitted is not None:
             for processor in handle.processors:
                 hydrate_processor(processor, admitted)
@@ -287,7 +286,7 @@ class SessionPool:
         """
         return state
 
-    def _build(self, session_id, config, runtime, node_id):
+    def _build(self, session_id, config, runtime):
         """Construct the session's processors; returns its handle."""
         raise NotImplementedError
 
@@ -365,19 +364,17 @@ class StandaloneBackend(SessionPool):
 
     The "one Apophenia per application" deployment of the paper. Nothing
     is shared between sessions -- each gets its own processor, executor
-    and (unless provided) its own runtime from ``runtime_factory``.
+    and (unless provided) its own runtime.
     """
 
     backend_kind = "standalone"
 
-    def _build(self, session_id, config, runtime, node_id):
-        if runtime is None:
-            runtime = self.runtime_factory.create()
+    def _build(self, session_id, config, runtime):
         # stream_key: the fault plan keys on the session id on every
         # backend, so one (plan, session id, stream) fails the same way
         # wherever it is served.
         processor = ApopheniaProcessor(
-            runtime, config, node_id=node_id, stream_key=session_id
+            runtime or session_runtime(), config, stream_key=session_id
         )
         return SessionHandle(session_id, self, [processor])
 
@@ -424,26 +421,22 @@ class ApopheniaService(SessionPool):
     config:
         :class:`~repro.core.processor.ApopheniaConfig`; the service reads
         the service knobs (``max_sessions``, ``shared_memo_capacity``,
-        ``shared_memo_token_budget``) plus the fault plan and the mining
-        deadline, and uses the rest as the default per-session
-        configuration. ``open_session`` may override the per-session
-        part; all tenants share one executor, whose one mining algorithm
-        keeps the shared memo a pure function of the window.
-    runtime_factory:
-        :class:`~repro.runtime.session.RuntimeSessionFactory` used when a
-        session is opened without an application-provided runtime.
+        ``shared_memo_token_budget``) plus the fault plan, and uses the
+        rest as the default per-session configuration. ``open_session``
+        may override the per-session part; all tenants share one
+        executor, whose one mining algorithm keeps the shared memo a pure
+        function of the window.
     """
 
     #: :class:`repro.api.TracingBackend` discriminator.
     backend_kind = "service"
 
-    def __init__(self, config=None, runtime_factory=None):
-        super().__init__(config, runtime_factory)
+    def __init__(self, config=None):
+        super().__init__(config)
         self.executor = SharedJobExecutor(
             memo_capacity=self.config.shared_memo_capacity,
             memo_token_budget=self.config.shared_memo_token_budget,
             fault_plan=self.config.fault_plan,
-            deadline_tokens=self.config.mining_deadline_tokens,
         )
         self._tick = 0  # monotonic use counter backing LRU eviction
         # Evict-without-forgetting spill tier (None: forget on evict,
@@ -469,14 +462,10 @@ class ApopheniaService(SessionPool):
             state = self.state_store.get(session_id)
         return state
 
-    def _build(self, session_id, config, runtime, node_id):
-        if runtime is None:
-            runtime = self.runtime_factory.create()
-        lane = self.executor.lane(
-            session_id, **stream_keywords(config, node_id)
-        )
+    def _build(self, session_id, config, runtime):
+        lane = self.executor.lane(session_id, **stream_keywords(config))
         processor = ApopheniaProcessor(
-            runtime, config, node_id=node_id, executor=lane
+            runtime or session_runtime(), config, executor=lane
         )
         handle = LaneHandle(session_id, self, [processor])
         self._tick += 1

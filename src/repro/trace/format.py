@@ -30,7 +30,7 @@ record the re-drive could not read is refused at load, not met as a
 """
 
 from repro import canon
-from repro.core.processor import ApopheniaConfig
+from repro.core.processor import ApopheniaConfig, check_recorded
 from repro.runtime.privilege import Privilege
 from repro.runtime.region import PartitionKind
 from repro.stablehash import stable_digest
@@ -66,9 +66,11 @@ def config_to_dict(config):
 
 
 def config_from_dict(fields):
-    """Rebuild an :class:`~repro.core.processor.ApopheniaConfig`
-    (unknown keys -- a retired knob, or one from a newer writer -- are
-    ignored)."""
+    """Rebuild an :class:`~repro.core.processor.ApopheniaConfig`. A
+    retired knob recorded at the value this tree honours is dropped; one
+    recorded at another value, or a key naming no knob, raises
+    ``ValueError`` (:func:`~repro.core.processor.check_recorded`)."""
+    check_recorded(fields, ValueError)
     names = ApopheniaConfig.field_names()
     return ApopheniaConfig(
         **{k: v for k, v in fields.items() if k in names}

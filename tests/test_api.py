@@ -32,7 +32,6 @@ from repro.core.jobs import MiningMemo
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.registry import Registry, RegistryError
 from repro.runtime.runtime import Runtime
-from repro.runtime.session import RuntimeSessionFactory
 from repro.runtime.task import Task
 from repro.service import ApopheniaService
 
@@ -396,8 +395,8 @@ class TestConfigBuilder:
                     read.add(node.attr)
                 pending.extend(ast.iter_child_nodes(node))
         fields = ApopheniaConfig.field_names()
-        assert len(fields) == 17
-        assert len(ApopheniaConfig.decision_fields()) == 9
+        assert len(fields) == 15
+        assert len(ApopheniaConfig.decision_fields()) == 8
         assert [name for name in fields if name not in read] == []
 
 
@@ -503,12 +502,12 @@ class TestEvictionFlushOrdering:
     def test_evicted_sessions_buffered_tasks_flush_in_stream_order(self):
         """Eviction must drain the victim's replayer buffer to its own
         runtime, in submission order, before the handle closes."""
-        factory = RuntimeSessionFactory(keep_task_log=True)
-        service = ApopheniaService(
-            FAST_CONFIG.with_overrides(max_sessions=1),
-            runtime_factory=factory,
+        service = ApopheniaService(FAST_CONFIG.with_overrides(max_sessions=1))
+        # Its own runtime: a pool-built one keeps no task log.
+        victim = open_session(
+            "victim", backend=service,
+            runtime=Runtime(analysis_mode="fast", mismatch_policy="fallback"),
         )
-        victim = open_session("victim", backend=service)
         tasks = [Task(f"T{i % 3}") for i in range(100)]
         for task in tasks:
             victim.submit(task)

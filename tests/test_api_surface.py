@@ -1,10 +1,13 @@
-"""Public-API snapshot: the names exported by ``repro`` and ``repro.api``.
+"""Public-API snapshot: the names exported by ``repro`` and ``repro.api``,
+and the knobs of ``ApopheniaConfig``.
 
 The client API is the repo's compatibility contract (ISSUE 3): backends,
 profiles, and internals may churn freely, but these two ``__all__``
 surfaces only change deliberately. If a PR legitimately adds or removes
 a public name, update the snapshot here *in the same PR* and say so in
-CHANGES.md -- the diff of this file is the API review.
+CHANGES.md -- the diff of this file is the API review. The same holds
+for a config field: every knob is one some deployment sets, and a new
+decision knob changes what a trace header and a session state record.
 
 Wired into ``make verify`` via the ``api`` marker step in
 ``scripts/verify.sh``.
@@ -14,6 +17,7 @@ import pytest
 
 import repro
 import repro.api
+from repro.core.processor import ApopheniaConfig
 
 pytestmark = pytest.mark.api
 
@@ -63,6 +67,38 @@ REPRO_API_ALL = [
     "validate_config",
 ]
 
+#: ``ApopheniaConfig.field_names()``, in declaration order.
+CONFIG_FIELDS = [
+    "min_trace_length",
+    "max_trace_length",
+    "batchsize",
+    "multi_scale_factor",
+    "hysteresis",
+    "job_base_latency_ops",
+    "initial_ingest_margin_ops",
+    "num_nodes",
+    "max_sessions",
+    "shared_memo_capacity",
+    "shared_memo_token_budget",
+    "fault_plan",
+    "fault_quarantine_threshold",
+    "max_candidates",
+    "session_state_budget",
+]
+
+#: ``ApopheniaConfig.decision_fields()``: what a session state records
+#: and hydrate checks.
+DECISION_FIELDS = [
+    "min_trace_length",
+    "max_trace_length",
+    "batchsize",
+    "multi_scale_factor",
+    "hysteresis",
+    "job_base_latency_ops",
+    "initial_ingest_margin_ops",
+    "max_candidates",
+]
+
 
 def test_repro_public_surface_is_frozen():
     assert sorted(repro.__all__) == REPRO_ALL
@@ -79,3 +115,8 @@ def test_repro_api_public_surface_is_frozen():
 def test_every_exported_name_resolves(module, names):
     for name in names:
         assert getattr(module, name, None) is not None, name
+
+
+def test_config_surface_is_frozen():
+    assert list(ApopheniaConfig.field_names()) == CONFIG_FIELDS
+    assert list(ApopheniaConfig.decision_fields()) == DECISION_FIELDS

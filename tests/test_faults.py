@@ -216,8 +216,6 @@ class TestFaultPlan:
             build_config(env={}, fault_plan="bogus=1")
         with pytest.raises(ValueError, match="fault_quarantine_threshold"):
             build_config(env={}, fault_quarantine_threshold=0)
-        with pytest.raises(ValueError, match="mining_deadline_tokens"):
-            build_config(env={}, mining_deadline_tokens=0)
 
     def test_chaos_profile_validates_and_is_active(self):
         cfg = build_config(profile="chaos", env={})
@@ -256,17 +254,6 @@ class TestJobContainment:
         assert not third.degraded
         assert third.result  # healthy job found the real repeats
         assert executor.mining_failures == 2
-
-    def test_soft_deadline_degrades_oversized_windows(self):
-        executor = JobExecutor(deadline_tokens=10)
-        big = executor.submit(REPEATING_WINDOW, MIN_LENGTH, 0)  # 40 tokens
-        small = executor.submit(REPEATING_WINDOW[:10], MIN_LENGTH, 100)
-        assert big.degraded and big.result == []
-        assert not small.degraded
-        assert executor.deadline_overruns == 1
-        # Over-budget windows are not breaker failures.
-        assert executor.breaker.consecutive_failures == 0
-        assert executor.mining_failures == 0
 
     def test_delay_fault_shifts_completion_not_result(self):
         clean = JobExecutor()
@@ -440,16 +427,6 @@ class TestLaneQuarantine:
             assert job.result and not job.degraded
         assert sick.quarantined
         assert not healthy.quarantined
-
-    def test_lane_deadline_overrun_not_a_breaker_failure(self):
-        shared = SharedJobExecutor(memo_capacity=0, deadline_tokens=10)
-        lane = shared.lane("t", quarantine_threshold=2)
-        for op in range(4):
-            job = lane.submit(REPEATING_WINDOW, MIN_LENGTH, op * 100)
-            assert job.result == [] and job.degraded
-        assert lane.deadline_overruns == 4
-        assert not lane.quarantined
-        assert lane.breaker.consecutive_failures == 0
 
 
 # ---------------------------------------------------------------------------

@@ -32,7 +32,6 @@ from repro.apps.base import capture_stream
 from repro.core.coordination import IngestCoordinator
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.runtime.runtime import Runtime
-from repro.runtime.session import RuntimeSessionFactory
 
 pytestmark = pytest.mark.replication
 
@@ -256,16 +255,14 @@ class TestBoundedSessionScopedAgreements:
 
 class TestBackendLifecycle:
     def test_runtimes_stamped_and_released_via_factory(self):
-        """One runtime of the factory's spec per node, each node's own,
-        and nothing holds them once the session is gone."""
-        factory = RuntimeSessionFactory(gpus=2, keep_task_log=True)
-        backend = ReplicatedBackend(
-            REPLICATED_CONFIG, runtime_factory=factory
-        )
+        """One runtime of the one spec per node, each node's own, and
+        nothing holds them once the session is gone."""
+        backend = ReplicatedBackend(REPLICATED_CONFIG)
         session = open_session("sim", backend=backend)
         runtimes = session.handle.runtimes
         assert len({id(r) for r in runtimes}) == REPLICATED_CONFIG.num_nodes
-        assert all((r.gpus, r.keep_task_log) == (2, True) for r in runtimes)
+        assert all((r.analysis_mode, r.keep_task_log) == ("fast", False)
+                   for r in runtimes)
         stamped = [weakref.ref(r) for r in runtimes]
         session.close()
         del session, runtimes
@@ -289,7 +286,8 @@ class TestBackendLifecycle:
         backend = ReplicatedBackend(REPLICATED_CONFIG)
         with pytest.raises(ValueError, match="per node"):
             backend.open_session("s", runtime=_fast_runtime())
-        with pytest.raises(ValueError, match="node ids"):
+        # The backend numbers its replicas; there is no node_id to pass.
+        with pytest.raises(TypeError, match="node_id"):
             backend.open_session("s", node_id=2)
         with pytest.raises(ValueError, match="3 nodes"):
             backend.open_session("s", runtimes=[_fast_runtime()])

@@ -56,7 +56,10 @@ def run_replicated(num_nodes, iterations, config=CONFIG):
     for i in range(iterations):
         run.set_iteration(i)
         for kind in range(3):
-            run.execute_task_factory(make(kind))
+            # One structurally identical copy per node, against that
+            # node's own region forest.
+            for processor in run.processors:
+                processor.execute_task(make(kind)(processor.node_id))
     run.flush()
     return run
 

@@ -14,7 +14,6 @@ from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
 from repro.apps.base import capture_stream
 from repro.experiments.multi_tenant import run_isolated, run_service
 from repro.runtime.runtime import Runtime
-from repro.runtime.session import RuntimeSessionFactory
 from repro.service import ApopheniaService, SharedJobExecutor
 from repro.service.service import collect_session_stats
 
@@ -371,21 +370,3 @@ class TestQueueTraffic:
         assert jobs > 100 and queue.peak == 1
 
 
-class TestRuntimeSessionFactory:
-    """The factory is the runtime *spec*: it tracks nothing it built."""
-
-    def test_sessions_get_isolated_runtimes(self):
-        factory = RuntimeSessionFactory()
-        a, b = factory.create(), factory.create()
-        assert a is not b and a.forest is not b.forest
-        assert not hasattr(factory, "handles")
-
-    def test_service_uses_factory(self):
-        factory = RuntimeSessionFactory(gpus=2, keep_task_log=True)
-        service = ApopheniaService(FAST_CONFIG, runtime_factory=factory)
-        a = service.open_session("a").runtime
-        b = service.open_session("b").runtime
-        assert a is not b
-        for runtime in (a, b):  # the spec's keywords reached Runtime
-            assert (runtime.gpus, runtime.keep_task_log) == (2, True)
-            assert runtime.analysis_mode == "fast"

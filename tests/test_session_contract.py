@@ -30,7 +30,6 @@ from repro.core.trie import TrieNode
 from repro.metrics import MARKS, SessionStats
 from repro.persist import dehydrate
 from repro.runtime.runtime import Runtime
-from repro.runtime.session import RuntimeSessionFactory
 from repro.runtime.task import Task
 from repro.service.service import SessionHandle, collect_session_stats
 from repro.trace import TraceFormatV1
@@ -235,8 +234,8 @@ def test_every_pool_builds_runtimes_from_the_one_spec(pool):
     """No pool keeps a per-task log by default: a served session's
     runtimes hold no task record and no iteration's end, and
     ``traced_fraction`` / ``throughput`` say why they cannot answer
-    instead of reading 0. A pool handed a spec that keeps the log still
-    answers."""
+    instead of reading 0. A session opened on runtimes of its own that
+    keep the log still answers."""
     handle = pool.open_session("tenant")
     for iteration in range(3):
         handle.set_iteration(iteration)
@@ -248,9 +247,13 @@ def test_every_pool_builds_runtimes_from_the_one_spec(pool):
             processor.runtime.traced_fraction()
         with pytest.raises(ValueError, match="keep_task_log"):
             processor.runtime.throughput(0)
-    logging = type(pool)(
-        CONFIG, runtime_factory=RuntimeSessionFactory(keep_task_log=True)
-    ).open_session("tenant")
+    owned = [Runtime(analysis_mode="fast", mismatch_policy="fallback")
+             for _ in handle.processors]
+    logging = type(pool)(CONFIG).open_session(
+        "tenant",
+        **({"runtimes": owned} if pool.backend_kind == "replicated"
+           else {"runtime": owned[0]}),
+    )
     for iteration in range(3):
         logging.set_iteration(iteration)
         _serve(logging)

@@ -158,7 +158,6 @@ class TestRedriveParity:
 
     @pytest.mark.parametrize("overrides", [
         {"max_candidates": 2},
-        {"candidate_staleness_horizon": 50},
     ], ids=lambda o: "-".join(o))
     @pytest.mark.parametrize("stream_name", ["s3d", "generative-adversarial"])
     def test_lifecycle_knobs_survive_capture(self, stream_name, overrides):
@@ -177,20 +176,28 @@ class TestRedriveParity:
         assert document.header["config_dropped"] == []
         assert document.config() == config
 
-    @pytest.mark.parametrize("stale", [
-        {"sa_backend": None, "match_engine": None,
-         "max_outstanding_jobs": 64, "lane_outstanding_quota": None},
-        {"sa_backend": "doubling", "match_engine": "scan",
-         "max_outstanding_jobs": 64, "lane_outstanding_quota": 16},
-        {"max_outstanding_jobs": 2, "lane_outstanding_quota": 1},
-        {"repeats_algorithm": "quick_matching_of_substrings",
-         "mining_memo_capacity": 8, "count_cap": 16, "decay_rate": 1e-4,
-         "replay_bonus": 1.1, "job_per_token_latency_ops": 0.05},
-        {"identifier_algorithm": "multi-scale"},
+    @pytest.mark.parametrize("stale,refused", [
+        ({"sa_backend": None, "match_engine": None,
+          "max_outstanding_jobs": 64, "lane_outstanding_quota": None}, None),
+        ({"sa_backend": "doubling", "match_engine": "scan",
+          "max_outstanding_jobs": 64, "lane_outstanding_quota": 16}, None),
+        ({"max_outstanding_jobs": 2, "lane_outstanding_quota": 1}, None),
+        ({"repeats_algorithm": "quick_matching_of_substrings",
+          "mining_memo_capacity": 8, "count_cap": 16, "decay_rate": 1e-4,
+          "replay_bonus": 1.1, "job_per_token_latency_ops": 0.05}, None),
+        ({"identifier_algorithm": "multi-scale"}, None),
+        ({"candidate_staleness_horizon": None,
+          "mining_deadline_tokens": None}, None),
+        ({"identifier_algorithm": "fixed"}, "identifier_algorithm"),
+        ({"candidate_staleness_horizon": 50}, "candidate_staleness_horizon"),
+        ({"mining_deadline_tokens": 100}, "mining_deadline_tokens"),
+        ({"not_a_knob": 1}, "not_a_knob"),
     ], ids=["null", "named", "parent-commit", "paper-constants",
-            "identifier-algorithm"])
+            "identifier-algorithm", "test-only-bounds",
+            "fixed-finder-refused", "staleness-horizon-refused",
+            "mining-deadline-refused", "unknown-key-refused"])
     def test_header_with_retired_config_keys_still_redrives(
-            self, stale, corpus_docs):
+            self, stale, refused, corpus_docs):
         """Regression: traces captured before ``sa_backend`` and
         ``match_engine`` were retired carry 28 config keys; ones captured
         before the service scheduler's ``max_outstanding_jobs`` and
@@ -198,16 +205,25 @@ class TestRedriveParity:
         before the paper's constants stopped being knobs carry 24, six
         of them at the values the components now fix; ones captured
         before the fixed finder became ``multi_scale_factor = batchsize``
-        carry ``identifier_algorithm``. The loader ignores
-        keys that name no field, so such a trace loads to the same config
-        and re-drives byte-identical on every backend."""
+        carry ``identifier_algorithm``; ones captured before the
+        staleness horizon and the mining deadline went carry 17. The
+        loader drops a retired key recorded at the value this tree runs
+        (or at any value, where no decision read it), so such a trace
+        loads to the same config and re-drives byte-identical on every
+        backend. One recorded at another value came from a schedule this
+        tree cannot run: it is refused, not re-driven to a divergence,
+        and so is a key that names no knob at all."""
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
-        assert len(records[0]["config"]) == 17 + len(stale)
+        assert len(records[0]["config"]) == 15 + len(stale)
         old = TraceDocument.loads(
             "".join(canon.dumps(r) + "\n" for r in records)
         ).verify()
+        if refused is not None:
+            with pytest.raises(TraceFormatError, match=refused):
+                old.config()
+            return
         assert old.config() == current.config() == CORPUS_CONFIG
         for backend, verdict in replay_on_all(old).items():
             assert verdict.matched, (backend, verdict.summary())
