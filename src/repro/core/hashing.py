@@ -20,9 +20,10 @@ same bytes without the walk -- a signature is ``(name, (requirement,
 item encodings, so a miss joins the *cached* encodings of its
 requirements (a few hundred distinct ones per application, see
 :meth:`repro.runtime.task.RegionRequirement.signature`) around the
-encoded name. Both tables belong to the hasher instance and are sized
-by the stream's working set: nothing is process-global, nothing is
-evicted.
+encoded name. Both tables belong to the hasher instance: nothing is
+process-global. The requirement table is sized by the working set; the
+signature cache is bounded by a capacity (the processor passes its
+history buffer's), and is cleared when a miss finds it full.
 """
 
 import hashlib
@@ -69,9 +70,17 @@ class TaskHasher:
     stream that never repeats a task still repeats its *requirements*, so
     a miss encodes the task name only and joins per-requirement bytes
     encoded once (``_requirement_bytes``).
+
+    On such a stream the signature cache would be the whole stream, so
+    it holds at most ``capacity`` entries: a miss that finds it full
+    clears it first. Clearing, not LRU, because the bound fires only
+    where every lookup misses, and per-hit bookkeeping would slow every
+    stream that repeats. A token is a pure function of its signature, so
+    the bound moves no token and no decision.
     """
 
-    def __init__(self):
+    def __init__(self, capacity):
+        self.capacity = capacity
         self._cache = {}
         # requirement signature -> b"<length>:<encoding>", its tuple item.
         self._requirement_bytes = {}
@@ -89,6 +98,8 @@ class TaskHasher:
                 self._canonical_bytes(signature), digest_size=8
             ).digest()
             token = int.from_bytes(digest, "little")
+            if len(self._cache) >= self.capacity:
+                self._cache.clear()
             self._cache[signature] = token
             self.hashes_computed += 1
         return token
@@ -109,6 +120,3 @@ class TaskHasher:
         name = _encode(name)
         body = b"T%d%b" % (len(requirements), b"".join(items))
         return b"T2%d:%b%d:%b" % (len(name), name, len(body), body)
-
-    def __len__(self):
-        return len(self._cache)

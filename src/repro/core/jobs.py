@@ -325,12 +325,11 @@ class JobExecutor:
         job._materialize(job)
 
 
-def stream_keywords(config, node_id=0):
+def stream_keywords(config):
     """The per-stream half of a ``JobExecutor``'s keywords, read off an
     ``ApopheniaConfig`` -- all a service lane takes (the mining backend
     is the shared executor's)."""
     return dict(
-        node_id=node_id,
         base_latency_ops=config.job_base_latency_ops,
         quarantine_threshold=config.fault_quarantine_threshold,
     )
@@ -345,5 +344,6 @@ def executor_from_config(config, node_id=0, stream_key=None, memo=None):
         memo=memo,
         fault_plan=config.fault_plan,
         stream_key=stream_key,
-        **stream_keywords(config, node_id),
+        node_id=node_id,
+        **stream_keywords(config),
     )

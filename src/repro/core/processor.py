@@ -344,7 +344,7 @@ class ApopheniaProcessor:
             coordinator.register_node(node_id)
         runtime.auto_tracing = True  # launches now cost 12us, Section 6.3
 
-        self.hasher = TaskHasher()
+        self.hasher = TaskHasher(self.config.batchsize)
         self.executor = (
             executor if executor is not None
             else executor_from_config(self.config, node_id, stream_key)

@@ -21,7 +21,12 @@ def session_runtime():
     every pool builds from: the default machine and cost model, ``fast``
     analysis, ``fallback`` mismatch policy, no task log. A session's
     decisions read none of the last three, and a per-task log would grow
-    for the session's whole life. A caller that wants
+    for the session's whole life. ``fallback`` is there for hash
+    collisions: a token is 64 bits of a task's signature, so two
+    distinct signatures can share one, and then a replayed trace meets a
+    task its template does not hold. The runtime checks every replayed
+    task's full signature, counts the mismatch and analyses the rest in
+    full instead of failing the session. A caller that wants
     :meth:`~repro.runtime.runtime.Runtime.traced_fraction` opens its
     session with its own runtime (``runtime=``, or ``runtimes=`` on the
     replicated backend)."""

@@ -46,10 +46,11 @@ class SessionLane(JobExecutor):
     call time, so an instance-level wrapper there stays in the path.
     """
 
-    def __init__(self, shared, session_key, node_id=0, base_latency_ops=50,
+    def __init__(self, shared, session_key, base_latency_ops=50,
                  per_token_latency_ops=0.05, quarantine_threshold=None):
         self.shared = shared
-        self._init_stream(session_key, node_id, base_latency_ops,
+        # Node 0: a service session is served by one node, never a replica.
+        self._init_stream(session_key, 0, base_latency_ops,
                           per_token_latency_ops, quarantine_threshold)
 
     repeats_algorithm = property(lambda self: self.shared.repeats_algorithm)
@@ -62,10 +63,8 @@ class SessionLane(JobExecutor):
         self.shared.queue.append(job)
 
     def __repr__(self):
-        return (
-            f"SessionLane({self.stream_key!r}, node={self.node_id}, "
-            f"submitted={self.jobs_submitted})"
-        )
+        return (f"SessionLane({self.stream_key!r}, "
+                f"submitted={self.jobs_submitted})")
 
 
 class SharedJobExecutor:

@@ -68,7 +68,7 @@ class TestStreamStructure:
 
         app = build_app("torchswe", machine=EOS, gpus=8, mode="untraced",
                         analysis_mode="fast")
-        hasher = TaskHasher()
+        hasher = TaskHasher(ApopheniaConfig().batchsize)
         tokens = []
         orig = app.executor.execute_task
         app.executor.execute_task = lambda t: (tokens.append(hasher.hash_task(t)), orig(t))

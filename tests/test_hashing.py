@@ -3,6 +3,7 @@
 import gc
 import random
 import weakref
+from collections import Counter
 from collections.abc import MutableMapping, MutableSequence, MutableSet
 
 import pytest
@@ -10,13 +11,18 @@ from hypothesis import given, settings, strategies as st
 
 import repro.core.hashing as hashing
 import repro.runtime.task as task_module
+from repro.api import open_session
 from repro.core.hashing import TaskHasher, stable_hash
 from repro.runtime.privilege import Privilege
 from repro.runtime.region import RegionForest
+from repro.runtime.runtime import Runtime
 from repro.runtime.task import RegionRequirement, Task, task
+from repro.trace.corpus import CORPUS_CONFIG
 
 RO = Privilege.READ_ONLY
 WD = Privilege.WRITE_DISCARD
+#: The paper's ``batchsize``: the bound a processor gives its hasher.
+CAPACITY = 5000
 
 
 class TestStableHash:
@@ -58,7 +64,7 @@ class TestTaskHasher:
     def test_same_signature_same_token(self, forest):
         r1 = forest.create_region((10,))
         r2 = forest.create_region((10,))
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         a = hasher.hash_task(task("DOT", (r1, RO), (r2, WD)))
         b = hasher.hash_task(task("DOT", (r1, RO), (r2, WD)))
         assert a == b
@@ -68,21 +74,21 @@ class TestTaskHasher:
         """The Figure 1 property: same op on a different region is a
         different token (x1 vs x2)."""
         r, x1, x2, out = (forest.create_region((10,)) for _ in range(4))
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         a = hasher.hash_task(task("DOT", (r, RO), (x1, RO), (out, WD)))
         b = hasher.hash_task(task("DOT", (r, RO), (x2, RO), (out, WD)))
         assert a != b
 
     def test_privilege_matters(self, forest):
         r = forest.create_region((10,))
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         a = hasher.hash_task(task("T", (r, RO)))
         b = hasher.hash_task(task("T", (r, Privilege.READ_WRITE)))
         assert a != b
 
     def test_fields_matter(self, forest):
         r = forest.create_region((10,), fields=("u", "v"))
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         a = hasher.hash_task(task("T", (r, RO, ("u",))))
         b = hasher.hash_task(task("T", (r, RO, ("v",))))
         assert a != b
@@ -91,7 +97,7 @@ class TestTaskHasher:
         """Scalars/futures do not affect the dependence analysis, so they
         are excluded from trace identity (like Legion)."""
         r = forest.create_region((10,))
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         a = hasher.hash_task(Task("T", [RegionRequirement(r, RO)], scalar_args=(1,)))
         b = hasher.hash_task(Task("T", [RegionRequirement(r, RO)], scalar_args=(2,)))
         assert a == b
@@ -101,7 +107,8 @@ class TestTaskHasher:
         r1 = forest.create_region((10,))
         r2 = forest.create_region((10,))
         t = task("T", (r1, RO), (r2, WD))
-        assert TaskHasher().hash_task(t) == TaskHasher().hash_task(t)
+        assert TaskHasher(CAPACITY).hash_task(t) == \
+            TaskHasher(CAPACITY).hash_task(t)
 
 
 # ----------------------------------------------------------------------
@@ -157,7 +164,35 @@ class TestTokenRoute:
         launched = build(regions, name, specs)
         expected = reference_signature(regions, name, specs)
         assert launched.signature() == expected
-        assert TaskHasher().hash_task(launched) == stable_hash(expected)
+        assert TaskHasher(CAPACITY).hash_task(launched) == stable_hash(expected)
+
+    @given(st.sampled_from([1, 2, 7]), st.data())
+    @settings(max_examples=200, deadline=None)
+    def test_a_bounded_cache_moves_no_token(self, capacity, data):
+        """Past its capacity the cache is cleared and refilled: every
+        token still equals the reference, the cache never holds more
+        than ``capacity`` signatures, and a signature hashed again after
+        a clear is counted as computed again."""
+        regions = fresh_regions()
+        launches = data.draw(st.lists(
+            st.tuples(st.sampled_from("abc"),
+                      st.lists(requirement_specs, max_size=2)),
+            min_size=capacity + 1, max_size=4 * capacity + 8,
+        ))
+        hasher = TaskHasher(capacity)
+        held, computed = set(), 0  # the cache's model
+        for name, specs in launches:
+            launched = build(regions, name, specs)
+            signature = launched.signature()
+            if signature not in held:
+                if len(held) >= capacity:
+                    held.clear()
+                held.add(signature)
+                computed += 1
+            assert hasher.hash_task(launched) == stable_hash(signature)
+            assert len(hasher._cache) <= capacity
+            assert set(hasher._cache) == held
+            assert hasher.hashes_computed == computed
 
     @given(requirement_specs, requirement_specs)
     @settings(max_examples=200, deadline=None)
@@ -197,7 +232,7 @@ class TestTokenRoute:
         """A requirement first seen under one task name is encoded from
         the hasher's table under every other name, order and subset."""
         regions = fresh_regions()
-        hasher = TaskHasher()
+        hasher = TaskHasher(CAPACITY)
         hasher.hash_task(build(regions, first, specs))
         table = dict(hasher._requirement_bytes)
         for name, reqs in (
@@ -217,18 +252,17 @@ class TestTokenRoute:
 # ----------------------------------------------------------------------
 def novel_stream(count, num_regions=64, seed=11):
     """``count`` launches that never repeat over random region pairs --
-    the shape of the benchmark's ``irregular_novel`` workload."""
+    the shape of the benchmark's ``irregular_novel`` workload -- each
+    built when it is asked for."""
     rng = random.Random(seed)
     forest = RegionForest()
     regions = [forest.create_region((64,)) for _ in range(num_regions)]
-    stream = []
     for i in range(count):
         src, dst = rng.sample(regions, 2)
-        stream.append(Task(f"NOVEL_{i}", [
+        yield Task(f"NOVEL_{i}", [
             RegionRequirement(src, RO),
             RegionRequirement(dst, Privilege.READ_WRITE),
-        ]))
-    return forest, stream
+        ])
 
 
 def distinct_requirement_signatures(stream):
@@ -248,8 +282,8 @@ def test_a_miss_encodes_the_name_and_joins_cached_requirements(monkeypatch):
         task_module, "sorted",
         lambda values: sorts.append(1) or sorted(values), raising=False,
     )
-    _forest, stream = novel_stream(2000)
-    hasher = TaskHasher()
+    stream = list(novel_stream(2000))
+    hasher = TaskHasher(CAPACITY)
     tokens = [hasher.hash_task(launched) for launched in stream]
     distinct = len(distinct_requirement_signatures(stream))
     assert hasher.hashes_computed == len(stream) == len(set(tokens))
@@ -262,12 +296,18 @@ def test_a_miss_encodes_the_name_and_joins_cached_requirements(monkeypatch):
 
 
 def test_tables_are_sized_by_the_working_set_and_owned_by_instances():
-    _forest, stream = novel_stream(10_000)
-    hasher = TaskHasher()
+    stream = list(novel_stream(10_000))
+    hasher = TaskHasher(CAPACITY)
     for launched in stream:
         hasher.hash_task(launched)
+        assert len(hasher._cache) <= CAPACITY
     assert set(hasher._requirement_bytes) == \
         distinct_requirement_signatures(stream)
+    # Every task missed; the bound cleared the cache once, at task 5,001.
+    assert hasher.hashes_computed == len(stream)
+    assert set(hasher._cache) == {
+        launched.signature() for launched in stream[CAPACITY:]
+    }
     for module in (hashing, task_module):
         shared = [
             name for name, value in vars(module).items()
@@ -285,7 +325,7 @@ def test_a_regions_signature_table_dies_with_its_forest():
     region = forest.create_region((8,))
     redop = Redop("sum")
     held = weakref.ref(redop)
-    hasher = TaskHasher()
+    hasher = TaskHasher(CAPACITY)
     hasher.hash_task(Task("T", [RegionRequirement(region, Privilege.REDUCE,
                                                   redop=redop)]))
     del redop
@@ -297,3 +337,49 @@ def test_a_regions_signature_table_dies_with_its_forest():
     del forest, region
     gc.collect()
     assert held() is None
+
+
+# ----------------------------------------------------------------------
+# The net under a wrong token: the runtime checks every replayed task's
+# full signature, so a hash collision costs a fallback, never a task.
+# ----------------------------------------------------------------------
+def test_a_token_collision_falls_back_and_issues_every_task_once(
+    monkeypatch,
+):
+    """``COLLIDE`` and ``STEP_3`` share a token (the replaced
+    ``hash_task`` hashes one as the other), so the finder learns one
+    loop from a stream whose odd iterations issue the other task. The
+    runtime's trace check sees the difference, counts a mismatch and
+    falls back to full analysis."""
+    reference = TaskHasher.hash_task
+
+    def colliding(self, launched):
+        if launched.name == "COLLIDE":
+            return stable_hash(("STEP_3", launched.signature()[1]))
+        return reference(self, launched)
+
+    monkeypatch.setattr(TaskHasher, "hash_task", colliding)
+    forest = RegionForest()
+    regions = [forest.create_region((8,)) for _ in range(4)]
+    stream = [
+        task("COLLIDE" if step == 3 and iteration % 2 else f"STEP_{step}",
+             (regions[step % 4], RO), (regions[(step + 1) % 4], WD))
+        for iteration in range(60) for step in range(10)
+    ]
+    runtime = Runtime(analysis_mode="fast", mismatch_policy="fallback",
+                      keep_task_log=True)
+    ends = []
+    end_trace = runtime.end_trace
+    monkeypatch.setattr(
+        runtime, "end_trace", lambda trace_id: ends.append(end_trace(trace_id))
+    )
+    with open_session("collide", config=CORPUS_CONFIG,
+                      runtime=runtime) as session:
+        for launched in stream:
+            session.submit(launched)
+        session.flush()
+    assert runtime.engine.mismatches > 0
+    assert "aborted" in ends  # the fallback fired...
+    assert runtime.engine.traces_replayed > 0  # ...on a replaying loop
+    issued = Counter(record.uid for record in runtime.task_log)
+    assert issued == Counter(launched.uid for launched in stream)

@@ -295,7 +295,7 @@ class TestGenerativeDeterminism:
 
     @staticmethod
     def _tokens(graph, n=200):
-        hasher = TaskHasher()
+        hasher = TaskHasher(n)
         return [hasher.hash_task(t) for _, t in generative_stream(graph, n)]
 
     def test_same_seed_same_stream(self):
