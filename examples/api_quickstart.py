@@ -17,8 +17,8 @@ Also shown: named configuration profiles with keyword overrides
 replaces reaching into processor internals -- including the coordinator
 gauges (waits, ingestion margin, agreement-table size) the replicated
 backend surfaces, and the degradation gauges (mining failures, degraded
-jobs, deadline overruns, quarantine, live nodes) a fourth run under a
-seeded chaos fault plan exercises.
+jobs, quarantine, live nodes) a fourth run under a seeded chaos fault
+plan exercises.
 
 Run:  python examples/api_quickstart.py
 """
@@ -79,15 +79,14 @@ def main():
         nodes_agree = session.handle.decisions_agree()
 
     # Deployment 4: the same application under a seeded chaos plan --
-    # deterministic injected mining failures and deadline overruns.
+    # deterministic injected mining failures.
     # Mining is advisory, so the session degrades gracefully (failed
     # analyses become "no repeats found") instead of crashing; the
     # degradation gauges on the same uniform stats surface say how much
     # fault containment the run absorbed.
     with api.open_session(
         "chaos", config=CONFIG.with_overrides(
-            fault_plan="seed=1234,mining_failure_rate=0.2,"
-                       "mining_overrun_rate=0.1",
+            fault_plan="seed=1234,mining_failure_rate=0.3",
         ),
     ) as session:
         chaos_stats, _ = drive(session)
@@ -122,7 +121,6 @@ def main():
           f"{chaos_stats.replay_fraction:6.1%}  "
           f"mining failures: {chaos_stats.mining_failures}  "
           f"degraded jobs: {chaos_stats.degraded_jobs}  "
-          f"overruns: {chaos_stats.deadline_overruns}  "
           f"quarantined: {chaos_stats.quarantined}  "
           f"live nodes: {chaos_stats.live_nodes}")
     assert chaos_stats.mining_failures > 0  # the plan actually fired

@@ -65,9 +65,9 @@ PROFILES = Registry("config profile", {
         shared_memo_token_budget=1_000_000,
     ),
     # Chaos: reduced-scale sizing with a fixed-seed fault plan injecting
-    # mining failures, simulated overruns, and delayed completions. The
-    # spec string (see :func:`repro.faults.parse_fault_spec`) keeps the
-    # profile frozen-dataclass-safe; the seed makes every chaos run
+    # mining failures and delayed completions. The spec string (see
+    # :func:`repro.faults.parse_fault_spec`) keeps the profile
+    # frozen-dataclass-safe; the seed makes every chaos run
     # reproducible bit-for-bit. Tune via ``REPRO_FAULT_PLAN``.
     "chaos": ApopheniaConfig(
         batchsize=1000,
@@ -75,8 +75,7 @@ PROFILES = Registry("config profile", {
         job_base_latency_ops=10,
         initial_ingest_margin_ops=20,
         fault_plan=(
-            "seed=1234,mining_failure_rate=0.05,"
-            "mining_overrun_rate=0.05,mining_delay_rate=0.1,"
+            "seed=1234,mining_failure_rate=0.1,mining_delay_rate=0.1,"
             "mining_delay_ops=50"
         ),
         fault_quarantine_threshold=4,

@@ -16,21 +16,34 @@ the reader uses it as, so a malformed one fails closed at load.
 """
 
 import json
+import math
 from itertools import cycle
 
 from repro.stablehash import stable_digest
 
 def dumps(value):
     """The canonical JSON text of ``value`` (byte-stable under any key
-    insertion order)."""
-    return json.dumps(value, sort_keys=True, separators=(",", ":"))
+    insertion order). A non-finite float raises ``ValueError``: it has
+    no JSON spelling."""
+    return json.dumps(value, sort_keys=True, separators=(",", ":"),
+                      allow_nan=False)
+
+
+def _finite(text):
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError(f"{text} is not a finite number")
+    return value
 
 
 def loads(text, what, error):
-    """Parse JSON text; malformed input raises ``error`` naming ``what``."""
+    """Parse JSON text; malformed input raises ``error`` naming ``what``,
+    and so does a non-finite number: ``NaN`` / ``Infinity`` /
+    ``-Infinity``, which ``json`` reads by default and JSON does not
+    have, or a literal such as ``1e400`` that overflows to one."""
     try:
-        return json.loads(text)
-    except json.JSONDecodeError as exc:
+        return json.loads(text, parse_constant=_finite, parse_float=_finite)
+    except ValueError as exc:
         raise error(f"{what} is not valid JSON: {exc}") from exc
 
 

@@ -140,20 +140,17 @@ class MiningMemo(LRU):
 
     def __init__(self, capacity=None, token_budget=None):
         super().__init__(token_budget, capacity)
-        self.hits = 0
-        self.misses = 0
 
     def mine(self, tokens, min_length, algorithm):
         """Look up ``(tokens, min_length)`` or compute it via ``algorithm``.
 
-        Returns ``(result, hit)``.
+        Returns ``(result, hit)``; the caller counts the hit (the memo
+        keeps no counters of its own).
         """
         key = (tuple(tokens), min_length)
         cached = self.get(key)
         if cached is not None:
-            self.hits += 1
             return list(cached), True
-        self.misses += 1
         result = algorithm(tokens, min_length)
         self.put(key, tuple(result), len(key[0]))
         return result, False
@@ -227,7 +224,6 @@ class JobExecutor:
         self.memo_hits = 0
         self.mining_failures = 0
         self.degraded_jobs = 0
-        self.deadline_overruns = 0
 
     @property
     def quarantined(self):
@@ -263,11 +259,9 @@ class JobExecutor:
             return [], True
         try:
             if fault is not None:
-                # A raise or overrun kind (submit consumed a delay into
-                # the completion op). Raised inside the containment, so
-                # it takes exactly the path a real mining exception does.
-                if fault.kind == MiningFault.OVERRUN:
-                    self.deadline_overruns += 1
+                # A raise (submit consumed a delay into the completion
+                # op). Raised inside the containment, so it takes
+                # exactly the path a real mining exception does.
                 raise InjectedMiningFault(
                     f"injected mining {fault.kind} (stream="
                     f"{self.stream_key!r}, node={self.node_id})"

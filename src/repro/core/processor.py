@@ -243,9 +243,10 @@ class ApopheniaConfig:
                 f"multi_scale_factor must be >= 1, got "
                 f"{self.multi_scale_factor}"
             )
-        if self.hysteresis < 0:
+        # Fails closed on NaN too, which no comparison orders.
+        if not 0 <= self.hysteresis < float("inf"):
             raise ValueError(
-                f"hysteresis must be >= 0, got {self.hysteresis}"
+                f"hysteresis must be finite and >= 0, got {self.hysteresis}"
             )
         for name in ("shared_memo_capacity",
                      "job_base_latency_ops", "initial_ingest_margin_ops"):

@@ -1,31 +1,60 @@
 """Deterministic fault injection for the mining/serving/replication stack.
 
-Apophenia's robustness contract follows from the paper's design: trace
-mining is *advisory*. A mining job that fails or overruns its deadline is
-semantically identical to "no repeats found in this window" -- the
-correct degraded behavior is a valid, merely untraced task stream, never
-a crash and never corrupted shared state. This module provides the
-machinery that makes the contract testable:
+Mining is *advisory* (Section 4.2): a mining job that fails is
+semantically "no repeats found in this window", so the correct degraded
+behaviour is a valid, merely untraced task stream -- never a crash, and
+never corrupted shared state. This module makes that contract testable.
+
+**The harness.**
 
 * :class:`FaultPlan` -- a seedable, fully deterministic schedule of
-  injected faults (mining exceptions, simulated deadline overruns,
-  delayed completions, replica-node drops). Determinism is the point:
-  a chaos run with the same plan and the same stream injects the same
-  faults, so degraded runs are reproducible and fault-free tenants can
-  be byte-compared against their no-fault runs.
+  injected faults: a mining job *raises* or is *delayed*, and a replica
+  node drops. It is keyed by ``(seed, stream, job_seq)`` through a
+  process-stable hash, and ``stream`` is the session id on all three
+  backends (a hand-driven ``ApopheniaProcessor`` keys on ``None``). So
+  a chaos run reproduces bit-for-bit, one (plan, session id, stream)
+  fails the same way wherever it is served, and the N replicas of one
+  session fail identically (injected faults stay decision-neutral
+  across a replica set).
 * :class:`NullFaultPlan` -- the production default. Its ``active``
-  attribute is ``False``, so every hook on the hot path costs one
-  attribute check and a branch.
-* :class:`CircuitBreaker` -- the per-lane/per-executor quarantine state
-  machine: ``threshold`` consecutive mining failures trip it, a tripped
-  breaker serves pass-through (degraded) results without mining, and an
-  exponential-backoff probe schedule re-admits mining once the fault
-  clears.
+  attribute is ``False``, so every hot-path hook costs one attribute
+  check and a branch; ``benchmarks/test_perf_faults.py`` pins the gate.
+* :class:`CircuitBreaker` -- the per-executor quarantine state machine.
 
-Plans flow through :class:`~repro.core.processor.ApopheniaConfig`
-(``fault_plan``), which accepts a plan object or a compact spec string
-(see :func:`parse_fault_spec`) so the ``REPRO_FAULT_PLAN`` environment
-variable can configure chaos runs without code changes.
+Plans flow through ``ApopheniaConfig.fault_plan``: a plan object, or a
+compact spec string (:func:`parse_fault_spec`), so ``REPRO_FAULT_PLAN``
+configures a chaos run without code changes; ``build_config(profile=
+"chaos")`` is a ready-made seeded one. Each rate must be in [0, 1] and
+so must their sum; a spec string that breaks that is a "bad fault
+spec", and so is a retired key at any value but 0.
+
+**The degradation ladder.** (1) *Job containment*: the one
+:class:`~repro.core.jobs.JobExecutor` (a service lane is one) catches
+any mining exception, injected or real, resolves the job to the empty
+degraded result (``AnalysisJob.degraded``) and counts it once, in
+``mining_failures`` and ``degraded_jobs``; a failed analysis never
+enters a ``MiningMemo``, so tenant A's failure cannot answer tenant B's
+identical window. A delayed job is healthy, only late: its completion
+op moves and nothing is counted. (2) *Quarantine*:
+``fault_quarantine_threshold`` consecutive failures trip the
+executor's breaker; its jobs then resolve to pass-through results
+without mining (``degraded_jobs`` only) until an exponential-backoff
+probe (doubling, capped at :data:`MAX_PROBE_BACKOFF`) recovers it.
+Quarantine is per tenant, and a quarantined session closes like a
+healthy one. (3) *Replica drops*: a replicated session survives a
+dead node -- the coordinator drops the dead consumer from its live set,
+survivors keep byte-identical agreement, and ``drop_node`` refuses only
+the last live replica.
+
+**Surface and properties.** Operations on a closed session raise
+``SessionClosedError``. The gauges ``mining_failures``,
+``degraded_jobs``, ``quarantined`` and ``live_nodes`` ride
+``SessionStats`` and every backend's ``backend_stats``.
+``tests/test_faults.py`` (``make verify-chaos``) checks that under
+seeded plans scoped to some tenants the service never dies, every
+tenant conserves its tasks, fault-free tenants are byte-identical to
+their no-fault runs, chaos runs reproduce, and replicas agree through
+mining faults and node drops.
 """
 
 from repro.stablehash import mix64, stable_hash
@@ -40,14 +69,12 @@ class InjectedMiningFault(RuntimeError):
 
 
 class MiningFault:
-    """One injected mining fault: what should go wrong with this job."""
+    """One injected mining fault: the job raises, or completes late."""
 
     __slots__ = ("kind", "delay_ops")
 
     #: An exception is raised from inside the mining algorithm.
     RAISE = "raise"
-    #: The job blows its soft deadline (simulated pathological window).
-    OVERRUN = "overrun"
     #: The job succeeds but completes ``delay_ops`` operations late.
     DELAY = "delay"
 
@@ -113,10 +140,10 @@ class FaultPlan:
         replicas of one replicated session (which share a stream key)
         fail *identically*, which is what keeps injected faults
         decision-neutral across the replica set.
-    mining_failure_rate / mining_overrun_rate / mining_delay_rate:
+    mining_failure_rate / mining_delay_rate:
         Independent-per-job probabilities (each in [0, 1], summed too) of
-        raising from the mining algorithm, overrunning the soft
-        deadline, and completing ``mining_delay_ops`` late.
+        raising from the mining algorithm and of completing
+        ``mining_delay_ops`` late.
     fail_jobs:
         Optional ``(lo, hi)`` half-open window of per-stream job
         sequence numbers that *always* raise -- the deterministic burst
@@ -134,11 +161,9 @@ class FaultPlan:
     active = True
 
     def __init__(self, seed=0, mining_failure_rate=0.0,
-                 mining_overrun_rate=0.0, mining_delay_rate=0.0,
-                 mining_delay_ops=100, fail_jobs=None, drop_nodes=(),
-                 streams=None):
+                 mining_delay_rate=0.0, mining_delay_ops=100,
+                 fail_jobs=None, drop_nodes=(), streams=None):
         rates = {"mining_failure_rate": mining_failure_rate,
-                 "mining_overrun_rate": mining_overrun_rate,
                  "mining_delay_rate": mining_delay_rate}
         for name, rate in rates.items():
             if not 0.0 <= rate <= 1.0:
@@ -158,7 +183,6 @@ class FaultPlan:
                 raise ValueError(f"bad fail_jobs window {fail_jobs!r}")
         self.seed = seed
         self.mining_failure_rate = mining_failure_rate
-        self.mining_overrun_rate = mining_overrun_rate
         self.mining_delay_rate = mining_delay_rate
         self.mining_delay_ops = mining_delay_ops
         self.fail_jobs = tuple(fail_jobs) if fail_jobs is not None else None
@@ -190,9 +214,6 @@ class FaultPlan:
         if u < self.mining_failure_rate:
             return MiningFault(MiningFault.RAISE)
         u -= self.mining_failure_rate
-        if u < self.mining_overrun_rate:
-            return MiningFault(MiningFault.OVERRUN)
-        u -= self.mining_overrun_rate
         if u < self.mining_delay_rate:
             return MiningFault(MiningFault.DELAY, self.mining_delay_ops)
         return None
@@ -208,8 +229,7 @@ class FaultPlan:
 
     def __repr__(self):
         parts = [f"seed={self.seed}"]
-        for name in ("mining_failure_rate", "mining_overrun_rate",
-                     "mining_delay_rate"):
+        for name in ("mining_failure_rate", "mining_delay_rate"):
             value = getattr(self, name)
             if value:
                 parts.append(f"{name}={value}")
@@ -234,6 +254,8 @@ def parse_fault_spec(text):
         "streams=tenant-a+tenant-b"      # plan scoped to these streams
 
     ``"null"`` / ``"none"`` / ``""`` name the :data:`NULL_FAULT_PLAN`.
+    The retired ``mining_overrun_rate`` (it simulated a soft mining
+    deadline that is gone, by the raise path) is accepted at 0 only.
     """
     text = text.strip()
     if text.lower() in ("", "null", "none", "off"):
@@ -251,9 +273,11 @@ def parse_fault_spec(text):
             raw = raw.strip()
             if key in ("seed", "mining_delay_ops"):
                 kwargs[key] = int(raw)
-            elif key in ("mining_failure_rate", "mining_overrun_rate",
-                         "mining_delay_rate"):
+            elif key in ("mining_failure_rate", "mining_delay_rate"):
                 kwargs[key] = float(raw)
+            elif key == "mining_overrun_rate":
+                if float(raw) != 0:
+                    raise ValueError(f"{key} is retired; only 0 is accepted")
             elif key == "fail_jobs":
                 lo, _, hi = raw.partition(":")
                 kwargs[key] = (int(lo), int(hi))

@@ -93,8 +93,6 @@ class SessionStats:
     # stream), so every replica degrades identically.
     mining_failures: int = _metric("executor", decision=True, restored=True)
     degraded_jobs: int = _metric("executor", decision=True, restored=True)
-    deadline_overruns: int = _metric("executor", decision=True,
-                                     restored=True)
     # bool -> 0/1: the fold counts currently quarantined sessions.
     quarantined: bool = _metric("executor", gauge=True, decision=True,
                                 default=False)

@@ -363,6 +363,8 @@ class TestConfigBuilder:
             dict(max_candidates=2.5),
             dict(shared_memo_token_budget=0),
             dict(session_state_budget=0),
+            dict(hysteresis=float("nan")),
+            dict(hysteresis=float("inf")),
         ],
     )
     def test_validation_rejects(self, overrides):

@@ -1,6 +1,6 @@
 """Fault injection and graceful degradation across the stack.
 
-Mining is *advisory*: a failed, overrunning, or quarantined mining job is
+Mining is *advisory*: a failed or quarantined mining job is
 semantically "no repeats found in this window", never a crash and never
 corrupted shared state. These suites pin the whole degradation ladder:
 
@@ -90,8 +90,7 @@ def _conserves_tasks(outcome):
 # ---------------------------------------------------------------------------
 class TestFaultPlan:
     def test_schedule_is_deterministic_across_instances(self):
-        kwargs = dict(seed=7, mining_failure_rate=0.1,
-                      mining_overrun_rate=0.1, mining_delay_rate=0.2)
+        kwargs = dict(seed=7, mining_failure_rate=0.2, mining_delay_rate=0.2)
         a, b = FaultPlan(**kwargs), FaultPlan(**kwargs)
         schedule = [
             (a.mining_fault("tenant", j), b.mining_fault("tenant", j))
@@ -103,10 +102,8 @@ class TestFaultPlan:
             else:
                 assert fault_b is not None and fault_a.kind == fault_b.kind
         kinds = {f.kind for f, _ in schedule if f is not None}
-        # The mix actually spreads across all three kinds at these rates.
-        assert kinds == {
-            MiningFault.RAISE, MiningFault.OVERRUN, MiningFault.DELAY
-        }
+        # The mix actually spreads across both kinds at these rates.
+        assert kinds == {MiningFault.RAISE, MiningFault.DELAY}
 
     def test_different_seeds_and_streams_differ(self):
         base = FaultPlan(seed=1, mining_failure_rate=0.3)
@@ -149,13 +146,12 @@ class TestFaultPlan:
             FaultPlan(mining_failure_rate=0.8, mining_delay_rate=0.3)
         # Each rate on its own, not just the sum: a negative rate used to
         # hide inside a legal total and halve the delayed jobs.
-        for name in ("mining_failure_rate", "mining_overrun_rate",
-                     "mining_delay_rate"):
-            for rate in (-0.5, 1.5):
+        for name in ("mining_failure_rate", "mining_delay_rate"):
+            for rate in (-0.5, 1.5, float("nan")):
                 with pytest.raises(ValueError, match=name):
                     FaultPlan(**{name: rate})
-        with pytest.raises(ValueError, match="mining_overrun_rate"):
-            FaultPlan(mining_overrun_rate=-0.5, mining_delay_rate=1.0)
+        with pytest.raises(ValueError, match="mining_failure_rate"):
+            FaultPlan(mining_failure_rate=-0.5, mining_delay_rate=1.0)
         with pytest.raises(ValueError,
                            match="bad fault spec.*mining_failure_rate"):
             parse_fault_spec(
@@ -177,6 +173,20 @@ class TestFaultPlan:
         assert plan.fail_jobs == (3, 9)
         assert plan.drop_nodes == ((1, 500), (2, 800))
         assert plan.streams == frozenset({"a", "b"})
+
+    def test_retired_overrun_rate_is_accepted_at_zero_only(self):
+        """The soft mining deadline is gone, and an injected overrun took
+        the raise path: the retired key parses at 0 and is a bad fault
+        spec at any other value."""
+        plan = parse_fault_spec("seed=3,mining_overrun_rate=0")
+        assert plan.seed == 3 and not hasattr(plan, "mining_overrun_rate")
+        assert plan.mining_fault("s", 0) is None
+        for raw in ("0.05", "nan", "x"):
+            with pytest.raises(ValueError,
+                               match="bad fault spec.*mining_overrun_rate"):
+                parse_fault_spec(f"mining_overrun_rate={raw}")
+        with pytest.raises(TypeError):
+            FaultPlan(mining_overrun_rate=0.0)
 
     @pytest.mark.parametrize("text", ["", "null", "NONE", "off"])
     def test_null_spellings(self, text):
@@ -706,8 +716,7 @@ class TestChaosProperty:
     #: chaos run is deterministic end to end.
     CHAOS_PLAN = FaultPlan(
         seed=1234,
-        mining_failure_rate=0.15,
-        mining_overrun_rate=0.1,
+        mining_failure_rate=0.25,
         mining_delay_rate=0.15,
         mining_delay_ops=40,
         streams=("stencil-faulty", "cfd-faulty"),
@@ -739,7 +748,6 @@ class TestChaosProperty:
         stats = service.backend_stats
         assert stats["mining_failures"] > 0
         assert stats["degraded_jobs"] > 0
-        assert stats["deadline_overruns"] > 0
         # ...and only there: fault-free tenants are byte-identical to
         # their no-fault runs, decisions included.
         for sid in ("s3d-clean", "jacobi-clean"):
@@ -763,7 +771,7 @@ class TestChaosProperty:
         for sid in streams:
             assert first[sid].stats == second[sid].stats, sid
             assert first[sid].decision_trace == second[sid].decision_trace
-        for key in ("mining_failures", "degraded_jobs", "deadline_overruns"):
+        for key in ("mining_failures", "degraded_jobs"):
             assert first_service.backend_stats[key] == second_service.backend_stats[key]
 
     def test_degradation_gauges_reach_the_stats_facade(self, app_streams):

@@ -229,6 +229,31 @@ class TestRedriveParity:
             assert verdict.matched, (backend, verdict.summary())
             assert verdict.actual_digest == current.footer["decisions_digest"]
 
+    @pytest.mark.parametrize("spec, refused", [
+        ("seed=5,mining_overrun_rate=0", False),
+        ("seed=5,mining_overrun_rate=0.05", True),
+    ])
+    def test_header_with_retired_fault_spec_key(self, spec, refused,
+                                                corpus_docs):
+        """A chaos trace recorded while injected overruns were a fault
+        kind of their own names ``mining_overrun_rate`` in its spec. At
+        0 it scheduled no overrun, so the trace loads and re-drives to
+        its recorded digest; at any other value it is a bad fault spec,
+        refused when the header config is read."""
+        current = corpus_docs["stencil"]
+        records = [json.loads(line) for line in current.dumps().splitlines()]
+        records[0]["config"]["fault_plan"] = spec
+        old = TraceDocument.loads(
+            "".join(canon.dumps(r) + "\n" for r in records)
+        ).verify()
+        if refused:
+            with pytest.raises(TraceFormatError, match="bad fault spec"):
+                old.config()
+            return
+        assert old.config().fault_plan == spec
+        for backend, verdict in replay_on_all(old).items():
+            assert verdict.matched, (backend, verdict.summary())
+
     def test_rebuilt_forest_matches_topology(self, corpus_docs):
         document = corpus_docs["s3d"]
         _, regions = rebuild_forest(document)
