@@ -87,8 +87,7 @@ def service_spill_tier(stream):
     resumed.flush()
     stats = resumed.stats()
     print(f"  after re-admission: warm_starts={stats.warm_starts}, "
-          f"candidates ingested={stats.candidates_ingested}, "
-          f"evicted={stats.candidates_evicted}")
+          f"candidates ingested={stats.candidates_ingested}")
     resumed.close()
     other.close()
 

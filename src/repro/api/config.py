@@ -14,8 +14,11 @@ read (the linter's RPL004 rule enforces this), with explicit layering
 3. the **environment** -- ``REPRO_<FIELD>`` variables, one per
    :class:`ApopheniaConfig` field, so a deployment can retune any knob
    without a code change (environment beats code). ``REPRO_PROFILE``
-   selects the profile itself when the caller does not. A ``REPRO_*``
-   variable naming no field is ignored.
+   selects the profile itself when the caller does not. A variable
+   naming a knob older trees had (:data:`~repro.core.processor.RETIRED`)
+   follows the document readers' rule: ignored at the value this tree
+   runs (at any value, for a knob no decision read), refused at any
+   other. A ``REPRO_*`` variable naming nothing is ignored.
 
 An explicit ``config=`` is authoritative: the environment is not
 consulted at all.
@@ -29,8 +32,8 @@ import os
 import typing
 from dataclasses import fields
 
-from repro.core.processor import ApopheniaConfig
-from repro.registry import Registry
+from repro.core.processor import NEUTRAL, RETIRED, ApopheniaConfig
+from repro.registry import Registry, RegistryError
 
 #: Prefix of every configuration environment variable.
 ENV_PREFIX = "REPRO_"
@@ -104,14 +107,34 @@ def _parse_env_value(field, raw):
     return raw  # str and the fault_plan object field
 
 
+def _runs(raw, honoured):
+    """Whether this tree runs a retired knob at the environment string
+    ``raw``: its :data:`~repro.core.processor.RETIRED` value spelled
+    out, or anything for a knob no decision read."""
+    if honoured is None:
+        return raw.strip().lower() in ("", "none", "null")
+    try:
+        return honoured is NEUTRAL or type(honoured)(raw) == honoured
+    except ValueError:
+        return False
+
+
 def env_overrides(env=None):
     """``{field: value}`` read from ``REPRO_<FIELD>`` variables.
 
-    ``env`` defaults to ``os.environ``; pass a mapping for tests. Unknown
-    ``REPRO_*`` variables are ignored (other subsystems own some, e.g.
-    ``REPRO_PROFILE`` is consumed by :func:`build_config` itself).
+    ``env`` defaults to ``os.environ``; pass a mapping for tests. A
+    retired knob's variable set to a value this tree does not run raises
+    ``ValueError`` naming it. Other unknown ``REPRO_*`` variables are
+    ignored (other subsystems own some, e.g. ``REPRO_PROFILE`` is
+    consumed by :func:`build_config` itself).
     """
     env = os.environ if env is None else env
+    for name, honoured in RETIRED.items():
+        raw = env.get(ENV_PREFIX + name.upper())
+        if raw is not None and not _runs(raw, honoured):
+            raise ValueError(
+                f"{ENV_PREFIX + name.upper()}={raw!r} names the retired "
+                f"knob {name}; this tree runs only {name}={honoured!r}")
     overrides = {}
     for field in fields(ApopheniaConfig):
         raw = env.get(ENV_PREFIX + field.name.upper())
@@ -156,6 +179,9 @@ def build_config(profile=None, config=None, env=None, **overrides):
         )
     environ = os.environ if env is None else env
     name = profile or environ.get(PROFILE_ENV_VAR) or DEFAULT_PROFILE
+    if not profile and name not in PROFILES:
+        raise RegistryError(f"bad value for {PROFILE_ENV_VAR}: {name!r} "
+                            f"(known: {profile_names()})")
     base = PROFILES[name]
     if overrides:
         base = base.with_overrides(**overrides)

@@ -1,64 +1,42 @@
-"""Candidate lifecycle: ingestion, rotation groups, realized records,
-eviction.
+"""Candidate lifecycle: ingestion, rotation groups, realized records.
 
 Historically the :class:`~repro.core.replayer.TraceReplayer` owned all of
 the learned state directly -- the rotation groups that let phase-shifted
 rediscoveries of one cycle reinforce a shared occurrence count, and the
 realized-replay attribution (fires / stranded gap tokens) that feeds the
 scoring hysteresis. That left the learned state inseparable from the
-stream bookkeeping: nothing could bound it, persist it, or reason about
-its lifetime without reaching into replayer internals.
+stream bookkeeping: nothing could persist it or reason about its
+lifetime without reaching into replayer internals.
 
 :class:`CandidateStore` is that lifecycle layer, extracted. It owns
 
 * the candidates themselves (through the match engine's trie),
 * the rotation groups (``(length, canonical rotation) -> [members, count]``),
-* the realized-replay record (last fired cycle, tokens stranded since),
-* and the eviction policy: a capacity bound (``max_candidates``), off
-  by default, that ranks candidates by *realized replay share*
-  (:meth:`~repro.core.scoring.ScoringPolicy.realized_share`) and evicts
-  through the exact-removal path (:meth:`remove`), so an evicted
-  candidate neither lingers as a stale rotation-group member nor blocks
-  re-admission of its own tokens.
+* and the realized-replay record (last fired cycle, tokens stranded since).
 
-The replayer delegates here; with the bound at its ``None`` default
-every operation is byte-identical to the pre-refactor code path.
+Candidates only arrive (Algorithm 1's IngestCandidates): a candidate
+once admitted stays for the session's life, as in the paper's replayer.
 """
 
 from repro.core.repeats import canonical_rotation
 
 
 class CandidateStore:
-    """Owns candidate lifetime: admission, shared counts, removal, eviction.
+    """Owns candidate lifetime: admission, shared counts, realized records.
 
     Parameters
     ----------
     engine:
         The match engine (:mod:`repro.core.matching`) whose trie holds
-        the candidates. The store inserts/removes *through* the engine so
+        the candidates. The store inserts *through* the engine so
         pointer bookkeeping stays exact.
-    scoring:
-        :class:`~repro.core.scoring.ScoringPolicy`; supplies
-        ``realized_share`` for the eviction ranking.
     min_trace_length:
         Repeats shorter than this are not admitted.
-    max_candidates:
-        Capacity bound on the trie's candidate count, or ``None`` for
-        unbounded (the default -- byte-identical to the historical
-        behaviour).
     """
 
-    def __init__(
-        self,
-        engine,
-        scoring,
-        min_trace_length,
-        max_candidates=None,
-    ):
+    def __init__(self, engine, min_trace_length):
         self.engine = engine
-        self.scoring = scoring
         self.min_trace_length = min_trace_length
-        self.max_candidates = max_candidates
         # (length, canonical rotation) -> [candidates, total count]:
         # phase-shifted rediscoveries of one cycle reinforce a shared
         # occurrence count, and at most ``max_phases_per_cycle`` rotations
@@ -75,6 +53,8 @@ class CandidateStore:
         # indicts -- see :meth:`record_fire`.
         self.last_fired = None
         self.flushed_since_fire = 0
+        # Nothing evicts a candidate, so this stays 0; the metric and the
+        # state's key that report it are kept.
         self.candidates_evicted = 0
 
     @property
@@ -135,77 +115,6 @@ class CandidateStore:
                 candidate.length, canonical_rotation(candidate.tokens)
             )
         return key
-
-    # ------------------------------------------------------------------
-    # Removal and eviction
-    # ------------------------------------------------------------------
-    def remove(self, candidate):
-        """Evict a candidate from the trie *and* its rotation group.
-
-        Without the group cleanup an evicted candidate lives on as a
-        stale rotation-group member: re-discoveries of the cycle keep
-        resurrecting its occurrence count, and -- because the group still
-        looks fully populated -- the evicted trace's tokens can never be
-        re-admitted to the trie. Returns ``True`` when the candidate was
-        actually removed.
-        """
-        if not self.engine.remove(candidate):
-            return False
-        key = self.rotation_key(candidate)
-        entry = self.by_rotation.get(key)
-        if entry is not None:
-            members = entry[0]
-            if candidate in members:
-                members.remove(candidate)
-            if not members:
-                del self.by_rotation[key]
-        if candidate is self.last_fired:
-            # Keep the realized record from pinning an evicted object
-            # alive; the stranded-token count transfers to nobody (the
-            # indicted cycle is gone).
-            self.last_fired = None
-        return True
-
-    def evict_due(self, protected=()):
-        """Apply the capacity bound; returns the number of candidates
-        evicted.
-
-        Ranking is by realized replay share (ascending: candidates whose
-        commits strand the most tokens go first), tie-broken by
-        ``last_seen_at`` then trace id -- all intrinsic to the candidate,
-        so two replicas holding identical tries evict identically.
-        ``protected`` candidates (e.g. the held deferral's) are never
-        evicted; ``max_candidates=None`` (the default) makes this a no-op.
-        """
-        evicted = 0
-        # A tuple, not a set: membership only (one or two entries), and
-        # the determinism linter rightly dislikes sets on this path.
-        protected = tuple(id(c) for c in protected)
-        cap = self.max_candidates
-        if cap is not None:
-            while len(self.trie.candidates) > cap:
-                victims = [
-                    c
-                    for c in self.trie.candidates.values()
-                    if id(c) not in protected
-                ]
-                if not victims:
-                    break
-                victim = min(victims, key=self._eviction_rank)
-                if not self.remove(victim):
-                    break
-                evicted += 1
-        self.candidates_evicted += evicted
-        return evicted
-
-    def _eviction_rank(self, candidate):
-        """Lowest rank evicts first: poorest realized share, then least
-        recently seen, then oldest id (deterministic total order)."""
-        return (
-            self.scoring.realized_share(candidate),
-            candidate.last_seen_at,
-            candidate.trace_id,
-        )
 
     # ------------------------------------------------------------------
     # Realized-replay record

@@ -27,13 +27,13 @@ pointer scan *byte for byte* — including its refusal to resurrect
 pointers. A suffix that failed under the trie-as-it-was must stay dead
 even if a candidate ingested later makes its path valid again. The
 engine therefore tracks liveness epochs: on every structural change (a
-candidate actually inserted or removed) it snapshots the currently-live
+candidate actually inserted) it snapshots the currently-live
 pointer starts (``_frozen``) and bumps the epoch; a chain entry is
 *live* only if it was born after the last structural change or its start
 is in the snapshot. ``tests/test_matching.py`` property-tests parity
 against the scan reference (kept under ``tests/``, passed in as
 ``TraceReplayer(match_engine=...)``) on streams with mid-stream ingests
-and removals.
+and resets.
 
 Relinking. The links are a pure function of the candidate set; how they
 are maintained is local. :meth:`AutomatonMatchEngine.insert` keeps them
@@ -53,7 +53,7 @@ token on the engine):
 
 The whole-trie BFS (:meth:`AutomatonMatchEngine._rebuild`) runs only in
 bulk: once at the first :meth:`~AutomatonMatchEngine.advance` (so
-construction and a hydrate's inserts pay one), after ``remove()`` or
+construction and a hydrate's inserts pay one), after
 :meth:`~AutomatonMatchEngine.unlink` (what a closed session calls, so
 that its trie is a tree reference counting frees), and after the trie
 was mutated behind the engine's back. Every link ends where that BFS
@@ -129,21 +129,6 @@ class AutomatonMatchEngine:
             self._built_version = trie.version
         return candidate
 
-    def remove(self, candidate):
-        """Remove a candidate; freezes liveness if the trie changes.
-
-        Surviving pointers keep their exact scan-engine fate: a pointer
-        whose node lost its children simply fails on the next token
-        (pruning only ever detaches childless nodes, so no live pointer
-        can be stranded on a detached branch).
-        """
-        if self.trie.find(candidate.tokens) is not candidate:
-            return False  # stale reference: nothing will change
-        self._freeze()
-        removed = self.trie.remove(candidate)
-        self._rebuild()
-        return removed
-
     def find(self, tokens):
         return self.trie.find(tokens)
 
@@ -156,7 +141,7 @@ class AutomatonMatchEngine:
         """
         if self._built_version != self.trie.version:
             # The first advance, or the trie was mutated behind the
-            # engine's back (insert() / remove() on the trie directly):
+            # engine's back (insert() on the trie directly):
             # relink so matching is structurally correct. Liveness epochs
             # cannot be reconstructed for the second path — serving code
             # must mutate through the engine.

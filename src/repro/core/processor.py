@@ -67,6 +67,7 @@ RETIRED = {
     # Bounds only tests ever set.
     "candidate_staleness_horizon": None,
     "mining_deadline_tokens": None,
+    "max_candidates": None,
     # Selection, memo and scheduler knobs: no decision read them.
     **dict.fromkeys(("sa_backend", "match_engine", "mining_memo_capacity",
                      "max_outstanding_jobs", "lane_outstanding_quota"),
@@ -156,12 +157,6 @@ class ApopheniaConfig:
         quarantined (pass-through tracing, no mining, exponential
         backoff re-probes). ``None`` disables quarantine; failures are
         still contained per job and counted.
-    max_candidates:
-        Capacity bound on the candidate trie: after every ingestion the
-        :class:`~repro.core.candidates.CandidateStore` evicts the
-        poorest-realized-share candidates until the count fits. ``None``
-        (the default) keeps the historical unbounded behaviour,
-        byte-identical to before the lifecycle layer existed.
     session_state_budget:
         Token budget of the service's
         :class:`~repro.persist.SessionStateStore`: LRU-evicted sessions
@@ -184,7 +179,6 @@ class ApopheniaConfig:
     shared_memo_token_budget: Optional[int] = None
     fault_plan: object = None
     fault_quarantine_threshold: Optional[int] = 8
-    max_candidates: Optional[int] = _decision(None)
     session_state_budget: Optional[int] = None
 
     @classmethod
@@ -257,7 +251,7 @@ class ApopheniaConfig:
         if self.num_nodes < 1:
             raise ValueError(f"num_nodes must be >= 1, got {self.num_nodes}")
         for name in ("shared_memo_token_budget", "fault_quarantine_threshold",
-                     "max_candidates", "session_state_budget"):
+                     "session_state_budget"):
             value = getattr(self, name)
             if value is not None and value < 1:
                 raise ValueError(f"{name} must be None or >= 1, got {value}")
@@ -367,7 +361,6 @@ class ApopheniaProcessor:
             min_trace_length=self.config.min_trace_length,
             max_trace_length=self.config.max_trace_length,
             match_engine=match_engine,
-            max_candidates=self.config.max_candidates,
         )
         self.warm_starts = 0  # sessions hydrated from a SessionState
 

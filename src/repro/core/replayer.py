@@ -14,8 +14,7 @@ three separable layers:
 * the **candidate store** (:class:`~repro.core.candidates.CandidateStore`)
   owns candidate lifetime: admission, the rotation groups that let
   phase-shifted rediscoveries of one cycle reinforce a shared occurrence
-  count, the realized-replay records behind the scoring hysteresis, and
-  the capacity eviction policy;
+  count, and the realized-replay records behind the scoring hysteresis;
 * the **decision policy**
   (:class:`~repro.core.scoring.ReplayDecisionPolicy`) owns
   SelectReplayTrace: choosing among completions, defending the deferred
@@ -70,11 +69,6 @@ class TraceReplayer:
         Engine class (a no-argument factory). Only the parity suites
         pass anything but the default -- the ``ScanMatchEngine``
         reference of ``tests/references.py``.
-    max_candidates:
-        Candidate capacity bound, forwarded to the
-        :class:`~repro.core.candidates.CandidateStore`; ``None`` (the
-        default) is unbounded -- byte-identical to the historical
-        behaviour.
 
     The replayer's counters (``tasks_seen`` ... ``deferrals``, the
     ``replayer``-owned fields of :class:`~repro.metrics.SessionStats`)
@@ -94,7 +88,6 @@ class TraceReplayer:
         min_trace_length=5,
         max_trace_length=None,
         match_engine=AutomatonMatchEngine,
-        max_candidates=None,
     ):
         self.on_flush = on_flush
         self.on_trace = on_trace
@@ -102,12 +95,7 @@ class TraceReplayer:
         self.min_trace_length = min_trace_length
         self.max_trace_length = max_trace_length
         self.engine = match_engine()
-        self.store = CandidateStore(
-            self.engine,
-            self.policy.scoring,
-            min_trace_length,
-            max_candidates=max_candidates,
-        )
+        self.store = CandidateStore(self.engine, min_trace_length)
         self.pending = deque()  # (index, task, token), stream order
         self.deferred = None  # CompletedMatch being extended, or None
         # The decision-determined counters (see the class docstring);
@@ -133,46 +121,8 @@ class TraceReplayer:
     # Candidate ingestion (IngestCandidates of Algorithm 1)
     # ------------------------------------------------------------------
     def ingest(self, repeats):
-        """Ingest mined repeats as candidate traces, then apply the
-        store's eviction policy (a no-op at the unbounded defaults).
-
-        Eviction runs only here: ingestion is the sole source of
-        candidate growth, and in a replicated deployment it happens at
-        coordinator-agreed points on every replica, so evicting at the
-        same point keeps replica tries identical. The held deferral's
-        candidate is protected -- committing a match whose candidate was
-        just evicted would issue a trace for a ghost.
-        """
-        self.candidates_ingested += self.store.ingest(
-            repeats, self.tasks_seen
-        )
-        if self.store.max_candidates is not None:
-            protected = (
-                (self.deferred.candidate,) if self.deferred is not None else ()
-            )
-            self.store.evict_due(protected=protected)
-
-    def remove_candidate(self, candidate):
-        """Evict a candidate from the trie and its rotation group (see
-        :meth:`~repro.core.candidates.CandidateStore.remove`). Returns
-        ``True`` when the candidate was actually removed.
-
-        Removal is reconciled with in-flight serving state: if the held
-        deferral is a match of the removed candidate, it is dropped --
-        committing it later would issue a trace for a ghost (a trace id
-        the trie no longer knows) and re-walk a detached trie node. The
-        pending prefix the deferral was pinning is released by the next
-        token's safe-prefix flush. (The store's own eviction policy never
-        needs this: it protects the deferred candidate instead.)
-        """
-        removed = self.store.remove(candidate)
-        if (
-            removed
-            and self.deferred is not None
-            and self.deferred.candidate is candidate
-        ):
-            self.deferred = None
-        return removed
+        """Ingest mined repeats as candidate traces."""
+        self.candidates_ingested += self.store.ingest(repeats, self.tasks_seen)
 
     # ------------------------------------------------------------------
     # Stream processing

@@ -243,7 +243,7 @@ class ReplayDecisionPolicy:
                 # also consumes only stream beyond the match.
                 break
             deep = node.deep
-            if deep is None or deep.length <= node.depth:
+            if deep.length <= node.depth:
                 continue  # nothing deeper can complete from here
             potential = scoring.potential(deep, now_index)
             discounted = potential * scoring.discount(deep)

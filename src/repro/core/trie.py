@@ -154,7 +154,9 @@ class CompletedMatch:
 
 
 class CandidateTrie:
-    """Trie of candidate traces."""
+    """Trie of candidate traces. It only grows: a candidate, once
+    inserted, stays for the trie's life, so every node below the root
+    has a ``deep`` candidate at or below it."""
 
     def __init__(self):
         self.root = TrieNode()
@@ -163,9 +165,9 @@ class CandidateTrie:
         self.candidates = {}  # trace_id -> TraceCandidate
         self._by_tokens = {}  # tokens tuple -> TraceCandidate
         self._next_id = 0
-        #: Bumped on every structural change (a candidate actually added
-        #: or removed); the automaton matcher uses it to invalidate its
-        #: links when the trie is mutated behind its back.
+        #: Bumped on every structural change (a candidate actually
+        #: added); the automaton matcher uses it to invalidate its links
+        #: when the trie is mutated behind its back.
         self.version = 0
 
     def child(self, node, token):
@@ -202,7 +204,7 @@ class CandidateTrie:
             if child is None:
                 break
             node, depth = child, depth + 1
-            if node.deep is None or length > node.deep.length:
+            if length > node.deep.length:
                 node.deep = candidate
         # The rest is a fresh chain: nothing to look up below its first
         # node, and the new candidate is the deepest all along it.
@@ -235,49 +237,6 @@ class CandidateTrie:
         (insert).
         """
         return self._by_tokens.get(tuple(tokens))
-
-    def remove(self, candidate):
-        """Remove a candidate's terminal mark (its nodes may be shared).
-
-        ``deep`` is recomputed bottom-up along the removed candidate's
-        path: a node whose deepest candidate was the removed one must
-        fall back to the next-deepest survivor (the first child's, in
-        insertion order, among equals), or the replayer would keep
-        deferring matches waiting for an extension that can no longer
-        complete. Branches left with no candidate at or below them are
-        unlinked from their parent, so dead tokens stop spawning active
-        pointers.
-
-        Returns ``True`` when the candidate was actually removed,
-        ``False`` for stale references (a no-op).
-        """
-        if self._by_tokens.get(candidate.tokens) is not candidate:
-            return False  # stale reference: tokens are not (or no longer) its
-        node, path = self.root, []  # a live candidate's path is intact
-        for token in candidate.tokens:
-            node = self.child(node, token)
-            path.append(node)
-        node.candidate = None
-        self.candidates.pop(candidate.trace_id, None)
-        del self._by_tokens[candidate.tokens]
-        self.version += 1
-        for node in reversed(path):
-            deepest = node.candidate
-            prev, child = None, node.kid
-            while child is not None:
-                # Every child but the one just emptied holds a candidate.
-                if child.deep is None:
-                    if prev is None:
-                        node.kid = child.sib
-                    else:
-                        prev.sib = child.sib
-                elif deepest is None or child.deep.length > deepest.length:
-                    deepest = child.deep
-                prev, child = child, child.sib
-            node.deep = deepest
-        if path[0].deep is None:
-            del self.heads[path[0].token]
-        return True
 
     def __len__(self):
         return len(self.candidates)

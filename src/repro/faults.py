@@ -163,6 +163,10 @@ class FaultPlan:
     def __init__(self, seed=0, mining_failure_rate=0.0,
                  mining_delay_rate=0.0, mining_delay_ops=100,
                  fail_jobs=None, drop_nodes=(), streams=None):
+        # ``mix64`` keys every draw on the seed: anything but an integer
+        # would raise from the first draw, outside the fault containment.
+        if not isinstance(seed, int) or isinstance(seed, bool):
+            raise ValueError(f"seed must be an int, got {seed!r}")
         rates = {"mining_failure_rate": mining_failure_rate,
                  "mining_delay_rate": mining_delay_rate}
         for name, rate in rates.items():

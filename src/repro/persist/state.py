@@ -487,8 +487,8 @@ def hydrate_processor(processor, state):
     trie = replayer.trie
 
     # Candidates, with their exact historical trace ids: ids feed trace
-    # identities and scoring tie-breaks, and eviction may have left
-    # gaps, so each insert pins the id counter first.
+    # identities and scoring tie-breaks, so each insert pins the id
+    # counter first.
     for record in payload["candidates"]:
         trie._next_id = record["trace_id"]
         candidate = engine.insert(tuple(record["tokens"]))

@@ -171,9 +171,6 @@ class ScanMatchEngine:
     def insert(self, tokens):
         return self.trie.insert(tokens)
 
-    def remove(self, candidate):
-        return self.trie.remove(candidate)
-
     def find(self, tokens):
         return self.trie.find(tokens)
 

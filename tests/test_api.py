@@ -326,21 +326,45 @@ class TestConfigBuilder:
         ).max_trace_length is None
 
     def test_stale_selection_variables_are_ignored(self):
-        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE``, the service
+        """``REPRO_SA_BACKEND`` / ``REPRO_MATCH_ENGINE`` and the service
         scheduler's ``REPRO_MAX_OUTSTANDING_JOBS`` /
-        ``REPRO_LANE_OUTSTANDING_QUOTA`` and the paper constants'
-        ``REPRO_DECAY_RATE`` / ``REPRO_REPEATS_ALGORITHM`` named fields
-        that no longer exist: a leftover value (even a once-invalid one)
-        is ignored like any other unknown ``REPRO_*`` variable."""
+        ``REPRO_LANE_OUTSTANDING_QUOTA`` named fields no decision read:
+        a leftover value (even a once-invalid one) is ignored. So is a
+        retired decision knob's variable at the value this tree runs
+        (the paper constants' ``REPRO_DECAY_RATE`` /
+        ``REPRO_REPEATS_ALGORITHM``, ``REPRO_MAX_CANDIDATES``)."""
         stale = {"REPRO_SA_BACKEND": "btree", "REPRO_MATCH_ENGINE": "nope",
                  "REPRO_MAX_OUTSTANDING_JOBS": "2",
                  "REPRO_LANE_OUTSTANDING_QUOTA": "0",
-                 "REPRO_DECAY_RATE": "0.5",
-                 "REPRO_REPEATS_ALGORITHM": "lzw"}
+                 "REPRO_DECAY_RATE": "1e-4",
+                 "REPRO_REPEATS_ALGORITHM": "quick_matching_of_substrings",
+                 "REPRO_MAX_CANDIDATES": "none"}
         assert build_config(env=stale) == build_config(env={})
         assert build_config(
             config=ApopheniaConfig(), env=stale
         ) == ApopheniaConfig()
+
+    @pytest.mark.parametrize("variable,value", [
+        ("REPRO_MAX_CANDIDATES", "2"),
+        ("REPRO_CANDIDATE_STALENESS_HORIZON", "50"),
+        ("REPRO_DECAY_RATE", "0.5"),
+        ("REPRO_REPEATS_ALGORITHM", "lzw"),
+        ("REPRO_IDENTIFIER_ALGORITHM", "fixed"),
+    ])
+    def test_retired_variable_at_another_value_is_refused(self, variable,
+                                                          value):
+        """A retired decision knob's variable at a value this tree does
+        not run is refused, naming the variable, like the trace and
+        state readers refuse a document recorded under it."""
+        with pytest.raises(ValueError, match=variable):
+            build_config(env={variable: value})
+        service = ApopheniaService(FAST_CONFIG)
+        with pytest.raises(ValueError, match=variable):
+            open_session("t", backend=service, env={variable: value})
+
+    def test_unknown_env_profile_names_the_variable(self):
+        with pytest.raises(ValueError, match="REPRO_PROFILE.*bogus"):
+            build_config(env={"REPRO_PROFILE": "bogus"})
 
     def test_bad_env_value_names_the_variable(self):
         with pytest.raises(ValueError, match="REPRO_BATCHSIZE"):
@@ -360,7 +384,7 @@ class TestConfigBuilder:
             dict(batchsize=None),
             dict(hysteresis="high"),
             dict(num_nodes=True),
-            dict(max_candidates=2.5),
+            dict(fault_quarantine_threshold=2.5),
             dict(shared_memo_token_budget=0),
             dict(session_state_budget=0),
             dict(hysteresis=float("nan")),
@@ -397,8 +421,8 @@ class TestConfigBuilder:
                     read.add(node.attr)
                 pending.extend(ast.iter_child_nodes(node))
         fields = ApopheniaConfig.field_names()
-        assert len(fields) == 15
-        assert len(ApopheniaConfig.decision_fields()) == 8
+        assert len(fields) == 14
+        assert len(ApopheniaConfig.decision_fields()) == 7
         assert [name for name in fields if name not in read] == []
 
 

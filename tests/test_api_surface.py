@@ -82,7 +82,6 @@ CONFIG_FIELDS = [
     "shared_memo_token_budget",
     "fault_plan",
     "fault_quarantine_threshold",
-    "max_candidates",
     "session_state_budget",
 ]
 
@@ -96,7 +95,6 @@ DECISION_FIELDS = [
     "hysteresis",
     "job_base_latency_ops",
     "initial_ingest_margin_ops",
-    "max_candidates",
 ]
 
 

@@ -72,7 +72,6 @@ class TestRotationKeyOnCandidate:
         assert outsider.rotation_key is None
         assert r.store.cycle_members(outsider) == (outsider,)
         assert outsider.rotation_key == (3, tuple("abc"))
-        assert r.store.remove(outsider)
 
     @pytest.mark.perf_smoke
     @pytest.mark.parametrize("fixture", ["s3d", "generative-adversarial"])

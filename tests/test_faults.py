@@ -162,6 +162,15 @@ class TestFaultPlan:
         with pytest.raises(ValueError, match="mining_delay_ops"):
             FaultPlan(mining_delay_rate=0.1, mining_delay_ops=-1)
 
+    @pytest.mark.parametrize("seed", ["x", 1.5, None, True])
+    def test_a_seed_that_is_no_int_is_refused(self, seed):
+        """Every draw mixes the seed as an integer: a plan built around
+        another seed used to validate and then raise ``OverflowError``
+        from its first draw, which ``JobExecutor.submit`` makes outside
+        the fault containment."""
+        with pytest.raises(ValueError, match="seed"):
+            FaultPlan(seed=seed, mining_failure_rate=0.5)
+
     def test_spec_string_round_trip(self):
         plan = parse_fault_spec(
             "seed=7, mining_failure_rate=0.25, mining_delay_ops=40,"

@@ -5,9 +5,7 @@ dehydrated at a flush fence and hydrated into a fresh backend produces a
 subsequent decision stream **byte-identical** to a session that was
 never evicted -- per application, on all three backends. Around it: the
 canonical-serialization contract (``loads(dumps())`` round-trips to the
-same bytes), digest tamper detection, deterministic eviction under the
-candidate-lifecycle knobs, the ``remove_candidate`` / in-flight-serving
-reconciliation under both match engines, the ``submit_many`` batch
+same bytes), digest tamper detection, the ``submit_many`` batch
 helper's decision-neutrality, and the service's evict-then-readmit warm
 start through the token-budgeted spill store.
 """
@@ -28,11 +26,7 @@ from repro.api import (
     open_session,
 )
 from repro.apps.base import capture_stream
-from references import ScanMatchEngine
-from repro.core.matching import AutomatonMatchEngine
 from repro.core.processor import ApopheniaConfig, ApopheniaProcessor
-from repro.core.repeats import Repeat
-from repro.core.replayer import TraceReplayer
 from repro.persist import dehydrate_processor, hydrate_processor
 from repro.runtime.runtime import Runtime
 from repro.service import ApopheniaService
@@ -67,9 +61,9 @@ SPLIT = 350
 #: regenerate them).
 PINNED_STATE_SHA256 = {
     "standalone":
-        "5c00751efa5a443bb53a732b69806b798f33d5d881456e63d7315a4f2a052d58",
+        "a299479bbf77a4bd4d16de96e4bedc57fe9dcee6c70579c24c8ea66bb6d7c9ab",
     "replicated":
-        "29c02d5aec6526b899cec8c1f1cf963d1968dc51556cd9cd3c1973097bf600c5",
+        "4861590ecefd4f319111e2ec6e1baf0d1714ebf8ce7bcc2d8ea2eaea31fb67b5",
 }
 
 
@@ -258,12 +252,12 @@ class TestWarmStartParity:
         carries copies of ``ops_observed``, ``tasks_seen`` and
         ``jobs_submitted``, and ``identifier_algorithm`` in its decision
         slice, and one dehydrated while ``candidate_staleness_horizon``
-        was a knob carries it there. Hydrate ignores the copies and a
-        retired knob at the value this tree runs, so the warm start
-        matches the uninterrupted run. A state captured under the fixed
-        finder or a staleness horizon is refused: this tree spells that
-        schedule ``multi_scale_factor = batchsize``, and evicts no
-        candidate for staleness."""
+        or ``max_candidates`` was a knob carries it there. Hydrate
+        ignores the copies and a retired knob at the value this tree
+        runs, so the warm start matches the uninterrupted run. A state
+        captured under the fixed finder, a staleness horizon or a
+        candidate cap is refused: this tree spells that schedule
+        ``multi_scale_factor = batchsize``, and evicts no candidate."""
         stream = app_streams["s3d"]
         with _open(backend, "s3d") as session:
             _drive(session, stream[:SPLIT])
@@ -285,7 +279,8 @@ class TestWarmStartParity:
             return SessionState.loads(canon.dumps(document))
 
         state = stamped(identifier_algorithm="multi-scale",
-                        candidate_staleness_horizon=None)
+                        candidate_staleness_horizon=None,
+                        max_candidates=None)
         with _open(backend, "s3d", state=state) as session:
             _drive(session, stream[SPLIT:])
             session.flush()
@@ -294,7 +289,8 @@ class TestWarmStartParity:
             backend, "s3d", stream
         ).decisions
         for name, value in (("identifier_algorithm", "fixed"),
-                            ("candidate_staleness_horizon", 150)):
+                            ("candidate_staleness_horizon", 150),
+                            ("max_candidates", 2)):
             with pytest.raises(PersistFormatError, match=name):
                 _open(backend, "s3d", state=stamped(**{name: value}))
 
@@ -453,126 +449,6 @@ class TestDigestTamperDetection:
         for document, kind, error, _tamper in documents:
             with pytest.raises(error, match="not valid JSON"):
                 kind.loads(document.dumps()[:-40] + "not a document\n")
-
-
-class TestEvictionDeterminism:
-    """The lifecycle knobs evict by intrinsic rank: two identical runs
-    evict identically, and generous bounds change nothing at all."""
-
-    def _run(self, stream, config):
-        processor = ApopheniaProcessor(_fast_runtime(), config)
-        for iteration, task in stream:
-            processor.set_iteration(iteration)
-            processor.execute_task(task)
-        processor.flush()
-        replayer = processor.replayer
-        survivors = sorted(
-            (c.trace_id, c.tokens)
-            for c in replayer.trie.candidates.values()
-        )
-        return (
-            processor.decision_trace(),
-            replayer.store.candidates_evicted,
-            survivors,
-        )
-
-    def test_capacity_eviction_is_deterministic(self, app_streams):
-        config = FAST_CONFIG.with_overrides(max_candidates=2)
-        stream = app_streams["s3d"]
-        first = self._run(stream, config)
-        second = self._run(stream, config)
-        assert first == second
-        assert first[1] > 0  # the bound actually bit
-        assert len(first[2]) <= 2
-
-    def test_generous_bounds_are_decision_neutral(self, app_streams):
-        stream = app_streams["s3d"]
-        baseline = self._run(stream, FAST_CONFIG)
-        bounded = self._run(
-            stream, FAST_CONFIG.with_overrides(max_candidates=10**6)
-        )
-        assert bounded[0] == baseline[0]
-        assert bounded[1] == 0
-        assert bounded[2] == baseline[2]
-
-
-@pytest.mark.parametrize(
-    "engine", [ScanMatchEngine, AutomatonMatchEngine],
-    ids=lambda engine: engine.name,
-)
-class TestRemoveCandidateReconciliation:
-    """Satellite audit: exact removal vs in-flight serving state, under
-    both match engines."""
-
-    class Harness:
-        def __init__(self, engine, **kwargs):
-            self.forwarded = []
-            self.traces = []
-            self.replayer = TraceReplayer(
-                on_flush=self.forwarded.extend,
-                on_trace=lambda c, i, tasks: (
-                    self.traces.append(c.tokens),
-                    self.forwarded.extend(tasks),
-                ),
-                match_engine=engine,
-                **kwargs,
-            )
-
-        def feed(self, tokens):
-            for i, token in enumerate(
-                tokens, start=self.replayer.tasks_seen
-            ):
-                self.replayer.process((i, token), token)
-
-    def test_removing_deferred_candidate_drops_the_hold(self, engine):
-        h = self.Harness(engine, min_trace_length=2)
-        h.replayer.ingest([Repeat("ab", [0, 5]), Repeat("abcd", [0, 10])])
-        h.feed("ab")  # 'ab' completes and defers, hoping for 'abcd'
-        deferred = h.replayer.deferred
-        assert deferred is not None
-        assert h.replayer.remove_candidate(deferred.candidate)
-        # Committing the hold later would issue a trace for a ghost id
-        # and re-walk a detached trie node; removal reconciles it away.
-        assert h.replayer.deferred is None
-        h.feed("xx")
-        h.replayer.flush_all()
-        assert ("a", "b") not in h.traces
-        assert [t[0] for t in h.forwarded] == [0, 1, 2, 3]
-
-    def test_removing_other_candidate_keeps_the_hold(self, engine):
-        h = self.Harness(engine, min_trace_length=2)
-        h.replayer.ingest([
-            Repeat("ab", [0, 5]), Repeat("abcd", [0, 10]),
-            Repeat("xy", [0, 5]),
-        ])
-        h.feed("ab")
-        assert h.replayer.deferred is not None
-        bystander = next(
-            c for c in h.replayer.trie.candidates.values()
-            if c.tokens == ("x", "y")
-        )
-        assert h.replayer.remove_candidate(bystander)
-        assert h.replayer.deferred is not None  # unrelated removal
-        h.replayer.flush_all()
-        assert ("a", "b") in h.traces
-
-    def test_removal_mid_partial_match_serves_cleanly(self, engine):
-        h = self.Harness(engine, min_trace_length=3)
-        h.replayer.ingest([Repeat("abc", [0, 3])])
-        candidate = next(iter(h.replayer.trie.candidates.values()))
-        h.feed("ab")  # a live partial match points into the candidate
-        assert h.replayer.remove_candidate(candidate)
-        h.feed("cabc")
-        h.replayer.flush_all()
-        assert not h.traces
-        assert [t[0] for t in h.forwarded] == list(range(6))
-
-    def test_double_removal_is_false(self, engine):
-        h = self.Harness(engine, min_trace_length=2)
-        h.replayer.ingest([Repeat("ab", [0, 2])])
-        candidate = next(iter(h.replayer.trie.candidates.values()))
-        assert h.replayer.remove_candidate(candidate)
-        assert not h.replayer.remove_candidate(candidate)
 
 
 class TestSubmitMany:

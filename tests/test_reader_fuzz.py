@@ -18,7 +18,8 @@ the reader as text.
 The two config parsers get the same treatment: a ``REPRO_FAULT_PLAN``
 spec string built from the real keys (the retired
 ``mining_overrun_rate`` included) and junk, and a ``REPRO_*``
-environment built from the field variables and junk. Each either
+environment built from the field variables, the retired knobs' and
+junk. Each either
 returns a plan or a validated config, or raises ``ValueError`` -- "bad
 fault spec ..." for a spec, naming the variable (or the field it sets)
 for the environment -- and every accepted config writes through
@@ -38,7 +39,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from repro import canon
 from repro.api import ENV_PREFIX, PersistFormatError, build_config, open_session
 from repro.apps.base import capture_stream
-from repro.core.processor import ApopheniaConfig
+from repro.core.processor import RETIRED, ApopheniaConfig
 from repro.faults import NULL_FAULT_PLAN, FaultPlan, parse_fault_spec
 from repro.persist import SessionState
 from repro.runtime.runtime import Runtime
@@ -210,15 +211,17 @@ SPEC = st.lists(
 
 FIELDS = ApopheniaConfig.field_names()
 
-#: ``REPRO_*`` variables: one per field, the profile, and junk ones
-#: (which the builder ignores).
+#: ``REPRO_*`` variables: one per field, the profile, one per retired
+#: knob, and junk ones (which the builder ignores).
 ENV = st.dictionaries(
     st.sampled_from([ENV_PREFIX + name.upper()
-                     for name in FIELDS + ("profile",)])
+                     for name in FIELDS + ("profile",) + tuple(RETIRED)])
     | st.text("ABCDEFGHIJKLMNOPQRSTUVWXYZ_", max_size=8).filter(
-        lambda name: name.lower() not in FIELDS and name != "PROFILE"
+        lambda name: name.lower() not in FIELDS + tuple(RETIRED)
+        and name != "PROFILE"
     ).map(ENV_PREFIX.__add__),
-    NUMBER | SPEC | st.sampled_from(["none", "True", "chaos", "service"])
+    NUMBER | SPEC | st.sampled_from(["none", "True", "chaos", "service",
+                                     "multi-scale", "16", "1e-4"])
     | st.text(max_size=6),
     max_size=3,
 )
@@ -248,17 +251,21 @@ def check_fault_spec(text):
 
 def check_env(env):
     """An environment builds a validated config, or raises a
-    ``ValueError`` that names the field one of its variables sets (or
-    the profile or fault spec one names); junk variables are ignored,
-    so they explain nothing."""
+    ``ValueError`` that names the field one of its variables sets, the
+    fault spec one names, or the variable itself (the profile's, or a
+    retired knob's); junk variables are ignored, so they explain
+    nothing."""
     try:
         config = build_config(env=env)
     except ValueError as exc:
         named = [var[len(ENV_PREFIX):].lower() for var in env]
         named = [name for name in named if name in FIELDS]
-        named += ["config profile"] * (ENV_PREFIX + "PROFILE" in env)
         named += ["bad fault spec"] * ("fault_plan" in named)
-        assert any(name in str(exc).lower() for name in named), (env, exc)
+        variables = [var for var in env
+                     if var[len(ENV_PREFIX):].lower() in RETIRED
+                     or var == ENV_PREFIX + "PROFILE"]
+        assert (any(name in str(exc).lower() for name in named)
+                or any(var in str(exc) for var in variables)), (env, exc)
         return
     assert_round_trips(config)
 

@@ -8,14 +8,13 @@ has to leave every link exactly where a from-scratch construction puts
 it. :class:`RelinkMachine` drives one engine through arbitrary
 interleavings of ``insert`` (periodic rotations and multiples of one
 unit, random tokens, and prefixes that branch into siblings),
-``remove``, ``advance`` and ``reset`` and,
-after every step, compares every node's ``(fail, out, chain_len)`` with
+``advance`` and ``reset`` and, after every step, compares every node's ``(fail, out, chain_len)`` with
 links computed straight from their definitions, and checks that every
 node sits in exactly its ``fail``'s reverse list.
 
 The second half pins *when* the whole-trie BFS runs: once, at a
-session's first ``advance`` (hydrated or not), and after ``remove()``
--- never per ingest on the serving path. The counts are exact; no clock
+session's first ``advance`` (hydrated or not) -- never per ingest on
+the serving path. The counts are exact; no clock
 is read.
 
 ``benchmarks/test_relink_deep.py`` runs the same machine with a deep
@@ -30,7 +29,6 @@ from hypothesis.stateful import (
     RuleBasedStateMachine,
     initialize,
     invariant,
-    precondition,
     rule,
 )
 
@@ -115,7 +113,7 @@ SYMBOLS = st.integers(0, 4)
 
 
 class RelinkMachine(RuleBasedStateMachine):
-    """One engine under arbitrary ingests, removals, advances and resets.
+    """One engine under arbitrary ingests, advances and resets.
 
     The alphabet (1-5 symbols) and a periodic unit are drawn once per
     run, so periodic candidates share prefixes and suffixes the way the
@@ -171,13 +169,6 @@ class RelinkMachine(RuleBasedStateMachine):
         for tail in tails:
             self.engine.insert(prefix + tail)
 
-    @precondition(lambda self: len(self.engine))
-    @rule(data=st.data())
-    def remove(self, data):
-        candidates = sorted(self.engine.trie.candidates.values(),
-                            key=lambda c: c.trace_id)
-        assert self.engine.remove(data.draw(st.sampled_from(candidates)))
-
     @rule(steps=st.integers(1, 30))
     def advance_periodic(self, steps):
         unit = self.unit
@@ -199,7 +190,7 @@ class RelinkMachine(RuleBasedStateMachine):
     def links_match_the_oracle(self):
         engine = self.engine
         if engine._built_version is None:
-            return  # nothing linked before the first advance or remove
+            return  # nothing linked before the first advance
         # Once linked, an insert keeps the links current itself.
         assert engine._built_version == engine.trie.version
         assert_links_exact(engine)
@@ -315,13 +306,3 @@ class TestBfsOffTheServingPath:
         held = len(state.payload["candidates"])
         assert held > 0
         assert rebuilds == [(engine, 0, held)]
-
-    def test_remove_still_rebuilds(self, rebuilds):
-        engine = AutomatonMatchEngine()
-        engine.advance("x", 0)
-        engine.insert("ab")
-        candidate = engine.insert("abc")
-        assert len(rebuilds) == 1
-        assert engine.remove(candidate)
-        assert [ticks for _, ticks, _ in rebuilds] == [0, 1]
-        assert_links_exact(engine)

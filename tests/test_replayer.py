@@ -203,65 +203,6 @@ class TestRecordedReplayedFlags:
         assert cand.replayed  # fired at least twice
 
 
-class TestCandidateRemoval:
-    """Candidate eviction must clean up the rotation groups.
-
-    Regression: ``remove_candidate`` used to leave the evicted candidate
-    in its rotation group, so (a) re-discoveries of the cycle kept
-    resurrecting the stale member's occurrence count, and (b) the group
-    still looked fully populated, permanently blocking the evicted
-    trace's tokens from re-entering the trie.
-    """
-
-    def test_removed_candidate_can_be_readmitted(self):
-        h = Harness(min_trace_length=2)
-        r = h.replayer
-        r.store.max_phases_per_cycle = 1  # one phase: eviction empties the group
-        r.ingest([Repeat("ab", [0, 2])])
-        cand = r.trie.find("ab")
-        assert r.remove_candidate(cand)
-        assert r.trie.find("ab") is None
-        assert not r.store.by_rotation  # the emptied group is gone
-        # Re-discovery of the same cycle re-admits it with a fresh count.
-        r.ingest([Repeat("ab", [0, 2])])
-        again = r.trie.find("ab")
-        assert again is not None and again is not cand
-        assert again.occurrences == 2  # not the stale accumulated total
-
-    def test_stale_member_does_not_resurrect_counts(self):
-        h = Harness(min_trace_length=2)
-        r = h.replayer
-        r.ingest([Repeat("ab", [0, 2, 4])])  # count 3
-        cand = r.trie.find("ab")
-        assert r.remove_candidate(cand)
-        r.ingest([Repeat("ab", [0, 2])])  # fresh discovery, count 2
-        assert cand.occurrences == 3  # the evicted member stays untouched
-        assert r.trie.find("ab").occurrences == 2
-
-    def test_partial_group_removal_keeps_siblings(self):
-        h = Harness(min_trace_length=2)
-        r = h.replayer
-        r.ingest([Repeat("ab", [0, 2]), Repeat("ba", [1, 3])])  # one cycle
-        first = r.trie.find("ab")
-        sibling = r.trie.find("ba")
-        assert first.occurrences == sibling.occurrences == 4  # shared cycle
-        assert r.remove_candidate(first)
-        (entry,) = r.store.by_rotation.values()
-        assert entry[0] == [sibling]
-        # Reinforcement still reaches the surviving phase only.
-        r.ingest([Repeat("ab", [0, 2])])
-        assert sibling.occurrences == 6
-        assert first.occurrences == 4  # the evicted member stays frozen
-
-    def test_remove_stale_reference_is_noop(self):
-        h = Harness(min_trace_length=2)
-        r = h.replayer
-        r.ingest([Repeat("ab", [0, 2])])
-        cand = r.trie.find("ab")
-        assert r.remove_candidate(cand)
-        assert not r.remove_candidate(cand)  # second removal: no-op
-
-
 class TestWorthWaitingEdges:
     def test_deferred_match_at_stream_head(self):
         """A match completing at the very head of the stream (start 0)
@@ -295,24 +236,6 @@ class TestWorthWaitingEdges:
         node = trie.child(trie.child(trie.root, "a"), "b")
         assert node.deep is trie.find("ab")
         assert node.deep.length == node.depth
-        assert not h.replayer.policy.worth_waiting(
-            match, 2, iter([(0, node)])
-        )
-
-    def test_pointer_with_no_deep_is_ignored(self):
-        from repro.core.trie import CandidateTrie, CompletedMatch
-
-        h = Harness(min_trace_length=2)
-        h.replayer.ingest([Repeat("ab", [0, 5])])
-        h.feed("ab")
-        cand = h.replayer.trie.find("ab")
-        match = CompletedMatch(cand, 0, 2)
-        # A node whose only candidate was removed: nothing is below it.
-        trie = CandidateTrie()
-        trie.insert("xy")
-        node = trie.child(trie.root, "x")
-        trie.remove(trie.find("xy"))
-        assert node.deep is None
         assert not h.replayer.policy.worth_waiting(
             match, 2, iter([(0, node)])
         )

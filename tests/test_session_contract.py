@@ -517,7 +517,7 @@ def test_replicas_differ_only_in_what_the_schema_calls_local():
     the same value for every ``decision``-marked metric (and the run is
     not vacuous: the shared memo makes ``memo_hits`` differ)."""
     backend = TRACING_BACKENDS["replicated"](CONFIG.with_overrides(
-        fault_plan="seed=2,mining_failure_rate=0.2", max_candidates=3,
+        fault_plan="seed=2,mining_failure_rate=0.2",
     ))
     handle = backend.open_session("r")
     _serve(handle, 900)

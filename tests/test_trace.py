@@ -31,7 +31,6 @@ from repro.trace import (
 from repro.trace.corpus import (
     CORPUS_CONFIG,
     CORPUS_ENTRIES,
-    app_stream,
     corpus_path,
     generative_stream,
     record_stream,
@@ -156,26 +155,6 @@ class TestRedriveParity:
         assert not verdict.matched
         assert verdict.actual_digest != verdict.expected_digest
 
-    @pytest.mark.parametrize("overrides", [
-        {"max_candidates": 2},
-    ], ids=lambda o: "-".join(o))
-    @pytest.mark.parametrize("stream_name", ["s3d", "generative-adversarial"])
-    def test_lifecycle_knobs_survive_capture(self, stream_name, overrides):
-        """Regression: the header's hand-kept field list never learned
-        the candidate-lifecycle knobs, so a trace captured under a bound
-        re-drove *unbounded* -- DIVERGED, with nothing listed under
-        ``config_dropped``. The header now records every config field."""
-        config = CORPUS_CONFIG.with_overrides(**overrides)
-        if stream_name == "s3d":
-            stream = app_stream("s3d", 1500)
-        else:
-            stream = generative_stream(PHASE_GRAPHS["adversarial"], 1500)
-        document = record_stream(stream, app=stream_name, config=config)
-        for backend, verdict in replay_on_all(document).items():
-            assert verdict.matched, (backend, verdict.summary())
-        assert document.header["config_dropped"] == []
-        assert document.config() == config
-
     @pytest.mark.parametrize("stale,refused", [
         ({"sa_backend": None, "match_engine": None,
           "max_outstanding_jobs": 64, "lane_outstanding_quota": None}, None),
@@ -187,15 +166,17 @@ class TestRedriveParity:
           "replay_bonus": 1.1, "job_per_token_latency_ops": 0.05}, None),
         ({"identifier_algorithm": "multi-scale"}, None),
         ({"candidate_staleness_horizon": None,
-          "mining_deadline_tokens": None}, None),
+          "mining_deadline_tokens": None, "max_candidates": None}, None),
         ({"identifier_algorithm": "fixed"}, "identifier_algorithm"),
         ({"candidate_staleness_horizon": 50}, "candidate_staleness_horizon"),
         ({"mining_deadline_tokens": 100}, "mining_deadline_tokens"),
+        ({"max_candidates": 2}, "max_candidates"),
         ({"not_a_knob": 1}, "not_a_knob"),
     ], ids=["null", "named", "parent-commit", "paper-constants",
             "identifier-algorithm", "test-only-bounds",
             "fixed-finder-refused", "staleness-horizon-refused",
-            "mining-deadline-refused", "unknown-key-refused"])
+            "mining-deadline-refused", "max-candidates-refused",
+            "unknown-key-refused"])
     def test_header_with_retired_config_keys_still_redrives(
             self, stale, refused, corpus_docs):
         """Regression: traces captured before ``sa_backend`` and
@@ -206,7 +187,8 @@ class TestRedriveParity:
         of them at the values the components now fix; ones captured
         before the fixed finder became ``multi_scale_factor = batchsize``
         carry ``identifier_algorithm``; ones captured before the
-        staleness horizon and the mining deadline went carry 17. The
+        staleness horizon and the mining deadline went carry 17, and
+        ones captured before the candidate cap went carry 15. The
         loader drops a retired key recorded at the value this tree runs
         (or at any value, where no decision read it), so such a trace
         loads to the same config and re-drives byte-identical on every
@@ -216,7 +198,7 @@ class TestRedriveParity:
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"].update(stale)
-        assert len(records[0]["config"]) == 15 + len(stale)
+        assert len(records[0]["config"]) == 14 + len(stale)
         old = TraceDocument.loads(
             "".join(canon.dumps(r) + "\n" for r in records)
         ).verify()

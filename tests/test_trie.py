@@ -59,8 +59,6 @@ class TestInsert:
         assert trie.find("abc") is c
         assert trie.find(("a", "b", "c")) is c  # any iterable spelling
         assert trie.find("ab") is None  # prefixes are not the candidate
-        trie.remove(c)
-        assert trie.find("abc") is None
 
     def test_version_tracks_structural_changes(self):
         trie = CandidateTrie()
@@ -69,10 +67,6 @@ class TestInsert:
         assert trie.version == v0 + 1
         assert trie.insert("ab") is c  # reinsert: no structural change
         assert trie.version == v0 + 1
-        assert trie.remove(c)
-        assert trie.version == v0 + 2
-        assert not trie.remove(c)  # stale: no structural change
-        assert trie.version == v0 + 2
 
     def test_empty_rejected(self):
         with pytest.raises(ValueError):
@@ -89,82 +83,9 @@ class TestInsert:
         assert terminal.candidate is short
         assert terminal.depth == 2 and terminal.deep is long
 
-    def test_remove(self):
-        trie = PointerScanTrie()
-        c = trie.insert("ab")
-        trie.remove(c)
-        assert len(trie) == 0
-        assert advance_all(trie, "abab") == []
-
-    def test_remove_clears_stale_deep_references(self):
-        # Removing the deepest candidate must demote deep on its
-        # path, or the replayer would defer forever for an extension that
-        # can no longer complete.
-        trie = CandidateTrie()
-        short = trie.insert("ab")
-        long = trie.insert("abcd")
-        trie.remove(long)
-        node = node_at(trie, "a")
-        assert node.deep is short and node.deep.length == 2
-        terminal = trie.child(node, "b")
-        # The deepest candidate now ends here: nothing can extend a match.
-        assert terminal.deep is short
-        assert terminal.deep.length == terminal.depth == 2
-
-    def test_remove_prunes_dead_branches(self):
-        trie = PointerScanTrie()
-        short = trie.insert("ab")
-        long = trie.insert("abcd")
-        trie.remove(long)
-        # The c/d tail held no other candidate; it must not spawn pointers.
-        assert trie.child(node_at(trie, "ab"), "c") is None
-        assert node_at(trie, "ab").kid is None
-        (m,) = advance_all(trie, "ab")
-        assert m.candidate is short
-
-    def test_remove_middle_candidate_keeps_descendants(self):
-        trie = PointerScanTrie()
-        long = trie.insert("abcd")
-        short = trie.insert("ab")
-        trie.remove(short)
-        node = node_at(trie, "ab")
-        assert node.candidate is None
-        assert node.deep is long and node.deep.length == 4
-        (m,) = advance_all(trie, "abcd")
-        assert m.candidate is long
-
-    def test_remove_then_reinsert(self):
-        trie = CandidateTrie()
-        long = trie.insert("abcd")
-        trie.remove(long)
-        again = trie.insert("abcd")
-        assert again is not long
-        node = node_at(trie, "a")
-        assert node.deep is again and node.deep.length == 4
-
-    def test_remove_stale_reference_is_noop(self):
-        # Removing an already-removed candidate after its tokens were
-        # re-inserted must not evict the live candidate's dedup entry.
-        trie = CandidateTrie()
-        c1 = trie.insert("ab")
-        trie.remove(c1)
-        c2 = trie.insert("ab")
-        trie.remove(c1)  # stale reference
-        assert len(trie) == 1
-        assert trie.insert("ab") is c2
-
-    def test_remove_sibling_deep_survives(self):
-        trie = CandidateTrie()
-        left = trie.insert("abx")
-        right = trie.insert("abyzw")
-        trie.remove(right)
-        node = node_at(trie, "ab")
-        assert node.deep is left and node.deep.length == 3
-
-
 class TestNodeShape:
     """One object per node: children are a sibling list (the root's are
-    the ``heads`` dict), kept in insertion order and unlinked in place."""
+    the ``heads`` dict), kept in insertion order."""
 
     @pytest.mark.parametrize("n", [1, 2, 50])
     def test_an_n_token_candidate_adds_n_nodes_and_no_dict(self, n):
@@ -196,47 +117,16 @@ class TestNodeShape:
         assert labels(trie, trie.root) == list("pzbqa")
         assert trie.root.kid is None  # the root's children are `heads`
 
-    @pytest.mark.parametrize("prefix", ["", "p"], ids=["root", "node"])
-    @pytest.mark.parametrize("gone, left", [
-        ("x", "yz"),  # the head of the list
-        ("y", "xz"),  # the middle
-        ("z", "xy"),  # the tail
-    ])
-    def test_remove_unlinks_a_sibling_anywhere(self, prefix, gone, left):
-        trie = PointerScanTrie()
-        for tail in "xyz":
-            trie.insert(prefix + tail + "w")
-        parent = node_at(trie, prefix)
-        assert trie.remove(trie.find(prefix + gone + "w"))
-        assert labels(trie, parent) == list(left)
-        assert trie.child(parent, gone) is None
-        # Matching no longer reaches the pruned branch, and still
-        # reaches both of its siblings.
-        assert advance_all(trie, prefix + gone + "w") == []
-        for t in left:
-            trie.reset_pointers()
-            (m,) = advance_all(trie, prefix + t + "w")
-            assert m.candidate is trie.find(prefix + t + "w")
-
-    def test_a_reinserted_child_goes_to_the_tail(self):
-        trie = CandidateTrie()
-        for tail in "xyz":
-            trie.insert("p" + tail)
-        trie.remove(trie.find("px"))
-        trie.insert("px")
-        assert labels(trie, node_at(trie, "p")) == list("yzx")
-
     def test_deep_falls_back_to_the_first_inserted_of_equal_length(self):
-        # `remove` keeps the first child's deep among equals, so the
-        # fallback is decided by insertion order, not by token order.
+        # Only a strictly longer candidate takes over `deep`, so among
+        # equals insertion order decides, not token order.
         trie = CandidateTrie()
         first = trie.insert("azq")
         trie.insert("abq")
-        longest = trie.insert("amnop")
-        assert node_at(trie, "a").deep is longest
-        trie.remove(longest)
         assert labels(trie, node_at(trie, "a")) == list("zb")
         assert node_at(trie, "a").deep is first
+        longest = trie.insert("amnop")
+        assert node_at(trie, "a").deep is longest
 
 
 def shape(trie):
@@ -257,25 +147,18 @@ def shape(trie):
 
 @pytest.mark.parametrize("seed", range(8))
 def test_one_pass_insert_builds_the_two_pass_trie(seed):
-    """Shared prefixes, prefixes of candidates, re-inserts and removals
-    in between: after every step both inserts left the same trie, node
-    by node."""
+    """Shared prefixes, prefixes of candidates and re-inserts: after
+    every step both inserts left the same trie, node by node."""
     rng = random.Random(seed)
     fast, slow = CandidateTrie(), PathInsertTrie()
     for _ in range(300):
         live = sorted(fast._by_tokens)
-        if live and rng.random() < 0.25:
-            tokens = rng.choice(live)
-            assert fast.remove(fast.find(tokens))
-            assert slow.remove(slow.find(tokens))
+        if live and rng.random() < 0.2:
+            tokens = rng.choice(live)  # a re-insert
         else:
-            if live and rng.random() < 0.2:
-                tokens = rng.choice(live)  # a re-insert
-            else:
-                tokens = tuple(rng.choice("abc")
-                               for _ in range(rng.randint(1, 7)))
-            assert fast.insert(tokens).trace_id == \
-                slow.insert(tokens).trace_id
+            tokens = tuple(rng.choice("abc")
+                           for _ in range(rng.randint(1, 7)))
+        assert fast.insert(tokens).trace_id == slow.insert(tokens).trace_id
         assert shape(fast) == shape(slow)
     assert len(fast) > 10  # not vacuous
 
