@@ -50,12 +50,8 @@ def test_null_plan_gate_never_calls_into_the_plan():
 
     class InertPlan:
         active = False
-        has_node_drops = False
 
         def mining_fault(self, stream, job_seq):
-            raise TrippedGate("submit consulted an inactive plan")
-
-        def should_drop_node(self, stream, node_id, at_op):
             raise TrippedGate("submit consulted an inactive plan")
 
     executor = JobExecutor(fault_plan=InertPlan())

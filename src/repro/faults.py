@@ -8,14 +8,14 @@ never corrupted shared state. This module makes that contract testable.
 **The harness.**
 
 * :class:`FaultPlan` -- a seedable, fully deterministic schedule of
-  injected faults: a mining job *raises* or is *delayed*, and a replica
-  node drops. It is keyed by ``(seed, stream, job_seq)`` through a
-  process-stable hash, and ``stream`` is the session id on all three
-  backends (a hand-driven ``ApopheniaProcessor`` keys on ``None``). So
-  a chaos run reproduces bit-for-bit, one (plan, session id, stream)
-  fails the same way wherever it is served, and the N replicas of one
-  session fail identically (injected faults stay decision-neutral
-  across a replica set).
+  injected faults: a mining job *raises* or is *delayed*. It is keyed
+  by ``(seed, stream, job_seq)`` through a process-stable hash, and
+  ``stream`` is the session id on all three backends (a hand-driven
+  ``ApopheniaProcessor`` keys on ``None``). So a chaos run reproduces
+  bit-for-bit, one (plan, session id, stream) fails the same way
+  wherever it is served, and the N replicas of one session fail
+  identically (injected faults stay decision-neutral across a replica
+  set).
 * :class:`NullFaultPlan` -- the production default. Its ``active``
   attribute is ``False``, so every hot-path hook costs one attribute
   check and a branch; ``benchmarks/test_perf_faults.py`` pins the gate.
@@ -42,9 +42,10 @@ without mining (``degraded_jobs`` only) until an exponential-backoff
 probe (doubling, capped at :data:`MAX_PROBE_BACKOFF`) recovers it.
 Quarantine is per tenant, and a quarantined session closes like a
 healthy one. (3) *Replica drops*: a replicated session survives a
-dead node -- the coordinator drops the dead consumer from its live set,
-survivors keep byte-identical agreement, and ``drop_node`` refuses only
-the last live replica.
+dead node -- ``SessionHandle.drop_node`` takes it out of the serving
+set, the coordinator drops the dead consumer from its live set,
+survivors keep byte-identical agreement, and the last live replica is
+refused. A drop is local deployment state, never scheduled by a plan.
 
 **Surface and properties.** Operations on a closed session raise
 ``SessionClosedError``. The gauges ``mining_failures``,
@@ -56,6 +57,8 @@ tenant conserves its tasks, fault-free tenants are byte-identical to
 their no-fault runs, chaos runs reproduce, and replicas agree through
 mining faults and node drops.
 """
+
+from numbers import Real
 
 from repro.stablehash import mix64, stable_hash
 
@@ -97,13 +100,9 @@ class NullFaultPlan:
     """
 
     active = False
-    has_node_drops = False
 
     def mining_fault(self, stream, job_seq):
         return None
-
-    def should_drop_node(self, stream, node_id, at_op):
-        return False
 
     def __repr__(self):
         return "NullFaultPlan()"
@@ -128,6 +127,10 @@ def _stream_hash(stream):
     return stable_hash(stream)
 
 
+def _is_int(value):
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 class FaultPlan:
     """A deterministic, seedable schedule of injected faults.
 
@@ -148,9 +151,6 @@ class FaultPlan:
         Optional ``(lo, hi)`` half-open window of per-stream job
         sequence numbers that *always* raise -- the deterministic burst
         the quarantine tests use to trip and then recover a breaker.
-    drop_nodes:
-        Iterable of ``(node_id, at_op)`` pairs: replica ``node_id``
-        dies once the session's op clock reaches ``at_op``.
     streams:
         Optional collection of stream keys the plan applies to;
         ``None`` applies to every stream. Scoping faults to a subset of
@@ -162,40 +162,43 @@ class FaultPlan:
 
     def __init__(self, seed=0, mining_failure_rate=0.0,
                  mining_delay_rate=0.0, mining_delay_ops=100,
-                 fail_jobs=None, drop_nodes=(), streams=None):
-        # ``mix64`` keys every draw on the seed: anything but an integer
-        # would raise from the first draw, outside the fault containment.
-        if not isinstance(seed, int) or isinstance(seed, bool):
+                 fail_jobs=None, streams=None):
+        # Every parameter is checked here, where a config validates: a
+        # wrong type would otherwise raise (or skew a draw) mid-serving,
+        # outside the fault containment.
+        if not _is_int(seed):
             raise ValueError(f"seed must be an int, got {seed!r}")
         rates = {"mining_failure_rate": mining_failure_rate,
                  "mining_delay_rate": mining_delay_rate}
         for name, rate in rates.items():
-            if not 0.0 <= rate <= 1.0:
-                raise ValueError(f"{name} must be within [0, 1], got {rate}")
+            if (not isinstance(rate, Real) or isinstance(rate, bool)
+                    or not 0.0 <= rate <= 1.0):
+                raise ValueError(f"{name} must be in [0, 1], got {rate!r}")
         total = sum(rates.values())
         if total > 1.0:
             raise ValueError(
                 f"fault rates must sum to within [0, 1], got {total}"
             )
-        if mining_delay_ops < 0:
+        if not _is_int(mining_delay_ops) or mining_delay_ops < 0:
             raise ValueError(
-                f"mining_delay_ops must be >= 0, got {mining_delay_ops}"
+                f"mining_delay_ops must be an int >= 0, "
+                f"got {mining_delay_ops!r}"
             )
         if fail_jobs is not None:
-            lo, hi = fail_jobs
-            if lo < 0 or hi < lo:
+            window = (tuple(fail_jobs)
+                      if isinstance(fail_jobs, (tuple, list)) else ())
+            if (len(window) != 2 or not all(map(_is_int, window))
+                    or window[0] < 0 or window[1] < window[0]):
                 raise ValueError(f"bad fail_jobs window {fail_jobs!r}")
+            fail_jobs = window
+        if isinstance(streams, str):
+            raise ValueError(f"streams must be a collection, not {streams!r}")
         self.seed = seed
         self.mining_failure_rate = mining_failure_rate
         self.mining_delay_rate = mining_delay_rate
         self.mining_delay_ops = mining_delay_ops
-        self.fail_jobs = tuple(fail_jobs) if fail_jobs is not None else None
-        self.drop_nodes = tuple(tuple(pair) for pair in drop_nodes)
+        self.fail_jobs = fail_jobs
         self.streams = frozenset(streams) if streams is not None else None
-
-    @property
-    def has_node_drops(self):
-        return bool(self.drop_nodes)
 
     def applies_to(self, stream):
         return self.streams is None or stream in self.streams
@@ -222,15 +225,6 @@ class FaultPlan:
             return MiningFault(MiningFault.DELAY, self.mining_delay_ops)
         return None
 
-    def should_drop_node(self, stream, node_id, at_op):
-        """True once replica ``node_id`` is scheduled to die at ``at_op``."""
-        if not self.applies_to(stream):
-            return False
-        for node, op in self.drop_nodes:
-            if node == node_id and at_op >= op:
-                return True
-        return False
-
     def __repr__(self):
         parts = [f"seed={self.seed}"]
         for name in ("mining_failure_rate", "mining_delay_rate"):
@@ -239,8 +233,6 @@ class FaultPlan:
                 parts.append(f"{name}={value}")
         if self.fail_jobs is not None:
             parts.append(f"fail_jobs={self.fail_jobs}")
-        if self.drop_nodes:
-            parts.append(f"drop_nodes={self.drop_nodes}")
         if self.streams is not None:
             parts.append(f"streams={sorted(map(repr, self.streams))}")
         return f"FaultPlan({', '.join(parts)})"
@@ -254,12 +246,13 @@ def parse_fault_spec(text):
 
         "seed=7,mining_failure_rate=0.1"
         "fail_jobs=3:9"                  # half-open job-seq window
-        "drop_nodes=1@500+2@800"         # node 1 dies at op 500, ...
         "streams=tenant-a+tenant-b"      # plan scoped to these streams
 
     ``"null"`` / ``"none"`` / ``""`` name the :data:`NULL_FAULT_PLAN`.
     The retired ``mining_overrun_rate`` (it simulated a soft mining
-    deadline that is gone, by the raise path) is accepted at 0 only.
+    deadline that is gone, by the raise path) is accepted at 0 only;
+    the retired ``drop_nodes`` schedule is refused at any value (a
+    replica leaves its set through the handle's ``drop_node()``).
     """
     text = text.strip()
     if text.lower() in ("", "null", "none", "off"):
@@ -286,11 +279,10 @@ def parse_fault_spec(text):
                 lo, _, hi = raw.partition(":")
                 kwargs[key] = (int(lo), int(hi))
             elif key == "drop_nodes":
-                pairs = []
-                for part in raw.split("+"):
-                    node, _, op = part.partition("@")
-                    pairs.append((int(node), int(op)))
-                kwargs[key] = tuple(pairs)
+                raise ValueError(
+                    f"{key} is retired; drop a replica with the session "
+                    f"handle's drop_node()"
+                )
             elif key == "streams":
                 kwargs[key] = tuple(raw.split("+"))
             else:

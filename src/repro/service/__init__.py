@@ -24,7 +24,7 @@ tbegin/tend stream is byte-identical to running its application alone
 """
 
 from repro.service.executor import SessionLane, SharedJobExecutor
-from repro.service.replicated import ReplicatedBackend, ReplicatedSessionHandle
+from repro.service.replicated import ReplicatedBackend
 from repro.service.service import (
     ApopheniaService,
     SessionHandle,
@@ -35,7 +35,6 @@ from repro.service.service import (
 __all__ = [
     "ApopheniaService",
     "ReplicatedBackend",
-    "ReplicatedSessionHandle",
     "SessionHandle",
     "SessionLane",
     "SessionPool",

@@ -102,6 +102,9 @@ class SessionHandle:
     the facade reports), the replica set's ``coordinator`` or ``None``,
     and ``closed``. Runtimes, executors / lanes and the coordinator are
     reached through ``processors`` and live exactly as long as the handle.
+    A replica set needs no handle of its own: ``drop_node`` takes a dead
+    replica out of the live subset and ``decisions_agree`` checks that
+    the live ones issued one stream.
 
     Serving calls look ``execute_task`` / ``set_iteration`` / ``flush``
     up on each processor at call time; nothing here caches a bound
@@ -127,7 +130,11 @@ class SessionHandle:
     # Serving
     # ------------------------------------------------------------------
     def execute_task(self, task):
-        """Issue one task on every live replica, in node order."""
+        """Issue one task on every live replica, in node order.
+
+        Replicas share the one :class:`~repro.runtime.task.Task` object:
+        their runtimes run in ``fast`` analysis mode, so that is safe.
+        """
         if self.closed:  # _check_open, inlined on the per-task path
             raise SessionClosedError(self.session_id)
         for processor in self._live:
@@ -142,6 +149,35 @@ class SessionHandle:
         self._check_open()
         for processor in self._live:
             processor.flush()
+
+    def drop_node(self, node_id):
+        """Remove a dead replica from the serving set; returns the live
+        count.
+
+        Degradation, not teardown: the survivors keep byte-identical
+        agreement because the coordinator merely stops counting the dead
+        node as a consumer (its already-fixed ingest points are
+        untouched, and per-node retire tracking keeps pruning exact), and
+        the dead node's processor and runtime stay on the handle, so
+        nothing the application still references is torn down early.
+        Refuses to drop the last live node -- a session with zero
+        replicas is an outage, not a degradation.
+        """
+        self._check_open()
+        live = [p for p in self._live if p.node_id != node_id]
+        if len(live) == len(self._live):
+            raise ValueError(
+                f"node {node_id} is not live on session {self.session_id!r}"
+            )
+        if not live:
+            raise ValueError(
+                f"cannot drop node {node_id}: it is the last live replica "
+                f"of session {self.session_id!r}"
+            )
+        self._live = live
+        if self.coordinator is not None:
+            self.coordinator.drop_node(node_id)
+        return len(self._live)
 
     # ------------------------------------------------------------------
     # Introspection
@@ -190,6 +226,16 @@ class SessionHandle:
 
     def decision_trace(self):
         return self._live[0].decision_trace()
+
+    def decisions_agree(self):
+        """True if every *live* replica issued the identical trace
+        sequence (trivially so with one). A dropped replica's trace is
+        frozen at the prefix it issued before dying, so it is left out.
+        """
+        reference = self._live[0].decision_trace()
+        return all(
+            p.decision_trace() == reference for p in self._live[1:]
+        )
 
     def __repr__(self):
         state = "closed" if self.closed else "open"

@@ -121,7 +121,6 @@ class TestFaultPlan:
         plan = FaultPlan(seed=3, mining_failure_rate=1.0, streams=("a",))
         assert plan.mining_fault("a", 0) is not None
         assert plan.mining_fault("b", 0) is None
-        assert not plan.should_drop_node("b", 0, 10**9)
 
     def test_fail_jobs_window_always_raises(self):
         plan = FaultPlan(seed=0, fail_jobs=(3, 6))
@@ -131,15 +130,6 @@ class TestFaultPlan:
                 assert fault is not None and fault.kind == MiningFault.RAISE
             else:
                 assert fault is None  # all rates are zero outside the window
-
-    def test_node_drop_schedule(self):
-        plan = FaultPlan(drop_nodes=((1, 500), (2, 800)))
-        assert plan.has_node_drops
-        assert not plan.should_drop_node("s", 1, 499)
-        assert plan.should_drop_node("s", 1, 500)
-        assert not plan.should_drop_node("s", 2, 500)
-        assert plan.should_drop_node("s", 2, 801)
-        assert not plan.should_drop_node("s", 0, 10**9)
 
     def test_invalid_parameters_rejected(self):
         with pytest.raises(ValueError, match="rates"):
@@ -161,6 +151,25 @@ class TestFaultPlan:
             FaultPlan(fail_jobs=(5, 2))
         with pytest.raises(ValueError, match="mining_delay_ops"):
             FaultPlan(mining_delay_rate=0.1, mining_delay_ops=-1)
+        # Each parameter's type, too: a wrong one used to validate and
+        # then skew a draw or raise mid-serving. A fractional delay
+        # moved a completion op by +2.5 ops.
+        for ops in (2.5, True, "50", None):
+            with pytest.raises(ValueError, match="mining_delay_ops"):
+                FaultPlan(mining_delay_rate=1.0, mining_delay_ops=ops)
+        # A string rate raised TypeError; True was a rate of 1.
+        for name in ("mining_failure_rate", "mining_delay_rate"):
+            for rate in ("0.5", True, None, 0.5j):
+                with pytest.raises(ValueError, match=name):
+                    FaultPlan(**{name: rate})
+        # (0.5, 2) was accepted as a window; "ab" raised TypeError.
+        for window in ((0.5, 2), "ab", (1, 2, 3), (True, 2), 5, (1,)):
+            with pytest.raises(ValueError, match="fail_jobs"):
+                FaultPlan(fail_jobs=window)
+        # A bare string scoped the plan to its characters, so the tenant
+        # it names was never faulted.
+        with pytest.raises(ValueError, match="streams"):
+            FaultPlan(mining_failure_rate=1.0, streams="tenant-a")
 
     @pytest.mark.parametrize("seed", ["x", 1.5, None, True])
     def test_a_seed_that_is_no_int_is_refused(self, seed):
@@ -174,13 +183,12 @@ class TestFaultPlan:
     def test_spec_string_round_trip(self):
         plan = parse_fault_spec(
             "seed=7, mining_failure_rate=0.25, mining_delay_ops=40,"
-            "fail_jobs=3:9, drop_nodes=1@500+2@800, streams=a+b"
+            "fail_jobs=3:9, streams=a+b"
         )
         assert plan.seed == 7
         assert plan.mining_failure_rate == 0.25
         assert plan.mining_delay_ops == 40
         assert plan.fail_jobs == (3, 9)
-        assert plan.drop_nodes == ((1, 500), (2, 800))
         assert plan.streams == frozenset({"a", "b"})
 
     def test_retired_overrun_rate_is_accepted_at_zero_only(self):
@@ -196,6 +204,17 @@ class TestFaultPlan:
                 parse_fault_spec(f"mining_overrun_rate={raw}")
         with pytest.raises(TypeError):
             FaultPlan(mining_overrun_rate=0.0)
+
+    @pytest.mark.parametrize("raw", ["1@500", "1@500+2@800", "", "0"])
+    def test_retired_drop_nodes_is_refused(self, raw):
+        """A replica leaves its set one way, through the handle's
+        ``drop_node()``: a spec that schedules drops is a bad fault spec
+        at any value, and its message names the way that is left."""
+        with pytest.raises(ValueError,
+                           match=r"bad fault spec.*drop_nodes.*drop_node\(\)"):
+            parse_fault_spec(f"seed=3,drop_nodes={raw}")
+        with pytest.raises(TypeError):
+            FaultPlan(drop_nodes=((1, 500),))
 
     @pytest.mark.parametrize("text", ["", "null", "NONE", "off"])
     def test_null_spellings(self, text):
@@ -218,9 +237,7 @@ class TestFaultPlan:
 
     def test_null_plan_is_inert(self):
         assert not NULL_FAULT_PLAN.active
-        assert not NULL_FAULT_PLAN.has_node_drops
         assert NULL_FAULT_PLAN.mining_fault("s", 0) is None
-        assert not NULL_FAULT_PLAN.should_drop_node("s", 0, 10**9)
 
     def test_config_env_flow(self):
         cfg = build_config(
@@ -617,22 +634,29 @@ class TestTeardownUnderFaults:
 # Replicated degradation: surviving a dropped node
 # ---------------------------------------------------------------------------
 class TestReplicatedNodeDrop:
-    DROP_PLAN = FaultPlan(drop_nodes=((2, 400),), streams=("drop",))
+    #: Node 2 dies once node 0 has observed this many ops.
+    DROP_AT_OP = 400
 
-    def _drive(self, handle, stream):
+    def _drive(self, target, stream, drop_at=None):
+        """Serve ``stream`` through ``target`` (a handle, or a facade
+        session); with ``drop_at``, drop node 2 before the first task
+        issued once the reference replica's op clock reaches it."""
+        handle = getattr(target, "handle", target)
         for iteration, task in stream:
-            handle.set_iteration(iteration)
-            handle.execute_task(task)
-        handle.flush()
+            target.set_iteration(iteration)
+            if (drop_at is not None and handle.nodes_dropped == 0
+                    and handle.processor.finder.ops_observed >= drop_at):
+                handle.drop_node(2)
+            target.execute_task(task)
+        target.flush()
 
     def test_session_survives_scheduled_node_drop(self, app_streams):
-        config = REPLICATED_CONFIG.with_overrides(fault_plan=self.DROP_PLAN)
-        backend = ReplicatedBackend(config)
+        backend = ReplicatedBackend(REPLICATED_CONFIG)
         handle = backend.open_session("drop")
-        self._drive(handle, app_streams["s3d"])
+        self._drive(handle, app_streams["s3d"], drop_at=self.DROP_AT_OP)
         assert handle.num_nodes == 3
         assert handle.live_nodes == 2
-        assert handle.dropped == {2}
+        assert [p.node_id for p in handle.live_processors] == [0, 1]
         # The survivors kept byte-identical agreement through the drop.
         assert handle.decisions_agree()
         assert handle.processor.decision_trace()  # still actually tracing
@@ -658,10 +682,9 @@ class TestReplicatedNodeDrop:
         reference = clean.decision_trace()
         clean_backend.close_session("drop")
 
-        config = REPLICATED_CONFIG.with_overrides(fault_plan=self.DROP_PLAN)
-        backend = ReplicatedBackend(config)
+        backend = ReplicatedBackend(REPLICATED_CONFIG)
         handle = backend.open_session("drop")
-        self._drive(handle, stream)
+        self._drive(handle, stream, drop_at=self.DROP_AT_OP)
         assert handle.live_nodes == 2
         assert handle.decision_trace() == reference
         assert handle.decisions_agree()
@@ -683,12 +706,9 @@ class TestReplicatedNodeDrop:
         backend.close_session("m")
 
     def test_session_stats_carry_live_nodes(self, app_streams):
-        config = REPLICATED_CONFIG.with_overrides(fault_plan=self.DROP_PLAN)
-        with open_session("drop", backend=ReplicatedBackend(config)) as s:
-            for iteration, task in app_streams["stencil"]:
-                s.set_iteration(iteration)
-                s.submit(task)
-            s.flush()
+        backend = ReplicatedBackend(REPLICATED_CONFIG)
+        with open_session("drop", backend=backend) as s:
+            self._drive(s, app_streams["stencil"], drop_at=self.DROP_AT_OP)
             stats = s.stats()
             assert stats.nodes == 3
             assert stats.live_nodes == 2

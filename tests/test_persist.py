@@ -188,7 +188,9 @@ class TestWarmStartParity:
         assert uninterrupted.decision_trace, app_name  # traces really fired
         assert stats.warm_starts == 1
         if backend == "replicated":
-            assert handle.decisions_agree(), handle.decision_traces()
+            assert handle.decisions_agree(), [
+                p.decision_trace() for p in handle.processors
+            ]
 
     @pytest.mark.parametrize("backend", BACKENDS)
     def test_state_with_retired_config_keys_still_hydrates(

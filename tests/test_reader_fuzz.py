@@ -188,7 +188,7 @@ NUMBER = (
     | st.floats().map(repr) | st.sampled_from(["0", "1", " 2 ", ""])
 )
 
-#: Every key the spec parser knows, the retired one included.
+#: Every key the spec parser knows, the retired ones included.
 SPEC_KEYS = ("seed", "mining_failure_rate", "mining_delay_rate",
              "mining_delay_ops", "fail_jobs", "drop_nodes", "streams",
              "mining_overrun_rate")
@@ -245,7 +245,6 @@ def check_fault_spec(text):
     assert plan is NULL_FAULT_PLAN or isinstance(plan, FaultPlan)
     for job_seq in range(4):
         plan.mining_fault("s", job_seq)
-    plan.should_drop_node("s", 1, 10**6)
     assert_round_trips(ApopheniaConfig(fault_plan=text).validate())
 
 

@@ -96,7 +96,9 @@ class TestAllNodeAgreement:
             _drive(session, app_streams[app_name])
             handle = session.handle
             assert handle.num_nodes == REPLICATED_CONFIG.num_nodes
-            assert handle.decisions_agree(), handle.decision_traces()
+            assert handle.decisions_agree(), [
+                p.decision_trace() for p in handle.processors
+            ]
             assert session.decision_trace(), app_name  # traces actually fired
             # The tight margin forced real protocol work: nodes waited,
             # and the margin grew past its deliberately low start.
@@ -167,7 +169,7 @@ class TestDivergenceDemonstration:
             handle = session.handle
             assert handle.coordinator is None
             assert not handle.decisions_agree()
-            traces = handle.decision_traces()
+            traces = [p.decision_trace() for p in handle.processors]
             assert len(set(traces)) > 1
 
     def test_coordinated_run_converges(self, app_streams):

@@ -34,7 +34,10 @@ from repro.runtime.task import Task
 from repro.service.service import SessionHandle, collect_session_stats
 from repro.trace import TraceFormatV1
 
-pytestmark = [pytest.mark.api, pytest.mark.service, pytest.mark.replication]
+#: Every scenario ends with the runtimes' trace check clean
+#: (``conftest.py::session_engines``).
+pytestmark = [pytest.mark.api, pytest.mark.service, pytest.mark.replication,
+              pytest.mark.usefixtures("session_engines")]
 
 CONFIG = ApopheniaConfig(
     min_trace_length=3,

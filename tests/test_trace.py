@@ -41,7 +41,9 @@ from repro.trace.format import (
     stream_digest,
 )
 
-pytestmark = pytest.mark.trace
+#: Every re-drive ends with the runtimes' trace check clean
+#: (``conftest.py::session_engines``).
+pytestmark = [pytest.mark.trace, pytest.mark.usefixtures("session_engines")]
 
 CORPUS_DIR = os.path.join(os.path.dirname(__file__), "corpus")
 CORPUS_NAMES = sorted(CORPUS_ENTRIES)
@@ -135,9 +137,14 @@ class TestRedriveParity:
         verdict = TraceReplayHarness(document, backend=backend).run()
         assert verdict.matched, verdict.summary()
 
-    def test_replay_on_all_covers_every_backend(self, corpus_docs):
+    def test_replay_on_all_covers_every_backend(self, corpus_docs,
+                                                session_engines):
         verdicts = replay_on_all(corpus_docs["jacobi"])
         assert set(verdicts) == set(REPLAY_BACKENDS)
+        # One runtime per standalone / service session and one per node
+        # replica, each checked on teardown: the check is not vacuous.
+        assert len(session_engines) == 2 + CORPUS_CONFIG.num_nodes
+        assert all(engine.traces_replayed for engine in session_engines)
         assert all(verdicts.values())
 
     def test_config_override_breaks_byte_identity_knowingly(self, corpus_docs):
@@ -214,6 +221,7 @@ class TestRedriveParity:
     @pytest.mark.parametrize("spec, refused", [
         ("seed=5,mining_overrun_rate=0", False),
         ("seed=5,mining_overrun_rate=0.05", True),
+        ("seed=5,drop_nodes=1@500", True),
     ])
     def test_header_with_retired_fault_spec_key(self, spec, refused,
                                                 corpus_docs):
@@ -221,7 +229,8 @@ class TestRedriveParity:
         kind of their own names ``mining_overrun_rate`` in its spec. At
         0 it scheduled no overrun, so the trace loads and re-drives to
         its recorded digest; at any other value it is a bad fault spec,
-        refused when the header config is read."""
+        refused when the header config is read. A scheduled replica drop
+        (``drop_nodes``) is refused at any value."""
         current = corpus_docs["stencil"]
         records = [json.loads(line) for line in current.dumps().splitlines()]
         records[0]["config"]["fault_plan"] = spec
