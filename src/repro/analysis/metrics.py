@@ -12,11 +12,10 @@ from repro.core.repeats import covered_tokens
 class FinderResult:
     """Outcome of running one finder over one window."""
 
-    __slots__ = ("name", "repeats", "coverage", "coverage_fraction", "seconds")
+    __slots__ = ("name", "coverage", "coverage_fraction", "seconds")
 
     def __init__(self, name, repeats, window_size, seconds):
         self.name = name
-        self.repeats = repeats
         self.coverage = covered_tokens(repeats)
         self.coverage_fraction = (
             self.coverage / window_size if window_size else 0.0

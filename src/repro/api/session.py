@@ -266,11 +266,20 @@ class Session:
 
         From here on, every ``submit`` / ``set_iteration`` / ``flush``
         is captured. One recorder per session; returns the recorder.
+        Raises :class:`ValueError` unless the session is cold (no task
+        seen, no warm start): a trace re-drives from a cold session.
         """
         self._check_open()
         if self.recorder is not None:
             raise ValueError(
                 f"session {self.session_id!r} is already being recorded"
+            )
+        stats = self.stats()
+        if stats.tasks_seen or stats.warm_starts:
+            raise ValueError(
+                f"session {self.session_id!r} is not cold ({stats.tasks_seen}"
+                f" tasks seen, {stats.warm_starts} warm starts); a trace "
+                f"re-drives from a cold session, so record from the start"
             )
         recorder.on_open(self)
         self.recorder = recorder
@@ -396,8 +405,9 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         An application-owned runtime; omitted, the backend creates one.
     recorder:
         Optional :class:`~repro.trace.TraceRecorder` attached from the
-        first task (``session.record_to`` after the fact also works);
-        ``close()`` finalizes it.
+        first task (or ``session.record_to`` before it); ``close()``
+        finalizes it. Not together with ``state``: a trace re-drives
+        from a cold session.
     state:
         Optional :class:`~repro.persist.SessionState` (from
         ``Session.dehydrate()``) to warm-start from: the new session
@@ -406,6 +416,10 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         identically. The snapshot's decision-relevant config must match
         the session's.
     """
+    if recorder is not None and state is not None:
+        raise ValueError(
+            "a recorder needs a cold session, and state= warm-starts it"
+        )
     if session_id is None:
         session_id = f"session-{next(_AUTO_IDS)}"
     explicit = (config is not None or profile is not None or bool(overrides)

@@ -72,6 +72,10 @@ class CFD(Application):
 
     def _convergence_check(self):
         du = self.ctx.unary_op("DELTA", self.u)
+        # Nothing reads the residual, but the store holds its region until
+        # the next check replaces it: dropping it hands the region back to
+        # the pool an iteration earlier, which changes the regions later
+        # allocations reuse and so the task signatures.
         self.residual = du.norm()
 
     def iteration(self, index):

@@ -77,4 +77,8 @@ class TorchSWE(Application):
             self._stage()
         # Adaptive time step: a reduction over the wave speeds.
         speed = self.ctx.binary_op("WAVESPEED", self.state[0], self.state[1])
+        # Nothing reads the step, but the store holds its region until the
+        # next iteration replaces it: dropping it hands the region back to
+        # the pool a step earlier, which changes the regions later
+        # allocations reuse and so the task signatures.
         self._dt = speed.sum()

@@ -15,19 +15,13 @@ class RegionPool:
         self.forest = forest
         self.fields = tuple(fields)
         self._free = {}  # shape -> [LogicalRegion], LIFO
-        self.allocations = 0
-        self.reuses = 0
-        self.created = 0
 
     def allocate(self, shape, name=None):
         """Get a region of ``shape``, preferring the most recently freed."""
         shape = tuple(shape)
-        self.allocations += 1
         free_list = self._free.get(shape)
         if free_list:
-            self.reuses += 1
             return free_list.pop()
-        self.created += 1
         return self.forest.create_region(shape, self.fields, name=name)
 
     def release(self, region):

@@ -69,7 +69,6 @@ class ArrayContext:
         self.flop_rate = flop_rate
         self.task_time = task_time or self._default_task_time
         self.comm_time = comm_time
-        self.tasks_issued = 0
 
     def _default_task_time(self, name, shape):
         elements = 1
@@ -116,22 +115,15 @@ class ArrayContext:
     # ------------------------------------------------------------------
     # Task issuing
     # ------------------------------------------------------------------
-    def _issue(self, name, inputs, output, compute=None, scalar_args=()):
+    def _issue(self, name, inputs, output, compute=None):
         reqs = [
             RegionRequirement(arr.region, Privilege.READ_ONLY) for arr in inputs
         ]
         reqs.append(RegionRequirement(output.region, Privilege.WRITE_DISCARD))
         exec_cost = self.task_time(name, output.shape)
         comm_cost = self.comm_time(name, output.shape) if self.comm_time else 0.0
-        task = Task(
-            name,
-            reqs,
-            exec_cost=exec_cost,
-            comm_cost=comm_cost,
-            scalar_args=scalar_args,
-        )
+        task = Task(name, reqs, exec_cost=exec_cost, comm_cost=comm_cost)
         self.executor.execute_task(task)
-        self.tasks_issued += 1
         if self.numeric and compute is not None:
             output._data = compute(*[arr._data for arr in inputs])
         return output
@@ -163,7 +155,6 @@ class ArrayContext:
         self.executor.execute_task(
             Task(name, reqs, exec_cost=exec_cost, comm_cost=comm_cost)
         )
-        self.tasks_issued += 1
         if self.numeric and compute is not None:
             target._data = compute(
                 target._data, *[arr._data for arr in inputs]

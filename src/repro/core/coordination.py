@@ -50,9 +50,7 @@ class IngestCoordinator:
         self._agreed = {}  # job_index -> agreed ingest op (fixed at first ask)
         self._consumed = {}  # job_index -> node ids that ingested past it
         self.waits = 0
-        self.agreements_issued = 0
         self.agreements_pruned = 0
-        self.nodes_dropped = 0
 
     def register_node(self, node_id):
         """Declare a consuming node (called by each node processor).
@@ -79,7 +77,6 @@ class IngestCoordinator:
         if agreed is None:
             agreed = submitted_at_op + self.margin_ops
             self._agreed[job_index] = agreed
-            self.agreements_issued += 1
         return agreed
 
     def report_wait(self, job_index, lateness_ops):
@@ -130,7 +127,6 @@ class IngestCoordinator:
         entries pruned by the drop.
         """
         self.nodes.discard(node_id)
-        self.nodes_dropped += 1
         before = self.agreements_pruned
         for job_index in list(self._consumed):
             self._maybe_prune(job_index)

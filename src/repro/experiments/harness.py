@@ -17,7 +17,6 @@ class RunResult:
         "traces_recorded",
         "traces_replayed",
         "mismatches",
-        "warmup_used",
         "runtime",
         "app",
     )
@@ -33,7 +32,6 @@ class RunResult:
         self.traces_recorded = runtime.engine.traces_recorded
         self.traces_replayed = runtime.engine.traces_replayed
         self.mismatches = runtime.engine.mismatches
-        self.warmup_used = warmup
         self.runtime = runtime
         self.app = app
 

@@ -152,10 +152,10 @@ class FaultPlan:
         sequence numbers that *always* raise -- the deterministic burst
         the quarantine tests use to trip and then recover a breaker.
     streams:
-        Optional collection of stream keys the plan applies to;
-        ``None`` applies to every stream. Scoping faults to a subset of
-        tenants is how the chaos property test checks that fault-free
-        tenants stay byte-identical.
+        Optional collection of hashable stream keys (not a bare string)
+        the plan applies to; ``None`` applies to every stream. Scoping
+        faults to a subset of tenants is how the chaos property test
+        checks that fault-free tenants stay byte-identical.
     """
 
     active = True
@@ -177,7 +177,8 @@ class FaultPlan:
         total = sum(rates.values())
         if total > 1.0:
             raise ValueError(
-                f"fault rates must sum to within [0, 1], got {total}"
+                f"fault rates must sum to within [0, 1]: mining_failure_rate"
+                f" + mining_delay_rate = {total}"
             )
         if not _is_int(mining_delay_ops) or mining_delay_ops < 0:
             raise ValueError(
@@ -191,14 +192,22 @@ class FaultPlan:
                     or window[0] < 0 or window[1] < window[0]):
                 raise ValueError(f"bad fail_jobs window {fail_jobs!r}")
             fail_jobs = window
-        if isinstance(streams, str):
-            raise ValueError(f"streams must be a collection, not {streams!r}")
+        if streams is not None:
+            try:
+                if isinstance(streams, str):
+                    raise TypeError
+                streams = frozenset(streams)
+            except TypeError:
+                raise ValueError(
+                    f"streams must be a collection of hashable stream keys, "
+                    f"got {streams!r}"
+                ) from None
         self.seed = seed
         self.mining_failure_rate = mining_failure_rate
         self.mining_delay_rate = mining_delay_rate
         self.mining_delay_ops = mining_delay_ops
         self.fail_jobs = fail_jobs
-        self.streams = frozenset(streams) if streams is not None else None
+        self.streams = streams
 
     def applies_to(self, stream):
         return self.streams is None or stream in self.streams
@@ -332,8 +341,7 @@ class CircuitBreaker:
     """
 
     __slots__ = ("threshold", "consecutive_failures", "quarantined",
-                 "probing", "backoff", "backoff_remaining", "trips",
-                 "probes", "recoveries")
+                 "probing", "backoff", "backoff_remaining")
 
     def __init__(self, threshold):
         self.threshold = threshold
@@ -342,9 +350,6 @@ class CircuitBreaker:
         self.probing = False
         self.backoff = 0
         self.backoff_remaining = 0
-        self.trips = 0
-        self.probes = 0
-        self.recoveries = 0
 
     def allow(self):
         """May the next mining job actually run? Call once per job."""
@@ -358,14 +363,11 @@ class CircuitBreaker:
             self.backoff_remaining -= 1
             return False
         self.probing = True
-        self.probes += 1
         return True
 
     def record_success(self):
         self.consecutive_failures = 0
-        if self.quarantined:
-            self.quarantined = False
-            self.recoveries += 1
+        self.quarantined = False
         self.probing = False
 
     def record_failure(self):
@@ -378,7 +380,6 @@ class CircuitBreaker:
         elif (not self.quarantined and self.threshold
                 and self.consecutive_failures >= self.threshold):
             self.quarantined = True
-            self.trips += 1
             self.backoff = max(2, self.threshold)
             self.backoff_remaining = self.backoff
 

@@ -95,14 +95,12 @@ class LintViolation:
 class ModuleContext:
     """Everything a rule may consult about one parsed module."""
 
-    __slots__ = ("path", "key", "decision_path", "source", "lines", "tree",
-                 "aliases")
+    __slots__ = ("path", "key", "decision_path", "lines", "tree", "aliases")
 
     def __init__(self, path, source, tree):
         self.path = str(path)
         self.key = module_key(path)
         self.decision_path = is_decision_path(self.key)
-        self.source = source
         self.lines = source.splitlines()
         self.tree = tree
         self.aliases = _import_aliases(tree)

@@ -20,9 +20,9 @@ class LRU:
     cost ``token_budget`` and an entry ``capacity`` (``None``: unbounded).
 
     ``get`` refreshes an entry's recency, ``put`` replaces an existing
-    entry (its old cost released first) and ``pop`` takes one out;
-    ``tokens_held`` is the summed cost of what is held, ``evictions`` /
-    ``oversize_rejections`` count what a ``put`` pushed out or refused.
+    entry (its old cost released first) and says whether it admitted the
+    new one, and ``pop`` takes one out; ``tokens_held`` is the summed cost
+    of what is held.
     Values are held by reference: a front that hands them to callers who
     may mutate them copies on the way in and out.
     """
@@ -32,8 +32,6 @@ class LRU:
         self.capacity = capacity
         self._entries = OrderedDict()  # key -> (value, cost), LRU first
         self.tokens_held = 0
-        self.evictions = 0
-        self.oversize_rejections = 0
 
     def __len__(self):
         return len(self._entries)
@@ -53,7 +51,6 @@ class LRU:
         """Hold ``value`` under ``key``; returns ``True`` if admitted."""
         budget = self.token_budget
         if budget is not None and cost > budget:
-            self.oversize_rejections += 1
             return False
         self.pop(key)
         entries = self._entries
@@ -64,7 +61,6 @@ class LRU:
                or (budget is not None and self.tokens_held > budget)):
             _, (_, victim_cost) = entries.popitem(last=False)
             self.tokens_held -= victim_cost
-            self.evictions += 1
         return True
 
     def pop(self, key):

@@ -561,9 +561,7 @@ def hydrate_processor(processor, state):
         )
         coordinator.waits = max(coordinator.waits, restored["waits"])
         for job_id, point in restored["agreed"]:
-            if job_id not in coordinator._agreed:
-                coordinator._agreed[job_id] = point
-                coordinator.agreements_issued += 1
+            coordinator._agreed.setdefault(job_id, point)
 
     # In place: the replayer's on_trace callback holds this very list.
     processor.trace_log[:] = [

@@ -32,14 +32,12 @@ class _User:
 class TaskDependencies:
     """The result of analyzing one task."""
 
-    __slots__ = ("uid", "depends_on", "dependence_types")
+    __slots__ = ("uid", "depends_on")
 
-    def __init__(self, uid, depends_on, dependence_types):
+    def __init__(self, uid, depends_on):
         self.uid = uid
         # Frozenset of task uids this task must wait for.
         self.depends_on = depends_on
-        # Mapping uid -> DependenceType for diagnostics and tests.
-        self.dependence_types = dependence_types
 
     def __repr__(self):
         return f"TaskDependencies(uid={self.uid}, n={len(self.depends_on)})"
@@ -51,18 +49,13 @@ class DependenceAnalyzer:
     def __init__(self):
         # (root uid, field) -> list[_User]
         self._state = {}
-        # Total number of user comparisons performed; proxy for analysis work.
-        self.comparisons = 0
-        self.tasks_analyzed = 0
 
     def reset(self):
         self._state.clear()
 
     def analyze(self, task):
         """Analyze one task, updating state and returning its dependencies."""
-        self.tasks_analyzed += 1
         depends_on = set()
-        dep_types = {}
         for req in task.requirements:
             root_uid = req.region.root.uid
             for field in req.fields:
@@ -73,7 +66,6 @@ class DependenceAnalyzer:
                     self._state[key] = users
                 survivors = []
                 for user in users:
-                    self.comparisons += 1
                     if user.uid == task.uid:
                         survivors.append(user)
                         continue
@@ -88,7 +80,6 @@ class DependenceAnalyzer:
                         survivors.append(user)
                         continue
                     depends_on.add(user.uid)
-                    dep_types[user.uid] = dep
                     # A conflicting user is dominated by the new access only
                     # if the new access writes and covers it. Covering holds
                     # when the user's region overlaps and the new region is
@@ -99,7 +90,7 @@ class DependenceAnalyzer:
                         survivors.append(user)
                 self._state[key] = survivors
                 survivors.append(_User(task.uid, req.region, req.privilege, req.redop))
-        return TaskDependencies(task.uid, frozenset(depends_on), dep_types)
+        return TaskDependencies(task.uid, frozenset(depends_on))
 
     @staticmethod
     def _covers(new_region, old_region):
@@ -117,10 +108,5 @@ class DependenceAnalyzer:
         The analysis state is collapsed to the single fence user so later
         tasks depend (transitively) on everything before the fence.
         """
-        deps = frozenset(outstanding)
         self._state.clear()
-        # Sorted so the mapping's insertion order (which downstream code
-        # may iterate) never inherits set order.
-        return TaskDependencies(
-            uid, deps, {u: DependenceType.TRUE for u in sorted(deps)}
-        )
+        return TaskDependencies(uid, frozenset(outstanding))

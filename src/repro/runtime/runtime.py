@@ -12,8 +12,9 @@ applications and Apophenia use:
 
 The runtime models one node of the target machine under dynamic control
 replication: every node sees the same application-level stream, and each
-operation is an index launch with one point per GPU, so the per-node
-analysis cost of an operation is ``points_per_node * alpha``. Costs are
+operation is an index launch with one point per GPU, charged once per
+operation at the machine's node count
+(:meth:`~repro.runtime.costmodel.CostModel.analysis_at_scale`). Costs are
 charged in virtual time on the three-stage pipeline; see
 :mod:`repro.runtime.pipeline`.
 """
@@ -37,14 +38,13 @@ class TaskMode:
 class TaskRecord:
     """Per-task execution record kept for experiment post-processing."""
 
-    __slots__ = ("uid", "name", "iteration", "mode", "exec_done")
+    __slots__ = ("uid", "name", "iteration", "mode")
 
-    def __init__(self, uid, name, iteration, mode, exec_done):
+    def __init__(self, uid, name, iteration, mode):
         self.uid = uid
         self.name = name
         self.iteration = iteration
         self.mode = mode
-        self.exec_done = exec_done
 
 
 class Runtime:
@@ -93,7 +93,6 @@ class Runtime:
         self.machine = machine
         self.gpus = gpus
         self.nodes = machine.nodes_for(gpus)
-        self.points_per_node = max(1, min(gpus, machine.gpus_per_node))
         self.auto_tracing = auto_tracing
         self.analysis_mode = analysis_mode
         self.keep_task_log = keep_task_log
@@ -115,8 +114,6 @@ class Runtime:
         self.task_log = []
         self.dependences = {}  # uid -> TaskDependencies (full mode only)
         self._trace_aborted = False
-        self._record_uids = []
-        self.tasks_launched = 0
 
     # ------------------------------------------------------------------
     # Launch accounting (used by the Apophenia front-end)
@@ -128,7 +125,6 @@ class Runtime:
         calls this when the application hands it a task, *before* deciding
         whether to buffer or forward it.
         """
-        self.tasks_launched += 1
         return self.pipeline.launch(self.cost_model.launch(self.auto_tracing))
 
     # ------------------------------------------------------------------
@@ -149,7 +145,6 @@ class Runtime:
         status = self.engine.status
         if status is TraceStatus.RECORDING:
             self.engine.observe_task(task)
-            self._record_uids.append(task.uid)
             self._run_task(task, self._memo_cost, TaskMode.RECORDED, launched)
             return
         if status is TraceStatus.REPLAYING:
@@ -170,10 +165,7 @@ class Runtime:
 
     def begin_trace(self, trace_id):
         """Legion's ``tbegin(id)``."""
-        status = self.engine.begin(trace_id)
-        if status is TraceStatus.RECORDING:
-            self._record_uids = []
-        return status
+        return self.engine.begin(trace_id)
 
     def end_trace(self, trace_id):
         """Legion's ``tend(id)``."""
@@ -185,10 +177,6 @@ class Runtime:
             return "aborted"
         kind, payload = self.engine.end(trace_id)
         if kind == "recorded":
-            template = payload
-            if self.analysis_mode == "full":
-                template.internal_edges = self._internal_edges(self._record_uids)
-            self._record_uids = []
             return kind
         if kind == "replayed":
             template, tasks = payload
@@ -258,19 +246,6 @@ class Runtime:
             if self.keep_task_log:
                 self._log(task, TaskMode.REPLAYED, exec_done)
 
-    def _internal_edges(self, uids):
-        """Intra-trace dependence edges (pairs of trace-local indices)."""
-        index_of = {uid: i for i, uid in enumerate(uids)}
-        edges = []
-        for uid in uids:
-            deps = self.dependences.get(uid)
-            if deps is None:
-                continue
-            for dep_uid in deps.depends_on:
-                if dep_uid in index_of and index_of[dep_uid] < index_of[uid]:
-                    edges.append((index_of[dep_uid], index_of[uid]))
-        return sorted(edges)
-
     def _log(self, task, mode, exec_done):
         """Log a task and its iteration's end (``keep_task_log`` only:
         both grow for the runtime's whole life)."""
@@ -285,9 +260,7 @@ class Runtime:
         prev = self.iteration_end.get(iteration)
         if prev is None or exec_done > prev:
             self.iteration_end[iteration] = exec_done
-        self.task_log.append(
-            TaskRecord(task.uid, task.name, iteration, mode, exec_done)
-        )
+        self.task_log.append(TaskRecord(task.uid, task.name, iteration, mode))
 
     def _require_log(self, reading):
         if not self.keep_task_log:

@@ -103,10 +103,10 @@ class Task:
     comm_cost:
         Additional virtual communication time on the execution stage (e.g.
         halo exchanges); not part of the signature.
-    scalar_args:
-        Hashable tuple of by-value arguments that affect behaviour. These
-        are deliberately *excluded* from the trace signature, matching
-        Legion where futures/scalars do not affect the dependence analysis.
+
+    A task carries no by-value (scalar or future) arguments: in Legion they
+    do not affect the dependence analysis, so the trace signature would
+    exclude them, and nothing in the model reads them.
     """
 
     __slots__ = (
@@ -115,7 +115,6 @@ class Task:
         "requirements",
         "exec_cost",
         "comm_cost",
-        "scalar_args",
         "provenance",
         "_signature",
     )
@@ -126,7 +125,6 @@ class Task:
         requirements=(),
         exec_cost=0.0,
         comm_cost=0.0,
-        scalar_args=(),
         provenance=None,
     ):
         self.uid = next(_task_uid)
@@ -134,7 +132,6 @@ class Task:
         self.requirements = list(requirements)
         self.exec_cost = exec_cost
         self.comm_cost = comm_cost
-        self.scalar_args = tuple(scalar_args)
         self.provenance = provenance
         self._signature = None
 

@@ -17,8 +17,10 @@ Attachment goes through the session::
     doc = recorder.document()          # finalized by session close
     doc.dump("stencil.jsonl")
 
-or explicitly via ``session.record_to(recorder)`` /
-``session.stop_recording()`` mid-lifecycle.
+or explicitly via ``session.record_to(recorder)`` before the first task
+and ``session.stop_recording()`` at any point. A trace re-drives from a
+cold session, so a session that has seen a task or was warm-started from
+a state refuses a recorder: its capture could not re-drive.
 
 The recorder is passive: it never calls into the backend, adds no
 buffering, and records each task *before* the serving path sees it, so

@@ -95,17 +95,14 @@ class ReplayVerdict:
     __slots__ = (
         "backend",
         "matched",
-        "expected_digest",
         "actual_digest",
         "tasks",
         "stats",
     )
 
-    def __init__(self, backend, matched, expected_digest, actual_digest,
-                 tasks, stats):
+    def __init__(self, backend, matched, actual_digest, tasks, stats):
         self.backend = backend
         self.matched = matched
-        self.expected_digest = expected_digest
         self.actual_digest = actual_digest
         self.tasks = tasks
         self.stats = stats
@@ -193,11 +190,10 @@ class TraceReplayHarness:
             # events already end where the capture snapshot was taken.
             snapshot = session.snapshot()
             stats = session.stats()
-        expected = document.footer["decisions_digest"]
         actual = snapshot.stable_digest()
         return ReplayVerdict(
-            backend_obj.backend_kind, actual == expected, expected, actual,
-            tasks, stats,
+            backend_obj.backend_kind,
+            actual == document.footer["decisions_digest"], actual, tasks, stats,
         )
 
     @staticmethod

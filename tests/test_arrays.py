@@ -34,7 +34,9 @@ class TestRegionPool:
         pool = RegionPool(RegionForest())
         r = pool.allocate((4, 4))
         assert r.extent == (4, 4)
-        assert pool.created == 1 and pool.reuses == 0
+        # A fresh region every time while nothing has been released.
+        assert pool.allocate((4, 4)) is not r
+        assert pool.free_count() == 0
 
     def test_lifo_reuse(self):
         pool = RegionPool(RegionForest())
@@ -45,7 +47,7 @@ class TestRegionPool:
         # Most recently freed comes back first.
         assert pool.allocate((4,)) is b
         assert pool.allocate((4,)) is a
-        assert pool.reuses == 2
+        assert pool.free_count() == 0
 
     def test_shapes_pooled_separately(self):
         pool = RegionPool(RegionForest())

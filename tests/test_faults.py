@@ -170,6 +170,11 @@ class TestFaultPlan:
         # it names was never faulted.
         with pytest.raises(ValueError, match="streams"):
             FaultPlan(mining_failure_rate=1.0, streams="tenant-a")
+        # Not a collection, or keys that cannot be looked up: both raised
+        # TypeError from building the set.
+        for streams in (5, [["a"]], [{"a": 1}]):
+            with pytest.raises(ValueError, match="streams"):
+                FaultPlan(streams=streams)
 
     @pytest.mark.parametrize("seed", ["x", 1.5, None, True])
     def test_a_seed_that_is_no_int_is_refused(self, seed):
@@ -348,17 +353,17 @@ class TestCircuitBreaker:
         assert not breaker.quarantined  # streak of 2 < threshold
         assert breaker.allow()
         breaker.record_failure()
-        assert breaker.quarantined and breaker.trips == 1
+        assert breaker.quarantined and not breaker.probing
         # Backoff: threshold consecutive submits stay degraded.
         for _ in range(3):
             assert not breaker.allow()
         # Then exactly one probe is admitted.
         assert breaker.allow()
-        assert breaker.probes == 1
+        assert breaker.probing
         assert not breaker.allow()  # probe in flight, others stay degraded
         breaker.record_success()
-        assert not breaker.quarantined
-        assert breaker.recoveries == 1
+        assert not breaker.quarantined and not breaker.probing
+        assert breaker.allow()  # healthy again: every job runs
 
     def test_failed_probe_doubles_backoff(self):
         breaker = CircuitBreaker(threshold=2)
@@ -428,8 +433,7 @@ class TestLaneQuarantine:
         probe = lane.submit(REPEATING_WINDOW, MIN_LENGTH, 700)
         assert probe.result  # materializes healthy
         assert not probe.degraded
-        assert not lane.quarantined
-        assert lane.breaker.recoveries == 1
+        assert not lane.quarantined and not lane.breaker.probing
 
     def test_failed_probe_requarantines_lane(self):
         shared, lane = self._lane(fail_hi=1000, threshold=2)

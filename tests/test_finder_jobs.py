@@ -279,7 +279,6 @@ class TestIngestCoordinator:
             assert c.agreement_table_size == 1  # node 1 still owes a pop
             c.retire(job, 1)  # node 1 ingested: entry pruned
             assert c.agreement_table_size == 0
-        assert c.agreements_issued == 50
         assert c.agreements_pruned == 50
 
     def test_retire_of_unknown_agreement_is_harmless(self):
@@ -316,7 +315,7 @@ class TestIngestCoordinator:
         c.retire(0, 0)
         c.retire(0, 1)  # job 0: only node 2 still owes a pop
         c.retire(1, 2)  # job 1: the dead node consumed it, survivors not
-        assert c.drop_node(2) == 1 and c.nodes_dropped == 1
+        assert c.drop_node(2) == 1 and c.nodes == {0, 1}
         assert c.agreement_table_size == 1
         c.report_wait(1, 500)  # the margin grows ...
         assert c.agree(1, 200) == 210  # ... and the survivors' point holds
@@ -333,7 +332,7 @@ class TestIngestCoordinator:
         for i in range(200):
             finder.observe(i % 4)
             finder.drain_completed(finder.ops_observed, c, node=0)
-        assert c.agreements_issued > 3
-        # Every issued agreement this single node consumed was pruned.
-        assert c.agreements_pruned >= c.agreements_issued - 1
+        # Every issued agreement this single node consumed was pruned:
+        # at most the one in flight is left.
+        assert c.agreements_pruned > 3
         assert c.agreement_table_size <= 1

@@ -94,12 +94,16 @@ class TestTaskHasher:
         assert a != b
 
     def test_scalar_args_do_not_matter(self, forest):
-        """Scalars/futures do not affect the dependence analysis, so they
-        are excluded from trace identity (like Legion)."""
+        """By-value fields do not affect the dependence analysis, so they
+        are excluded from trace identity (like Legion's scalars): a task's
+        costs and provenance leave its token alone."""
         r = forest.create_region((10,))
         hasher = TaskHasher(CAPACITY)
-        a = hasher.hash_task(Task("T", [RegionRequirement(r, RO)], scalar_args=(1,)))
-        b = hasher.hash_task(Task("T", [RegionRequirement(r, RO)], scalar_args=(2,)))
+        a = hasher.hash_task(Task("T", [RegionRequirement(r, RO)]))
+        b = hasher.hash_task(Task(
+            "T", [RegionRequirement(r, RO)], exec_cost=1.0, comm_cost=2.0,
+            provenance=3,
+        ))
         assert a == b
 
     def test_cross_instance_agreement(self, forest):

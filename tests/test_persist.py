@@ -533,7 +533,8 @@ class TestServiceEvictReadmit:
         open_session("stencil", backend=service)
         assert service.sessions_evicted == 1
         assert service.state_store.states_held == 0
-        assert service.state_store.oversize_rejections == 1
+        assert service.state_store.tokens_held == 0
+        assert "s3d" not in service.state_store
         resumed = open_session("s3d", backend=service)
         assert service.backend_stats["warm_starts"] == 0
         assert not resumed.handle.processor.replayer.trie.candidates
@@ -595,12 +596,12 @@ class _StubState:
 class TestSessionStateStore:
     def test_lru_eviction_respects_budget(self):
         store = SessionStateStore(token_budget=100)
-        store.put("a", _StubState(60))
-        store.put("b", _StubState(50))  # evicts a (60 + 50 > 100)
+        assert store.put("a", _StubState(60))
+        assert store.put("b", _StubState(50))  # evicts a (60 + 50 > 100)
         assert "a" not in store
         assert "b" in store
         assert store.tokens_held == 50
-        assert store.evictions == 1
+        assert len(store) == 1
 
     def test_get_refreshes_recency(self):
         store = SessionStateStore(token_budget=100)
@@ -631,7 +632,7 @@ class TestSessionStateStore:
         for i in range(50):
             store.put(f"s{i}", _StubState(1000))
         assert store.states_held == 50
-        assert store.evictions == 0
+        assert all(f"s{i}" in store for i in range(50))
 
 
 class TestHydrateGuards:

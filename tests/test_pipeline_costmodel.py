@@ -31,13 +31,13 @@ class TestPipeline:
     def test_stall_accounting(self):
         p = Pipeline()
         p.execute(p.analyze(p.launch(0.0), 1.0), 1.0)
-        assert p.stats.exec_stalls == pytest.approx(1.0)
+        # Execution waited 1.0 for the analysis before its 1.0 of work.
+        assert p.exec_clock == pytest.approx(2.0)
 
     def test_ready_at_delays_analysis(self):
         p = Pipeline()
         p.analyze(5.0, 1.0)
         assert p.analysis_clock == pytest.approx(6.0)
-        assert p.stats.analysis_stalls == pytest.approx(5.0)
 
     def test_advance_app(self):
         p = Pipeline()
@@ -50,10 +50,10 @@ class TestPipeline:
         p = Pipeline()
         for _ in range(4):
             p.execute(p.analyze(p.launch(0.25), 0.5), 0.125)
-        assert p.stats.app_busy == pytest.approx(1.0)
-        assert p.stats.analysis_busy == pytest.approx(2.0)
-        assert p.stats.exec_busy == pytest.approx(0.5)
-        assert p.stats.tasks == 4
+        # Each stage is busy back to back once the first task reaches it.
+        assert p.app_clock == pytest.approx(4 * 0.25)
+        assert p.analysis_clock == pytest.approx(0.25 + 4 * 0.5)
+        assert p.exec_clock == pytest.approx(0.25 + 4 * 0.5 + 0.125)
 
 
 class TestCostModel:

@@ -23,10 +23,13 @@ junk. Each either
 returns a plan or a validated config, or raises ``ValueError`` -- "bad
 fault spec ..." for a spec, naming the variable (or the field it sets)
 for the environment -- and every accepted config writes through
-:func:`repro.canon.dumps` and reads back equal.
+:func:`repro.canon.dumps` and reads back equal. The :class:`FaultPlan`
+constructor gets arguments a spec string cannot spell (any type, any
+shape): it builds a plan that answers and validates, or raises a
+``ValueError`` naming the parameter.
 
 Tier-1 runs a bounded example budget; ``benchmarks/test_reader_fuzz_deep.py``
-runs the same checks with a deep one (``make verify-full``).
+runs the document and parser checks with a deep one (``make verify-full``).
 """
 
 import json
@@ -283,6 +286,49 @@ def test_fault_spec_parser_fails_closed(text):
 @given(env=ENV)
 def test_env_layering_fails_closed(env):
     check_env(env)
+
+
+#: Any argument value: scalars of every type the parameters take and
+#: others, and small lists, tuples and dicts of them (unhashable ones too).
+ANY = st.recursive(
+    st.none() | st.booleans() | st.integers(-2**70, 2**70) | st.floats()
+    | st.complex_numbers(max_magnitude=2) | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=3) | st.tuples(inner, inner)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=5,
+)
+
+#: Each ``FaultPlan`` parameter: a value of the right shape, or anything.
+PLAN_ARGS = st.fixed_dictionaries({}, optional={
+    "seed": st.integers(-2**70, 2**70) | ANY,
+    "mining_failure_rate": st.floats(0, 0.6) | ANY,
+    "mining_delay_rate": st.floats(0, 0.6) | ANY,
+    "mining_delay_ops": st.integers(0, 10**4) | ANY,
+    "fail_jobs": st.tuples(st.integers(-2, 9), st.integers(-2, 9)) | ANY,
+    "streams": st.lists(st.text(max_size=3) | st.integers(), max_size=3)
+    | ANY,
+})
+
+
+def check_fault_plan(kwargs):
+    """Constructor arguments build a plan that answers for its own streams
+    and another, and validates in a config -- or raise a ``ValueError``
+    naming a parameter."""
+    try:
+        plan = FaultPlan(**kwargs)
+    except ValueError as exc:
+        assert any(name in str(exc) for name in kwargs), (kwargs, exc)
+        return
+    for stream in ["s", *sorted(plan.streams or (), key=repr)]:
+        for job_seq in range(4):
+            plan.mining_fault(stream, job_seq)
+    ApopheniaConfig(fault_plan=plan).validate()
+
+
+@PARSERS
+@given(kwargs=PLAN_ARGS)
+def test_fault_plan_constructor_fails_closed(kwargs):
+    check_fault_plan(kwargs)
 
 
 @pytest.mark.parametrize("spelling", ["NaN", "Infinity", "-Infinity", "1e400"])

@@ -208,8 +208,7 @@ class TestBoundedSessionScopedAgreements:
             # Many agreements were issued and consumed over the run; the
             # live table holds at most the in-flight jobs, not one entry
             # per mining job for the life of the tenant.
-            assert coordinator.agreements_issued > 10
-            assert coordinator.agreements_pruned > 0
+            assert coordinator.agreements_pruned > 10
             assert coordinator.agreement_table_size <= 2
             assert session.stats().agreement_table_size <= 2
 

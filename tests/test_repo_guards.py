@@ -100,3 +100,91 @@ def test_documented_pointers_resolve(document):
                 pointer["name"] in _defined_names(path) for path in found)):
             dangling.append(span)
     assert dangling == []
+
+
+#: Attributes stored under ``src/repro`` that nothing reads, kept on
+#: purpose. Each store holds a lifetime, not a value.
+WRITE_ONLY_ON_PURPOSE = {
+    "_dt": "apps/torchswe.py: the store keeps the step's region alive for "
+           "one more iteration, which decides the region the pool hands "
+           "out next and so the task signatures",
+    "residual": "apps/cfd.py: the store keeps the residual's region alive "
+                "for one more iteration, which decides the region the pool "
+                "hands out next and so the task signatures",
+}
+
+
+def _trees(*tops):
+    for top in tops:
+        for path in sorted((ROOT / top).rglob("*.py")):
+            yield ast.parse(path.read_text(encoding="utf-8"))
+
+
+def _exception_classes(trees):
+    """Names of the classes in ``trees`` that derive from an exception."""
+    import builtins
+
+    bases = {}
+    for tree in trees:
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ClassDef):
+                bases[node.name] = [
+                    b.id if isinstance(b, ast.Name) else b.attr
+                    for b in node.bases
+                    if isinstance(b, (ast.Name, ast.Attribute))
+                ]
+    found = set()
+    while True:
+        more = {
+            name for name, parents in bases.items()
+            if name not in found and any(
+                p in found or (
+                    isinstance(getattr(builtins, p, None), type)
+                    and issubclass(getattr(builtins, p), BaseException))
+                for p in parents)
+        }
+        if not more:
+            return found
+        found |= more
+
+
+def test_every_attribute_has_a_reader():
+    """The dead-state guard: an attribute name stored (``x.a = ...`` /
+    ``x.a += ...``) under ``src/repro`` must be loaded somewhere in
+    ``src/``, ``bench/``, ``scripts/``, ``examples/`` or ``benchmarks/``.
+    Keyed by name, so it is conservative: any load of the name counts,
+    as does a ``getattr`` / ``hasattr`` with a literal name and each
+    ``repro.metrics.MARKS`` field's attribute. Loads in ``tests/`` and
+    ``__slots__`` strings do not count. Fields of exception classes are
+    API and exempt."""
+    from repro.metrics import MARKS
+
+    src = list(_trees("src/repro"))
+    exceptions = _exception_classes(src)
+    stored = set()
+    for tree in src:
+        pending = [tree]
+        while pending:
+            node = pending.pop()
+            if isinstance(node, ast.ClassDef) and node.name in exceptions:
+                continue
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Store)):
+                stored.add(node.attr)
+            pending.extend(ast.iter_child_nodes(node))
+    loaded = {mark["attr"] or name for name, mark in MARKS.items()}
+    for tree in _trees("src", "bench", "scripts", "examples", "benchmarks"):
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Attribute)
+                    and isinstance(node.ctx, ast.Load)):
+                loaded.add(node.attr)
+            elif (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Name)
+                    and node.func.id in ("getattr", "hasattr")
+                    and len(node.args) >= 2
+                    and isinstance(node.args[1], ast.Constant)):
+                loaded.add(node.args[1].value)
+    dead = sorted(stored - loaded - set(WRITE_ONLY_ON_PURPOSE))
+    assert not dead, f"stored under src/repro, read nowhere: {dead}"
+    # The allowlist names only attributes that are still write-only.
+    assert set(WRITE_ONLY_ON_PURPOSE) <= stored - loaded

@@ -25,14 +25,15 @@ class TestCosts:
         rt = Runtime(gpus=1)
         for t in chain_tasks(rt, 10):
             rt.execute_task(t)
-        # 10 tasks x (launch 7us on app) + analysis 1ms each.
-        assert rt.pipeline.stats.analysis_busy == pytest.approx(10 * 1e-3)
-        assert rt.pipeline.stats.app_busy == pytest.approx(10 * 7e-6)
+        # 10 tasks x (launch 7us on app) + analysis 1ms each, back to back
+        # from the first launch.
+        assert rt.pipeline.analysis_clock == pytest.approx(7e-6 + 10 * 1e-3)
+        assert rt.pipeline.app_clock == pytest.approx(10 * 7e-6)
 
     def test_apophenia_launch_cost(self):
         rt = Runtime(gpus=1, auto_tracing=True)
         rt.charge_launch()
-        assert rt.pipeline.stats.app_busy == pytest.approx(12e-6)
+        assert rt.pipeline.app_clock == pytest.approx(12e-6)
 
     def test_analysis_scales_with_nodes(self):
         small = Runtime(machine=PERLMUTTER, gpus=4)
@@ -48,14 +49,14 @@ class TestCosts:
         for t in tasks:
             rt.execute_task(t)
         rt.end_trace("t")
-        recorded_analysis = rt.pipeline.stats.analysis_busy
-        assert recorded_analysis == pytest.approx(4 * cm.memo_cost)
+        recorded_analysis = rt.pipeline.analysis_clock
+        assert recorded_analysis == pytest.approx(7e-6 + 4 * cm.memo_cost)
 
         rt.begin_trace("t")
         for t in tasks:
             rt.execute_task(t)
         rt.end_trace("t")
-        replay_analysis = rt.pipeline.stats.analysis_busy - recorded_analysis
+        replay_analysis = rt.pipeline.analysis_clock - recorded_analysis
         assert replay_analysis == pytest.approx(4 * cm.replay_cost)
 
     def test_replay_issue_cost_on_exec_stage(self):
@@ -66,14 +67,17 @@ class TestCosts:
         for t in tasks:
             rt.execute_task(t)
         rt.end_trace("t")
-        exec_before = rt.pipeline.stats.exec_busy
+        exec_before = rt.pipeline.exec_clock
         rt.begin_trace("t")
         for t in tasks:
             rt.execute_task(t)
         rt.end_trace("t")
         stall = cm.replay_issue_cost(4)
         assert stall == pytest.approx(cm.replay_constant + 4 * cm.replay_issue_per_task + 1e-7 * 4)
-        assert rt.pipeline.stats.exec_busy - exec_before == pytest.approx(stall)
+        # The four replayed tasks (4 x alpha_r of analysis, no execution
+        # cost) finish inside the stall.
+        assert stall > 4 * cm.replay_cost
+        assert rt.pipeline.exec_clock - exec_before == pytest.approx(stall)
 
 
 class TestModes:

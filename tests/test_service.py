@@ -162,8 +162,11 @@ class TestSessionLifecycle:
         for i in range(10):
             service.execute_task("a", Task(f"T{i % 2}"))
         service.close_session("a")
-        # Every task reached the session's runtime (none stuck buffered).
-        assert handle.runtime.tasks_launched == 10
+        # Every task reached the session's runtime (none stuck buffered):
+        # each launch charged the application stage once.
+        runtime = handle.runtime
+        assert runtime.pipeline.app_clock == pytest.approx(
+            10 * runtime.cost_model.launch(runtime.auto_tracing))
         assert handle.stats.tasks_seen == 10
         assert handle.stats.tasks_flushed + handle.stats.tasks_traced == 10
 

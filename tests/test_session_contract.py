@@ -359,10 +359,10 @@ def test_refused_admission_does_not_wedge_the_session_id(pool):
 
 
 def _tier(service):
-    """The spill tier's contents and traffic, as one comparable value."""
+    """The spill tier's contents, in recency order, as one comparable
+    value."""
     store = service.state_store
-    return (store.get("tenant"), len(store), store.tokens_held,
-            store.evictions, store.oversize_rejections)
+    return (store.get("tenant"), list(store._entries), store.tokens_held)
 
 
 def test_refused_admission_keeps_the_spilled_state():

@@ -160,7 +160,8 @@ class TestRedriveParity:
             corpus_docs["stencil"], config=config
         ).run()
         assert not verdict.matched
-        assert verdict.actual_digest != verdict.expected_digest
+        assert verdict.actual_digest != \
+            corpus_docs["stencil"].footer["decisions_digest"]
 
     @pytest.mark.parametrize("stale,refused", [
         ({"sa_backend": None, "match_engine": None,
@@ -304,6 +305,42 @@ class TestRecorderRoundTrip:
                 session.record_to(TraceRecorder())
         with pytest.raises(ValueError, match="finalized"):
             recorder.on_flush()
+
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_record_to_refuses_a_session_that_has_seen_a_task(self, backend):
+        """A trace re-drives from a cold session, so a capture that starts
+        mid-stream could not re-drive: it is refused, and the session
+        serves on unrecorded."""
+        stream = generative_stream(PHASE_GRAPHS["steady"], 12)
+        with api.open_session(
+            "late", backend=backend, config=CORPUS_CONFIG
+        ) as session:
+            session.submit(stream[0][1])
+            with pytest.raises(ValueError, match="not cold"):
+                session.record_to(TraceRecorder())
+            assert session.recorder is None
+            session.submit(stream[1][1])
+            assert session.stats().tasks_seen == 2
+
+    @pytest.mark.parametrize("backend", REPLAY_BACKENDS)
+    def test_a_warm_started_session_refuses_a_recorder(self, backend):
+        """``state=`` with ``recorder=`` raises before the backend opens
+        anything, and ``record_to`` on a warm-started session raises."""
+        stream = generative_stream(PHASE_GRAPHS["steady"], 40)
+        with api.open_session("warm", config=CORPUS_CONFIG) as session:
+            for iteration, task in stream:
+                session.set_iteration(iteration)
+                session.submit(task)
+            state = session.dehydrate()
+        pool = api.TRACING_BACKENDS[backend](CORPUS_CONFIG)
+        with pytest.raises(ValueError, match="cold session"):
+            api.open_session("warm", backend=pool, state=state,
+                             recorder=TraceRecorder())
+        assert pool.sessions == {}
+        with api.open_session("warm", backend=pool, state=state) as session:
+            assert session.stats().warm_starts == 1
+            with pytest.raises(ValueError, match="not cold"):
+                session.record_to(TraceRecorder())
 
 
 class TestGenerativeDeterminism:

@@ -36,7 +36,6 @@ class TestRecording:
         assert kind == "recorded"
         assert template.length == 3
         assert engine.traces_recorded == 1
-        assert engine.tasks_recorded == 3
 
     def test_replay_validates_and_returns_tasks(self, forest):
         engine = TracingEngine()
@@ -55,7 +54,7 @@ class TestRecording:
         assert kind == "replayed"
         assert buffered == replayed
         assert template.replays == 1
-        assert engine.tasks_replayed == 3
+        assert engine.traces_replayed == 1
 
 
 class TestValidation:
