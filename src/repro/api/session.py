@@ -68,6 +68,7 @@ class TracingBackend(Protocol):
 
     backend_kind: str
     config: object  # the default per-session ApopheniaConfig
+    state_store: object  # the spill tier (a SessionStateStore), or None
 
     def open_session(self, session_id, runtime=None, config=None,
                      state=None):
@@ -266,20 +267,21 @@ class Session:
 
         From here on, every ``submit`` / ``set_iteration`` / ``flush``
         is captured. One recorder per session; returns the recorder.
-        Raises :class:`ValueError` unless the session is cold (no task
-        seen, no warm start): a trace re-drives from a cold session.
+        Raises :class:`ValueError` once the session has seen a task (a
+        warm start resumes its state's count): a trace re-drives from a
+        cold session.
         """
         self._check_open()
         if self.recorder is not None:
             raise ValueError(
                 f"session {self.session_id!r} is already being recorded"
             )
-        stats = self.stats()
-        if stats.tasks_seen or stats.warm_starts:
+        seen = self.stats().tasks_seen
+        if seen:
             raise ValueError(
-                f"session {self.session_id!r} is not cold ({stats.tasks_seen}"
-                f" tasks seen, {stats.warm_starts} warm starts); a trace "
-                f"re-drives from a cold session, so record from the start"
+                f"session {self.session_id!r} is not cold ({seen} tasks "
+                f"seen); a trace re-drives from a cold session, so record "
+                f"from the start"
             )
         recorder.on_open(self)
         self.recorder = recorder
@@ -406,8 +408,10 @@ def open_session(session_id=None, *, backend="standalone", config=None,
     recorder:
         Optional :class:`~repro.trace.TraceRecorder` attached from the
         first task (or ``session.record_to`` before it); ``close()``
-        finalizes it. Not together with ``state``: a trace re-drives
-        from a cold session.
+        finalizes it. Refused, before anything opens, for a session
+        that would warm-start (``state``, or a state the backend's spill
+        tier holds for ``session_id``): a trace re-drives from a cold
+        session.
     state:
         Optional :class:`~repro.persist.SessionState` (from
         ``Session.dehydrate()``) to warm-start from: the new session
@@ -416,10 +420,6 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         identically. The snapshot's decision-relevant config must match
         the session's.
     """
-    if recorder is not None and state is not None:
-        raise ValueError(
-            "a recorder needs a cold session, and state= warm-starts it"
-        )
     if session_id is None:
         session_id = f"session-{next(_AUTO_IDS)}"
     explicit = (config is not None or profile is not None or bool(overrides)
@@ -435,6 +435,16 @@ def open_session(session_id=None, *, backend="standalone", config=None,
         session_config = (
             _attach_config(backend_obj, config, profile, env, overrides)
             if explicit else None
+        )
+    spilled = backend_obj.state_store
+    if recorder is not None and (
+        state is not None or (spilled is not None and session_id in spilled)
+    ):
+        # Refused before the backend admits anything: admission may evict
+        # another tenant and takes a spilled state out of the store.
+        raise ValueError(
+            f"a recorder needs a cold session, and session {session_id!r} "
+            f"would warm-start (from state= or the backend's spill tier)"
         )
     handle = backend_obj.open_session(
         session_id,

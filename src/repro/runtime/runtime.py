@@ -114,6 +114,12 @@ class Runtime:
         self.task_log = []
         self.dependences = {}  # uid -> TaskDependencies (full mode only)
         self._trace_aborted = False
+        # Nothing reads tasks_launched or a template's internal_edges (full
+        # mode only). Their per-task upkeep runs inside the benchmark's
+        # spanned runtime:* methods, so it goes with ROADMAP 1(j)'s fix of
+        # the traced pass's closure gate, like PipelineStats.
+        self._record_uids = []
+        self.tasks_launched = 0
 
     # ------------------------------------------------------------------
     # Launch accounting (used by the Apophenia front-end)
@@ -125,6 +131,7 @@ class Runtime:
         calls this when the application hands it a task, *before* deciding
         whether to buffer or forward it.
         """
+        self.tasks_launched += 1
         return self.pipeline.launch(self.cost_model.launch(self.auto_tracing))
 
     # ------------------------------------------------------------------
@@ -145,6 +152,7 @@ class Runtime:
         status = self.engine.status
         if status is TraceStatus.RECORDING:
             self.engine.observe_task(task)
+            self._record_uids.append(task.uid)
             self._run_task(task, self._memo_cost, TaskMode.RECORDED, launched)
             return
         if status is TraceStatus.REPLAYING:
@@ -165,7 +173,10 @@ class Runtime:
 
     def begin_trace(self, trace_id):
         """Legion's ``tbegin(id)``."""
-        return self.engine.begin(trace_id)
+        status = self.engine.begin(trace_id)
+        if status is TraceStatus.RECORDING:
+            self._record_uids = []
+        return status
 
     def end_trace(self, trace_id):
         """Legion's ``tend(id)``."""
@@ -177,6 +188,10 @@ class Runtime:
             return "aborted"
         kind, payload = self.engine.end(trace_id)
         if kind == "recorded":
+            template = payload
+            if self.analysis_mode == "full":
+                template.internal_edges = self._internal_edges(self._record_uids)
+            self._record_uids = []
             return kind
         if kind == "replayed":
             template, tasks = payload
@@ -245,6 +260,19 @@ class Runtime:
             )
             if self.keep_task_log:
                 self._log(task, TaskMode.REPLAYED, exec_done)
+
+    def _internal_edges(self, uids):
+        """Intra-trace dependence edges (pairs of trace-local indices)."""
+        index_of = {uid: i for i, uid in enumerate(uids)}
+        edges = []
+        for uid in uids:
+            deps = self.dependences.get(uid)
+            if deps is None:
+                continue
+            for dep_uid in deps.depends_on:
+                if dep_uid in index_of and index_of[dep_uid] < index_of[uid]:
+                    edges.append((index_of[dep_uid], index_of[uid]))
+        return sorted(edges)
 
     def _log(self, task, mode, exec_done):
         """Log a task and its iteration's end (``keep_task_log`` only:

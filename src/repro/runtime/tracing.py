@@ -4,10 +4,11 @@ The engine implements the ``tbegin(id)``/``tend(id)`` interface described in
 Section 2 of the paper. The first time a trace id is executed, the engine
 *records*: every task inside the trace runs through the full dependence
 analysis (at slightly higher cost, alpha_m) while the engine captures the
-task signatures. On subsequent executions of the same id, the engine
-*validates* that the issued sequence is identical (same tasks, same region
-arguments -- the condition from Section 2) and *replays* the memoized
-analysis at alpha_r per task plus a constant issuance overhead.
+task signatures and the intra-trace dependence edges. On subsequent
+executions of the same id, the engine *validates* that the issued sequence
+is identical (same tasks, same region arguments -- the condition from
+Section 2) and *replays* the memoized analysis at alpha_r per task plus a
+constant issuance overhead.
 
 A trace whose second execution issues a different sequence is an invalid
 trace: depending on policy the engine raises
@@ -22,12 +23,14 @@ from repro.runtime.errors import TraceMismatchError, TraceNestingError
 class TraceTemplate:
     """The memoized result of recording one trace."""
 
-    __slots__ = ("trace_id", "signatures", "replays")
+    __slots__ = ("trace_id", "signatures", "internal_edges", "replays")
 
     def __init__(self, trace_id):
         self.trace_id = trace_id
         # Tuple of task signatures, in issue order.
         self.signatures = []
+        # List of (earlier_index, later_index) intra-trace dependence edges.
+        self.internal_edges = []
         self.replays = 0
 
     @property
@@ -71,6 +74,10 @@ class TracingEngine:
         # Statistics.
         self.traces_recorded = 0
         self.traces_replayed = 0
+        # No reader for the two task counts: they go with ROADMAP 1(j)'s
+        # closure-gate fix (see Runtime.tasks_launched).
+        self.tasks_recorded = 0
+        self.tasks_replayed = 0
         self.mismatches = 0
 
     # ------------------------------------------------------------------
@@ -101,6 +108,7 @@ class TracingEngine:
         """
         if self.status is TraceStatus.RECORDING:
             self._recording_template.signatures.append(task.signature())
+            self.tasks_recorded += 1
             return TraceStatus.RECORDING
         if self.status is TraceStatus.REPLAYING:
             template = self.templates[self.current_id]
@@ -157,6 +165,7 @@ class TracingEngine:
                 return ("aborted", tasks)
             template.replays += 1
             self.traces_replayed += 1
+            self.tasks_replayed += template.length
             tasks = self._replay_buffer
             self._reset()
             return ("replayed", (template, tasks))

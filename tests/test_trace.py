@@ -342,6 +342,25 @@ class TestRecorderRoundTrip:
             with pytest.raises(ValueError, match="not cold"):
                 session.record_to(TraceRecorder())
 
+    def test_a_spilled_tenant_refuses_a_recorder_before_admission(self):
+        """Re-admitting a tenant whose state the spill tier holds is a warm
+        start too: ``recorder=`` is refused before admission, so no other
+        tenant is evicted, nothing opens, and the spilled state stays."""
+        service = api.TRACING_BACKENDS["service"](CORPUS_CONFIG.with_overrides(
+            max_sessions=1, session_state_budget=100_000
+        ))
+        first = api.open_session("a", backend=service)
+        for iteration, task in generative_stream(PHASE_GRAPHS["steady"], 100):
+            first.set_iteration(iteration)
+            first.submit(task)
+        api.open_session("b", backend=service)  # evicts and spills "a"
+        assert "a" in service.state_store
+        with pytest.raises(ValueError, match="cold session"):
+            api.open_session("a", backend=service, recorder=TraceRecorder())
+        assert sorted(service.sessions) == ["b"]
+        assert "a" in service.state_store
+        assert service.sessions_evicted == 1
+
 
 class TestGenerativeDeterminism:
     """The phase-graph generator's reproducibility laws."""
